@@ -18,21 +18,20 @@ from .census import (
     enumerate_orbits,
     mult_order,
     order_bound,
+    order_moduli,
     verify_orbit,
 )
 from .compactify import (
-    FiniteCyclicGroup,
+    Certificate,
     HermitianForm,
-    averaged_form,
+    certify,
     conjugate_into_unitary,
     detect_finite_order,
-    generated_group,
-    karcher_form,
+    invariant_form,
     normality_exponent,
 )
 from .errors import (
     BsretractError,
-    DegenerateGroup,
     GroupMismatch,
     InvalidOrbit,
     NoConvergence,
@@ -49,7 +48,6 @@ from .kempfness import (
     FlowConfig,
     FlowTrace,
     flow,
-    flow_step,
     kn_energy,
     moment_map,
     verify_minimal,

@@ -21,6 +21,7 @@ __all__ = [
     "BSGroup",
     "Rep",
     "relation_residual",
+    "residual",
     "from_orbit_datum",
     "direct_sum",
     "conjugate",
@@ -69,13 +70,6 @@ class Rep:
         return Rep(BSGroup(p, q), a.shape[0], a, b)
 
 
-def _power(b: np.ndarray, k: int) -> np.ndarray:
-    try:
-        return np.linalg.matrix_power(b, int(k))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix(f"cannot raise singular matrix to power {k}") from exc
-
-
 def _inv(a: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.inv(a)
@@ -83,11 +77,18 @@ def _inv(a: np.ndarray) -> np.ndarray:
         raise SingularMatrix("matrix is singular to working precision") from exc
 
 
+def residual(a: np.ndarray, b: np.ndarray, p: int, q: int) -> float:
+    """||A B^p A^-1 - B^q|| of raw arrays, without validating them."""
+    try:
+        lhs = a @ np.linalg.matrix_power(b, p) @ np.linalg.inv(a)
+        return hs_norm(lhs - np.linalg.matrix_power(b, q))
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix("singular matrix in the relation residual") from exc
+
+
 def relation_residual(rep: Rep) -> float:
     """||A B^p A^-1 - B^q|| in the Hilbert-Schmidt norm."""
-    a, b = rep.A, rep.B
-    lhs = a @ _power(b, rep.group.p) @ _inv(a)
-    return hs_norm(lhs - _power(b, rep.group.q))
+    return residual(rep.A, rep.B, rep.group.p, rep.group.q)
 
 
 def from_orbit_datum(datum: census.OrbitDatum, chi: complex, *, sl: bool = False) -> Rep:
@@ -244,7 +245,7 @@ def rep_from_json(d: dict, *, validate: bool = True, tol: float = REP_TOL) -> Re
     )
     if validate:
         res = relation_residual(rep)
-        if res > tol:
+        if not res <= tol:
             raise ValueError(
                 f"relation residual {res:.3e} exceeds tolerance {tol:.1e}; "
                 "input is not a point of the variety"

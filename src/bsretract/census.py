@@ -20,6 +20,7 @@ __all__ = [
     "OrbitDatum",
     "UnfactoredModulusWarning",
     "validate_parameters",
+    "order_moduli",
     "order_bound",
     "mult_order",
     "divisors",
@@ -47,15 +48,18 @@ def validate_parameters(p: int, q: int) -> None:
         raise ValueError(f"|p| and |q| must differ, got ({p}, {q})")
 
 
-def order_bound(p: int, q: int, n: int) -> int:
-    """prod_{k=1..n} |p^k - q^k| as an exact big integer."""
+def order_moduli(p: int, q: int, n: int) -> tuple[int, ...]:
+    """The moduli |p^k - q^k| for k = 1..n; every eigenvalue order of b at
+    a minimal vector of dimension n divides one of them."""
     validate_parameters(p, q)
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = 1
-    for k in range(1, n + 1):
-        out *= abs(p**k - q**k)
-    return out
+    return tuple(abs(p**k - q**k) for k in range(1, n + 1))
+
+
+def order_bound(p: int, q: int, n: int) -> int:
+    """prod_{k=1..n} |p^k - q^k| as an exact big integer."""
+    return math.prod(order_moduli(p, q, n))
 
 
 def mult_order(u: int, n: int) -> int:

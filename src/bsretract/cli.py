@@ -29,8 +29,8 @@ from .bsrep import (
     rep_to_json,
 )
 from .census import OrbitDatum, enumerate_orbits, order_bound, validate_parameters
-from .compactify import averaged_form, detect_finite_order, generated_group, normality_exponent
-from .errors import BsretractError, PipelineStageError, STRUCTURAL_ERRORS
+from .compactify import certify
+from .errors import BsretractError, PipelineStageError
 from .kempfness import FlowConfig, flow, kn_energy, moment_map, verify_minimal
 from .numerics import eigvals, hs_norm, snap_root_of_unity
 from .retraction import certify_and_retract, full_pipeline, verify_unitary_rep
@@ -367,9 +367,7 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
 @click.option("--minimality-samples", default=0, show_default=True,
               help="Sampling minimality check; 0 skips it.")
 @click.option("--seed", default=0, show_default=True)
-@click.option("--karcher", is_flag=True,
-              help="Also report the geodesic-barycenter form deviation.")
-def cmd_verify(in_path, out, snap_tol, minimality_samples, seed, karcher):
+def cmd_verify(in_path, out, snap_tol, minimality_samples, seed):
     """Report the structural certificates of a representation."""
     try:
         rep = rep_from_json(json.loads(_read_text(in_path)), validate=False)
@@ -394,25 +392,14 @@ def cmd_verify(in_path, out, snap_tol, minimality_samples, seed, karcher):
         _write_text(out, canonical_json(report) + "\n")
         _fail(EXIT_BAD_INPUT, f"relation residual {res:.3e} too large to certify")
     exit_code = EXIT_OK
-    try:
-        order = detect_finite_order(rep.B, report["order_bound"], snap_tol)
-        report["detected_order"] = order
-        cyc = generated_group(rep.B, order)
-        form = averaged_form(cyc)
-        report["kappa_invariance_defect"] = max(
-            hs_norm(h.conj().T @ form.Q @ h - form.Q) for h in cyc.elements
-        )
-        report["kappa_identity_defect"] = hs_norm(form.Q - np.eye(rep.n))
-        if karcher:
-            from .compactify import karcher_form
-
-            kf = karcher_form(cyc)
-            report["karcher_invariance_defect"] = max(
-                hs_norm(h.conj().T @ kf.Q @ h - kf.Q) for h in cyc.elements
-            )
-        report["normality_exponent"] = normality_exponent(rep, snap_tol, order=order)
-    except STRUCTURAL_ERRORS as exc:
-        report["structural_failure"] = f"{type(exc).__name__}: {exc}"
+    cert = certify(rep, snap_tol)
+    report["detected_order"] = cert.order
+    report["normality_exponent"] = cert.exponent
+    report["kappa_invariance_defect"] = cert.invariance_defect
+    if cert.form is not None:
+        report["kappa_identity_defect"] = hs_norm(cert.form.Q - np.eye(rep.n))
+    if cert.error is not None:
+        report["structural_failure"] = f"{type(cert.error).__name__}: {cert.error}"
         exit_code = EXIT_STRUCTURAL
     if minimality_samples > 0:
         m = verify_minimal(rep, minimality_samples, seed=seed)

@@ -1,16 +1,21 @@
-"""Finite cyclic groups, invariant Hermitian forms, and unitarization.
+"""Finite-order certification, invariant Hermitian forms, and unitarization.
 
-A matrix B of exact finite order generates a finite cyclic group H.
-Averaging h* h over H produces a positive-definite Hermitian form Q with
-h* Q h = Q for every h, i.e. H sits inside the unitary group of Q; the
-two facts every downstream step needs are that H is contained in U(Q)
-and that Q is the identity whenever H is already unitary.  Conjugating
-by Q^(1/2) then moves H into the standard unitary group.
+A matrix B of exact finite order is diagonalizable, B = V diag(lambda) V^-1,
+with roots of unity on the diagonal.  Averaging h* h over the cyclic
+group H = <B> kills every cross term between distinct eigenvalues, which
+leaves a positive-definite Hermitian form Q, read off the
+eigendecomposition, with h* Q h = Q for every h; the two facts every
+downstream step needs are that H is contained in U(Q) and that Q is the
+identity whenever H is already unitary.  Conjugating by Q^(1/2) then
+moves H into the standard unitary group.  Every step works on the
+eigendecomposition of B or on a single power of it, so its cost depends
+on the dimension, never on the order.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,39 +23,24 @@ import numpy as np
 from . import census
 from .bsrep import Rep, conjugate
 from .errors import (
-    DegenerateGroup,
+    STRUCTURAL_ERRORS,
+    BsretractError,
     NotARootOfUnity,
     NotFiniteOrder,
     NotNormalizing,
     NotPositiveDefinite,
 )
-from .numerics import as_matrix, eigvals, herm_power, hs_norm, snap_root_of_unity
+from .numerics import as_matrix, herm_power, hs_norm, snap_root_of_unity
 
 __all__ = [
-    "FiniteCyclicGroup",
+    "Certificate",
     "HermitianForm",
+    "certify",
     "detect_finite_order",
-    "generated_group",
-    "averaged_form",
-    "karcher_form",
+    "invariant_form",
     "conjugate_into_unitary",
     "normality_exponent",
 ]
-
-#: Materializing a cyclic group stores all its elements; beyond this
-#: order that is no longer a desk-scale computation.
-MAX_MATERIALIZED_ORDER = 100_000
-
-_DISTINCT_TOL = 1e-6
-
-
-@dataclass(frozen=True, eq=False)
-class FiniteCyclicGroup:
-    """<B> with its exact order and the materialized powers B^0..B^(order-1)."""
-
-    generator: np.ndarray
-    order: int
-    elements: tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,114 +62,67 @@ class HermitianForm:
         object.__setattr__(self, "Q", q)
 
 
-def detect_finite_order(b, max_order: int, tol: float = 1e-6) -> int:
+def _eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w, eigenvectors V and V^-1 of b."""
+    try:
+        w, v = np.linalg.eig(b)
+        return w, v, np.linalg.inv(v)
+    except np.linalg.LinAlgError as exc:
+        raise NotFiniteOrder(f"B has no invertible eigenvector basis: {exc}") from exc
+
+
+def detect_finite_order(b, moduli, tol: float = 1e-6) -> int:
     """Exact order of the cyclic group generated by b, via its spectrum.
 
-    Every eigenvalue is snapped to a root of unity of order <= max_order;
-    the candidate order is the lcm of the snapped orders, backstopped by
-    the power check ||B^order - I|| <= n * tol * order.  Raises
-    NotFiniteOrder when an eigenvalue fails to snap or the power check
-    fails (both signal input away from a minimal vector).
+    `moduli` are the admissible moduli |p^k - q^k| (see
+    census.order_moduli); a single int is one modulus.  Every eigenvalue
+    is snapped to a root of unity of order <= prod(moduli), and each
+    snapped order must divide one of the moduli.  The snapped spectrum
+    must rebuild b: ||B - V diag(roots) V^-1|| <= n * tol * max(1, ||B||),
+    which rejects non-diagonalizable b.  The order is the lcm of the
+    snapped orders.  Raises NotFiniteOrder when any of this fails (input
+    away from a minimal vector).
     """
     b = as_matrix(b)
-    n = b.shape[0]
+    moduli = (moduli,) if isinstance(moduli, numbers.Integral) else tuple(moduli)
+    w, v, vinv = _eig(b)
     try:
-        snapped = [snap_root_of_unity(lam, max_order, tol) for lam in eigvals(b)]
+        roots = [snap_root_of_unity(lam, math.prod(moduli), tol) for lam in w]
     except NotARootOfUnity as exc:
         raise NotFiniteOrder(f"eigenvalue does not snap: {exc}") from exc
-    order = math.lcm(*(r.N for r in snapped))
-    defect = hs_norm(np.linalg.matrix_power(b, order) - np.eye(n))
-    if defect > n * tol * order:
+    for r in roots:
+        if not any(m % r.N == 0 for m in moduli):
+            raise NotFiniteOrder(f"snapped order {r.N} divides none of {moduli}")
+    defect = hs_norm(b - (v * np.array([r.value for r in roots])) @ vinv)
+    if not defect <= b.shape[0] * tol * max(1.0, hs_norm(b)):
         raise NotFiniteOrder(
-            f"power check failed: ||B^{order} - I|| = {defect:.3e}"
+            f"snapped spectrum misses B: ||B - V diag(roots) V^-1|| = {defect:.3e}"
         )
-    return order
+    return math.lcm(*(r.N for r in roots))
 
 
-def generated_group(b, order: int) -> FiniteCyclicGroup:
-    """Materialize {B^j : 0 <= j < order} and validate pairwise distinctness."""
+def invariant_form(b, order: int) -> HermitianForm:
+    """Group mean of h* h over <b>, from the eigendecomposition of b.
+
+    With B = V diag(lambda) V^-1 and every lambda an order-th root of
+    unity, the mean of conj(lambda_i)^k lambda_j^k over k < order is 1
+    when lambda_i = lambda_j and 0 otherwise, so the mean of (B^k)* B^k
+    is Q = V^-* ((V* V) o M) V^-1 with M_ij = 1 exactly when lambda_i and
+    lambda_j round to the same order-th root.  h* Q h = Q for every h in
+    the group, and Q = I when the group is unitary.  Returned
+    determinant-normalized.
+    """
     b = as_matrix(b)
-    n = b.shape[0]
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order > MAX_MATERIALIZED_ORDER:
-        raise ValueError(f"order {order} exceeds materialization cap")
-    elements = [np.eye(n, dtype=np.complex128)]
-    for _ in range(order - 1):
-        elements.append(elements[-1] @ b)
-    if order > 1:
-        if order <= 512:
-            stack = np.stack(elements).reshape(order, -1)
-            for i in range(order - 1):
-                d = np.linalg.norm(stack[i + 1 :] - stack[i], axis=1)
-                if d.min() <= _DISTINCT_TOL:
-                    raise DegenerateGroup(
-                        f"powers {i} and {i + 1 + int(d.argmin())} coincide"
-                    )
-        else:
-            # B^i == B^j iff B^(j-i) == I, so distinctness reduces to the
-            # generator having order exactly `order`.
-            eye = np.eye(n)
-            acc = b.copy()
-            for j in range(1, order):
-                if hs_norm(acc - eye) <= _DISTINCT_TOL:
-                    raise DegenerateGroup(f"B^{j} is the identity, order < {order}")
-                acc = acc @ b
-    return FiniteCyclicGroup(b, order, tuple(elements))
-
-
-def averaged_form(group: FiniteCyclicGroup) -> HermitianForm:
-    """Invariant form Q = mean of h* h over the group, determinant-normalized.
-
-    For every h in the group, h* Q h = Q (the sum is a bijective
-    reindexing), so the group lies in the unitary group of Q; when the
-    group is already unitary every summand is the identity and Q = I.
-    """
-    stack = np.stack(group.elements)
-    n = stack.shape[1]
-    q0 = np.einsum("kji,kjl->il", stack.conj(), stack) / group.order
+    w, v, vinv = _eig(b)
+    k = np.rint(np.angle(w) / (2.0 * math.pi) * order) % order
+    q0 = vinv.conj().T @ ((v.conj().T @ v) * (k[:, None] == k[None, :])) @ vinv
     q0 = 0.5 * (q0 + q0.conj().T)
     det = np.linalg.det(q0).real
-    if det <= 0:
-        raise NotPositiveDefinite("averaged form has non-positive determinant")
-    return HermitianForm(q0 / det ** (1.0 / n))
-
-
-def _herm_log(p: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(0.5 * (p + p.conj().T))
-    if w[0] <= 0.0:
-        raise NotPositiveDefinite("log of non-positive-definite matrix")
-    return (v * np.log(w)) @ v.conj().T
-
-
-def karcher_form(
-    group: FiniteCyclicGroup, *, tol: float = 1e-12, max_iter: int = 200
-) -> HermitianForm:
-    """Geodesic-barycenter variant of the invariant form.
-
-    The group orbit of the standard form consists of the matrices
-    (h h*)^(-1); their barycenter in the affine-invariant metric on
-    positive-definite matrices is computed by the usual fixed-point
-    iteration.  It satisfies the same two invariance properties as
-    averaged_form but generally differs from it; kept for
-    cross-validation.
-    """
-    points = [np.linalg.inv(h @ h.conj().T) for h in group.elements]
-    n = points[0].shape[0]
-    x = np.eye(n, dtype=np.complex128)
-    for _ in range(max_iter):
-        w, v = np.linalg.eigh(x)
-        if w[0] <= 0.0:
-            raise NotPositiveDefinite("Karcher iterate lost positivity")
-        rsq = (v * np.sqrt(w)) @ v.conj().T
-        rsq_i = (v / np.sqrt(w)) @ v.conj().T
-        mean_log = sum(_herm_log(rsq_i @ pt @ rsq_i) for pt in points) / len(points)
-        if hs_norm(mean_log) <= tol:
-            break
-        wl, vl = np.linalg.eigh(0.5 * (mean_log + mean_log.conj().T))
-        x = rsq @ ((vl * np.exp(wl)) @ vl.conj().T) @ rsq
-    det = np.linalg.det(x).real
-    return HermitianForm(x / det ** (1.0 / n))
+    if not det > 0:
+        raise NotPositiveDefinite("invariant form has non-positive determinant")
+    return HermitianForm(q0 / det ** (1.0 / b.shape[0]))
 
 
 def conjugate_into_unitary(rep: Rep, form: HermitianForm) -> Rep:
@@ -195,29 +138,70 @@ def normality_exponent(
 ) -> int:
     """Exponent j with A B A^-1 = B^j, certifying A normalizes <B>.
 
-    Searches j in [0, order) for the minimum of ||A B A^-1 - B^j|| and
-    requires it below tol; raises NotNormalizing otherwise.  When order
-    is not supplied it is detected against the a-priori bound for the
+    If A B A^-1 = B^j then A B^p A^-1 = B^(jp) = B^q, so j = q p^-1 mod
+    order: p is a unit modulo every admissible order, because
+    gcd(p, p^k - q^k) = 1.  That single power is checked, and
+    NotNormalizing is raised unless ||A B A^-1 - B^j|| <= tol.  When order
+    is not supplied it is detected against the admissible moduli for the
     representation's parameters and dimension.
     """
+    p, q = rep.group.p, rep.group.q
     if order is None:
-        bound = census.order_bound(rep.group.p, rep.group.q, rep.n)
-        order = detect_finite_order(rep.B, bound, tol)
-    a, b = rep.A, rep.B
-    n = rep.n
+        order = detect_finite_order(rep.B, census.order_moduli(p, q, rep.n), tol)
     try:
-        c = a @ b @ np.linalg.inv(a)
+        j = q * pow(p, -1, order) % order
+    except ValueError as exc:
+        raise NotNormalizing(f"p = {p} is not a unit mod {order}") from exc
+    try:
+        c = rep.A @ rep.B @ np.linalg.inv(rep.A)
     except np.linalg.LinAlgError as exc:
         raise NotNormalizing("A is singular") from exc
-    best_j, best_d = 0, np.inf
-    power = np.eye(n, dtype=np.complex128)
-    for j in range(order):
-        d = hs_norm(c - power)
-        if d < best_d:
-            best_j, best_d = j, d
-        power = power @ b
-    if best_d > tol:
+    d = hs_norm(c - np.linalg.matrix_power(rep.B, j))
+    if not d <= tol:
         raise NotNormalizing(
-            f"min_j ||A B A^-1 - B^j|| = {best_d:.3e} over j < {order}"
+            f"||A B A^-1 - B^{j}|| = {d:.3e} for j = q/p mod {order}"
         )
-    return best_j
+    return j
+
+
+@dataclass
+class Certificate:
+    """What certify established, step by step.
+
+    Fields of steps after a failing one stay None; failed_stage names that
+    step and error holds its exception.  invariance_defect is
+    ||B* Q B - Q|| for the generator B, which implies invariance under
+    every power of B in exact arithmetic.
+    """
+
+    order_bound: int
+    order: int | None = None
+    form: HermitianForm | None = None
+    invariance_defect: float | None = None
+    unitary: Rep | None = None
+    exponent: int | None = None
+    failed_stage: str | None = None
+    error: BsretractError | None = None
+
+
+def certify(rep: Rep, tol: float = 1e-6) -> Certificate:
+    """Order of B, invariant form, unitarized representation and
+    normality exponent, each at tolerance tol.  A structural failure
+    (errors.STRUCTURAL_ERRORS) ends certification and is recorded in the
+    certificate, not raised."""
+    moduli = census.order_moduli(rep.group.p, rep.group.q, rep.n)
+    cert = Certificate(math.prod(moduli))
+    stage = "detect_finite_order"
+    try:
+        cert.order = detect_finite_order(rep.B, moduli, tol)
+        stage = "invariant_form"
+        cert.form = invariant_form(rep.B, cert.order)
+        b, q = rep.B, cert.form.Q
+        cert.invariance_defect = hs_norm(b.conj().T @ q @ b - q)
+        stage = "conjugate_into_unitary"
+        cert.unitary = conjugate_into_unitary(rep, cert.form)
+        stage = "normality_exponent"
+        cert.exponent = normality_exponent(cert.unitary, tol, order=cert.order)
+    except STRUCTURAL_ERRORS as exc:
+        cert.failed_stage, cert.error = stage, exc
+    return cert

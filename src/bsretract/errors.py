@@ -37,10 +37,6 @@ class NotFiniteOrder(BsretractError):
     """Matrix does not generate a finite cyclic group within tolerance."""
 
 
-class DegenerateGroup(BsretractError):
-    """Alleged group elements are not pairwise distinct."""
-
-
 class NotNormalizing(BsretractError):
     """No power of B matches A.B.A^-1 within tolerance."""
 
@@ -60,4 +56,4 @@ class PipelineStageError(BsretractError):
 
 #: Stage errors that indicate the predicted endpoint structure is absent,
 #: as opposed to numerical non-convergence or bad input.
-STRUCTURAL_ERRORS = (NotFiniteOrder, DegenerateGroup, NotNormalizing, PolarObstruction)
+STRUCTURAL_ERRORS = (NotFiniteOrder, NotNormalizing, PolarObstruction)

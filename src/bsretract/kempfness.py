@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsrep import Rep, conjugate, random_hermitian
-from .errors import NoConvergence, SingularMatrix
-from .numerics import exp_herm, hs_norm
+from .bsrep import Rep, random_hermitian, residual
+from .errors import NoConvergence
+from .numerics import hs_norm
 
 __all__ = [
     "CONVERGED",
@@ -26,7 +26,6 @@ __all__ = [
     "FlowTrace",
     "kn_energy",
     "moment_map",
-    "flow_step",
     "flow",
     "verify_minimal",
     "MinimalityReport",
@@ -112,14 +111,6 @@ def _moment(a: np.ndarray, b: np.ndarray, sl_mode: bool) -> np.ndarray:
     return m
 
 
-def _residual(a: np.ndarray, b: np.ndarray, p: int, q: int) -> float:
-    try:
-        lhs = a @ np.linalg.matrix_power(b, p) @ np.linalg.inv(a)
-        return hs_norm(lhs - np.linalg.matrix_power(b, q))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("singular iterate in flow") from exc
-
-
 def kn_energy(rep: Rep) -> float:
     """||A||^2 + ||B||^2 in the Hilbert-Schmidt norm."""
     return _energy(rep.A, rep.B)
@@ -132,14 +123,6 @@ def moment_map(rep: Rep, sl_mode: bool = False) -> np.ndarray:
     rounding, kept to keep determinants pinned for special-linear runs).
     """
     return _moment(rep.A, rep.B, sl_mode)
-
-
-def flow_step(rep: Rep, eta: float, sl_mode: bool = False) -> Rep:
-    """One explicit step: conjugate by exp(-eta * mu)."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
-    g = exp_herm(-eta * _moment(rep.A, rep.B, sl_mode))
-    return conjugate(rep, g)
 
 
 def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
@@ -171,7 +154,7 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
         # Armijo regime, within one ulp in the tail regime below).
         recorded = min(energy, records[-1].energy) if records else energy
         records.append(
-            FlowRecord(it, recorded, mu_norm, step_taken, _residual(a, b, p, q))
+            FlowRecord(it, recorded, mu_norm, step_taken, residual(a, b, p, q))
         )
         if mu_norm <= cfg.tol * (1.0 + energy):
             outcome = CONVERGED

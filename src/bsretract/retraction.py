@@ -16,13 +16,7 @@ import numpy as np
 
 from . import census
 from .bsrep import Rep, relation_residual
-from .compactify import (
-    averaged_form,
-    conjugate_into_unitary,
-    detect_finite_order,
-    generated_group,
-    normality_exponent,
-)
+from .compactify import certify, detect_finite_order, normality_exponent
 from .errors import STRUCTURAL_ERRORS, PipelineStageError, PolarObstruction
 from .kempfness import FlowConfig, FlowTrace, flow, kn_energy
 from .numerics import hs_norm, polar
@@ -90,19 +84,19 @@ def retract_a(
         raise ValueError("num_samples must be >= 2")
     b = rep.B
     defect = hs_norm(b.conj().T @ b - np.eye(rep.n))
-    if defect > unitary_tol:
+    if not defect <= unitary_tol:
         raise ValueError(
             f"B is not unitary within {unitary_tol:.1e} (defect {defect:.3e}); "
             "conjugate into the unitary group first"
         )
     if order is None:
-        bound = census.order_bound(rep.group.p, rep.group.q, rep.n)
-        order = detect_finite_order(b, bound, commute_tol)
+        moduli = census.order_moduli(rep.group.p, rep.group.q, rep.n)
+        order = detect_finite_order(b, moduli, commute_tol)
     if exponent is None:
         exponent = normality_exponent(rep, commute_tol, order=order)
     u, p = polar(rep.A)
     comm = hs_norm(p @ b - b @ p)
-    if comm > commute_tol * hs_norm(p):
+    if not comm <= commute_tol * hs_norm(p):
         raise PolarObstruction(
             f"||[P, B]|| = {comm:.3e} exceeds {commute_tol:.1e} * ||P||"
         )
@@ -166,35 +160,30 @@ def certify_and_retract(
     num_samples: int = 100,
     diag: PipelineDiagnostics | None = None,
 ) -> tuple[Rep, RetractionPath, PipelineDiagnostics]:
-    """Post-flow stages: order detection, invariant form, unitarization,
-    normality certificate, polar retraction.  Stage errors are re-raised
-    as PipelineStageError carrying the partial diagnostics."""
+    """Post-flow stages: certification (order, invariant form,
+    unitarization, normality exponent) and polar retraction.  Stage
+    errors are raised as PipelineStageError carrying the partial
+    diagnostics."""
     diag = diag or PipelineDiagnostics()
-    group_params = rep.group
-    diag.order_bound = census.order_bound(group_params.p, group_params.q, rep.n)
-    stage = "detect_finite_order"
-    try:
-        order = detect_finite_order(rep.B, diag.order_bound, snap_tol)
-        diag.detected_order = order
-        stage = "generated_group"
-        cyc = generated_group(rep.B, order)
-        stage = "averaged_form"
-        form = averaged_form(cyc)
-        diag.kappa_invariance_defect = max(
-            hs_norm(h.conj().T @ form.Q @ h - form.Q) for h in cyc.elements
-        )
-        stage = "conjugate_into_unitary"
-        unit = conjugate_into_unitary(rep, form)
-        stage = "normality_exponent"
-        j = normality_exponent(unit, snap_tol, order=order)
-        diag.normality_exponent = j
+    cert = certify(rep, snap_tol)
+    diag.order_bound = cert.order_bound
+    diag.detected_order = cert.order
+    diag.kappa_invariance_defect = cert.invariance_defect
+    diag.normality_exponent = cert.exponent
+    stage, error = cert.failed_stage, cert.error
+    if error is None:
         stage = "retract_a"
-        path = retract_a(unit, num_samples, order=order, exponent=j)
-    except STRUCTURAL_ERRORS as exc:
+        try:
+            path = retract_a(
+                cert.unitary, num_samples, order=cert.order, exponent=cert.exponent
+            )
+        except STRUCTURAL_ERRORS as exc:
+            error = exc
+    if error is not None:
         diag.outcome = "structural_failure"
         diag.failed_stage = stage
-        diag.error = f"{type(exc).__name__}: {exc}"
-        raise PipelineStageError(stage, diag, str(exc)) from exc
+        diag.error = f"{type(error).__name__}: {error}"
+        raise PipelineStageError(stage, diag, str(error)) from error
     endpoint = path.endpoint
     diag.retraction_path = path
     diag.max_path_residual = path.max_residual()
@@ -226,7 +215,7 @@ def full_pipeline(
     raise PipelineStageError with partial diagnostics attached.
     """
     res0 = relation_residual(rep)
-    if res0 > input_tol:
+    if not res0 <= input_tol:
         raise ValueError(
             f"input relation residual {res0:.3e} exceeds {input_tol:.1e}"
         )
@@ -253,8 +242,8 @@ def verify_unitary_rep(rep: Rep, tol: float = 1e-8) -> bool:
     """True iff both generators are unitary and the relation holds, all
     within tol."""
     eye = np.eye(rep.n)
-    if hs_norm(rep.A.conj().T @ rep.A - eye) > tol:
+    if not hs_norm(rep.A.conj().T @ rep.A - eye) <= tol:
         return False
-    if hs_norm(rep.B.conj().T @ rep.B - eye) > tol:
+    if not hs_norm(rep.B.conj().T @ rep.B - eye) <= tol:
         return False
     return relation_residual(rep) <= tol

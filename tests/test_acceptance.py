@@ -28,10 +28,10 @@ from bsretract import (
 from bsretract.bsrep import random_hermitian
 from bsretract.census import divisors
 from bsretract.cli import main, run_suite
-from bsretract.compactify import averaged_form, generated_group
+from bsretract.compactify import invariant_form
 from bsretract.numerics import hs_norm
 
-from util import conditioned
+from util import conditioned, group_mean_form, powers
 
 PAIRS = [
     (sp * p, sq * q)
@@ -162,6 +162,7 @@ def test_criterion_5_invariant_form_properties():
     rng = np.random.default_rng(2024)
     worst_invariance = 0.0
     worst_identity = 0.0
+    worst_reference = 0.0
     unitary_count = 0
     for _ in range(1000):
         order = int(rng.integers(1, 25))
@@ -172,23 +173,31 @@ def test_criterion_5_invariant_form_properties():
         if not is_unitary:
             g = conditioned(rng, n, float(rng.uniform(1.0, 100.0)))
             gen = g @ gen @ np.linalg.inv(g)
-        grp = generated_group(gen, order)
-        q = averaged_form(grp).Q
-        dev = max(hs_norm(h.conj().T @ q @ h - q) for h in grp.elements)
+        q = invariant_form(gen, order).Q
+        ref = group_mean_form(gen, order)
+        worst_reference = max(worst_reference, hs_norm(q - ref) / hs_norm(ref))
+        dev = max(hs_norm(h.conj().T @ q @ h - q) for h in powers(gen, order))
         worst_invariance = max(worst_invariance, dev)
         if is_unitary:
             unitary_count += 1
             worst_identity = max(worst_identity, hs_norm(q - np.eye(n)))
-    ok = worst_invariance <= 1e-8 and worst_identity <= 1e-10
+    ok = (
+        worst_invariance <= 1e-8
+        and worst_identity <= 1e-10
+        and worst_reference <= 1e-10
+    )
     report(
         "criterion 5 (invariant form)",
         ok,
         f"1000 cyclic groups (orders <= 24, n <= 4, cond <= 100): worst "
         f"h*Qh - Q = {worst_invariance:.2e} (tol 1e-8); worst Q - I on "
-        f"{unitary_count} unitary groups = {worst_identity:.2e} (tol 1e-10)",
+        f"{unitary_count} unitary groups = {worst_identity:.2e} (tol 1e-10); "
+        f"worst relative distance to the group mean = {worst_reference:.2e} "
+        f"(tol 1e-10)",
     )
     assert worst_invariance <= 1e-8
     assert worst_identity <= 1e-10
+    assert worst_reference <= 1e-10
 
 
 def brute_force_orbits(u, modulus, k):

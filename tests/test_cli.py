@@ -262,7 +262,7 @@ def test_verify_reports_certificates(runner, tmp_path):
     assert rep["minimality"]["passed"]
 
 
-def test_verify_karcher_cross_validation(runner, tmp_path):
+def test_verify_and_retract_report_one_certificate(runner, tmp_path):
     rng = np.random.default_rng(4)
     from bsretract import conjugate
     from bsretract.kempfness import flow
@@ -271,12 +271,16 @@ def test_verify_karcher_cross_validation(runner, tmp_path):
     flowed, trace = flow(start)
     assert trace.converged
     in_path = write_rep(tmp_path, flowed)
-    out = tmp_path / "report.json"
-    res = runner.invoke(main, ["verify", "--in", in_path, "--out", str(out),
-                               "--karcher"])
+    report, diag = tmp_path / "report.json", tmp_path / "diag.json"
+    res = runner.invoke(main, ["verify", "--in", in_path, "--out", str(report)])
     assert res.exit_code == 0
-    rep = json.loads(out.read_text())
-    assert rep["karcher_invariance_defect"] <= 1e-8
+    res = runner.invoke(main, ["retract", "--in", in_path, "--out",
+                               str(tmp_path / "end.json"), "--diag", str(diag)])
+    assert res.exit_code == 0
+    rep, d = json.loads(report.read_text()), json.loads(diag.read_text())
+    assert rep["kappa_invariance_defect"] <= 1e-8
+    for key in ("detected_order", "normality_exponent", "kappa_invariance_defect"):
+        assert rep[key] == d[key]
 
 
 def test_verify_refuses_off_variety_input(runner, tmp_path):
@@ -294,7 +298,45 @@ def test_verify_structural_exit_on_infinite_order(runner, tmp_path):
     assert res.exit_code == 4
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_nan_residual_input_exits_bad_input(runner, tmp_path):
+    # finite entries whose products overflow, so the relation residual is NaN
+    big = (1e200 + 1e200j) * np.eye(2)
+    in_path = write_rep(tmp_path, rep_of(2, 3, big, big))
+    for cmd in ("flow", "pipeline", "retract"):
+        res = runner.invoke(main, [cmd, "--in", in_path, "--out", "-"])
+        assert res.exit_code == 2, (cmd, res.output)
+
+
 # --------------------------------------------------------------------- suite
+
+def test_run_one_classifies_spurious_orders():
+    # (2,3), n = 8: these cells snap an eigenvalue to an order dividing no
+    # |2^k - 3^k|, which must end as a classified structural failure
+    from bsretract.cli import derive_seed, run_one
+
+    cfg = {"tol": 1e-10, "max_iter": 10**5, "eta0": 0.1, "armijo": 0.5,
+           "shrink": 0.5, "sl_mode": False}
+    for i in (1, 3, 4):
+        record, _ = run_one((2, 3, 8, derive_seed(0, 2, 3, 8, i), cfg,
+                             100, 1e-6, False))
+        assert record["outcome"] == "structural_failure"
+        assert record["failed_stage"] == "detect_finite_order"
+
+
+def test_suite_past_the_acceptance_grid_exits_classified(runner, tmp_path):
+    report = tmp_path / "report.json"
+    res = runner.invoke(main, ["suite", "--pairs", "2:3", "--n-max", "8",
+                               "--seeds", "5", "--report", str(report)])
+    assert isinstance(res.exception, SystemExit)
+    assert res.exit_code == 1
+    doc = json.loads(report.read_text())
+    s = doc["summary"]
+    assert s["total_runs"] == 40
+    assert s["hard_violations"] >= 3
+    assert all(v["what"].startswith("structural failure at ")
+               for v in s["violations"])
+
 
 def test_suite_small_grid(runner, tmp_path):
     report = tmp_path / "report.json"

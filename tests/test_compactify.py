@@ -2,34 +2,38 @@ import numpy as np
 import pytest
 
 from bsretract import (
-    DegenerateGroup,
-    FiniteCyclicGroup,
     NotFiniteOrder,
     NotNormalizing,
-    averaged_form,
+    certify,
     conjugate,
     conjugate_into_unitary,
     detect_finite_order,
     flow,
-    generated_group,
-    karcher_form,
+    invariant_form,
     normality_exponent,
+    order_moduli,
     relation_residual,
 )
 from bsretract.numerics import hs_norm
 
-from util import conditioned, haar_unitary, n5_block, rep_of, zeta
+from util import conditioned, haar_unitary, n5_block, powers, rep_of, zeta
 
 
-def cyclic_group_of(rng, order, n, cond=1.0):
-    """Random order-`order` cyclic subgroup of GL_n, similar to a
-    diagonal of order-th roots with at least one primitive entry."""
+def cyclic_generator(rng, order, n, cond=1.0):
+    """Generator of a random order-`order` cyclic subgroup of GL_n, similar
+    to a diagonal of order-th roots with at least one primitive entry."""
     exps = [1] + list(rng.integers(0, order, n - 1))
     gen = np.diag(np.exp(2j * np.pi * np.array(exps) / order))
     if cond > 1.0:
         g = conditioned(rng, n, cond)
         gen = g @ gen @ np.linalg.inv(g)
-    return generated_group(gen, order)
+    return gen
+
+
+def brute_force_exponent(rep, order):
+    """argmin over j < order of ||A B A^-1 - B^j||, scanning every power."""
+    c = rep.A @ rep.B @ np.linalg.inv(rep.A)
+    return int(np.argmin([hs_norm(c - h) for h in powers(rep.B, order)]))
 
 
 def test_detect_finite_order_examples():
@@ -51,28 +55,26 @@ def test_detect_finite_order_lcm():
     assert detect_finite_order(b, 12) == 12
 
 
-def test_generated_group_examples():
-    g1 = generated_group(np.eye(2), 1)
-    assert g1.order == 1 and len(g1.elements) == 1
-
-    g5 = generated_group(np.diag([zeta(5, 1), zeta(5, 4)]), 5)
-    assert len(g5.elements) == 5
-    assert np.allclose(g5.elements[2], np.diag([zeta(5, 2), zeta(5, 3)]))
-
-    g2 = generated_group(-np.eye(2), 2)
-    assert np.allclose(g2.elements[1], -np.eye(2))
+def test_detect_finite_order_rejects_irrational_angles():
+    # every angle snaps to some root of order <= prod |2^k - 3^k| within
+    # 1e-6, but not to one whose order divides some |2^k - 3^k|
+    angles = np.array([np.sqrt(2.0) * k % 1.0 for k in range(1, 9)])
+    b = np.diag(np.exp(2j * np.pi * angles))
+    with pytest.raises(NotFiniteOrder):
+        detect_finite_order(b, order_moduli(2, 3, 8))
 
 
-def test_generated_group_rejects_overstated_order():
-    with pytest.raises(DegenerateGroup):
-        generated_group(np.diag([zeta(5, 1), zeta(5, 4)]), 10)
+def test_detect_finite_order_rejects_order_dividing_no_modulus():
+    b = np.diag([zeta(7, 1), zeta(5, 2)])
+    assert detect_finite_order(b, (5, 7)) == 35
+    with pytest.raises(NotFiniteOrder):
+        detect_finite_order(b, (5, 19))
 
 
 def test_averaged_form_identity_on_unitary_groups():
     rng = np.random.default_rng(0)
     for order in (2, 3, 8, 24):
-        grp = cyclic_group_of(rng, order, 3)
-        q = averaged_form(grp).Q
+        q = invariant_form(cyclic_generator(rng, order, 3), order).Q
         assert hs_norm(q - np.eye(3)) <= 1e-10
 
 
@@ -80,8 +82,7 @@ def test_averaged_form_two_element_example():
     # H = {I, g} with g = [[1,-2],[0,-1]]: mean of h*h is [[1,-1],[-1,3]].
     g = np.array([[1.0, -2.0], [0.0, -1.0]])
     assert np.allclose(g @ g, np.eye(2))
-    grp = FiniteCyclicGroup(g, 2, (np.eye(2), g))
-    q = averaged_form(grp).Q
+    q = invariant_form(g, 2).Q
     raw = np.array([[1.0, -1.0], [-1.0, 3.0]])
     # determinant-normalized, so proportional to the raw average
     assert np.allclose(q * np.sqrt(np.linalg.det(raw).real), raw)
@@ -92,57 +93,44 @@ def test_averaged_form_invariance():
     for _ in range(25):
         order = int(rng.integers(2, 13))
         n = int(rng.integers(1, 5))
-        grp = cyclic_group_of(rng, order, n, cond=30.0)
-        q = averaged_form(grp).Q
-        for h in grp.elements:
+        gen = cyclic_generator(rng, order, n, cond=30.0)
+        q = invariant_form(gen, order).Q
+        for h in powers(gen, order):
             assert hs_norm(h.conj().T @ q @ h - q) <= 1e-8
 
 
 def test_averaged_form_equivariance_under_unitaries():
     rng = np.random.default_rng(2)
-    grp = cyclic_group_of(rng, 6, 3, cond=10.0)
-    q = averaged_form(grp).Q
+    gen = cyclic_generator(rng, 6, 3, cond=10.0)
+    q = invariant_form(gen, 6).Q
     u = haar_unitary(rng, 3)
-    moved = generated_group(u @ grp.generator @ u.conj().T, grp.order)
-    q_moved = averaged_form(moved).Q
+    q_moved = invariant_form(u @ gen @ u.conj().T, 6).Q
     assert hs_norm(q_moved - u @ q @ u.conj().T) <= 1e-9
 
 
 def test_averaged_form_continuity_proxy():
     rng = np.random.default_rng(3)
-    grp = cyclic_group_of(rng, 5, 2, cond=3.0)
-    q = averaged_form(grp).Q
+    order = 5
+    gen = cyclic_generator(rng, order, 2, cond=3.0)
+    q = invariant_form(gen, order).Q
     eps = 1e-6
-    noisy = tuple(
-        h + eps * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(8)
-        for h in grp.elements
-    )
-    q2 = averaged_form(FiniteCyclicGroup(grp.generator, grp.order, noisy)).Q
-    assert hs_norm(q2 - q) <= 10.0 * grp.order * eps
-
-
-def test_karcher_form_satisfies_same_invariances():
-    rng = np.random.default_rng(4)
-    grp = cyclic_group_of(rng, 4, 2, cond=20.0)
-    q = karcher_form(grp).Q
-    for h in grp.elements:
-        assert hs_norm(h.conj().T @ q @ h - q) <= 1e-8
-    unitary_grp = cyclic_group_of(rng, 6, 2)
-    assert hs_norm(karcher_form(unitary_grp).Q - np.eye(2)) <= 1e-9
+    noisy = gen + eps * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(8)
+    q2 = invariant_form(noisy, order).Q
+    assert hs_norm(q2 - q) <= 10.0 * order * eps
 
 
 def test_conjugate_into_unitary():
     rng = np.random.default_rng(5)
     rep = conjugate(n5_block(1.0), conditioned(rng, 2, 20.0))
     order = detect_finite_order(rep.B, 5)
-    form = averaged_form(generated_group(rep.B, order))
+    form = invariant_form(rep.B, order)
     fixed = conjugate_into_unitary(rep, form)
     assert hs_norm(fixed.B.conj().T @ fixed.B - np.eye(2)) <= 1e-8
     assert abs(relation_residual(fixed) - relation_residual(rep)) <= 1e-8
 
     # already unitary: the form is I and nothing moves
     rep_u = n5_block(1.0)
-    form_u = averaged_form(generated_group(rep_u.B, 5))
+    form_u = invariant_form(rep_u.B, 5)
     same = conjugate_into_unitary(rep_u, form_u)
     assert np.allclose(same.A, rep_u.A, atol=1e-10)
 
@@ -178,8 +166,11 @@ def test_order_bound_holds_on_flowed_endpoints():
         rep = random_rep(2, 3, 3, seed)
         final, trace = flow(rep)
         assert trace.converged
-        order = detect_finite_order(final.B, order_bound(2, 3, 3))
+        order = detect_finite_order(final.B, order_moduli(2, 3, 3))
         assert order <= order_bound(2, 3, 3)
+        cert = certify(final)
+        assert cert.order == order
+        assert cert.exponent == brute_force_exponent(cert.unitary, order)
 
 
 def test_order_bound_across_all_small_parameter_pairs():
@@ -201,14 +192,16 @@ def test_order_bound_across_all_small_parameter_pairs():
                 final, trace = flow(random_rep(p, q, n, seed))
                 assert trace.converged, (p, q, n, seed)
                 bound = order_bound(p, q, n)
-                order = detect_finite_order(final.B, bound)
+                order = detect_finite_order(final.B, order_moduli(p, q, n))
                 assert bound % order == 0, (p, q, n, seed, order)
+                cert = certify(final)
+                assert cert.exponent == brute_force_exponent(cert.unitary, order)
 
 
 def test_detected_order_equals_lcm_of_chosen_block_moduli():
     # direct sum of a mod-5 cycle, a mod-19 cycle and a trivial block:
     # the flowed endpoint must report lcm(5, 19, 1) = 95
-    from bsretract import OrbitDatum, conjugate, direct_sum, from_orbit_datum, order_bound
+    from bsretract import OrbitDatum, conjugate, direct_sum, from_orbit_datum
 
     rng = np.random.default_rng(8)
     rep = direct_sum(
@@ -221,14 +214,8 @@ def test_detected_order_equals_lcm_of_chosen_block_moduli():
     start = conjugate(rep, conditioned(rng, 6, 10.0))
     final, trace = flow(start)
     assert trace.converged
-    order = detect_finite_order(final.B, order_bound(2, 3, 6))
+    order = detect_finite_order(final.B, order_moduli(2, 3, 6))
     assert order == 95
-
-
-def final_unitarized(rep):
-    order = detect_finite_order(rep.B, 10**6)
-    form = averaged_form(generated_group(rep.B, order))
-    return conjugate_into_unitary(rep, form)
 
 
 def test_mixed_modulus_normality_exponent_is_crt_solution():
@@ -244,6 +231,7 @@ def test_mixed_modulus_normality_exponent_is_crt_solution():
     start = conjugate(rep, conditioned(rng, 5, 5.0))
     final, trace = flow(start)
     assert trace.converged
-    unit = final_unitarized(final)
+    unit = certify(final).unitary
     j = normality_exponent(unit, order=95)
     assert j == 3 * pow(2, -1, 95) % 95 == 49
+    assert j == brute_force_exponent(unit, 95)

@@ -5,7 +5,6 @@ from bsretract import (
     FlowConfig,
     conjugate,
     flow,
-    flow_step,
     kn_energy,
     moment_map,
     random_rep,
@@ -57,9 +56,15 @@ def test_moment_map_zero_on_normal_pair():
     assert np.linalg.norm(moment_map(rep)) <= 1e-12
 
 
+def one_step(rep, eta, sl_mode=False):
+    """The first accepted step of the flow, starting at step size eta."""
+    out, trace = flow(rep, FlowConfig(max_iter=1, eta0=eta, sl_mode=sl_mode))
+    return out, trace.records[-1].step
+
+
 def test_flow_step_fixes_minimal_points():
     rep = n5_block(1.0)
-    out = flow_step(rep, eta=0.7)
+    out, _ = one_step(rep, eta=0.7)
     assert np.linalg.norm(out.A - rep.A) <= 1e-12
     assert np.linalg.norm(out.B - rep.B) <= 1e-12
 
@@ -68,7 +73,7 @@ def test_flow_step_decreases_energy():
     rng = np.random.default_rng(1)
     for _ in range(10):
         rep = conjugate(n5_block(1.0), conditioned(rng, 2, 10.0))
-        stepped = flow_step(rep, eta=1e-3)
+        stepped, _ = one_step(rep, eta=1e-3)
         assert kn_energy(stepped) < kn_energy(rep)
 
 
@@ -77,13 +82,15 @@ def test_flow_step_first_order_rate():
     rng = np.random.default_rng(2)
     rep = conjugate(n5_block(1.0), conditioned(rng, 2, 5.0))
     mu = moment_map(rep)
-    drop = kn_energy(rep) - kn_energy(flow_step(rep, eta=1e-7))
+    stepped, eta = one_step(rep, eta=1e-7)
+    assert eta == 1e-7
+    drop = kn_energy(rep) - kn_energy(stepped)
     assert drop / 1e-7 == pytest.approx(2 * np.linalg.norm(mu) ** 2, rel=1e-3)
 
 
 def test_flow_step_sl_mode_preserves_determinants():
     rep = from_sl2()
-    stepped = flow_step(rep, eta=0.05, sl_mode=True)
+    stepped, _ = one_step(rep, eta=0.05, sl_mode=True)
     assert abs(np.linalg.det(stepped.A) - np.linalg.det(rep.A)) <= 1e-10
     assert abs(np.linalg.det(stepped.B) - np.linalg.det(rep.B)) <= 1e-10
 

@@ -10,12 +10,15 @@ from bsretract import (
     full_pipeline,
     normality_exponent,
     order_bound,
+    order_moduli,
     random_rep,
     relation_residual,
+    rep_from_json,
+    rep_to_json,
     retract_a,
     verify_unitary_rep,
 )
-from bsretract.compactify import averaged_form, conjugate_into_unitary, detect_finite_order, generated_group
+from bsretract.compactify import conjugate_into_unitary, detect_finite_order, invariant_form
 from bsretract.kempfness import flow
 from bsretract.numerics import hs_norm
 
@@ -47,8 +50,8 @@ def test_retract_end_to_end_on_flowed_rep():
     rep = random_rep(2, 3, 2, seed=12)
     flowed, trace = flow(rep)
     assert trace.converged
-    order = detect_finite_order(flowed.B, order_bound(2, 3, 2))
-    form = averaged_form(generated_group(flowed.B, order))
+    order = detect_finite_order(flowed.B, order_moduli(2, 3, 2))
+    form = invariant_form(flowed.B, order)
     unit = conjugate_into_unitary(flowed, form)
     path = retract_a(unit, num_samples=100)
     assert path.max_residual() <= 1e-8
@@ -60,8 +63,8 @@ def test_retract_exponent_constant_along_path():
     rep = random_rep(2, 3, 2, seed=21)
     flowed, trace = flow(rep)
     assert trace.converged
-    order = detect_finite_order(flowed.B, order_bound(2, 3, 2))
-    unit = conjugate_into_unitary(flowed, averaged_form(generated_group(flowed.B, order)))
+    order = detect_finite_order(flowed.B, order_moduli(2, 3, 2))
+    unit = conjugate_into_unitary(flowed, invariant_form(flowed.B, order))
     path = retract_a(unit, num_samples=25)
     for s in path.samples:
         assert normality_exponent(s.rep, order=order) == path.exponent
@@ -168,6 +171,21 @@ def test_full_pipeline_structural_failure_raises_with_stage():
         full_pipeline(rep, FlowConfig(max_iter=10**4, tol=1e-3))
     assert err.value.stage == "detect_finite_order"
     assert err.value.diagnostics.flow_outcome == "converged"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_gates_fail_on_nan_residuals():
+    # finite entries whose products overflow: every defect is NaN or inf
+    big = (1e200 + 1e200j) * np.eye(2)
+    rep = rep_of(2, 3, big, big)
+    assert np.isnan(relation_residual(rep))
+    with pytest.raises(ValueError):
+        rep_from_json(rep_to_json(rep))
+    with pytest.raises(ValueError):
+        full_pipeline(rep)
+    with pytest.raises(ValueError):
+        retract_a(rep, order=1, exponent=0)
+    assert not verify_unitary_rep(rep)
 
 
 def test_verify_unitary_rep_examples():

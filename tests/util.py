@@ -37,3 +37,20 @@ def conditioned(rng, n, cond):
     half = 0.5 * np.log(cond)
     s = np.exp(rng.uniform(-half, half, n))
     return (u * s) @ v.conj().T
+
+
+def powers(gen, order):
+    """The materialized group: gen^0 .. gen^(order-1), stacked."""
+    out = [np.eye(gen.shape[0], dtype=complex)]
+    for _ in range(order - 1):
+        out.append(out[-1] @ gen)
+    return np.stack(out)
+
+
+def group_mean_form(gen, order):
+    """Reference invariant form: the mean of h* h over the materialized
+    group, determinant-normalized."""
+    h = powers(gen, order)
+    q = np.einsum("kji,kjl->il", h.conj(), h) / order
+    q = 0.5 * (q + q.conj().T)
+    return q / np.linalg.det(q).real ** (1.0 / q.shape[0])
