@@ -60,6 +60,7 @@ from .numerics import (
     hs_norm,
     polar,
     snap_root_of_unity,
+    unitarity_defect,
 )
 from .retraction import (
     PipelineDiagnostics,

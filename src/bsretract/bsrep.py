@@ -64,11 +64,6 @@ class Rep:
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
 
-    @staticmethod
-    def from_matrices(p: int, q: int, a, b) -> "Rep":
-        a = as_matrix(a)
-        return Rep(BSGroup(p, q), a.shape[0], a, b)
-
 
 def _inv(a: np.ndarray) -> np.ndarray:
     try:

@@ -1,4 +1,4 @@
-"""Command-line surface, JSON/CSV I/O, and the batch verification harness.
+"""Command-line surface: option parsing, JSON/CSV I/O and manifests.
 
 Commands: census, construct, flow, retract, pipeline, verify, suite.
 Exit codes: 0 success, 1 hard invariant violated (suite), 2 bad input,
@@ -9,11 +9,8 @@ byte-deterministic for identical manifests.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import click
@@ -32,8 +29,9 @@ from .census import OrbitDatum, enumerate_orbits, order_bound, validate_paramete
 from .compactify import certify
 from .errors import BsretractError, PipelineStageError
 from .kempfness import FlowConfig, flow, kn_energy, moment_map, verify_minimal
-from .numerics import eigvals, hs_norm, snap_root_of_unity
+from .numerics import hs_norm, unitarity_defect
 from .retraction import certify_and_retract, full_pipeline, verify_unitary_rep
+from .suite import build_manifest, canonical_json, run_suite, sha256_text
 
 EXIT_OK = 0
 EXIT_HARD_VIOLATION = 1
@@ -43,11 +41,6 @@ EXIT_STRUCTURAL = 4
 
 
 # ---------------------------------------------------------------- I/O helpers
-
-def canonical_json(doc) -> str:
-    """Deterministic JSON encoding: sorted keys, fixed separators."""
-    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": "))
-
 
 def _fmt(x: float) -> str:
     """Fixed 17-significant-digit float formatting for CSV outputs."""
@@ -67,32 +60,23 @@ def _read_text(path: str) -> str:
     return Path(path).read_text()
 
 
-def _load_rep(path: str, tol: float = 1e-8) -> Rep:
-    return rep_from_json(json.loads(_read_text(path)), tol=tol)
-
-
 def _fail(code: int, msg: str):
     click.echo(f"error: {msg}", err=True)
     sys.exit(code)
 
 
+def _load_rep(path: str, *, validate: bool = True) -> tuple[Rep, float]:
+    """A Rep read from JSON, and its relation residual.  Unreadable,
+    malformed or singular input, and with validate input off the
+    variety, exits with EXIT_BAD_INPUT."""
+    try:
+        rep = rep_from_json(json.loads(_read_text(path)), validate=validate)
+        return rep, relation_residual(rep)
+    except (ValueError, KeyError, json.JSONDecodeError, BsretractError) as exc:
+        _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
+
+
 # ------------------------------------------------------------------ manifests
-
-def _sha256_text(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
-def build_manifest(command: str, parameters: dict, inputs: dict, outputs: list) -> dict:
-    """Manifest whose hash covers the command, parameters and input hashes;
-    output paths and the outcome summary are attached but not hashed, so
-    identical computations hash identically wherever they are written."""
-    body = {"command": command, "parameters": parameters, "inputs": inputs}
-    return {
-        **body,
-        "outputs": sorted(str(x) for x in outputs if x),
-        "hash": _sha256_text(canonical_json(body)),
-    }
-
 
 def _emit_manifest(manifest: dict, outcome: dict, out_path: str | None) -> None:
     doc = {**manifest, "outcome": outcome}
@@ -230,10 +214,7 @@ def _with(options):
 @_with(_flow_options)
 def cmd_flow(in_path, out, trace_csv, tol, max_iter, eta0, sl):
     """Run the moment-map gradient flow on a representation."""
-    try:
-        rep = _load_rep(in_path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
+    rep, _ = _load_rep(in_path)
     cfg = FlowConfig(tol=tol, max_iter=max_iter, eta0=eta0, sl_mode=sl)
     final, trace = flow(rep, cfg)
     _write_text(out, canonical_json(rep_to_json(final)) + "\n")
@@ -243,7 +224,7 @@ def cmd_flow(in_path, out, trace_csv, tol, max_iter, eta0, sl):
     manifest = build_manifest(
         "flow",
         {"tol": tol, "max_iter": max_iter, "eta0": eta0, "sl": sl},
-        {"rep": _sha256_text(canonical_json(rep_to_json(rep)))},
+        {"rep": sha256_text(canonical_json(rep_to_json(rep)))},
         [out, trace_csv or ""],
     )
     _emit_manifest(
@@ -263,13 +244,39 @@ def cmd_flow(in_path, out, trace_csv, tol, max_iter, eta0, sl):
 
 # ----------------------------------------------------------- retract/pipeline
 
-def _emit_pipeline_outputs(endpoint, diag, path, out, diag_path, path_csv):
+def _run_and_emit(command, parameters, rep, run, out, diag_path, path_csv,
+                  trace_csv=None):
+    """Body of retract and pipeline: run() returns (endpoint, diagnostics);
+    write the endpoint, diagnostics, CSVs and manifest, then exit with the
+    classified code."""
+    manifest = build_manifest(
+        command,
+        parameters,
+        {"rep": sha256_text(canonical_json(rep_to_json(rep)))},
+        [out, diag_path or "", path_csv or "", trace_csv or ""],
+    )
+    failure = None
+    try:
+        endpoint, diag = run()
+    except PipelineStageError as exc:
+        failure, endpoint, diag = exc, None, exc.diagnostics
+    except ValueError as exc:
+        _fail(EXIT_BAD_INPUT, str(exc))
     if endpoint is not None:
         _write_text(out, canonical_json(rep_to_json(endpoint)) + "\n")
     if diag_path:
         _write_text(diag_path, canonical_json(diag.to_dict()) + "\n")
-    if path_csv and path is not None:
-        _write_text(path_csv, _path_csv(path))
+    if trace_csv and diag.flow_trace is not None:
+        _write_text(trace_csv, _trace_csv(diag.flow_trace))
+    if path_csv and diag.retraction_path is not None:
+        _write_text(path_csv, _path_csv(diag.retraction_path))
+    _emit_manifest(manifest, diag.to_dict(), out)
+    if failure is not None:
+        _fail(EXIT_STRUCTURAL, str(failure))
+    if diag.outcome == "iter_budget":
+        click.echo(f"{command}: flow budget exhausted", err=True)
+        sys.exit(EXIT_FLOW_BUDGET)
+    sys.exit(EXIT_OK if verify_unitary_rep(endpoint, 1e-8) else EXIT_STRUCTURAL)
 
 
 @main.command("retract")
@@ -282,29 +289,16 @@ def _emit_pipeline_outputs(endpoint, diag, path, out, diag_path, path_csv):
 def cmd_retract(in_path, out, diag_path, path_csv, samples, snap_tol):
     """Certify finite-order structure and retract A to its unitary factor
     (no flow; input should already be near a minimal vector)."""
-    try:
-        rep = _load_rep(in_path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
-    manifest = build_manifest(
-        "retract",
-        {"samples": samples, "snap_tol": snap_tol},
-        {"rep": _sha256_text(canonical_json(rep_to_json(rep)))},
-        [out, diag_path or "", path_csv or ""],
-    )
-    try:
-        endpoint, path, diag = certify_and_retract(
+    rep, _ = _load_rep(in_path)
+
+    def run():
+        endpoint, _, diag = certify_and_retract(
             rep, snap_tol=snap_tol, num_samples=samples
         )
-    except PipelineStageError as exc:
-        _emit_pipeline_outputs(None, exc.diagnostics, None, out, diag_path, path_csv)
-        _emit_manifest(manifest, exc.diagnostics.to_dict(), out)
-        _fail(EXIT_STRUCTURAL, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
-    _emit_pipeline_outputs(endpoint, diag, path, out, diag_path, path_csv)
-    _emit_manifest(manifest, diag.to_dict(), out)
-    sys.exit(EXIT_OK if verify_unitary_rep(endpoint, 1e-8) else EXIT_STRUCTURAL)
+        return endpoint, diag
+
+    _run_and_emit("retract", {"samples": samples, "snap_tol": snap_tol}, rep, run,
+                  out, diag_path, path_csv)
 
 
 @main.command("pipeline")
@@ -319,43 +313,16 @@ def cmd_retract(in_path, out, diag_path, path_csv, samples, snap_tol):
 def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol,
                  tol, max_iter, eta0, sl):
     """Flow, certify, and retract: Rep JSON in, unitary Rep JSON out."""
-    try:
-        rep = _load_rep(in_path)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
+    rep, _ = _load_rep(in_path)
     cfg = FlowConfig(tol=tol, max_iter=max_iter, eta0=eta0, sl_mode=sl)
-    manifest = build_manifest(
+    _run_and_emit(
         "pipeline",
         {"tol": tol, "max_iter": max_iter, "eta0": eta0, "sl": sl,
          "samples": samples, "snap_tol": snap_tol},
-        {"rep": _sha256_text(canonical_json(rep_to_json(rep)))},
-        [out, diag_path or "", path_csv or "", trace_csv or ""],
+        rep,
+        lambda: full_pipeline(rep, cfg, num_samples=samples, snap_tol=snap_tol),
+        out, diag_path, path_csv, trace_csv,
     )
-    try:
-        endpoint, diag = full_pipeline(
-            rep, cfg, num_samples=samples, snap_tol=snap_tol
-        )
-    except PipelineStageError as exc:
-        diag = exc.diagnostics
-        _emit_pipeline_outputs(None, diag, None, out, diag_path, path_csv)
-        if trace_csv and diag.flow_trace is not None:
-            _write_text(trace_csv, _trace_csv(diag.flow_trace))
-        _emit_manifest(manifest, diag.to_dict(), out)
-        _fail(EXIT_STRUCTURAL, str(exc))
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
-    _write_text(out, canonical_json(rep_to_json(endpoint)) + "\n")
-    if diag_path:
-        _write_text(diag_path, canonical_json(diag.to_dict()) + "\n")
-    if trace_csv:
-        _write_text(trace_csv, _trace_csv(diag.flow_trace))
-    if path_csv and diag.retraction_path is not None:
-        _write_text(path_csv, _path_csv(diag.retraction_path))
-    _emit_manifest(manifest, diag.to_dict(), out)
-    if diag.outcome == "iter_budget":
-        click.echo("pipeline: flow budget exhausted", err=True)
-        sys.exit(EXIT_FLOW_BUDGET)
-    sys.exit(EXIT_OK if verify_unitary_rep(endpoint, 1e-8) else EXIT_STRUCTURAL)
 
 
 # -------------------------------------------------------------------- verify
@@ -369,11 +336,7 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
 @click.option("--seed", default=0, show_default=True)
 def cmd_verify(in_path, out, snap_tol, minimality_samples, seed):
     """Report the structural certificates of a representation."""
-    try:
-        rep = rep_from_json(json.loads(_read_text(in_path)), validate=False)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
-    res = relation_residual(rep)
+    rep, res = _load_rep(in_path, validate=False)
     report = {
         "p": rep.group.p, "q": rep.group.q, "n": rep.n,
         "relation_residual": res,
@@ -381,8 +344,8 @@ def cmd_verify(in_path, out, snap_tol, minimality_samples, seed):
         "kn_energy": kn_energy(rep),
         "moment_norm": hs_norm(moment_map(rep)),
         "order_bound": order_bound(rep.group.p, rep.group.q, rep.n),
-        "unitarity_defect_a": hs_norm(rep.A.conj().T @ rep.A - np.eye(rep.n)),
-        "unitarity_defect_b": hs_norm(rep.B.conj().T @ rep.B - np.eye(rep.n)),
+        "unitarity_defect_a": unitarity_defect(rep.A),
+        "unitarity_defect_b": unitarity_defect(rep.B),
         "detected_order": None,
         "normality_exponent": None,
         "kappa_invariance_defect": None,
@@ -410,7 +373,7 @@ def cmd_verify(in_path, out, snap_tol, minimality_samples, seed):
     manifest = build_manifest(
         "verify",
         {"snap_tol": snap_tol, "minimality_samples": minimality_samples, "seed": seed},
-        {"rep": _sha256_text(canonical_json(rep_to_json(rep)))},
+        {"rep": sha256_text(canonical_json(rep_to_json(rep)))},
         [out],
     )
     _emit_manifest(manifest, {"exit": exit_code}, out)
@@ -418,182 +381,6 @@ def cmd_verify(in_path, out, snap_tol, minimality_samples, seed):
 
 
 # --------------------------------------------------------------------- suite
-
-def derive_seed(base_seed: int, p: int, q: int, n: int, index: int) -> int:
-    """Stable per-task seed for the counter-based generator."""
-    key = f"{base_seed}:{p}:{q}:{n}:{index}".encode()
-    return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-
-
-def run_one(task: tuple) -> dict:
-    """One grid cell: draw, flow, certify, retract, check every invariant.
-
-    Returns a plain-dict record; hard invariant violations are collected
-    under "violations".  Module-level so process pools can pickle it.
-    """
-    p, q, n, seed, cfg_dict, num_samples, snap_tol, check_idempotence = task
-    cfg = FlowConfig(**cfg_dict)
-    rep = random_rep(p, q, n, seed, sl=cfg.sl_mode)
-    res0 = relation_residual(rep)
-    manifest = build_manifest(
-        "pipeline",
-        {"p": p, "q": q, "n": n, "seed": seed, **cfg_dict,
-         "num_samples": num_samples, "snap_tol": snap_tol},
-        {},
-        [],
-    )
-    record: dict = {
-        "p": p, "q": q, "n": n, "seed": seed,
-        "manifest_hash": manifest["hash"],
-        "initial_residual": res0,
-        "violations": [],
-    }
-    violations = record["violations"]
-    residual_bound = 1e-8 + 10.0 * res0
-
-    def note_flow(diag):
-        trace = diag.flow_trace
-        record["flow_outcome"] = trace.outcome
-        record["iterations"] = trace.iterations
-        record["reached_1e-8"] = trace.first_below(1e-8)
-        record["max_flow_residual"] = trace.max_residual()
-        record["final_moment_norm"] = diag.final_moment_norm
-        if not trace.energy_monotone():
-            violations.append("energy increased along an accepted step")
-        if record["max_flow_residual"] > residual_bound:
-            violations.append(
-                f"flow residual {record['max_flow_residual']:.3e} exceeded bound"
-            )
-
-    try:
-        endpoint, diag = full_pipeline(
-            rep, cfg, num_samples=num_samples, snap_tol=snap_tol
-        )
-    except PipelineStageError as exc:
-        note_flow(exc.diagnostics)
-        record["outcome"] = "structural_failure"
-        record["failed_stage"] = exc.stage
-        record["error"] = str(exc)
-        violations.append(f"structural failure at {exc.stage}")
-        return record, manifest
-    note_flow(diag)
-    record["outcome"] = diag.outcome
-    if diag.outcome == "iter_budget":
-        return record, manifest
-
-    record["detected_order"] = diag.detected_order
-    record["order_bound"] = diag.order_bound
-    record["normality_exponent"] = diag.normality_exponent
-    record["max_path_residual"] = diag.max_path_residual
-    record["endpoint_defect_a"] = diag.endpoint_defect_a
-    record["endpoint_defect_b"] = diag.endpoint_defect_b
-    if diag.detected_order > diag.order_bound:
-        violations.append(
-            f"order {diag.detected_order} exceeds bound {diag.order_bound}"
-        )
-    try:
-        for lam in eigvals(endpoint.B):
-            root = snap_root_of_unity(lam, diag.order_bound, snap_tol)
-            if not any(abs(p**k - q**k) % root.N == 0 for k in range(1, n + 1)):
-                violations.append(
-                    f"eigenvalue order {root.N} divides no |p^k - q^k|, k <= {n}"
-                )
-    except BsretractError as exc:
-        violations.append(f"endpoint eigenvalue failed to snap: {exc}")
-    if diag.max_path_residual > residual_bound:
-        violations.append(
-            f"path residual {diag.max_path_residual:.3e} exceeded bound"
-        )
-    if not verify_unitary_rep(endpoint, 1e-8):
-        violations.append("endpoint failed the unitary-representation check")
-    if check_idempotence:
-        try:
-            endpoint2, diag2 = full_pipeline(
-                endpoint, cfg, num_samples=num_samples, snap_tol=snap_tol
-            )
-            delta = max(
-                hs_norm(endpoint2.A - endpoint.A), hs_norm(endpoint2.B - endpoint.B)
-            )
-            record["idempotence_delta"] = delta
-            if diag2.outcome != "ok" or delta > 1e-9:
-                violations.append(f"pipeline not idempotent: delta {delta:.3e}")
-        except (BsretractError, ValueError) as exc:
-            violations.append(f"pipeline rerun failed: {exc}")
-    return record, manifest
-
-
-def _worker_count(requested: int | None) -> int:
-    cap = os.environ.get("BSRETRACT_THREADS")
-    cap = int(cap) if cap else None
-    workers = requested or min(4, os.cpu_count() or 1)
-    if cap is not None:
-        workers = max(1, min(workers, cap))
-    return workers
-
-
-def run_suite(
-    pairs: list[tuple[int, int]],
-    n_max: int,
-    seeds: int,
-    cfg: FlowConfig,
-    *,
-    base_seed: int = 0,
-    num_samples: int = 100,
-    snap_tol: float = 1e-6,
-    check_idempotence: bool = False,
-    workers: int | None = None,
-) -> dict:
-    """Sweep random representations over the grid and aggregate invariants."""
-    cfg_dict = {
-        "tol": cfg.tol, "max_iter": cfg.max_iter, "eta0": cfg.eta0,
-        "armijo": cfg.armijo, "shrink": cfg.shrink, "sl_mode": cfg.sl_mode,
-    }
-    tasks = [
-        (p, q, n, derive_seed(base_seed, p, q, n, i), cfg_dict,
-         num_samples, snap_tol, check_idempotence)
-        for (p, q) in pairs
-        for n in range(1, n_max + 1)
-        for i in range(seeds)
-    ]
-    workers = _worker_count(workers)
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, tasks, chunksize=4))
-    else:
-        results = [run_one(t) for t in tasks]
-    records = [r for r, _ in results]
-    manifests = {m["hash"]: m for _, m in results}
-    total = len(records)
-    converged = [r for r in records if r.get("outcome") == "ok"]
-    crossed = [r for r in records if r.get("reached_1e-8") is not None]
-    violations = [
-        {"p": r["p"], "q": r["q"], "n": r["n"], "seed": r["seed"], "what": v}
-        for r in records
-        for v in r["violations"]
-    ]
-    orders: dict[str, int] = {}
-    exponents: dict[str, int] = {}
-    for r in converged:
-        okey = str(r["detected_order"])
-        orders[okey] = orders.get(okey, 0) + 1
-        jkey = str(r["normality_exponent"])
-        exponents[jkey] = exponents.get(jkey, 0) + 1
-    iterations = [r.get("iterations", 0) for r in records]
-    summary = {
-        "total_runs": total,
-        "converged": len(converged),
-        "converged_rate": len(converged) / total if total else 1.0,
-        "reached_1e-8": len(crossed),
-        "reached_1e-8_rate": len(crossed) / total if total else 1.0,
-        "hard_violations": len(violations),
-        "violations": violations,
-        "order_histogram": orders,
-        "exponent_histogram": exponents,
-        "max_iterations": max(iterations, default=0),
-        "mean_iterations": sum(iterations) / total if total else 0.0,
-    }
-    return {"summary": summary, "runs": records, "manifests": manifests}
-
 
 def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
@@ -645,8 +432,8 @@ def cmd_suite(p_list, q_list, pairs_spec, n_max, seeds, base_seed, samples,
         "suite",
         {"pairs": [list(x) for x in pairs], "n_max": n_max, "seeds": seeds,
          "base_seed": base_seed, "samples": samples, "snap_tol": snap_tol,
-         "idempotence": idempotence, **{
-             "tol": tol, "max_iter": max_iter, "eta0": eta0, "sl": sl}},
+         "idempotence": idempotence,
+         "tol": tol, "max_iter": max_iter, "eta0": eta0, "sl": sl},
         {},
         [report],
     )

@@ -25,6 +25,7 @@ __all__ = [
     "RootOfUnity",
     "as_matrix",
     "hs_norm",
+    "unitarity_defect",
     "polar",
     "herm_power",
     "exp_herm",
@@ -50,6 +51,11 @@ def as_matrix(x) -> np.ndarray:
 def hs_norm(x) -> float:
     """Hilbert-Schmidt (Frobenius) norm sqrt(sum |x_ij|^2)."""
     return float(np.linalg.norm(np.asarray(x)))
+
+
+def unitarity_defect(x: np.ndarray) -> float:
+    """||X* X - I|| in the Hilbert-Schmidt norm."""
+    return hs_norm(x.conj().T @ x - np.eye(x.shape[0]))
 
 
 def _herm(x: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from .bsrep import Rep, relation_residual
 from .compactify import certify, detect_finite_order, normality_exponent
 from .errors import STRUCTURAL_ERRORS, PipelineStageError, PolarObstruction
 from .kempfness import FlowConfig, FlowTrace, flow, kn_energy
-from .numerics import hs_norm, polar
+from .numerics import hs_norm, polar, unitarity_defect
 
 __all__ = [
     "RetractionPath",
@@ -55,12 +55,10 @@ class RetractionPath:
 
     def rows(self) -> list[tuple[float, float, float]]:
         """(t, residual, unitarity defect of A) per sample, for CSV export."""
-        out = []
-        for s in self.samples:
-            a = s.rep.A
-            defect = hs_norm(a.conj().T @ a - np.eye(s.rep.n))
-            out.append((s.t, relation_residual(s.rep), defect))
-        return out
+        return [
+            (s.t, relation_residual(s.rep), unitarity_defect(s.rep.A))
+            for s in self.samples
+        ]
 
 
 def retract_a(
@@ -83,7 +81,7 @@ def retract_a(
     if num_samples < 2:
         raise ValueError("num_samples must be >= 2")
     b = rep.B
-    defect = hs_norm(b.conj().T @ b - np.eye(rep.n))
+    defect = unitarity_defect(b)
     if not defect <= unitary_tol:
         raise ValueError(
             f"B is not unitary within {unitary_tol:.1e} (defect {defect:.3e}); "
@@ -188,12 +186,8 @@ def certify_and_retract(
     diag.retraction_path = path
     diag.max_path_residual = path.max_residual()
     diag.endpoint_residual = relation_residual(endpoint)
-    diag.endpoint_defect_a = hs_norm(
-        endpoint.A.conj().T @ endpoint.A - np.eye(endpoint.n)
-    )
-    diag.endpoint_defect_b = hs_norm(
-        endpoint.B.conj().T @ endpoint.B - np.eye(endpoint.n)
-    )
+    diag.endpoint_defect_a = unitarity_defect(endpoint.A)
+    diag.endpoint_defect_b = unitarity_defect(endpoint.B)
     diag.eig_condition_a = _eig_condition(endpoint.A)
     diag.eig_condition_b = _eig_condition(endpoint.B)
     return endpoint, path, diag
@@ -241,9 +235,8 @@ def full_pipeline(
 def verify_unitary_rep(rep: Rep, tol: float = 1e-8) -> bool:
     """True iff both generators are unitary and the relation holds, all
     within tol."""
-    eye = np.eye(rep.n)
-    if not hs_norm(rep.A.conj().T @ rep.A - eye) <= tol:
+    if not unitarity_defect(rep.A) <= tol:
         return False
-    if not hs_norm(rep.B.conj().T @ rep.B - eye) <= tol:
+    if not unitarity_defect(rep.B) <= tol:
         return False
     return relation_residual(rep) <= tol

@@ -27,9 +27,10 @@ from bsretract import (
 )
 from bsretract.bsrep import random_hermitian
 from bsretract.census import divisors
-from bsretract.cli import main, run_suite
+from bsretract.cli import main
 from bsretract.compactify import invariant_form
 from bsretract.numerics import hs_norm
+from bsretract.suite import run_suite
 
 from util import conditioned, group_mean_form, powers
 

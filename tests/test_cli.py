@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from bsretract import rep_to_json, verify_unitary_rep, rep_from_json
+from bsretract import (
+    FlowConfig,
+    NotFiniteOrder,
+    rep_from_json,
+    rep_to_json,
+    verify_unitary_rep,
+)
 from bsretract.cli import main
+from bsretract.suite import derive_seed, run_one
 
 from util import conditioned, n5_block, rep_of, swap2, zeta
 
@@ -308,20 +315,49 @@ def test_nan_residual_input_exits_bad_input(runner, tmp_path):
         assert res.exit_code == 2, (cmd, res.output)
 
 
+def test_singular_input_exits_bad_input(runner, tmp_path):
+    # A = 0 has no inverse, so the relation residual cannot be evaluated
+    in_path = write_rep(tmp_path, rep_of(2, 3, np.zeros((2, 2)), np.eye(2)))
+    for cmd in ("flow", "pipeline", "retract", "verify"):
+        res = runner.invoke(main, [cmd, "--in", in_path, "--out", "-"])
+        assert isinstance(res.exception, SystemExit), (cmd, res.exception)
+        assert res.exit_code == 2, (cmd, res.output)
+
+
 # --------------------------------------------------------------------- suite
 
 def test_run_one_classifies_spurious_orders():
     # (2,3), n = 8: these cells snap an eigenvalue to an order dividing no
     # |2^k - 3^k|, which must end as a classified structural failure
-    from bsretract.cli import derive_seed, run_one
-
-    cfg = {"tol": 1e-10, "max_iter": 10**5, "eta0": 0.1, "armijo": 0.5,
-           "shrink": 0.5, "sl_mode": False}
+    cfg = FlowConfig(tol=1e-10, max_iter=10**5, eta0=0.1, armijo=0.5,
+                     shrink=0.5, sl_mode=False)
     for i in (1, 3, 4):
         record, _ = run_one((2, 3, 8, derive_seed(0, 2, 3, 8, i), cfg,
                              100, 1e-6, False))
         assert record["outcome"] == "structural_failure"
         assert record["failed_stage"] == "detect_finite_order"
+
+
+def _reject_order(b, moduli, tol):
+    raise NotFiniteOrder("rejected for the test")
+
+
+def _wrong_order(b, moduli, tol):
+    return 7
+
+
+@pytest.mark.parametrize("detect", [_reject_order, _wrong_order])
+def test_run_one_recertifies_the_endpoint(monkeypatch, detect):
+    # the suite's own endpoint check must be able to fail, and acceptance
+    # criterion 2 must see the failure
+    monkeypatch.setattr("bsretract.suite.detect_finite_order", detect)
+    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), FlowConfig(), 100, 1e-6, False)
+    record, _ = run_one(task)
+    assert record["outcome"] == "ok"
+    assert record["detected_order"] != 7
+    hits = [v for v in record["violations"]
+            if "order" in v or "snap" in v or "structural" in v]
+    assert len(hits) == 1, record["violations"]
 
 
 def test_suite_past_the_acceptance_grid_exits_classified(runner, tmp_path):
