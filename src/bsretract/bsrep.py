@@ -73,7 +73,11 @@ def _inv(a: np.ndarray) -> np.ndarray:
 
 
 def residual(a: np.ndarray, b: np.ndarray, p: int, q: int) -> float:
-    """||A B^p A^-1 - B^q|| of raw arrays, without validating them."""
+    """||A B^p A^-1 - B^q|| of raw arrays, without validating them.
+
+    A may be a stack (..., n, n): B^p and B^q are formed once and the
+    result is the array of residuals, each equal to that of its matrix
+    alone."""
     try:
         lhs = a @ np.linalg.matrix_power(b, p) @ np.linalg.inv(a)
         return hs_norm(lhs - np.linalg.matrix_power(b, q))

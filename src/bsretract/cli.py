@@ -127,6 +127,8 @@ def cmd_census(p, q, n_max, out, csv_path):
 def _parse_orbit_spec(spec: str, p: int, q: int) -> OrbitDatum:
     mod_part, _, orbit_part = spec.partition(":")
     modulus = int(mod_part)
+    if modulus < 1:
+        raise ValueError(f"block modulus must be positive, got {modulus}")
     orbit = tuple(int(x) for x in orbit_part.split(",")) if orbit_part else (0,)
     u = q * pow(p, -1, modulus) % modulus if modulus > 1 else 0
     return OrbitDatum(p, q, modulus, u, orbit, len(orbit))
@@ -199,6 +201,13 @@ _flow_options = [
 ]
 
 
+def _flow_config(tol, max_iter, eta0, sl) -> FlowConfig:
+    try:
+        return FlowConfig(tol=tol, max_iter=max_iter, eta0=eta0, sl_mode=sl)
+    except ValueError as exc:
+        _fail(EXIT_BAD_INPUT, str(exc))
+
+
 def _with(options):
     def deco(f):
         for opt in reversed(options):
@@ -215,7 +224,7 @@ def _with(options):
 def cmd_flow(in_path, out, trace_csv, tol, max_iter, eta0, sl):
     """Run the moment-map gradient flow on a representation."""
     rep, _ = _load_rep(in_path)
-    cfg = FlowConfig(tol=tol, max_iter=max_iter, eta0=eta0, sl_mode=sl)
+    cfg = _flow_config(tol, max_iter, eta0, sl)
     final, trace = flow(rep, cfg)
     _write_text(out, canonical_json(rep_to_json(final)) + "\n")
     if trace_csv:
@@ -314,7 +323,7 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
                  tol, max_iter, eta0, sl):
     """Flow, certify, and retract: Rep JSON in, unitary Rep JSON out."""
     rep, _ = _load_rep(in_path)
-    cfg = FlowConfig(tol=tol, max_iter=max_iter, eta0=eta0, sl_mode=sl)
+    cfg = _flow_config(tol, max_iter, eta0, sl)
     _run_and_emit(
         "pipeline",
         {"tol": tol, "max_iter": max_iter, "eta0": eta0, "sl": sl,
@@ -414,15 +423,19 @@ def cmd_suite(p_list, q_list, pairs_spec, n_max, seeds, base_seed, samples,
                 _fail(EXIT_BAD_INPUT, str(exc))
             pairs.append((int(ps), int(qs)))
     else:
+        try:
+            p_values, q_values = _parse_int_list(p_list), _parse_int_list(q_list)
+        except ValueError as exc:
+            _fail(EXIT_BAD_INPUT, str(exc))
         pairs = []
-        for p in _parse_int_list(p_list):
-            for q in _parse_int_list(q_list):
+        for p in p_values:
+            for q in q_values:
                 try:
                     validate_parameters(p, q)
                 except ValueError:
                     continue
                 pairs.append((p, q))
-    cfg = FlowConfig(tol=tol, max_iter=max_iter, eta0=eta0, sl_mode=sl)
+    cfg = _flow_config(tol, max_iter, eta0, sl)
     doc = run_suite(
         pairs, n_max, seeds, cfg,
         base_seed=base_seed, num_samples=samples, snap_tol=snap_tol,

@@ -80,7 +80,8 @@ class FlowTrace:
         return self.records[-1].iteration
 
     def max_residual(self) -> float:
-        return max(r.residual for r in self.records)
+        """Largest recorded residual; NaN if any residual is NaN."""
+        return float(np.max([r.residual for r in self.records]))
 
     def energy_monotone(self) -> bool:
         e = [r.energy for r in self.records]

@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,14 +47,25 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def hs_norm(x) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(sum |x_ij|^2)."""
-    return float(np.linalg.norm(np.asarray(x)))
+def hs_norm(x):
+    """Hilbert-Schmidt (Frobenius) norm sqrt(sum |x_ij|^2).
+
+    A C-ordered stack (..., n, n) gives the array of the norms of its
+    matrices, each rounded as for that matrix alone: the squared norm is
+    the same two BLAS dot products that np.linalg.norm takes.
+    """
+    x = np.asarray(x)
+    if x.ndim < 3:
+        return float(np.linalg.norm(x))
+    flat = x.reshape(x.shape[:-2] + (1, -1))
+    re, im = flat.real, flat.imag
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
-def unitarity_defect(x: np.ndarray) -> float:
-    """||X* X - I|| in the Hilbert-Schmidt norm."""
-    return hs_norm(x.conj().T @ x - np.eye(x.shape[0]))
+def unitarity_defect(x: np.ndarray):
+    """||X* X - I|| in the Hilbert-Schmidt norm; of each matrix for a stack."""
+    return hs_norm(np.swapaxes(x.conj(), -1, -2) @ x - np.eye(x.shape[-1]))
 
 
 def _herm(x: np.ndarray) -> np.ndarray:
@@ -195,27 +205,18 @@ def snap_root_of_unity(value: complex, max_order: int, tol: float) -> RootOfUnit
     # form avoids the catastrophic 1 - cos cancellation at tiny tol.
     slack = max(0.0, tol * tol - (r - 1.0) ** 2)
     ang_tol = 2.0 * math.asin(min(1.0, math.sqrt(slack / (4.0 * r)))) / _TWO_PI
-    theta = Fraction(math.atan2(lam.imag, lam.real) / _TWO_PI % 1.0)
+    num, den = (math.atan2(lam.imag, lam.real) / _TWO_PI % 1.0).as_integer_ratio()
 
-    def best_err(denom_cap: int) -> tuple[float, Fraction]:
-        f = theta.limit_denominator(denom_cap)
-        return abs(float(theta - f)), f
+    def within(x: int, y: int) -> bool:
+        # |theta - x/y| rounded once to a float, as float(Fraction) rounds it.
+        return abs(num * y - x * den) / (den * y) <= ang_tol
 
-    err_max, _ = best_err(max_order)
-    if err_max > ang_tol:
+    frac = _smallest_denominator(num, den, within, int(max_order))
+    if frac is None:
         raise NotARootOfUnity(
             f"no root of unity of order <= {max_order} within {tol:.3g}"
         )
-    lo, hi = 1, int(max_order)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if best_err(mid)[0] <= ang_tol:
-            hi = mid
-        else:
-            lo = mid + 1
-    _, frac = best_err(lo)
-    n_ = frac.denominator
-    m_ = frac.numerator % n_
+    m_, n_ = frac[0] % frac[1], frac[1]
     snapped = cmath.exp(2j * math.pi * m_ / n_)
     if abs(lam - snapped) > tol:
         raise NotARootOfUnity(
@@ -223,6 +224,43 @@ def snap_root_of_unity(value: complex, max_order: int, tol: float) -> RootOfUnit
             f"{abs(lam - snapped):.3g}"
         )
     return RootOfUnity(n_, m_)
+
+
+def _smallest_denominator(num: int, den: int, within, max_den: int):
+    """(x, y) with x/y of smallest denominator y <= max_den such that
+    within(x, y), for a within() that holds exactly on an interval around
+    num/den in [0, 1]; None if there is none.
+
+    Walks the Stern-Brocot tree toward num/den.  Denominators grow along
+    the walk, and the first node inside the interval has the smallest
+    denominator in it.  A run of steps in one direction passes the
+    mediants (x0 + j x1)/(y0 + j y1), which close in on num/den from one
+    side until j crosses it; the first of them inside the interval is
+    found by bisection on j, so a run costs O(log j) tests.
+    """
+    for x in (0, 1):
+        if within(x, 1):
+            return x, 1
+    a, b, c, d = 0, 1, 1, 1  # num/den lies strictly between a/b and c/d
+    while b + d <= max_den:
+        up = (a + c) * den < num * (b + d)
+        x0, y0, x1, y1 = (a, b, c, d) if up else (c, d, a, b)
+        cross = -((x0 * den - num * y0) // (x1 * den - num * y1))
+        lo, hi = 1, cross
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if within(x0 + mid * x1, y0 + mid * y1):
+                hi = mid
+            else:
+                lo = mid + 1
+        x, y = x0 + lo * x1, y0 + lo * y1
+        if within(x, y):
+            return (x, y) if y <= max_den else None
+        if up:
+            a, b, c, d = x - x1, y - y1, x, y
+        else:
+            a, b, c, d = x, y, x - x1, y - y1
+    return None
 
 
 def matrix_to_json(a) -> dict:

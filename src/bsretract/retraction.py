@@ -10,12 +10,13 @@ t = 0 the representation is unitary.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import census
-from .bsrep import Rep, relation_residual
+from .bsrep import BSGroup, Rep, relation_residual, residual
 from .compactify import certify, detect_finite_order, normality_exponent
 from .errors import STRUCTURAL_ERRORS, PipelineStageError, PolarObstruction
 from .kempfness import FlowConfig, FlowTrace, flow, kn_energy
@@ -38,27 +39,63 @@ class PathSample:
     rep: Rep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RetractionPath:
-    """Samples of the path t -> (U P^t, B), from t = 1 down to t = 0."""
+    """The path t -> (U P^t, B) sampled from t = 1 down to t = 0, stored as
+    the stack A[i] = A_{t[i]} of shape (k, n, n) with B fixed."""
 
-    samples: tuple[PathSample, ...]
+    t: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    group: BSGroup
     order: int
     exponent: int
 
+    def __post_init__(self):
+        k, n = len(self.t), self.B.shape[0]
+        if self.A.shape != (k, n, n):
+            raise ValueError(f"path stack shape {self.A.shape} does not match {(k, n, n)}")
+        if not np.all(np.isfinite(self.A.view(np.float64))):
+            raise ValueError("matrix has non-finite entries")
+
+    @property
+    def samples(self) -> Sequence[PathSample]:
+        return _PathSamples(self)
+
     @property
     def endpoint(self) -> Rep:
-        return self.samples[-1].rep
+        return Rep(self.group, self.B.shape[0], self.A[-1], self.B)
+
+    def residuals(self) -> np.ndarray:
+        """Relation residual of every sample, in one batched pass."""
+        return residual(self.A, self.B, self.group.p, self.group.q)
 
     def max_residual(self) -> float:
-        return max(relation_residual(s.rep) for s in self.samples)
+        """Largest sample residual; NaN if any residual is NaN."""
+        return float(np.max(self.residuals()))
 
     def rows(self) -> list[tuple[float, float, float]]:
         """(t, residual, unitarity defect of A) per sample, for CSV export."""
-        return [
-            (s.t, relation_residual(s.rep), unitarity_defect(s.rep.A))
-            for s in self.samples
-        ]
+        return list(zip(self.t.tolist(), self.residuals().tolist(),
+                        unitarity_defect(self.A).tolist()))
+
+
+class _PathSamples(Sequence):
+    """The samples of a path, each built from its slice of the stack on
+    access."""
+
+    def __init__(self, path: RetractionPath):
+        self._path = path
+
+    def __len__(self) -> int:
+        return len(self._path.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        path = self._path
+        rep = Rep(path.group, path.B.shape[0], path.A[i], path.B)
+        return PathSample(float(path.t[i]), rep)
 
 
 def retract_a(
@@ -99,12 +136,13 @@ def retract_a(
             f"||[P, B]|| = {comm:.3e} exceeds {commute_tol:.1e} * ||P||"
         )
     w, v = np.linalg.eigh(0.5 * (p + p.conj().T))
-    vh = v.conj().T
-    samples = []
-    for t in np.linspace(1.0, 0.0, num_samples):
-        a_t = u @ ((v * w**t) @ vh)
-        samples.append(PathSample(float(t), Rep(rep.group, rep.n, a_t, b)))
-    return RetractionPath(tuple(samples), order, exponent)
+    t = np.linspace(1.0, 0.0, num_samples)
+    # numpy raises an array to the scalar power 0.5 by sqrt, which can round
+    # differently from pow: take sqrt at t = 1/2 too, so that every slice
+    # is u v diag(w ** t) v* for its own scalar t.
+    wt = np.where(t[:, None] == 0.5, np.sqrt(w), w ** t[:, None])
+    a = u @ ((v * wt[:, None, :]) @ v.conj().T)
+    return RetractionPath(t, a, b, rep.group, order, exponent)
 
 
 @dataclass

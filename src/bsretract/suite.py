@@ -87,7 +87,7 @@ def run_one(task: tuple) -> tuple[dict, dict]:
         record["final_moment_norm"] = diag.final_moment_norm
         if not diag.energy_monotone:
             violations.append("energy increased along an accepted step")
-        if diag.max_flow_residual > residual_bound:
+        if not diag.max_flow_residual <= residual_bound:
             violations.append(
                 f"flow residual {diag.max_flow_residual:.3e} exceeded bound"
             )
@@ -128,7 +128,7 @@ def run_one(task: tuple) -> tuple[dict, dict]:
                 f"endpoint order {order} differs from certified order "
                 f"{diag.detected_order}"
             )
-    if diag.max_path_residual > residual_bound:
+    if not diag.max_path_residual <= residual_bound:
         violations.append(
             f"path residual {diag.max_path_residual:.3e} exceeded bound"
         )

@@ -32,16 +32,7 @@ from bsretract.compactify import invariant_form
 from bsretract.numerics import hs_norm
 from bsretract.suite import run_suite
 
-from util import conditioned, group_mean_form, powers
-
-PAIRS = [
-    (sp * p, sq * q)
-    for (p, q) in [(1, 2), (2, 3), (1, 3), (2, 5), (3, 5)]
-    for sp in (1, -1)
-    for sq in (1, -1)
-]
-N_MAX = 4
-SEEDS = 5
+from util import N_MAX, PAIRS, SEEDS, conditioned, group_mean_form, powers
 
 
 def report(name, ok, detail):

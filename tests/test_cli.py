@@ -107,6 +107,12 @@ def test_construct_rejects_bad_parameters(runner, tmp_path):
     assert res.exit_code == 2
 
 
+def test_zero_block_modulus_exits_bad_input(runner):
+    res = runner.invoke(main, ["construct", "--p", "2", "--q", "3", "--orbit", "0:1"])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output
+
+
 # ---------------------------------------------------------------------- flow
 
 def test_flow_command(runner, tmp_path):
@@ -324,6 +330,18 @@ def test_singular_input_exits_bad_input(runner, tmp_path):
         assert res.exit_code == 2, (cmd, res.output)
 
 
+def test_bad_flow_config_exits_bad_input(runner, tmp_path):
+    in_path = write_rep(tmp_path, n5_block(1.0))
+    for cmd in ("flow", "pipeline"):
+        res = runner.invoke(main, [cmd, "--in", in_path, "--out", "-", "--tol", "-1"])
+        assert isinstance(res.exception, SystemExit), (cmd, res.exception)
+        assert res.exit_code == 2, (cmd, res.output)
+    res = runner.invoke(main, ["suite", "--pairs", "2:3", "--n-max", "1", "--seeds", "1",
+                               "--max-iter", "0", "--report", str(tmp_path / "r.json")])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output
+
+
 # --------------------------------------------------------------------- suite
 
 def test_run_one_classifies_spurious_orders():
@@ -358,6 +376,18 @@ def test_run_one_recertifies_the_endpoint(monkeypatch, detect):
     hits = [v for v in record["violations"]
             if "order" in v or "snap" in v or "structural" in v]
     assert len(hits) == 1, record["violations"]
+
+
+def test_run_one_flags_nan_residuals(monkeypatch):
+    nan = float("nan")
+    monkeypatch.setattr("bsretract.kempfness.FlowTrace.max_residual", lambda self: nan)
+    monkeypatch.setattr("bsretract.retraction.RetractionPath.max_residual",
+                        lambda self: nan)
+    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), FlowConfig(), 100, 1e-6, False)
+    record, _ = run_one(task)
+    assert record["outcome"] == "ok"
+    assert any(v.startswith("flow residual nan") for v in record["violations"])
+    assert any(v.startswith("path residual nan") for v in record["violations"])
 
 
 def test_suite_past_the_acceptance_grid_exits_classified(runner, tmp_path):
@@ -439,3 +469,10 @@ def test_suite_grid_skips_invalid_combinations(runner, tmp_path):
     doc = json.loads(report.read_text())
     # (2,2) dropped, only (1,2) stays
     assert doc["summary"]["total_runs"] == 1
+
+
+def test_suite_non_integer_list_exits_bad_input(runner, tmp_path):
+    res = runner.invoke(main, ["suite", "--p-list", "a", "--n-max", "1", "--seeds", "1",
+                               "--report", str(tmp_path / "r.json")])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output

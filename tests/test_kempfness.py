@@ -13,7 +13,7 @@ from bsretract import (
     verify_minimal,
 )
 from bsretract.bsrep import random_hermitian
-from bsretract.kempfness import CONVERGED
+from bsretract.kempfness import CONVERGED, FlowRecord, FlowTrace
 
 from util import conditioned, haar_unitary, n5_block, rep_of, zeta
 
@@ -214,3 +214,11 @@ def test_flow_config_validation():
         FlowConfig(armijo=1.5)
     with pytest.raises(ValueError):
         FlowConfig(shrink=0.0)
+
+
+def test_flow_residual_check_fails_on_a_nan_record():
+    records = tuple(
+        FlowRecord(i, 1.0, 1.0, 0.1, res)
+        for i, res in enumerate([1e-12, float("nan"), 1e-12])
+    )
+    assert not FlowTrace(records, CONVERGED).max_residual() <= 1e-8

@@ -1,7 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bsretract import (
     NotARootOfUnity,
@@ -17,7 +20,7 @@ from bsretract import (
 )
 from bsretract.numerics import matrix_from_json, matrix_to_json
 
-from util import haar_unitary, swap2, zeta
+from util import haar_unitary, reference_snap, swap2, zeta
 
 
 def test_hs_norm_examples():
@@ -194,6 +197,53 @@ def test_snap_does_not_chase_noise_with_large_denominators():
     lam = zeta(5) * np.exp(1e-8j)
     r = snap_root_of_unity(lam, 10**6, 1e-6)
     assert (r.N, r.m) == (5, 1)
+
+
+def _snap_outcome(snap, lam, max_order, tol):
+    try:
+        return snap(lam, max_order, tol)
+    except NotARootOfUnity:
+        return NotARootOfUnity
+
+
+_max_orders = st.one_of(
+    st.integers(1, 100), st.integers(1, 10**6), st.integers(1, 10**20)
+)
+
+
+@given(
+    angle=st.floats(0.0, 1.0, allow_nan=False),
+    radius=st.sampled_from([1.0, 1.0 + 1e-12, 1.0 - 1e-9, 1.0 + 1e-7]),
+    log_tol=st.floats(-16.0, 0.5),
+    max_order=_max_orders,
+)
+def test_snap_walk_matches_binary_search(angle, radius, log_tol, max_order):
+    lam = radius * cmath.exp(2j * math.pi * angle)
+    tol = 10.0**log_tol
+    assert _snap_outcome(snap_root_of_unity, lam, max_order, tol) == _snap_outcome(
+        reference_snap, lam, max_order, tol
+    )
+
+
+@given(
+    order=st.integers(1, 10**6),
+    numerator=st.integers(0, 10**6),
+    log_offset=st.floats(-15.0, -3.0),
+    sign=st.sampled_from([-1.0, 1.0]),
+    ulps=st.integers(-4, 4),
+    max_order=_max_orders,
+)
+def test_snap_walk_matches_binary_search_at_the_boundary(
+    order, numerator, log_offset, sign, ulps, max_order
+):
+    # tol a few ulps either side of the distance to a root of unity, so
+    # the angular budget lands on that root's rounding boundary
+    root = zeta(order, numerator % order)
+    lam = root * cmath.exp(2j * math.pi * sign * 10.0**log_offset)
+    tol = abs(lam - root) * (1.0 + ulps * 2.0**-52)
+    assert _snap_outcome(snap_root_of_unity, lam, max_order, tol) == _snap_outcome(
+        reference_snap, lam, max_order, tol
+    )
 
 
 def test_root_of_unity_value():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bsretract import (
+    BSGroup,
     FlowConfig,
     PipelineStageError,
     PolarObstruction,
@@ -16,13 +17,16 @@ from bsretract import (
     rep_from_json,
     rep_to_json,
     retract_a,
+    unitarity_defect,
     verify_unitary_rep,
 )
 from bsretract.compactify import conjugate_into_unitary, detect_finite_order, invariant_form
 from bsretract.kempfness import flow
-from bsretract.numerics import hs_norm
+from bsretract.numerics import hs_norm, polar
+from bsretract.retraction import RetractionPath
+from bsretract.suite import derive_seed
 
-from util import conditioned, n5_block, rep_of, swap2, zeta
+from util import N_MAX, PAIRS, SEEDS, conditioned, n5_block, rep_of, swap2, zeta
 
 
 def test_retract_constant_on_unitary_a():
@@ -192,3 +196,74 @@ def test_verify_unitary_rep_examples():
     assert verify_unitary_rep(rep_of(2, 3, np.eye(2), np.eye(2)))
     assert verify_unitary_rep(n5_block(np.exp(1.1j)))
     assert not verify_unitary_rep(n5_block(2.0))
+
+
+@pytest.fixture(scope="module")
+def grid_diagnostics():
+    """Diagnostics of every acceptance-grid cell, drawn as run_suite draws
+    them."""
+    cfg = FlowConfig(tol=1e-10, max_iter=10**5)
+    out = []
+    for p, q in PAIRS:
+        for n in range(1, N_MAX + 1):
+            for i in range(SEEDS):
+                _, diag = full_pipeline(random_rep(p, q, n, derive_seed(0, p, q, n, i)), cfg)
+                assert diag.outcome == "ok"
+                out.append(diag)
+    return out
+
+
+def test_stacked_path_equals_per_sample_reps(grid_diagnostics):
+    for diag in grid_diagnostics:
+        path = diag.retraction_path
+        samples = path.samples
+        assert len(samples) == 100
+        rows = path.rows()
+        for i, (sample, (t, res, defect)) in enumerate(zip(samples, rows)):
+            assert sample.t == t == path.t[i]
+            assert np.array_equal(sample.rep.A, path.A[i])
+            assert np.array_equal(sample.rep.B, path.B)
+            assert res == relation_residual(sample.rep)
+            assert defect == unitarity_defect(sample.rep.A)
+        assert path.max_residual() == max(r[1] for r in rows) == diag.max_path_residual
+        endpoint = path.endpoint
+        assert path.t[-1] == 0.0 and np.array_equal(endpoint.A, path.A[-1])
+        assert diag.endpoint_residual == relation_residual(endpoint) == rows[-1][1]
+
+
+def test_path_samples_are_slices_of_the_stack():
+    rep = rep_of(2, 3, 2.0 * swap2(), np.diag([zeta(5, 1), zeta(5, 4)]))
+    path = retract_a(rep, num_samples=7)
+    assert path.A.shape == (7, 2, 2) and len(path.samples) == 7
+    assert [s.t for s in path.samples] == path.t.tolist()
+    assert [s.t for s in path.samples[1:3]] == path.t[1:3].tolist()
+    assert np.array_equal(path.samples[-1].rep.A, path.endpoint.A)
+    with pytest.raises(IndexError):
+        path.samples[7]
+    with pytest.raises(ValueError):
+        RetractionPath(path.t[:3], path.A, path.B, path.group, 5, 4)
+
+
+def test_stacked_path_equals_scalar_power_construction():
+    # A_t = U V diag(w^t) V*, with w^t taken for one scalar t at a time as
+    # numpy does it; t = 1/2 is where numpy's w ** t is sqrt(w), and
+    # w[2] is a value where sqrt and pow round differently.
+    p_factor = np.diag([0.52565282, 0.56755784, 0.7147618265733313, 1.82916541])
+    rep = rep_of(1, 2, np.eye(4)[::-1] @ p_factor, np.eye(4))
+    u, p = polar(rep.A)
+    w, v = np.linalg.eigh(0.5 * (p + p.conj().T))
+    for num_samples in (2, 5, 100, 101):
+        path = retract_a(rep, num_samples, order=1, exponent=0)
+        for t, a in zip(path.t, path.A):
+            assert np.array_equal(a, u @ ((v * w**t) @ v.conj().T))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_path_residual_check_fails_on_a_nan_sample():
+    # the middle sample overflows to a NaN residual; the ends are finite
+    b = np.array([[0.6, 0.8], [-0.8, 0.6]], dtype=complex)
+    a = np.stack([np.eye(2), np.diag([1e300, 1e-300]), np.eye(2)]).astype(complex)
+    path = RetractionPath(np.linspace(1.0, 0.0, 3), a, b, BSGroup(2, 3), 1, 1)
+    res = path.residuals()
+    assert np.isfinite(res[[0, 2]]).all() and not np.isfinite(res[1])
+    assert not path.max_residual() <= 10.0

@@ -1,8 +1,25 @@
 """Shared helpers for the test suite."""
 
+import cmath
+import math
+from fractions import Fraction
+
 import numpy as np
 
 from bsretract import BSGroup, OrbitDatum, Rep, from_orbit_datum
+from bsretract.errors import NotARootOfUnity
+from bsretract.numerics import RootOfUnity
+
+#: The acceptance grid: five (p, q) pairs with all sign variants, n <= 4,
+#: five seeds each.
+PAIRS = [
+    (sp * p, sq * q)
+    for (p, q) in [(1, 2), (2, 3), (1, 3), (2, 5), (3, 5)]
+    for sp in (1, -1)
+    for sq in (1, -1)
+]
+N_MAX = 4
+SEEDS = 5
 
 
 def zeta(N, m=1):
@@ -54,3 +71,41 @@ def group_mean_form(gen, order):
     q = np.einsum("kji,kjl->il", h.conj(), h) / order
     q = 0.5 * (q + q.conj().T)
     return q / np.linalg.det(q).real ** (1.0 / q.shape[0])
+
+
+def reference_snap(value, max_order, tol):
+    """snap_root_of_unity's reference rule: binary search over order caps
+    for the smallest cap whose best approximation of the angle
+    (Fraction.limit_denominator) lies within the angular budget."""
+    if max_order < 1:
+        raise ValueError("max_order must be >= 1")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    lam = complex(value)
+    r = abs(lam)
+    if abs(r - 1.0) > tol or r == 0.0:
+        raise NotARootOfUnity(f"|{lam!r}| = {r:.6g} is off the unit circle")
+    slack = max(0.0, tol * tol - (r - 1.0) ** 2)
+    ang_tol = 2.0 * math.asin(min(1.0, math.sqrt(slack / (4.0 * r)))) / (2.0 * math.pi)
+    theta = Fraction(math.atan2(lam.imag, lam.real) / (2.0 * math.pi) % 1.0)
+
+    def best_err(denom_cap):
+        f = theta.limit_denominator(denom_cap)
+        return abs(float(theta - f)), f
+
+    if best_err(max_order)[0] > ang_tol:
+        raise NotARootOfUnity(f"no root of unity of order <= {max_order} within {tol:.3g}")
+    lo, hi = 1, int(max_order)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if best_err(mid)[0] <= ang_tol:
+            hi = mid
+        else:
+            lo = mid + 1
+    frac = best_err(lo)[1]
+    n_ = frac.denominator
+    m_ = frac.numerator % n_
+    snapped = cmath.exp(2j * math.pi * m_ / n_)
+    if abs(lam - snapped) > tol:
+        raise NotARootOfUnity(f"root e^(2 pi i {m_}/{n_}) misses by {abs(lam - snapped):.3g}")
+    return RootOfUnity(n_, m_)
