@@ -364,7 +364,10 @@ def cmd_verify(in_path, out, snap_tol, minimality_samples, seed):
         _write_text(out, canonical_json(report) + "\n")
         _fail(EXIT_BAD_INPUT, f"relation residual {res:.3e} too large to certify")
     exit_code = EXIT_OK
-    cert = certify(rep, snap_tol)
+    try:
+        cert = certify(rep, snap_tol)
+    except ValueError as exc:
+        _fail(EXIT_BAD_INPUT, str(exc))
     report["detected_order"] = cert.order
     report["normality_exponent"] = cert.exponent
     report["kappa_invariance_defect"] = cert.invariance_defect
@@ -436,11 +439,14 @@ def cmd_suite(p_list, q_list, pairs_spec, n_max, seeds, base_seed, samples,
                     continue
                 pairs.append((p, q))
     cfg = _flow_config(tol, max_iter, eta0, sl)
-    doc = run_suite(
-        pairs, n_max, seeds, cfg,
-        base_seed=base_seed, num_samples=samples, snap_tol=snap_tol,
-        check_idempotence=idempotence, workers=workers,
-    )
+    try:
+        doc = run_suite(
+            pairs, n_max, seeds, cfg,
+            base_seed=base_seed, num_samples=samples, snap_tol=snap_tol,
+            check_idempotence=idempotence, workers=workers,
+        )
+    except ValueError as exc:
+        _fail(EXIT_BAD_INPUT, str(exc))
     manifest = build_manifest(
         "suite",
         {"pairs": [list(x) for x in pairs], "n_max": n_max, "seeds": seeds,

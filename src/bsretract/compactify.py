@@ -51,13 +51,13 @@ class HermitianForm:
 
     def __post_init__(self):
         q = as_matrix(self.Q)
-        if hs_norm(q - q.conj().T) > 1e-10:
+        if not hs_norm(q - q.conj().T) <= 1e-10:
             raise ValueError("form is not Hermitian within tolerance")
         q = 0.5 * (q + q.conj().T)
         w = np.linalg.eigvalsh(q)
-        if w[0] <= 0.0:
+        if not w[0] > 0.0:
             raise NotPositiveDefinite(f"form eigenvalue {w[0]:.3e} <= 0")
-        if abs(np.linalg.det(q).real - 1.0) > 1e-6:
+        if not abs(np.linalg.det(q).real - 1.0) <= 1e-6:
             raise ValueError("form is not determinant-normalized")
         object.__setattr__(self, "Q", q)
 

@@ -10,13 +10,13 @@ Unitary directions preserve F, so only Hermitian steps are taken.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bsrep import Rep, random_hermitian, residual
 from .errors import NoConvergence
-from .numerics import hs_norm
 
 __all__ = [
     "CONVERGED",
@@ -35,6 +35,9 @@ CONVERGED = "converged"
 ITER_BUDGET = "iter_budget"
 
 _MAX_BACKTRACKS = 80
+#: Accepted iterates per stacked relation-residual measurement.
+_RESIDUAL_BLOCK = 256
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,10 @@ class FlowConfig:
     sl_mode: bool = False
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iter <= 0 or self.eta0 <= 0:
-            raise ValueError("tol, max_iter and eta0 must be positive")
+        if not (0 < self.tol < math.inf and 0 < self.eta0 < math.inf):
+            raise ValueError("tol and eta0 must be finite and positive")
+        if not self.max_iter > 0:
+            raise ValueError("max_iter must be positive")
         if not 0 < self.armijo < 1 or not 0 < self.shrink < 1:
             raise ValueError("armijo and shrink must lie in (0, 1)")
 
@@ -112,6 +117,14 @@ def _moment(a: np.ndarray, b: np.ndarray, sl_mode: bool) -> np.ndarray:
     return m
 
 
+def _norm(m: np.ndarray) -> float:
+    """hs_norm of a matrix: the two real dot products np.linalg.norm
+    takes, without its argument handling."""
+    f = m.ravel(order="K")
+    re, im = f.real, f.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def kn_energy(rep: Rep) -> float:
     """||A||^2 + ||B||^2 in the Hilbert-Schmidt norm."""
     return _energy(rep.A, rep.B)
@@ -135,76 +148,107 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
     and it resets to eta0 at every iteration.  Stops when
     ||mu|| <= tol * (1 + energy) or the iteration budget runs out.
     Conjugation preserves the defining relation, so the residual is
-    tracked, not corrected.
+    tracked, not corrected: every accepted iterate's residual is measured,
+    in stacked blocks of _RESIDUAL_BLOCK iterates.
     """
     cfg = cfg or FlowConfig()
     p, q = rep.group.p, rep.group.q
+    records: list[FlowRecord] = []
+    # Accepted iterates whose residuals are not measured yet:
+    # (A, B, (iteration, energy, moment_norm, step)).
+    pending: list[tuple[np.ndarray, np.ndarray, tuple]] = []
+
+    def measure():
+        block = pending.copy()
+        pending.clear()
+        a_s, b_s, rows = zip(*block)
+        if len(block) == 1:
+            res = [residual(a_s[0], b_s[0], p, q)]
+        else:
+            res = residual(np.stack(a_s), np.stack(b_s), p, q).tolist()
+        records.extend(FlowRecord(*row, r) for row, r in zip(rows, res))
+
     a = rep.A.copy()
     b = rep.B.copy()
-    records: list[FlowRecord] = []
+    energy = _energy(a, b)
+    mu = _moment(a, b, cfg.sl_mode)
+    mu_norm = _norm(mu)
+    # Near the minimum the true energy decrease per step falls below one
+    # ulp of the energy itself; the recorded value is clamped to the
+    # monotone envelope of the measurements (exact in the strict Armijo
+    # regime, within one ulp in the tail regime below).
+    recorded = energy
+    # Smallest energy decrease distinguishable from the rounding noise of
+    # the conjugation product chain (a few n ulps of the energy), per unit
+    # of 1 + energy.
+    resolution_unit = 128.0 * rep.n * _EPS
     outcome = ITER_BUDGET
     step_taken = 0.0
     it = 0
-    while True:
-        mu = _moment(a, b, cfg.sl_mode)
-        mu_norm = hs_norm(mu)
-        energy = _energy(a, b)
-        # Near the minimum the true energy decrease per step falls below
-        # one ulp of the energy itself; the recorded value is clamped to
-        # the monotone envelope of the measurements (exact in the strict
-        # Armijo regime, within one ulp in the tail regime below).
-        recorded = min(energy, records[-1].energy) if records else energy
-        records.append(
-            FlowRecord(it, recorded, mu_norm, step_taken, residual(a, b, p, q))
-        )
-        if mu_norm <= cfg.tol * (1.0 + energy):
-            outcome = CONVERGED
-            break
-        if it >= cfg.max_iter:
-            break
-        try:
-            w, v = np.linalg.eigh(mu)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence("eigendecomposition of moment map failed") from exc
-        vh = v.conj().T
-        eta = cfg.eta0
-        drop_rate = 2.0 * mu_norm * mu_norm
-        # Smallest energy decrease distinguishable from the rounding noise
-        # of the conjugation product chain (a few n ulps of the energy).
-        resolution = 128.0 * rep.n * np.finfo(float).eps * (1.0 + energy)
-        w_max = float(np.max(np.abs(w)))
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            if eta * w_max > 60.0:
-                # g and g^-1 would overflow the product chain; equivalent
-                # to a rejected trial.
-                eta *= cfg.shrink
-                continue
-            e = np.exp(-eta * w)
-            g = (v * e) @ vh
-            gi = (v * (1.0 / e)) @ vh
-            a2 = g @ a @ gi
-            b2 = g @ b @ gi
-            required = cfg.armijo * eta * drop_rate
-            e2 = _energy(a2, b2)
-            if required > resolution:
-                if e2 <= energy - required:
-                    accepted = True
-                    break
-            else:
-                # Resolution-limited tail: the energy is numerically
-                # stationary, so progress is certified on the moment norm
-                # instead while the energy is held to measurement noise.
-                if e2 <= energy + resolution:
-                    if hs_norm(_moment(a2, b2, cfg.sl_mode)) < mu_norm:
-                        accepted = True
+    try:
+        while True:
+            pending.append((a, b, (it, recorded, mu_norm, step_taken)))
+            if len(pending) == _RESIDUAL_BLOCK:
+                measure()
+            if mu_norm <= cfg.tol * (1.0 + energy):
+                outcome = CONVERGED
+                break
+            if it >= cfg.max_iter:
+                break
+            try:
+                w, v = np.linalg.eigh(mu)
+            except np.linalg.LinAlgError as exc:
+                raise NoConvergence("eigendecomposition of moment map failed") from exc
+            vh = v.conj().T
+            eta = cfg.eta0
+            drop_rate = 2.0 * mu_norm * mu_norm
+            resolution = resolution_unit * (1.0 + energy)
+            # eigh sorts w ascending, so its largest modulus is at an end.
+            w_max = max(abs(w[0]), abs(w[-1]))
+            for _ in range(_MAX_BACKTRACKS):
+                if eta * w_max > 60.0:
+                    # g and g^-1 would overflow the product chain;
+                    # equivalent to a rejected trial.
+                    eta *= cfg.shrink
+                    continue
+                e = np.exp(-eta * w)
+                g = (v * e) @ vh
+                gi = (v * (1.0 / e)) @ vh
+                a2 = g @ a @ gi
+                b2 = g @ b @ gi
+                required = cfg.armijo * eta * drop_rate
+                e2 = _energy(a2, b2)
+                if required > resolution:
+                    if e2 <= energy - required:
                         break
-            eta *= cfg.shrink
-        if not accepted:
-            break
-        a, b = a2, b2
-        step_taken = eta
-        it += 1
+                elif e2 <= energy + resolution:
+                    # Resolution-limited tail: the energy is numerically
+                    # stationary, so progress is certified on the moment
+                    # norm instead while the energy is held to measurement
+                    # noise.
+                    mu2 = _moment(a2, b2, cfg.sl_mode)
+                    mu2_norm = _norm(mu2)
+                    if mu2_norm < mu_norm:
+                        break
+                eta *= cfg.shrink
+            else:
+                break
+            # The accepted trial's energy (and, in the tail, its moment)
+            # is the next iterate's: the same arrays give the same floats.
+            a, b, energy = a2, b2, e2
+            if required > resolution:
+                mu = _moment(a, b, cfg.sl_mode)
+                mu_norm = _norm(mu)
+            else:
+                mu, mu_norm = mu2, mu2_norm
+            recorded = min(energy, recorded)
+            step_taken = eta
+            it += 1
+    finally:
+        # Also on the way out of an exception, so that a singular earlier
+        # iterate raises SingularMatrix as it would have when measured.
+        if pending:
+            measure()
     return Rep(rep.group, rep.n, a, b), FlowTrace(tuple(records), outcome)
 
 

@@ -194,11 +194,11 @@ def snap_root_of_unity(value: complex, max_order: int, tol: float) -> RootOfUnit
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be finite and positive")
     lam = complex(value)
     r = abs(lam)
-    if abs(r - 1.0) > tol or r == 0.0:
+    if not abs(r - 1.0) <= tol or r == 0.0:
         raise NotARootOfUnity(f"|{lam!r}| = {r:.6g} is off the unit circle")
     # Convert the chordal budget into an angular one: with lam = r e^(i*phi),
     # |lam - e^(i*psi)|^2 = (r-1)^2 + 4 r sin^2((phi - psi)/2); the asin

@@ -143,7 +143,7 @@ def run_one(task: tuple) -> tuple[dict, dict]:
                 hs_norm(endpoint2.A - endpoint.A), hs_norm(endpoint2.B - endpoint.B)
             )
             record["idempotence_delta"] = delta
-            if diag2.outcome != "ok" or delta > 1e-9:
+            if diag2.outcome != "ok" or not delta <= 1e-9:
                 violations.append(f"pipeline not idempotent: delta {delta:.3e}")
         except (BsretractError, ValueError) as exc:
             violations.append(f"pipeline rerun failed: {exc}")

@@ -7,6 +7,7 @@ from click.testing import CliRunner
 from bsretract import (
     FlowConfig,
     NotFiniteOrder,
+    random_rep,
     rep_from_json,
     rep_to_json,
     verify_unitary_rep,
@@ -330,6 +331,38 @@ def test_singular_input_exits_bad_input(runner, tmp_path):
         assert res.exit_code == 2, (cmd, res.output)
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--tol", "inf"), ("--tol", "nan"), ("--eta0", "inf"), ("--eta0", "nan"),
+])
+def test_non_finite_flow_setting_exits_bad_input(runner, tmp_path, option, value):
+    # --tol inf used to report "converged after 0 iterations" and exit 0
+    in_path = write_rep(tmp_path, random_rep(2, 3, 3, 1))
+    for cmd in ("flow", "pipeline"):
+        res = runner.invoke(main, [cmd, "--in", in_path, "--out", "-", option, value])
+        assert isinstance(res.exception, SystemExit), (cmd, res.exception)
+        assert res.exit_code == 2, (cmd, res.output)
+    res = runner.invoke(main, ["suite", "--pairs", "2:3", "--n-max", "1", "--seeds", "1",
+                               option, value, "--report", str(tmp_path / "r.json")])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output
+
+
+@pytest.mark.parametrize("value", ["-1", "inf", "nan"])
+def test_bad_snap_tolerance_exits_bad_input(runner, tmp_path, value):
+    # with --snap-tol inf, verify used to report order 1 for this B, whose
+    # unitarity defect is far from zero, and exit 0
+    in_path = write_rep(tmp_path, random_rep(2, 3, 3, 1))
+    for cmd in ("verify", "retract", "pipeline"):
+        res = runner.invoke(main, [cmd, "--in", in_path, "--out", "-",
+                                   "--snap-tol", value])
+        assert isinstance(res.exception, SystemExit), (cmd, res.exception)
+        assert res.exit_code == 2, (cmd, res.output)
+    res = runner.invoke(main, ["suite", "--pairs", "2:3", "--n-max", "1", "--seeds", "1",
+                               "--snap-tol", value, "--report", str(tmp_path / "r.json")])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output
+
+
 def test_bad_flow_config_exits_bad_input(runner, tmp_path):
     in_path = write_rep(tmp_path, n5_block(1.0))
     for cmd in ("flow", "pipeline"):
@@ -388,6 +421,14 @@ def test_run_one_flags_nan_residuals(monkeypatch):
     assert record["outcome"] == "ok"
     assert any(v.startswith("flow residual nan") for v in record["violations"])
     assert any(v.startswith("path residual nan") for v in record["violations"])
+
+
+def test_run_one_flags_a_nan_idempotence_delta(monkeypatch):
+    monkeypatch.setattr("bsretract.suite.hs_norm", lambda x: float("nan"))
+    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), FlowConfig(), 100, 1e-6, True)
+    record, _ = run_one(task)
+    assert record["outcome"] == "ok"
+    assert "pipeline not idempotent: delta nan" in record["violations"]
 
 
 def test_suite_past_the_acceptance_grid_exits_classified(runner, tmp_path):

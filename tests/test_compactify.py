@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from bsretract import (
+    HermitianForm,
     NotFiniteOrder,
     NotNormalizing,
+    NotPositiveDefinite,
     certify,
     conjugate,
     conjugate_into_unitary,
@@ -235,3 +237,23 @@ def test_mixed_modulus_normality_exponent_is_crt_solution():
     j = normality_exponent(unit, order=95)
     assert j == 3 * pow(2, -1, 95) % 95 == 49
     assert j == brute_force_exponent(unit, 95)
+
+
+# A NaN measurement must fail each of HermitianForm's checks, never pass it.
+
+def test_hermitian_form_rejects_a_nan_hermiticity_defect(monkeypatch):
+    monkeypatch.setattr("bsretract.compactify.hs_norm", lambda x: float("nan"))
+    with pytest.raises(ValueError, match="Hermitian"):
+        HermitianForm(np.eye(2))
+
+
+def test_hermitian_form_rejects_a_nan_determinant(monkeypatch):
+    monkeypatch.setattr(np.linalg, "det", lambda x: float("nan"))
+    with pytest.raises(ValueError, match="determinant"):
+        HermitianForm(np.eye(2))
+
+
+def test_hermitian_form_rejects_a_nan_eigenvalue(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: np.array([float("nan"), 1.0]))
+    with pytest.raises(NotPositiveDefinite):
+        HermitianForm(np.eye(2))

@@ -13,9 +13,21 @@ from bsretract import (
     verify_minimal,
 )
 from bsretract.bsrep import random_hermitian
-from bsretract.kempfness import CONVERGED, FlowRecord, FlowTrace
+from bsretract.errors import NoConvergence, SingularMatrix
+from bsretract.kempfness import _RESIDUAL_BLOCK, CONVERGED, FlowRecord, FlowTrace
+from bsretract.suite import derive_seed
 
-from util import conditioned, haar_unitary, n5_block, rep_of, zeta
+from util import (
+    N_MAX,
+    PAIRS,
+    SEEDS,
+    conditioned,
+    haar_unitary,
+    n5_block,
+    reference_flow,
+    rep_of,
+    zeta,
+)
 
 
 def unitary_rep(rng, n=2):
@@ -211,6 +223,8 @@ def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(tol=-1.0)
     with pytest.raises(ValueError):
+        FlowConfig(max_iter=0)
+    with pytest.raises(ValueError):
         FlowConfig(armijo=1.5)
     with pytest.raises(ValueError):
         FlowConfig(shrink=0.0)
@@ -222,3 +236,104 @@ def test_flow_residual_check_fails_on_a_nan_record():
         for i, res in enumerate([1e-12, float("nan"), 1e-12])
     )
     assert not FlowTrace(records, CONVERGED).max_residual() <= 1e-8
+
+
+@pytest.mark.parametrize("field", ["tol", "eta0"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0])
+def test_flow_config_rejects_non_finite_settings(field, value):
+    # tol = inf would certify any point as minimal at iteration 0
+    with pytest.raises(ValueError):
+        FlowConfig(**{field: value})
+
+
+# ------------------------------------------- batched residuals vs reference
+
+def assert_same_flow(rep, cfg=None):
+    """flow equals the reference loop: every record field, the outcome
+    and both endpoint matrices, bit for bit."""
+    final, trace = flow(rep, cfg)
+    ref_final, ref_trace = reference_flow(rep, cfg)
+    assert trace.outcome == ref_trace.outcome
+    assert trace.records == ref_trace.records
+    assert final.A.tobytes() == ref_final.A.tobytes()
+    assert final.B.tobytes() == ref_final.B.tobytes()
+    return trace
+
+
+def test_flow_matches_reference_on_the_acceptance_grid():
+    cfg = FlowConfig(tol=1e-10, max_iter=10**5)
+    for p, q in PAIRS:
+        for n in range(1, N_MAX + 1):
+            for i in range(SEEDS):
+                assert_same_flow(random_rep(p, q, n, derive_seed(0, p, q, n, i)), cfg)
+
+
+@pytest.mark.parametrize("p, q, n, seed, records", [
+    (2, 3, 8, 0, 1692),    # more than six blocks
+    (2, 3, 10, 0, 1594),
+    (1, 2, 10, 2, 597),    # more than two blocks
+    (2, 3, 10, 3, 257),    # a full block, then one iterate alone
+    (1, 2, 8, 3, 259),
+])
+def test_flow_matches_reference_across_blocks(p, q, n, seed, records):
+    trace = assert_same_flow(random_rep(p, q, n, seed))
+    assert len(trace.records) == records
+
+
+@pytest.mark.parametrize("max_iter", [
+    _RESIDUAL_BLOCK - 1,      # stops on a block boundary
+    _RESIDUAL_BLOCK,          # one iterate past it
+    _RESIDUAL_BLOCK + 44,     # inside the second block
+    2 * _RESIDUAL_BLOCK - 1,  # on the second boundary
+])
+def test_flow_matches_reference_at_budget_stops(max_iter):
+    trace = assert_same_flow(random_rep(2, 3, 8, 0), FlowConfig(max_iter=max_iter))
+    assert trace.outcome == "iter_budget"
+    assert len(trace.records) == max_iter + 1
+
+
+@pytest.mark.parametrize("p, q, n, seed", [
+    (1, 2, 2, 0), (2, 3, 4, 0), (2, 3, 4, 1), (2, 3, 8, 0), (1, 2, 10, 2),
+])
+def test_flow_matches_reference_in_sl_mode(p, q, n, seed):
+    assert_same_flow(random_rep(p, q, n, seed, sl=True), FlowConfig(sl_mode=True))
+
+
+def nilpotent_rep():
+    # A is singular, so no iterate has a relation residual; the moment
+    # [A, A*] is not zero, so the flow runs for more than a block.
+    return rep_of(2, 3, [[0.0, 1.0], [0.0, 0.0]], np.eye(2))
+
+
+def test_flow_raises_on_singular_a():
+    # converged at iteration 0: the lone iterate is measured on its own
+    with pytest.raises(SingularMatrix):
+        flow(rep_of(2, 3, np.zeros((2, 2)), np.eye(2)))
+    # singular in every iterate of a full stacked block
+    with pytest.raises(SingularMatrix):
+        flow(nilpotent_rep())
+
+
+def _eigh_failing_at(call):
+    eigh = np.linalg.eigh
+    calls = []
+
+    def failing(m):
+        calls.append(m)
+        if len(calls) == call:
+            raise np.linalg.LinAlgError("forced for the test")
+        return eigh(m)
+
+    return failing
+
+
+def test_singular_iterate_outranks_a_later_eigensolver_failure(monkeypatch):
+    # the iterates pending when the eigensolver fails are still measured,
+    # so the singular A is reported first, as a per-iterate check would
+    monkeypatch.setattr(np.linalg, "eigh", _eigh_failing_at(3))
+    with pytest.raises(SingularMatrix):
+        flow(nilpotent_rep())
+    monkeypatch.setattr(np.linalg, "eigh", _eigh_failing_at(3))
+    rng = np.random.default_rng(11)
+    with pytest.raises(NoConvergence):
+        flow(conjugate(n5_block(1.0), conditioned(rng, 2, 50.0)))

@@ -167,6 +167,20 @@ def test_snap_examples():
         snap_root_of_unity(1.2, 10, 1e-6)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0.0, -1.0])
+def test_snap_rejects_tolerances_that_are_not_finite_and_positive(tol):
+    # tol = inf would snap every point, 3 + 4j included, to order 1
+    with pytest.raises(ValueError):
+        snap_root_of_unity(3.0 + 4.0j, 10, tol)
+
+
+@pytest.mark.parametrize("value", [complex(float("nan"), 0.0), complex(0.0, float("nan")),
+                                   complex(float("inf"), 0.0)])
+def test_snap_classifies_non_finite_values(value):
+    with pytest.raises(NotARootOfUnity):
+        snap_root_of_unity(value, 10, 1e-6)
+
+
 def test_snap_matches_brute_force_oracle():
     # Oracle: smallest N <= cap whose nearest root is within tol.
     lam = zeta(5) + 1e-9 * (0.3 + 0.4j)

@@ -7,8 +7,18 @@ from fractions import Fraction
 import numpy as np
 
 from bsretract import BSGroup, OrbitDatum, Rep, from_orbit_datum
-from bsretract.errors import NotARootOfUnity
-from bsretract.numerics import RootOfUnity
+from bsretract.bsrep import residual
+from bsretract.errors import NoConvergence, NotARootOfUnity
+from bsretract.kempfness import (
+    CONVERGED,
+    ITER_BUDGET,
+    FlowConfig,
+    FlowRecord,
+    FlowTrace,
+    _energy,
+    _moment,
+)
+from bsretract.numerics import RootOfUnity, hs_norm
 
 #: The acceptance grid: five (p, q) pairs with all sign variants, n <= 4,
 #: five seeds each.
@@ -109,3 +119,67 @@ def reference_snap(value, max_order, tol):
     if abs(lam - snapped) > tol:
         raise NotARootOfUnity(f"root e^(2 pi i {m_}/{n_}) misses by {abs(lam - snapped):.3g}")
     return RootOfUnity(n_, m_)
+
+
+def reference_flow(rep, cfg=None):
+    """flow's reference loop: every accepted iterate's relation residual
+    measured by its own call as the iterate is recorded, and its energy
+    and moment recomputed from the iterate."""
+    cfg = cfg or FlowConfig()
+    p, q = rep.group.p, rep.group.q
+    a = rep.A.copy()
+    b = rep.B.copy()
+    records = []
+    outcome = ITER_BUDGET
+    step_taken = 0.0
+    it = 0
+    while True:
+        mu = _moment(a, b, cfg.sl_mode)
+        mu_norm = hs_norm(mu)
+        energy = _energy(a, b)
+        recorded = min(energy, records[-1].energy) if records else energy
+        records.append(
+            FlowRecord(it, recorded, mu_norm, step_taken, residual(a, b, p, q))
+        )
+        if mu_norm <= cfg.tol * (1.0 + energy):
+            outcome = CONVERGED
+            break
+        if it >= cfg.max_iter:
+            break
+        try:
+            w, v = np.linalg.eigh(mu)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence("eigendecomposition of moment map failed") from exc
+        vh = v.conj().T
+        eta = cfg.eta0
+        drop_rate = 2.0 * mu_norm * mu_norm
+        resolution = 128.0 * rep.n * np.finfo(float).eps * (1.0 + energy)
+        w_max = float(np.max(np.abs(w)))
+        accepted = False
+        for _ in range(80):
+            if eta * w_max > 60.0:
+                eta *= cfg.shrink
+                continue
+            e = np.exp(-eta * w)
+            g = (v * e) @ vh
+            gi = (v * (1.0 / e)) @ vh
+            a2 = g @ a @ gi
+            b2 = g @ b @ gi
+            required = cfg.armijo * eta * drop_rate
+            e2 = _energy(a2, b2)
+            if required > resolution:
+                if e2 <= energy - required:
+                    accepted = True
+                    break
+            else:
+                if e2 <= energy + resolution:
+                    if hs_norm(_moment(a2, b2, cfg.sl_mode)) < mu_norm:
+                        accepted = True
+                        break
+            eta *= cfg.shrink
+        if not accepted:
+            break
+        a, b = a2, b2
+        step_taken = eta
+        it += 1
+    return Rep(rep.group, rep.n, a, b), FlowTrace(tuple(records), outcome)
