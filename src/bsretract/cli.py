@@ -10,6 +10,7 @@ byte-deterministic for identical manifests.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -208,6 +209,13 @@ def _flow_config(tol, max_iter, eta0, sl) -> FlowConfig:
         _fail(EXIT_BAD_INPUT, str(exc))
 
 
+def _check_snap_tol(snap_tol: float) -> None:
+    """Exit 2 unless --snap-tol is finite and positive; called before any
+    flow or certificate runs, so a bad value never reaches a report."""
+    if not 0 < snap_tol < math.inf:
+        _fail(EXIT_BAD_INPUT, "--snap-tol must be finite and positive")
+
+
 def _with(options):
     def deco(f):
         for opt in reversed(options):
@@ -299,6 +307,7 @@ def cmd_retract(in_path, out, diag_path, path_csv, samples, snap_tol):
     """Certify finite-order structure and retract A to its unitary factor
     (no flow; input should already be near a minimal vector)."""
     rep, _ = _load_rep(in_path)
+    _check_snap_tol(snap_tol)
 
     def run():
         endpoint, _, diag = certify_and_retract(
@@ -324,6 +333,7 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
     """Flow, certify, and retract: Rep JSON in, unitary Rep JSON out."""
     rep, _ = _load_rep(in_path)
     cfg = _flow_config(tol, max_iter, eta0, sl)
+    _check_snap_tol(snap_tol)
     _run_and_emit(
         "pipeline",
         {"tol": tol, "max_iter": max_iter, "eta0": eta0, "sl": sl,
@@ -346,6 +356,7 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
 def cmd_verify(in_path, out, snap_tol, minimality_samples, seed):
     """Report the structural certificates of a representation."""
     rep, res = _load_rep(in_path, validate=False)
+    _check_snap_tol(snap_tol)
     report = {
         "p": rep.group.p, "q": rep.group.q, "n": rep.n,
         "relation_residual": res,
@@ -364,10 +375,7 @@ def cmd_verify(in_path, out, snap_tol, minimality_samples, seed):
         _write_text(out, canonical_json(report) + "\n")
         _fail(EXIT_BAD_INPUT, f"relation residual {res:.3e} too large to certify")
     exit_code = EXIT_OK
-    try:
-        cert = certify(rep, snap_tol)
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
+    cert = certify(rep, snap_tol)
     report["detected_order"] = cert.order
     report["normality_exponent"] = cert.exponent
     report["kappa_invariance_defect"] = cert.invariance_defect
@@ -439,14 +447,12 @@ def cmd_suite(p_list, q_list, pairs_spec, n_max, seeds, base_seed, samples,
                     continue
                 pairs.append((p, q))
     cfg = _flow_config(tol, max_iter, eta0, sl)
-    try:
-        doc = run_suite(
-            pairs, n_max, seeds, cfg,
-            base_seed=base_seed, num_samples=samples, snap_tol=snap_tol,
-            check_idempotence=idempotence, workers=workers,
-        )
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
+    _check_snap_tol(snap_tol)
+    doc = run_suite(
+        pairs, n_max, seeds, cfg,
+        base_seed=base_seed, num_samples=samples, snap_tol=snap_tol,
+        check_idempotence=idempotence, workers=workers,
+    )
     manifest = build_manifest(
         "suite",
         {"pairs": [list(x) for x in pairs], "n_max": n_max, "seeds": seeds,

@@ -17,6 +17,7 @@ import numpy as np
 
 from .bsrep import Rep, random_hermitian, residual
 from .errors import NoConvergence
+from .numerics import hs_norm
 
 __all__ = [
     "CONVERGED",
@@ -117,14 +118,6 @@ def _moment(a: np.ndarray, b: np.ndarray, sl_mode: bool) -> np.ndarray:
     return m
 
 
-def _norm(m: np.ndarray) -> float:
-    """hs_norm of a matrix: the two real dot products np.linalg.norm
-    takes, without its argument handling."""
-    f = m.ravel(order="K")
-    re, im = f.real, f.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def kn_energy(rep: Rep) -> float:
     """||A||^2 + ||B||^2 in the Hilbert-Schmidt norm."""
     return _energy(rep.A, rep.B)
@@ -162,17 +155,14 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
         block = pending.copy()
         pending.clear()
         a_s, b_s, rows = zip(*block)
-        if len(block) == 1:
-            res = [residual(a_s[0], b_s[0], p, q)]
-        else:
-            res = residual(np.stack(a_s), np.stack(b_s), p, q).tolist()
+        res = residual(np.stack(a_s), np.stack(b_s), p, q).tolist()
         records.extend(FlowRecord(*row, r) for row, r in zip(rows, res))
 
     a = rep.A.copy()
     b = rep.B.copy()
     energy = _energy(a, b)
     mu = _moment(a, b, cfg.sl_mode)
-    mu_norm = _norm(mu)
+    mu_norm = hs_norm(mu)
     # Near the minimum the true energy decrease per step falls below one
     # ulp of the energy itself; the recorded value is clamped to the
     # monotone envelope of the measurements (exact in the strict Armijo
@@ -227,7 +217,7 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
                     # norm instead while the energy is held to measurement
                     # noise.
                     mu2 = _moment(a2, b2, cfg.sl_mode)
-                    mu2_norm = _norm(mu2)
+                    mu2_norm = hs_norm(mu2)
                     if mu2_norm < mu_norm:
                         break
                 eta *= cfg.shrink
@@ -238,7 +228,7 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
             a, b, energy = a2, b2, e2
             if required > resolution:
                 mu = _moment(a, b, cfg.sl_mode)
-                mu_norm = _norm(mu)
+                mu_norm = hs_norm(mu)
             else:
                 mu, mu_norm = mu2, mu2_norm
             recorded = min(energy, recorded)

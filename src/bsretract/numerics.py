@@ -50,13 +50,18 @@ def as_matrix(x) -> np.ndarray:
 def hs_norm(x):
     """Hilbert-Schmidt (Frobenius) norm sqrt(sum |x_ij|^2).
 
-    A C-ordered stack (..., n, n) gives the array of the norms of its
-    matrices, each rounded as for that matrix alone: the squared norm is
-    the same two BLAS dot products that np.linalg.norm takes.
+    The squared norm is the two real BLAS dot products np.linalg.norm
+    takes, so the value equals its.  A C-ordered stack (..., n, n) gives
+    the array of the norms of its matrices, each rounded as for that
+    matrix alone.
     """
     x = np.asarray(x)
     if x.ndim < 3:
-        return float(np.linalg.norm(x))
+        if x.dtype.kind not in "fc":
+            x = x.astype(float)
+        f = x.ravel(order="K")
+        re, im = f.real, f.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
     flat = x.reshape(x.shape[:-2] + (1, -1))
     re, im = flat.real, flat.imag
     sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)

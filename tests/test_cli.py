@@ -350,17 +350,24 @@ def test_non_finite_flow_setting_exits_bad_input(runner, tmp_path, option, value
 @pytest.mark.parametrize("value", ["-1", "inf", "nan"])
 def test_bad_snap_tolerance_exits_bad_input(runner, tmp_path, value):
     # with --snap-tol inf, verify used to report order 1 for this B, whose
-    # unitarity defect is far from zero, and exit 0
+    # unitarity defect is far from zero, and exit 0; a flow stopped by its
+    # budget never reaches the certificate, so the tolerance is checked
+    # before anything runs
     in_path = write_rep(tmp_path, random_rep(2, 3, 3, 1))
-    for cmd in ("verify", "retract", "pipeline"):
-        res = runner.invoke(main, [cmd, "--in", in_path, "--out", "-",
-                                   "--snap-tol", value])
+    out = tmp_path / "out.json"
+    for cmd in (["verify"], ["retract"], ["pipeline", "--max-iter", "1"]):
+        res = runner.invoke(main, cmd + ["--in", in_path, "--out", str(out),
+                                         "--snap-tol", value])
         assert isinstance(res.exception, SystemExit), (cmd, res.exception)
         assert res.exit_code == 2, (cmd, res.output)
-    res = runner.invoke(main, ["suite", "--pairs", "2:3", "--n-max", "1", "--seeds", "1",
-                               "--snap-tol", value, "--report", str(tmp_path / "r.json")])
+        assert not out.exists(), cmd
+    report = tmp_path / "r.json"
+    res = runner.invoke(main, ["suite", "--pairs", "2:3", "--n-max", "2", "--seeds", "2",
+                               "--max-iter", "1", "--workers", "2",
+                               "--snap-tol", value, "--report", str(report)])
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 2, res.output
+    assert not report.exists()
 
 
 def test_bad_flow_config_exits_bad_input(runner, tmp_path):

@@ -272,7 +272,7 @@ def test_flow_matches_reference_on_the_acceptance_grid():
     (2, 3, 8, 0, 1692),    # more than six blocks
     (2, 3, 10, 0, 1594),
     (1, 2, 10, 2, 597),    # more than two blocks
-    (2, 3, 10, 3, 257),    # a full block, then one iterate alone
+    (2, 3, 10, 3, 257),    # a full block, then a block of one
     (1, 2, 8, 3, 259),
 ])
 def test_flow_matches_reference_across_blocks(p, q, n, seed, records):
@@ -306,7 +306,7 @@ def nilpotent_rep():
 
 
 def test_flow_raises_on_singular_a():
-    # converged at iteration 0: the lone iterate is measured on its own
+    # converged at iteration 0: a block of one iterate
     with pytest.raises(SingularMatrix):
         flow(rep_of(2, 3, np.zeros((2, 2)), np.eye(2)))
     # singular in every iterate of a full stacked block

@@ -29,6 +29,19 @@ def test_hs_norm_examples():
     assert hs_norm(np.array([[1, 1], [0, 1]])) == pytest.approx(math.sqrt(3))
 
 
+def test_hs_norm_equals_numpy_norm():
+    rng = np.random.default_rng(5)
+    for shape in [(1, 1), (3, 3), (7, 7), (12, 12), (4,)]:
+        z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for x in (z, z.real, z.T, np.rint(10 * z.real).astype(int)):
+            assert hs_norm(x) == float(np.linalg.norm(x))
+        stack = np.stack([z, 2 * z, z.conj()]) if z.ndim == 2 else None
+        if stack is not None:
+            assert hs_norm(stack).tolist() == [hs_norm(m) for m in stack]
+    assert math.isnan(hs_norm(np.array([[np.nan, 1.0]])))
+    assert hs_norm(np.array([[np.inf, 1j]])) == math.inf
+
+
 def test_polar_of_unitary_is_identity_factor():
     rng = np.random.default_rng(1)
     for n in (2, 3, 5):
