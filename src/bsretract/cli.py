@@ -197,7 +197,8 @@ def _path_csv(path) -> str:
 _flow_options = [
     click.option("--tol", default=1e-10, show_default=True),
     click.option("--max-iter", default=10**5, show_default=True),
-    click.option("--eta0", default=0.1, show_default=True),
+    click.option("--eta0", default=FlowConfig.eta0, show_default=True,
+                 help="First trial step along each Newton direction."),
     click.option("--sl", is_flag=True, help="Traceless moment-map projection."),
 ]
 
@@ -214,6 +215,13 @@ def _check_snap_tol(snap_tol: float) -> None:
     flow or certificate runs, so a bad value never reaches a report."""
     if not 0 < snap_tol < math.inf:
         _fail(EXIT_BAD_INPUT, "--snap-tol must be finite and positive")
+
+
+def _check_seed(seed: int) -> None:
+    """Exit 2 unless --seed is a non-negative integer; called before any
+    certificate or sample runs, as the sampler's generator rejects it."""
+    if seed < 0:
+        _fail(EXIT_BAD_INPUT, "--seed must be a non-negative integer")
 
 
 def _with(options):
@@ -357,6 +365,7 @@ def cmd_verify(in_path, out, snap_tol, minimality_samples, seed):
     """Report the structural certificates of a representation."""
     rep, res = _load_rep(in_path, validate=False)
     _check_snap_tol(snap_tol)
+    _check_seed(seed)
     report = {
         "p": rep.group.p, "q": rep.group.q, "n": rep.n,
         "relation_residual": res,

@@ -1,11 +1,15 @@
-"""Moment-map gradient flow onto the set of minimal vectors.
+"""Newton-CG flow onto the set of minimal vectors.
 
 The conjugation orbit of (A, B) carries the energy F = ||A||^2 + ||B||^2.
-Differentiating along exp(tH) for Hermitian H gives
-dF/dt|_0 = 2 Re tr(H ([A, A*] + [B, B*])), so the gradient at the
-identity is mu = [A, A*] + [B, B*] and the steepest-descent direction is
--mu.  Points with mu = 0 are exactly the minimal vectors on their orbit.
-Unitary directions preserve F, so only Hermitian steps are taken.
+Differentiating along exp(tH) for Hermitian H, in the inner product
+Re tr(HK), gives dF/dt|_0 = 2 Re tr(H mu) with the moment map
+mu = [A, A*] + [B, B*], so the gradient at the identity is 2 mu, and
+d^2F/dt^2|_0 = 4 (||[H, A]||^2 + ||[H, B]||^2), so the Hessian is positive
+semi-definite (F is convex along these curves).  Points with mu = 0 are
+exactly the minimal vectors on their orbit.  Unitary directions preserve
+F, so only Hermitian steps are taken: each iteration solves the Newton
+system by truncated conjugate gradients and steps along exp(eta d) with
+Armijo backtracking, which converges superlinearly near the minimum.
 """
 
 from __future__ import annotations
@@ -43,12 +47,25 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Tunables of the descent; defaults suit desk-scale problems."""
+    """Tunables of the descent; defaults suit desk-scale problems.
+
+    tol: stop once ||mu|| <= tol * (1 + energy).
+    max_iter: iteration budget.
+    eta0: first trial step along each Newton direction d; 1 is the full
+        Newton step.
+    armijo: sufficient-decrease constant: a step eta is accepted when the
+        energy drops by at least armijo * eta * (-<2 mu, d>).  Near the
+        minimum the quadratic model predicts a drop of half that
+        first-order term for the full step, so below 1/2 the full step is
+        accepted there.
+    shrink: backtracking factor applied to eta after a rejected trial.
+    sl_mode: project the trace out of mu and d (special-linear runs).
+    """
 
     tol: float = 1e-10
     max_iter: int = 10**5
-    eta0: float = 0.1
-    armijo: float = 0.5
+    eta0: float = 1.0
+    armijo: float = 0.25
     shrink: float = 0.5
     sl_mode: bool = False
 
@@ -110,12 +127,14 @@ def _moment(a: np.ndarray, b: np.ndarray, sl_mode: bool) -> np.ndarray:
     bh = b.conj().T
     m = a @ ah - ah @ a + b @ bh - bh @ b
     m = 0.5 * (m + m.conj().T)
-    if sl_mode:
-        # tr(mu) vanishes identically (it is a sum of commutator traces);
-        # subtracting it anyway pins determinant drift to rounding noise.
-        n = a.shape[0]
-        m = m - (np.trace(m).real / n) * np.eye(n)
-    return m
+    # tr(mu) vanishes identically (it is a sum of commutator traces);
+    # subtracting it anyway pins determinant drift to rounding noise.
+    return _traceless(m) if sl_mode else m
+
+
+def _traceless(m: np.ndarray) -> np.ndarray:
+    n = m.shape[0]
+    return m - (np.trace(m).real / n) * np.eye(n)
 
 
 def kn_energy(rep: Rep) -> float:
@@ -132,13 +151,80 @@ def moment_map(rep: Rep, sl_mode: bool = False) -> np.ndarray:
     return _moment(rep.A, rep.B, sl_mode)
 
 
-def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
-    """Drive a representation to the minimal-vector set.
+def _hessian(a: np.ndarray, b: np.ndarray):
+    """The energy's Hessian at the identity, as a map on Hermitian h.
 
-    Armijo backtracking on the step size: a step of size eta is accepted
-    when the energy drops by at least armijo * eta * 2||mu||^2 (the
-    first-order decrease of the descent direction); otherwise eta shrinks,
-    and it resets to eta0 at every iteration.  Stops when
+    Along exp(th), d^2F/dt^2 = 4 sum_X ||[h, X]||^2 over X in {A, B}; its
+    polarization is 4 Herm(sum_X [[h, X], X*]).  Expanded, that is
+    2 (hP + Ph) - 4 sum_Y Y h Y* with P = sum_X (X X* + X* X) and Y over
+    {A, A*, B, B*}; the sum is one product of the side-by-side Ys with the
+    stacked h Y*s, so a product costs three matrix multiplications.
+    """
+    n = a.shape[0]
+    ys = (a, a.conj().T, b, b.conj().T)
+    y_row = np.concatenate(ys, axis=1)
+    yh_row = np.concatenate([y.conj().T for y in ys], axis=1)
+    pm = sum(x @ x.conj().T + x.conj().T @ x for x in (a, b))
+
+    def apply(h: np.ndarray) -> np.ndarray:
+        hy = (h @ yh_row).reshape(n, 4, n).transpose(1, 0, 2).reshape(4 * n, n)
+        m = h @ pm - y_row @ hy
+        return 2.0 * (m + m.conj().T)
+
+    return apply
+
+
+def _inner(h: np.ndarray, k: np.ndarray) -> float:
+    """Re tr(h k) for Hermitian h, the metric of the Hermitian directions."""
+    return float(np.vdot(h, k).real)
+
+
+def _newton_direction(
+    grad: np.ndarray, grad_norm: float, a: np.ndarray, b: np.ndarray, sl_mode: bool
+) -> np.ndarray:
+    """Truncated CG on Hess d = -grad, started at d = 0.
+
+    Stops once the residual falls to min(1/2, sqrt|grad|) |grad| (the
+    forcing term that makes the outer iteration superlinear), after n^2
+    steps (the dimension of the Hermitian directions), or on non-positive
+    curvature, where the first step falls back to -grad.  From zero, CG
+    stays in the Hessian's range, so the stabilizer kernel (scalars, and
+    block scalars of direct sums) never enters the solve.
+    """
+    hess = _hessian(a, b)
+    forcing = min(0.5, math.sqrt(grad_norm)) * grad_norm
+    d = np.zeros_like(grad)
+    r = -grad
+    p = r
+    rr = grad_norm * grad_norm
+    for k in range(a.shape[0] ** 2):
+        hp = hess(p)
+        curvature = _inner(p, hp)
+        if not curvature > 0.0:
+            if k == 0:
+                d = r
+            break
+        alpha = rr / curvature
+        d = d + alpha * p
+        r = r - alpha * hp
+        rr_next = _inner(r, r)
+        if math.sqrt(rr_next) <= forcing:
+            break
+        p = r + (rr_next / rr) * p
+        rr = rr_next
+    # tr(d) vanishes up to rounding (mu and every Hessian product are
+    # traceless); as in _moment, sl_mode pins it there.
+    return _traceless(d) if sl_mode else d
+
+
+def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
+    """Drive a representation to the minimal-vector set by Newton-CG.
+
+    Each iteration takes the truncated-CG Newton direction d of the energy
+    at the current iterate (gradient 2 mu) and tries g = exp(eta d), from
+    eta = eta0, accepting a trial when the energy drops by at least
+    armijo * eta * (-<2 mu, d>) (the first-order decrease along d);
+    otherwise eta shrinks by the factor shrink.  Stops when
     ||mu|| <= tol * (1 + energy) or the iteration budget runs out.
     Conjugation preserves the defining relation, so the residual is
     tracked, not corrected: every accepted iterate's residual is measured,
@@ -185,13 +271,14 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
                 break
             if it >= cfg.max_iter:
                 break
+            d = _newton_direction(2.0 * mu, 2.0 * mu_norm, a, b, cfg.sl_mode)
             try:
-                w, v = np.linalg.eigh(mu)
+                w, v = np.linalg.eigh(d)
             except np.linalg.LinAlgError as exc:
-                raise NoConvergence("eigendecomposition of moment map failed") from exc
+                raise NoConvergence("eigendecomposition of the Newton step failed") from exc
             vh = v.conj().T
             eta = cfg.eta0
-            drop_rate = 2.0 * mu_norm * mu_norm
+            drop_rate = -2.0 * _inner(mu, d)
             resolution = resolution_unit * (1.0 + energy)
             # eigh sorts w ascending, so its largest modulus is at an end.
             w_max = max(abs(w[0]), abs(w[-1]))
@@ -201,7 +288,7 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
                     # equivalent to a rejected trial.
                     eta *= cfg.shrink
                     continue
-                e = np.exp(-eta * w)
+                e = np.exp(eta * w)
                 g = (v * e) @ vh
                 gi = (v * (1.0 / e)) @ vh
                 a2 = g @ a @ gi

@@ -347,6 +347,18 @@ def test_non_finite_flow_setting_exits_bad_input(runner, tmp_path, option, value
     assert res.exit_code == 2, res.output
 
 
+def test_negative_verify_seed_exits_bad_input(runner, tmp_path):
+    # the minimality sampler's generator rejects a negative seed; that
+    # used to end in a traceback with exit 1
+    in_path = write_rep(tmp_path, random_rep(2, 3, 3, 1))
+    out = tmp_path / "out.json"
+    res = runner.invoke(main, ["verify", "--in", in_path, "--out", str(out),
+                               "--minimality-samples", "5", "--seed", "-1"])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["-1", "inf", "nan"])
 def test_bad_snap_tolerance_exits_bad_input(runner, tmp_path, value):
     # with --snap-tol inf, verify used to report order 1 for this B, whose

@@ -3,6 +3,7 @@ import pytest
 
 from bsretract import (
     FlowConfig,
+    certify,
     conjugate,
     flow,
     kn_energy,
@@ -12,9 +13,16 @@ from bsretract import (
     snap_root_of_unity,
     verify_minimal,
 )
+from bsretract import kempfness
 from bsretract.bsrep import random_hermitian
 from bsretract.errors import NoConvergence, SingularMatrix
-from bsretract.kempfness import _RESIDUAL_BLOCK, CONVERGED, FlowRecord, FlowTrace
+from bsretract.kempfness import (
+    CONVERGED,
+    FlowRecord,
+    FlowTrace,
+    _hessian,
+    _newton_direction,
+)
 from bsretract.suite import derive_seed
 
 from util import (
@@ -89,15 +97,21 @@ def test_flow_step_decreases_energy():
         assert kn_energy(stepped) < kn_energy(rep)
 
 
+def newton_direction(rep, sl_mode=False):
+    mu = moment_map(rep, sl_mode)
+    return _newton_direction(2.0 * mu, 2.0 * np.linalg.norm(mu), rep.A, rep.B, sl_mode)
+
+
 def test_flow_step_first_order_rate():
-    # dF/dt along the descent direction is -2 ||mu||^2.
+    # dF/dt along exp(t d) is <2 mu, d> = 2 Re tr(mu d) for the Newton
+    # direction d.
     rng = np.random.default_rng(2)
     rep = conjugate(n5_block(1.0), conditioned(rng, 2, 5.0))
-    mu = moment_map(rep)
+    rate = -2.0 * np.trace(moment_map(rep) @ newton_direction(rep)).real
     stepped, eta = one_step(rep, eta=1e-7)
     assert eta == 1e-7
     drop = kn_energy(rep) - kn_energy(stepped)
-    assert drop / 1e-7 == pytest.approx(2 * np.linalg.norm(mu) ** 2, rel=1e-3)
+    assert drop / 1e-7 == pytest.approx(rate, rel=1e-3)
 
 
 def test_flow_step_sl_mode_preserves_determinants():
@@ -246,18 +260,136 @@ def test_flow_config_rejects_non_finite_settings(field, value):
         FlowConfig(**{field: value})
 
 
-# ------------------------------------------- batched residuals vs reference
+# ------------------------------------------------------------ Newton step
 
-def assert_same_flow(rep, cfg=None):
-    """flow equals the reference loop: every record field, the outcome
-    and both endpoint matrices, bit for bit."""
+def newton_cells():
+    """Random inputs at n = 2..6, some conjugated far off their minimum."""
+    rng = np.random.default_rng(12)
+    for seed in range(12):
+        n = 2 + seed % 5
+        rep = random_rep(2, 3, n, seed)
+        if seed % 2:
+            rep = conjugate(rep, conditioned(rng, n, 8.0))
+        yield rep
+
+
+def test_hessian_matches_second_differences():
+    """<H, Hess H> equals the centered second difference of the energy
+    along exp(tH) to relative error 1e-5 at t = 1e-3 and 1e-4."""
+    rng = np.random.default_rng(13)
+    for rep in newton_cells():
+        h = random_hermitian(rng, rep.n)
+        exact = np.trace(h @ _hessian(rep.A, rep.B)(h)).real
+        w, v = np.linalg.eigh(h)
+        for t in (1e-3, 1e-4):
+            gp = (v * np.exp(t * w)) @ v.conj().T
+            gm = (v * np.exp(-t * w)) @ v.conj().T
+            fd = (kn_energy(conjugate(rep, gp)) - 2.0 * kn_energy(rep)
+                  + kn_energy(conjugate(rep, gm))) / t**2
+            assert fd == pytest.approx(exact, rel=1e-5)
+
+
+def test_hessian_is_symmetric_and_hermitian():
+    rng = np.random.default_rng(14)
+    for rep in newton_cells():
+        hess = _hessian(rep.A, rep.B)
+        h, k = random_hermitian(rng, rep.n), random_hermitian(rng, rep.n)
+        hh, hk = hess(h), hess(k)
+        assert np.array_equal(hh, hh.conj().T)
+        left, right = np.trace(k @ hh).real, np.trace(h @ hk).real
+        assert left == pytest.approx(right, rel=1e-12, abs=1e-12 * np.linalg.norm(hh))
+
+
+def test_hessian_kills_the_scalars():
+    # exp(t I) acts trivially, so scalars span the stabilizer's kernel
+    for rep in newton_cells():
+        hess = _hessian(rep.A, rep.B)
+        assert np.linalg.norm(hess(np.eye(rep.n, dtype=complex))) <= 1e-12 * kn_energy(rep)
+
+
+def count_products(monkeypatch):
+    counts = []
+    hessian = kempfness._hessian
+
+    def counted(a, b):
+        apply = hessian(a, b)
+        counts.append(0)
+
+        def inner(h):
+            counts[-1] += 1
+            return apply(h)
+
+        return inner
+
+    monkeypatch.setattr(kempfness, "_hessian", counted)
+    return counts
+
+
+def test_newton_direction_descends_within_the_forcing_bound(monkeypatch):
+    counts = count_products(monkeypatch)
+    for rep in newton_cells():
+        mu = moment_map(rep)
+        g, g_norm = 2.0 * mu, 2.0 * np.linalg.norm(mu)
+        d = _newton_direction(g, g_norm, rep.A, rep.B, False)
+        assert np.array_equal(d, d.conj().T)
+        assert np.trace(mu @ d).real < 0.0
+        forcing = min(0.5, np.sqrt(g_norm)) * g_norm
+        gap = np.linalg.norm(_hessian(rep.A, rep.B)(d) + g)
+        assert gap <= forcing * (1 + 1e-9) or counts[-1] == rep.n**2
+        assert 1 <= counts[-1] <= rep.n**2
+
+
+def test_newton_direction_is_traceless_in_sl_mode():
+    rng = np.random.default_rng(15)
+    for n in (2, 3, 4):
+        rep = conjugate(random_rep(2, 3, n, n, sl=True), conditioned(rng, n, 8.0))
+        d = newton_direction(rep, sl_mode=True)
+        assert abs(np.trace(d)) <= 1e-14 * np.linalg.norm(d)
+        assert np.trace(moment_map(rep, True) @ d).real < 0.0
+
+
+def test_flow_converges_superlinearly():
+    # near the minimum the full Newton step is accepted and each step
+    # shrinks ||mu|| by a falling factor; a gradient step's is constant
+    for p, q, n, seed in [(2, 3, 8, 0), (1, 2, 10, 2), (3, 5, 4, 1), (2, 3, 3, 2)]:
+        _, trace = flow(random_rep(p, q, n, seed))
+        assert trace.converged
+        tail = trace.records[-4:]
+        assert all(r.step == 1.0 for r in tail)
+        m = [r.moment_norm for r in tail]
+        ratios = [m[i + 1] / m[i] for i in range(3)]
+        assert ratios[0] > ratios[1] > ratios[2]
+        assert ratios[2] <= 1e-2
+
+
+# ----------------------------------------- Newton endpoints vs the gradient loop
+
+def assert_same_spectrum(x, y, tol):
+    """Equal multisets of complex numbers to tol, by greedy matching."""
+    rest = list(y)
+    for lam in x:
+        j = int(np.argmin([abs(lam - mu) for mu in rest]))
+        assert abs(lam - rest.pop(j)) <= tol, (x, y)
+
+
+def assert_same_invariants(rep, cfg=None):
+    """flow and the gradient loop reach the same minimal K-orbit: the same
+    outcome and certificate, and equal energies, B spectra and singular
+    values.  Returns both traces."""
     final, trace = flow(rep, cfg)
     ref_final, ref_trace = reference_flow(rep, cfg)
     assert trace.outcome == ref_trace.outcome
-    assert trace.records == ref_trace.records
-    assert final.A.tobytes() == ref_final.A.tobytes()
-    assert final.B.tobytes() == ref_final.B.tobytes()
-    return trace
+    energy, ref_energy = trace.records[-1].energy, ref_trace.records[-1].energy
+    assert energy == pytest.approx(ref_energy, rel=1e-12)
+    assert_same_spectrum(np.linalg.eigvals(final.B), np.linalg.eigvals(ref_final.B), 1e-12)
+    for x, y in ((final.A, ref_final.A), (final.B, ref_final.B)):
+        sx = np.linalg.svd(x, compute_uv=False)
+        sy = np.linalg.svd(y, compute_uv=False)
+        assert np.all(np.abs(sx - sy) <= 1e-8 * sy)
+    cert, ref_cert = certify(final), certify(ref_final)
+    assert (cert.order, cert.exponent, cert.failed_stage) == (
+        ref_cert.order, ref_cert.exponent, ref_cert.failed_stage)
+    return trace, ref_trace
 
 
 def test_flow_matches_reference_on_the_acceptance_grid():
@@ -265,53 +397,101 @@ def test_flow_matches_reference_on_the_acceptance_grid():
     for p, q in PAIRS:
         for n in range(1, N_MAX + 1):
             for i in range(SEEDS):
-                assert_same_flow(random_rep(p, q, n, derive_seed(0, p, q, n, i)), cfg)
+                assert_same_invariants(random_rep(p, q, n, derive_seed(0, p, q, n, i)), cfg)
 
 
 @pytest.mark.parametrize("p, q, n, seed, records", [
-    (2, 3, 8, 0, 1692),    # more than six blocks
+    (2, 3, 8, 0, 1692),    # the gradient loop's record counts
     (2, 3, 10, 0, 1594),
-    (1, 2, 10, 2, 597),    # more than two blocks
-    (2, 3, 10, 3, 257),    # a full block, then a block of one
+    (1, 2, 10, 2, 597),
+    (2, 3, 10, 3, 257),
     (1, 2, 8, 3, 259),
 ])
 def test_flow_matches_reference_across_blocks(p, q, n, seed, records):
-    trace = assert_same_flow(random_rep(p, q, n, seed))
-    assert len(trace.records) == records
-
-
-@pytest.mark.parametrize("max_iter", [
-    _RESIDUAL_BLOCK - 1,      # stops on a block boundary
-    _RESIDUAL_BLOCK,          # one iterate past it
-    _RESIDUAL_BLOCK + 44,     # inside the second block
-    2 * _RESIDUAL_BLOCK - 1,  # on the second boundary
-])
-def test_flow_matches_reference_at_budget_stops(max_iter):
-    trace = assert_same_flow(random_rep(2, 3, 8, 0), FlowConfig(max_iter=max_iter))
-    assert trace.outcome == "iter_budget"
-    assert len(trace.records) == max_iter + 1
+    trace, ref_trace = assert_same_invariants(random_rep(p, q, n, seed))
+    assert len(ref_trace.records) == records
+    assert len(trace.records) < records // 10
 
 
 @pytest.mark.parametrize("p, q, n, seed", [
     (1, 2, 2, 0), (2, 3, 4, 0), (2, 3, 4, 1), (2, 3, 8, 0), (1, 2, 10, 2),
 ])
 def test_flow_matches_reference_in_sl_mode(p, q, n, seed):
-    assert_same_flow(random_rep(p, q, n, seed, sl=True), FlowConfig(sl_mode=True))
+    assert_same_invariants(random_rep(p, q, n, seed, sl=True), FlowConfig(sl_mode=True))
+
+
+# ------------------------------------------------- stacked residual blocks
+
+def assert_same_run(run, other):
+    (final, trace), (other_final, other_trace) = run, other
+    assert trace.outcome == other_trace.outcome
+    assert trace.records == other_trace.records
+    assert final.A.tobytes() == other_final.A.tobytes()
+    assert final.B.tobytes() == other_final.B.tobytes()
+
+
+BLOCK_CASES = [
+    (random_rep(2, 3, 8, 0), None),
+    (random_rep(1, 2, 10, 2), None),
+    (random_rep(2, 3, 4, 1, sl=True), FlowConfig(sl_mode=True)),
+]
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_flow_records_do_not_depend_on_the_block(monkeypatch, block):
+    defaults = [flow(rep, cfg) for rep, cfg in BLOCK_CASES]
+    monkeypatch.setattr(kempfness, "_RESIDUAL_BLOCK", block)
+    for (rep, cfg), default in zip(BLOCK_CASES, defaults):
+        assert_same_run(flow(rep, cfg), default)
+        assert len(default[1].records) > 2 * block
+
+
+BLOCK = 3
+
+
+@pytest.mark.parametrize("max_iter", [
+    BLOCK - 1,      # stops on a block boundary
+    BLOCK,          # one iterate past it
+    BLOCK + 1,      # inside the second block
+    2 * BLOCK - 1,  # on the second boundary
+])
+def test_flow_blocks_at_budget_stops(monkeypatch, max_iter):
+    rep, cfg = random_rep(2, 3, 8, 0), FlowConfig(max_iter=max_iter)
+    default = flow(rep, cfg)
+    monkeypatch.setattr(kempfness, "_RESIDUAL_BLOCK", BLOCK)
+    assert_same_run(flow(rep, cfg), default)
+    assert default[1].outcome == "iter_budget"
+    assert len(default[1].records) == max_iter + 1
+
+
+def test_flow_is_deterministic():
+    for rep, cfg in BLOCK_CASES:
+        assert_same_run(flow(rep, cfg), flow(rep, cfg))
 
 
 def nilpotent_rep():
     # A is singular, so no iterate has a relation residual; the moment
-    # [A, A*] is not zero, so the flow runs for more than a block.
+    # [A, A*] is not zero, so the flow runs for more than a small block.
     return rep_of(2, 3, [[0.0, 1.0], [0.0, 0.0]], np.eye(2))
 
 
-def test_flow_raises_on_singular_a():
+def test_flow_raises_on_singular_a(monkeypatch):
     # converged at iteration 0: a block of one iterate
     with pytest.raises(SingularMatrix):
         flow(rep_of(2, 3, np.zeros((2, 2)), np.eye(2)))
     # singular in every iterate of a full stacked block
+    monkeypatch.setattr(kempfness, "_RESIDUAL_BLOCK", 4)
+    blocks = []
+    residual = kempfness.residual
+
+    def recorded(a, b, p, q):
+        blocks.append(len(a))
+        return residual(a, b, p, q)
+
+    monkeypatch.setattr(kempfness, "residual", recorded)
     with pytest.raises(SingularMatrix):
         flow(nilpotent_rep())
+    assert blocks == [4]
 
 
 def _eigh_failing_at(call):

@@ -121,10 +121,19 @@ def reference_snap(value, max_order, tol):
     return RootOfUnity(n_, m_)
 
 
+#: The gradient loop's step settings: first trial step, sufficient-decrease
+#: constant and backtracking factor.
+GRADIENT_ETA0 = 0.1
+GRADIENT_ARMIJO = 0.5
+GRADIENT_SHRINK = 0.5
+
+
 def reference_flow(rep, cfg=None):
-    """flow's reference loop: every accepted iterate's relation residual
-    measured by its own call as the iterate is recorded, and its energy
-    and moment recomputed from the iterate."""
+    """The Armijo gradient descent along exp(-eta mu): an oracle for the
+    energies and K-invariants of flow's endpoints.  It takes tol, max_iter
+    and sl_mode from cfg and its own step settings above.  Every accepted
+    iterate's relation residual is measured by its own call as the iterate
+    is recorded, and its energy and moment are recomputed from the iterate."""
     cfg = cfg or FlowConfig()
     p, q = rep.group.p, rep.group.q
     a = rep.A.copy()
@@ -151,21 +160,21 @@ def reference_flow(rep, cfg=None):
         except np.linalg.LinAlgError as exc:
             raise NoConvergence("eigendecomposition of moment map failed") from exc
         vh = v.conj().T
-        eta = cfg.eta0
+        eta = GRADIENT_ETA0
         drop_rate = 2.0 * mu_norm * mu_norm
         resolution = 128.0 * rep.n * np.finfo(float).eps * (1.0 + energy)
         w_max = float(np.max(np.abs(w)))
         accepted = False
         for _ in range(80):
             if eta * w_max > 60.0:
-                eta *= cfg.shrink
+                eta *= GRADIENT_SHRINK
                 continue
             e = np.exp(-eta * w)
             g = (v * e) @ vh
             gi = (v * (1.0 / e)) @ vh
             a2 = g @ a @ gi
             b2 = g @ b @ gi
-            required = cfg.armijo * eta * drop_rate
+            required = GRADIENT_ARMIJO * eta * drop_rate
             e2 = _energy(a2, b2)
             if required > resolution:
                 if e2 <= energy - required:
@@ -176,7 +185,7 @@ def reference_flow(rep, cfg=None):
                     if hs_norm(_moment(a2, b2, cfg.sl_mode)) < mu_norm:
                         accepted = True
                         break
-            eta *= cfg.shrink
+            eta *= GRADIENT_SHRINK
         if not accepted:
             break
         a, b = a2, b2
