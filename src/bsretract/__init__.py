@@ -55,7 +55,6 @@ from .kempfness import (
 from .numerics import (
     RootOfUnity,
     eigvals,
-    exp_herm,
     herm_power,
     hs_norm,
     polar,

@@ -144,29 +144,18 @@ class OrbitDatum:
             "k": self.k,
         }
 
-    @staticmethod
-    def from_json(d: dict) -> "OrbitDatum":
-        return OrbitDatum(
-            int(d["p"]),
-            int(d["q"]),
-            int(d["N"]),
-            int(d["u"]),
-            tuple(int(x) for x in d["orbit"]),
-            int(d["k"]),
-        )
-
 
 def _trivial_datum(p: int, q: int) -> OrbitDatum:
     return OrbitDatum(p, q, 1, 0, (0,), 1)
 
 
 @lru_cache(maxsize=256)
-def _enumerate_cached(p: int, q: int, n_max: int, cap: int) -> tuple[OrbitDatum, ...]:
+def _enumerate_cached(p: int, q: int, n_max: int) -> tuple[OrbitDatum, ...]:
     out = [_trivial_datum(p, q)]
     pq = abs(p * q)
     for k in range(1, n_max + 1):
         m = abs(p**k - q**k)
-        for modulus in divisors(m, cap):
+        for modulus in divisors(m):
             if modulus == 1 or math.gcd(modulus, pq) != 1:
                 continue
             u = q * pow(p, -1, modulus) % modulus
@@ -193,9 +182,7 @@ def _enumerate_cached(p: int, q: int, n_max: int, cap: int) -> tuple[OrbitDatum,
     return tuple(out)
 
 
-def enumerate_orbits(
-    p: int, q: int, n_max: int, *, factor_cap: int = DEFAULT_FACTOR_CAP
-) -> list[OrbitDatum]:
+def enumerate_orbits(p: int, q: int, n_max: int) -> list[OrbitDatum]:
     """All exponent orbits usable in representations of dimension <= n_max.
 
     For each k <= n_max and each divisor N > 1 of |p^k - q^k| with
@@ -207,7 +194,7 @@ def enumerate_orbits(
     validate_parameters(p, q)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return list(_enumerate_cached(int(p), int(q), int(n_max), int(factor_cap)))
+    return list(_enumerate_cached(int(p), int(q), int(n_max)))
 
 
 def verify_orbit(d: OrbitDatum) -> bool:

@@ -133,21 +133,16 @@ def conjugate_into_unitary(rep: Rep, form: HermitianForm) -> Rep:
     return conjugate(rep, herm_power(form.Q, 0.5))
 
 
-def normality_exponent(
-    rep: Rep, tol: float = 1e-6, *, order: int | None = None
-) -> int:
+def normality_exponent(rep: Rep, order: int, tol: float = 1e-6) -> int:
     """Exponent j with A B A^-1 = B^j, certifying A normalizes <B>.
 
-    If A B A^-1 = B^j then A B^p A^-1 = B^(jp) = B^q, so j = q p^-1 mod
+    order is the order of B, as detect_finite_order certifies it.  If
+    A B A^-1 = B^j then A B^p A^-1 = B^(jp) = B^q, so j = q p^-1 mod
     order: p is a unit modulo every admissible order, because
     gcd(p, p^k - q^k) = 1.  That single power is checked, and
-    NotNormalizing is raised unless ||A B A^-1 - B^j|| <= tol.  When order
-    is not supplied it is detected against the admissible moduli for the
-    representation's parameters and dimension.
+    NotNormalizing is raised unless ||A B A^-1 - B^j|| <= tol.
     """
     p, q = rep.group.p, rep.group.q
-    if order is None:
-        order = detect_finite_order(rep.B, census.order_moduli(p, q, rep.n), tol)
     try:
         j = q * pow(p, -1, order) % order
     except ValueError as exc:
@@ -201,7 +196,7 @@ def certify(rep: Rep, tol: float = 1e-6) -> Certificate:
         stage = "conjugate_into_unitary"
         cert.unitary = conjugate_into_unitary(rep, cert.form)
         stage = "normality_exponent"
-        cert.exponent = normality_exponent(cert.unitary, tol, order=cert.order)
+        cert.exponent = normality_exponent(cert.unitary, cert.order, tol)
     except STRUCTURAL_ERRORS as exc:
         cert.failed_stage, cert.error = stage, exc
     return cert

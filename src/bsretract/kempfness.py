@@ -282,12 +282,12 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
             resolution = resolution_unit * (1.0 + energy)
             # eigh sorts w ascending, so its largest modulus is at an end.
             w_max = max(abs(w[0]), abs(w[-1]))
+            # Longer steps would overflow g and g^-1 in the product chain:
+            # shrink past them before the trials, so that they use none of
+            # the backtracks.  eta falls geometrically, so this ends.
+            while eta * w_max > 60.0:
+                eta *= cfg.shrink
             for _ in range(_MAX_BACKTRACKS):
-                if eta * w_max > 60.0:
-                    # g and g^-1 would overflow the product chain;
-                    # equivalent to a rejected trial.
-                    eta *= cfg.shrink
-                    continue
                 e = np.exp(eta * w)
                 g = (v * e) @ vh
                 gi = (v * (1.0 / e)) @ vh

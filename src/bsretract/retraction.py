@@ -1,11 +1,12 @@
 """In-variety retraction of A onto its unitary polar factor.
 
-Once B is unitary of finite order and A B A^-1 = B^j, the polar
-decomposition A = U P forces [P, B] = 0 and U B U* = B^j (apply
-uniqueness of the polar factors to A B = B^j A).  The scaling path
-A_t = U P^t therefore satisfies A_t B^p A_t^-1 = U B^p U* = B^q for
-every t: the whole path stays inside the representation variety, and at
-t = 0 the representation is unitary.
+`retract_a(rep, num_samples=100)` samples the scaling path A_t = U P^t of
+A = U P from t = 1 down to t = 0 with B fixed; at t = 0 the
+representation is unitary.  It needs B unitary and [P, B] = 0, checks
+both, and its docstring gives why the path then stays in the variety.
+Both hold at a point that `certify` has unitarized: A B A^-1 = B^j there,
+and uniqueness of the polar factors in A B = B^j A gives [P, B] = 0.  The
+order and the normality exponent come from `certify` alone.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import census
-from .bsrep import BSGroup, Rep, relation_residual, residual
-from .compactify import certify, detect_finite_order, normality_exponent
+from .bsrep import REP_TOL, BSGroup, Rep, relation_residual, residual
+from .compactify import certify
 from .errors import STRUCTURAL_ERRORS, PipelineStageError, PolarObstruction
 from .kempfness import FlowConfig, FlowTrace, flow, kn_energy
 from .numerics import hs_norm, polar, unitarity_defect
@@ -31,6 +31,11 @@ __all__ = [
     "PipelineDiagnostics",
     "verify_unitary_rep",
 ]
+
+#: Largest unitarity defect ||B* B - I|| that retract_a accepts.
+UNITARY_TOL = 1e-8
+#: Largest ||[P, B]|| / ||P|| that retract_a accepts.
+COMMUTE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -48,8 +53,6 @@ class RetractionPath:
     A: np.ndarray
     B: np.ndarray
     group: BSGroup
-    order: int
-    exponent: int
 
     def __post_init__(self):
         k, n = len(self.t), self.B.shape[0]
@@ -98,42 +101,31 @@ class _PathSamples(Sequence):
         return PathSample(float(path.t[i]), rep)
 
 
-def retract_a(
-    rep: Rep,
-    num_samples: int = 100,
-    *,
-    unitary_tol: float = 1e-8,
-    commute_tol: float = 1e-6,
-    order: int | None = None,
-    exponent: int | None = None,
-) -> RetractionPath:
+def retract_a(rep: Rep, num_samples: int = 100) -> RetractionPath:
     """Polar-scaling path from A to its unitary factor, with B fixed.
 
-    Requires B unitary within unitary_tol and of finite order, and A
-    normalizing <B> (both are detected here when not supplied).  The
-    positive factor must commute with B within commute_tol * ||P||;
-    failure raises PolarObstruction and signals that the input is not
-    actually a minimal vector with unitary B (e.g. a non-converged flow).
+    Precondition, both parts checked: B is unitary within UNITARY_TOL,
+    and the positive factor of A = U P commutes with B within
+    COMMUTE_TOL * ||P||.  Then A_t = U P^t gives A_t B^p A_t^-1 =
+    U B^p U* = A B^p A^-1 = B^q for every t, so each sample satisfies the
+    relation whenever rep does.  A non-unitary B raises ValueError; a
+    non-commuting P raises PolarObstruction, which signals that the input
+    is not a certified minimal vector (e.g. a non-converged flow).
     """
     if num_samples < 2:
         raise ValueError("num_samples must be >= 2")
     b = rep.B
     defect = unitarity_defect(b)
-    if not defect <= unitary_tol:
+    if not defect <= UNITARY_TOL:
         raise ValueError(
-            f"B is not unitary within {unitary_tol:.1e} (defect {defect:.3e}); "
+            f"B is not unitary within {UNITARY_TOL:.1e} (defect {defect:.3e}); "
             "conjugate into the unitary group first"
         )
-    if order is None:
-        moduli = census.order_moduli(rep.group.p, rep.group.q, rep.n)
-        order = detect_finite_order(b, moduli, commute_tol)
-    if exponent is None:
-        exponent = normality_exponent(rep, commute_tol, order=order)
     u, p = polar(rep.A)
     comm = hs_norm(p @ b - b @ p)
-    if not comm <= commute_tol * hs_norm(p):
+    if not comm <= COMMUTE_TOL * hs_norm(p):
         raise PolarObstruction(
-            f"||[P, B]|| = {comm:.3e} exceeds {commute_tol:.1e} * ||P||"
+            f"||[P, B]|| = {comm:.3e} exceeds {COMMUTE_TOL:.1e} * ||P||"
         )
     w, v = np.linalg.eigh(0.5 * (p + p.conj().T))
     t = np.linspace(1.0, 0.0, num_samples)
@@ -142,7 +134,7 @@ def retract_a(
     # is u v diag(w ** t) v* for its own scalar t.
     wt = np.where(t[:, None] == 0.5, np.sqrt(w), w ** t[:, None])
     a = u @ ((v * wt[:, None, :]) @ v.conj().T)
-    return RetractionPath(t, a, b, rep.group, order, exponent)
+    return RetractionPath(t, a, b, rep.group)
 
 
 @dataclass
@@ -210,9 +202,7 @@ def certify_and_retract(
     if error is None:
         stage = "retract_a"
         try:
-            path = retract_a(
-                cert.unitary, num_samples, order=cert.order, exponent=cert.exponent
-            )
+            path = retract_a(cert.unitary, num_samples)
         except STRUCTURAL_ERRORS as exc:
             error = exc
     if error is not None:
@@ -237,19 +227,19 @@ def full_pipeline(
     *,
     num_samples: int = 100,
     snap_tol: float = 1e-6,
-    input_tol: float = 1e-8,
 ) -> tuple[Rep | None, PipelineDiagnostics]:
     """Flow to a minimal vector, then certify and retract to a unitary point.
 
-    Returns (endpoint, diagnostics).  A flow that exhausts its budget is
-    a soft failure: the partial result is returned with outcome
-    "iter_budget" and no exception.  Structural failures in later stages
+    The input's relation residual must be at most bsrep.REP_TOL, else
+    ValueError.  Returns (endpoint, diagnostics).  A flow that exhausts
+    its budget is a soft failure: the partial result is returned with
+    outcome "iter_budget" and no exception.  Structural failures in later stages
     raise PipelineStageError with partial diagnostics attached.
     """
     res0 = relation_residual(rep)
-    if not res0 <= input_tol:
+    if not res0 <= REP_TOL:
         raise ValueError(
-            f"input relation residual {res0:.3e} exceeds {input_tol:.1e}"
+            f"input relation residual {res0:.3e} exceeds {REP_TOL:.1e}"
         )
     diag = PipelineDiagnostics(initial_residual=res0, initial_energy=kn_energy(rep))
     flowed, trace = flow(rep, cfg)

@@ -156,6 +156,19 @@ def test_flow_budget_exit_code(runner, tmp_path):
     assert res.exit_code == 3
 
 
+def test_flow_overlong_first_step_still_converges(runner, tmp_path):
+    # every trial step too long for exp(eta d) to stay finite used to
+    # count as a backtrack, so --eta0 1e30 spent the whole line search on
+    # them and reported "iter_budget after 0 iterations" with exit 3
+    rep = tmp_path / "rep.json"
+    res = runner.invoke(main, ["construct", "--p", "2", "--q", "3", "--random", "3",
+                               "--seed", "1", "--out", str(rep)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, ["flow", "--in", str(rep), "--out", "-", "--eta0", "1e30"])
+    assert res.exit_code == 0, res.output
+    assert "converged" in res.output
+
+
 # ------------------------------------------------------------------ pipeline
 
 def test_pipeline_unitary_input_exit_zero(runner, tmp_path):

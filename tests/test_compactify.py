@@ -139,7 +139,7 @@ def test_conjugate_into_unitary():
 
 def test_normality_exponent_examples():
     trivial = rep_of(2, 3, [[3.0, 1.0], [0.0, 2.0]], np.eye(2))
-    assert normality_exponent(trivial) == 0
+    assert normality_exponent(trivial, 1) == 0
 
     # swap conjugation of diag(z, z^4) gives diag(z^4, z) = B^4
     rep = n5_block(1.0)

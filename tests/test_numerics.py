@@ -12,7 +12,6 @@ from bsretract import (
     RootOfUnity,
     SingularMatrix,
     eigvals,
-    exp_herm,
     herm_power,
     hs_norm,
     polar,
@@ -116,16 +115,6 @@ def test_herm_power_rejects_indefinite():
         herm_power(np.diag([1.0, -2.0]), 0.5)
 
 
-def test_exp_herm_examples():
-    assert np.allclose(exp_herm(np.zeros((2, 2))), np.eye(2))
-    assert np.allclose(exp_herm(np.diag([math.log(2), 0.0])), np.diag([2.0, 1.0]))
-    rng = np.random.default_rng(5)
-    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    h = 0.5 * (z + z.conj().T)
-    assert hs_norm(exp_herm(h) @ exp_herm(-h) - np.eye(3)) <= 1e-10
-    assert np.linalg.eigvalsh(exp_herm(h))[0] > 0
-
-
 def test_as_matrix_rejects_bad_inputs():
     from bsretract.numerics import as_matrix
 
@@ -162,8 +151,8 @@ def test_eigvals_unitary_on_circle():
 
 
 def test_eigvals_conjugate_pair_with_equal_real_parts():
-    # zeta5 and its conjugate share a real part: the Hermitian-pair path
-    # must separate them through the imaginary part.
+    # zeta5 and its conjugate share a real part: they must come out apart,
+    # told by their imaginary parts.
     b = np.diag([zeta(5, 1), zeta(5, 4)])
     vals = sorted(eigvals(b), key=lambda z: z.imag)
     assert vals[0] == pytest.approx(zeta(5, 4), abs=1e-12)

@@ -6,6 +6,7 @@ from bsretract import (
     FlowConfig,
     PipelineStageError,
     PolarObstruction,
+    certify,
     conjugate,
     direct_sum,
     full_pipeline,
@@ -34,7 +35,8 @@ def test_retract_constant_on_unitary_a():
     path = retract_a(rep, num_samples=10)
     for s in path.samples:
         assert np.allclose(s.rep.A, rep.A, atol=1e-12)
-    assert path.order == 5 and path.exponent == 4
+    cert = certify(rep)
+    assert cert.order == 5 and cert.exponent == 4
 
 
 def test_retract_scalar_positive_part():
@@ -69,9 +71,10 @@ def test_retract_exponent_constant_along_path():
     assert trace.converged
     order = detect_finite_order(flowed.B, order_moduli(2, 3, 2))
     unit = conjugate_into_unitary(flowed, invariant_form(flowed.B, order))
+    exponent = normality_exponent(unit, order)
     path = retract_a(unit, num_samples=25)
     for s in path.samples:
-        assert normality_exponent(s.rep, order=order) == path.exponent
+        assert normality_exponent(s.rep, order) == exponent
 
 
 def test_retract_rejects_nonunitary_b():
@@ -82,8 +85,8 @@ def test_retract_rejects_nonunitary_b():
 
 
 def test_retract_polar_obstruction_guard():
-    # Force a noncommuting positive part while bypassing detection: B is
-    # unitary of order 5, and A has a P with visible off-diagonal mixing.
+    # A noncommuting positive part: B is unitary of order 5, and A has a P
+    # with visible off-diagonal mixing.
     rng = np.random.default_rng(2)
     b = np.diag([zeta(5, 1), zeta(5, 4)])
     h = np.array([[0.0, 1e-3], [1e-3, 0.0]])
@@ -91,7 +94,7 @@ def test_retract_polar_obstruction_guard():
     a = skew @ swap2()
     rep = rep_of(2, 3, a, b)
     with pytest.raises(PolarObstruction):
-        retract_a(rep, order=5, exponent=4)
+        retract_a(rep)
 
 
 def test_full_pipeline_identity_on_unitary_input():
@@ -188,7 +191,7 @@ def test_gates_fail_on_nan_residuals():
     with pytest.raises(ValueError):
         full_pipeline(rep)
     with pytest.raises(ValueError):
-        retract_a(rep, order=1, exponent=0)
+        retract_a(rep)
     assert not verify_unitary_rep(rep)
 
 
@@ -241,7 +244,7 @@ def test_path_samples_are_slices_of_the_stack():
     with pytest.raises(IndexError):
         path.samples[7]
     with pytest.raises(ValueError):
-        RetractionPath(path.t[:3], path.A, path.B, path.group, 5, 4)
+        RetractionPath(path.t[:3], path.A, path.B, path.group)
 
 
 def test_stacked_path_equals_scalar_power_construction():
@@ -253,7 +256,7 @@ def test_stacked_path_equals_scalar_power_construction():
     u, p = polar(rep.A)
     w, v = np.linalg.eigh(0.5 * (p + p.conj().T))
     for num_samples in (2, 5, 100, 101):
-        path = retract_a(rep, num_samples, order=1, exponent=0)
+        path = retract_a(rep, num_samples)
         for t, a in zip(path.t, path.A):
             assert np.array_equal(a, u @ ((v * w**t) @ v.conj().T))
 
@@ -263,7 +266,7 @@ def test_path_residual_check_fails_on_a_nan_sample():
     # the middle sample overflows to a NaN residual; the ends are finite
     b = np.array([[0.6, 0.8], [-0.8, 0.6]], dtype=complex)
     a = np.stack([np.eye(2), np.diag([1e300, 1e-300]), np.eye(2)]).astype(complex)
-    path = RetractionPath(np.linspace(1.0, 0.0, 3), a, b, BSGroup(2, 3), 1, 1)
+    path = RetractionPath(np.linspace(1.0, 0.0, 3), a, b, BSGroup(2, 3))
     res = path.residuals()
     assert np.isfinite(res[[0, 2]]).all() and not np.isfinite(res[1])
     assert not path.max_residual() <= 10.0
