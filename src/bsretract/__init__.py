@@ -16,7 +16,6 @@ from .bsrep import (
 from .census import (
     OrbitDatum,
     enumerate_orbits,
-    mult_order,
     order_bound,
     order_moduli,
     verify_orbit,
@@ -36,7 +35,6 @@ from .errors import (
     InvalidOrbit,
     NoConvergence,
     NotARootOfUnity,
-    NotAUnit,
     NotFiniteOrder,
     NotNormalizing,
     NotPositiveDefinite,

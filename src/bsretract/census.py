@@ -10,30 +10,17 @@ module enumerates the corresponding exponent orbits of x -> u*x on Z/N
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotAUnit
-
 __all__ = [
     "OrbitDatum",
-    "UnfactoredModulusWarning",
     "validate_parameters",
     "order_moduli",
     "order_bound",
-    "mult_order",
-    "divisors",
     "enumerate_orbits",
     "verify_orbit",
 ]
-
-DEFAULT_FACTOR_CAP = 10**6
-
-
-class UnfactoredModulusWarning(UserWarning):
-    """A modulus had a cofactor beyond the trial-division cap; divisors
-    involving that cofactor were not enumerated."""
 
 
 def validate_parameters(p: int, q: int) -> None:
@@ -60,62 +47,6 @@ def order_moduli(p: int, q: int, n: int) -> tuple[int, ...]:
 def order_bound(p: int, q: int, n: int) -> int:
     """prod_{k=1..n} |p^k - q^k| as an exact big integer."""
     return math.prod(order_moduli(p, q, n))
-
-
-def mult_order(u: int, n: int) -> int:
-    """Least k >= 1 with u^k = 1 (mod n).  Requires gcd(u, n) = 1."""
-    if n < 1:
-        raise ValueError("modulus must be positive")
-    u = int(u) % n
-    if math.gcd(u, n) != 1:
-        raise NotAUnit(f"{u} is not a unit mod {n}")
-    if n == 1:
-        return 1
-    acc, k = u, 1
-    while acc != 1:
-        acc = acc * u % n
-        k += 1
-    return k
-
-
-def _factorize(m: int, cap: int) -> tuple[dict[int, int], int]:
-    """Trial-divide m up to cap.  Returns ({prime: exponent}, leftover);
-    leftover is 1 when fully factored, else a cofactor with no prime
-    factor <= cap (prime itself whenever leftover <= cap^2)."""
-    factors: dict[int, int] = {}
-    d = 2
-    while d <= cap and d * d <= m:
-        while m % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if m > 1:
-        if m <= cap * cap or m <= cap:
-            factors[m] = factors.get(m, 0) + 1
-            m = 1
-    return factors, m
-
-
-def divisors(m: int, cap: int = DEFAULT_FACTOR_CAP) -> list[int]:
-    """Sorted divisors of m from its trial-division factorization.
-
-    When a cofactor beyond the cap remains, divisors involving it are
-    omitted and an UnfactoredModulusWarning reports the cofactor.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    factors, leftover = _factorize(m, cap)
-    if leftover > 1:
-        warnings.warn(
-            f"modulus {m} has unfactored cofactor {leftover}; divisors "
-            f"involving it are not enumerated",
-            UnfactoredModulusWarning,
-            stacklevel=2,
-        )
-    divs = [1]
-    for prime, exp in factors.items():
-        divs = [d * prime**e for d in divs for e in range(exp + 1)]
-    return sorted(divs)
 
 
 @dataclass(frozen=True)
@@ -145,56 +76,56 @@ class OrbitDatum:
         }
 
 
-def _trivial_datum(p: int, q: int) -> OrbitDatum:
-    return OrbitDatum(p, q, 1, 0, (0,), 1)
-
-
 @lru_cache(maxsize=256)
-def _enumerate_cached(p: int, q: int, n_max: int) -> tuple[OrbitDatum, ...]:
-    out = [_trivial_datum(p, q)]
-    pq = abs(p * q)
-    for k in range(1, n_max + 1):
-        m = abs(p**k - q**k)
-        for modulus in divisors(m):
-            if modulus == 1 or math.gcd(modulus, pq) != 1:
-                continue
-            u = q * pow(p, -1, modulus) % modulus
-            if mult_order(u, modulus) != k:
-                continue
-            # Orbits of units mod N all have length ord(u) = k exactly.
-            # Non-unit exponents are the same spectral data at the smaller
-            # modulus N/gcd and are emitted there instead.
-            seen = bytearray(modulus)
-            for x in range(1, modulus):
-                if seen[x] or math.gcd(x, modulus) != 1:
-                    continue
-                orb = [x]
-                seen[x] = 1
-                y = u * x % modulus
-                while y != x:
-                    orb.append(y)
-                    seen[y] = 1
-                    y = u * y % modulus
-                i = orb.index(min(orb))
-                orb = orb[i:] + orb[:i]
-                out.append(OrbitDatum(p, q, modulus, u, tuple(orb), k))
-    out.sort(key=lambda d: (d.k, d.N, d.orbit))
+def _orbits_of_length(p: int, q: int, k: int) -> tuple[OrbitDatum, ...]:
+    """Every orbit of length exactly k, sorted by (N, orbit), from one scan
+    of Z/m with m = |p^k - q^k|."""
+    m = abs(p**k - q**k)
+    u = q * pow(p, -1, m) % m
+    out = []
+    # Each x in Z/m is x' * m/N for exactly one divisor N of m and unit
+    # x' mod N, and its orbit has length ord_N(u).  The scan goes up from
+    # x = 1, so each orbit is first met at its smallest element.
+    seen = bytearray(m)
+    seen[0] = 1
+    x = seen.find(0)
+    while x != -1:
+        orb = [x]
+        seen[x] = 1
+        y = u * x % m
+        while y != x:
+            orb.append(y)
+            seen[y] = 1
+            y = u * y % m
+        if len(orb) == k:
+            g = math.gcd(x, m)
+            if g > 1:
+                orb = [v // g for v in orb]
+            modulus = m // g
+            out.append(OrbitDatum(p, q, modulus, u % modulus, tuple(orb), k))
+        x = seen.find(0, x + 1)
+    out.sort(key=lambda d: (d.N, d.orbit))
     return tuple(out)
 
 
 def enumerate_orbits(p: int, q: int, n_max: int) -> list[OrbitDatum]:
     """All exponent orbits usable in representations of dimension <= n_max.
 
-    For each k <= n_max and each divisor N > 1 of |p^k - q^k| with
-    gcd(N, p*q) = 1, emits every orbit of x -> u*x on the units of Z/N of
-    length exactly k (canonically rotated to start at its smallest
-    element), plus the trivial orbit (N = 1).  Deterministically sorted
-    by (k, N, orbit).
+    For each k <= n_max and each divisor N > 1 of |p^k - q^k|, lists every
+    orbit of x -> u*x on the units of Z/N of length exactly k (starting at
+    its smallest element), after the trivial orbit (N = 1).  All orbits
+    of one k come from one scan of Z/|p^k - q^k|, each reduced by the gcd
+    of its elements with the modulus.  Deterministically sorted by
+    (k, N, orbit).
     """
     validate_parameters(p, q)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return list(_enumerate_cached(int(p), int(q), int(n_max)))
+    p, q = int(p), int(q)
+    out = [OrbitDatum(p, q, 1, 0, (0,), 1)]
+    for k in range(1, int(n_max) + 1):
+        out.extend(_orbits_of_length(p, q, k))
+    return out
 
 
 def verify_orbit(d: OrbitDatum) -> bool:

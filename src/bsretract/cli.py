@@ -217,6 +217,13 @@ def _check_snap_tol(snap_tol: float) -> None:
         _fail(EXIT_BAD_INPUT, "--snap-tol must be finite and positive")
 
 
+def _check_samples(samples: int) -> None:
+    """Exit 2 unless --samples is at least 2, the fewest a path from t = 1
+    to t = 0 has; called before any flow or cell runs."""
+    if samples < 2:
+        _fail(EXIT_BAD_INPUT, "--samples must be >= 2")
+
+
 def _check_seed(seed: int) -> None:
     """Exit 2 unless --seed is a non-negative integer; called before any
     certificate or sample runs, as the sampler's generator rejects it."""
@@ -316,6 +323,7 @@ def cmd_retract(in_path, out, diag_path, path_csv, samples, snap_tol):
     (no flow; input should already be near a minimal vector)."""
     rep, _ = _load_rep(in_path)
     _check_snap_tol(snap_tol)
+    _check_samples(samples)
 
     def run():
         endpoint, _, diag = certify_and_retract(
@@ -342,6 +350,7 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
     rep, _ = _load_rep(in_path)
     cfg = _flow_config(tol, max_iter, eta0, sl)
     _check_snap_tol(snap_tol)
+    _check_samples(samples)
     _run_and_emit(
         "pipeline",
         {"tol": tol, "max_iter": max_iter, "eta0": eta0, "sl": sl,
@@ -428,7 +437,7 @@ def _parse_int_list(text: str) -> list[int]:
 @click.option("--idempotence", is_flag=True, help="Also re-run each pipeline on its output.")
 @click.option("--report", default="-", help="Report JSON path.")
 @click.option("--workers", default=None, type=int,
-              help="Worker processes (BSRETRACT_THREADS caps this).")
+              help="Worker processes (default: up to 4, one per CPU).")
 @_with(_flow_options)
 def cmd_suite(p_list, q_list, pairs_spec, n_max, seeds, base_seed, samples,
               snap_tol, idempotence, report, workers, tol, max_iter, eta0, sl):
@@ -457,6 +466,7 @@ def cmd_suite(p_list, q_list, pairs_spec, n_max, seeds, base_seed, samples,
                 pairs.append((p, q))
     cfg = _flow_config(tol, max_iter, eta0, sl)
     _check_snap_tol(snap_tol)
+    _check_samples(samples)
     doc = run_suite(
         pairs, n_max, seeds, cfg,
         base_seed=base_seed, num_samples=samples, snap_tol=snap_tol,

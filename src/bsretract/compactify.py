@@ -112,6 +112,12 @@ def invariant_form(b, order: int) -> HermitianForm:
     the group, and Q = I when the group is unitary.  Returned
     determinant-normalized.
     """
+    return _invariant_form(b, order)[0]
+
+
+def _invariant_form(b, order: int) -> tuple[HermitianForm, float]:
+    """invariant_form, and the 2-norm condition number of the eigenvector
+    basis V it was built from."""
     b = as_matrix(b)
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -122,7 +128,7 @@ def invariant_form(b, order: int) -> HermitianForm:
     det = np.linalg.det(q0).real
     if not det > 0:
         raise NotPositiveDefinite("invariant form has non-positive determinant")
-    return HermitianForm(q0 / det ** (1.0 / b.shape[0]))
+    return HermitianForm(q0 / det ** (1.0 / b.shape[0])), float(np.linalg.cond(v))
 
 
 def conjugate_into_unitary(rep: Rep, form: HermitianForm) -> Rep:
@@ -164,7 +170,9 @@ class Certificate:
     """What certify established, step by step.
 
     Fields of steps after a failing one stay None; failed_stage names that
-    step and error holds its exception.  invariance_defect is
+    step and error holds its exception.  eig_condition is the 2-norm
+    condition number of the eigenvector basis of B that Q is built from;
+    large values flag a nearly defective B.  invariance_defect is
     ||B* Q B - Q|| for the generator B, which implies invariance under
     every power of B in exact arithmetic.
     """
@@ -172,6 +180,7 @@ class Certificate:
     order_bound: int
     order: int | None = None
     form: HermitianForm | None = None
+    eig_condition: float | None = None
     invariance_defect: float | None = None
     unitary: Rep | None = None
     exponent: int | None = None
@@ -190,7 +199,7 @@ def certify(rep: Rep, tol: float = 1e-6) -> Certificate:
     try:
         cert.order = detect_finite_order(rep.B, moduli, tol)
         stage = "invariant_form"
-        cert.form = invariant_form(rep.B, cert.order)
+        cert.form, cert.eig_condition = _invariant_form(rep.B, cert.order)
         b, q = rep.B, cert.form.Q
         cert.invariance_defect = hs_norm(b.conj().T @ q @ b - q)
         stage = "conjugate_into_unitary"

@@ -21,10 +21,6 @@ class NotARootOfUnity(BsretractError):
     """No root of unity of admissible order lies within tolerance."""
 
 
-class NotAUnit(BsretractError):
-    """Multiplicative order requested for a non-unit residue."""
-
-
 class InvalidOrbit(BsretractError):
     """Orbit data do not satisfy the defining modular recursion."""
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .bsrep import REP_TOL, BSGroup, Rep, relation_residual, residual
 from .compactify import certify
 from .errors import STRUCTURAL_ERRORS, PipelineStageError, PolarObstruction
-from .kempfness import FlowConfig, FlowTrace, flow, kn_energy
+from .kempfness import FlowConfig, FlowTrace, flow
 from .numerics import hs_norm, polar, unitarity_defect
 
 __all__ = [
@@ -69,17 +70,21 @@ class RetractionPath:
     def endpoint(self) -> Rep:
         return Rep(self.group, self.B.shape[0], self.A[-1], self.B)
 
+    @cached_property
     def residuals(self) -> np.ndarray:
-        """Relation residual of every sample, in one batched pass."""
-        return residual(self.A, self.B, self.group.p, self.group.q)
+        """Relation residual of every sample, measured once in one batched
+        pass on first access; read-only, as every reader shares it."""
+        res = residual(self.A, self.B, self.group.p, self.group.q)
+        res.flags.writeable = False
+        return res
 
     def max_residual(self) -> float:
         """Largest sample residual; NaN if any residual is NaN."""
-        return float(np.max(self.residuals()))
+        return float(np.max(self.residuals))
 
     def rows(self) -> list[tuple[float, float, float]]:
         """(t, residual, unitarity defect of A) per sample, for CSV export."""
-        return list(zip(self.t.tolist(), self.residuals().tolist(),
+        return list(zip(self.t.tolist(), self.residuals.tolist(),
                         unitarity_defect(self.A).tolist()))
 
 
@@ -157,28 +162,17 @@ class PipelineDiagnostics:
     order_bound: int | None = None
     normality_exponent: int | None = None
     kappa_invariance_defect: float | None = None
+    eig_condition: float | None = None
     max_path_residual: float | None = None
     endpoint_residual: float | None = None
     endpoint_defect_a: float | None = None
     endpoint_defect_b: float | None = None
-    eig_condition_a: float | None = None
-    eig_condition_b: float | None = None
     flow_trace: FlowTrace | None = field(default=None, repr=False)
     retraction_path: "RetractionPath | None" = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         skip = ("flow_trace", "retraction_path")
         return {k: v for k, v in self.__dict__.items() if k not in skip}
-
-
-def _eig_condition(a: np.ndarray) -> float:
-    """Condition number of an eigenvector basis; large values flag
-    nearly-defective (non-semisimple) matrices."""
-    try:
-        _, v = np.linalg.eig(a)
-        return float(np.linalg.cond(v))
-    except np.linalg.LinAlgError:
-        return float("inf")
 
 
 def certify_and_retract(
@@ -197,6 +191,7 @@ def certify_and_retract(
     diag.order_bound = cert.order_bound
     diag.detected_order = cert.order
     diag.kappa_invariance_defect = cert.invariance_defect
+    diag.eig_condition = cert.eig_condition
     diag.normality_exponent = cert.exponent
     stage, error = cert.failed_stage, cert.error
     if error is None:
@@ -213,11 +208,9 @@ def certify_and_retract(
     endpoint = path.endpoint
     diag.retraction_path = path
     diag.max_path_residual = path.max_residual()
-    diag.endpoint_residual = relation_residual(endpoint)
+    diag.endpoint_residual = float(path.residuals[-1])
     diag.endpoint_defect_a = unitarity_defect(endpoint.A)
     diag.endpoint_defect_b = unitarity_defect(endpoint.B)
-    diag.eig_condition_a = _eig_condition(endpoint.A)
-    diag.eig_condition_b = _eig_condition(endpoint.B)
     return endpoint, path, diag
 
 
@@ -241,9 +234,10 @@ def full_pipeline(
         raise ValueError(
             f"input relation residual {res0:.3e} exceeds {REP_TOL:.1e}"
         )
-    diag = PipelineDiagnostics(initial_residual=res0, initial_energy=kn_energy(rep))
+    diag = PipelineDiagnostics(initial_residual=res0)
     flowed, trace = flow(rep, cfg)
     diag.flow_trace = trace
+    diag.initial_energy = trace.records[0].energy
     diag.flow_outcome = trace.outcome
     diag.flow_iterations = trace.iterations
     diag.final_energy = trace.records[-1].energy

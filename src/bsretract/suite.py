@@ -150,12 +150,6 @@ def run_one(task: tuple) -> tuple[dict, dict]:
     return record, manifest
 
 
-def _worker_count(requested: int | None) -> int:
-    workers = requested or min(4, os.cpu_count() or 1)
-    cap = os.environ.get("BSRETRACT_THREADS")
-    return max(1, min(workers, int(cap))) if cap else workers
-
-
 def run_suite(
     pairs: list[tuple[int, int]],
     n_max: int,
@@ -176,7 +170,7 @@ def run_suite(
         for n in range(1, n_max + 1)
         for i in range(seeds)
     ]
-    workers = _worker_count(workers)
+    workers = workers or min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_one, tasks, chunksize=4))

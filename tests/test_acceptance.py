@@ -26,13 +26,12 @@ from bsretract import (
     verify_orbit,
 )
 from bsretract.bsrep import random_hermitian
-from bsretract.census import divisors
 from bsretract.cli import main
 from bsretract.compactify import invariant_form
 from bsretract.numerics import hs_norm
 from bsretract.suite import run_suite
 
-from util import N_MAX, PAIRS, SEEDS, conditioned, group_mean_form, powers
+from util import N_MAX, PAIRS, SEEDS, conditioned, divisors, group_mean_form, powers
 
 
 def report(name, ok, detail):

@@ -4,16 +4,17 @@ from itertools import combinations_with_replacement
 import pytest
 
 from bsretract import (
-    NotAUnit,
     OrbitDatum,
     enumerate_orbits,
     from_orbit_datum,
-    mult_order,
     order_bound,
     relation_residual,
     verify_orbit,
 )
-from bsretract.census import UnfactoredModulusWarning, divisors, validate_parameters
+from bsretract.census import validate_parameters
+from bsretract.suite import sha256_text
+
+from util import divisors
 
 # Positive coprime pairs with distinct absolute values, |p|,|q| <= 7.
 SMALL_PAIRS = [
@@ -42,27 +43,6 @@ def test_order_bound_values():
     assert order_bound(2, 3, 40) % 5 == 0
 
 
-def test_mult_order_values():
-    assert mult_order(1, 7) == 1
-    assert mult_order(4, 5) == 2  # 4^2 = 16 = 1 (mod 5)
-    assert mult_order(2, 7) == 3  # 2^3 = 8 = 1 (mod 7)
-    with pytest.raises(NotAUnit):
-        mult_order(2, 4)
-
-
-def test_divisors_basic():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(65) == [1, 5, 13, 65]
-
-
-def test_divisors_reports_unfactored_cofactor():
-    m = 1009 * 1013  # both prime, beyond a cap of 10
-    with pytest.warns(UnfactoredModulusWarning):
-        divs = divisors(m, cap=10)
-    assert divs == [1]
-
-
 def test_enumerate_23_dim1_trivial_only():
     data = enumerate_orbits(2, 3, 1)
     assert len(data) == 1
@@ -87,6 +67,20 @@ def test_enumerate_deterministic_order():
     assert a == b
     keys = [(d.k, d.N, d.orbit) for d in a]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("p, q, n_max, digest", [
+    (1, 3, 12, "bfcf6b4e039af202115d79964eab809839a8b570bc2316cf9d2e1688a490977b"),
+    (2, -3, 12, "0f43fbda358b3ad05ea026c42edbcef0f883a16197a9e8169ddca7bfe74e3775"),
+    (3, 5, 8, "20477310b7e327f258a177bc33eaf186637c86cfcdf835da7dbb2314b20821c0"),
+])
+def test_enumerate_large_pools_pinned(p, q, n_max, digest):
+    # Digests of the census as it was listed divisor by divisor from the
+    # factorization of each |p^k - q^k|; the moduli reach 531440.  The
+    # (N, u, orbit, k) tuples are hashed, as JSON encoding costs more than
+    # the census itself here.
+    data = [(d.N, d.u, d.orbit, d.k) for d in enumerate_orbits(p, q, n_max)]
+    assert sha256_text(repr(data)) == digest
 
 
 def test_verify_orbit_examples():

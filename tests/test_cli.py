@@ -407,6 +407,32 @@ def test_bad_flow_config_exits_bad_input(runner, tmp_path):
     assert res.exit_code == 2, res.output
 
 
+def test_too_few_samples_exits_bad_input(runner, tmp_path):
+    # a path needs both ends; one sample used to end the suite in a
+    # ValueError traceback once its first cell reached the retraction
+    in_path = write_rep(tmp_path, random_rep(2, 3, 3, 1))
+    out = tmp_path / "out.json"
+    report = tmp_path / "r.json"
+    for cmd in (["retract", "--in", in_path, "--out", str(out)],
+                ["pipeline", "--in", in_path, "--out", str(out)],
+                ["suite", "--pairs", "2:3", "--n-max", "1", "--seeds", "1",
+                 "--report", str(report)]):
+        res = runner.invoke(main, cmd + ["--samples", "1"])
+        assert isinstance(res.exception, SystemExit), (cmd, res.exception)
+        assert res.exit_code == 2, (cmd, res.output)
+        assert not out.exists() and not report.exists(), cmd
+
+
+def test_suite_ignores_the_removed_thread_variable(runner, tmp_path, monkeypatch):
+    # --workers is the one way to set the worker count
+    monkeypatch.setenv("BSRETRACT_THREADS", "abc")
+    report = tmp_path / "r.json"
+    res = runner.invoke(main, ["suite", "--pairs", "2:3", "--n-max", "1", "--seeds", "1",
+                               "--report", str(report)])
+    assert res.exit_code == 0, (res.output, res.exception)
+    assert json.loads(report.read_text())["summary"]["total_runs"] == 1
+
+
 # --------------------------------------------------------------------- suite
 
 def test_run_one_classifies_spurious_orders():

@@ -10,6 +10,7 @@ from bsretract import (
     conjugate,
     direct_sum,
     full_pipeline,
+    kn_energy,
     normality_exponent,
     order_bound,
     order_moduli,
@@ -63,6 +64,27 @@ def test_retract_end_to_end_on_flowed_rep():
     assert path.max_residual() <= 1e-8
     assert verify_unitary_rep(path.endpoint, 1e-8)
     assert path.samples[0].t == 1.0 and path.samples[-1].t == 0.0
+
+
+def test_certified_run_decomposes_b_twice(monkeypatch):
+    # The order and the form each decompose the flowed B once; eig_condition
+    # is read off the form's basis and the endpoint is not decomposed.
+    cfg = FlowConfig(tol=1e-10, max_iter=10**5)
+    rep = random_rep(2, 3, 3, derive_seed(0, 2, 3, 3, 0))
+    flowed, _ = flow(rep, cfg)
+    eig, calls = np.linalg.eig, []
+
+    def counting_eig(a):
+        calls.append(a)
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counting_eig)
+    _, diag = full_pipeline(rep, cfg)
+    assert diag.outcome == "ok"
+    assert len(calls) == 2 and all(np.array_equal(b, flowed.B) for b in calls)
+    assert diag.eig_condition == np.linalg.cond(eig(flowed.B)[1]) >= 1.0
+    assert "eig_condition_a" not in diag.to_dict()
+    assert diag.initial_energy == kn_energy(rep)
 
 
 def test_retract_exponent_constant_along_path():
@@ -267,6 +289,6 @@ def test_path_residual_check_fails_on_a_nan_sample():
     b = np.array([[0.6, 0.8], [-0.8, 0.6]], dtype=complex)
     a = np.stack([np.eye(2), np.diag([1e300, 1e-300]), np.eye(2)]).astype(complex)
     path = RetractionPath(np.linspace(1.0, 0.0, 3), a, b, BSGroup(2, 3))
-    res = path.residuals()
+    res = path.residuals
     assert np.isfinite(res[[0, 2]]).all() and not np.isfinite(res[1])
     assert not path.max_residual() <= 10.0

@@ -32,6 +32,12 @@ N_MAX = 4
 SEEDS = 5
 
 
+def divisors(m):
+    """Every divisor of m, by trial division; for the brute-force census
+    oracles."""
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
 def zeta(N, m=1):
     return np.exp(2j * np.pi * m / N)
 
