@@ -191,36 +191,28 @@ def random_rep(
     trivial blocks; with sl=True only determinant-one blocks are drawn),
     then conjugates by a random invertible matrix of condition number at
     most cond_max.  All randomness flows through a counter-based Philox
-    generator keyed by the seed.
+    generator keyed by the seed.  Raises ValueError, as
+    census.check_moduli does, if the census would need a modulus
+    |p^k - q^k| of census.MAX_MODULUS or more.
     """
-    group = BSGroup(p, q)
+    census.validate_parameters(p, q)
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.Generator(np.random.Philox(seed))
-    pool = census.enumerate_orbits(p, q, n)
-    if sl:
-        pool = [d for d in pool if sum(d.orbit) % d.N == 0]
-    blocks: list[Rep] | None = []
+    # Each block is drawn uniformly from the orbits of length <= remaining:
+    # the pool's prefix, as the pool is sorted by length and starts with
+    # the trivial orbit, so some block always fits.
+    pool = census.orbit_pool(p, q, n, sl)
+    blocks: list[Rep] = []
     remaining = n
     while remaining > 0:
-        options = [d for d in pool if d.k <= remaining]
-        if not options:
-            blocks = None
-            break
-        datum = options[int(rng.integers(len(options)))]
+        datum = pool.datum(int(rng.integers(pool.count(remaining))))
         modulus = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
         phase = math.tau * rng.random()
         chi = modulus * complex(math.cos(phase), math.sin(phase))
         blocks.append(from_orbit_datum(datum, chi, sl=sl))
         remaining -= datum.k
-    if blocks is None:
-        # No orbit fits (unreachable while the trivial orbit exists):
-        # fall back to B = I, which satisfies the relation with any
-        # invertible A.
-        a = random_conditioned(rng, n, cond_max)
-        rep0 = Rep(group, n, a, np.eye(n, dtype=np.complex128))
-    else:
-        rep0 = reduce(direct_sum, blocks)
+    rep0 = reduce(direct_sum, blocks)
     g = random_conditioned(rng, n, cond_max)
     return conjugate(rep0, g)
 

@@ -4,21 +4,31 @@ For parameters (p, q) with gcd(|p|, |q|) = 1 and |p| != |q|, the
 eigenvalues of b at minimal-vector representations are roots of unity
 whose orders divide |p^k - q^k| for some k up to the dimension.  This
 module enumerates the corresponding exponent orbits of x -> u*x on Z/N
-(u = q * p^{-1} mod N) in exact arbitrary-precision arithmetic.
+(u = q * p^{-1} mod N) in exact integer arithmetic: one int64 array scan
+per k, for moduli below MAX_MODULUS.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
+from typing import NamedTuple
+
+import numpy as np
 
 __all__ = [
     "OrbitDatum",
     "validate_parameters",
     "order_moduli",
     "order_bound",
+    "MAX_MODULUS",
+    "check_moduli",
     "enumerate_orbits",
+    "OrbitPool",
+    "orbit_pool",
     "verify_orbit",
 ]
 
@@ -76,36 +86,114 @@ class OrbitDatum:
         }
 
 
+#: Moduli from here on are refused.  The scan multiplies residues in
+#: int64, exact while (m - 1)^2 < 2^63, and stores about 8 bytes per orbit
+#: element, close to 8 m bytes for one k.
+MAX_MODULUS = 2**31
+
+#: Elements of Z/m that one step of the scan holds at a time.
+_BLOCK = 1 << 16
+
+
+def check_moduli(p: int, q: int, n: int) -> None:
+    """Raise ValueError naming k and m at the first modulus m = |p^k - q^k|,
+    k <= n, that is MAX_MODULUS or more; allocates nothing, and since the
+    moduli grow like 2^k, stops by k = 32 whatever n is."""
+    validate_parameters(p, q)
+    p, q = int(p), int(q)
+    for k in range(1, int(n) + 1):
+        m = abs(p**k - q**k)
+        if m >= MAX_MODULUS:
+            raise ValueError(
+                f"the census modulus |p^k - q^k| at k = {k} is m = {m}, "
+                f"past the limit 2^31; use a smaller n"
+            )
+
+
+class _Scan(NamedTuple):
+    """Every orbit of length exactly k on Z/m, m = |p^k - q^k|, sorted by
+    (N, orbit): u = q/p mod m, and read-only arrays of each orbit's own
+    modulus N, shape (r,), and its exponents in cycle order from the
+    smallest, shape (r, k)."""
+
+    u: int
+    moduli: np.ndarray
+    orbits: np.ndarray
+
+
 @lru_cache(maxsize=256)
-def _orbits_of_length(p: int, q: int, k: int) -> tuple[OrbitDatum, ...]:
-    """Every orbit of length exactly k, sorted by (N, orbit), from one scan
-    of Z/m with m = |p^k - q^k|."""
+def _scan(p: int, q: int, k: int) -> _Scan:
     m = abs(p**k - q**k)
     u = q * pow(p, -1, m) % m
-    out = []
     # Each x in Z/m is x' * m/N for exactly one divisor N of m and unit
-    # x' mod N, and its orbit has length ord_N(u).  The scan goes up from
-    # x = 1, so each orbit is first met at its smallest element.
-    seen = bytearray(m)
-    seen[0] = 1
-    x = seen.find(0)
-    while x != -1:
-        orb = [x]
-        seen[x] = 1
-        y = u * x % m
-        while y != x:
-            orb.append(y)
-            seen[y] = 1
+    # x' mod N, and its orbit has length ord_N(u).  x starts a row when it
+    # is below each of u x, ..., u^(k-1) x, so it is its orbit's smallest
+    # element and the orbit has not closed early, and u^k x = x.
+    starts = [np.empty(0, dtype=np.int64)]
+    for lo in range(1, m, _BLOCK):
+        x = np.arange(lo, min(lo + _BLOCK, m), dtype=np.int64)
+        y = x
+        for _ in range(k - 1):
             y = u * y % m
-        if len(orb) == k:
-            g = math.gcd(x, m)
-            if g > 1:
-                orb = [v // g for v in orb]
-            modulus = m // g
-            out.append(OrbitDatum(p, q, modulus, u % modulus, tuple(orb), k))
-        x = seen.find(0, x + 1)
-    out.sort(key=lambda d: (d.N, d.orbit))
-    return tuple(out)
+            keep = x < y
+            x, y = x[keep], y[keep]
+        starts.append(x[u * y % m == x])
+    x = np.concatenate(starts)
+    g = np.gcd(x, m)
+    moduli = m // g
+    # Distinct orbits of one N share no element, so their smallest
+    # elements x / g alone order them.
+    order = np.lexsort((x, moduli))
+    x, g, moduli = x[order], g[order], moduli[order]
+    columns = [x]
+    for _ in range(k - 1):
+        columns.append(u * columns[-1] % m)
+    orbits = np.stack(columns, axis=1) // g[:, None]
+    moduli.flags.writeable = False
+    orbits.flags.writeable = False
+    return _Scan(u, moduli, orbits)
+
+
+class OrbitPool:
+    """The exponent orbits of length <= n sorted by (k, N, orbit), the
+    trivial one first, each built only when asked for; with sl=True only
+    those whose exponent sum is 0 mod N, the blocks that have a
+    determinant-one form."""
+
+    def __init__(self, p: int, q: int, n: int, sl: bool):
+        check_moduli(p, q, n)
+        self.p, self.q = int(p), int(q)
+        self._scans = [_scan(self.p, self.q, k) for k in range(1, int(n) + 1)]
+        # Per k, the scan rows in the pool, in scan order.
+        self._rows = [
+            np.flatnonzero(s.orbits.sum(axis=1) % s.moduli == 0) if sl
+            else range(len(s.moduli))
+            for s in self._scans
+        ]
+        # _cum[k]: how many orbits have length <= k; index 0 is the trivial one.
+        self._cum = list(accumulate([1] + [len(r) for r in self._rows]))
+
+    def count(self, k_max: int) -> int:
+        """The number of orbits of length <= k_max, the trivial one included."""
+        return self._cum[k_max]
+
+    def datum(self, i: int) -> OrbitDatum:
+        """The i-th orbit of the pool."""
+        k = bisect_right(self._cum, i)
+        if k == 0:
+            return OrbitDatum(self.p, self.q, 1, 0, (0,), 1)
+        scan = self._scans[k - 1]
+        row = self._rows[k - 1][i - self._cum[k - 1]]
+        modulus = int(scan.moduli[row])
+        orbit = tuple(scan.orbits[row].tolist())
+        return OrbitDatum(self.p, self.q, modulus, scan.u % modulus, orbit, k)
+
+
+@lru_cache(maxsize=64)
+def orbit_pool(p: int, q: int, n: int, sl: bool = False) -> OrbitPool:
+    """The cached OrbitPool of (p, q, n, sl); raises ValueError as
+    check_moduli does."""
+    return OrbitPool(p, q, n, sl)
 
 
 def enumerate_orbits(p: int, q: int, n_max: int) -> list[OrbitDatum]:
@@ -114,18 +202,15 @@ def enumerate_orbits(p: int, q: int, n_max: int) -> list[OrbitDatum]:
     For each k <= n_max and each divisor N > 1 of |p^k - q^k|, lists every
     orbit of x -> u*x on the units of Z/N of length exactly k (starting at
     its smallest element), after the trivial orbit (N = 1).  All orbits
-    of one k come from one scan of Z/|p^k - q^k|, each reduced by the gcd
-    of its elements with the modulus.  Deterministically sorted by
-    (k, N, orbit).
+    of one k come from one vectorized scan of Z/|p^k - q^k|, each reduced
+    by the gcd of its elements with the modulus.  Deterministically sorted
+    by (k, N, orbit).  Raises ValueError if a modulus reaches MAX_MODULUS.
     """
     validate_parameters(p, q)
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    p, q = int(p), int(q)
-    out = [OrbitDatum(p, q, 1, 0, (0,), 1)]
-    for k in range(1, int(n_max) + 1):
-        out.extend(_orbits_of_length(p, q, k))
-    return out
+    pool = orbit_pool(p, q, n_max)
+    return [pool.datum(i) for i in range(pool.count(n_max))]
 
 
 def verify_orbit(d: OrbitDatum) -> bool:

@@ -26,7 +26,13 @@ from .bsrep import (
     rep_from_json,
     rep_to_json,
 )
-from .census import OrbitDatum, enumerate_orbits, order_bound, validate_parameters
+from .census import (
+    OrbitDatum,
+    check_moduli,
+    enumerate_orbits,
+    order_bound,
+    validate_parameters,
+)
 from .compactify import certify
 from .errors import BsretractError, PipelineStageError
 from .kempfness import FlowConfig, flow, kn_energy, moment_map, verify_minimal
@@ -222,6 +228,17 @@ def _check_samples(samples: int) -> None:
     to t = 0 has; called before any flow or cell runs."""
     if samples < 2:
         _fail(EXIT_BAD_INPUT, "--samples must be >= 2")
+
+
+def _check_moduli(pairs: list[tuple[int, int]], n_max: int) -> None:
+    """Exit 2 if a pair's census would need a modulus |p^k - q^k| past the
+    scan's limit; called before any cell runs, since each cell's draw
+    would raise inside the sweep."""
+    try:
+        for p, q in pairs:
+            check_moduli(p, q, n_max)
+    except ValueError as exc:
+        _fail(EXIT_BAD_INPUT, str(exc))
 
 
 def _check_seed(seed: int) -> None:
@@ -467,6 +484,7 @@ def cmd_suite(p_list, q_list, pairs_spec, n_max, seeds, base_seed, samples,
     cfg = _flow_config(tol, max_iter, eta0, sl)
     _check_snap_tol(snap_tol)
     _check_samples(samples)
+    _check_moduli(pairs, n_max)
     doc = run_suite(
         pairs, n_max, seeds, cfg,
         base_seed=base_seed, num_samples=samples, snap_tol=snap_tol,

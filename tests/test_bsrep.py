@@ -20,7 +20,20 @@ from bsretract import (
     snap_root_of_unity,
 )
 
-from util import conditioned, haar_unitary, n5_block, rep_of, swap2, zeta
+from bsretract.suite import derive_seed
+
+from util import (
+    N_MAX,
+    PAIRS,
+    SEEDS,
+    conditioned,
+    haar_unitary,
+    n5_block,
+    reference_random_rep,
+    rep_of,
+    swap2,
+    zeta,
+)
 
 
 def test_bsgroup_validation():
@@ -167,6 +180,30 @@ def test_random_rep_dim1_is_trivial_b():
     assert block.B[0, 0] == 1.0
     rep = random_rep(2, 3, 1, seed=5)
     assert abs(rep.B[0, 0] - 1.0) <= 1e-12
+
+
+def test_random_rep_draws_as_the_reference_loop():
+    # The acceptance grid, the n = 12 pairs of the wide-flow benchmark and
+    # determinant-one draws: every block comes from the same pool prefix
+    # under the same generator stream, so A and B agree bit for bit.
+    cells = [
+        (p, q, n, derive_seed(0, p, q, n, i), False)
+        for p, q in PAIRS for n in range(1, N_MAX + 1) for i in range(SEEDS)
+    ]
+    cells += [
+        (p, q, 12, derive_seed(0, p, q, 12, i), False)
+        for p, q in [(1, 2), (-1, 2), (2, 3), (2, -3), (1, 3), (-1, 3)]
+        for i in range(2)
+    ]
+    cells += [
+        (p, q, n, seed, True)
+        for p, q in [(2, 3), (1, 2), (-2, 5)] for n in range(1, 7) for seed in range(2)
+    ]
+    for p, q, n, seed, sl in cells:
+        rep = random_rep(p, q, n, seed, sl=sl)
+        ref = reference_random_rep(p, q, n, seed, sl=sl)
+        assert np.array_equal(rep.A, ref.A) and np.array_equal(rep.B, ref.B), (
+            p, q, n, seed, sl)
 
 
 def test_random_rep_sl_mode():

@@ -1,7 +1,10 @@
 import math
+import time
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsretract import (
     OrbitDatum,
@@ -11,10 +14,10 @@ from bsretract import (
     relation_residual,
     verify_orbit,
 )
-from bsretract.census import validate_parameters
+from bsretract.census import check_moduli, orbit_pool, validate_parameters
 from bsretract.suite import sha256_text
 
-from util import divisors
+from util import divisors, reference_orbits
 
 # Positive coprime pairs with distinct absolute values, |p|,|q| <= 7.
 SMALL_PAIRS = [
@@ -81,6 +84,54 @@ def test_enumerate_large_pools_pinned(p, q, n_max, digest):
     # the census itself here.
     data = [(d.N, d.u, d.orbit, d.k) for d in enumerate_orbits(p, q, n_max)]
     assert sha256_text(repr(data)) == digest
+
+
+# Coprime pairs with distinct absolute values, |p|,|q| <= 9, signs included.
+SIGNED_PAIRS = [
+    (p, q)
+    for p in range(-9, 10)
+    for q in range(-9, 10)
+    if p and q and abs(p) != abs(q) and math.gcd(p, q) == 1
+]
+
+
+# The reference walks Z/m in Python, up to m = 9^5 - 8^5; 80 examples keep
+# this to about a second.
+@settings(max_examples=80)
+@given(st.sampled_from(SIGNED_PAIRS), st.integers(1, 5))
+def test_enumerate_matches_reference_walk(pair, n_max):
+    p, q = pair
+    expected = [OrbitDatum(p, q, 1, 0, (0,), 1)]
+    for k in range(1, n_max + 1):
+        expected.extend(reference_orbits(p, q, k))
+    got = enumerate_orbits(p, q, n_max)
+    assert got == expected
+    # repr also tells numpy integers from the Python ints of the reference.
+    assert repr(got) == repr(expected)
+
+
+def test_pool_counts_and_sl_rows():
+    for p, q, n in [(2, 3, 5), (-1, 3, 6), (3, -5, 4)]:
+        data = enumerate_orbits(p, q, n)
+        pool = orbit_pool(p, q, n)
+        for k in range(1, n + 1):
+            assert pool.count(k) == sum(1 for d in data if d.k <= k)
+        sl_data = [d for d in data if sum(d.orbit) % d.N == 0]
+        sl_pool = orbit_pool(p, q, n, True)
+        assert [sl_pool.datum(i) for i in range(sl_pool.count(n))] == sl_data
+
+
+def test_census_refuses_moduli_past_the_limit():
+    # |2^19 - 3^19| = 1161737179 is below 2^31, |2^20 - 3^20| is not; the
+    # check runs before anything is allocated, whatever n is.
+    check_moduli(2, 3, 19)
+    start = time.perf_counter()
+    for call in (lambda: enumerate_orbits(2, 3, 20),
+                 lambda: orbit_pool(2, 3, 10**9),
+                 lambda: check_moduli(-3, 2, 25)):
+        with pytest.raises(ValueError, match=r"k = 20 .* m = 3485735825"):
+            call()
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_orbit_examples():

@@ -553,6 +553,23 @@ def test_suite_sl_mode(runner, tmp_path):
     assert doc["summary"]["converged"] == doc["summary"]["total_runs"] == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["census", "2", "3", "--n-max", "30", "--out"],
+    ["construct", "--p", "2", "--q", "3", "--random", "30", "--seed", "1", "--out"],
+    ["suite", "--pairs", "2:3", "--n-max", "30", "--seeds", "1", "--workers", "1",
+     "--report"],
+])
+def test_census_modulus_past_limit_exits_bad_input(runner, tmp_path, args):
+    # |2^20 - 3^20| is the first modulus past 2^31; the commands refuse it
+    # before the scan, and suite before any cell runs.
+    out = tmp_path / "out.json"
+    res = runner.invoke(main, args + [str(out)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output
+    assert "k = 20" in res.output and "2^31" in res.output
+    assert not out.exists()
+
+
 def test_suite_rejects_invalid_explicit_pair(runner, tmp_path):
     res = runner.invoke(main, ["suite", "--pairs", "2:2",
                                "--report", str(tmp_path / "r.json")])

@@ -3,11 +3,13 @@
 import cmath
 import math
 from fractions import Fraction
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from bsretract import BSGroup, OrbitDatum, Rep, from_orbit_datum
-from bsretract.bsrep import residual
+from bsretract.bsrep import conjugate, direct_sum, random_conditioned, residual
+from bsretract.census import enumerate_orbits
 from bsretract.errors import NoConvergence, NotARootOfUnity
 from bsretract.kempfness import (
     CONVERGED,
@@ -36,6 +38,78 @@ def divisors(m):
     """Every divisor of m, by trial division; for the brute-force census
     oracles."""
     return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def reference_orbits(p, q, k):
+    """The census' reference walk: every orbit of length exactly k, sorted
+    by (N, orbit), from one element-by-element scan of Z/m with
+    m = |p^k - q^k|."""
+    m = abs(p**k - q**k)
+    u = q * pow(p, -1, m) % m
+    out = []
+    # Each x in Z/m is x' * m/N for exactly one divisor N of m and unit
+    # x' mod N, and its orbit has length ord_N(u).  The scan goes up from
+    # x = 1, so each orbit is first met at its smallest element.
+    seen = bytearray(m)
+    seen[0] = 1
+    x = seen.find(0)
+    while x != -1:
+        orb = [x]
+        seen[x] = 1
+        y = u * x % m
+        while y != x:
+            orb.append(y)
+            seen[y] = 1
+            y = u * y % m
+        if len(orb) == k:
+            g = math.gcd(x, m)
+            if g > 1:
+                orb = [v // g for v in orb]
+            modulus = m // g
+            out.append(OrbitDatum(p, q, modulus, u % modulus, tuple(orb), k))
+        x = seen.find(0, x + 1)
+    out.sort(key=lambda d: (d.N, d.orbit))
+    return tuple(out)
+
+
+@lru_cache(maxsize=16)
+def _census(p, q, n):
+    return tuple(enumerate_orbits(p, q, n))
+
+
+def reference_random_rep(p, q, n, seed, *, sl=False, cond_max=100.0):
+    """random_rep's reference draw: each block is drawn from a list of the
+    whole census filtered to the orbits that still fit."""
+    group = BSGroup(p, q)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    rng = np.random.Generator(np.random.Philox(seed))
+    pool = _census(p, q, n)
+    if sl:
+        pool = [d for d in pool if sum(d.orbit) % d.N == 0]
+    blocks = []
+    remaining = n
+    while remaining > 0:
+        options = [d for d in pool if d.k <= remaining]
+        if not options:
+            blocks = None
+            break
+        datum = options[int(rng.integers(len(options)))]
+        modulus = math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+        phase = math.tau * rng.random()
+        chi = modulus * complex(math.cos(phase), math.sin(phase))
+        blocks.append(from_orbit_datum(datum, chi, sl=sl))
+        remaining -= datum.k
+    if blocks is None:
+        # No orbit fits (unreachable while the trivial orbit exists):
+        # fall back to B = I, which satisfies the relation with any
+        # invertible A.
+        a = random_conditioned(rng, n, cond_max)
+        rep0 = Rep(group, n, a, np.eye(n, dtype=np.complex128))
+    else:
+        rep0 = reduce(direct_sum, blocks)
+    g = random_conditioned(rng, n, cond_max)
+    return conjugate(rep0, g)
 
 
 def zeta(N, m=1):
