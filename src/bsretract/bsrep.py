@@ -192,8 +192,8 @@ def random_rep(
     then conjugates by a random invertible matrix of condition number at
     most cond_max.  All randomness flows through a counter-based Philox
     generator keyed by the seed.  Raises ValueError, as
-    census.check_moduli does, if the census would need a modulus
-    |p^k - q^k| of census.MAX_MODULUS or more.
+    census.check_moduli does, if the census scans would hold more than
+    census.MAX_SCAN_ELEMENTS values.
     """
     census.validate_parameters(p, q)
     if n < 1:

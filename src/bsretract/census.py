@@ -5,7 +5,7 @@ eigenvalues of b at minimal-vector representations are roots of unity
 whose orders divide |p^k - q^k| for some k up to the dimension.  This
 module enumerates the corresponding exponent orbits of x -> u*x on Z/N
 (u = q * p^{-1} mod N) in exact integer arithmetic: one int64 array scan
-per k, for moduli below MAX_MODULUS.
+per k, for pools whose scans hold at most MAX_SCAN_ELEMENTS values.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ __all__ = [
     "validate_parameters",
     "order_moduli",
     "order_bound",
-    "MAX_MODULUS",
+    "MAX_SCAN_ELEMENTS",
     "check_moduli",
     "enumerate_orbits",
     "OrbitPool",
@@ -86,27 +86,33 @@ class OrbitDatum:
         }
 
 
-#: Moduli from here on are refused.  The scan multiplies residues in
-#: int64, exact while (m - 1)^2 < 2^63, and stores about 8 bytes per orbit
-#: element, close to 8 m bytes for one k.
-MAX_MODULUS = 2**31
+#: Largest number of int64 values the scans of one pool may hold.  The
+#: scan of k stores one value per orbit element, at most
+#: m = |p^k - q^k| of them, so a pool of dimension n holds at most the
+#: sum of its moduli: 2^27 values are 1 GiB.  Every modulus is then below
+#: 2^27, and the int64 products of residues stay exact ((m - 1)^2 < 2^63).
+MAX_SCAN_ELEMENTS = 2**27
 
 #: Elements of Z/m that one step of the scan holds at a time.
 _BLOCK = 1 << 16
 
 
 def check_moduli(p: int, q: int, n: int) -> None:
-    """Raise ValueError naming k and m at the first modulus m = |p^k - q^k|,
-    k <= n, that is MAX_MODULUS or more; allocates nothing, and since the
-    moduli grow like 2^k, stops by k = 32 whatever n is."""
+    """Raise ValueError naming k and m = |p^k - q^k| at the first k <= n
+    where the sum of the moduli up to k, the most the scans of the pool
+    hold, passes MAX_SCAN_ELEMENTS; allocates nothing, and since the
+    moduli grow like 2^k, stops by k = 27 whatever n is."""
     validate_parameters(p, q)
     p, q = int(p), int(q)
+    held = 0
     for k in range(1, int(n) + 1):
         m = abs(p**k - q**k)
-        if m >= MAX_MODULUS:
+        held += m
+        if held > MAX_SCAN_ELEMENTS:
             raise ValueError(
-                f"the census modulus |p^k - q^k| at k = {k} is m = {m}, "
-                f"past the limit 2^31; use a smaller n"
+                f"the census scans up to k = {k} (m = |p^k - q^k| = {m}) "
+                f"would hold {held} int64 values, past the budget 2^27; "
+                f"use a smaller n"
             )
 
 
@@ -145,10 +151,13 @@ def _scan(p: int, q: int, k: int) -> _Scan:
     # elements x / g alone order them.
     order = np.lexsort((x, moduli))
     x, g, moduli = x[order], g[order], moduli[order]
-    columns = [x]
-    for _ in range(k - 1):
-        columns.append(u * columns[-1] % m)
-    orbits = np.stack(columns, axis=1) // g[:, None]
+    # Filled in place, so that the scan holds little more than the result.
+    orbits = np.empty((len(x), k), dtype=np.int64)
+    orbits[:, 0] = x
+    for j in range(1, k):
+        np.multiply(orbits[:, j - 1], u, out=orbits[:, j])
+        orbits[:, j] %= m
+    orbits //= g[:, None]
     moduli.flags.writeable = False
     orbits.flags.writeable = False
     return _Scan(u, moduli, orbits)
@@ -204,7 +213,7 @@ def enumerate_orbits(p: int, q: int, n_max: int) -> list[OrbitDatum]:
     its smallest element), after the trivial orbit (N = 1).  All orbits
     of one k come from one vectorized scan of Z/|p^k - q^k|, each reduced
     by the gcd of its elements with the modulus.  Deterministically sorted
-    by (k, N, orbit).  Raises ValueError if a modulus reaches MAX_MODULUS.
+    by (k, N, orbit).  Raises ValueError as check_moduli does.
     """
     validate_parameters(p, q)
     if n_max < 1:

@@ -2,7 +2,8 @@
 
 Commands: census, construct, flow, retract, pipeline, verify, suite.
 Exit codes: 0 success, 1 hard invariant violated (suite), 2 bad input,
-3 flow budget exhausted, 4 predicted structure absent.
+3 flow failed (budget exhausted or line search stalled), 4 predicted
+structure absent.
 Every run emits a manifest that fully determines it; outputs are
 byte-deterministic for identical manifests.
 """
@@ -35,7 +36,15 @@ from .census import (
 )
 from .compactify import certify
 from .errors import BsretractError, PipelineStageError
-from .kempfness import FlowConfig, flow, kn_energy, moment_map, verify_minimal
+from .kempfness import (
+    ITER_BUDGET,
+    LINE_SEARCH_STALLED,
+    FlowConfig,
+    flow,
+    kn_energy,
+    moment_map,
+    verify_minimal,
+)
 from .numerics import hs_norm, unitarity_defect
 from .retraction import certify_and_retract, full_pipeline, verify_unitary_rep
 from .suite import build_manifest, canonical_json, run_suite, sha256_text
@@ -43,7 +52,7 @@ from .suite import build_manifest, canonical_json, run_suite, sha256_text
 EXIT_OK = 0
 EXIT_HARD_VIOLATION = 1
 EXIT_BAD_INPUT = 2
-EXIT_FLOW_BUDGET = 3
+EXIT_FLOW_FAILED = 3
 EXIT_STRUCTURAL = 4
 
 
@@ -204,7 +213,7 @@ _flow_options = [
     click.option("--tol", default=1e-10, show_default=True),
     click.option("--max-iter", default=10**5, show_default=True),
     click.option("--eta0", default=FlowConfig.eta0, show_default=True,
-                 help="First trial step along each Newton direction."),
+                 help="First trial step along each search direction."),
     click.option("--sl", is_flag=True, help="Traceless moment-map projection."),
 ]
 
@@ -288,10 +297,16 @@ def cmd_flow(in_path, out, trace_csv, tol, max_iter, eta0, sl):
         err=True,
     )
     if not trace.converged:
-        sys.exit(EXIT_FLOW_BUDGET)
+        sys.exit(EXIT_FLOW_FAILED)
 
 
 # ----------------------------------------------------------- retract/pipeline
+
+_FLOW_FAILURES = {
+    ITER_BUDGET: "flow budget exhausted",
+    LINE_SEARCH_STALLED: "flow line search stalled",
+}
+
 
 def _run_and_emit(command, parameters, rep, run, out, diag_path, path_csv,
                   trace_csv=None):
@@ -322,9 +337,9 @@ def _run_and_emit(command, parameters, rep, run, out, diag_path, path_csv,
     _emit_manifest(manifest, diag.to_dict(), out)
     if failure is not None:
         _fail(EXIT_STRUCTURAL, str(failure))
-    if diag.outcome == "iter_budget":
-        click.echo(f"{command}: flow budget exhausted", err=True)
-        sys.exit(EXIT_FLOW_BUDGET)
+    if diag.outcome in _FLOW_FAILURES:
+        click.echo(f"{command}: {_FLOW_FAILURES[diag.outcome]}", err=True)
+        sys.exit(EXIT_FLOW_FAILED)
     sys.exit(EXIT_OK if verify_unitary_rep(endpoint, 1e-8) else EXIT_STRUCTURAL)
 
 

@@ -71,7 +71,7 @@ def _eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotFiniteOrder(f"B has no invertible eigenvector basis: {exc}") from exc
 
 
-def detect_finite_order(b, moduli, tol: float = 1e-6) -> int:
+def detect_finite_order(b, moduli, tol: float = 1e-6, *, eig=None) -> int:
     """Exact order of the cyclic group generated by b, via its spectrum.
 
     `moduli` are the admissible moduli |p^k - q^k| (see
@@ -81,11 +81,13 @@ def detect_finite_order(b, moduli, tol: float = 1e-6) -> int:
     must rebuild b: ||B - V diag(roots) V^-1|| <= n * tol * max(1, ||B||),
     which rejects non-diagonalizable b.  The order is the lcm of the
     snapped orders.  Raises NotFiniteOrder when any of this fails (input
-    away from a minimal vector).
+    away from a minimal vector).  eig, if given, is b's decomposition
+    (w, V, V^-1) from a caller that needs it again, and b is not
+    decomposed a second time.
     """
     b = as_matrix(b)
     moduli = (moduli,) if isinstance(moduli, numbers.Integral) else tuple(moduli)
-    w, v, vinv = _eig(b)
+    w, v, vinv = _eig(b) if eig is None else eig
     try:
         roots = [snap_root_of_unity(lam, math.prod(moduli), tol) for lam in w]
     except NotARootOfUnity as exc:
@@ -115,13 +117,13 @@ def invariant_form(b, order: int) -> HermitianForm:
     return _invariant_form(b, order)[0]
 
 
-def _invariant_form(b, order: int) -> tuple[HermitianForm, float]:
+def _invariant_form(b, order: int, eig=None) -> tuple[HermitianForm, float]:
     """invariant_form, and the 2-norm condition number of the eigenvector
-    basis V it was built from."""
+    basis V it was built from; eig as in detect_finite_order."""
     b = as_matrix(b)
     if order < 1:
         raise ValueError("order must be >= 1")
-    w, v, vinv = _eig(b)
+    w, v, vinv = _eig(b) if eig is None else eig
     k = np.rint(np.angle(w) / (2.0 * math.pi) * order) % order
     q0 = vinv.conj().T @ ((v.conj().T @ v) * (k[:, None] == k[None, :])) @ vinv
     q0 = 0.5 * (q0 + q0.conj().T)
@@ -197,9 +199,11 @@ def certify(rep: Rep, tol: float = 1e-6) -> Certificate:
     cert = Certificate(math.prod(moduli))
     stage = "detect_finite_order"
     try:
-        cert.order = detect_finite_order(rep.B, moduli, tol)
+        # One decomposition of B serves the order and the form.
+        eig = _eig(rep.B)
+        cert.order = detect_finite_order(rep.B, moduli, tol, eig=eig)
         stage = "invariant_form"
-        cert.form, cert.eig_condition = _invariant_form(rep.B, cert.order)
+        cert.form, cert.eig_condition = _invariant_form(rep.B, cert.order, eig)
         b, q = rep.B, cert.form.Q
         cert.invariance_defect = hs_norm(b.conj().T @ q @ b - q)
         stage = "conjugate_into_unitary"

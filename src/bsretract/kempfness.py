@@ -8,14 +8,17 @@ d^2F/dt^2|_0 = 4 (||[H, A]||^2 + ||[H, B]||^2), so the Hessian is positive
 semi-definite (F is convex along these curves).  Points with mu = 0 are
 exactly the minimal vectors on their orbit.  Unitary directions preserve
 F, so only Hermitian steps are taken: each iteration solves the Newton
-system by truncated conjugate gradients and steps along exp(eta d) with
-Armijo backtracking, which converges superlinearly near the minimum.
+system by truncated conjugate gradients, moves to the minimum of the
+energy along the geodesic exp(t d) when it lies past the Newton step, and
+checks the step by Armijo backtracking; near the minimum the full Newton
+step is taken and the convergence is superlinear.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .numerics import hs_norm
 __all__ = [
     "CONVERGED",
     "ITER_BUDGET",
+    "LINE_SEARCH_STALLED",
     "FlowConfig",
     "FlowRecord",
     "FlowTrace",
@@ -38,10 +42,21 @@ __all__ = [
 
 CONVERGED = "converged"
 ITER_BUDGET = "iter_budget"
+#: Every trial of one line search was rejected before the budget ran out.
+LINE_SEARCH_STALLED = "line_search_stalled"
 
 _MAX_BACKTRACKS = 80
 #: Accepted iterates per stacked relation-residual measurement.
 _RESIDUAL_BLOCK = 256
+#: Largest |t w| of a trial exp(t d), w an eigenvalue of d: beyond it the
+#: conjugation could overflow.
+_EXP_CAP = 60.0
+#: CG stops once its residual is min(_FORCING_CAP, sqrt|g|) |g|.
+_FORCING_CAP = 0.1
+#: Scalar Newton steps of the search for the energy's minimum on a geodesic.
+_LINE_STEPS = 8
+#: Exponents of the rows 1, x and x^2 of _line_minimum.
+_POWERS = np.arange(3.0)[:, None]
 _EPS = float(np.finfo(float).eps)
 
 
@@ -51,11 +66,14 @@ class FlowConfig:
 
     tol: stop once ||mu|| <= tol * (1 + energy).
     max_iter: iteration budget.
-    eta0: first trial step along each Newton direction d; 1 is the full
-        Newton step.
+    eta0: first trial step along each search direction s d, where d is the
+        Newton direction and s >= 1 puts s d at the energy's minimum on
+        the geodesic exp(t d) when that lies past d (s = 1 otherwise);
+        1 is the full step.
     armijo: sufficient-decrease constant: a step eta is accepted when the
-        energy drops by at least armijo * eta * (-<2 mu, d>).  Near the
-        minimum the quadratic model predicts a drop of half that
+        energy drops by at least armijo * min(eta s, 1) * (-<2 mu, d>),
+        the first-order decrease along d capped at one Newton step.  Near
+        the minimum the quadratic model predicts a drop of half that
         first-order term for the full step, so below 1/2 the full step is
         accepted there.
     shrink: backtracking factor applied to eta after a rejected trial.
@@ -122,14 +140,27 @@ def _energy(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, a).real + np.vdot(b, b).real)
 
 
-def _moment(a: np.ndarray, b: np.ndarray, sl_mode: bool) -> np.ndarray:
-    ah = a.conj().T
-    bh = b.conj().T
-    m = a @ ah - ah @ a + b @ bh - bh @ b
+class _Products(NamedTuple):
+    """The moment map of the stack ab = (A, B) and what the Hessian needs
+    besides it, all from the four products A A*, B B*, A* A and B* B."""
+
+    mu: np.ndarray
+    #: A A* + A* A + B B* + B* B.
+    pm: np.ndarray
+    #: The stack (A*, B*).
+    abh: np.ndarray
+
+
+def _moment(ab: np.ndarray, sl_mode: bool) -> _Products:
+    abh = ab.conj().transpose(0, 2, 1)
+    left = ab @ abh
+    right = abh @ ab
+    m = left[0] - right[0] + left[1] - right[1]
     m = 0.5 * (m + m.conj().T)
+    pm = left + right
     # tr(mu) vanishes identically (it is a sum of commutator traces);
     # subtracting it anyway pins determinant drift to rounding noise.
-    return _traceless(m) if sl_mode else m
+    return _Products(_traceless(m) if sl_mode else m, pm[0] + pm[1], abh)
 
 
 def _traceless(m: np.ndarray) -> np.ndarray:
@@ -148,28 +179,29 @@ def moment_map(rep: Rep, sl_mode: bool = False) -> np.ndarray:
     With sl_mode the trace component is projected out (a no-op up to
     rounding, kept to keep determinants pinned for special-linear runs).
     """
-    return _moment(rep.A, rep.B, sl_mode)
+    return _moment(np.stack((rep.A, rep.B)), sl_mode).mu
 
 
-def _hessian(a: np.ndarray, b: np.ndarray):
-    """The energy's Hessian at the identity, as a map on Hermitian h.
+def _hessian(ab: np.ndarray, products: _Products):
+    """Half the energy's Hessian at the identity (the Hessian of F/2,
+    whose gradient is mu), as a map on Hermitian h; ab is the stack
+    (A, B) and products its _moment.
 
     Along exp(th), d^2F/dt^2 = 4 sum_X ||[h, X]||^2 over X in {A, B}; its
-    polarization is 4 Herm(sum_X [[h, X], X*]).  Expanded, that is
-    2 (hP + Ph) - 4 sum_Y Y h Y* with P = sum_X (X X* + X* X) and Y over
-    {A, A*, B, B*}; the sum is one product of the side-by-side Ys with the
-    stacked h Y*s, so a product costs three matrix multiplications.
+    polarization is 4 Herm(sum_X [[h, X], X*]).  Expanded and halved, that
+    is hP + Ph - 2 sum_Y Y h Y* with P = sum_X (X X* + X* X) and Y over
+    {A, B, A*, B*}.  One stacked product gives h P and every h Y*, and the
+    sum is one product of the side-by-side Ys with the stacked h Y*s.
     """
-    n = a.shape[0]
-    ys = (a, a.conj().T, b, b.conj().T)
-    y_row = np.concatenate(ys, axis=1)
-    yh_row = np.concatenate([y.conj().T for y in ys], axis=1)
-    pm = sum(x @ x.conj().T + x.conj().T @ x for x in (a, b))
+    n = ab.shape[1]
+    y_row = np.concatenate((*ab, *products.abh), axis=1)
+    right = np.concatenate((products.pm[None], products.abh, ab))
 
     def apply(h: np.ndarray) -> np.ndarray:
-        hy = (h @ yh_row).reshape(n, 4, n).transpose(1, 0, 2).reshape(4 * n, n)
-        m = h @ pm - y_row @ hy
-        return 2.0 * (m + m.conj().T)
+        hr = h @ right
+        m = hr[0] - y_row @ hr[1:].reshape(4 * n, n)
+        m += m.conj().T
+        return m
 
     return apply
 
@@ -179,25 +211,24 @@ def _inner(h: np.ndarray, k: np.ndarray) -> float:
     return float(np.vdot(h, k).real)
 
 
-def _newton_direction(
-    grad: np.ndarray, grad_norm: float, a: np.ndarray, b: np.ndarray, sl_mode: bool
-) -> np.ndarray:
-    """Truncated CG on Hess d = -grad, started at d = 0.
+def _newton_direction(mu: np.ndarray, mu_norm: float, hess, sl_mode: bool) -> np.ndarray:
+    """Truncated CG on hess(d) = -mu, started at d = 0, hess half the
+    energy's Hessian (its gradient is 2 mu).
 
-    Stops once the residual falls to min(1/2, sqrt|grad|) |grad| (the
-    forcing term that makes the outer iteration superlinear), after n^2
-    steps (the dimension of the Hermitian directions), or on non-positive
-    curvature, where the first step falls back to -grad.  From zero, CG
-    stays in the Hessian's range, so the stabilizer kernel (scalars, and
-    block scalars of direct sums) never enters the solve.
+    Stops once the residual falls to min(_FORCING_CAP, sqrt|g|) |g| / 2
+    with g = 2 mu (the forcing term on the energy's own Newton system
+    that makes the outer iteration superlinear), after n^2 steps (the
+    dimension of the Hermitian directions), or on non-positive curvature,
+    where the first step falls back to -mu.  From zero, CG stays in the
+    Hessian's range, so the stabilizer kernel (scalars, and block scalars
+    of direct sums) never enters the solve.
     """
-    hess = _hessian(a, b)
-    forcing = min(0.5, math.sqrt(grad_norm)) * grad_norm
-    d = np.zeros_like(grad)
-    r = -grad
-    p = r
-    rr = grad_norm * grad_norm
-    for k in range(a.shape[0] ** 2):
+    forcing = min(_FORCING_CAP, math.sqrt(2.0 * mu_norm)) * mu_norm
+    d = np.zeros_like(mu)
+    r = -mu
+    p = r.copy()
+    rr = mu_norm * mu_norm
+    for k in range(mu.shape[0] ** 2):
         hp = hess(p)
         curvature = _inner(p, hp)
         if not curvature > 0.0:
@@ -205,50 +236,141 @@ def _newton_direction(
                 d = r
             break
         alpha = rr / curvature
-        d = d + alpha * p
-        r = r - alpha * hp
+        d += alpha * p
+        hp *= alpha
+        r -= hp
         rr_next = _inner(r, r)
         if math.sqrt(rr_next) <= forcing:
             break
-        p = r + (rr_next / rr) * p
+        p *= rr_next / rr
+        p += r
         rr = rr_next
     # tr(d) vanishes up to rounding (mu and every Hessian product are
     # traceless); as in _moment, sl_mode pins it there.
     return _traceless(d) if sl_mode else d
 
 
+def _line_minimum(tilde: np.ndarray, x: np.ndarray, cap: float) -> float:
+    """The step s in [1, cap] to the energy's minimum along exp(t d), or 1
+    when the energy no longer falls at t = 1.
+
+    d = V diag(w) V*, tilde is the stack (V* A V, V* B V) and
+    x_ij = 2 (w_i - w_j), so that along exp(t d) the energy is
+    F(t) = sum_ij c_ij e^(x_ij t) with c = |V* A V|^2 + |V* B V|^2
+    entrywise.  log F is convex (its second derivative is the variance of
+    x under the weights c e^(x t)), so Newton steps on it, kept inside the
+    bracket of the minimum by bisection, find the minimum; the best point
+    seen is returned, so F(s) <= F(1).
+    """
+    if not cap > 1.0:
+        return 1.0
+    c = (tilde * tilde.conj()).real.sum(axis=0).ravel()
+    # Rows 1, x and x^2: one product gives F and its first two derivatives.
+    powers = x.ravel() ** _POWERS
+    x = powers[1]
+    lo, hi, t = 1.0, cap, 1.0
+    best_t, best_f = 1.0, math.inf
+    for i in range(_LINE_STEPS):
+        f, f1, f2 = (powers @ (c * np.exp(x * t))).tolist()
+        if f < best_f:
+            best_t, best_f = t, f
+        if f1 < 0.0:
+            lo = t
+        elif i == 0:
+            return 1.0
+        else:
+            hi = t
+        g1 = f1 / f
+        g2 = f2 / f - g1 * g1
+        nxt = t - g1 / g2 if g2 > 0.0 else hi
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - t) <= 1e-3 * t:
+            break
+        t = nxt
+    return best_t
+
+
+class _Line(NamedTuple):
+    """The search geodesic t -> exp(t s d) of one iteration, d = V diag(w) V*
+    the Newton direction."""
+
+    #: Eigenvalues of s d, ascending.
+    w: np.ndarray
+    #: w_i - w_j.
+    dw: np.ndarray
+    v: np.ndarray
+    vh: np.ndarray
+    #: The stack (V* A V, V* B V).
+    tilde: np.ndarray
+    s: float
+    #: -<2 mu, d>: the first-order energy decrease of one Newton step.
+    drop_rate: float
+
+
+def _search_line(ab, products, mu_norm, resolution, cfg) -> _Line:
+    """Newton direction d at the iterate ab, and the factor s >= 1 that
+    takes s d to the energy's minimum along exp(t d) when the full Newton
+    step's Armijo drop is above the resolution (s = 1 otherwise, as in
+    the resolution-limited tail), capped so that no trial overflows."""
+    mu = products.mu
+    d = _newton_direction(mu, mu_norm, _hessian(ab, products), cfg.sl_mode)
+    try:
+        w, v = np.linalg.eigh(d)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence("eigendecomposition of the Newton step failed") from exc
+    vh = v.conj().T
+    tilde = vh @ ab @ v
+    dw = np.subtract.outer(w, w)
+    drop_rate = -2.0 * _inner(mu, d)
+    s = 1.0
+    if cfg.armijo * drop_rate > resolution:
+        s = _line_minimum(tilde, 2.0 * dw, _EXP_CAP / _max_modulus(w))
+        w, dw = s * w, s * dw
+    return _Line(w, dw, v, vh, tilde, s, drop_rate)
+
+
+def _max_modulus(w: np.ndarray) -> float:
+    # eigh sorts w ascending, so its largest modulus is at an end.
+    return max(abs(w[0]), abs(w[-1]))
+
+
 def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
     """Drive a representation to the minimal-vector set by Newton-CG.
 
     Each iteration takes the truncated-CG Newton direction d of the energy
-    at the current iterate (gradient 2 mu) and tries g = exp(eta d), from
-    eta = eta0, accepting a trial when the energy drops by at least
-    armijo * eta * (-<2 mu, d>) (the first-order decrease along d);
-    otherwise eta shrinks by the factor shrink.  Stops when
-    ||mu|| <= tol * (1 + energy) or the iteration budget runs out.
-    Conjugation preserves the defining relation, so the residual is
-    tracked, not corrected: every accepted iterate's residual is measured,
-    in stacked blocks of _RESIDUAL_BLOCK iterates.
+    at the current iterate (gradient 2 mu), scales it by the s >= 1 of
+    _search_line and tries g = exp(eta s d), from eta = eta0, accepting a
+    trial when the energy drops by at least
+    armijo * min(eta s, 1) * (-<2 mu, d>); otherwise eta shrinks by the
+    factor shrink, so every recorded step is eta0 * shrink^k.  Stops when
+    ||mu|| <= tol * (1 + energy) (outcome CONVERGED), when the iteration
+    budget runs out (ITER_BUDGET) or when every trial of one line search
+    is rejected (LINE_SEARCH_STALLED).  Conjugation preserves the defining
+    relation, so the residual is tracked, not corrected: every accepted
+    iterate's residual is measured, in stacked blocks of _RESIDUAL_BLOCK
+    iterates.
     """
     cfg = cfg or FlowConfig()
     p, q = rep.group.p, rep.group.q
     records: list[FlowRecord] = []
     # Accepted iterates whose residuals are not measured yet:
-    # (A, B, (iteration, energy, moment_norm, step)).
-    pending: list[tuple[np.ndarray, np.ndarray, tuple]] = []
+    # (the stack (A, B), (iteration, energy, moment_norm, step)).
+    pending: list[tuple[np.ndarray, tuple]] = []
 
     def measure():
         block = pending.copy()
         pending.clear()
-        a_s, b_s, rows = zip(*block)
-        res = residual(np.stack(a_s), np.stack(b_s), p, q).tolist()
+        stacks, rows = zip(*block)
+        a_s = np.stack([ab[0] for ab in stacks])
+        b_s = np.stack([ab[1] for ab in stacks])
+        res = residual(a_s, b_s, p, q).tolist()
         records.extend(FlowRecord(*row, r) for row, r in zip(rows, res))
 
-    a = rep.A.copy()
-    b = rep.B.copy()
-    energy = _energy(a, b)
-    mu = _moment(a, b, cfg.sl_mode)
-    mu_norm = hs_norm(mu)
+    ab = np.stack((rep.A, rep.B))
+    energy = _energy(*ab)
+    products = _moment(ab, cfg.sl_mode)
+    mu_norm = hs_norm(products.mu)
     # Near the minimum the true energy decrease per step falls below one
     # ulp of the energy itself; the recorded value is clamped to the
     # monotone envelope of the measurements (exact in the strict Armijo
@@ -263,7 +385,7 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
     it = 0
     try:
         while True:
-            pending.append((a, b, (it, recorded, mu_norm, step_taken)))
+            pending.append((ab, (it, recorded, mu_norm, step_taken)))
             if len(pending) == _RESIDUAL_BLOCK:
                 measure()
             if mu_norm <= cfg.tol * (1.0 + energy):
@@ -271,30 +393,20 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
                 break
             if it >= cfg.max_iter:
                 break
-            d = _newton_direction(2.0 * mu, 2.0 * mu_norm, a, b, cfg.sl_mode)
-            try:
-                w, v = np.linalg.eigh(d)
-            except np.linalg.LinAlgError as exc:
-                raise NoConvergence("eigendecomposition of the Newton step failed") from exc
-            vh = v.conj().T
-            eta = cfg.eta0
-            drop_rate = -2.0 * _inner(mu, d)
             resolution = resolution_unit * (1.0 + energy)
-            # eigh sorts w ascending, so its largest modulus is at an end.
-            w_max = max(abs(w[0]), abs(w[-1]))
-            # Longer steps would overflow g and g^-1 in the product chain:
-            # shrink past them before the trials, so that they use none of
-            # the backtracks.  eta falls geometrically, so this ends.
-            while eta * w_max > 60.0:
+            line = _search_line(ab, products, mu_norm, resolution, cfg)
+            eta = cfg.eta0
+            # Longer steps would overflow the conjugation: shrink past
+            # them before the trials, so that they use none of the
+            # backtracks.  eta falls geometrically, so this ends.
+            while eta * _max_modulus(line.w) > _EXP_CAP:
                 eta *= cfg.shrink
             for _ in range(_MAX_BACKTRACKS):
-                e = np.exp(eta * w)
-                g = (v * e) @ vh
-                gi = (v * (1.0 / e)) @ vh
-                a2 = g @ a @ gi
-                b2 = g @ b @ gi
-                required = cfg.armijo * eta * drop_rate
-                e2 = _energy(a2, b2)
+                # exp(eta s d) X exp(-eta s d) = V ((V* X V) o E) V* with
+                # E_ij = e^(eta s (w_i - w_j)), for X = A and B at once.
+                ab2 = line.v @ (line.tilde * np.exp(eta * line.dw)) @ line.vh
+                required = cfg.armijo * min(eta * line.s, 1.0) * line.drop_rate
+                e2 = _energy(*ab2)
                 if required > resolution:
                     if e2 <= energy - required:
                         break
@@ -303,21 +415,22 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
                     # stationary, so progress is certified on the moment
                     # norm instead while the energy is held to measurement
                     # noise.
-                    mu2 = _moment(a2, b2, cfg.sl_mode)
-                    mu2_norm = hs_norm(mu2)
+                    products2 = _moment(ab2, cfg.sl_mode)
+                    mu2_norm = hs_norm(products2.mu)
                     if mu2_norm < mu_norm:
                         break
                 eta *= cfg.shrink
             else:
+                outcome = LINE_SEARCH_STALLED
                 break
             # The accepted trial's energy (and, in the tail, its moment)
             # is the next iterate's: the same arrays give the same floats.
-            a, b, energy = a2, b2, e2
+            ab, energy = ab2, e2
             if required > resolution:
-                mu = _moment(a, b, cfg.sl_mode)
-                mu_norm = hs_norm(mu)
+                products = _moment(ab, cfg.sl_mode)
+                mu_norm = hs_norm(products.mu)
             else:
-                mu, mu_norm = mu2, mu2_norm
+                products, mu_norm = products2, mu2_norm
             recorded = min(energy, recorded)
             step_taken = eta
             it += 1
@@ -326,7 +439,7 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
         # iterate raises SingularMatrix as it would have when measured.
         if pending:
             measure()
-    return Rep(rep.group, rep.n, a, b), FlowTrace(tuple(records), outcome)
+    return Rep(rep.group, rep.n, ab[0], ab[1]), FlowTrace(tuple(records), outcome)
 
 
 @dataclass(frozen=True)

@@ -224,9 +224,10 @@ def full_pipeline(
     """Flow to a minimal vector, then certify and retract to a unitary point.
 
     The input's relation residual must be at most bsrep.REP_TOL, else
-    ValueError.  Returns (endpoint, diagnostics).  A flow that exhausts
-    its budget is a soft failure: the partial result is returned with
-    outcome "iter_budget" and no exception.  Structural failures in later stages
+    ValueError.  Returns (endpoint, diagnostics).  A flow that does not
+    converge is a soft failure: the partial result is returned, with the
+    flow's outcome ("iter_budget" or "line_search_stalled") as the
+    outcome, and no exception.  Structural failures in later stages
     raise PipelineStageError with partial diagnostics attached.
     """
     res0 = relation_residual(rep)
@@ -246,7 +247,7 @@ def full_pipeline(
     diag.max_flow_residual = trace.max_residual()
     diag.energy_monotone = trace.energy_monotone()
     if not trace.converged:
-        diag.outcome = "iter_budget"
+        diag.outcome = trace.outcome
         return flowed, diag
     endpoint, _, diag = certify_and_retract(
         flowed, snap_tol=snap_tol, num_samples=num_samples, diag=diag

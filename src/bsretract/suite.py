@@ -105,7 +105,7 @@ def run_one(task: tuple) -> tuple[dict, dict]:
         return record, manifest
     note_flow(diag)
     record["outcome"] = diag.outcome
-    if diag.outcome == "iter_budget":
+    if not diag.flow_trace.converged:
         return record, manifest
 
     record["detected_order"] = diag.detected_order

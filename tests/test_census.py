@@ -11,6 +11,7 @@ from bsretract import (
     enumerate_orbits,
     from_orbit_datum,
     order_bound,
+    random_rep,
     relation_residual,
     verify_orbit,
 )
@@ -122,15 +123,23 @@ def test_pool_counts_and_sl_rows():
 
 
 def test_census_refuses_moduli_past_the_limit():
-    # |2^19 - 3^19| = 1161737179 is below 2^31, |2^20 - 3^20| is not; the
-    # check runs before anything is allocated, whatever n is.
-    check_moduli(2, 3, 19)
+    # At (2, 3) the moduli up to k = 16 sum to 64,439,010, below 2^27; with
+    # |2^17 - 3^17| = 129,009,091, itself below 2^27, the sum passes it.
+    # The check runs before anything is allocated, whatever n is.
+    check_moduli(2, 3, 16)
     start = time.perf_counter()
-    for call in (lambda: enumerate_orbits(2, 3, 20),
-                 lambda: orbit_pool(2, 3, 10**9),
-                 lambda: check_moduli(-3, 2, 25)):
-        with pytest.raises(ValueError, match=r"k = 20 .* m = 3485735825"):
+    for call in (lambda: check_moduli(2, 3, 17),
+                 lambda: enumerate_orbits(2, 3, 30),
+                 lambda: orbit_pool(2, 3, 10**9)):
+        with pytest.raises(ValueError, match=r"k = 17 \(m = .* = 129009091\) "
+                                             r"would hold 193448101 .* 2\^27"):
             call()
+    # |(-3)^17 - 2^17| = 129,271,235; (3, 5) already stops at n = 12
+    with pytest.raises(ValueError, match=r"k = 17 \(m = .* = 129271235\)"):
+        check_moduli(-3, 2, 25)
+    check_moduli(3, 5, 11)
+    with pytest.raises(ValueError, match=r"k = 12 \(m = .* = 243609184\)"):
+        random_rep(3, 5, 12, 0)
     assert time.perf_counter() - start < 1.0
 
 

@@ -169,6 +169,31 @@ def test_flow_overlong_first_step_still_converges(runner, tmp_path):
     assert "converged" in res.output
 
 
+@pytest.mark.parametrize("command, message", [
+    ("flow", "flow: line_search_stalled after"),
+    ("pipeline", "pipeline: flow line search stalled"),
+])
+def test_stalled_line_search_exits_flow_failure(runner, tmp_path, command, message):
+    # used to report "iter_budget after 1 iterations" with the budget unspent
+    rep = tmp_path / "rep.json"
+    res = runner.invoke(main, ["construct", "--p", "2", "--q", "3", "--random", "3",
+                               "--seed", "1", "--out", str(rep)])
+    assert res.exit_code == 0, res.output
+    res = runner.invoke(main, [command, "--in", str(rep), "--out", str(tmp_path / "e.json"),
+                               "--eta0", "1e-20"])
+    assert res.exit_code == 3, res.output
+    assert message in res.output
+    assert "iter_budget" not in res.output
+
+
+def test_run_one_reports_a_stalled_line_search():
+    cfg = FlowConfig(eta0=1e-20)
+    record, _ = run_one((2, 3, 3, 1, cfg, 100, 1e-6, False))
+    assert record["outcome"] == record["flow_outcome"] == "line_search_stalled"
+    assert record["violations"] == []
+    assert "detected_order" not in record
+
+
 # ------------------------------------------------------------------ pipeline
 
 def test_pipeline_unitary_input_exit_zero(runner, tmp_path):
@@ -554,19 +579,22 @@ def test_suite_sl_mode(runner, tmp_path):
 
 
 @pytest.mark.parametrize("args", [
+    ["census", "2", "3", "--n-max", "19", "--out"],
     ["census", "2", "3", "--n-max", "30", "--out"],
     ["construct", "--p", "2", "--q", "3", "--random", "30", "--seed", "1", "--out"],
     ["suite", "--pairs", "2:3", "--n-max", "30", "--seeds", "1", "--workers", "1",
      "--report"],
 ])
 def test_census_modulus_past_limit_exits_bad_input(runner, tmp_path, args):
-    # |2^20 - 3^20| is the first modulus past 2^31; the commands refuse it
-    # before the scan, and suite before any cell runs.
+    # at (2, 3) the scans up to k = 17 would hold more than 2^27 values;
+    # the commands refuse them before the scan, and suite before any cell
+    # runs.
     out = tmp_path / "out.json"
     res = runner.invoke(main, args + [str(out)])
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 2, res.output
-    assert "k = 20" in res.output and "2^31" in res.output
+    assert "k = 17" in res.output and "m = |p^k - q^k| = 129009091" in res.output
+    assert "2^27" in res.output
     assert not out.exists()
 
 

@@ -14,6 +14,7 @@ from bsretract import (
     invariant_form,
     normality_exponent,
     order_moduli,
+    random_rep,
     relation_residual,
 )
 from bsretract.numerics import hs_norm
@@ -257,3 +258,17 @@ def test_hermitian_form_rejects_a_nan_eigenvalue(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: np.array([float("nan"), 1.0]))
     with pytest.raises(NotPositiveDefinite):
         HermitianForm(np.eye(2))
+
+
+def test_certify_shares_one_decomposition_bit_identically():
+    # the order and the form read one decomposition of B; each equals what
+    # its own public call, which decomposes B itself, returns
+    rng = np.random.default_rng(16)
+    for n in (2, 4, 6):
+        rep = flow(conjugate(random_rep(2, 3, n, n), conditioned(rng, n, 8.0)))[0]
+        cert = certify(rep)
+        assert cert.failed_stage is None
+        order = detect_finite_order(rep.B, order_moduli(2, 3, n))
+        form = invariant_form(rep.B, order)
+        assert cert.order == order
+        assert cert.form.Q.tobytes() == form.Q.tobytes()

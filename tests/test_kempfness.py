@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,10 +20,13 @@ from bsretract.bsrep import random_hermitian
 from bsretract.errors import NoConvergence, SingularMatrix
 from bsretract.kempfness import (
     CONVERGED,
+    LINE_SEARCH_STALLED,
     FlowRecord,
     FlowTrace,
     _hessian,
+    _moment,
     _newton_direction,
+    _search_line,
 )
 from bsretract.suite import derive_seed
 
@@ -97,17 +102,43 @@ def test_flow_step_decreases_energy():
         assert kn_energy(stepped) < kn_energy(rep)
 
 
+def stack(rep):
+    return np.stack((rep.A, rep.B))
+
+
+def hessian(rep):
+    """The energy's Hessian at rep; _hessian is half of it."""
+    ab = stack(rep)
+    half = _hessian(ab, _moment(ab, False))
+    return lambda h: 2.0 * half(h)
+
+
 def newton_direction(rep, sl_mode=False):
-    mu = moment_map(rep, sl_mode)
-    return _newton_direction(2.0 * mu, 2.0 * np.linalg.norm(mu), rep.A, rep.B, sl_mode)
+    ab = stack(rep)
+    products = _moment(ab, sl_mode)
+    return _newton_direction(products.mu, np.linalg.norm(products.mu),
+                             kempfness._hessian(ab, products), sl_mode)
+
+
+def search_direction(rep, cfg=FlowConfig()):
+    """s d, the direction the flow's first iteration steps along, and s."""
+    ab = stack(rep)
+    products = _moment(ab, cfg.sl_mode)
+    energy = kn_energy(rep)
+    resolution = 128.0 * rep.n * np.finfo(float).eps * (1.0 + energy)
+    line = _search_line(ab, products, np.linalg.norm(products.mu), resolution, cfg)
+    return (line.v * line.w) @ line.vh, line.s
 
 
 def test_flow_step_first_order_rate():
-    # dF/dt along exp(t d) is <2 mu, d> = 2 Re tr(mu d) for the Newton
-    # direction d.
+    # dF/dt along exp(t x) is <2 mu, x> = 2 Re tr(mu x) for the direction
+    # x = s d the flow steps along: the Newton direction d moved to the
+    # energy's minimum on its geodesic.
     rng = np.random.default_rng(2)
     rep = conjugate(n5_block(1.0), conditioned(rng, 2, 5.0))
-    rate = -2.0 * np.trace(moment_map(rep) @ newton_direction(rep)).real
+    direction, s = search_direction(rep)
+    assert s > 1.0
+    rate = -2.0 * np.trace(moment_map(rep) @ direction).real
     stepped, eta = one_step(rep, eta=1e-7)
     assert eta == 1e-7
     drop = kn_energy(rep) - kn_energy(stepped)
@@ -233,6 +264,42 @@ def test_flow_iter_budget_outcome():
     assert trace.energy_monotone()
 
 
+def test_flow_stalled_line_search_outcome():
+    # at eta0 = 1e-20 each trial step is lost in rounding; once no trial
+    # lowers ||mu|| the line search gives up with the budget unspent
+    final, trace = flow(random_rep(2, 3, 3, 1), FlowConfig(eta0=1e-20))
+    assert trace.outcome == LINE_SEARCH_STALLED
+    assert not trace.converged
+    assert 0 <= trace.iterations < 100
+    assert trace.energy_monotone()
+
+
+def steps_are_powers_of_shrink(trace, cfg):
+    for r in trace.records[1:]:
+        k = round(math.log(cfg.eta0 / r.step) / math.log(1.0 / cfg.shrink))
+        assert k >= 0 and r.step == pytest.approx(cfg.eta0 * cfg.shrink**k, rel=1e-12)
+
+
+@pytest.mark.parametrize("cfg", [FlowConfig(), FlowConfig(eta0=2.0)])
+def test_flow_steps_are_eta0_times_powers_of_shrink(cfg):
+    # s is folded into the direction, never into the recorded step: the
+    # benchmark counts backtracks as k in step = eta0 * shrink^k.  eta0 = 2
+    # overshoots the energy's minimum, so that setting backtracks.
+    backtracked = 0
+    for p, q in PAIRS:
+        for n in range(1, N_MAX + 1):
+            for i in range(SEEDS):
+                _, trace = flow(random_rep(p, q, n, derive_seed(0, p, q, n, i)), cfg)
+                steps_are_powers_of_shrink(trace, cfg)
+                backtracked += any(r.step < cfg.eta0 for r in trace.records[1:])
+    for p, q in [(1, 2), (-1, 3), (2, -3)]:
+        for n in (8, 10, 12):
+            _, trace = flow(random_rep(p, q, n, derive_seed(0, p, q, n, 0)), cfg)
+            assert trace.converged
+            steps_are_powers_of_shrink(trace, cfg)
+    assert (backtracked > 0) == (cfg.eta0 > 1.0)
+
+
 def test_flow_config_validation():
     with pytest.raises(ValueError):
         FlowConfig(tol=-1.0)
@@ -279,7 +346,7 @@ def test_hessian_matches_second_differences():
     rng = np.random.default_rng(13)
     for rep in newton_cells():
         h = random_hermitian(rng, rep.n)
-        exact = np.trace(h @ _hessian(rep.A, rep.B)(h)).real
+        exact = np.trace(h @ hessian(rep)(h)).real
         w, v = np.linalg.eigh(h)
         for t in (1e-3, 1e-4):
             gp = (v * np.exp(t * w)) @ v.conj().T
@@ -292,7 +359,7 @@ def test_hessian_matches_second_differences():
 def test_hessian_is_symmetric_and_hermitian():
     rng = np.random.default_rng(14)
     for rep in newton_cells():
-        hess = _hessian(rep.A, rep.B)
+        hess = hessian(rep)
         h, k = random_hermitian(rng, rep.n), random_hermitian(rng, rep.n)
         hh, hk = hess(h), hess(k)
         assert np.array_equal(hh, hh.conj().T)
@@ -303,16 +370,16 @@ def test_hessian_is_symmetric_and_hermitian():
 def test_hessian_kills_the_scalars():
     # exp(t I) acts trivially, so scalars span the stabilizer's kernel
     for rep in newton_cells():
-        hess = _hessian(rep.A, rep.B)
+        hess = hessian(rep)
         assert np.linalg.norm(hess(np.eye(rep.n, dtype=complex))) <= 1e-12 * kn_energy(rep)
 
 
 def count_products(monkeypatch):
     counts = []
-    hessian = kempfness._hessian
+    original = kempfness._hessian
 
-    def counted(a, b):
-        apply = hessian(a, b)
+    def counted(ab, products):
+        apply = original(ab, products)
         counts.append(0)
 
         def inner(h):
@@ -330,13 +397,32 @@ def test_newton_direction_descends_within_the_forcing_bound(monkeypatch):
     for rep in newton_cells():
         mu = moment_map(rep)
         g, g_norm = 2.0 * mu, 2.0 * np.linalg.norm(mu)
-        d = _newton_direction(g, g_norm, rep.A, rep.B, False)
+        d = newton_direction(rep)
         assert np.array_equal(d, d.conj().T)
         assert np.trace(mu @ d).real < 0.0
-        forcing = min(0.5, np.sqrt(g_norm)) * g_norm
-        gap = np.linalg.norm(_hessian(rep.A, rep.B)(d) + g)
+        forcing = min(0.1, np.sqrt(g_norm)) * g_norm
+        gap = np.linalg.norm(hessian(rep)(d) + g)
         assert gap <= forcing * (1 + 1e-9) or counts[-1] == rep.n**2
         assert 1 <= counts[-1] <= rep.n**2
+
+
+def test_search_line_moves_to_the_energy_minimum():
+    # on every one of these cells the energy still falls past the Newton
+    # step d; s d minimizes it along exp(t d), and the flow's first full
+    # step lands there
+    def energy_along(rep, d, t):
+        w, v = np.linalg.eigh(t * d)
+        return kn_energy(conjugate(rep, (v * np.exp(w)) @ v.conj().T))
+
+    for rep in newton_cells():
+        d = newton_direction(rep)
+        x, s = search_direction(rep)
+        assert s > 1.0
+        assert np.allclose(x, s * d, rtol=0, atol=1e-10 * np.linalg.norm(s * d))
+        f = energy_along(rep, d, s)
+        assert f < energy_along(rep, d, 1.0)
+        assert f <= min(energy_along(rep, d, s * 0.99), energy_along(rep, d, s * 1.01))
+        assert kn_energy(one_step(rep, eta=1.0)[0]) == pytest.approx(f, rel=1e-12)
 
 
 def test_newton_direction_is_traceless_in_sl_mode():
@@ -430,10 +516,16 @@ def assert_same_run(run, other):
     assert final.B.tobytes() == other_final.B.tobytes()
 
 
+def far_off(rep, seed):
+    """rep conjugated by a matrix of condition number 1e12: the flow
+    needs 19 to 26 records from these, the random reps themselves 10."""
+    return conjugate(rep, conditioned(np.random.default_rng(seed), rep.n, 1e12))
+
+
 BLOCK_CASES = [
-    (random_rep(2, 3, 8, 0), None),
-    (random_rep(1, 2, 10, 2), None),
-    (random_rep(2, 3, 4, 1, sl=True), FlowConfig(sl_mode=True)),
+    (far_off(random_rep(2, 3, 8, 1), 1), None),
+    (far_off(random_rep(2, 3, 12, 0), 0), None),
+    (far_off(random_rep(2, 3, 8, 1, sl=True), 1), FlowConfig(sl_mode=True)),
 ]
 
 

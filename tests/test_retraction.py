@@ -66,9 +66,10 @@ def test_retract_end_to_end_on_flowed_rep():
     assert path.samples[0].t == 1.0 and path.samples[-1].t == 0.0
 
 
-def test_certified_run_decomposes_b_twice(monkeypatch):
-    # The order and the form each decompose the flowed B once; eig_condition
-    # is read off the form's basis and the endpoint is not decomposed.
+def test_certified_run_decomposes_b_once(monkeypatch):
+    # The order and the form share one decomposition of the flowed B;
+    # eig_condition is read off its basis and the endpoint is not
+    # decomposed.
     cfg = FlowConfig(tol=1e-10, max_iter=10**5)
     rep = random_rep(2, 3, 3, derive_seed(0, 2, 3, 3, 0))
     flowed, _ = flow(rep, cfg)
@@ -81,7 +82,7 @@ def test_certified_run_decomposes_b_twice(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
     _, diag = full_pipeline(rep, cfg)
     assert diag.outcome == "ok"
-    assert len(calls) == 2 and all(np.array_equal(b, flowed.B) for b in calls)
+    assert len(calls) == 1 and np.array_equal(calls[0], flowed.B)
     assert diag.eig_condition == np.linalg.cond(eig(flowed.B)[1]) >= 1.0
     assert "eig_condition_a" not in diag.to_dict()
     assert diag.initial_energy == kn_energy(rep)
@@ -188,6 +189,13 @@ def test_full_pipeline_iter_budget_is_soft():
     assert out is not None
     assert diag.detected_order is None
     assert diag.flow_trace is not None
+
+
+def test_full_pipeline_stalled_line_search_is_soft():
+    out, diag = full_pipeline(random_rep(2, 3, 3, 1), FlowConfig(eta0=1e-20))
+    assert diag.outcome == diag.flow_outcome == "line_search_stalled"
+    assert out is not None
+    assert diag.detected_order is None
 
 
 def test_full_pipeline_structural_failure_raises_with_stage():

@@ -223,7 +223,7 @@ def reference_flow(rep, cfg=None):
     step_taken = 0.0
     it = 0
     while True:
-        mu = _moment(a, b, cfg.sl_mode)
+        mu = _moment(np.stack((a, b)), cfg.sl_mode).mu
         mu_norm = hs_norm(mu)
         energy = _energy(a, b)
         recorded = min(energy, records[-1].energy) if records else energy
@@ -262,7 +262,7 @@ def reference_flow(rep, cfg=None):
                     break
             else:
                 if e2 <= energy + resolution:
-                    if hs_norm(_moment(a2, b2, cfg.sl_mode)) < mu_norm:
+                    if hs_norm(_moment(np.stack((a2, b2)), cfg.sl_mode).mu) < mu_norm:
                         accepted = True
                         break
             eta *= GRADIENT_SHRINK
