@@ -47,8 +47,8 @@ from .kempfness import (
     FlowTrace,
     flow,
     kn_energy,
+    minimality_certificate,
     moment_map,
-    verify_minimal,
 )
 from .numerics import (
     RootOfUnity,

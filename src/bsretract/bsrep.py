@@ -169,13 +169,6 @@ def random_conditioned(rng: np.random.Generator, n: int, cond_max: float) -> np.
     return (u * s) @ v.conj().T
 
 
-def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Random Hermitian direction of unit Hilbert-Schmidt norm."""
-    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    h = 0.5 * (z + z.conj().T)
-    return h / hs_norm(h)
-
-
 def random_rep(
     p: int,
     q: int,

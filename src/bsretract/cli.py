@@ -42,8 +42,8 @@ from .kempfness import (
     FlowConfig,
     flow,
     kn_energy,
+    minimality_certificate,
     moment_map,
-    verify_minimal,
 )
 from .numerics import hs_norm, unitarity_defect
 from .retraction import certify_and_retract, full_pipeline, verify_unitary_rep
@@ -213,7 +213,8 @@ _flow_options = [
     click.option("--tol", default=1e-10, show_default=True),
     click.option("--max-iter", default=10**5, show_default=True),
     click.option("--eta0", default=FlowConfig.eta0, show_default=True,
-                 help="First trial step along each search direction."),
+                 help="First trial step along each search direction; no step "
+                      "is longer, so values far below 1 end in iter_budget."),
     click.option("--sl", is_flag=True, help="Traceless moment-map projection."),
 ]
 
@@ -248,13 +249,6 @@ def _check_moduli(pairs: list[tuple[int, int]], n_max: int) -> None:
             check_moduli(p, q, n_max)
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
-
-
-def _check_seed(seed: int) -> None:
-    """Exit 2 unless --seed is a non-negative integer; called before any
-    certificate or sample runs, as the sampler's generator rejects it."""
-    if seed < 0:
-        _fail(EXIT_BAD_INPUT, "--seed must be a non-negative integer")
 
 
 def _with(options):
@@ -399,14 +393,10 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
 @click.option("--in", "in_path", default="-")
 @click.option("--out", default="-")
 @click.option("--snap-tol", default=1e-6, show_default=True)
-@click.option("--minimality-samples", default=0, show_default=True,
-              help="Sampling minimality check; 0 skips it.")
-@click.option("--seed", default=0, show_default=True)
-def cmd_verify(in_path, out, snap_tol, minimality_samples, seed):
+def cmd_verify(in_path, out, snap_tol):
     """Report the structural certificates of a representation."""
     rep, res = _load_rep(in_path, validate=False)
     _check_snap_tol(snap_tol)
-    _check_seed(seed)
     report = {
         "p": rep.group.p, "q": rep.group.q, "n": rep.n,
         "relation_residual": res,
@@ -420,6 +410,7 @@ def cmd_verify(in_path, out, snap_tol, minimality_samples, seed):
         "normality_exponent": None,
         "kappa_invariance_defect": None,
         "kappa_identity_defect": None,
+        **minimality_certificate(rep)._asdict(),
     }
     if not report["in_variety"]:
         _write_text(out, canonical_json(report) + "\n")
@@ -434,15 +425,10 @@ def cmd_verify(in_path, out, snap_tol, minimality_samples, seed):
     if cert.error is not None:
         report["structural_failure"] = f"{type(cert.error).__name__}: {cert.error}"
         exit_code = EXIT_STRUCTURAL
-    if minimality_samples > 0:
-        m = verify_minimal(rep, minimality_samples, seed=seed)
-        report["minimality"] = {
-            "passed": m.passed, "margin": m.margin, "samples": m.samples,
-        }
     _write_text(out, canonical_json(report) + "\n")
     manifest = build_manifest(
         "verify",
-        {"snap_tol": snap_tol, "minimality_samples": minimality_samples, "seed": seed},
+        {"snap_tol": snap_tol},
         {"rep": sha256_text(canonical_json(rep_to_json(rep)))},
         [out],
     )

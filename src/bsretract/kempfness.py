@@ -11,7 +11,8 @@ F, so only Hermitian steps are taken: each iteration solves the Newton
 system by truncated conjugate gradients, moves to the minimum of the
 energy along the geodesic exp(t d) when it lies past the Newton step, and
 checks the step by Armijo backtracking; near the minimum the full Newton
-step is taken and the convergence is superlinear.
+step is taken and the convergence is superlinear.  minimality_certificate
+reads the spectrum of the same Hessian at a point.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bsrep import Rep, random_hermitian, residual
+from .bsrep import Rep, residual
 from .errors import NoConvergence
 from .numerics import hs_norm
 
@@ -36,8 +37,8 @@ __all__ = [
     "kn_energy",
     "moment_map",
     "flow",
-    "verify_minimal",
-    "MinimalityReport",
+    "MinimalityCertificate",
+    "minimality_certificate",
 ]
 
 CONVERGED = "converged"
@@ -58,6 +59,9 @@ _LINE_STEPS = 8
 #: Exponents of the rows 1, x and x^2 of _line_minimum.
 _POWERS = np.arange(3.0)[:, None]
 _EPS = float(np.finfo(float).eps)
+#: Share of the Hessian's largest eigenvalue at or below which an eigenvalue
+#: counts as its kernel.
+_KERNEL_CUT = 1e-8
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,8 @@ class FlowConfig:
     eta0: first trial step along each search direction s d, where d is the
         Newton direction and s >= 1 puts s d at the energy's minimum on
         the geodesic exp(t d) when that lies past d (s = 1 otherwise);
-        1 is the full step.
+        1 is the full step.  No step is longer than eta0 s, so with
+        eta0 << 1 the flow crawls and ends in ITER_BUDGET.
     armijo: sufficient-decrease constant: a step eta is accepted when the
         energy drops by at least armijo * min(eta s, 1) * (-<2 mu, d>),
         the first-order decrease along d capped at one Newton step.  Near
@@ -442,42 +447,57 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
     return Rep(rep.group, rep.n, ab[0], ab[1]), FlowTrace(tuple(records), outcome)
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
-    passed: bool
-    margin: float
-    samples: int
-    spread: float
-    tol: float
+class MinimalityCertificate(NamedTuple):
+    """The spectrum of the energy's Hessian at a point, as verify reports it.
 
-
-def verify_minimal(
-    rep: Rep,
-    samples: int = 1000,
-    spread: float = 2.0,
-    tol: float = 1e-6,
-    seed: int = 0,
-) -> MinimalityReport:
-    """Sampling refutation test of orbit-minimality.
-
-    Draws group elements g = exp(s * H) with H random Hermitian of unit
-    norm and s uniform in (0, spread], and reports the worst observed
-    energy change kn_energy(g . rep) - kn_energy(rep).  PASS means no
-    sampled direction decreased the energy by more than tol; this can
-    refute minimality but never prove it.
+    hessian_kernel_dim: eigenvalues at or below 1e-8 (_KERNEL_CUT) times
+        the largest (or within rounding noise of zero), the dimension of the
+        Hermitian stabilizer: at a minimal point, the number of pairwise
+        non-isomorphic blocks.
+    hessian_gap: the smallest eigenvalue above the kernel over the largest.
+    moment_over_gap: ||mu|| over that smallest eigenvalue.
+    The last two are None when every eigenvalue lies in the kernel (n = 1,
+    or scalar A and B), and all three when the Hessian overflows.
     """
-    if samples < 1 or spread <= 0:
-        raise ValueError("samples must be >= 1 and spread positive")
-    rng = np.random.Generator(np.random.Philox(seed))
-    a, b = rep.A, rep.B
-    e0 = _energy(a, b)
-    worst = np.inf
-    for _ in range(samples):
-        h = random_hermitian(rng, rep.n)
-        s = spread * (1.0 - rng.random())
-        w, v = np.linalg.eigh(s * h)
-        e = np.exp(w)
-        g = (v * e) @ v.conj().T
-        gi = (v * (1.0 / e)) @ v.conj().T
-        worst = min(worst, _energy(g @ a @ gi, g @ b @ gi) - e0)
-    return MinimalityReport(bool(worst >= -tol), float(worst), samples, spread, tol)
+
+    hessian_kernel_dim: int | None
+    hessian_gap: float | None
+    moment_over_gap: float | None
+
+
+def _hessian_gram(ab: np.ndarray, products: _Products) -> np.ndarray:
+    """The matrix Re tr(E_a H(E_b)) of H = _hessian(ab, products) on the
+    orthonormal basis E of the Hermitian directions: the E_ii, then
+    (E_ij + E_ji)/sqrt 2 and i (E_ij - E_ji)/sqrt 2 for i < j."""
+    n = ab.shape[1]
+    i, j = np.triu_indices(n, 1)
+    k = n + np.arange(len(i))
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[range(n), range(n), range(n)] = 1.0
+    basis[k, i, j] = basis[k, j, i] = math.sqrt(0.5)
+    basis[k + len(i), i, j] = 1j * math.sqrt(0.5)
+    basis[k + len(i), j, i] = -1j * math.sqrt(0.5)
+    hess = _hessian(ab, products)
+    images = np.stack([hess(e) for e in basis])
+    return np.tensordot(basis.conj(), images, axes=((1, 2), (1, 2))).real
+
+
+def minimality_certificate(rep: Rep) -> MinimalityCertificate:
+    """Kernel dimension, gap and ||mu|| / gap of the half-Hessian that the
+    flow's Newton steps apply, from the eigenvalues of its Gram matrix.  A
+    kernel cut below the rounding noise of the products, 128 n eps times
+    the energy, is raised to it.
+    """
+    ab = np.stack((rep.A, rep.B))
+    products = _moment(ab, False)
+    gram = _hessian_gram(ab, products)
+    if not np.isfinite(gram).all():
+        return MinimalityCertificate(None, None, None)
+    lam = np.linalg.eigvalsh(gram).tolist()
+    cut = max(_KERNEL_CUT * lam[-1], 128.0 * rep.n * _EPS * _energy(*ab))
+    above = [x for x in lam if x > cut]
+    if not above:
+        return MinimalityCertificate(len(lam), None, None)
+    return MinimalityCertificate(
+        len(lam) - len(above), above[0] / lam[-1], hs_norm(products.mu) / above[0]
+    )

@@ -25,13 +25,21 @@ from bsretract import (
     relation_residual,
     verify_orbit,
 )
-from bsretract.bsrep import random_hermitian
 from bsretract.cli import main
 from bsretract.compactify import invariant_form
 from bsretract.numerics import hs_norm
 from bsretract.suite import run_suite
 
-from util import N_MAX, PAIRS, SEEDS, conditioned, divisors, group_mean_form, powers
+from util import (
+    N_MAX,
+    PAIRS,
+    SEEDS,
+    conditioned,
+    divisors,
+    group_mean_form,
+    powers,
+    random_hermitian,
+)
 
 
 def report(name, ok, detail):

@@ -302,8 +302,7 @@ def test_retract_structural_exit_on_forced_tight_snap(runner, tmp_path):
 def test_verify_reports_certificates(runner, tmp_path):
     in_path = write_rep(tmp_path, n5_block(np.exp(0.2j)))
     out = tmp_path / "report.json"
-    res = runner.invoke(main, ["verify", "--in", in_path, "--out", str(out),
-                               "--minimality-samples", "200"])
+    res = runner.invoke(main, ["verify", "--in", in_path, "--out", str(out)])
     assert res.exit_code == 0
     rep = json.loads(out.read_text())
     assert rep["detected_order"] == 5
@@ -311,7 +310,10 @@ def test_verify_reports_certificates(runner, tmp_path):
     assert rep["normality_exponent"] == 4
     assert rep["kappa_invariance_defect"] <= 1e-10
     assert rep["kappa_identity_defect"] <= 1e-10
-    assert rep["minimality"]["passed"]
+    # one irreducible block: the stabilizer is the scalars
+    assert rep["hessian_kernel_dim"] == 1
+    assert 0.0 < rep["hessian_gap"] <= 1.0
+    assert rep["moment_over_gap"] <= 1e-12
 
 
 def test_verify_and_retract_report_one_certificate(runner, tmp_path):
@@ -385,16 +387,29 @@ def test_non_finite_flow_setting_exits_bad_input(runner, tmp_path, option, value
     assert res.exit_code == 2, res.output
 
 
-def test_negative_verify_seed_exits_bad_input(runner, tmp_path):
-    # the minimality sampler's generator rejects a negative seed; that
-    # used to end in a traceback with exit 1
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_verify_reports_null_certificate_where_the_hessian_overflows(runner, tmp_path):
+    # the relation holds, so the finite-order certificates still run
+    rep = rep_of(2, 3, 1e160 * swap2(), np.diag([zeta(5, 1), zeta(5, 4)]))
+    in_path = write_rep(tmp_path, rep)
+    out = tmp_path / "report.json"
+    res = runner.invoke(main, ["verify", "--in", in_path, "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    report = json.loads(out.read_text())
+    assert report["detected_order"] == 5
+    for field in ("hessian_kernel_dim", "hessian_gap", "moment_over_gap"):
+        assert report[field] is None
+
+
+def test_verify_rejects_the_retired_sampler_options(runner, tmp_path):
+    # verify has no sampled minimality check, so its options are unknown
     in_path = write_rep(tmp_path, random_rep(2, 3, 3, 1))
     out = tmp_path / "out.json"
-    res = runner.invoke(main, ["verify", "--in", in_path, "--out", str(out),
-                               "--minimality-samples", "5", "--seed", "-1"])
-    assert isinstance(res.exception, SystemExit), res.exception
-    assert res.exit_code == 2, res.output
-    assert not out.exists()
+    for option in (["--seed", "1"], ["--minimality-samples", "5"]):
+        res = runner.invoke(main, ["verify", "--in", in_path, "--out", str(out), *option])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2, res.output
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["-1", "inf", "nan"])

@@ -7,23 +7,27 @@ from bsretract import (
     FlowConfig,
     certify,
     conjugate,
+    direct_sum,
+    enumerate_orbits,
     flow,
+    from_orbit_datum,
     kn_energy,
+    minimality_certificate,
     moment_map,
     random_rep,
     relation_residual,
     snap_root_of_unity,
-    verify_minimal,
 )
 from bsretract import kempfness
-from bsretract.bsrep import random_hermitian
 from bsretract.errors import NoConvergence, SingularMatrix
 from bsretract.kempfness import (
     CONVERGED,
+    ITER_BUDGET,
     LINE_SEARCH_STALLED,
     FlowRecord,
     FlowTrace,
     _hessian,
+    _hessian_gram,
     _moment,
     _newton_direction,
     _search_line,
@@ -37,8 +41,10 @@ from util import (
     conditioned,
     haar_unitary,
     n5_block,
+    random_hermitian,
     reference_flow,
     rep_of,
+    swap2,
     zeta,
 )
 
@@ -219,27 +225,79 @@ def test_gradient_finite_difference_check():
     assert checked >= 25
 
 
-def test_verify_minimal_passes_on_unitary():
-    report = verify_minimal(n5_block(1.0), samples=1000, spread=2.0, tol=1e-9)
-    assert report.passed
-    assert report.margin >= -1e-9
+def test_minimality_certificate_on_unitary():
+    cert = minimality_certificate(n5_block(1.0))
+    assert cert.hessian_kernel_dim == 1
+    assert cert.moment_over_gap <= 1e-12
 
 
-def test_verify_minimal_refutes_conjugated_point():
+def test_minimality_certificate_flags_conjugated_point():
     rng = np.random.default_rng(8)
     rep = conjugate(n5_block(1.0), conditioned(rng, 2, 10.0))
-    report = verify_minimal(rep, samples=500, spread=2.0, tol=1e-6)
-    assert not report.passed
-    assert report.margin < 0
+    assert minimality_certificate(rep).moment_over_gap >= 1e-3
 
 
-def test_verify_minimal_passes_after_flow():
+def test_minimality_certificate_after_flow():
     rng = np.random.default_rng(9)
     rep = conjugate(n5_block(1.0), conditioned(rng, 2, 10.0))
     final, trace = flow(rep)
     assert trace.converged
-    report = verify_minimal(final, samples=500, spread=1.0, tol=1e-6)
-    assert report.passed
+    assert minimality_certificate(final).moment_over_gap <= 1e-8
+
+
+def kronecker_spectrum(rep):
+    """Eigenvalues of half the energy's Hessian from its Kronecker form
+    P (x) I + I (x) P^T - 2 sum_Y Y (x) conj(Y) over Y in {A, B, A*, B*},
+    the matrix of h -> Ph + hP - 2 sum_Y Y h Y* on row-major vec(h)."""
+    ys = [rep.A, rep.B, rep.A.conj().T, rep.B.conj().T]
+    pm = sum(y @ y.conj().T for y in ys)
+    eye = np.eye(rep.n)
+    k = np.kron(pm, eye) + np.kron(eye, pm.T) - 2.0 * sum(np.kron(y, y.conj()) for y in ys)
+    return np.linalg.eigvalsh(k)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 12])
+def test_hessian_spectrum_matches_the_kronecker_form(n):
+    rng = np.random.default_rng(20 + n)
+    for p, q in [(2, 3), (1, -3)]:
+        rep = random_rep(p, q, n, n)
+        for point in (rep, conjugate(rep, conditioned(rng, n, 8.0)), flow(rep)[0]):
+            ab = stack(point)
+            lam = np.linalg.eigvalsh(_hessian_gram(ab, _moment(ab, False)))
+            ref = kronecker_spectrum(point)
+            # at n = 1 the spectrum is {0}; rounding is measured on the energy
+            scale = ref[-1] if n > 1 else kn_energy(point)
+            assert np.max(np.abs(lam - ref)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("p, q, dims", [
+    (2, 3, (1,)),
+    (2, 3, (1, 1)),
+    (2, 3, (2, 2, 1)),
+    (1, 3, (3, 3)),
+    (2, 5, (1, 2, 4)),
+    (-2, 3, (3, 1, 1, 1)),
+])
+def test_kernel_dim_counts_the_blocks(p, q, dims):
+    # the Hermitian stabilizer of a minimal sum of pairwise non-isomorphic
+    # irreducible blocks is one scalar per block; distinct chi keep blocks
+    # drawn from one orbit apart
+    rng = np.random.default_rng(len(dims))
+    orbits = enumerate_orbits(p, q, max(dims))
+    blocks = []
+    for j, k in enumerate(dims):
+        of_length = [d for d in orbits if d.k == k]
+        datum = of_length[int(rng.integers(len(of_length)))]
+        blocks.append(from_orbit_datum(datum, (1.0 + 0.25 * j) * np.exp(1j * j)))
+    rep = blocks[0]
+    for block in blocks[1:]:
+        rep = direct_sum(rep, block)
+    final, trace = flow(conjugate(rep, conditioned(rng, rep.n, 8.0)))
+    assert trace.converged
+    cert = minimality_certificate(final)
+    assert cert.hessian_kernel_dim == len(dims)
+    assert (cert.hessian_gap is None) == (rep.n == 1)
+    assert cert.moment_over_gap is None or cert.moment_over_gap <= 1e-8
 
 
 def test_flow_endpoint_commutators_individually_small():
@@ -272,6 +330,38 @@ def test_flow_stalled_line_search_outcome():
     assert not trace.converged
     assert 0 <= trace.iterations < 100
     assert trace.energy_monotone()
+
+
+def test_kernel_dim_sees_isomorphic_blocks():
+    # m copies of one block are stabilized by GL(m) acting on the copies,
+    # whose Hermitian part has dimension m^2
+    rng = np.random.default_rng(11)
+    rep = direct_sum(n5_block(1.0), n5_block(1.0))
+    final, trace = flow(conjugate(rep, conditioned(rng, 4, 8.0)))
+    assert trace.converged
+    assert minimality_certificate(final).hessian_kernel_dim == 4
+    # scalar A and B: every direction is in the kernel, so there is no gap
+    scalar = rep_of(2, 3, 2.0 * np.exp(0.3j) * np.eye(3), np.eye(3))
+    assert minimality_certificate(scalar) == (9, None, None)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_certificate_is_empty_where_the_hessian_overflows():
+    rep = rep_of(2, 3, 1e160 * swap2(), np.diag([zeta(5, 1), zeta(5, 4)]))
+    assert minimality_certificate(rep) == (None, None, None)
+
+
+def test_small_eta0_ends_on_the_budget():
+    # no step is longer than eta0 s, so at eta0 = 1e-8 every iteration
+    # passes the strict Armijo test, far from the resolution-limited tail:
+    # the energy falls at every step, nothing backtracks and the flow
+    # crawls until its budget runs out
+    cfg = FlowConfig(eta0=1e-8, max_iter=300)
+    _, trace = flow(random_rep(2, 3, 3, 1), cfg)
+    assert trace.outcome == ITER_BUDGET
+    energies = [r.energy for r in trace.records]
+    assert all(later < earlier for earlier, later in zip(energies, energies[1:]))
+    assert all(r.step == cfg.eta0 for r in trace.records[1:])
 
 
 def steps_are_powers_of_shrink(trace, cfg):
@@ -475,7 +565,7 @@ def assert_same_invariants(rep, cfg=None):
     cert, ref_cert = certify(final), certify(ref_final)
     assert (cert.order, cert.exponent, cert.failed_stage) == (
         ref_cert.order, ref_cert.exponent, ref_cert.failed_stage)
-    return trace, ref_trace
+    return final, trace, ref_trace
 
 
 def test_flow_matches_reference_on_the_acceptance_grid():
@@ -483,7 +573,9 @@ def test_flow_matches_reference_on_the_acceptance_grid():
     for p, q in PAIRS:
         for n in range(1, N_MAX + 1):
             for i in range(SEEDS):
-                assert_same_invariants(random_rep(p, q, n, derive_seed(0, p, q, n, i)), cfg)
+                rep = random_rep(p, q, n, derive_seed(0, p, q, n, i))
+                final, _, _ = assert_same_invariants(rep, cfg)
+                assert n == 1 or minimality_certificate(final).moment_over_gap <= 1e-6
 
 
 @pytest.mark.parametrize("p, q, n, seed, records", [
@@ -494,7 +586,7 @@ def test_flow_matches_reference_on_the_acceptance_grid():
     (1, 2, 8, 3, 259),
 ])
 def test_flow_matches_reference_across_blocks(p, q, n, seed, records):
-    trace, ref_trace = assert_same_invariants(random_rep(p, q, n, seed))
+    _, trace, ref_trace = assert_same_invariants(random_rep(p, q, n, seed))
     assert len(ref_trace.records) == records
     assert len(trace.records) < records // 10
 

@@ -139,6 +139,13 @@ def haar_unitary(rng, n):
     return qm * (d / np.abs(d))
 
 
+def random_hermitian(rng, n):
+    """Random Hermitian direction of unit Hilbert-Schmidt norm."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = 0.5 * (z + z.conj().T)
+    return h / hs_norm(h)
+
+
 def conditioned(rng, n, cond):
     u, v = haar_unitary(rng, n), haar_unitary(rng, n)
     half = 0.5 * np.log(cond)
