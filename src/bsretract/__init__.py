@@ -51,6 +51,7 @@ from .kempfness import (
     moment_map,
 )
 from .numerics import (
+    PolarFactors,
     RootOfUnity,
     eigvals,
     herm_power,

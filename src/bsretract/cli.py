@@ -389,12 +389,19 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
 
 # -------------------------------------------------------------------- verify
 
+#: verify's measures of the input; a NaN or Inf among them exits 2.
+_VERIFY_MEASURES = ("relation_residual", "kn_energy", "moment_norm",
+                    "unitarity_defect_a", "unitarity_defect_b")
+
+
 @main.command("verify")
 @click.option("--in", "in_path", default="-")
 @click.option("--out", default="-")
 @click.option("--snap-tol", default=1e-6, show_default=True)
 def cmd_verify(in_path, out, snap_tol):
-    """Report the structural certificates of a representation."""
+    """Report the structural certificates of a representation.  A
+    non-finite measure of the input exits EXIT_BAD_INPUT after the report
+    is written."""
     rep, res = _load_rep(in_path, validate=False)
     _check_snap_tol(snap_tol)
     report = {
@@ -412,8 +419,11 @@ def cmd_verify(in_path, out, snap_tol):
         "kappa_identity_defect": None,
         **minimality_certificate(rep)._asdict(),
     }
-    if not report["in_variety"]:
+    nonfinite = [key for key in _VERIFY_MEASURES if not math.isfinite(report[key])]
+    if not report["in_variety"] or nonfinite:
         _write_text(out, canonical_json(report) + "\n")
+        if nonfinite:
+            _fail(EXIT_BAD_INPUT, f"non-finite {', '.join(nonfinite)}: cannot certify")
         _fail(EXIT_BAD_INPUT, f"relation residual {res:.3e} too large to certify")
     exit_code = EXIT_OK
     cert = certify(rep, snap_tol)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import census
-from .bsrep import Rep, conjugate
+from .bsrep import Rep
 from .errors import (
     STRUCTURAL_ERRORS,
     BsretractError,
@@ -137,8 +137,10 @@ def conjugate_into_unitary(rep: Rep, form: HermitianForm) -> Rep:
     """Conjugate by Q^(1/2); the invariance h* Q h = Q makes B unitary.
 
     (Q^(1/2) h Q^(-1/2))* (Q^(1/2) h Q^(-1/2)) = Q^(-1/2) (h* Q h) Q^(-1/2) = I.
+    Q^(1/2) and its inverse Q^(-1/2) come from one eigendecomposition of Q.
     """
-    return conjugate(rep, herm_power(form.Q, 0.5))
+    g, g_inv = herm_power(form.Q, np.array([0.5, -0.5]))
+    return Rep(rep.group, rep.n, g @ rep.A @ g_inv, g @ rep.B @ g_inv)
 
 
 def normality_exponent(rep: Rep, order: int, tol: float = 1e-6) -> int:

@@ -22,6 +22,7 @@ from .errors import (
 )
 
 __all__ = [
+    "PolarFactors",
     "RootOfUnity",
     "as_matrix",
     "hs_norm",
@@ -81,31 +82,56 @@ def _herm(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.conj().T)
 
 
-def polar(a) -> tuple[np.ndarray, np.ndarray]:
-    """Right polar decomposition A = U P with U unitary, P Hermitian PD.
+@dataclass(frozen=True, eq=False)
+class PolarFactors:
+    """The SVD A = W diag(s) Vh that the polar factors of A = U P come
+    from: U = W Vh and P = Vh* diag(s) Vh."""
+
+    w: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.w @ self.vh
+
+    @property
+    def p(self) -> np.ndarray:
+        return _herm(self.vh.conj().T @ (self.s[:, None] * self.vh))
+
+
+def polar(a) -> PolarFactors:
+    """Right polar decomposition A = U P with U unitary, P Hermitian PD,
+    returned as the SVD factors both are read from.
 
     Raises SingularMatrix when the smallest singular value is at or below
     SV_TOL times the Hilbert-Schmidt norm of A.
     """
     a = as_matrix(a)
     try:
-        u0, s, vh = np.linalg.svd(a)
+        w, s, vh = np.linalg.svd(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"SVD failed: {exc}") from exc
     if s[-1] <= SV_TOL * hs_norm(a):
         raise SingularMatrix(
             f"smallest singular value {s[-1]:.3e} below tolerance"
         )
-    u = u0 @ vh
-    p = _herm(vh.conj().T @ (s[:, None] * vh))
-    return u, p
+    return PolarFactors(w, s, vh)
 
 
-def herm_power(p, t: float) -> np.ndarray:
+def herm_power(p, t) -> np.ndarray:
     """Fractional power P^t of a Hermitian positive-definite matrix.
 
-    P is symmetrized first; any eigenvalue <= 0 raises NotPositiveDefinite.
+    For a 1-D array of exponents t, the stack of the powers P^t[i], from
+    one eigendecomposition, each equal to herm_power(p, t[i]): each
+    eigenvalue power is taken for its scalar exponent, as numpy rounds
+    w ** t differently for some scalar t (0.5, 2, -1) than within an
+    array of exponents.  P is symmetrized first; any eigenvalue <= 0
+    raises NotPositiveDefinite.
     """
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError("exponents must be a scalar or a 1-D array")
     h = _herm(as_matrix(p))
     try:
         w, v = np.linalg.eigh(h)
@@ -113,7 +139,9 @@ def herm_power(p, t: float) -> np.ndarray:
         raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
     if w[0] <= 0.0:
         raise NotPositiveDefinite(f"eigenvalue {w[0]:.3e} is not positive")
-    return (v * w**t) @ v.conj().T
+    wt = np.array([w**ti for ti in t.reshape(-1).tolist()])
+    stack = (v * wt[:, None, :]) @ v.conj().T
+    return stack if t.ndim else stack[0]
 
 
 def eigvals(a) -> np.ndarray:

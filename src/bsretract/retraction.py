@@ -17,11 +17,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .bsrep import REP_TOL, BSGroup, Rep, relation_residual, residual
+from .bsrep import REP_TOL, BSGroup, Rep, relation_residual
 from .compactify import certify
-from .errors import STRUCTURAL_ERRORS, PipelineStageError, PolarObstruction
+from .errors import STRUCTURAL_ERRORS, PipelineStageError, PolarObstruction, SingularMatrix
 from .kempfness import FlowConfig, FlowTrace, flow
-from .numerics import hs_norm, polar, unitarity_defect
+from .numerics import PolarFactors, hs_norm, polar, unitarity_defect
 
 __all__ = [
     "RetractionPath",
@@ -47,20 +47,34 @@ class PathSample:
 
 @dataclass(frozen=True, eq=False)
 class RetractionPath:
-    """The path t -> (U P^t, B) sampled from t = 1 down to t = 0, stored as
-    the stack A[i] = A_{t[i]} of shape (k, n, n) with B fixed."""
+    """The path t -> (U P^t, B) of A = U P sampled from t = 1 down to t = 0,
+    with B fixed.  It is built from the SVD A = W diag(s) Vh of `polar` as
+    the stack A[i] = W diag(s^t[i]) Vh of shape (k, n, n)."""
 
     t: np.ndarray
-    A: np.ndarray
     B: np.ndarray
     group: BSGroup
+    factors: PolarFactors
+    A: np.ndarray = field(init=False)
+    #: s^t[i] per row, shape (k, n); A[i]^-1 = Vh* diag(1 / s^t[i]) W*.
+    st: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        k, n = len(self.t), self.B.shape[0]
-        if self.A.shape != (k, n, n):
-            raise ValueError(f"path stack shape {self.A.shape} does not match {(k, n, n)}")
-        if not np.all(np.isfinite(self.A.view(np.float64))):
+        w, s, vh = self.factors.w, self.factors.s, self.factors.vh
+        k, n = len(self.t), len(s)
+        if self.B.shape != (n, n) or w.shape != (n, n) or vh.shape != (n, n):
+            raise ValueError(f"factor shapes {w.shape}, {s.shape}, {vh.shape} "
+                             f"do not match B of shape {self.B.shape}")
+        # numpy raises an array to the scalar power 0.5 by sqrt, which can
+        # round differently from pow: take sqrt at t = 1/2 too, so that
+        # every row is s ** t for its own scalar t.
+        t = self.t[:, None]
+        st = np.where(t == 0.5, np.sqrt(s), s**t)
+        a = ((w * st[:, None, :]).reshape(k * n, n) @ vh).reshape(k, n, n)
+        if not np.all(np.isfinite(a.view(np.float64))):
             raise ValueError("matrix has non-finite entries")
+        object.__setattr__(self, "st", st)
+        object.__setattr__(self, "A", a)
 
     @property
     def samples(self) -> Sequence[PathSample]:
@@ -72,9 +86,23 @@ class RetractionPath:
 
     @cached_property
     def residuals(self) -> np.ndarray:
-        """Relation residual of every sample, measured once in one batched
-        pass on first access; read-only, as every reader shares it."""
-        res = residual(self.A, self.B, self.group.p, self.group.q)
+        """||A_t B^p A_t^-1 - B^q|| of every sample, with the inverse the
+        factors give, measured once on first access; read-only, as every
+        reader shares it.
+
+        A_t B^p A_t^-1 = ((A_t (B^p Vh*)) diag(1 / s^t)) W* is two 2-D
+        products over the stack laid out as (k n, n) and a column scaling.
+        """
+        k, n = self.A.shape[:2]
+        w, vh = self.factors.w, self.factors.vh
+        try:
+            bp = np.linalg.matrix_power(self.B, self.group.p)
+            bq = np.linalg.matrix_power(self.B, self.group.q)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix("singular B in the path residual") from exc
+        x = (self.A.reshape(k * n, n) @ (bp @ vh.conj().T)).reshape(k, n, n)
+        x = (x / self.st[:, None, :]).reshape(k * n, n) @ w.conj().T
+        res = hs_norm(x.reshape(k, n, n) - bq)
         res.flags.writeable = False
         return res
 
@@ -126,20 +154,14 @@ def retract_a(rep: Rep, num_samples: int = 100) -> RetractionPath:
             f"B is not unitary within {UNITARY_TOL:.1e} (defect {defect:.3e}); "
             "conjugate into the unitary group first"
         )
-    u, p = polar(rep.A)
+    factors = polar(rep.A)
+    p = factors.p
     comm = hs_norm(p @ b - b @ p)
     if not comm <= COMMUTE_TOL * hs_norm(p):
         raise PolarObstruction(
             f"||[P, B]|| = {comm:.3e} exceeds {COMMUTE_TOL:.1e} * ||P||"
         )
-    w, v = np.linalg.eigh(0.5 * (p + p.conj().T))
-    t = np.linspace(1.0, 0.0, num_samples)
-    # numpy raises an array to the scalar power 0.5 by sqrt, which can round
-    # differently from pow: take sqrt at t = 1/2 too, so that every slice
-    # is u v diag(w ** t) v* for its own scalar t.
-    wt = np.where(t[:, None] == 0.5, np.sqrt(w), w ** t[:, None])
-    a = u @ ((v * wt[:, None, :]) @ v.conj().T)
-    return RetractionPath(t, a, b, rep.group)
+    return RetractionPath(np.linspace(1.0, 0.0, num_samples), b, rep.group, factors)
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -389,14 +390,21 @@ def test_non_finite_flow_setting_exits_bad_input(runner, tmp_path, option, value
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_verify_reports_null_certificate_where_the_hessian_overflows(runner, tmp_path):
-    # the relation holds, so the finite-order certificates still run
+    # the relation holds, but the energy overflows and the moment norm and
+    # the defect of A are NaN: the report is written and verify exits 2
+    # instead of certifying the point
     rep = rep_of(2, 3, 1e160 * swap2(), np.diag([zeta(5, 1), zeta(5, 4)]))
     in_path = write_rep(tmp_path, rep)
     out = tmp_path / "report.json"
     res = runner.invoke(main, ["verify", "--in", in_path, "--out", str(out)])
-    assert res.exit_code == 0, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output
+    assert "non-finite kn_energy, moment_norm, unitarity_defect_a" in res.output
     report = json.loads(out.read_text())
-    assert report["detected_order"] == 5
+    assert report["in_variety"] is True
+    assert report["kn_energy"] == math.inf
+    assert math.isnan(report["moment_norm"]) and math.isnan(report["unitarity_defect_a"])
+    assert report["detected_order"] is None
     for field in ("hessian_kernel_dim", "hessian_gap", "moment_over_gap"):
         assert report[field] is None
 

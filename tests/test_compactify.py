@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from bsretract import (
     random_rep,
     relation_residual,
 )
-from bsretract.numerics import hs_norm
+from bsretract.numerics import herm_power, hs_norm, unitarity_defect
 
 from util import conditioned, haar_unitary, n5_block, powers, rep_of, zeta
 
@@ -136,6 +138,32 @@ def test_conjugate_into_unitary():
     form_u = invariant_form(rep_u.B, 5)
     same = conjugate_into_unitary(rep_u, form_u)
     assert np.allclose(same.A, rep_u.A, atol=1e-10)
+
+
+def test_conjugate_into_unitary_inverse_from_one_decomposition():
+    # Q^(1/2) and Q^(-1/2) are read off one eigendecomposition of Q; they
+    # are inverse to each other and make B unitary
+    rng = np.random.default_rng(5)
+    reps = [n5_block(1.0), conjugate(n5_block(1.0), conditioned(rng, 2, 20.0))]
+    for n, order, cond in ((2, 5, 100.0), (3, 7, 20.0), (4, 6, 50.0)):
+        b = cyclic_generator(rng, order, n, cond)
+        reps.append(rep_of(2, 3, conditioned(rng, n, 5.0), b))
+    for rep in reps:
+        form = invariant_form(rep.B, detect_finite_order(rep.B, (5, 7, 6)))
+        g, g_inv = herm_power(form.Q, np.array([0.5, -0.5]))
+        assert hs_norm(g @ g_inv - np.eye(rep.n)) <= 1e-13
+        fixed = conjugate_into_unitary(rep, form)
+        assert np.array_equal(fixed.B, g @ rep.B @ g_inv)
+        assert unitarity_defect(fixed.B) <= 1e-12
+
+
+def test_conjugate_into_unitary_rejects_an_indefinite_form():
+    # HermitianForm refuses such a Q, so it is handed over bare
+    indefinite = SimpleNamespace(Q=np.diag([2.0, -0.5]))
+    with pytest.raises(NotPositiveDefinite):
+        conjugate_into_unitary(n5_block(1.0), indefinite)
+    with pytest.raises(NotPositiveDefinite):
+        HermitianForm(indefinite.Q)
 
 
 def test_normality_exponent_examples():

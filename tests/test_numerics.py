@@ -45,14 +45,16 @@ def test_polar_of_unitary_is_identity_factor():
     rng = np.random.default_rng(1)
     for n in (2, 3, 5):
         a = haar_unitary(rng, n)
-        u, p = polar(a)
+        factors = polar(a)
+        u, p = factors.u, factors.p
         assert np.allclose(u, a, atol=1e-12)
         assert np.allclose(p, np.eye(n), atol=1e-12)
 
 
 def test_polar_of_positive_definite():
     p0 = np.array([[2.0, 0.5], [0.5, 1.0]], dtype=complex)
-    u, p = polar(p0)
+    factors = polar(p0)
+    u, p = factors.u, factors.p
     assert np.allclose(u, np.eye(2), atol=1e-12)
     assert np.allclose(p, p0, atol=1e-12)
 
@@ -60,7 +62,8 @@ def test_polar_of_positive_definite():
 def test_polar_swap_scaling_example():
     # A = diag(2, 1/2) . swap has polar factors (swap, diag(1/2, 2)).
     a = np.diag([2.0, 0.5]) @ swap2()
-    u, p = polar(a)
+    factors = polar(a)
+    u, p = factors.u, factors.p
     assert np.allclose(u, swap2(), atol=1e-12)
     assert np.allclose(p, np.diag([0.5, 2.0]), atol=1e-12)
 
@@ -72,7 +75,8 @@ def test_polar_against_inverse_sqrt_oracle():
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         w, v = np.linalg.eigh(a.conj().T @ a)
         u_oracle = a @ (v * w**-0.5) @ v.conj().T
-        u, p = polar(a)
+        factors = polar(a)
+        u, p = factors.u, factors.p
         assert np.allclose(u, u_oracle, atol=1e-10)
         assert hs_norm(u @ p - a) <= 1e-10 * hs_norm(a)
 
@@ -81,7 +85,8 @@ def test_polar_round_trip_random():
     rng = np.random.default_rng(3)
     for n in range(1, 9):
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        u, p = polar(a)
+        factors = polar(a)
+        u, p = factors.u, factors.p
         assert hs_norm(u @ p - a) <= 1e-10 * hs_norm(a)
         assert hs_norm(u.conj().T @ u - np.eye(n)) <= 1e-12 * n
         assert hs_norm(p - p.conj().T) <= 1e-12 * hs_norm(p)
@@ -110,9 +115,25 @@ def test_herm_power_semigroup():
         assert hs_norm(lhs - herm_power(p, s + t)) <= 1e-9
 
 
+def test_herm_power_exponent_array_equals_scalar_calls():
+    rng = np.random.default_rng(6)
+    for n in (1, 3, 6):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        p = z @ z.conj().T + 0.1 * np.eye(n)
+        t = np.array([0.5, -0.5, 0.0, 1.0, 0.37, 2.0, -1.0])
+        stack = herm_power(p, t)
+        assert stack.shape == (len(t), n, n)
+        for ti, power in zip(t, stack):
+            assert np.array_equal(power, herm_power(p, ti))
+            assert np.array_equal(power, herm_power(p, float(ti)))
+    with pytest.raises(ValueError):
+        herm_power(np.eye(2), np.zeros((2, 2)))
+
+
 def test_herm_power_rejects_indefinite():
-    with pytest.raises(NotPositiveDefinite):
-        herm_power(np.diag([1.0, -2.0]), 0.5)
+    for t in (0.5, np.array([0.5, -0.5])):
+        with pytest.raises(NotPositiveDefinite):
+            herm_power(np.diag([1.0, -2.0]), t)
 
 
 def test_as_matrix_rejects_bad_inputs():

@@ -6,6 +6,7 @@ from bsretract import (
     FlowConfig,
     PipelineStageError,
     PolarObstruction,
+    SingularMatrix,
     certify,
     conjugate,
     direct_sum,
@@ -24,11 +25,12 @@ from bsretract import (
 )
 from bsretract.compactify import conjugate_into_unitary, detect_finite_order, invariant_form
 from bsretract.kempfness import flow
-from bsretract.numerics import hs_norm, polar
+from bsretract.bsrep import residual
+from bsretract.numerics import PolarFactors, hs_norm, polar
 from bsretract.retraction import RetractionPath
 from bsretract.suite import derive_seed
 
-from util import N_MAX, PAIRS, SEEDS, conditioned, n5_block, rep_of, swap2, zeta
+from util import N_MAX, PAIRS, SEEDS, conditioned, haar_unitary, n5_block, rep_of, swap2, zeta
 
 
 def test_retract_constant_on_unitary_a():
@@ -246,6 +248,14 @@ def grid_diagnostics():
     return out
 
 
+def _factored_residual(a, t, path):
+    """||A_t B^p A_t^-1 - B^q|| of one sample alone, with the inverse
+    Vh* diag(s^-t) W* of the path's factors and s^t for the scalar t."""
+    f, b, group = path.factors, path.B, path.group
+    bp, bq = np.linalg.matrix_power(b, group.p), np.linalg.matrix_power(b, group.q)
+    return hs_norm(((a @ (bp @ f.vh.conj().T)) / f.s**t) @ f.w.conj().T - bq)
+
+
 def test_stacked_path_equals_per_sample_reps(grid_diagnostics):
     for diag in grid_diagnostics:
         path = diag.retraction_path
@@ -256,12 +266,34 @@ def test_stacked_path_equals_per_sample_reps(grid_diagnostics):
             assert sample.t == t == path.t[i]
             assert np.array_equal(sample.rep.A, path.A[i])
             assert np.array_equal(sample.rep.B, path.B)
-            assert res == relation_residual(sample.rep)
+            assert res == _factored_residual(sample.rep.A, path.t[i], path)
+            assert abs(res - relation_residual(sample.rep)) <= 1e-13
             assert defect == unitarity_defect(sample.rep.A)
         assert path.max_residual() == max(r[1] for r in rows) == diag.max_path_residual
         endpoint = path.endpoint
         assert path.t[-1] == 0.0 and np.array_equal(endpoint.A, path.A[-1])
-        assert diag.endpoint_residual == relation_residual(endpoint) == rows[-1][1]
+        assert diag.endpoint_residual == rows[-1][1]
+        assert diag.endpoint_residual == _factored_residual(endpoint.A, 0.0, path)
+        assert abs(diag.endpoint_residual - relation_residual(endpoint)) <= 1e-13
+
+
+def test_factored_residuals_match_lu_where_p_and_b_do_not_commute():
+    # Where the path leaves the variety the residuals are of order one; the
+    # path's own inverse measures them as an LU inverse of each sample does.
+    rng = np.random.default_rng(8)
+    t = np.linspace(1.0, 0.0, 11)
+    for n in (2, 3, 5, 8):
+        s = np.exp(np.linspace(1.5, -1.5, n))
+        for _ in range(4):
+            factors = PolarFactors(haar_unitary(rng, n), s, haar_unitary(rng, n))
+            b = haar_unitary(rng, n)
+            p = factors.p
+            assert hs_norm(p @ b - b @ p) >= 0.1 * hs_norm(p)
+            for pq in ((2, 3), (-1, 2), (3, -5)):
+                path = RetractionPath(t, b, BSGroup(*pq), factors)
+                lu = residual(path.A, b, *pq)
+                assert lu.min() >= 0.01
+                assert np.all(np.abs(path.residuals - lu) <= 1e-12 * lu)
 
 
 def test_path_samples_are_slices_of_the_stack():
@@ -274,29 +306,38 @@ def test_path_samples_are_slices_of_the_stack():
     with pytest.raises(IndexError):
         path.samples[7]
     with pytest.raises(ValueError):
-        RetractionPath(path.t[:3], path.A, path.B, path.group)
+        RetractionPath(path.t, np.eye(3), path.group, path.factors)
 
 
 def test_stacked_path_equals_scalar_power_construction():
-    # A_t = U V diag(w^t) V*, with w^t taken for one scalar t at a time as
-    # numpy does it; t = 1/2 is where numpy's w ** t is sqrt(w), and
-    # w[2] is a value where sqrt and pow round differently.
+    # A_t = W diag(s^t) Vh, with s^t taken for one scalar t at a time as
+    # numpy does it; t = 1/2 is where numpy's s ** t is sqrt(s), and the
+    # second singular value is one where sqrt and pow round differently.
     p_factor = np.diag([0.52565282, 0.56755784, 0.7147618265733313, 1.82916541])
     rep = rep_of(1, 2, np.eye(4)[::-1] @ p_factor, np.eye(4))
-    u, p = polar(rep.A)
-    w, v = np.linalg.eigh(0.5 * (p + p.conj().T))
+    f = polar(rep.A)
+    assert not np.array_equal(np.sqrt(f.s), np.power(f.s, np.full(4, 0.5)))
     for num_samples in (2, 5, 100, 101):
         path = retract_a(rep, num_samples)
+        assert (0.5 in path.t) == (num_samples % 2 == 1)
         for t, a in zip(path.t, path.A):
-            assert np.array_equal(a, u @ ((v * w**t) @ v.conj().T))
+            assert np.array_equal(a, (f.w * f.s**t) @ f.vh)
+
+
+def test_retract_singular_a_raises():
+    rep = rep_of(2, 3, np.diag([1.0, 0.0]), np.diag([zeta(5, 1), zeta(5, 4)]))
+    with pytest.raises(SingularMatrix):
+        retract_a(rep)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_path_residual_check_fails_on_a_nan_sample():
-    # the middle sample overflows to a NaN residual; the ends are finite
+    # s^-t overflows at the middle sample's t = 1, which makes its residual
+    # NaN; the ends, at t = 0, are finite
     b = np.array([[0.6, 0.8], [-0.8, 0.6]], dtype=complex)
-    a = np.stack([np.eye(2), np.diag([1e300, 1e-300]), np.eye(2)]).astype(complex)
-    path = RetractionPath(np.linspace(1.0, 0.0, 3), a, b, BSGroup(2, 3))
+    factors = PolarFactors(np.eye(2, dtype=complex), np.array([1e200, 1e-200]),
+                           np.eye(2, dtype=complex))
+    path = RetractionPath(np.array([0.0, 1.0, 0.0]), b, BSGroup(2, 3), factors)
     res = path.residuals
-    assert np.isfinite(res[[0, 2]]).all() and not np.isfinite(res[1])
+    assert np.isfinite(res[[0, 2]]).all() and np.isnan(res[1])
     assert not path.max_residual() <= 10.0
