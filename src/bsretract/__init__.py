@@ -54,7 +54,6 @@ from .numerics import (
     PolarFactors,
     RootOfUnity,
     eigvals,
-    herm_power,
     hs_norm,
     polar,
     snap_root_of_unity,

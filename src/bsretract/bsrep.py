@@ -15,7 +15,7 @@ import numpy as np
 
 from . import census
 from .errors import GroupMismatch, InvalidOrbit, SingularMatrix
-from .numerics import as_matrix, hs_norm, matrix_from_json, matrix_to_json
+from .numerics import as_matrix, hs_norm, json_int, matrix_from_json, matrix_to_json
 
 __all__ = [
     "BSGroup",
@@ -221,10 +221,14 @@ def rep_to_json(rep: Rep) -> dict:
 
 
 def rep_from_json(d: dict, *, validate: bool = True, tol: float = REP_TOL) -> Rep:
-    """Parse a Rep payload; by default enforce the residual tolerance."""
+    """Parse a Rep payload; by default enforce the residual tolerance.
+    A payload that is not an object, or whose p, q or n is not an
+    integer, raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"representation must be an object, got {type(d).__name__}")
     rep = Rep(
-        BSGroup(int(d["p"]), int(d["q"])),
-        int(d["n"]),
+        BSGroup(json_int(d["p"], "p"), json_int(d["q"], "q")),
+        json_int(d["n"], "n"),
         matrix_from_json(d["A"]),
         matrix_from_json(d["B"]),
     )

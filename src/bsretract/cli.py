@@ -64,10 +64,15 @@ def _fmt(x: float) -> str:
 
 
 def _write_text(path: str | None, text: str) -> None:
+    """Write to path, or to stdout for None or "-"; a path that cannot be
+    written exits with EXIT_BAD_INPUT."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as exc:
+        _fail(EXIT_BAD_INPUT, f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _read_text(path: str) -> str:
@@ -88,7 +93,7 @@ def _load_rep(path: str, *, validate: bool = True) -> tuple[Rep, float]:
     try:
         rep = rep_from_json(json.loads(_read_text(path)), validate=validate)
         return rep, relation_residual(rep)
-    except (ValueError, KeyError, json.JSONDecodeError, BsretractError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, BsretractError) as exc:
         _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
 
 
@@ -97,7 +102,7 @@ def _load_rep(path: str, *, validate: bool = True) -> tuple[Rep, float]:
 def _emit_manifest(manifest: dict, outcome: dict, out_path: str | None) -> None:
     doc = {**manifest, "outcome": outcome}
     if out_path and out_path != "-":
-        Path(str(out_path) + ".manifest.json").write_text(canonical_json(doc) + "\n")
+        _write_text(f"{out_path}.manifest.json", canonical_json(doc) + "\n")
 
 
 # ----------------------------------------------------------------- CLI group

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +25,13 @@ from .bsrep import Rep
 from .errors import (
     STRUCTURAL_ERRORS,
     BsretractError,
+    NoConvergence,
     NotARootOfUnity,
     NotFiniteOrder,
     NotNormalizing,
     NotPositiveDefinite,
 )
-from .numerics import as_matrix, herm_power, hs_norm, snap_root_of_unity
+from .numerics import as_matrix, hs_norm, snap_root_of_unity
 
 __all__ = [
     "Certificate",
@@ -45,21 +46,31 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class HermitianForm:
-    """Positive-definite Hermitian matrix with determinant one."""
+    """Positive-definite Hermitian form, scaled to determinant one.
+
+    One eigh of the symmetrized input, Q = V diag(w) V*; any w that is
+    not positive, NaN included, raises NotPositiveDefinite.  Q and w are
+    divided by exp(mean log w), so det Q = prod w = 1 by construction."""
 
     Q: np.ndarray
+    w: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         q = as_matrix(self.Q)
         if not hs_norm(q - q.conj().T) <= 1e-10:
             raise ValueError("form is not Hermitian within tolerance")
         q = 0.5 * (q + q.conj().T)
-        w = np.linalg.eigvalsh(q)
-        if not w[0] > 0.0:
-            raise NotPositiveDefinite(f"form eigenvalue {w[0]:.3e} <= 0")
-        if not abs(np.linalg.det(q).real - 1.0) <= 1e-6:
-            raise ValueError("form is not determinant-normalized")
-        object.__setattr__(self, "Q", q)
+        try:
+            w, v = np.linalg.eigh(q)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
+        if not np.all(w > 0.0):
+            raise NotPositiveDefinite(f"form eigenvalue {np.min(w):.3e} is not positive")
+        c = math.exp(np.log(w).mean())
+        object.__setattr__(self, "Q", q / c)
+        object.__setattr__(self, "w", w / c)
+        object.__setattr__(self, "v", v)
 
 
 def _eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -103,7 +114,7 @@ def detect_finite_order(b, moduli, tol: float = 1e-6, *, eig=None) -> int:
     return math.lcm(*(r.N for r in roots))
 
 
-def invariant_form(b, order: int) -> HermitianForm:
+def invariant_form(b, order: int, *, eig=None) -> HermitianForm:
     """Group mean of h* h over <b>, from the eigendecomposition of b.
 
     With B = V diag(lambda) V^-1 and every lambda an order-th root of
@@ -111,35 +122,27 @@ def invariant_form(b, order: int) -> HermitianForm:
     when lambda_i = lambda_j and 0 otherwise, so the mean of (B^k)* B^k
     is Q = V^-* ((V* V) o M) V^-1 with M_ij = 1 exactly when lambda_i and
     lambda_j round to the same order-th root.  h* Q h = Q for every h in
-    the group, and Q = I when the group is unitary.  Returned
-    determinant-normalized.
+    the group, and Q = I when the group is unitary.  Returned scaled to
+    determinant one.  eig as in detect_finite_order.
     """
-    return _invariant_form(b, order)[0]
-
-
-def _invariant_form(b, order: int, eig=None) -> tuple[HermitianForm, float]:
-    """invariant_form, and the 2-norm condition number of the eigenvector
-    basis V it was built from; eig as in detect_finite_order."""
     b = as_matrix(b)
     if order < 1:
         raise ValueError("order must be >= 1")
     w, v, vinv = _eig(b) if eig is None else eig
     k = np.rint(np.angle(w) / (2.0 * math.pi) * order) % order
     q0 = vinv.conj().T @ ((v.conj().T @ v) * (k[:, None] == k[None, :])) @ vinv
-    q0 = 0.5 * (q0 + q0.conj().T)
-    det = np.linalg.det(q0).real
-    if not det > 0:
-        raise NotPositiveDefinite("invariant form has non-positive determinant")
-    return HermitianForm(q0 / det ** (1.0 / b.shape[0])), float(np.linalg.cond(v))
+    return HermitianForm(0.5 * (q0 + q0.conj().T))
 
 
 def conjugate_into_unitary(rep: Rep, form: HermitianForm) -> Rep:
     """Conjugate by Q^(1/2); the invariance h* Q h = Q makes B unitary.
 
     (Q^(1/2) h Q^(-1/2))* (Q^(1/2) h Q^(-1/2)) = Q^(-1/2) (h* Q h) Q^(-1/2) = I.
-    Q^(1/2) and its inverse Q^(-1/2) come from one eigendecomposition of Q.
+    Q^(1/2) = V diag(w^(1/2)) V* and its inverse Q^(-1/2) are built from
+    the decomposition the form keeps.
     """
-    g, g_inv = herm_power(form.Q, np.array([0.5, -0.5]))
+    r, vh = np.sqrt(form.w), form.v.conj().T
+    g, g_inv = (form.v * r) @ vh, (form.v / r) @ vh
     return Rep(rep.group, rep.n, g @ rep.A @ g_inv, g @ rep.B @ g_inv)
 
 
@@ -205,7 +208,8 @@ def certify(rep: Rep, tol: float = 1e-6) -> Certificate:
         eig = _eig(rep.B)
         cert.order = detect_finite_order(rep.B, moduli, tol, eig=eig)
         stage = "invariant_form"
-        cert.form, cert.eig_condition = _invariant_form(rep.B, cert.order, eig)
+        cert.form = invariant_form(rep.B, cert.order, eig=eig)
+        cert.eig_condition = float(np.linalg.cond(eig[1]))
         b, q = rep.B, cert.form.Q
         cert.invariance_defect = hs_norm(b.conj().T @ q @ b - q)
         stage = "conjugate_into_unitary"

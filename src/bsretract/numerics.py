@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,6 @@ import numpy as np
 from .errors import (
     NoConvergence,
     NotARootOfUnity,
-    NotPositiveDefinite,
     SingularMatrix,
 )
 
@@ -28,7 +28,6 @@ __all__ = [
     "hs_norm",
     "unitarity_defect",
     "polar",
-    "herm_power",
     "eigvals",
     "snap_root_of_unity",
     "matrix_to_json",
@@ -78,10 +77,6 @@ def unitarity_defect(x: np.ndarray):
     return hs_norm(np.swapaxes(x.conj(), -1, -2) @ x - np.eye(x.shape[-1]))
 
 
-def _herm(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (x + x.conj().T)
-
-
 @dataclass(frozen=True, eq=False)
 class PolarFactors:
     """The SVD A = W diag(s) Vh that the polar factors of A = U P come
@@ -97,7 +92,8 @@ class PolarFactors:
 
     @property
     def p(self) -> np.ndarray:
-        return _herm(self.vh.conj().T @ (self.s[:, None] * self.vh))
+        p = self.vh.conj().T @ (self.s[:, None] * self.vh)
+        return 0.5 * (p + p.conj().T)
 
 
 def polar(a) -> PolarFactors:
@@ -117,31 +113,6 @@ def polar(a) -> PolarFactors:
             f"smallest singular value {s[-1]:.3e} below tolerance"
         )
     return PolarFactors(w, s, vh)
-
-
-def herm_power(p, t) -> np.ndarray:
-    """Fractional power P^t of a Hermitian positive-definite matrix.
-
-    For a 1-D array of exponents t, the stack of the powers P^t[i], from
-    one eigendecomposition, each equal to herm_power(p, t[i]): each
-    eigenvalue power is taken for its scalar exponent, as numpy rounds
-    w ** t differently for some scalar t (0.5, 2, -1) than within an
-    array of exponents.  P is symmetrized first; any eigenvalue <= 0
-    raises NotPositiveDefinite.
-    """
-    t = np.asarray(t, dtype=float)
-    if t.ndim > 1:
-        raise ValueError("exponents must be a scalar or a 1-D array")
-    h = _herm(as_matrix(p))
-    try:
-        w, v = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
-    if w[0] <= 0.0:
-        raise NotPositiveDefinite(f"eigenvalue {w[0]:.3e} is not positive")
-    wt = np.array([w**ti for ti in t.reshape(-1).tolist()])
-    stack = (v * wt[:, None, :]) @ v.conj().T
-    return stack if t.ndim else stack[0]
 
 
 def eigvals(a) -> np.ndarray:
@@ -266,8 +237,18 @@ def matrix_to_json(a) -> dict:
     }
 
 
+def json_int(x, name: str) -> int:
+    """An integer field of a JSON payload; anything else, such as 2.5
+    (never read as 2), "2", true or null, raises ValueError."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
+
+
 def matrix_from_json(d: dict) -> np.ndarray:
-    n = int(d["n"])
+    if not isinstance(d, dict):
+        raise ValueError(f"matrix payload must be an object, got {type(d).__name__}")
+    n = json_int(d["n"], "n")
     re = np.asarray(d["re"], dtype=float)
     im = np.asarray(d["im"], dtype=float)
     if re.shape != (n, n) or im.shape != (n, n):

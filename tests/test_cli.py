@@ -372,6 +372,37 @@ def test_singular_input_exits_bad_input(runner, tmp_path):
         assert res.exit_code == 2, (cmd, res.output)
 
 
+def _payload(edit):
+    doc = rep_to_json(n5_block(1.0))
+    return json.dumps(edit(doc))
+
+
+@pytest.mark.parametrize("args, payload", [
+    (["verify", "--in", "missing.json"], None),
+    (["flow", "--in", "."], None),
+    (["construct", "--p", "2", "--q", "3", "--random", "2", "--out", "nodir/x.json"], None),
+    (["census", "2", "3", "--out", "nodir/x.jsonl"], None),
+    (["census", "2", "3", "--out", "x.jsonl", "--csv", "nodir/c.csv"], None),
+    (["verify", "--in", "rep.json"], _payload(lambda d: [d])),
+    (["verify", "--in", "rep.json"], _payload(lambda d: {**d, "B": None})),
+    (["verify", "--in", "rep.json"], _payload(lambda d: {**d, "p": 2.5})),
+    (["verify", "--in", "rep.json"], _payload(lambda d: {**d, "q": True})),
+    (["flow", "--in", "rep.json"], _payload(lambda d: {**d, "n": "2"})),
+    (["pipeline", "--in", "rep.json"], _payload(lambda d: {**d, "A": {**d["A"], "n": 2.5}})),
+], ids=["missing-input", "input-is-a-directory", "construct-out-without-directory",
+        "census-out-without-directory", "census-csv-without-directory", "top-level-list",
+        "null-matrix", "fractional-p", "boolean-q", "string-n", "fractional-matrix-n"])
+def test_unreadable_or_malformed_io_exits_bad_input(runner, tmp_path, monkeypatch, args, payload):
+    # every such case is refused with "error:", never a traceback
+    monkeypatch.chdir(tmp_path)
+    if payload is not None:
+        (tmp_path / "rep.json").write_text(payload)
+    res = runner.invoke(main, args)
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: ") and "Traceback" not in res.output
+
+
 @pytest.mark.parametrize("option, value", [
     ("--tol", "inf"), ("--tol", "nan"), ("--eta0", "inf"), ("--eta0", "nan"),
 ])

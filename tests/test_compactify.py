@@ -1,9 +1,9 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
 from bsretract import (
+    BSGroup,
+    Certificate,
     HermitianForm,
     NotFiniteOrder,
     NotNormalizing,
@@ -19,7 +19,8 @@ from bsretract import (
     random_rep,
     relation_residual,
 )
-from bsretract.numerics import herm_power, hs_norm, unitarity_defect
+from bsretract.bsrep import Rep, random_conditioned
+from bsretract.numerics import hs_norm, unitarity_defect
 
 from util import conditioned, haar_unitary, n5_block, powers, rep_of, zeta
 
@@ -141,8 +142,8 @@ def test_conjugate_into_unitary():
 
 
 def test_conjugate_into_unitary_inverse_from_one_decomposition():
-    # Q^(1/2) and Q^(-1/2) are read off one eigendecomposition of Q; they
-    # are inverse to each other and make B unitary
+    # Q^(1/2) and Q^(-1/2) are built from the one eigendecomposition the
+    # form keeps; they are inverse to each other and make B unitary
     rng = np.random.default_rng(5)
     reps = [n5_block(1.0), conjugate(n5_block(1.0), conditioned(rng, 2, 20.0))]
     for n, order, cond in ((2, 5, 100.0), (3, 7, 20.0), (4, 6, 50.0)):
@@ -150,7 +151,9 @@ def test_conjugate_into_unitary_inverse_from_one_decomposition():
         reps.append(rep_of(2, 3, conditioned(rng, n, 5.0), b))
     for rep in reps:
         form = invariant_form(rep.B, detect_finite_order(rep.B, (5, 7, 6)))
-        g, g_inv = herm_power(form.Q, np.array([0.5, -0.5]))
+        assert hs_norm((form.v * form.w) @ form.v.conj().T - form.Q) <= 1e-12 * hs_norm(form.Q)
+        g = (form.v * np.sqrt(form.w)) @ form.v.conj().T
+        g_inv = (form.v / np.sqrt(form.w)) @ form.v.conj().T
         assert hs_norm(g @ g_inv - np.eye(rep.n)) <= 1e-13
         fixed = conjugate_into_unitary(rep, form)
         assert np.array_equal(fixed.B, g @ rep.B @ g_inv)
@@ -158,12 +161,26 @@ def test_conjugate_into_unitary_inverse_from_one_decomposition():
 
 
 def test_conjugate_into_unitary_rejects_an_indefinite_form():
-    # HermitianForm refuses such a Q, so it is handed over bare
-    indefinite = SimpleNamespace(Q=np.diag([2.0, -0.5]))
-    with pytest.raises(NotPositiveDefinite):
-        conjugate_into_unitary(n5_block(1.0), indefinite)
-    with pytest.raises(NotPositiveDefinite):
-        HermitianForm(indefinite.Q)
+    # a form cannot be built from an indefinite Q, so no indefinite Q
+    # reaches conjugate_into_unitary
+    for q in (np.diag([2.0, -0.5]), np.diag([-2.0, -0.5]), np.diag([1.0, 0.0])):
+        with pytest.raises(NotPositiveDefinite):
+            HermitianForm(q)
+
+
+def test_hermitian_form_is_scaled_to_determinant_one():
+    # the input is scaled by exp(mean log w), not rejected, and the kept
+    # decomposition rebuilds the scaled form
+    rng = np.random.default_rng(7)
+    for n, cond in ((1, 1.0), (3, 1e2), (5, 1e4)):
+        g = conditioned(rng, n, cond)
+        raw = 3.7 * g.conj().T @ g
+        raw = 0.5 * (raw + raw.conj().T)
+        form = HermitianForm(raw)
+        assert abs(np.prod(form.w) - 1.0) <= 1e-12
+        assert np.all(np.diff(form.w) >= 0.0)
+        assert hs_norm(form.Q / hs_norm(form.Q) - raw / hs_norm(raw)) <= 1e-14
+        assert hs_norm((form.v * form.w) @ form.v.conj().T - form.Q) <= 1e-12 * hs_norm(form.Q)
 
 
 def test_normality_exponent_examples():
@@ -277,13 +294,14 @@ def test_hermitian_form_rejects_a_nan_hermiticity_defect(monkeypatch):
 
 
 def test_hermitian_form_rejects_a_nan_determinant(monkeypatch):
-    monkeypatch.setattr(np.linalg, "det", lambda x: float("nan"))
-    with pytest.raises(ValueError, match="determinant"):
+    # a NaN largest eigenvalue makes the determinant scale NaN
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: (np.array([1.0, float("nan")]), np.eye(2)))
+    with pytest.raises(NotPositiveDefinite):
         HermitianForm(np.eye(2))
 
 
 def test_hermitian_form_rejects_a_nan_eigenvalue(monkeypatch):
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: np.array([float("nan"), 1.0]))
+    monkeypatch.setattr(np.linalg, "eigh", lambda x: (np.array([float("nan"), 1.0]), np.eye(2)))
     with pytest.raises(NotPositiveDefinite):
         HermitianForm(np.eye(2))
 
@@ -300,3 +318,34 @@ def test_certify_shares_one_decomposition_bit_identically():
         form = invariant_form(rep.B, order)
         assert cert.order == order
         assert cert.form.Q.tobytes() == form.Q.tobytes()
+
+
+@pytest.mark.parametrize("seed", [15, 128])
+def test_certify_a_conditioned_eigenbasis(seed):
+    # B = V diag(zeta_5^k) V^-1 with cond(V) near 5e5: an LU determinant
+    # of the scaled form misses one by more than 1e-6, yet the form is
+    # scaled by construction and certify returns a certificate; A = I
+    # does not normalize <B>, so only the last stage fails
+    v = random_conditioned(np.random.default_rng(seed), 4, 1e6)
+    b = v @ np.diag(np.exp(2j * np.pi * np.arange(1, 5) / 5)) @ np.linalg.inv(v)
+    cert = certify(Rep(BSGroup(2, 3), 4, np.eye(4), b))
+    assert isinstance(cert, Certificate)
+    assert cert.order == 5 and cert.eig_condition > 1e5
+    assert abs(np.prod(cert.form.w) - 1.0) <= 1e-12
+    assert unitarity_defect(cert.unitary.B) <= 1e-4
+    assert cert.failed_stage == "normality_exponent"
+
+
+def test_certify_decomposes_the_form_once(monkeypatch):
+    # one eigh of Q gives its positivity, its determinant and Q^(+-1/2)
+    rep, trace = flow(random_rep(2, 3, 4, 3))
+    assert trace.converged
+    calls = {"eigh": 0, "eigvalsh": 0, "det": 0}
+    for name in calls:
+        def counting(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    cert = certify(rep)
+    assert cert.failed_stage is None and cert.order == 65
+    assert calls == {"eigh": 1, "eigvalsh": 0, "det": 0}

@@ -8,11 +8,9 @@ from hypothesis import strategies as st
 
 from bsretract import (
     NotARootOfUnity,
-    NotPositiveDefinite,
     RootOfUnity,
     SingularMatrix,
     eigvals,
-    herm_power,
     hs_norm,
     polar,
     snap_root_of_unity,
@@ -96,44 +94,6 @@ def test_polar_round_trip_random():
 def test_polar_singular_raises():
     with pytest.raises(SingularMatrix):
         polar(np.array([[1.0, 0.0], [0.0, 0.0]]))
-
-
-def test_herm_power_examples():
-    assert np.allclose(herm_power(np.eye(3), 0.37), np.eye(3))
-    assert np.allclose(herm_power(np.diag([4.0, 1.0]), 0.5), np.diag([2.0, 1.0]))
-    p = np.array([[2.0, 0.3 + 0.1j], [0.3 - 0.1j, 1.0]])
-    assert hs_norm(herm_power(p, 1.0) - p) <= 1e-12
-    assert np.allclose(herm_power(p, 0.0), np.eye(2))
-
-
-def test_herm_power_semigroup():
-    rng = np.random.default_rng(4)
-    z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    p = z @ z.conj().T + 0.1 * np.eye(4)
-    for s, t in [(0.3, 0.4), (0.5, 0.5), (-0.2, 1.2)]:
-        lhs = herm_power(p, s) @ herm_power(p, t)
-        assert hs_norm(lhs - herm_power(p, s + t)) <= 1e-9
-
-
-def test_herm_power_exponent_array_equals_scalar_calls():
-    rng = np.random.default_rng(6)
-    for n in (1, 3, 6):
-        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        p = z @ z.conj().T + 0.1 * np.eye(n)
-        t = np.array([0.5, -0.5, 0.0, 1.0, 0.37, 2.0, -1.0])
-        stack = herm_power(p, t)
-        assert stack.shape == (len(t), n, n)
-        for ti, power in zip(t, stack):
-            assert np.array_equal(power, herm_power(p, ti))
-            assert np.array_equal(power, herm_power(p, float(ti)))
-    with pytest.raises(ValueError):
-        herm_power(np.eye(2), np.zeros((2, 2)))
-
-
-def test_herm_power_rejects_indefinite():
-    for t in (0.5, np.array([0.5, -0.5])):
-        with pytest.raises(NotPositiveDefinite):
-            herm_power(np.diag([1.0, -2.0]), t)
 
 
 def test_as_matrix_rejects_bad_inputs():
