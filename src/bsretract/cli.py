@@ -75,6 +75,23 @@ def _write_text(path: str | None, text: str) -> None:
         _fail(EXIT_BAD_INPUT, f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _check_outputs(out: str | None, *others: str | None) -> None:
+    """Exit with EXIT_BAD_INPUT, before anything is written, unless every
+    output path, with the manifest beside out, names a file in an existing
+    directory; a command that writes several files then writes all of them
+    or none."""
+    paths = [out, *others]
+    if out and out != "-":
+        paths.append(f"{out}.manifest.json")
+    for path in paths:
+        if not path or path == "-":
+            continue
+        if Path(path).is_dir():
+            _fail(EXIT_BAD_INPUT, f"cannot write {path}: is a directory")
+        if not Path(path).parent.is_dir():
+            _fail(EXIT_BAD_INPUT, f"cannot write {path}: no such directory")
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -124,6 +141,7 @@ def main():
 @click.option("--csv", "csv_path", default=None, help="Summary CSV path (k, N, orbits).")
 def cmd_census(p, q, n_max, out, csv_path):
     """Enumerate exponent orbits for the group parameters P Q."""
+    _check_outputs(out, csv_path)
     try:
         data = enumerate_orbits(p, q, n_max)
     except ValueError as exc:
@@ -169,6 +187,7 @@ def _parse_orbit_spec(spec: str, p: int, q: int) -> OrbitDatum:
 @click.option("--out", default="-")
 def cmd_construct(p, q, orbits, chis, random_n, seed, sl, out):
     """Build a representation from orbit blocks or at random."""
+    _check_outputs(out)
     try:
         validate_parameters(p, q)
         if random_n is not None:
@@ -271,6 +290,7 @@ def _with(options):
 @_with(_flow_options)
 def cmd_flow(in_path, out, trace_csv, tol, max_iter, eta0, sl):
     """Run the moment-map gradient flow on a representation."""
+    _check_outputs(out, trace_csv)
     rep, _ = _load_rep(in_path)
     cfg = _flow_config(tol, max_iter, eta0, sl)
     final, trace = flow(rep, cfg)
@@ -352,6 +372,7 @@ def _run_and_emit(command, parameters, rep, run, out, diag_path, path_csv,
 def cmd_retract(in_path, out, diag_path, path_csv, samples, snap_tol):
     """Certify finite-order structure and retract A to its unitary factor
     (no flow; input should already be near a minimal vector)."""
+    _check_outputs(out, diag_path, path_csv)
     rep, _ = _load_rep(in_path)
     _check_snap_tol(snap_tol)
     _check_samples(samples)
@@ -378,6 +399,7 @@ def cmd_retract(in_path, out, diag_path, path_csv, samples, snap_tol):
 def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol,
                  tol, max_iter, eta0, sl):
     """Flow, certify, and retract: Rep JSON in, unitary Rep JSON out."""
+    _check_outputs(out, diag_path, path_csv, trace_csv)
     rep, _ = _load_rep(in_path)
     cfg = _flow_config(tol, max_iter, eta0, sl)
     _check_snap_tol(snap_tol)
@@ -407,6 +429,7 @@ def cmd_verify(in_path, out, snap_tol):
     """Report the structural certificates of a representation.  A
     non-finite measure of the input exits EXIT_BAD_INPUT after the report
     is written."""
+    _check_outputs(out)
     rep, res = _load_rep(in_path, validate=False)
     _check_snap_tol(snap_tol)
     report = {
@@ -475,6 +498,7 @@ def _parse_int_list(text: str) -> list[int]:
 def cmd_suite(p_list, q_list, pairs_spec, n_max, seeds, base_seed, samples,
               snap_tol, idempotence, report, workers, tol, max_iter, eta0, sl):
     """Sweep the grid, run the full pipeline on every cell, aggregate."""
+    _check_outputs(report)
     if pairs_spec:
         pairs = []
         for item in pairs_spec.split(","):

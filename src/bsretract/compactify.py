@@ -48,9 +48,11 @@ __all__ = [
 class HermitianForm:
     """Positive-definite Hermitian form, scaled to determinant one.
 
-    One eigh of the symmetrized input, Q = V diag(w) V*; any w that is
-    not positive, NaN included, raises NotPositiveDefinite.  Q and w are
-    divided by exp(mean log w), so det Q = prod w = 1 by construction."""
+    The input must be Hermitian within 1e-10 * max(1, ||Q||), a bound
+    relative to its norm.  One eigh of the symmetrized input,
+    Q = V diag(w) V*; any w that is not positive, NaN included, raises
+    NotPositiveDefinite.  Q and w are divided by exp(mean log w), so
+    det Q = prod w = 1 by construction."""
 
     Q: np.ndarray
     w: np.ndarray = field(init=False, repr=False)
@@ -58,7 +60,8 @@ class HermitianForm:
 
     def __post_init__(self):
         q = as_matrix(self.Q)
-        if not hs_norm(q - q.conj().T) <= 1e-10:
+        tol = 1e-10 * max(1.0, hs_norm(q))
+        if not hs_norm(q - q.conj().T) <= tol < math.inf:
             raise ValueError("form is not Hermitian within tolerance")
         q = 0.5 * (q + q.conj().T)
         try:
@@ -88,9 +91,11 @@ def detect_finite_order(b, moduli, tol: float = 1e-6, *, eig=None) -> int:
     `moduli` are the admissible moduli |p^k - q^k| (see
     census.order_moduli); a single int is one modulus.  Every eigenvalue
     is snapped to a root of unity of order <= prod(moduli), and each
-    snapped order must divide one of the moduli.  The snapped spectrum
-    must rebuild b: ||B - V diag(roots) V^-1|| <= n * tol * max(1, ||B||),
-    which rejects non-diagonalizable b.  The order is the lcm of the
+    snapped order must divide one of the moduli; the eigenvalues are taken
+    in order, and the first that does not snap or whose order divides no
+    modulus ends the detection.  The snapped spectrum must rebuild b:
+    ||B - V diag(roots) V^-1|| <= n * tol * max(1, ||B||), which rejects
+    non-diagonalizable b.  The order is the lcm of the
     snapped orders.  Raises NotFiniteOrder when any of this fails (input
     away from a minimal vector).  eig, if given, is b's decomposition
     (w, V, V^-1) from a caller that needs it again, and b is not
@@ -99,13 +104,15 @@ def detect_finite_order(b, moduli, tol: float = 1e-6, *, eig=None) -> int:
     b = as_matrix(b)
     moduli = (moduli,) if isinstance(moduli, numbers.Integral) else tuple(moduli)
     w, v, vinv = _eig(b) if eig is None else eig
-    try:
-        roots = [snap_root_of_unity(lam, math.prod(moduli), tol) for lam in w]
-    except NotARootOfUnity as exc:
-        raise NotFiniteOrder(f"eigenvalue does not snap: {exc}") from exc
-    for r in roots:
+    bound, roots = math.prod(moduli), []
+    for lam in w:
+        try:
+            r = snap_root_of_unity(lam, bound, tol)
+        except NotARootOfUnity as exc:
+            raise NotFiniteOrder(f"eigenvalue does not snap: {exc}") from exc
         if not any(m % r.N == 0 for m in moduli):
             raise NotFiniteOrder(f"snapped order {r.N} divides none of {moduli}")
+        roots.append(r)
     defect = hs_norm(b - (v * np.array([r.value for r in roots])) @ vinv)
     if not defect <= b.shape[0] * tol * max(1.0, hs_norm(b)):
         raise NotFiniteOrder(

@@ -48,33 +48,42 @@ class PathSample:
 @dataclass(frozen=True, eq=False)
 class RetractionPath:
     """The path t -> (U P^t, B) of A = U P sampled from t = 1 down to t = 0,
-    with B fixed.  It is built from the SVD A = W diag(s) Vh of `polar` as
-    the stack A[i] = W diag(s^t[i]) Vh of shape (k, n, n)."""
+    with B fixed, kept as the SVD A = W diag(s) Vh of `polar`: sample i is
+    A[i] = W diag(s^t[i]) Vh.  The residuals are measured in that SVD's
+    basis, and the stack A of shape (k, n, n) is built only when read."""
 
     t: np.ndarray
     B: np.ndarray
     group: BSGroup
     factors: PolarFactors
-    A: np.ndarray = field(init=False)
-    #: s^t[i] per row, shape (k, n); A[i]^-1 = Vh* diag(1 / s^t[i]) W*.
-    st: np.ndarray = field(init=False, repr=False)
+    #: B in the basis of A's right singular vectors, Vh B Vh*.
+    _bt: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         w, s, vh = self.factors.w, self.factors.s, self.factors.vh
-        k, n = len(self.t), len(s)
+        n = len(s)
         if self.B.shape != (n, n) or w.shape != (n, n) or vh.shape != (n, n):
             raise ValueError(f"factor shapes {w.shape}, {s.shape}, {vh.shape} "
                              f"do not match B of shape {self.B.shape}")
-        # numpy raises an array to the scalar power 0.5 by sqrt, which can
-        # round differently from pow: take sqrt at t = 1/2 too, so that
-        # every row is s ** t for its own scalar t.
-        t = self.t[:, None]
-        st = np.where(t == 0.5, np.sqrt(s), s**t)
-        a = ((w * st[:, None, :]).reshape(k * n, n) @ vh).reshape(k, n, n)
+        object.__setattr__(self, "_bt", vh @ self.B @ vh.conj().T)
+
+    def _st(self) -> np.ndarray:
+        """s^t[i] per row, shape (k, n).  numpy raises an array to the
+        scalar power 0.5 by sqrt, which can round differently from pow:
+        take sqrt at t = 1/2 too, so that every row is s ** t for its own
+        scalar t."""
+        t, s = self.t[:, None], self.factors.s
+        return np.where(t == 0.5, np.sqrt(s), s**t)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        """The stack A[i] = W diag(s^t[i]) Vh, built on first read;
+        read-only, as every reader shares it."""
+        a = (self.factors.w * self._st()[:, None, :]) @ self.factors.vh
         if not np.all(np.isfinite(a.view(np.float64))):
             raise ValueError("matrix has non-finite entries")
-        object.__setattr__(self, "st", st)
-        object.__setattr__(self, "A", a)
+        a.flags.writeable = False
+        return a
 
     @property
     def samples(self) -> Sequence[PathSample]:
@@ -82,27 +91,30 @@ class RetractionPath:
 
     @property
     def endpoint(self) -> Rep:
-        return Rep(self.group, self.B.shape[0], self.A[-1], self.B)
+        """The unitary end (U, B) with U = W Vh, which is A[-1] when the
+        path ends at t = 0, as every path of retract_a does."""
+        return Rep(self.group, self.B.shape[0], self.factors.u, self.B)
 
     @cached_property
     def residuals(self) -> np.ndarray:
-        """||A_t B^p A_t^-1 - B^q|| of every sample, with the inverse the
-        factors give, measured once on first access; read-only, as every
-        reader shares it.
+        """||A_t B^p A_t^-1 - B^q|| of every sample, measured once on first
+        access; read-only, as every reader shares it.
 
-        A_t B^p A_t^-1 = ((A_t (B^p Vh*)) diag(1 / s^t)) W* is two 2-D
-        products over the stack laid out as (k n, n) and a column scaling.
+        With B~ = Vh B Vh*, O = Vh W and D_t = diag(s^t),
+        A_t B^p A_t^-1 - B^q = W (D_t B~^p D_t^-1 - O* B~^q O) W*, and the
+        Hilbert-Schmidt norm is unitarily invariant: each residual is
+        ||(s_i / s_j)^t (B~^p)_ij - (O* B~^q O)_ij||.  That is O(n^3) work
+        once and O(k n^2) elementwise, and the stack is never formed.
         """
-        k, n = self.A.shape[:2]
-        w, vh = self.factors.w, self.factors.vh
+        vh, bt = self.factors.vh, self._bt
         try:
-            bp = np.linalg.matrix_power(self.B, self.group.p)
-            bq = np.linalg.matrix_power(self.B, self.group.q)
+            bp = np.linalg.matrix_power(bt, self.group.p)
+            bq = np.linalg.matrix_power(bt, self.group.q)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix("singular B in the path residual") from exc
-        x = (self.A.reshape(k * n, n) @ (bp @ vh.conj().T)).reshape(k, n, n)
-        x = (x / self.st[:, None, :]).reshape(k * n, n) @ w.conj().T
-        res = hs_norm(x.reshape(k, n, n) - bq)
+        o = vh @ self.factors.w
+        st = self._st()
+        res = hs_norm((st[:, :, None] / st[:, None, :]) * bp - o.conj().T @ bq @ o)
         res.flags.writeable = False
         return res
 
@@ -111,14 +123,15 @@ class RetractionPath:
         return float(np.max(self.residuals))
 
     def rows(self) -> list[tuple[float, float, float]]:
-        """(t, residual, unitarity defect of A) per sample, for CSV export."""
+        """(t, residual, unitarity defect of A) per sample, for CSV export;
+        the defects read the stack A, which this builds on first use."""
         return list(zip(self.t.tolist(), self.residuals.tolist(),
                         unitarity_defect(self.A).tolist()))
 
 
 class _PathSamples(Sequence):
     """The samples of a path, each built from its slice of the stack on
-    access."""
+    access; the length does not build the stack."""
 
     def __init__(self, path: RetractionPath):
         self._path = path
@@ -144,6 +157,10 @@ def retract_a(rep: Rep, num_samples: int = 100) -> RetractionPath:
     relation whenever rep does.  A non-unitary B raises ValueError; a
     non-commuting P raises PolarObstruction, which signals that the input
     is not a certified minimal vector (e.g. a non-converged flow).
+
+    The commutator is measured in the basis of A's SVD A = W diag(s) Vh,
+    as the path measures its residuals: with B~ = Vh B Vh*,
+    ||[P, B]|| = ||(s_i - s_j) B~_ij|| and ||P|| = ||s||.
     """
     if num_samples < 2:
         raise ValueError("num_samples must be >= 2")
@@ -154,14 +171,14 @@ def retract_a(rep: Rep, num_samples: int = 100) -> RetractionPath:
             f"B is not unitary within {UNITARY_TOL:.1e} (defect {defect:.3e}); "
             "conjugate into the unitary group first"
         )
-    factors = polar(rep.A)
-    p = factors.p
-    comm = hs_norm(p @ b - b @ p)
-    if not comm <= COMMUTE_TOL * hs_norm(p):
+    path = RetractionPath(np.linspace(1.0, 0.0, num_samples), b, rep.group, polar(rep.A))
+    s = path.factors.s
+    comm = hs_norm((s[:, None] - s[None, :]) * path._bt)
+    if not comm <= COMMUTE_TOL * hs_norm(s):
         raise PolarObstruction(
             f"||[P, B]|| = {comm:.3e} exceeds {COMMUTE_TOL:.1e} * ||P||"
         )
-    return RetractionPath(np.linspace(1.0, 0.0, num_samples), b, rep.group, factors)
+    return path
 
 
 @dataclass

@@ -403,6 +403,28 @@ def test_unreadable_or_malformed_io_exits_bad_input(runner, tmp_path, monkeypatc
     assert res.stderr.startswith("error: ") and "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("args", [
+    ["census", "2", "3", "--out", "x.jsonl", "--csv", "nodir/c.csv"],
+    ["flow", "--in", "rep.json", "--out", "x.json", "--trace-csv", "nodir/t.csv"],
+    ["retract", "--in", "rep.json", "--out", "x.json", "--diag", "d.json",
+     "--path-csv", "nodir/p.csv"],
+    ["pipeline", "--in", "rep.json", "--out", "x.json", "--diag", "d.json",
+     "--path-csv", "p.csv", "--trace-csv", "nodir/t.csv"],
+    ["pipeline", "--in", "rep.json", "--out", "x.json", "--diag", "."],
+], ids=["census-csv", "flow-trace-csv", "retract-path-csv", "pipeline-trace-csv",
+        "pipeline-diag-is-a-directory"])
+def test_a_bad_output_path_writes_nothing(runner, tmp_path, monkeypatch, args):
+    # every output path is checked before the first is written, so a run
+    # that cannot write all of its files writes none of them
+    monkeypatch.chdir(tmp_path)
+    write_rep(tmp_path, rep_of(2, 3, 2.0 * swap2(), np.diag([zeta(5, 1), zeta(5, 4)])))
+    res = runner.invoke(main, args)
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2
+    assert res.stderr.startswith("error: cannot write ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rep.json"]
+
+
 @pytest.mark.parametrize("option, value", [
     ("--tol", "inf"), ("--tol", "nan"), ("--eta0", "inf"), ("--eta0", "nan"),
 ])

@@ -19,6 +19,7 @@ from bsretract import (
     random_rep,
     relation_residual,
 )
+from bsretract import compactify
 from bsretract.bsrep import Rep, random_conditioned
 from bsretract.numerics import hs_norm, unitarity_defect
 
@@ -75,6 +76,23 @@ def test_detect_finite_order_rejects_order_dividing_no_modulus():
     assert detect_finite_order(b, (5, 7)) == 35
     with pytest.raises(NotFiniteOrder):
         detect_finite_order(b, (5, 19))
+
+
+def test_detection_stops_at_the_first_inadmissible_order(monkeypatch):
+    # 95 divides 1 * 5 * 19 but none of the moduli, so the first eigenvalue
+    # ends the detection before the second is snapped
+    calls = []
+    snap = compactify.snap_root_of_unity
+
+    def counted(*args):
+        calls.append(args)
+        return snap(*args)
+
+    monkeypatch.setattr(compactify, "snap_root_of_unity", counted)
+    b = np.diag([zeta(95, 1), zeta(5, 1)])
+    with pytest.raises(NotFiniteOrder, match=r"snapped order 95 divides none of \(1, 5, 19\)"):
+        detect_finite_order(b, (1, 5, 19))
+    assert len(calls) == 1
 
 
 def test_averaged_form_identity_on_unitary_groups():
@@ -283,6 +301,22 @@ def test_mixed_modulus_normality_exponent_is_crt_solution():
     j = normality_exponent(unit, order=95)
     assert j == 3 * pow(2, -1, 95) % 95 == 49
     assert j == brute_force_exponent(unit, 95)
+
+
+def test_hermitian_form_tolerance_is_relative_to_the_norm():
+    # Hermitian to rounding at a norm of 3.4e6, with a defect of 1.7e-10
+    # that an absolute 1e-10 refused
+    g = random_conditioned(np.random.default_rng(7), 5, 1e8)
+    q = 3.7 * g.conj().T @ g
+    assert hs_norm(q - q.conj().T) > 1e-10
+    assert abs(np.prod(HermitianForm(q).w) - 1.0) <= 1e-9
+    # a relative off-Hermitian part of 1e-6 is refused at unit and large norms
+    x = np.random.default_rng(8).standard_normal((5, 5))
+    skew = (x - x.T) / hs_norm(x - x.T)
+    for scale in (1.0, 1e8):
+        h = scale * (np.eye(5) + 0.1 * (x + x.T))
+        with pytest.raises(ValueError, match="Hermitian"):
+            HermitianForm(h + 1e-6 * hs_norm(h) * skew)
 
 
 # A NaN measurement must fail each of HermitianForm's checks, never pass it.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ from bsretract.compactify import conjugate_into_unitary, detect_finite_order, in
 from bsretract.kempfness import flow
 from bsretract.bsrep import residual
 from bsretract.numerics import PolarFactors, hs_norm, polar
-from bsretract.retraction import RetractionPath
+from bsretract.retraction import COMMUTE_TOL, RetractionPath
 from bsretract.suite import derive_seed
 
 from util import N_MAX, PAIRS, SEEDS, conditioned, haar_unitary, n5_block, rep_of, swap2, zeta
@@ -120,6 +122,20 @@ def test_retract_polar_obstruction_guard():
     rep = rep_of(2, 3, a, b)
     with pytest.raises(PolarObstruction):
         retract_a(rep)
+    # At the boundary: P = I + eps X with X the swap gives
+    # ||[P, B]|| / ||P|| = eps |b_1 - b_2| / sqrt(1 + eps^2), so eps is
+    # solved for a ratio 1% above and 1% below COMMUTE_TOL.
+    d = abs(b[0, 0] - b[1, 1])
+    for share, raises in ((1.01, True), (0.99, False)):
+        r = share * COMMUTE_TOL
+        p = np.eye(2) + r / math.sqrt(d * d - r * r) * swap2()
+        assert hs_norm(p @ b - b @ p) / hs_norm(p) == pytest.approx(r, rel=1e-9)
+        rep = rep_of(2, 3, swap2() @ p, b)
+        if raises:
+            with pytest.raises(PolarObstruction):
+                retract_a(rep)
+        else:
+            assert len(retract_a(rep).samples) == 100
 
 
 def test_full_pipeline_identity_on_unitary_input():
@@ -248,12 +264,17 @@ def grid_diagnostics():
     return out
 
 
-def _factored_residual(a, t, path):
-    """||A_t B^p A_t^-1 - B^q|| of one sample alone, with the inverse
-    Vh* diag(s^-t) W* of the path's factors and s^t for the scalar t."""
-    f, b, group = path.factors, path.B, path.group
-    bp, bq = np.linalg.matrix_power(b, group.p), np.linalg.matrix_power(b, group.q)
-    return hs_norm(((a @ (bp @ f.vh.conj().T)) / f.s**t) @ f.w.conj().T - bq)
+def _svd_basis_residual(t, path):
+    """||A_t B^p A_t^-1 - B^q|| of one sample alone, measured in the basis
+    of the path's SVD A = W diag(s) Vh with s^t for the scalar t:
+    ||(s_i / s_j)^t (B~^p)_ij - (O* B~^q O)_ij|| with B~ = Vh B Vh* and
+    O = Vh W."""
+    f, group = path.factors, path.group
+    bt = f.vh @ path.B @ f.vh.conj().T
+    bp, bq = np.linalg.matrix_power(bt, group.p), np.linalg.matrix_power(bt, group.q)
+    o = f.vh @ f.w
+    st = np.sqrt(f.s) if t == 0.5 else f.s**t
+    return hs_norm((st[:, None] / st[None, :]) * bp - o.conj().T @ bq @ o)
 
 
 def test_stacked_path_equals_per_sample_reps(grid_diagnostics):
@@ -266,15 +287,43 @@ def test_stacked_path_equals_per_sample_reps(grid_diagnostics):
             assert sample.t == t == path.t[i]
             assert np.array_equal(sample.rep.A, path.A[i])
             assert np.array_equal(sample.rep.B, path.B)
-            assert res == _factored_residual(sample.rep.A, path.t[i], path)
+            assert res == _svd_basis_residual(path.t[i], path)
             assert abs(res - relation_residual(sample.rep)) <= 1e-13
             assert defect == unitarity_defect(sample.rep.A)
         assert path.max_residual() == max(r[1] for r in rows) == diag.max_path_residual
         endpoint = path.endpoint
         assert path.t[-1] == 0.0 and np.array_equal(endpoint.A, path.A[-1])
         assert diag.endpoint_residual == rows[-1][1]
-        assert diag.endpoint_residual == _factored_residual(endpoint.A, 0.0, path)
+        assert diag.endpoint_residual == _svd_basis_residual(0.0, path)
         assert abs(diag.endpoint_residual - relation_residual(endpoint)) <= 1e-13
+
+
+def _factored_residual(a, t, path):
+    """The residual of sample A_t as it was measured before the path moved
+    into the SVD basis: ||A_t B^p A_t^-1 - B^q|| with the inverse
+    Vh* diag(s^-t) W* of the path's factors."""
+    f, b, group = path.factors, path.B, path.group
+    bp, bq = np.linalg.matrix_power(b, group.p), np.linalg.matrix_power(b, group.q)
+    return hs_norm(((a @ (bp @ f.vh.conj().T)) / f.s**t) @ f.w.conj().T - bq)
+
+
+def test_full_pipeline_builds_no_stack():
+    # The pipeline reads the residuals and the endpoint only; the (k, n, n)
+    # stack is built when the rows are read, and they agree with the
+    # samples measured one at a time in the original basis.
+    cfg = FlowConfig(tol=1e-10, max_iter=10**5)
+    for p, q, n in ((2, 3, 4), (1, 2, 3), (-1, 2, 2)):
+        _, diag = full_pipeline(random_rep(p, q, n, derive_seed(0, p, q, n, 0)), cfg)
+        assert diag.outcome == "ok"
+        path = diag.retraction_path
+        assert "A" not in path.__dict__
+        f = path.factors
+        for t, (t_row, res, defect) in zip(path.t, path.rows()):
+            a = (f.w * f.s**t) @ f.vh
+            assert t_row == t
+            assert abs(res - _factored_residual(a, t, path)) <= 1e-13
+            assert abs(defect - unitarity_defect(a)) <= 1e-13
+        assert "A" in path.__dict__ and not path.A.flags.writeable
 
 
 def test_factored_residuals_match_lu_where_p_and_b_do_not_commute():
@@ -332,12 +381,12 @@ def test_retract_singular_a_raises():
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_path_residual_check_fails_on_a_nan_sample():
-    # s^-t overflows at the middle sample's t = 1, which makes its residual
-    # NaN; the ends, at t = 0, are finite
+    # (s_1 / s_2)^t overflows at the middle sample's t = 1, which makes its
+    # residual NaN or Inf; the ends, at t = 0, are finite
     b = np.array([[0.6, 0.8], [-0.8, 0.6]], dtype=complex)
     factors = PolarFactors(np.eye(2, dtype=complex), np.array([1e200, 1e-200]),
                            np.eye(2, dtype=complex))
     path = RetractionPath(np.array([0.0, 1.0, 0.0]), b, BSGroup(2, 3), factors)
     res = path.residuals
-    assert np.isfinite(res[[0, 2]]).all() and np.isnan(res[1])
+    assert np.isfinite(res[[0, 2]]).all() and not np.isfinite(res[1])
     assert not path.max_residual() <= 10.0
