@@ -1,9 +1,10 @@
 """Command-line surface: option parsing, JSON/CSV I/O and manifests.
 
 Commands: census, construct, flow, retract, pipeline, verify, suite.
-Exit codes: 0 success, 1 hard invariant violated (suite), 2 bad input,
-3 flow failed (budget exhausted or line search stalled), 4 predicted
-structure absent.
+Exit codes: 0 success, 1 hard invariant violated (a suite cell, or a
+pipeline or retract run, failing the checks of `suite`, the one
+definition of a certified run), 2 bad input, 3 flow failed (budget
+exhausted or line search stalled), 4 predicted structure absent.
 Every run emits a manifest that fully determines it; outputs are
 byte-deterministic for identical manifests.
 """
@@ -13,41 +14,24 @@ from __future__ import annotations
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import click
 import numpy as np
 
-from .bsrep import (
-    Rep,
-    direct_sum,
-    from_orbit_datum,
-    random_rep,
-    relation_residual,
-    rep_from_json,
-    rep_to_json,
-)
-from .census import (
-    OrbitDatum,
-    check_moduli,
-    enumerate_orbits,
-    order_bound,
-    validate_parameters,
-)
+from .bsrep import (Rep, direct_sum, from_orbit_datum, random_rep, relation_residual,
+                    rep_from_json, rep_to_json)
+from .census import (OrbitDatum, check_moduli, enumerate_orbits, order_bound,
+                     validate_parameters)
 from .compactify import certify
 from .errors import BsretractError, PipelineStageError
-from .kempfness import (
-    ITER_BUDGET,
-    LINE_SEARCH_STALLED,
-    FlowConfig,
-    flow,
-    kn_energy,
-    minimality_certificate,
-    moment_map,
-)
+from .kempfness import (ITER_BUDGET, LINE_SEARCH_STALLED, FlowConfig, flow, kn_energy,
+                        minimality_certificate, moment_map)
 from .numerics import hs_norm, unitarity_defect
-from .retraction import certify_and_retract, full_pipeline, verify_unitary_rep
-from .suite import build_manifest, canonical_json, run_suite, sha256_text
+from .retraction import certify_and_retract, full_pipeline
+from .suite import (build_manifest, canonical_json, check_flow, check_pipeline,
+                    run_suite, sha256_text)
 
 EXIT_OK = 0
 EXIT_HARD_VIOLATION = 1
@@ -148,9 +132,7 @@ def cmd_census(p, q, n_max, out, csv_path):
         _fail(EXIT_BAD_INPUT, str(exc))
     lines = "".join(json.dumps(d.to_json(), sort_keys=True) + "\n" for d in data)
     _write_text(out, lines)
-    counts: dict[tuple[int, int], int] = {}
-    for d in data:
-        counts[(d.k, d.N)] = counts.get((d.k, d.N), 0) + 1
+    counts = Counter((d.k, d.N) for d in data)
     if csv_path:
         rows = ["k,N,orbits"] + [f"{k},{n},{c}" for (k, n), c in sorted(counts.items())]
         _write_text(csv_path, "\n".join(rows) + "\n")
@@ -250,29 +232,14 @@ def _flow_config(tol, max_iter, eta0, sl) -> FlowConfig:
         _fail(EXIT_BAD_INPUT, str(exc))
 
 
-def _check_snap_tol(snap_tol: float) -> None:
-    """Exit 2 unless --snap-tol is finite and positive; called before any
-    flow or certificate runs, so a bad value never reaches a report."""
+def _check_run_options(snap_tol: float, samples: int = 2) -> None:
+    """Exit 2 unless --snap-tol is finite and positive and --samples is at
+    least 2, the fewest a path from t = 1 to t = 0 has; called before any
+    flow, certificate or cell runs, so a bad value never reaches a report."""
     if not 0 < snap_tol < math.inf:
         _fail(EXIT_BAD_INPUT, "--snap-tol must be finite and positive")
-
-
-def _check_samples(samples: int) -> None:
-    """Exit 2 unless --samples is at least 2, the fewest a path from t = 1
-    to t = 0 has; called before any flow or cell runs."""
     if samples < 2:
         _fail(EXIT_BAD_INPUT, "--samples must be >= 2")
-
-
-def _check_moduli(pairs: list[tuple[int, int]], n_max: int) -> None:
-    """Exit 2 if a pair's census would need a modulus |p^k - q^k| past the
-    scan's limit; called before any cell runs, since each cell's draw
-    would raise inside the sweep."""
-    try:
-        for p, q in pairs:
-            check_moduli(p, q, n_max)
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
 
 
 def _with(options):
@@ -327,11 +294,12 @@ _FLOW_FAILURES = {
 }
 
 
-def _run_and_emit(command, parameters, rep, run, out, diag_path, path_csv,
+def _run_and_emit(command, parameters, rep, res0, run, out, diag_path, path_csv,
                   trace_csv=None):
     """Body of retract and pipeline: run() returns (endpoint, diagnostics);
     write the endpoint, diagnostics, CSVs and manifest, then exit with the
-    classified code."""
+    classified code.  A run that ends "ok" and fails suite.check_pipeline,
+    or suite.check_flow when it flowed, exits EXIT_HARD_VIOLATION."""
     manifest = build_manifest(
         command,
         parameters,
@@ -359,7 +327,11 @@ def _run_and_emit(command, parameters, rep, run, out, diag_path, path_csv,
     if diag.outcome in _FLOW_FAILURES:
         click.echo(f"{command}: {_FLOW_FAILURES[diag.outcome]}", err=True)
         sys.exit(EXIT_FLOW_FAILED)
-    sys.exit(EXIT_OK if verify_unitary_rep(endpoint, 1e-8) else EXIT_STRUCTURAL)
+    violations = check_flow(diag, res0) if diag.flow_trace is not None else []
+    violations += check_pipeline(res0, endpoint, diag, parameters["snap_tol"])
+    for violation in violations:
+        click.echo(f"error: {violation}", err=True)
+    sys.exit(EXIT_HARD_VIOLATION if violations else EXIT_OK)
 
 
 @main.command("retract")
@@ -373,18 +345,13 @@ def cmd_retract(in_path, out, diag_path, path_csv, samples, snap_tol):
     """Certify finite-order structure and retract A to its unitary factor
     (no flow; input should already be near a minimal vector)."""
     _check_outputs(out, diag_path, path_csv)
-    rep, _ = _load_rep(in_path)
-    _check_snap_tol(snap_tol)
-    _check_samples(samples)
-
-    def run():
-        endpoint, _, diag = certify_and_retract(
-            rep, snap_tol=snap_tol, num_samples=samples
-        )
-        return endpoint, diag
-
-    _run_and_emit("retract", {"samples": samples, "snap_tol": snap_tol}, rep, run,
-                  out, diag_path, path_csv)
+    rep, res0 = _load_rep(in_path)
+    _check_run_options(snap_tol, samples)
+    _run_and_emit(
+        "retract", {"samples": samples, "snap_tol": snap_tol}, rep, res0,
+        lambda: certify_and_retract(rep, snap_tol=snap_tol, num_samples=samples),
+        out, diag_path, path_csv,
+    )
 
 
 @main.command("pipeline")
@@ -400,15 +367,14 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
                  tol, max_iter, eta0, sl):
     """Flow, certify, and retract: Rep JSON in, unitary Rep JSON out."""
     _check_outputs(out, diag_path, path_csv, trace_csv)
-    rep, _ = _load_rep(in_path)
+    rep, res0 = _load_rep(in_path)
     cfg = _flow_config(tol, max_iter, eta0, sl)
-    _check_snap_tol(snap_tol)
-    _check_samples(samples)
+    _check_run_options(snap_tol, samples)
     _run_and_emit(
         "pipeline",
         {"tol": tol, "max_iter": max_iter, "eta0": eta0, "sl": sl,
          "samples": samples, "snap_tol": snap_tol},
-        rep,
+        rep, res0,
         lambda: full_pipeline(rep, cfg, num_samples=samples, snap_tol=snap_tol),
         out, diag_path, path_csv, trace_csv,
     )
@@ -431,7 +397,7 @@ def cmd_verify(in_path, out, snap_tol):
     is written."""
     _check_outputs(out)
     rep, res = _load_rep(in_path, validate=False)
-    _check_snap_tol(snap_tol)
+    _check_run_options(snap_tol)
     report = {
         "p": rep.group.p, "q": rep.group.q, "n": rep.n,
         "relation_residual": res,
@@ -480,6 +446,14 @@ def _parse_int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
 
 
+def _valid_pair(p: int, q: int) -> bool:
+    try:
+        validate_parameters(p, q)
+    except ValueError:
+        return False
+    return True
+
+
 @main.command("suite")
 @click.option("--p-list", default="1,2,3", show_default=True)
 @click.option("--q-list", default="1,2,3", show_default=True)
@@ -499,32 +473,21 @@ def cmd_suite(p_list, q_list, pairs_spec, n_max, seeds, base_seed, samples,
               snap_tol, idempotence, report, workers, tol, max_iter, eta0, sl):
     """Sweep the grid, run the full pipeline on every cell, aggregate."""
     _check_outputs(report)
-    if pairs_spec:
-        pairs = []
-        for item in pairs_spec.split(","):
-            ps, _, qs = item.partition(":")
-            try:
-                validate_parameters(int(ps), int(qs))
-            except ValueError as exc:
-                _fail(EXIT_BAD_INPUT, str(exc))
-            pairs.append((int(ps), int(qs)))
-    else:
-        try:
-            p_values, q_values = _parse_int_list(p_list), _parse_int_list(q_list)
-        except ValueError as exc:
-            _fail(EXIT_BAD_INPUT, str(exc))
-        pairs = []
-        for p in p_values:
-            for q in q_values:
-                try:
-                    validate_parameters(p, q)
-                except ValueError:
-                    continue
-                pairs.append((p, q))
+    try:
+        if pairs_spec:
+            pairs = [(int(ps), int(qs)) for ps, _, qs in
+                     (item.partition(":") for item in pairs_spec.split(","))]
+        else:
+            grid = [(p, q) for p in _parse_int_list(p_list) for q in _parse_int_list(q_list)]
+            pairs = [pq for pq in grid if _valid_pair(*pq)]
+        # An invalid pair, or a census modulus |p^k - q^k| past the scan's
+        # limit, would raise inside every cell, so it exits 2 before any runs.
+        for p, q in pairs:
+            check_moduli(p, q, n_max)
+    except ValueError as exc:
+        _fail(EXIT_BAD_INPUT, str(exc))
     cfg = _flow_config(tol, max_iter, eta0, sl)
-    _check_snap_tol(snap_tol)
-    _check_samples(samples)
-    _check_moduli(pairs, n_max)
+    _check_run_options(snap_tol, samples)
     doc = run_suite(
         pairs, n_max, seeds, cfg,
         base_seed=base_seed, num_samples=samples, snap_tol=snap_tol,

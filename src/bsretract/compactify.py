@@ -31,7 +31,7 @@ from .errors import (
     NotNormalizing,
     NotPositiveDefinite,
 )
-from .numerics import as_matrix, hs_norm, snap_root_of_unity
+from .numerics import as_matrix, hs_norm, snap_root_of_unity, unitarity_defect
 
 __all__ = [
     "Certificate",
@@ -41,15 +41,20 @@ __all__ = [
     "invariant_form",
     "conjugate_into_unitary",
     "normality_exponent",
+    "UNITARY_TOL",
 ]
+
+#: Largest unitarity defect ||B* B - I|| of the unitarized B that certify
+#: accepts, and that retract_a requires.
+UNITARY_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
 class HermitianForm:
     """Positive-definite Hermitian form, scaled to determinant one.
 
-    The input must be Hermitian within 1e-10 * max(1, ||Q||), a bound
-    relative to its norm.  One eigh of the symmetrized input,
+    The input must be Hermitian within 1e-10 * ||Q||, a bound relative
+    to its norm at every scale.  One eigh of the symmetrized input,
     Q = V diag(w) V*; any w that is not positive, NaN included, raises
     NotPositiveDefinite.  Q and w are divided by exp(mean log w), so
     det Q = prod w = 1 by construction."""
@@ -60,7 +65,7 @@ class HermitianForm:
 
     def __post_init__(self):
         q = as_matrix(self.Q)
-        tol = 1e-10 * max(1.0, hs_norm(q))
+        tol = 1e-10 * hs_norm(q)
         if not hs_norm(q - q.conj().T) <= tol < math.inf:
             raise ValueError("form is not Hermitian within tolerance")
         q = 0.5 * (q + q.conj().T)
@@ -204,7 +209,9 @@ class Certificate:
 
 def certify(rep: Rep, tol: float = 1e-6) -> Certificate:
     """Order of B, invariant form, unitarized representation and
-    normality exponent, each at tolerance tol.  A structural failure
+    normality exponent, each at tolerance tol; the unitarized B must be
+    unitary within UNITARY_TOL, which a non-diagonalizable B close enough
+    to snap (a Jordan block) is not.  A structural failure
     (errors.STRUCTURAL_ERRORS) ends certification and is recorded in the
     certificate, not raised."""
     moduli = census.order_moduli(rep.group.p, rep.group.q, rep.n)
@@ -221,6 +228,12 @@ def certify(rep: Rep, tol: float = 1e-6) -> Certificate:
         cert.invariance_defect = hs_norm(b.conj().T @ q @ b - q)
         stage = "conjugate_into_unitary"
         cert.unitary = conjugate_into_unitary(rep, cert.form)
+        defect = unitarity_defect(cert.unitary.B)
+        if not defect <= UNITARY_TOL:
+            raise NotFiniteOrder(
+                f"unitarized B is not unitary within {UNITARY_TOL:.1e} "
+                f"(defect {defect:.3e})"
+            )
         stage = "normality_exponent"
         cert.exponent = normality_exponent(cert.unitary, cert.order, tol)
     except STRUCTURAL_ERRORS as exc:

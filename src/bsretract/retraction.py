@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from .bsrep import REP_TOL, BSGroup, Rep, relation_residual
-from .compactify import certify
+from .compactify import UNITARY_TOL, certify
 from .errors import STRUCTURAL_ERRORS, PipelineStageError, PolarObstruction, SingularMatrix
 from .kempfness import FlowConfig, FlowTrace, flow
 from .numerics import PolarFactors, hs_norm, polar, unitarity_defect
@@ -33,8 +33,6 @@ __all__ = [
     "verify_unitary_rep",
 ]
 
-#: Largest unitarity defect ||B* B - I|| that retract_a accepts.
-UNITARY_TOL = 1e-8
 #: Largest ||[P, B]|| / ||P|| that retract_a accepts.
 COMMUTE_TOL = 1e-6
 
@@ -220,10 +218,11 @@ def certify_and_retract(
     snap_tol: float = 1e-6,
     num_samples: int = 100,
     diag: PipelineDiagnostics | None = None,
-) -> tuple[Rep, RetractionPath, PipelineDiagnostics]:
+) -> tuple[Rep, PipelineDiagnostics]:
     """Post-flow stages: certification (order, invariant form,
-    unitarization, normality exponent) and polar retraction.  Stage
-    errors are raised as PipelineStageError carrying the partial
+    unitarization, normality exponent) and polar retraction.  Returns
+    (endpoint, diagnostics); the path is diagnostics.retraction_path.
+    Stage errors are raised as PipelineStageError carrying the partial
     diagnostics."""
     diag = diag or PipelineDiagnostics()
     cert = certify(rep, snap_tol)
@@ -250,7 +249,7 @@ def certify_and_retract(
     diag.endpoint_residual = float(path.residuals[-1])
     diag.endpoint_defect_a = unitarity_defect(endpoint.A)
     diag.endpoint_defect_b = unitarity_defect(endpoint.B)
-    return endpoint, path, diag
+    return endpoint, diag
 
 
 def full_pipeline(
@@ -288,10 +287,9 @@ def full_pipeline(
     if not trace.converged:
         diag.outcome = trace.outcome
         return flowed, diag
-    endpoint, _, diag = certify_and_retract(
+    return certify_and_retract(
         flowed, snap_tol=snap_tol, num_samples=num_samples, diag=diag
     )
-    return endpoint, diag
 
 
 def verify_unitary_rep(rep: Rep, tol: float = 1e-8) -> bool:

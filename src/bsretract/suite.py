@@ -1,7 +1,9 @@
 """Batch verification harness: sweep random representations over a
 (p, q, n, seed) grid, run the full pipeline on every cell, check every
 invariant and aggregate.  Each cell gets the same kind of manifest the
-CLI writes for a single run.
+CLI writes for a single run.  check_flow, check_pipeline and check_rerun
+are the one definition of a certified run; `pipeline` and `retract` use
+them too.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .numerics import hs_norm
 from .retraction import full_pipeline, verify_unitary_rep
 
 __all__ = ["canonical_json", "sha256_text", "build_manifest", "derive_seed",
-           "run_one", "run_suite"]
+           "check_flow", "check_pipeline", "check_rerun", "run_one", "run_suite"]
 
 
 def canonical_json(doc) -> str:
@@ -52,8 +54,69 @@ def derive_seed(base_seed: int, p: int, q: int, n: int, index: int) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
+def _at_most(value, bound) -> bool:
+    """value <= bound, false when either is None or NaN."""
+    return value is not None and bound is not None and value <= bound
+
+
+def _e(x) -> str:
+    """x in a violation message: 3-digit scientific, or None."""
+    return "None" if x is None else f"{x:.3e}"
+
+
+def check_flow(diag, res0: float) -> list[str]:
+    """Violations of the flow's invariants: every accepted step lowers the
+    energy, and no iterate's relation residual exceeds 1e-8 + 10 * res0,
+    with res0 the input's."""
+    violations = []
+    if not diag.energy_monotone:
+        violations.append("energy increased along an accepted step")
+    if not _at_most(diag.max_flow_residual, 1e-8 + 10.0 * res0):
+        violations.append(f"flow residual {_e(diag.max_flow_residual)} exceeded bound")
+    return violations
+
+
+def check_pipeline(res0: float, endpoint, diag, snap_tol: float) -> list[str]:
+    """Violations of a certified endpoint's invariants: the order is within
+    its bound, detect_finite_order finds the same order on the endpoint's
+    B, the path residual stays within 1e-8 + 10 * res0, and the endpoint
+    is a unitary representation within 1e-8."""
+    violations = []
+    if not _at_most(diag.detected_order, diag.order_bound):
+        violations.append(
+            f"order {diag.detected_order} exceeds bound {diag.order_bound}"
+        )
+    moduli = census.order_moduli(endpoint.group.p, endpoint.group.q, endpoint.n)
+    try:
+        order = detect_finite_order(endpoint.B, moduli, snap_tol)
+    except BsretractError as exc:
+        violations.append(f"endpoint order not certified: {exc}")
+    else:
+        if order != diag.detected_order:
+            violations.append(
+                f"endpoint order {order} differs from certified order "
+                f"{diag.detected_order}"
+            )
+    if not _at_most(diag.max_path_residual, 1e-8 + 10.0 * res0):
+        violations.append(f"path residual {_e(diag.max_path_residual)} exceeded bound")
+    if not verify_unitary_rep(endpoint, 1e-8):
+        violations.append("endpoint failed the unitary-representation check")
+    return violations
+
+
+def check_rerun(endpoint, endpoint2, diag2) -> tuple[list[str], float]:
+    """Violations of idempotence, and its measure delta: the pipeline
+    rerun on its own endpoint must end "ok" and move neither generator by
+    more than 1e-9."""
+    delta = max(hs_norm(endpoint2.A - endpoint.A), hs_norm(endpoint2.B - endpoint.B))
+    if diag2.outcome != "ok" or not delta <= 1e-9:
+        return [f"pipeline not idempotent: delta {delta:.3e}"], delta
+    return [], delta
+
+
 def run_one(task: tuple) -> tuple[dict, dict]:
-    """One grid cell: draw, flow, certify, retract, check every invariant.
+    """One grid cell: draw, flow, certify, retract, and collect the
+    violations of check_flow, check_pipeline and check_rerun.
 
     task is (p, q, n, seed, cfg, num_samples, snap_tol, check_idempotence)
     with cfg a FlowConfig.  Returns (record, manifest): the record is a
@@ -74,79 +137,45 @@ def run_one(task: tuple) -> tuple[dict, dict]:
         "p": p, "q": q, "n": n, "seed": seed,
         "manifest_hash": manifest["hash"],
         "initial_residual": res0,
-        "violations": [],
     }
-    violations = record["violations"]
-    residual_bound = 1e-8 + 10.0 * res0
-
-    def note_flow(diag):
-        record["flow_outcome"] = diag.flow_outcome
-        record["iterations"] = diag.flow_iterations
-        record["reached_1e-8"] = diag.flow_trace.first_below(1e-8)
-        record["max_flow_residual"] = diag.max_flow_residual
-        record["final_moment_norm"] = diag.final_moment_norm
-        if not diag.energy_monotone:
-            violations.append("energy increased along an accepted step")
-        if not diag.max_flow_residual <= residual_bound:
-            violations.append(
-                f"flow residual {diag.max_flow_residual:.3e} exceeded bound"
-            )
-
     try:
         endpoint, diag = full_pipeline(
             rep, cfg, num_samples=num_samples, snap_tol=snap_tol
         )
     except PipelineStageError as exc:
-        note_flow(exc.diagnostics)
-        record["outcome"] = "structural_failure"
-        record["failed_stage"] = exc.stage
-        record["error"] = str(exc)
-        violations.append(f"structural failure at {exc.stage}")
+        diag = exc.diagnostics
+        record.update(failed_stage=exc.stage, error=str(exc))
+    violations = check_flow(diag, res0)
+    record.update(
+        outcome=diag.outcome, flow_outcome=diag.flow_outcome,
+        iterations=diag.flow_iterations, max_flow_residual=diag.max_flow_residual,
+        final_moment_norm=diag.final_moment_norm, violations=violations,
+    )
+    record["reached_1e-8"] = diag.flow_trace.first_below(1e-8)
+    if diag.failed_stage is not None:
+        violations.append(f"structural failure at {diag.failed_stage}")
         return record, manifest
-    note_flow(diag)
-    record["outcome"] = diag.outcome
     if not diag.flow_trace.converged:
         return record, manifest
 
-    record["detected_order"] = diag.detected_order
-    record["order_bound"] = diag.order_bound
-    record["normality_exponent"] = diag.normality_exponent
-    record["max_path_residual"] = diag.max_path_residual
-    record["endpoint_defect_a"] = diag.endpoint_defect_a
-    record["endpoint_defect_b"] = diag.endpoint_defect_b
-    if diag.detected_order > diag.order_bound:
-        violations.append(
-            f"order {diag.detected_order} exceeds bound {diag.order_bound}"
-        )
-    try:
-        order = detect_finite_order(endpoint.B, census.order_moduli(p, q, n), snap_tol)
-    except BsretractError as exc:
-        violations.append(f"endpoint order not certified: {exc}")
-    else:
-        if order != diag.detected_order:
-            violations.append(
-                f"endpoint order {order} differs from certified order "
-                f"{diag.detected_order}"
-            )
-    if not diag.max_path_residual <= residual_bound:
-        violations.append(
-            f"path residual {diag.max_path_residual:.3e} exceeded bound"
-        )
-    if not verify_unitary_rep(endpoint, 1e-8):
-        violations.append("endpoint failed the unitary-representation check")
+    record.update(
+        detected_order=diag.detected_order, order_bound=diag.order_bound,
+        normality_exponent=diag.normality_exponent,
+        max_path_residual=diag.max_path_residual,
+        endpoint_defect_a=diag.endpoint_defect_a,
+        endpoint_defect_b=diag.endpoint_defect_b,
+    )
+    violations += check_pipeline(res0, endpoint, diag, snap_tol)
     if check_idempotence:
         try:
             endpoint2, diag2 = full_pipeline(
                 endpoint, cfg, num_samples=num_samples, snap_tol=snap_tol
             )
-            delta = max(
-                hs_norm(endpoint2.A - endpoint.A), hs_norm(endpoint2.B - endpoint.B)
-            )
-            record["idempotence_delta"] = delta
-            if diag2.outcome != "ok" or not delta <= 1e-9:
-                violations.append(f"pipeline not idempotent: delta {delta:.3e}")
         except (BsretractError, ValueError) as exc:
             violations.append(f"pipeline rerun failed: {exc}")
+        else:
+            rerun, record["idempotence_delta"] = check_rerun(endpoint, endpoint2, diag2)
+            violations += rerun
     return record, manifest
 
 

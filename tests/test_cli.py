@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,15 +10,25 @@ from click.testing import CliRunner
 from bsretract import (
     FlowConfig,
     NotFiniteOrder,
+    Rep,
+    conjugate,
+    flow,
+    full_pipeline,
     random_rep,
+    relation_residual,
     rep_from_json,
     rep_to_json,
     verify_unitary_rep,
 )
 from bsretract.cli import main
-from bsretract.suite import derive_seed, run_one
+from bsretract.suite import check_flow, check_pipeline, check_rerun, derive_seed, run_one
 
 from util import conditioned, n5_block, rep_of, swap2, zeta
+
+#: An n = 2 point at (1, 2) whose orbit is not closed, from
+#: util.jordan_rep(1, 2, 2, 1): its flowed B snaps to order 1 but is not
+#: unitary within 1e-8 after the form is applied.
+JORDAN_REP = Path(__file__).parent / "data" / "jordan_1_2_n2.json"
 
 
 @pytest.fixture
@@ -273,6 +285,39 @@ def test_pipeline_byte_deterministic(runner, tmp_path):
         assert res.exit_code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_pipeline_exits_structural_on_a_jordan_point(runner, tmp_path):
+    # the unitarized B misses unitarity by 2.8e-7; this exited 2, the
+    # bad-input code, with retract_a's ValueError
+    out = tmp_path / "end.json"
+    res = runner.invoke(main, ["pipeline", "--in", str(JORDAN_REP), "--out", str(out)])
+    assert res.exit_code == 4, res.output
+    assert "error: stage 'conjugate_into_unitary': unitarized B is not unitary" in res.output
+    assert not out.exists()
+
+
+def _wrong_order(b, moduli, tol):
+    return 7
+
+
+@pytest.mark.parametrize("command", ["pipeline", "retract"])
+def test_pipeline_and_retract_fail_the_shared_check(runner, tmp_path, monkeypatch, command):
+    # the endpoint's re-detected order disagrees with the certificate:
+    # suite counts that as a hard violation, and so must the run's exit
+    # code (pipeline exited 0 here)
+    monkeypatch.setattr("bsretract.suite.detect_finite_order", _wrong_order)
+    in_path = write_rep(tmp_path, flow(_conjugated_block())[0])
+    res = runner.invoke(main, [command, "--in", in_path, "--out", str(tmp_path / "e.json")])
+    assert res.exit_code == 1, res.output
+    assert "error: endpoint order 7 differs from certified order 5" in res.output
+
+
+def test_retract_passing_the_shared_check_exits_zero(runner, tmp_path):
+    in_path = write_rep(tmp_path, flow(_conjugated_block())[0])
+    res = runner.invoke(main, ["retract", "--in", in_path, "--out", str(tmp_path / "e.json")])
+    assert res.exit_code == 0, res.output
+    assert "error:" not in res.output
 
 
 # ------------------------------------------------------------------- retract
@@ -552,10 +597,6 @@ def _reject_order(b, moduli, tol):
     raise NotFiniteOrder("rejected for the test")
 
 
-def _wrong_order(b, moduli, tol):
-    return 7
-
-
 @pytest.mark.parametrize("detect", [_reject_order, _wrong_order])
 def test_run_one_recertifies_the_endpoint(monkeypatch, detect):
     # the suite's own endpoint check must be able to fail, and acceptance
@@ -588,6 +629,90 @@ def test_run_one_flags_a_nan_idempotence_delta(monkeypatch):
     record, _ = run_one(task)
     assert record["outcome"] == "ok"
     assert "pipeline not idempotent: delta nan" in record["violations"]
+
+
+def _conjugated_block():
+    # the (2, 3) mod-5 block conjugated off the unitary group: order 5
+    return conjugate(n5_block(1.3), conditioned(np.random.default_rng(2), 2, 10.0))
+
+
+@pytest.fixture(scope="module")
+def certified_run():
+    rep = _conjugated_block()
+    endpoint, diag = full_pipeline(rep)
+    assert diag.outcome == "ok" and diag.detected_order == diag.order_bound == 5
+    return relation_residual(rep), endpoint, diag
+
+
+def _scaled_a(e):
+    return Rep(e.group, e.n, 2.0 * e.A, e.B)
+
+
+def _irrational_b(e):
+    return Rep(e.group, e.n, e.A, np.diag(np.exp(1j * np.array([1.0, 2.0]))))
+
+
+def _moved_a(e):
+    return Rep(e.group, e.n, e.A + 1e-6 * np.eye(e.n), e.B)
+
+
+_NAN = float("nan")
+
+#: (check, changes to the diagnostics, change to the endpoint, violation).
+_CHECK_CASES = [
+    ("flow", {"energy_monotone": False}, None, "energy increased along an accepted step"),
+    ("flow", {"energy_monotone": None}, None, "energy increased along an accepted step"),
+    ("flow", {"max_flow_residual": 1.0}, None, "flow residual 1.000e+00 exceeded bound"),
+    ("flow", {"max_flow_residual": _NAN}, None, "flow residual nan exceeded bound"),
+    ("flow", {"max_flow_residual": None}, None, "flow residual None exceeded bound"),
+    ("pipeline", {"detected_order": 25}, None, "order 25 exceeds bound 5"),
+    ("pipeline", {"detected_order": None}, None, "order None exceeds bound 5"),
+    ("pipeline", {"order_bound": None}, None, "order 5 exceeds bound None"),
+    ("pipeline", {"detected_order": 1}, None,
+     "endpoint order 5 differs from certified order 1"),
+    ("pipeline", {}, _irrational_b, "endpoint order not certified: "),
+    ("pipeline", {"max_path_residual": 1.0}, None, "path residual 1.000e+00 exceeded bound"),
+    ("pipeline", {"max_path_residual": _NAN}, None, "path residual nan exceeded bound"),
+    ("pipeline", {"max_path_residual": None}, None, "path residual None exceeded bound"),
+    ("pipeline", {}, _scaled_a, "endpoint failed the unitary-representation check"),
+    ("rerun", {"outcome": "iter_budget"}, None, "pipeline not idempotent: delta 0.000e+00"),
+    ("rerun", {}, _moved_a, "pipeline not idempotent: delta 1.414e-06"),
+]
+
+
+def _run_check(check, res0, endpoint, diag):
+    if check == "flow":
+        return check_flow(diag, res0)
+    if check == "pipeline":
+        return check_pipeline(res0, endpoint, diag, 1e-6)
+    return check_rerun(endpoint, endpoint, diag)[0]
+
+
+@pytest.mark.parametrize("check", ["flow", "pipeline", "rerun"])
+def test_checks_pass_a_certified_run(certified_run, check):
+    res0, endpoint, diag = certified_run
+    assert _run_check(check, res0, endpoint, diag) == []
+
+
+def _case_id(case):
+    check, changes, mutate, _ = case
+    what = ",".join(f"{k}={v}" for k, v in changes.items()) or mutate.__name__.lstrip("_")
+    return f"{check}-{what}"
+
+
+@pytest.mark.parametrize("check,changes,mutate,violation", _CHECK_CASES,
+                         ids=[_case_id(c) for c in _CHECK_CASES])
+def test_each_check_can_fail(certified_run, check, changes, mutate, violation):
+    # one mutated field or endpoint per case; a None or NaN measure is a
+    # violation, never a TypeError
+    res0, endpoint, diag = certified_run
+    diag = dataclasses.replace(diag, **changes)
+    if check == "rerun":
+        violations, delta = check_rerun(endpoint, mutate(endpoint) if mutate else endpoint, diag)
+        assert violations == [violation] and delta >= 0.0
+        return
+    violations = _run_check(check, res0, mutate(endpoint) if mutate else endpoint, diag)
+    assert any(v.startswith(violation) for v in violations), violations
 
 
 def test_suite_past_the_acceptance_grid_exits_classified(runner, tmp_path):

@@ -32,7 +32,19 @@ from bsretract.numerics import PolarFactors, hs_norm, polar
 from bsretract.retraction import COMMUTE_TOL, RetractionPath
 from bsretract.suite import derive_seed
 
-from util import N_MAX, PAIRS, SEEDS, conditioned, haar_unitary, n5_block, rep_of, swap2, zeta
+from util import (
+    BASE_PAIRS,
+    N_MAX,
+    PAIRS,
+    SEEDS,
+    conditioned,
+    haar_unitary,
+    jordan_rep,
+    n5_block,
+    rep_of,
+    swap2,
+    zeta,
+)
 
 
 def test_retract_constant_on_unitary_a():
@@ -191,6 +203,29 @@ def test_full_pipeline_idempotent():
     assert diag2.outcome == "ok"
     assert hs_norm(out2.A - out1.A) <= 1e-9
     assert hs_norm(out2.B - out1.B) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_full_pipeline_classifies_jordan_points(n):
+    # B = lam (I + N) with A in the null space of X -> X B^p - B^q X: a
+    # point of the variety whose orbit is not closed.  The flowed B snaps,
+    # but the form built from its near-repeated eigenvalues cannot make it
+    # unitary; that must end as a structural failure naming its stage,
+    # never as retract_a's ValueError (the CLI's bad-input exit)
+    stages = []
+    for p, q in BASE_PAIRS:
+        for seed in range(4):
+            rep = jordan_rep(p, q, n, seed)
+            assert relation_residual(rep) <= 1e-10
+            try:
+                out, diag = full_pipeline(rep)
+            except PipelineStageError as exc:
+                stages.append(exc.stage)
+            else:
+                assert diag.outcome == "ok" and verify_unitary_rep(out, 1e-8)
+                stages.append("ok")
+    if n == 2:
+        assert stages.count("conjugate_into_unitary") >= 10, stages
 
 
 def test_full_pipeline_gates_bad_input():

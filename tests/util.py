@@ -22,11 +22,14 @@ from bsretract.kempfness import (
 )
 from bsretract.numerics import RootOfUnity, hs_norm
 
-#: The acceptance grid: five (p, q) pairs with all sign variants, n <= 4,
+#: The five (p, q) pairs the acceptance grid's signed pairs come from.
+BASE_PAIRS = [(1, 2), (2, 3), (1, 3), (2, 5), (3, 5)]
+
+#: The acceptance grid: the five base pairs with all sign variants, n <= 4,
 #: five seeds each.
 PAIRS = [
     (sp * p, sq * q)
-    for (p, q) in [(1, 2), (2, 3), (1, 3), (2, 5), (3, 5)]
+    for (p, q) in BASE_PAIRS
     for sp in (1, -1)
     for sq in (1, -1)
 ]
@@ -110,6 +113,36 @@ def reference_random_rep(p, q, n, seed, *, sl=False, cond_max=100.0):
         rep0 = reduce(direct_sum, blocks)
     g = random_conditioned(rng, n, cond_max)
     return conjugate(rep0, g)
+
+
+def jordan_rep(p, q, n, seed, cond=10.0):
+    """A point of Hom(BS(p, q), GL_n) whose conjugation orbit is not
+    closed: B = lam (I + N), with N the nilpotent shift and lam a random
+    |p - q|-th root of unity, so that lam^p = lam^q, and A a random
+    element of the null space of X -> X B^p - B^q X; both are conjugated
+    by random_conditioned(rng, n, cond).
+
+    The null space is spanned exactly.  For e != 0, M = (I + N)^e - I is
+    regular nilpotent, so C_e = [M^(n-1) e_n, ..., M e_n, e_n] is a
+    Jordan basis, C_e^-1 M C_e = N.  C_q C_p^-1 then carries (I + N)^p to
+    (I + N)^q, and every solution is C_q C_p^-1 Z with Z a polynomial in
+    N; Z is drawn with complex normal coefficients."""
+    rng = np.random.default_rng(seed)
+    lam = cmath.exp(2j * math.pi * int(rng.integers(abs(p - q))) / abs(p - q))
+    shift = np.eye(n, k=1)
+
+    def chain(e):
+        m = np.linalg.matrix_power(np.eye(n) + shift, e) - np.eye(n)
+        cols = [np.eye(n)[:, -1]]
+        for _ in range(n - 1):
+            cols.append(m @ cols[-1])
+        return np.column_stack(cols[::-1])
+
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    z = sum(ck * np.linalg.matrix_power(shift, k) for k, ck in enumerate(c))
+    a = chain(q) @ np.linalg.solve(chain(p), z)
+    rep = Rep(BSGroup(p, q), n, a, lam * (np.eye(n) + shift).astype(complex))
+    return conjugate(rep, random_conditioned(rng, n, cond))
 
 
 def zeta(N, m=1):
