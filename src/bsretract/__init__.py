@@ -1,6 +1,20 @@
 """Representation varieties of Baumslag-Solitar groups: construction,
 moment-map gradient flow to minimal vectors, finite-order certification,
-and in-variety retraction onto unitary representations."""
+and in-variety retraction onto unitary representations.
+
+Importing the package before numpy pins OpenBLAS, OpenMP and MKL to one
+thread unless the environment already sets a count: the library's
+matrices are small, and a BLAS thread pool makes their products several
+times slower.  A process that imported numpy first keeps its threads.
+"""
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
+    del _var
 
 from .bsrep import (
     BSGroup,

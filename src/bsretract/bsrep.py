@@ -22,6 +22,7 @@ __all__ = [
     "Rep",
     "relation_residual",
     "residual",
+    "check_residual",
     "from_orbit_datum",
     "direct_sum",
     "conjugate",
@@ -89,6 +90,16 @@ def residual(a: np.ndarray, b: np.ndarray, p: int, q: int) -> float:
 def relation_residual(rep: Rep) -> float:
     """||A B^p A^-1 - B^q|| in the Hilbert-Schmidt norm."""
     return residual(rep.A, rep.B, rep.group.p, rep.group.q)
+
+
+def check_residual(res: float, tol: float = REP_TOL) -> None:
+    """Raise ValueError unless the relation residual res is at most tol
+    (NaN is not)."""
+    if not res <= tol:
+        raise ValueError(
+            f"relation residual {res:.3e} exceeds tolerance {tol:.1e}; "
+            "input is not a point of the variety"
+        )
 
 
 def from_orbit_datum(datum: census.OrbitDatum, chi: complex, *, sl: bool = False) -> Rep:
@@ -233,10 +244,5 @@ def rep_from_json(d: dict, *, validate: bool = True, tol: float = REP_TOL) -> Re
         matrix_from_json(d["B"]),
     )
     if validate:
-        res = relation_residual(rep)
-        if not res <= tol:
-            raise ValueError(
-                f"relation residual {res:.3e} exceeds tolerance {tol:.1e}; "
-                "input is not a point of the variety"
-            )
+        check_residual(relation_residual(rep), tol)
     return rep

@@ -20,8 +20,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .bsrep import (Rep, direct_sum, from_orbit_datum, random_rep, relation_residual,
-                    rep_from_json, rep_to_json)
+from .bsrep import (Rep, check_residual, direct_sum, from_orbit_datum, random_rep,
+                    relation_residual, rep_from_json, rep_to_json)
 from .census import (OrbitDatum, check_moduli, enumerate_orbits, order_bound,
                      validate_parameters)
 from .compactify import certify
@@ -88,12 +88,15 @@ def _fail(code: int, msg: str):
 
 
 def _load_rep(path: str, *, validate: bool = True) -> tuple[Rep, float]:
-    """A Rep read from JSON, and its relation residual.  Unreadable,
-    malformed or singular input, and with validate input off the
-    variety, exits with EXIT_BAD_INPUT."""
+    """A Rep read from JSON, and its relation residual, measured once.
+    Unreadable, malformed or singular input, and with validate input off
+    the variety, exits with EXIT_BAD_INPUT."""
     try:
-        rep = rep_from_json(json.loads(_read_text(path)), validate=validate)
-        return rep, relation_residual(rep)
+        rep = rep_from_json(json.loads(_read_text(path)), validate=False)
+        res = relation_residual(rep)
+        if validate:
+            check_residual(res)
+        return rep, res
     except (OSError, ValueError, KeyError, TypeError, BsretractError) as exc:
         _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
 

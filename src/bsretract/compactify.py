@@ -135,12 +135,12 @@ def invariant_form(b, order: int, *, eig=None) -> HermitianForm:
     is Q = V^-* ((V* V) o M) V^-1 with M_ij = 1 exactly when lambda_i and
     lambda_j round to the same order-th root.  h* Q h = Q for every h in
     the group, and Q = I when the group is unitary.  Returned scaled to
-    determinant one.  eig as in detect_finite_order.
+    determinant one.  eig as in detect_finite_order; b is read, and
+    validated, only when eig is not given.
     """
-    b = as_matrix(b)
     if order < 1:
         raise ValueError("order must be >= 1")
-    w, v, vinv = _eig(b) if eig is None else eig
+    w, v, vinv = _eig(as_matrix(b)) if eig is None else eig
     k = np.rint(np.angle(w) / (2.0 * math.pi) * order) % order
     q0 = vinv.conj().T @ ((v.conj().T @ v) * (k[:, None] == k[None, :])) @ vinv
     return HermitianForm(0.5 * (q0 + q0.conj().T))
@@ -155,7 +155,8 @@ def conjugate_into_unitary(rep: Rep, form: HermitianForm) -> Rep:
     """
     r, vh = np.sqrt(form.w), form.v.conj().T
     g, g_inv = (form.v * r) @ vh, (form.v / r) @ vh
-    return Rep(rep.group, rep.n, g @ rep.A @ g_inv, g @ rep.B @ g_inv)
+    a, b = g @ np.stack((rep.A, rep.B)) @ g_inv
+    return Rep(rep.group, rep.n, a, b)
 
 
 def normality_exponent(rep: Rep, order: int, tol: float = 1e-6) -> int:
@@ -193,7 +194,9 @@ class Certificate:
     condition number of the eigenvector basis of B that Q is built from;
     large values flag a nearly defective B.  invariance_defect is
     ||B* Q B - Q|| for the generator B, which implies invariance under
-    every power of B in exact arithmetic.
+    every power of B in exact arithmetic.  unitarity_defect is
+    ||B'* B' - I|| of the unitarized B', the value the UNITARY_TOL gate
+    read.
     """
 
     order_bound: int
@@ -202,6 +205,7 @@ class Certificate:
     eig_condition: float | None = None
     invariance_defect: float | None = None
     unitary: Rep | None = None
+    unitarity_defect: float | None = None
     exponent: int | None = None
     failed_stage: str | None = None
     error: BsretractError | None = None
@@ -223,12 +227,14 @@ def certify(rep: Rep, tol: float = 1e-6) -> Certificate:
         cert.order = detect_finite_order(rep.B, moduli, tol, eig=eig)
         stage = "invariant_form"
         cert.form = invariant_form(rep.B, cert.order, eig=eig)
-        cert.eig_condition = float(np.linalg.cond(eig[1]))
+        # The 2-norm condition number, as np.linalg.cond takes it.
+        s = np.linalg.svd(eig[1], compute_uv=False)
+        cert.eig_condition = float(s[0] / s[-1])
         b, q = rep.B, cert.form.Q
         cert.invariance_defect = hs_norm(b.conj().T @ q @ b - q)
         stage = "conjugate_into_unitary"
         cert.unitary = conjugate_into_unitary(rep, cert.form)
-        defect = unitarity_defect(cert.unitary.B)
+        cert.unitarity_defect = defect = unitarity_defect(cert.unitary.B)
         if not defect <= UNITARY_TOL:
             raise NotFiniteOrder(
                 f"unitarized B is not unitary within {UNITARY_TOL:.1e} "

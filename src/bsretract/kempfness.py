@@ -340,7 +340,9 @@ def _max_modulus(w: np.ndarray) -> float:
     return max(abs(w[0]), abs(w[-1]))
 
 
-def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
+def flow(
+    rep: Rep, cfg: FlowConfig | None = None, *, initial_residual: float | None = None
+) -> tuple[Rep, FlowTrace]:
     """Drive a representation to the minimal-vector set by Newton-CG.
 
     Each iteration takes the truncated-CG Newton direction d of the energy
@@ -354,7 +356,9 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
     is rejected (LINE_SEARCH_STALLED).  Conjugation preserves the defining
     relation, so the residual is tracked, not corrected: every accepted
     iterate's residual is measured, in stacked blocks of _RESIDUAL_BLOCK
-    iterates.
+    iterates.  initial_residual, from a caller that has already measured
+    relation_residual(rep), is recorded as iteration 0's residual in
+    place of a second measurement.
     """
     cfg = cfg or FlowConfig()
     p, q = rep.group.p, rep.group.q
@@ -390,9 +394,13 @@ def flow(rep: Rep, cfg: FlowConfig | None = None) -> tuple[Rep, FlowTrace]:
     it = 0
     try:
         while True:
-            pending.append((ab, (it, recorded, mu_norm, step_taken)))
-            if len(pending) == _RESIDUAL_BLOCK:
-                measure()
+            row = (it, recorded, mu_norm, step_taken)
+            if it == 0 and initial_residual is not None:
+                records.append(FlowRecord(*row, initial_residual))
+            else:
+                pending.append((ab, row))
+                if len(pending) == _RESIDUAL_BLOCK:
+                    measure()
             if mu_norm <= cfg.tol * (1.0 + energy):
                 outcome = CONVERGED
                 break

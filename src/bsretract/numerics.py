@@ -46,7 +46,7 @@ def as_matrix(x) -> np.ndarray:
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a.view(np.float64))):
+    if not np.isfinite(a.view(np.float64)).all():
         raise ValueError("matrix has non-finite entries")
     return a
 
@@ -74,7 +74,11 @@ def hs_norm(x):
 
 def unitarity_defect(x: np.ndarray):
     """||X* X - I|| in the Hilbert-Schmidt norm; of each matrix for a stack."""
-    return hs_norm(np.swapaxes(x.conj(), -1, -2) @ x - np.eye(x.shape[-1]))
+    g = np.swapaxes(x.conj(), -1, -2) @ x
+    n = g.shape[-1]
+    # The diagonal of each (C-ordered) product, as a writable view.
+    g.reshape(g.shape[:-2] + (n * n,))[..., :: n + 1] -= 1.0
+    return hs_norm(g)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -112,7 +112,12 @@ class RetractionPath:
             raise SingularMatrix("singular B in the path residual") from exc
         o = vh @ self.factors.w
         st = self._st()
-        res = hs_norm((st[:, :, None] / st[:, None, :]) * bp - o.conj().T @ bq @ o)
+        k, n = st.shape
+        # Each sample's n^2 entries as one flat row, so that every
+        # elementwise loop runs over n^2 entries, not n.
+        diff = (st[:, :, None] / st[:, None, :]).reshape(k, n * n) * bp.ravel()
+        diff -= (o.conj().T @ bq @ o).ravel()
+        res = hs_norm(diff.reshape(k, n, n))
         res.flags.writeable = False
         return res
 
@@ -145,6 +150,15 @@ class _PathSamples(Sequence):
         return PathSample(float(path.t[i]), rep)
 
 
+@lru_cache(maxsize=8, typed=True)
+def _sample_times(num_samples: int) -> np.ndarray:
+    """num_samples times evenly spaced from 1 down to 0; read-only, as
+    every path with that many samples shares the array."""
+    t = np.linspace(1.0, 0.0, num_samples)
+    t.flags.writeable = False
+    return t
+
+
 def retract_a(rep: Rep, num_samples: int = 100) -> RetractionPath:
     """Polar-scaling path from A to its unitary factor, with B fixed.
 
@@ -169,7 +183,7 @@ def retract_a(rep: Rep, num_samples: int = 100) -> RetractionPath:
             f"B is not unitary within {UNITARY_TOL:.1e} (defect {defect:.3e}); "
             "conjugate into the unitary group first"
         )
-    path = RetractionPath(np.linspace(1.0, 0.0, num_samples), b, rep.group, polar(rep.A))
+    path = RetractionPath(_sample_times(num_samples), b, rep.group, polar(rep.A))
     s = path.factors.s
     comm = hs_norm((s[:, None] - s[None, :]) * path._bt)
     if not comm <= COMMUTE_TOL * hs_norm(s):
@@ -248,7 +262,8 @@ def certify_and_retract(
     diag.max_path_residual = path.max_residual()
     diag.endpoint_residual = float(path.residuals[-1])
     diag.endpoint_defect_a = unitarity_defect(endpoint.A)
-    diag.endpoint_defect_b = unitarity_defect(endpoint.B)
+    # The endpoint's B is the unitarized B that certify measured.
+    diag.endpoint_defect_b = cert.unitarity_defect
     return endpoint, diag
 
 
@@ -274,7 +289,7 @@ def full_pipeline(
             f"input relation residual {res0:.3e} exceeds {REP_TOL:.1e}"
         )
     diag = PipelineDiagnostics(initial_residual=res0)
-    flowed, trace = flow(rep, cfg)
+    flowed, trace = flow(rep, cfg, initial_residual=res0)
     diag.flow_trace = trace
     diag.initial_energy = trace.records[0].energy
     diag.flow_outcome = trace.outcome

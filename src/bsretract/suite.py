@@ -16,7 +16,7 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 from . import census
-from .bsrep import random_rep, relation_residual
+from .bsrep import random_rep
 from .compactify import detect_finite_order
 from .errors import BsretractError, PipelineStageError
 from .kempfness import FlowConfig
@@ -125,7 +125,6 @@ def run_one(task: tuple) -> tuple[dict, dict]:
     """
     p, q, n, seed, cfg, num_samples, snap_tol, check_idempotence = task
     rep = random_rep(p, q, n, seed, sl=cfg.sl_mode)
-    res0 = relation_residual(rep)
     manifest = build_manifest(
         "pipeline",
         {"p": p, "q": q, "n": n, "seed": seed, **dataclasses.asdict(cfg),
@@ -136,7 +135,6 @@ def run_one(task: tuple) -> tuple[dict, dict]:
     record: dict = {
         "p": p, "q": q, "n": n, "seed": seed,
         "manifest_hash": manifest["hash"],
-        "initial_residual": res0,
     }
     try:
         endpoint, diag = full_pipeline(
@@ -145,6 +143,7 @@ def run_one(task: tuple) -> tuple[dict, dict]:
     except PipelineStageError as exc:
         diag = exc.diagnostics
         record.update(failed_stage=exc.stage, error=str(exc))
+    record["initial_residual"] = res0 = diag.initial_residual
     violations = check_flow(diag, res0)
     record.update(
         outcome=diag.outcome, flow_outcome=diag.flow_outcome,

@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import bsretract
 from bsretract import (
     FlowConfig,
     NotFiniteOrder,
@@ -577,6 +581,26 @@ def test_suite_ignores_the_removed_thread_variable(runner, tmp_path, monkeypatch
                                "--report", str(report)])
     assert res.exit_code == 0, (res.output, res.exception)
     assert json.loads(report.read_text())["summary"]["total_runs"] == 1
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, imports, expected", [
+    ({}, "bsretract", ["1", "1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "3"}, "bsretract", ["3", "1", "1"]),
+    ({}, "numpy, bsretract", ["None", "None", "None"]),
+])
+def test_import_pins_blas_threads_unless_set_or_too_late(preset, imports, expected):
+    # A fresh process that imports the package before numpy runs BLAS on
+    # one thread; a count the user set wins, and a process that imported
+    # numpy first keeps its threads.
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    env.update(preset, PYTHONPATH=str(Path(bsretract.__file__).parents[1]))
+    code = f"import os, {imports}; print(*(os.environ.get(v) for v in {_THREAD_VARS!r}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.split() == expected
 
 
 # --------------------------------------------------------------------- suite

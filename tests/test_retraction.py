@@ -104,6 +104,47 @@ def test_certified_run_decomposes_b_once(monkeypatch):
     assert diag.initial_energy == kn_energy(rep)
 
 
+def test_full_pipeline_measures_the_input_residual_once(monkeypatch):
+    # On an already-flowed input the flow stops at iteration 0, whose
+    # record takes the residual full_pipeline measured.
+    cfg = FlowConfig(tol=1e-10, max_iter=10**5)
+    flowed, _ = flow(random_rep(2, 3, 4, derive_seed(0, 2, 3, 4, 0)), cfg)
+    calls = []
+
+    def counting(a, b, p, q):
+        calls.append(a)
+        return residual(a, b, p, q)
+
+    monkeypatch.setattr("bsretract.bsrep.residual", counting)
+    monkeypatch.setattr("bsretract.kempfness.residual", counting)
+    _, diag = full_pipeline(flowed, cfg)
+    assert diag.outcome == "ok" and diag.flow_iterations == 0
+    assert len(calls) == 1 and np.array_equal(calls[0], flowed.A)
+
+
+def test_certified_run_measures_the_unitarized_b_twice(monkeypatch):
+    # certify's gate measures B' and retract_a checks its own
+    # precondition; endpoint_defect_b reuses the gate's value.
+    cfg = FlowConfig(tol=1e-10, max_iter=10**5)
+    rep = random_rep(2, 3, 3, derive_seed(0, 2, 3, 3, 0))
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return unitarity_defect(x)
+
+    monkeypatch.setattr("bsretract.compactify.unitarity_defect", counting)
+    monkeypatch.setattr("bsretract.retraction.unitarity_defect", counting)
+    endpoint, diag = full_pipeline(rep, cfg)
+    assert diag.outcome == "ok"
+    assert sum(np.array_equal(x, endpoint.B) for x in calls) == 2
+    assert diag.endpoint_defect_b == unitarity_defect(endpoint.B)
+    # Paths with the same number of samples share one read-only t.
+    t = diag.retraction_path.t
+    assert not t.flags.writeable
+    assert full_pipeline(endpoint, cfg)[1].retraction_path.t is t
+
+
 def test_retract_exponent_constant_along_path():
     rep = random_rep(2, 3, 2, seed=21)
     flowed, trace = flow(rep)
@@ -285,18 +326,37 @@ def test_verify_unitary_rep_examples():
 
 
 @pytest.fixture(scope="module")
-def grid_diagnostics():
-    """Diagnostics of every acceptance-grid cell, drawn as run_suite draws
-    them."""
+def grid_runs():
+    """(input, endpoint, diagnostics) of every acceptance-grid cell, drawn
+    as run_suite draws them."""
     cfg = FlowConfig(tol=1e-10, max_iter=10**5)
     out = []
     for p, q in PAIRS:
         for n in range(1, N_MAX + 1):
             for i in range(SEEDS):
-                _, diag = full_pipeline(random_rep(p, q, n, derive_seed(0, p, q, n, i)), cfg)
+                rep = random_rep(p, q, n, derive_seed(0, p, q, n, i))
+                endpoint, diag = full_pipeline(rep, cfg)
                 assert diag.outcome == "ok"
-                out.append(diag)
+                out.append((rep, endpoint, diag))
     return out
+
+
+@pytest.fixture(scope="module")
+def grid_diagnostics(grid_runs):
+    return [diag for _, _, diag in grid_runs]
+
+
+def test_measures_taken_once_equal_their_own_measurement(grid_runs):
+    # The flow's first residual is the input's, measured by full_pipeline;
+    # endpoint_defect_b is certify's measure of the unitarized B; and
+    # eig_condition is the 2-norm condition number of B's eigenbasis.
+    cfg = FlowConfig(tol=1e-10, max_iter=10**5)
+    for rep, endpoint, diag in grid_runs:
+        res0 = relation_residual(rep)
+        assert diag.flow_trace.records[0].residual == diag.initial_residual == res0
+        assert diag.endpoint_defect_b == unitarity_defect(endpoint.B)
+        flowed, _ = flow(rep, cfg)
+        assert diag.eig_condition == np.linalg.cond(np.linalg.eig(flowed.B)[1])
 
 
 def _svd_basis_residual(t, path):
