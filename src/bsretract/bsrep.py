@@ -31,8 +31,10 @@ __all__ = [
     "rep_from_json",
 ]
 
-#: Default residual tolerance for an object presented as a variety member.
+#: Residual tolerance for an object presented as a variety member.
 REP_TOL = 1e-8
+#: Largest condition number of random_rep's conjugating matrix.
+RANDOM_COND_MAX = 100.0
 
 
 @dataclass(frozen=True)
@@ -92,12 +94,12 @@ def relation_residual(rep: Rep) -> float:
     return residual(rep.A, rep.B, rep.group.p, rep.group.q)
 
 
-def check_residual(res: float, tol: float = REP_TOL) -> None:
-    """Raise ValueError unless the relation residual res is at most tol
-    (NaN is not)."""
-    if not res <= tol:
+def check_residual(res: float) -> None:
+    """Raise ValueError unless the relation residual res is at most
+    REP_TOL (NaN is not)."""
+    if not res <= REP_TOL:
         raise ValueError(
-            f"relation residual {res:.3e} exceeds tolerance {tol:.1e}; "
+            f"relation residual {res:.3e} exceeds tolerance {REP_TOL:.1e}; "
             "input is not a point of the variety"
         )
 
@@ -180,21 +182,13 @@ def random_conditioned(rng: np.random.Generator, n: int, cond_max: float) -> np.
     return (u * s) @ v.conj().T
 
 
-def random_rep(
-    p: int,
-    q: int,
-    n: int,
-    seed: int,
-    *,
-    sl: bool = False,
-    cond_max: float = 100.0,
-) -> Rep:
+def random_rep(p: int, q: int, n: int, seed: int, *, sl: bool = False) -> Rep:
     """Off-minimal starting point, deterministic in seed.
 
     Draws a direct sum of orbit blocks of total dimension n (padding with
     trivial blocks; with sl=True only determinant-one blocks are drawn),
     then conjugates by a random invertible matrix of condition number at
-    most cond_max.  All randomness flows through a counter-based Philox
+    most RANDOM_COND_MAX.  All randomness flows through a counter-based Philox
     generator keyed by the seed.  Raises ValueError, as
     census.check_moduli does, if the census scans would hold more than
     census.MAX_SCAN_ELEMENTS values.
@@ -217,7 +211,7 @@ def random_rep(
         blocks.append(from_orbit_datum(datum, chi, sl=sl))
         remaining -= datum.k
     rep0 = reduce(direct_sum, blocks)
-    g = random_conditioned(rng, n, cond_max)
+    g = random_conditioned(rng, n, RANDOM_COND_MAX)
     return conjugate(rep0, g)
 
 
@@ -231,8 +225,8 @@ def rep_to_json(rep: Rep) -> dict:
     }
 
 
-def rep_from_json(d: dict, *, validate: bool = True, tol: float = REP_TOL) -> Rep:
-    """Parse a Rep payload; by default enforce the residual tolerance.
+def rep_from_json(d: dict, *, validate: bool = True) -> Rep:
+    """Parse a Rep payload; by default enforce check_residual.
     A payload that is not an object, or whose p, q or n is not an
     integer, raises ValueError."""
     if not isinstance(d, dict):
@@ -244,5 +238,5 @@ def rep_from_json(d: dict, *, validate: bool = True, tol: float = REP_TOL) -> Re
         matrix_from_json(d["B"]),
     )
     if validate:
-        check_residual(relation_residual(rep), tol)
+        check_residual(relation_residual(rep))
     return rep

@@ -25,7 +25,7 @@ from .bsrep import (Rep, check_residual, direct_sum, from_orbit_datum, random_re
 from .census import (OrbitDatum, check_moduli, enumerate_orbits, order_bound,
                      validate_parameters)
 from .compactify import certify
-from .errors import BsretractError, PipelineStageError
+from .errors import BsretractError, PipelineStageError, SingularMatrix
 from .kempfness import (ITER_BUDGET, LINE_SEARCH_STALLED, FlowConfig, flow, kn_energy,
                         minimality_certificate, moment_map)
 from .numerics import hs_norm, unitarity_defect
@@ -87,12 +87,16 @@ def _fail(code: int, msg: str):
     sys.exit(code)
 
 
-def _load_rep(path: str, *, validate: bool = True) -> tuple[Rep, float]:
-    """A Rep read from JSON, and its relation residual, measured once.
+def _load_rep(path: str, *, validate: bool = True,
+              measure: bool = True) -> tuple[Rep, float | None]:
+    """A Rep read from JSON, and its relation residual, measured once
+    (None without measure, for a caller whose run measures it).
     Unreadable, malformed or singular input, and with validate input off
     the variety, exits with EXIT_BAD_INPUT."""
     try:
         rep = rep_from_json(json.loads(_read_text(path)), validate=False)
+        if not measure:
+            return rep, None
         res = relation_residual(rep)
         if validate:
             check_residual(res)
@@ -171,8 +175,13 @@ def _parse_orbit_spec(spec: str, p: int, q: int) -> OrbitDatum:
 @click.option("--sl", is_flag=True, help="Normalize to determinant one.")
 @click.option("--out", default="-")
 def cmd_construct(p, q, orbits, chis, random_n, seed, sl, out):
-    """Build a representation from orbit blocks or at random."""
+    """Build a representation from orbit blocks or at random; an option
+    that would be ignored exits with EXIT_BAD_INPUT."""
     _check_outputs(out)
+    if random_n is not None and (orbits or chis):
+        _fail(EXIT_BAD_INPUT, f"--random conflicts with {'--orbit' if orbits else '--chi'}")
+    if len(chis) > len(orbits):
+        _fail(EXIT_BAD_INPUT, f"{len(chis)} --chi values for {len(orbits)} --orbit blocks")
     try:
         validate_parameters(p, q)
         if random_n is not None:
@@ -224,13 +233,12 @@ _flow_options = [
     click.option("--eta0", default=FlowConfig.eta0, show_default=True,
                  help="First trial step along each search direction; no step "
                       "is longer, so values far below 1 end in iter_budget."),
-    click.option("--sl", is_flag=True, help="Traceless moment-map projection."),
 ]
 
 
-def _flow_config(tol, max_iter, eta0, sl) -> FlowConfig:
+def _flow_config(tol, max_iter, eta0) -> FlowConfig:
     try:
-        return FlowConfig(tol=tol, max_iter=max_iter, eta0=eta0, sl_mode=sl)
+        return FlowConfig(tol=tol, max_iter=max_iter, eta0=eta0)
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
 
@@ -258,19 +266,19 @@ def _with(options):
 @click.option("--out", default="-", help="Endpoint Rep JSON.")
 @click.option("--trace-csv", default=None, help="Per-iteration CSV.")
 @_with(_flow_options)
-def cmd_flow(in_path, out, trace_csv, tol, max_iter, eta0, sl):
+def cmd_flow(in_path, out, trace_csv, tol, max_iter, eta0):
     """Run the moment-map gradient flow on a representation."""
     _check_outputs(out, trace_csv)
-    rep, _ = _load_rep(in_path)
-    cfg = _flow_config(tol, max_iter, eta0, sl)
-    final, trace = flow(rep, cfg)
+    rep, res0 = _load_rep(in_path)
+    cfg = _flow_config(tol, max_iter, eta0)
+    final, trace = flow(rep, cfg, initial_residual=res0)
     _write_text(out, canonical_json(rep_to_json(final)) + "\n")
     if trace_csv:
         _write_text(trace_csv, _trace_csv(trace))
     last = trace.records[-1]
     manifest = build_manifest(
         "flow",
-        {"tol": tol, "max_iter": max_iter, "eta0": eta0, "sl": sl},
+        {"tol": tol, "max_iter": max_iter, "eta0": eta0},
         {"rep": sha256_text(canonical_json(rep_to_json(rep)))},
         [out, trace_csv or ""],
     )
@@ -301,8 +309,11 @@ def _run_and_emit(command, parameters, rep, res0, run, out, diag_path, path_csv,
                   trace_csv=None):
     """Body of retract and pipeline: run() returns (endpoint, diagnostics);
     write the endpoint, diagnostics, CSVs and manifest, then exit with the
-    classified code.  A run that ends "ok" and fails suite.check_pipeline,
-    or suite.check_flow when it flowed, exits EXIT_HARD_VIOLATION."""
+    classified code.  res0 is the input's residual, or None to read the
+    one run() measured.  A run that refuses its input (ValueError,
+    SingularMatrix) exits EXIT_BAD_INPUT; one that ends "ok" and fails
+    suite.check_pipeline, or suite.check_flow when it flowed, exits
+    EXIT_HARD_VIOLATION."""
     manifest = build_manifest(
         command,
         parameters,
@@ -314,8 +325,9 @@ def _run_and_emit(command, parameters, rep, res0, run, out, diag_path, path_csv,
         endpoint, diag = run()
     except PipelineStageError as exc:
         failure, endpoint, diag = exc, None, exc.diagnostics
-    except ValueError as exc:
+    except (ValueError, SingularMatrix) as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
+    res0 = diag.initial_residual if res0 is None else res0
     if endpoint is not None:
         _write_text(out, canonical_json(rep_to_json(endpoint)) + "\n")
     if diag_path:
@@ -367,15 +379,15 @@ def cmd_retract(in_path, out, diag_path, path_csv, samples, snap_tol):
 @click.option("--snap-tol", default=1e-6, show_default=True)
 @_with(_flow_options)
 def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol,
-                 tol, max_iter, eta0, sl):
+                 tol, max_iter, eta0):
     """Flow, certify, and retract: Rep JSON in, unitary Rep JSON out."""
     _check_outputs(out, diag_path, path_csv, trace_csv)
-    rep, res0 = _load_rep(in_path)
-    cfg = _flow_config(tol, max_iter, eta0, sl)
+    rep, res0 = _load_rep(in_path, measure=False)
+    cfg = _flow_config(tol, max_iter, eta0)
     _check_run_options(snap_tol, samples)
     _run_and_emit(
         "pipeline",
-        {"tol": tol, "max_iter": max_iter, "eta0": eta0, "sl": sl,
+        {"tol": tol, "max_iter": max_iter, "eta0": eta0,
          "samples": samples, "snap_tol": snap_tol},
         rep, res0,
         lambda: full_pipeline(rep, cfg, num_samples=samples, snap_tol=snap_tol),
@@ -471,9 +483,10 @@ def _valid_pair(p: int, q: int) -> bool:
 @click.option("--report", default="-", help="Report JSON path.")
 @click.option("--workers", default=None, type=int,
               help="Worker processes (default: up to 4, one per CPU).")
+@click.option("--sl", is_flag=True, help="Draw only determinant-one inputs.")
 @_with(_flow_options)
 def cmd_suite(p_list, q_list, pairs_spec, n_max, seeds, base_seed, samples,
-              snap_tol, idempotence, report, workers, tol, max_iter, eta0, sl):
+              snap_tol, idempotence, report, workers, sl, tol, max_iter, eta0):
     """Sweep the grid, run the full pipeline on every cell, aggregate."""
     _check_outputs(report)
     try:
@@ -489,10 +502,10 @@ def cmd_suite(p_list, q_list, pairs_spec, n_max, seeds, base_seed, samples,
             check_moduli(p, q, n_max)
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
-    cfg = _flow_config(tol, max_iter, eta0, sl)
+    cfg = _flow_config(tol, max_iter, eta0)
     _check_run_options(snap_tol, samples)
     doc = run_suite(
-        pairs, n_max, seeds, cfg,
+        pairs, n_max, seeds, cfg, sl=sl,
         base_seed=base_seed, num_samples=samples, snap_tol=snap_tol,
         check_idempotence=idempotence, workers=workers,
     )

@@ -82,7 +82,8 @@ class FlowConfig:
         first-order term for the full step, so below 1/2 the full step is
         accepted there.
     shrink: backtracking factor applied to eta after a rejected trial.
-    sl_mode: project the trace out of mu and d (special-linear runs).
+    SL and GL inputs take the same flow: mu and d are traceless, and
+    conjugation keeps det A and det B whatever the trace of its generator.
     """
 
     tol: float = 1e-10
@@ -90,7 +91,6 @@ class FlowConfig:
     eta0: float = 1.0
     armijo: float = 0.25
     shrink: float = 0.5
-    sl_mode: bool = False
 
     def __post_init__(self):
         if not (0 < self.tol < math.inf and 0 < self.eta0 < math.inf):
@@ -156,21 +156,14 @@ class _Products(NamedTuple):
     abh: np.ndarray
 
 
-def _moment(ab: np.ndarray, sl_mode: bool) -> _Products:
+def _moment(ab: np.ndarray) -> _Products:
     abh = ab.conj().transpose(0, 2, 1)
     left = ab @ abh
     right = abh @ ab
     m = left[0] - right[0] + left[1] - right[1]
     m = 0.5 * (m + m.conj().T)
     pm = left + right
-    # tr(mu) vanishes identically (it is a sum of commutator traces);
-    # subtracting it anyway pins determinant drift to rounding noise.
-    return _Products(_traceless(m) if sl_mode else m, pm[0] + pm[1], abh)
-
-
-def _traceless(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    return m - (np.trace(m).real / n) * np.eye(n)
+    return _Products(m, pm[0] + pm[1], abh)
 
 
 def kn_energy(rep: Rep) -> float:
@@ -178,13 +171,13 @@ def kn_energy(rep: Rep) -> float:
     return _energy(rep.A, rep.B)
 
 
-def moment_map(rep: Rep, sl_mode: bool = False) -> np.ndarray:
+def moment_map(rep: Rep) -> np.ndarray:
     """mu = [A, A*] + [B, B*], Hermitian; zero exactly at minimal vectors.
 
-    With sl_mode the trace component is projected out (a no-op up to
-    rounding, kept to keep determinants pinned for special-linear runs).
+    mu is a sum of commutators, so it is traceless: the moment map of
+    SL_n and of GL_n acting by conjugation are the same.
     """
-    return _moment(np.stack((rep.A, rep.B)), sl_mode).mu
+    return _moment(np.stack((rep.A, rep.B))).mu
 
 
 def _hessian(ab: np.ndarray, products: _Products):
@@ -216,7 +209,7 @@ def _inner(h: np.ndarray, k: np.ndarray) -> float:
     return float(np.vdot(h, k).real)
 
 
-def _newton_direction(mu: np.ndarray, mu_norm: float, hess, sl_mode: bool) -> np.ndarray:
+def _newton_direction(mu: np.ndarray, mu_norm: float, hess) -> np.ndarray:
     """Truncated CG on hess(d) = -mu, started at d = 0, hess half the
     energy's Hessian (its gradient is 2 mu).
 
@@ -226,7 +219,8 @@ def _newton_direction(mu: np.ndarray, mu_norm: float, hess, sl_mode: bool) -> np
     dimension of the Hermitian directions), or on non-positive curvature,
     where the first step falls back to -mu.  From zero, CG stays in the
     Hessian's range, so the stabilizer kernel (scalars, and block scalars
-    of direct sums) never enters the solve.
+    of direct sums) never enters the solve, and d is traceless up to
+    rounding as mu is.
     """
     forcing = min(_FORCING_CAP, math.sqrt(2.0 * mu_norm)) * mu_norm
     d = np.zeros_like(mu)
@@ -250,9 +244,7 @@ def _newton_direction(mu: np.ndarray, mu_norm: float, hess, sl_mode: bool) -> np
         p *= rr_next / rr
         p += r
         rr = rr_next
-    # tr(d) vanishes up to rounding (mu and every Hessian product are
-    # traceless); as in _moment, sl_mode pins it there.
-    return _traceless(d) if sl_mode else d
+    return d
 
 
 def _line_minimum(tilde: np.ndarray, x: np.ndarray, cap: float) -> float:
@@ -319,7 +311,7 @@ def _search_line(ab, products, mu_norm, resolution, cfg) -> _Line:
     step's Armijo drop is above the resolution (s = 1 otherwise, as in
     the resolution-limited tail), capped so that no trial overflows."""
     mu = products.mu
-    d = _newton_direction(mu, mu_norm, _hessian(ab, products), cfg.sl_mode)
+    d = _newton_direction(mu, mu_norm, _hessian(ab, products))
     try:
         w, v = np.linalg.eigh(d)
     except np.linalg.LinAlgError as exc:
@@ -378,7 +370,7 @@ def flow(
 
     ab = np.stack((rep.A, rep.B))
     energy = _energy(*ab)
-    products = _moment(ab, cfg.sl_mode)
+    products = _moment(ab)
     mu_norm = hs_norm(products.mu)
     # Near the minimum the true energy decrease per step falls below one
     # ulp of the energy itself; the recorded value is clamped to the
@@ -428,7 +420,7 @@ def flow(
                     # stationary, so progress is certified on the moment
                     # norm instead while the energy is held to measurement
                     # noise.
-                    products2 = _moment(ab2, cfg.sl_mode)
+                    products2 = _moment(ab2)
                     mu2_norm = hs_norm(products2.mu)
                     if mu2_norm < mu_norm:
                         break
@@ -440,7 +432,7 @@ def flow(
             # is the next iterate's: the same arrays give the same floats.
             ab, energy = ab2, e2
             if required > resolution:
-                products = _moment(ab, cfg.sl_mode)
+                products = _moment(ab)
                 mu_norm = hs_norm(products.mu)
             else:
                 products, mu_norm = products2, mu2_norm
@@ -497,7 +489,7 @@ def minimality_certificate(rep: Rep) -> MinimalityCertificate:
     the energy, is raised to it.
     """
     ab = np.stack((rep.A, rep.B))
-    products = _moment(ab, False)
+    products = _moment(ab)
     gram = _hessian_gram(ab, products)
     if not np.isfinite(gram).all():
         return MinimalityCertificate(None, None, None)

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .bsrep import REP_TOL, BSGroup, Rep, relation_residual
+from .bsrep import BSGroup, Rep, check_residual, relation_residual
 from .compactify import UNITARY_TOL, certify
 from .errors import STRUCTURAL_ERRORS, PipelineStageError, PolarObstruction, SingularMatrix
 from .kempfness import FlowConfig, FlowTrace, flow
@@ -276,7 +276,8 @@ def full_pipeline(
 ) -> tuple[Rep | None, PipelineDiagnostics]:
     """Flow to a minimal vector, then certify and retract to a unitary point.
 
-    The input's relation residual must be at most bsrep.REP_TOL, else
+    The input's relation residual, measured once and kept as
+    diagnostics.initial_residual, must pass bsrep.check_residual, else
     ValueError.  Returns (endpoint, diagnostics).  A flow that does not
     converge is a soft failure: the partial result is returned, with the
     flow's outcome ("iter_budget" or "line_search_stalled") as the
@@ -284,10 +285,7 @@ def full_pipeline(
     raise PipelineStageError with partial diagnostics attached.
     """
     res0 = relation_residual(rep)
-    if not res0 <= REP_TOL:
-        raise ValueError(
-            f"input relation residual {res0:.3e} exceeds {REP_TOL:.1e}"
-        )
+    check_residual(res0)
     diag = PipelineDiagnostics(initial_residual=res0)
     flowed, trace = flow(rep, cfg, initial_residual=res0)
     diag.flow_trace = trace

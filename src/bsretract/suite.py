@@ -118,16 +118,17 @@ def run_one(task: tuple) -> tuple[dict, dict]:
     """One grid cell: draw, flow, certify, retract, and collect the
     violations of check_flow, check_pipeline and check_rerun.
 
-    task is (p, q, n, seed, cfg, num_samples, snap_tol, check_idempotence)
-    with cfg a FlowConfig.  Returns (record, manifest): the record is a
-    plain dict whose hard invariant violations are collected under
-    "violations".  Module-level so process pools can pickle it.
+    task is (p, q, n, seed, sl, cfg, num_samples, snap_tol,
+    check_idempotence), drawing random_rep(p, q, n, seed, sl=sl); the
+    manifest keeps sl under its old key "sl_mode".  Returns (record,
+    manifest): the record is a plain dict whose hard invariant violations
+    are collected under "violations".  Module-level for process pools.
     """
-    p, q, n, seed, cfg, num_samples, snap_tol, check_idempotence = task
-    rep = random_rep(p, q, n, seed, sl=cfg.sl_mode)
+    p, q, n, seed, sl, cfg, num_samples, snap_tol, check_idempotence = task
+    rep = random_rep(p, q, n, seed, sl=sl)
     manifest = build_manifest(
         "pipeline",
-        {"p": p, "q": q, "n": n, "seed": seed, **dataclasses.asdict(cfg),
+        {"p": p, "q": q, "n": n, "seed": seed, "sl_mode": sl, **dataclasses.asdict(cfg),
          "num_samples": num_samples, "snap_tol": snap_tol},
         {},
         [],
@@ -184,6 +185,7 @@ def run_suite(
     seeds: int,
     cfg: FlowConfig,
     *,
+    sl: bool = False,
     base_seed: int = 0,
     num_samples: int = 100,
     snap_tol: float = 1e-6,
@@ -192,7 +194,7 @@ def run_suite(
 ) -> dict:
     """Sweep random representations over the grid and aggregate invariants."""
     tasks = [
-        (p, q, n, derive_seed(base_seed, p, q, n, i), cfg,
+        (p, q, n, derive_seed(base_seed, p, q, n, i), sl, cfg,
          num_samples, snap_tol, check_idempotence)
         for (p, q) in pairs
         for n in range(1, n_max + 1)

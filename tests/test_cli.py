@@ -125,6 +125,21 @@ def test_construct_rejects_bad_parameters(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize("args, conflict", [
+    (["--orbit", "5:1,4", "--chi", "2", "--chi", "3"], "2 --chi values for 1 --orbit blocks"),
+    (["--random", "2", "--chi", "2"], "--random conflicts with --chi"),
+    (["--random", "2", "--orbit", "5:1,4"], "--random conflicts with --orbit"),
+], ids=["surplus-chi", "random-with-chi", "random-with-orbit"])
+def test_construct_refuses_options_it_would_ignore(runner, tmp_path, args, conflict):
+    # each of these exited 0 with a manifest listing the ignored value
+    out = tmp_path / "rep.json"
+    res = runner.invoke(main, ["construct", "--p", "2", "--q", "3", *args, "--out", str(out)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith(f"error: {conflict}")
+    assert not out.exists()
+
+
 def test_zero_block_modulus_exits_bad_input(runner):
     res = runner.invoke(main, ["construct", "--p", "2", "--q", "3", "--orbit", "0:1"])
     assert isinstance(res.exception, SystemExit), res.exception
@@ -205,7 +220,7 @@ def test_stalled_line_search_exits_flow_failure(runner, tmp_path, command, messa
 
 def test_run_one_reports_a_stalled_line_search():
     cfg = FlowConfig(eta0=1e-20)
-    record, _ = run_one((2, 3, 3, 1, cfg, 100, 1e-6, False))
+    record, _ = run_one((2, 3, 3, 1, False, cfg, 100, 1e-6, False))
     assert record["outcome"] == record["flow_outcome"] == "line_search_stalled"
     assert record["violations"] == []
     assert "detected_order" not in record
@@ -253,6 +268,41 @@ def test_pipeline_rejects_corrupted_rep(runner, tmp_path):
     f.write_text(json.dumps(doc))
     res = runner.invoke(main, ["pipeline", "--in", str(f), "--out", "-"])
     assert res.exit_code == 2
+
+
+def test_pipeline_measures_its_input_once(runner, tmp_path, monkeypatch):
+    # full_pipeline's gate is the one measurement of the input: the flow
+    # records it as iteration 0, so the other calls are the flow's stacked
+    # block and the endpoint check.  The CLI measured the input a second
+    # time before full_pipeline's gate.
+    from bsretract import bsrep, kempfness
+
+    rep = random_rep(2, 3, 4, 1)
+    residual = bsrep.residual
+    calls = []
+
+    def counting(a, *args):
+        calls.append(a)
+        return residual(a, *args)
+
+    monkeypatch.setattr(bsrep, "residual", counting)
+    monkeypatch.setattr(kempfness, "residual", counting)
+    res = runner.invoke(main, ["pipeline", "--in", write_rep(tmp_path, rep),
+                               "--out", str(tmp_path / "u.json")])
+    assert res.exit_code == 0, res.output
+    on_input = [a for a in calls if a.shape == rep.A.shape and np.array_equal(a, rep.A)]
+    assert len(on_input) == 1
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("command", ["flow", "pipeline"])
+def test_flow_commands_have_no_sl_option(runner, tmp_path, command):
+    # one flow serves SL and GL inputs; --sl only selects the draw of
+    # construct and suite
+    in_path = write_rep(tmp_path, n5_block(1.0))
+    res = runner.invoke(main, [command, "--in", in_path, "--out", "-", "--sl"])
+    assert res.exit_code == 2
+    assert "No such option" in res.output and "--sl" in res.output
 
 
 def test_pipeline_budget_exit(runner, tmp_path):
@@ -608,10 +658,9 @@ def test_import_pins_blas_threads_unless_set_or_too_late(preset, imports, expect
 def test_run_one_classifies_spurious_orders():
     # (2,3), n = 8: these cells snap an eigenvalue to an order dividing no
     # |2^k - 3^k|, which must end as a classified structural failure
-    cfg = FlowConfig(tol=1e-10, max_iter=10**5, eta0=0.1, armijo=0.5,
-                     shrink=0.5, sl_mode=False)
+    cfg = FlowConfig(tol=1e-10, max_iter=10**5, eta0=0.1, armijo=0.5, shrink=0.5)
     for i in (1, 3, 4):
-        record, _ = run_one((2, 3, 8, derive_seed(0, 2, 3, 8, i), cfg,
+        record, _ = run_one((2, 3, 8, derive_seed(0, 2, 3, 8, i), False, cfg,
                              100, 1e-6, False))
         assert record["outcome"] == "structural_failure"
         assert record["failed_stage"] == "detect_finite_order"
@@ -626,7 +675,7 @@ def test_run_one_recertifies_the_endpoint(monkeypatch, detect):
     # the suite's own endpoint check must be able to fail, and acceptance
     # criterion 2 must see the failure
     monkeypatch.setattr("bsretract.suite.detect_finite_order", detect)
-    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), FlowConfig(), 100, 1e-6, False)
+    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), False, FlowConfig(), 100, 1e-6, False)
     record, _ = run_one(task)
     assert record["outcome"] == "ok"
     assert record["detected_order"] != 7
@@ -640,7 +689,7 @@ def test_run_one_flags_nan_residuals(monkeypatch):
     monkeypatch.setattr("bsretract.kempfness.FlowTrace.max_residual", lambda self: nan)
     monkeypatch.setattr("bsretract.retraction.RetractionPath.max_residual",
                         lambda self: nan)
-    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), FlowConfig(), 100, 1e-6, False)
+    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), False, FlowConfig(), 100, 1e-6, False)
     record, _ = run_one(task)
     assert record["outcome"] == "ok"
     assert any(v.startswith("flow residual nan") for v in record["violations"])
@@ -649,7 +698,7 @@ def test_run_one_flags_nan_residuals(monkeypatch):
 
 def test_run_one_flags_a_nan_idempotence_delta(monkeypatch):
     monkeypatch.setattr("bsretract.suite.hs_norm", lambda x: float("nan"))
-    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), FlowConfig(), 100, 1e-6, True)
+    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), False, FlowConfig(), 100, 1e-6, True)
     record, _ = run_one(task)
     assert record["outcome"] == "ok"
     assert "pipeline not idempotent: delta nan" in record["violations"]
@@ -801,6 +850,8 @@ def test_suite_sl_mode(runner, tmp_path):
     doc = json.loads(report.read_text())
     assert doc["summary"]["hard_violations"] == 0
     assert doc["summary"]["converged"] == doc["summary"]["total_runs"] == 2
+    # each cell's manifest records the draw flag under its old key
+    assert [m["parameters"]["sl_mode"] for m in doc["manifests"].values()] == [True, True]
 
 
 @pytest.mark.parametrize("args", [

@@ -87,9 +87,9 @@ def test_moment_map_zero_on_normal_pair():
     assert np.linalg.norm(moment_map(rep)) <= 1e-12
 
 
-def one_step(rep, eta, sl_mode=False):
+def one_step(rep, eta):
     """The first accepted step of the flow, starting at step size eta."""
-    out, trace = flow(rep, FlowConfig(max_iter=1, eta0=eta, sl_mode=sl_mode))
+    out, trace = flow(rep, FlowConfig(max_iter=1, eta0=eta))
     return out, trace.records[-1].step
 
 
@@ -115,21 +115,21 @@ def stack(rep):
 def hessian(rep):
     """The energy's Hessian at rep; _hessian is half of it."""
     ab = stack(rep)
-    half = _hessian(ab, _moment(ab, False))
+    half = _hessian(ab, _moment(ab))
     return lambda h: 2.0 * half(h)
 
 
-def newton_direction(rep, sl_mode=False):
+def newton_direction(rep):
     ab = stack(rep)
-    products = _moment(ab, sl_mode)
+    products = _moment(ab)
     return _newton_direction(products.mu, np.linalg.norm(products.mu),
-                             kempfness._hessian(ab, products), sl_mode)
+                             kempfness._hessian(ab, products))
 
 
 def search_direction(rep, cfg=FlowConfig()):
     """s d, the direction the flow's first iteration steps along, and s."""
     ab = stack(rep)
-    products = _moment(ab, cfg.sl_mode)
+    products = _moment(ab)
     energy = kn_energy(rep)
     resolution = 128.0 * rep.n * np.finfo(float).eps * (1.0 + energy)
     line = _search_line(ab, products, np.linalg.norm(products.mu), resolution, cfg)
@@ -152,8 +152,9 @@ def test_flow_step_first_order_rate():
 
 
 def test_flow_step_sl_mode_preserves_determinants():
+    # conjugation fixes determinants, so the one flow keeps SL inputs in SL
     rep = from_sl2()
-    stepped, _ = one_step(rep, eta=0.05, sl_mode=True)
+    stepped, _ = one_step(rep, eta=0.05)
     assert abs(np.linalg.det(stepped.A) - np.linalg.det(rep.A)) <= 1e-10
     assert abs(np.linalg.det(stepped.B) - np.linalg.det(rep.B)) <= 1e-10
 
@@ -263,7 +264,7 @@ def test_hessian_spectrum_matches_the_kronecker_form(n):
         rep = random_rep(p, q, n, n)
         for point in (rep, conjugate(rep, conditioned(rng, n, 8.0)), flow(rep)[0]):
             ab = stack(point)
-            lam = np.linalg.eigvalsh(_hessian_gram(ab, _moment(ab, False)))
+            lam = np.linalg.eigvalsh(_hessian_gram(ab, _moment(ab)))
             ref = kronecker_spectrum(point)
             # at n = 1 the spectrum is {0}; rounding is measured on the energy
             scale = ref[-1] if n > 1 else kn_energy(point)
@@ -516,12 +517,26 @@ def test_search_line_moves_to_the_energy_minimum():
 
 
 def test_newton_direction_is_traceless_in_sl_mode():
+    # mu is a sum of commutators and the Hessian's range is traceless, so
+    # CG builds no trace on SL inputs without any projection
     rng = np.random.default_rng(15)
     for n in (2, 3, 4):
         rep = conjugate(random_rep(2, 3, n, n, sl=True), conditioned(rng, n, 8.0))
-        d = newton_direction(rep, sl_mode=True)
+        d = newton_direction(rep)
         assert abs(np.trace(d)) <= 1e-14 * np.linalg.norm(d)
-        assert np.trace(moment_map(rep, True) @ d).real < 0.0
+        assert np.trace(moment_map(rep) @ d).real < 0.0
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (1, -2), (-3, 5)])
+def test_flow_preserves_determinants_of_sl_inputs(p, q):
+    # the whole flow, not one step: every accepted iterate is a conjugate
+    # of the input, so det A and det B stay put to rounding
+    for n in range(2, 9):
+        rep = random_rep(p, q, n, n, sl=True)
+        final, trace = flow(rep)
+        assert trace.converged
+        for x, y in ((rep.A, final.A), (rep.B, final.B)):
+            assert abs(np.linalg.det(y) - np.linalg.det(x)) <= 1e-12, (p, q, n)
 
 
 def test_flow_converges_superlinearly():
@@ -595,7 +610,7 @@ def test_flow_matches_reference_across_blocks(p, q, n, seed, records):
     (1, 2, 2, 0), (2, 3, 4, 0), (2, 3, 4, 1), (2, 3, 8, 0), (1, 2, 10, 2),
 ])
 def test_flow_matches_reference_in_sl_mode(p, q, n, seed):
-    assert_same_invariants(random_rep(p, q, n, seed, sl=True), FlowConfig(sl_mode=True))
+    assert_same_invariants(random_rep(p, q, n, seed, sl=True))
 
 
 # ------------------------------------------------- stacked residual blocks
@@ -617,7 +632,7 @@ def far_off(rep, seed):
 BLOCK_CASES = [
     (far_off(random_rep(2, 3, 8, 1), 1), None),
     (far_off(random_rep(2, 3, 12, 0), 0), None),
-    (far_off(random_rep(2, 3, 8, 1, sl=True), 1), FlowConfig(sl_mode=True)),
+    (far_off(random_rep(2, 3, 8, 1, sl=True), 1), None),
 ]
 
 

@@ -250,8 +250,8 @@ GRADIENT_SHRINK = 0.5
 
 def reference_flow(rep, cfg=None):
     """The Armijo gradient descent along exp(-eta mu): an oracle for the
-    energies and K-invariants of flow's endpoints.  It takes tol, max_iter
-    and sl_mode from cfg and its own step settings above.  Every accepted
+    energies and K-invariants of flow's endpoints.  It takes tol and
+    max_iter from cfg and its own step settings above.  Every accepted
     iterate's relation residual is measured by its own call as the iterate
     is recorded, and its energy and moment are recomputed from the iterate."""
     cfg = cfg or FlowConfig()
@@ -263,7 +263,7 @@ def reference_flow(rep, cfg=None):
     step_taken = 0.0
     it = 0
     while True:
-        mu = _moment(np.stack((a, b)), cfg.sl_mode).mu
+        mu = _moment(np.stack((a, b))).mu
         mu_norm = hs_norm(mu)
         energy = _energy(a, b)
         recorded = min(energy, records[-1].energy) if records else energy
@@ -302,7 +302,7 @@ def reference_flow(rep, cfg=None):
                     break
             else:
                 if e2 <= energy + resolution:
-                    if hs_norm(_moment(np.stack((a2, b2)), cfg.sl_mode).mu) < mu_norm:
+                    if hs_norm(_moment(np.stack((a2, b2))).mu) < mu_norm:
                         accepted = True
                         break
             eta *= GRADIENT_SHRINK
