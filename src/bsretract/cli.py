@@ -19,17 +19,19 @@ from pathlib import Path
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
-from .bsrep import (Rep, check_residual, direct_sum, from_orbit_datum, random_rep,
-                    relation_residual, rep_from_json, rep_to_json)
+from .bsrep import (REP_TOL, Rep, check_residual, direct_sum, from_orbit_datum,
+                    random_rep, relation_residual, rep_from_json, rep_to_json)
 from .census import (OrbitDatum, check_moduli, enumerate_orbits, order_bound,
                      validate_parameters)
-from .compactify import certify
+from .compactify import SNAP_TOL, certify
 from .errors import BsretractError, PipelineStageError, SingularMatrix
 from .kempfness import (ITER_BUDGET, LINE_SEARCH_STALLED, FlowConfig, flow, kn_energy,
                         minimality_certificate, moment_map)
 from .numerics import hs_norm, unitarity_defect
-from .retraction import certify_and_retract, full_pipeline
+from .retraction import (NUM_SAMPLES, PipelineDiagnostics, certify_and_retract,
+                         full_pipeline)
 from .suite import (build_manifest, canonical_json, check_flow, check_pipeline,
                     run_suite, sha256_text)
 
@@ -182,6 +184,10 @@ def cmd_construct(p, q, orbits, chis, random_n, seed, sl, out):
         _fail(EXIT_BAD_INPUT, f"--random conflicts with {'--orbit' if orbits else '--chi'}")
     if len(chis) > len(orbits):
         _fail(EXIT_BAD_INPUT, f"{len(chis)} --chi values for {len(orbits)} --orbit blocks")
+    # --seed defaults to 0, so only its source tells an explicit 0 apart.
+    seed_given = click.get_current_context().get_parameter_source("seed")
+    if orbits and seed_given is not ParameterSource.DEFAULT:
+        _fail(EXIT_BAD_INPUT, "--orbit conflicts with --seed")
     try:
         validate_parameters(p, q)
         if random_n is not None:
@@ -228,17 +234,14 @@ def _path_csv(path) -> str:
 
 
 _flow_options = [
-    click.option("--tol", default=1e-10, show_default=True),
-    click.option("--max-iter", default=10**5, show_default=True),
-    click.option("--eta0", default=FlowConfig.eta0, show_default=True,
-                 help="First trial step along each search direction; no step "
-                      "is longer, so values far below 1 end in iter_budget."),
+    click.option("--tol", default=FlowConfig.tol, show_default=True),
+    click.option("--max-iter", default=FlowConfig.max_iter, show_default=True),
 ]
 
 
-def _flow_config(tol, max_iter, eta0) -> FlowConfig:
+def _flow_config(tol, max_iter) -> FlowConfig:
     try:
-        return FlowConfig(tol=tol, max_iter=max_iter, eta0=eta0)
+        return FlowConfig(tol=tol, max_iter=max_iter)
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
 
@@ -266,11 +269,11 @@ def _with(options):
 @click.option("--out", default="-", help="Endpoint Rep JSON.")
 @click.option("--trace-csv", default=None, help="Per-iteration CSV.")
 @_with(_flow_options)
-def cmd_flow(in_path, out, trace_csv, tol, max_iter, eta0):
+def cmd_flow(in_path, out, trace_csv, tol, max_iter):
     """Run the moment-map gradient flow on a representation."""
     _check_outputs(out, trace_csv)
     rep, res0 = _load_rep(in_path)
-    cfg = _flow_config(tol, max_iter, eta0)
+    cfg = _flow_config(tol, max_iter)
     final, trace = flow(rep, cfg, initial_residual=res0)
     _write_text(out, canonical_json(rep_to_json(final)) + "\n")
     if trace_csv:
@@ -278,7 +281,7 @@ def cmd_flow(in_path, out, trace_csv, tol, max_iter, eta0):
     last = trace.records[-1]
     manifest = build_manifest(
         "flow",
-        {"tol": tol, "max_iter": max_iter, "eta0": eta0},
+        {"tol": tol, "max_iter": max_iter},
         {"rep": sha256_text(canonical_json(rep_to_json(rep)))},
         [out, trace_csv or ""],
     )
@@ -305,12 +308,12 @@ _FLOW_FAILURES = {
 }
 
 
-def _run_and_emit(command, parameters, rep, res0, run, out, diag_path, path_csv,
+def _run_and_emit(command, parameters, rep, run, out, diag_path, path_csv,
                   trace_csv=None):
     """Body of retract and pipeline: run() returns (endpoint, diagnostics);
     write the endpoint, diagnostics, CSVs and manifest, then exit with the
-    classified code.  res0 is the input's residual, or None to read the
-    one run() measured.  A run that refuses its input (ValueError,
+    classified code.  The checks bound the run by the input's residual,
+    diagnostics.initial_residual.  A run that refuses its input (ValueError,
     SingularMatrix) exits EXIT_BAD_INPUT; one that ends "ok" and fails
     suite.check_pipeline, or suite.check_flow when it flowed, exits
     EXIT_HARD_VIOLATION."""
@@ -327,7 +330,7 @@ def _run_and_emit(command, parameters, rep, res0, run, out, diag_path, path_csv,
         failure, endpoint, diag = exc, None, exc.diagnostics
     except (ValueError, SingularMatrix) as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
-    res0 = diag.initial_residual if res0 is None else res0
+    res0 = diag.initial_residual
     if endpoint is not None:
         _write_text(out, canonical_json(rep_to_json(endpoint)) + "\n")
     if diag_path:
@@ -354,8 +357,8 @@ def _run_and_emit(command, parameters, rep, res0, run, out, diag_path, path_csv,
 @click.option("--out", default="-")
 @click.option("--diag", "diag_path", default=None, help="Diagnostics JSON path.")
 @click.option("--path-csv", default=None, help="Per-sample CSV of the path.")
-@click.option("--samples", default=100, show_default=True)
-@click.option("--snap-tol", default=1e-6, show_default=True)
+@click.option("--samples", default=NUM_SAMPLES, show_default=True)
+@click.option("--snap-tol", default=SNAP_TOL, show_default=True)
 def cmd_retract(in_path, out, diag_path, path_csv, samples, snap_tol):
     """Certify finite-order structure and retract A to its unitary factor
     (no flow; input should already be near a minimal vector)."""
@@ -363,8 +366,9 @@ def cmd_retract(in_path, out, diag_path, path_csv, samples, snap_tol):
     rep, res0 = _load_rep(in_path)
     _check_run_options(snap_tol, samples)
     _run_and_emit(
-        "retract", {"samples": samples, "snap_tol": snap_tol}, rep, res0,
-        lambda: certify_and_retract(rep, snap_tol=snap_tol, num_samples=samples),
+        "retract", {"samples": samples, "snap_tol": snap_tol}, rep,
+        lambda: certify_and_retract(rep, snap_tol=snap_tol, num_samples=samples,
+                                    diag=PipelineDiagnostics(initial_residual=res0)),
         out, diag_path, path_csv,
     )
 
@@ -375,21 +379,20 @@ def cmd_retract(in_path, out, diag_path, path_csv, samples, snap_tol):
 @click.option("--diag", "diag_path", default=None)
 @click.option("--path-csv", default=None)
 @click.option("--trace-csv", default=None)
-@click.option("--samples", default=100, show_default=True)
-@click.option("--snap-tol", default=1e-6, show_default=True)
+@click.option("--samples", default=NUM_SAMPLES, show_default=True)
+@click.option("--snap-tol", default=SNAP_TOL, show_default=True)
 @_with(_flow_options)
 def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol,
-                 tol, max_iter, eta0):
+                 tol, max_iter):
     """Flow, certify, and retract: Rep JSON in, unitary Rep JSON out."""
     _check_outputs(out, diag_path, path_csv, trace_csv)
-    rep, res0 = _load_rep(in_path, measure=False)
-    cfg = _flow_config(tol, max_iter, eta0)
+    rep, _ = _load_rep(in_path, measure=False)
+    cfg = _flow_config(tol, max_iter)
     _check_run_options(snap_tol, samples)
     _run_and_emit(
         "pipeline",
-        {"tol": tol, "max_iter": max_iter, "eta0": eta0,
-         "samples": samples, "snap_tol": snap_tol},
-        rep, res0,
+        {"tol": tol, "max_iter": max_iter, "samples": samples, "snap_tol": snap_tol},
+        rep,
         lambda: full_pipeline(rep, cfg, num_samples=samples, snap_tol=snap_tol),
         out, diag_path, path_csv, trace_csv,
     )
@@ -405,7 +408,7 @@ _VERIFY_MEASURES = ("relation_residual", "kn_energy", "moment_norm",
 @main.command("verify")
 @click.option("--in", "in_path", default="-")
 @click.option("--out", default="-")
-@click.option("--snap-tol", default=1e-6, show_default=True)
+@click.option("--snap-tol", default=SNAP_TOL, show_default=True)
 def cmd_verify(in_path, out, snap_tol):
     """Report the structural certificates of a representation.  A
     non-finite measure of the input exits EXIT_BAD_INPUT after the report
@@ -416,7 +419,7 @@ def cmd_verify(in_path, out, snap_tol):
     report = {
         "p": rep.group.p, "q": rep.group.q, "n": rep.n,
         "relation_residual": res,
-        "in_variety": bool(res <= 1e-8),
+        "in_variety": bool(res <= REP_TOL),
         "kn_energy": kn_energy(rep),
         "moment_norm": hs_norm(moment_map(rep)),
         "order_bound": order_bound(rep.group.p, rep.group.q, rep.n),
@@ -457,52 +460,34 @@ def cmd_verify(in_path, out, snap_tol):
 
 # --------------------------------------------------------------------- suite
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _valid_pair(p: int, q: int) -> bool:
-    try:
-        validate_parameters(p, q)
-    except ValueError:
-        return False
-    return True
-
-
 @main.command("suite")
-@click.option("--p-list", default="1,2,3", show_default=True)
-@click.option("--q-list", default="1,2,3", show_default=True)
-@click.option("--pairs", "pairs_spec", default=None,
-              help="Explicit 'p:q,p:q' pairs; every pair must be valid.")
+@click.option("--pairs", "pairs_spec", default="1:2,1:3,2:1,2:3,3:1,3:2",
+              show_default=True, help="'p:q,p:q' pairs; every pair must be valid.")
 @click.option("--n-max", default=3, show_default=True)
 @click.option("--seeds", default=5, show_default=True)
 @click.option("--base-seed", default=0, show_default=True)
-@click.option("--samples", default=100, show_default=True)
-@click.option("--snap-tol", default=1e-6, show_default=True)
+@click.option("--samples", default=NUM_SAMPLES, show_default=True)
+@click.option("--snap-tol", default=SNAP_TOL, show_default=True)
 @click.option("--idempotence", is_flag=True, help="Also re-run each pipeline on its output.")
 @click.option("--report", default="-", help="Report JSON path.")
 @click.option("--workers", default=None, type=int,
               help="Worker processes (default: up to 4, one per CPU).")
 @click.option("--sl", is_flag=True, help="Draw only determinant-one inputs.")
 @_with(_flow_options)
-def cmd_suite(p_list, q_list, pairs_spec, n_max, seeds, base_seed, samples,
-              snap_tol, idempotence, report, workers, sl, tol, max_iter, eta0):
+def cmd_suite(pairs_spec, n_max, seeds, base_seed, samples, snap_tol, idempotence,
+              report, workers, sl, tol, max_iter):
     """Sweep the grid, run the full pipeline on every cell, aggregate."""
     _check_outputs(report)
     try:
-        if pairs_spec:
-            pairs = [(int(ps), int(qs)) for ps, _, qs in
-                     (item.partition(":") for item in pairs_spec.split(","))]
-        else:
-            grid = [(p, q) for p in _parse_int_list(p_list) for q in _parse_int_list(q_list)]
-            pairs = [pq for pq in grid if _valid_pair(*pq)]
+        pairs = [(int(ps), int(qs)) for ps, _, qs in
+                 (item.partition(":") for item in pairs_spec.split(","))]
         # An invalid pair, or a census modulus |p^k - q^k| past the scan's
         # limit, would raise inside every cell, so it exits 2 before any runs.
         for p, q in pairs:
             check_moduli(p, q, n_max)
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
-    cfg = _flow_config(tol, max_iter, eta0)
+    cfg = _flow_config(tol, max_iter)
     _check_run_options(snap_tol, samples)
     doc = run_suite(
         pairs, n_max, seeds, cfg, sl=sl,
@@ -514,7 +499,7 @@ def cmd_suite(p_list, q_list, pairs_spec, n_max, seeds, base_seed, samples,
         {"pairs": [list(x) for x in pairs], "n_max": n_max, "seeds": seeds,
          "base_seed": base_seed, "samples": samples, "snap_tol": snap_tol,
          "idempotence": idempotence,
-         "tol": tol, "max_iter": max_iter, "eta0": eta0, "sl": sl},
+         "tol": tol, "max_iter": max_iter, "sl": sl},
         {},
         [report],
     )

@@ -41,8 +41,13 @@ __all__ = [
     "invariant_form",
     "conjugate_into_unitary",
     "normality_exponent",
+    "SNAP_TOL",
     "UNITARY_TOL",
 ]
+
+#: Default tolerance of the certificates: the largest distance of an
+#: eigenvalue of B to its root of unity, and of A B A^-1 to B^j.
+SNAP_TOL = 1e-6
 
 #: Largest unitarity defect ||B* B - I|| of the unitarized B that certify
 #: accepts, and that retract_a requires.
@@ -90,7 +95,7 @@ def _eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise NotFiniteOrder(f"B has no invertible eigenvector basis: {exc}") from exc
 
 
-def detect_finite_order(b, moduli, tol: float = 1e-6, *, eig=None) -> int:
+def detect_finite_order(b, moduli, tol: float = SNAP_TOL, *, eig=None) -> int:
     """Exact order of the cyclic group generated by b, via its spectrum.
 
     `moduli` are the admissible moduli |p^k - q^k| (see
@@ -159,7 +164,7 @@ def conjugate_into_unitary(rep: Rep, form: HermitianForm) -> Rep:
     return Rep(rep.group, rep.n, a, b)
 
 
-def normality_exponent(rep: Rep, order: int, tol: float = 1e-6) -> int:
+def normality_exponent(rep: Rep, order: int, tol: float = SNAP_TOL) -> int:
     """Exponent j with A B A^-1 = B^j, certifying A normalizes <B>.
 
     order is the order of B, as detect_finite_order certifies it.  If
@@ -211,7 +216,7 @@ class Certificate:
     error: BsretractError | None = None
 
 
-def certify(rep: Rep, tol: float = 1e-6) -> Certificate:
+def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
     """Order of B, invariant form, unitarized representation and
     normality exponent, each at tolerance tol; the unitarized B must be
     unitary within UNITARY_TOL, which a non-diagonalizable B close enough

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -66,15 +66,16 @@ _KERNEL_CUT = 1e-8
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Tunables of the descent; defaults suit desk-scale problems.
+    """Settings of the descent; defaults suit desk-scale problems.
 
     tol: stop once ||mu|| <= tol * (1 + energy).
     max_iter: iteration budget.
+
+    The line search's constants are class attributes, not settings:
     eta0: first trial step along each search direction s d, where d is the
         Newton direction and s >= 1 puts s d at the energy's minimum on
         the geodesic exp(t d) when that lies past d (s = 1 otherwise);
-        1 is the full step.  No step is longer than eta0 s, so with
-        eta0 << 1 the flow crawls and ends in ITER_BUDGET.
+        1 is the full step.
     armijo: sufficient-decrease constant: a step eta is accepted when the
         energy drops by at least armijo * min(eta s, 1) * (-<2 mu, d>),
         the first-order decrease along d capped at one Newton step.  Near
@@ -88,17 +89,15 @@ class FlowConfig:
 
     tol: float = 1e-10
     max_iter: int = 10**5
-    eta0: float = 1.0
-    armijo: float = 0.25
-    shrink: float = 0.5
+    eta0: ClassVar[float] = 1.0
+    armijo: ClassVar[float] = 0.25
+    shrink: ClassVar[float] = 0.5
 
     def __post_init__(self):
-        if not (0 < self.tol < math.inf and 0 < self.eta0 < math.inf):
-            raise ValueError("tol and eta0 must be finite and positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be finite and positive")
         if not self.max_iter > 0:
             raise ValueError("max_iter must be positive")
-        if not 0 < self.armijo < 1 or not 0 < self.shrink < 1:
-            raise ValueError("armijo and shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -339,10 +338,11 @@ def flow(
 
     Each iteration takes the truncated-CG Newton direction d of the energy
     at the current iterate (gradient 2 mu), scales it by the s >= 1 of
-    _search_line and tries g = exp(eta s d), from eta = eta0, accepting a
-    trial when the energy drops by at least
-    armijo * min(eta s, 1) * (-<2 mu, d>); otherwise eta shrinks by the
-    factor shrink, so every recorded step is eta0 * shrink^k.  Stops when
+    _search_line and tries g = exp(eta s d), from eta = FlowConfig.eta0,
+    accepting a trial when the energy drops by at least
+    FlowConfig.armijo * min(eta s, 1) * (-<2 mu, d>); otherwise eta shrinks
+    by the factor FlowConfig.shrink, so every recorded step is
+    eta0 * shrink^k.  Only tol and max_iter are settings.  Stops when
     ||mu|| <= tol * (1 + energy) (outcome CONVERGED), when the iteration
     budget runs out (ITER_BUDGET) or when every trial of one line search
     is rejected (LINE_SEARCH_STALLED).  Conjugation preserves the defining

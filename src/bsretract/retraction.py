@@ -1,6 +1,6 @@
 """In-variety retraction of A onto its unitary polar factor.
 
-`retract_a(rep, num_samples=100)` samples the scaling path A_t = U P^t of
+`retract_a(rep, num_samples)` samples the scaling path A_t = U P^t of
 A = U P from t = 1 down to t = 0 with B fixed; at t = 0 the
 representation is unitary.  It needs B unitary and [P, B] = 0, checks
 both, and its docstring gives why the path then stays in the variety.
@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .bsrep import BSGroup, Rep, check_residual, relation_residual
-from .compactify import UNITARY_TOL, certify
+from .compactify import SNAP_TOL, UNITARY_TOL, certify
 from .errors import STRUCTURAL_ERRORS, PipelineStageError, PolarObstruction, SingularMatrix
 from .kempfness import FlowConfig, FlowTrace, flow
 from .numerics import PolarFactors, hs_norm, polar, unitarity_defect
@@ -31,7 +31,11 @@ __all__ = [
     "full_pipeline",
     "PipelineDiagnostics",
     "verify_unitary_rep",
+    "NUM_SAMPLES",
 ]
+
+#: Default number of samples of a retraction path, t = 1 down to t = 0.
+NUM_SAMPLES = 100
 
 #: Largest ||[P, B]|| / ||P|| that retract_a accepts.
 COMMUTE_TOL = 1e-6
@@ -159,7 +163,7 @@ def _sample_times(num_samples: int) -> np.ndarray:
     return t
 
 
-def retract_a(rep: Rep, num_samples: int = 100) -> RetractionPath:
+def retract_a(rep: Rep, num_samples: int = NUM_SAMPLES) -> RetractionPath:
     """Polar-scaling path from A to its unitary factor, with B fixed.
 
     Precondition, both parts checked: B is unitary within UNITARY_TOL,
@@ -229,8 +233,8 @@ class PipelineDiagnostics:
 def certify_and_retract(
     rep: Rep,
     *,
-    snap_tol: float = 1e-6,
-    num_samples: int = 100,
+    snap_tol: float = SNAP_TOL,
+    num_samples: int = NUM_SAMPLES,
     diag: PipelineDiagnostics | None = None,
 ) -> tuple[Rep, PipelineDiagnostics]:
     """Post-flow stages: certification (order, invariant form,
@@ -271,8 +275,8 @@ def full_pipeline(
     rep: Rep,
     cfg: FlowConfig | None = None,
     *,
-    num_samples: int = 100,
-    snap_tol: float = 1e-6,
+    num_samples: int = NUM_SAMPLES,
+    snap_tol: float = SNAP_TOL,
 ) -> tuple[Rep | None, PipelineDiagnostics]:
     """Flow to a minimal vector, then certify and retract to a unitary point.
 
@@ -305,7 +309,7 @@ def full_pipeline(
     )
 
 
-def verify_unitary_rep(rep: Rep, tol: float = 1e-8) -> bool:
+def verify_unitary_rep(rep: Rep, tol: float = UNITARY_TOL) -> bool:
     """True iff both generators are unitary and the relation holds, all
     within tol."""
     if not unitarity_defect(rep.A) <= tol:

@@ -17,11 +17,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import census
 from .bsrep import random_rep
-from .compactify import detect_finite_order
+from .compactify import SNAP_TOL, UNITARY_TOL, detect_finite_order
 from .errors import BsretractError, PipelineStageError
 from .kempfness import FlowConfig
 from .numerics import hs_norm
-from .retraction import full_pipeline, verify_unitary_rep
+from .retraction import NUM_SAMPLES, full_pipeline, verify_unitary_rep
 
 __all__ = ["canonical_json", "sha256_text", "build_manifest", "derive_seed",
            "check_flow", "check_pipeline", "check_rerun", "run_one", "run_suite"]
@@ -80,7 +80,7 @@ def check_pipeline(res0: float, endpoint, diag, snap_tol: float) -> list[str]:
     """Violations of a certified endpoint's invariants: the order is within
     its bound, detect_finite_order finds the same order on the endpoint's
     B, the path residual stays within 1e-8 + 10 * res0, and the endpoint
-    is a unitary representation within 1e-8."""
+    is a unitary representation within UNITARY_TOL."""
     violations = []
     if not _at_most(diag.detected_order, diag.order_bound):
         violations.append(
@@ -99,7 +99,7 @@ def check_pipeline(res0: float, endpoint, diag, snap_tol: float) -> list[str]:
             )
     if not _at_most(diag.max_path_residual, 1e-8 + 10.0 * res0):
         violations.append(f"path residual {_e(diag.max_path_residual)} exceeded bound")
-    if not verify_unitary_rep(endpoint, 1e-8):
+    if not verify_unitary_rep(endpoint, UNITARY_TOL):
         violations.append("endpoint failed the unitary-representation check")
     return violations
 
@@ -187,8 +187,8 @@ def run_suite(
     *,
     sl: bool = False,
     base_seed: int = 0,
-    num_samples: int = 100,
-    snap_tol: float = 1e-6,
+    num_samples: int = NUM_SAMPLES,
+    snap_tol: float = SNAP_TOL,
     check_idempotence: bool = False,
     workers: int | None = None,
 ) -> dict:

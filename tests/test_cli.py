@@ -27,7 +27,7 @@ from bsretract import (
 from bsretract.cli import main
 from bsretract.suite import check_flow, check_pipeline, check_rerun, derive_seed, run_one
 
-from util import conditioned, n5_block, rep_of, swap2, zeta
+from util import conditioned, flow_constants, n5_block, rep_of, swap2, zeta
 
 #: An n = 2 point at (1, 2) whose orbit is not closed, from
 #: util.jordan_rep(1, 2, 2, 1): its flowed B snaps to order 1 but is not
@@ -129,7 +129,10 @@ def test_construct_rejects_bad_parameters(runner, tmp_path):
     (["--orbit", "5:1,4", "--chi", "2", "--chi", "3"], "2 --chi values for 1 --orbit blocks"),
     (["--random", "2", "--chi", "2"], "--random conflicts with --chi"),
     (["--random", "2", "--orbit", "5:1,4"], "--random conflicts with --orbit"),
-], ids=["surplus-chi", "random-with-chi", "random-with-orbit"])
+    (["--orbit", "5:1,4", "--seed", "7"], "--orbit conflicts with --seed"),
+    (["--orbit", "5:1,4", "--seed", "0"], "--orbit conflicts with --seed"),
+], ids=["surplus-chi", "random-with-chi", "random-with-orbit", "orbit-with-seed",
+        "orbit-with-default-seed-value"])
 def test_construct_refuses_options_it_would_ignore(runner, tmp_path, args, conflict):
     # each of these exited 0 with a manifest listing the ignored value
     out = tmp_path / "rep.json"
@@ -190,13 +193,14 @@ def test_flow_budget_exit_code(runner, tmp_path):
 
 def test_flow_overlong_first_step_still_converges(runner, tmp_path):
     # every trial step too long for exp(eta d) to stay finite used to
-    # count as a backtrack, so --eta0 1e30 spent the whole line search on
+    # count as a backtrack, so eta0 = 1e30 spent the whole line search on
     # them and reported "iter_budget after 0 iterations" with exit 3
     rep = tmp_path / "rep.json"
     res = runner.invoke(main, ["construct", "--p", "2", "--q", "3", "--random", "3",
                                "--seed", "1", "--out", str(rep)])
     assert res.exit_code == 0, res.output
-    res = runner.invoke(main, ["flow", "--in", str(rep), "--out", "-", "--eta0", "1e30"])
+    with flow_constants(eta0=1e30):
+        res = runner.invoke(main, ["flow", "--in", str(rep), "--out", "-"])
     assert res.exit_code == 0, res.output
     assert "converged" in res.output
 
@@ -211,16 +215,17 @@ def test_stalled_line_search_exits_flow_failure(runner, tmp_path, command, messa
     res = runner.invoke(main, ["construct", "--p", "2", "--q", "3", "--random", "3",
                                "--seed", "1", "--out", str(rep)])
     assert res.exit_code == 0, res.output
-    res = runner.invoke(main, [command, "--in", str(rep), "--out", str(tmp_path / "e.json"),
-                               "--eta0", "1e-20"])
+    with flow_constants(eta0=1e-20):
+        res = runner.invoke(main, [command, "--in", str(rep),
+                                   "--out", str(tmp_path / "e.json")])
     assert res.exit_code == 3, res.output
     assert message in res.output
     assert "iter_budget" not in res.output
 
 
 def test_run_one_reports_a_stalled_line_search():
-    cfg = FlowConfig(eta0=1e-20)
-    record, _ = run_one((2, 3, 3, 1, False, cfg, 100, 1e-6, False))
+    with flow_constants(eta0=1e-20):
+        record, _ = run_one((2, 3, 3, 1, False, FlowConfig(), 100, 1e-6, False))
     assert record["outcome"] == record["flow_outcome"] == "line_search_stalled"
     assert record["violations"] == []
     assert "detected_order" not in record
@@ -374,6 +379,20 @@ def test_retract_passing_the_shared_check_exits_zero(runner, tmp_path):
     assert "error:" not in res.output
 
 
+def test_retract_diagnostics_carry_the_input_residual(runner, tmp_path):
+    # retract --diag wrote "initial_residual": null, although the checks
+    # bound its path residual by the residual the loader measured
+    in_path = write_rep(tmp_path, flow(_conjugated_block())[0])
+    out, diag = tmp_path / "e.json", tmp_path / "d.json"
+    res = runner.invoke(main, ["retract", "--in", in_path, "--out", str(out),
+                               "--diag", str(diag)])
+    assert res.exit_code == 0, res.output
+    res0 = relation_residual(rep_from_json(json.loads(Path(in_path).read_text())))
+    assert json.loads(diag.read_text())["initial_residual"] == res0
+    manifest = json.loads((tmp_path / "e.json.manifest.json").read_text())
+    assert manifest["outcome"]["initial_residual"] == res0
+
+
 # ------------------------------------------------------------------- retract
 
 def test_retract_command(runner, tmp_path):
@@ -525,7 +544,7 @@ def test_a_bad_output_path_writes_nothing(runner, tmp_path, monkeypatch, args):
 
 
 @pytest.mark.parametrize("option, value", [
-    ("--tol", "inf"), ("--tol", "nan"), ("--eta0", "inf"), ("--eta0", "nan"),
+    ("--tol", "inf"), ("--tol", "nan"),
 ])
 def test_non_finite_flow_setting_exits_bad_input(runner, tmp_path, option, value):
     # --tol inf used to report "converged after 0 iterations" and exit 0
@@ -658,9 +677,8 @@ def test_import_pins_blas_threads_unless_set_or_too_late(preset, imports, expect
 def test_run_one_classifies_spurious_orders():
     # (2,3), n = 8: these cells snap an eigenvalue to an order dividing no
     # |2^k - 3^k|, which must end as a classified structural failure
-    cfg = FlowConfig(tol=1e-10, max_iter=10**5, eta0=0.1, armijo=0.5, shrink=0.5)
     for i in (1, 3, 4):
-        record, _ = run_one((2, 3, 8, derive_seed(0, 2, 3, 8, i), False, cfg,
+        record, _ = run_one((2, 3, 8, derive_seed(0, 2, 3, 8, i), False, FlowConfig(),
                              100, 1e-6, False))
         assert record["outcome"] == "structural_failure"
         assert record["failed_stage"] == "detect_finite_order"
@@ -817,28 +835,21 @@ def test_suite_small_grid(runner, tmp_path):
 
 
 def test_suite_default_grid(runner, tmp_path):
-    # default lists |p|,|q| <= 3, n <= 3, 5 seeds: everything converges
-    # with the predicted structure
+    # default pairs, the valid (p, q) with p, q in 1..3; n <= 3, 5 seeds:
+    # everything converges with the predicted structure
     report = tmp_path / "report.json"
     res = runner.invoke(main, ["suite", "--report", str(report), "--workers", "2"])
     assert res.exit_code == 0
     doc = json.loads(report.read_text())
     s = doc["summary"]
     assert s["total_runs"] == 6 * 3 * 5
+    assert doc["manifest"]["parameters"]["pairs"] == [
+        [1, 2], [1, 3], [2, 1], [2, 3], [3, 1], [3, 2]]
     assert s["converged"] == s["total_runs"]
     assert s["hard_violations"] == 0
     assert s["order_histogram"]
     assert s["exponent_histogram"]
     assert s["max_iterations"] <= 10**5
-
-
-def test_suite_empty_grid(runner, tmp_path):
-    report = tmp_path / "report.json"
-    res = runner.invoke(main, ["suite", "--p-list", "2", "--q-list", "2",
-                               "--report", str(report), "--workers", "1"])
-    assert res.exit_code == 0
-    doc = json.loads(report.read_text())
-    assert doc["summary"]["total_runs"] == 0
 
 
 def test_suite_sl_mode(runner, tmp_path):
@@ -880,19 +891,19 @@ def test_suite_rejects_invalid_explicit_pair(runner, tmp_path):
     assert res.exit_code == 2
 
 
-def test_suite_grid_skips_invalid_combinations(runner, tmp_path):
-    report = tmp_path / "report.json"
-    res = runner.invoke(main, ["suite", "--p-list", "1,2", "--q-list", "2",
-                               "--n-max", "1", "--seeds", "1",
-                               "--report", str(report), "--workers", "1"])
-    assert res.exit_code == 0
-    doc = json.loads(report.read_text())
-    # (2,2) dropped, only (1,2) stays
-    assert doc["summary"]["total_runs"] == 1
+@pytest.mark.parametrize("command, option", [
+    ("flow", "--eta0"), ("pipeline", "--eta0"), ("suite", "--eta0"),
+    ("suite", "--p-list"), ("suite", "--q-list"),
+])
+def test_retired_options_exit_bad_input(runner, command, option):
+    # eta0 is a constant of the flow, and --pairs is suite's one pair list
+    res = runner.invoke(main, [command, option, "1"])
+    assert res.exit_code == 2, res.output
+    assert "No such option" in res.output
 
 
 def test_suite_non_integer_list_exits_bad_input(runner, tmp_path):
-    res = runner.invoke(main, ["suite", "--p-list", "a", "--n-max", "1", "--seeds", "1",
+    res = runner.invoke(main, ["suite", "--pairs", "a:3", "--n-max", "1", "--seeds", "1",
                                "--report", str(tmp_path / "r.json")])
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 2, res.output

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -39,6 +40,7 @@ from util import (
     PAIRS,
     SEEDS,
     conditioned,
+    flow_constants,
     haar_unitary,
     n5_block,
     random_hermitian,
@@ -89,7 +91,8 @@ def test_moment_map_zero_on_normal_pair():
 
 def one_step(rep, eta):
     """The first accepted step of the flow, starting at step size eta."""
-    out, trace = flow(rep, FlowConfig(max_iter=1, eta0=eta))
+    with flow_constants(eta0=eta):
+        out, trace = flow(rep, FlowConfig(max_iter=1))
     return out, trace.records[-1].step
 
 
@@ -326,7 +329,8 @@ def test_flow_iter_budget_outcome():
 def test_flow_stalled_line_search_outcome():
     # at eta0 = 1e-20 each trial step is lost in rounding; once no trial
     # lowers ||mu|| the line search gives up with the budget unspent
-    final, trace = flow(random_rep(2, 3, 3, 1), FlowConfig(eta0=1e-20))
+    with flow_constants(eta0=1e-20):
+        final, trace = flow(random_rep(2, 3, 3, 1))
     assert trace.outcome == LINE_SEARCH_STALLED
     assert not trace.converged
     assert 0 <= trace.iterations < 100
@@ -357,38 +361,41 @@ def test_small_eta0_ends_on_the_budget():
     # passes the strict Armijo test, far from the resolution-limited tail:
     # the energy falls at every step, nothing backtracks and the flow
     # crawls until its budget runs out
-    cfg = FlowConfig(eta0=1e-8, max_iter=300)
-    _, trace = flow(random_rep(2, 3, 3, 1), cfg)
+    with flow_constants(eta0=1e-8):
+        _, trace = flow(random_rep(2, 3, 3, 1), FlowConfig(max_iter=300))
     assert trace.outcome == ITER_BUDGET
     energies = [r.energy for r in trace.records]
     assert all(later < earlier for earlier, later in zip(energies, energies[1:]))
-    assert all(r.step == cfg.eta0 for r in trace.records[1:])
+    assert all(r.step == 1e-8 for r in trace.records[1:])
 
 
-def steps_are_powers_of_shrink(trace, cfg):
+def steps_are_powers_of_shrink(trace):
+    eta0, shrink = FlowConfig.eta0, FlowConfig.shrink
     for r in trace.records[1:]:
-        k = round(math.log(cfg.eta0 / r.step) / math.log(1.0 / cfg.shrink))
-        assert k >= 0 and r.step == pytest.approx(cfg.eta0 * cfg.shrink**k, rel=1e-12)
+        k = round(math.log(eta0 / r.step) / math.log(1.0 / shrink))
+        assert k >= 0 and r.step == pytest.approx(eta0 * shrink**k, rel=1e-12)
 
 
-@pytest.mark.parametrize("cfg", [FlowConfig(), FlowConfig(eta0=2.0)])
+# cfg: the line-search constants set for the run; none, then eta0 = 2.
+@pytest.mark.parametrize("cfg", [{}, {"eta0": 2.0}])
 def test_flow_steps_are_eta0_times_powers_of_shrink(cfg):
     # s is folded into the direction, never into the recorded step: the
     # benchmark counts backtracks as k in step = eta0 * shrink^k.  eta0 = 2
     # overshoots the energy's minimum, so that setting backtracks.
     backtracked = 0
-    for p, q in PAIRS:
-        for n in range(1, N_MAX + 1):
-            for i in range(SEEDS):
-                _, trace = flow(random_rep(p, q, n, derive_seed(0, p, q, n, i)), cfg)
-                steps_are_powers_of_shrink(trace, cfg)
-                backtracked += any(r.step < cfg.eta0 for r in trace.records[1:])
-    for p, q in [(1, 2), (-1, 3), (2, -3)]:
-        for n in (8, 10, 12):
-            _, trace = flow(random_rep(p, q, n, derive_seed(0, p, q, n, 0)), cfg)
-            assert trace.converged
-            steps_are_powers_of_shrink(trace, cfg)
-    assert (backtracked > 0) == (cfg.eta0 > 1.0)
+    with flow_constants(**cfg):
+        for p, q in PAIRS:
+            for n in range(1, N_MAX + 1):
+                for i in range(SEEDS):
+                    _, trace = flow(random_rep(p, q, n, derive_seed(0, p, q, n, i)))
+                    steps_are_powers_of_shrink(trace)
+                    backtracked += any(r.step < FlowConfig.eta0 for r in trace.records[1:])
+        for p, q in [(1, 2), (-1, 3), (2, -3)]:
+            for n in (8, 10, 12):
+                _, trace = flow(random_rep(p, q, n, derive_seed(0, p, q, n, 0)))
+                assert trace.converged
+                steps_are_powers_of_shrink(trace)
+        assert (backtracked > 0) == (FlowConfig.eta0 > 1.0)
 
 
 def test_flow_config_validation():
@@ -396,10 +403,17 @@ def test_flow_config_validation():
         FlowConfig(tol=-1.0)
     with pytest.raises(ValueError):
         FlowConfig(max_iter=0)
-    with pytest.raises(ValueError):
-        FlowConfig(armijo=1.5)
-    with pytest.raises(ValueError):
-        FlowConfig(shrink=0.0)
+
+
+def test_flow_config_settings_are_tol_and_max_iter():
+    # the line search's step settings are constants of the flow, not fields
+    cfg = FlowConfig()
+    assert [f.name for f in dataclasses.fields(FlowConfig)] == ["tol", "max_iter"]
+    assert dataclasses.asdict(cfg) == {"tol": 1e-10, "max_iter": 10**5}
+    assert (cfg.eta0, cfg.armijo, cfg.shrink) == (1.0, 0.25, 0.5)
+    for name in ("eta0", "armijo", "shrink"):
+        with pytest.raises(TypeError):
+            FlowConfig(**{name: 1.0})
 
 
 def test_flow_residual_check_fails_on_a_nan_record():
@@ -410,7 +424,7 @@ def test_flow_residual_check_fails_on_a_nan_record():
     assert not FlowTrace(records, CONVERGED).max_residual() <= 1e-8
 
 
-@pytest.mark.parametrize("field", ["tol", "eta0"])
+@pytest.mark.parametrize("field", ["tol"])
 @pytest.mark.parametrize("value", [float("inf"), float("nan"), 0.0])
 def test_flow_config_rejects_non_finite_settings(field, value):
     # tol = inf would certify any point as minimal at iteration 0

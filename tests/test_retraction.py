@@ -38,6 +38,7 @@ from util import (
     PAIRS,
     SEEDS,
     conditioned,
+    flow_constants,
     haar_unitary,
     jordan_rep,
     n5_block,
@@ -286,7 +287,8 @@ def test_full_pipeline_iter_budget_is_soft():
 
 
 def test_full_pipeline_stalled_line_search_is_soft():
-    out, diag = full_pipeline(random_rep(2, 3, 3, 1), FlowConfig(eta0=1e-20))
+    with flow_constants(eta0=1e-20):
+        out, diag = full_pipeline(random_rep(2, 3, 3, 1))
     assert diag.outcome == diag.flow_outcome == "line_search_stalled"
     assert out is not None
     assert diag.detected_order is None

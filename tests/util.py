@@ -2,10 +2,12 @@
 
 import cmath
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, reduce
 
 import numpy as np
+import pytest
 
 from bsretract import BSGroup, OrbitDatum, Rep, from_orbit_datum
 from bsretract.bsrep import conjugate, direct_sum, random_conditioned, residual
@@ -21,6 +23,17 @@ from bsretract.kempfness import (
     _moment,
 )
 from bsretract.numerics import RootOfUnity, hs_norm
+
+@contextmanager
+def flow_constants(**values):
+    """FlowConfig's line-search constants (eta0, armijo, shrink) set to
+    other values inside the block, to reach the flow's safeguards: the
+    stall, the budget crawl, the overflow pre-shrink and backtracking."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in values.items():
+            mp.setattr(FlowConfig, name, value)
+        yield
+
 
 #: The five (p, q) pairs the acceptance grid's signed pairs come from.
 BASE_PAIRS = [(1, 2), (2, 3), (1, 3), (2, 5), (3, 5)]
