@@ -1,9 +1,9 @@
 """Command-line surface: option parsing, JSON/CSV I/O and manifests.
 
-Commands: census, construct, flow, retract, pipeline, verify, suite.
-Exit codes: 0 success, 1 hard invariant violated (a suite cell, or a
-pipeline or retract run, failing the checks of `suite`, the one
-definition of a certified run), 2 bad input, 3 flow failed (budget
+Commands: census, construct, flow, pipeline, verify, suite.
+Exit codes: 0 success, 1 hard invariant violated (a suite cell or a
+pipeline run failing the checks of `suite`, the one definition of a
+certified run), 2 bad input, 3 flow failed (budget
 exhausted or line search stalled), 4 predicted structure absent.
 Every run emits a manifest that fully determines it; outputs are
 byte-deterministic for identical manifests.
@@ -30,8 +30,7 @@ from .errors import BsretractError, PipelineStageError, SingularMatrix
 from .kempfness import (ITER_BUDGET, LINE_SEARCH_STALLED, FlowConfig, flow, kn_energy,
                         minimality_certificate, moment_map)
 from .numerics import hs_norm, unitarity_defect
-from .retraction import (NUM_SAMPLES, PipelineDiagnostics, certify_and_retract,
-                         full_pipeline)
+from .retraction import NUM_SAMPLES, full_pipeline
 from .suite import (build_manifest, canonical_json, check_flow, check_pipeline,
                     run_suite, sha256_text)
 
@@ -300,77 +299,12 @@ def cmd_flow(in_path, out, trace_csv, tol, max_iter):
         sys.exit(EXIT_FLOW_FAILED)
 
 
-# ----------------------------------------------------------- retract/pipeline
+# ------------------------------------------------------------------ pipeline
 
 _FLOW_FAILURES = {
     ITER_BUDGET: "flow budget exhausted",
     LINE_SEARCH_STALLED: "flow line search stalled",
 }
-
-
-def _run_and_emit(command, parameters, rep, run, out, diag_path, path_csv,
-                  trace_csv=None):
-    """Body of retract and pipeline: run() returns (endpoint, diagnostics);
-    write the endpoint, diagnostics, CSVs and manifest, then exit with the
-    classified code.  The checks bound the run by the input's residual,
-    diagnostics.initial_residual.  A run that refuses its input (ValueError,
-    SingularMatrix) exits EXIT_BAD_INPUT; one that ends "ok" and fails
-    suite.check_pipeline, or suite.check_flow when it flowed, exits
-    EXIT_HARD_VIOLATION."""
-    manifest = build_manifest(
-        command,
-        parameters,
-        {"rep": sha256_text(canonical_json(rep_to_json(rep)))},
-        [out, diag_path or "", path_csv or "", trace_csv or ""],
-    )
-    failure = None
-    try:
-        endpoint, diag = run()
-    except PipelineStageError as exc:
-        failure, endpoint, diag = exc, None, exc.diagnostics
-    except (ValueError, SingularMatrix) as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
-    res0 = diag.initial_residual
-    if endpoint is not None:
-        _write_text(out, canonical_json(rep_to_json(endpoint)) + "\n")
-    if diag_path:
-        _write_text(diag_path, canonical_json(diag.to_dict()) + "\n")
-    if trace_csv and diag.flow_trace is not None:
-        _write_text(trace_csv, _trace_csv(diag.flow_trace))
-    if path_csv and diag.retraction_path is not None:
-        _write_text(path_csv, _path_csv(diag.retraction_path))
-    _emit_manifest(manifest, diag.to_dict(), out)
-    if failure is not None:
-        _fail(EXIT_STRUCTURAL, str(failure))
-    if diag.outcome in _FLOW_FAILURES:
-        click.echo(f"{command}: {_FLOW_FAILURES[diag.outcome]}", err=True)
-        sys.exit(EXIT_FLOW_FAILED)
-    violations = check_flow(diag, res0) if diag.flow_trace is not None else []
-    violations += check_pipeline(res0, endpoint, diag, parameters["snap_tol"])
-    for violation in violations:
-        click.echo(f"error: {violation}", err=True)
-    sys.exit(EXIT_HARD_VIOLATION if violations else EXIT_OK)
-
-
-@main.command("retract")
-@click.option("--in", "in_path", default="-")
-@click.option("--out", default="-")
-@click.option("--diag", "diag_path", default=None, help="Diagnostics JSON path.")
-@click.option("--path-csv", default=None, help="Per-sample CSV of the path.")
-@click.option("--samples", default=NUM_SAMPLES, show_default=True)
-@click.option("--snap-tol", default=SNAP_TOL, show_default=True)
-def cmd_retract(in_path, out, diag_path, path_csv, samples, snap_tol):
-    """Certify finite-order structure and retract A to its unitary factor
-    (no flow; input should already be near a minimal vector)."""
-    _check_outputs(out, diag_path, path_csv)
-    rep, res0 = _load_rep(in_path)
-    _check_run_options(snap_tol, samples)
-    _run_and_emit(
-        "retract", {"samples": samples, "snap_tol": snap_tol}, rep,
-        lambda: certify_and_retract(rep, snap_tol=snap_tol, num_samples=samples,
-                                    diag=PipelineDiagnostics(initial_residual=res0)),
-        out, diag_path, path_csv,
-    )
 
 
 @main.command("pipeline")
@@ -384,18 +318,47 @@ def cmd_retract(in_path, out, diag_path, path_csv, samples, snap_tol):
 @_with(_flow_options)
 def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol,
                  tol, max_iter):
-    """Flow, certify, and retract: Rep JSON in, unitary Rep JSON out."""
+    """Flow, certify, and retract: Rep JSON in, unitary Rep JSON out.
+
+    Writes the endpoint, diagnostics, CSVs and manifest, then exits with
+    the classified code.  Input that full_pipeline refuses (ValueError,
+    SingularMatrix) exits EXIT_BAD_INPUT; a run that ends "ok" and fails
+    suite.check_flow or suite.check_pipeline exits EXIT_HARD_VIOLATION."""
     _check_outputs(out, diag_path, path_csv, trace_csv)
     rep, _ = _load_rep(in_path, measure=False)
     cfg = _flow_config(tol, max_iter)
     _check_run_options(snap_tol, samples)
-    _run_and_emit(
+    manifest = build_manifest(
         "pipeline",
         {"tol": tol, "max_iter": max_iter, "samples": samples, "snap_tol": snap_tol},
-        rep,
-        lambda: full_pipeline(rep, cfg, num_samples=samples, snap_tol=snap_tol),
-        out, diag_path, path_csv, trace_csv,
+        {"rep": sha256_text(canonical_json(rep_to_json(rep)))},
+        [out, diag_path or "", path_csv or "", trace_csv or ""],
     )
+    failure = None
+    try:
+        endpoint, diag = full_pipeline(rep, cfg, num_samples=samples, snap_tol=snap_tol)
+    except PipelineStageError as exc:
+        failure, endpoint, diag = exc, None, exc.diagnostics
+    except (ValueError, SingularMatrix) as exc:
+        _fail(EXIT_BAD_INPUT, str(exc))
+    if endpoint is not None:
+        _write_text(out, canonical_json(rep_to_json(endpoint)) + "\n")
+    if diag_path:
+        _write_text(diag_path, canonical_json(diag.to_dict()) + "\n")
+    if trace_csv:
+        _write_text(trace_csv, _trace_csv(diag.flow_trace))
+    if path_csv and diag.retraction_path is not None:
+        _write_text(path_csv, _path_csv(diag.retraction_path))
+    _emit_manifest(manifest, diag.to_dict(), out)
+    if failure is not None:
+        _fail(EXIT_STRUCTURAL, str(failure))
+    if diag.outcome in _FLOW_FAILURES:
+        click.echo(f"pipeline: {_FLOW_FAILURES[diag.outcome]}", err=True)
+        sys.exit(EXIT_FLOW_FAILED)
+    violations = check_flow(diag) + check_pipeline(endpoint, diag, snap_tol)
+    for violation in violations:
+        click.echo(f"error: {violation}", err=True)
+    sys.exit(EXIT_HARD_VIOLATION if violations else EXIT_OK)
 
 
 # -------------------------------------------------------------------- verify
@@ -462,7 +425,7 @@ def cmd_verify(in_path, out, snap_tol):
 
 @main.command("suite")
 @click.option("--pairs", "pairs_spec", default="1:2,1:3,2:1,2:3,3:1,3:2",
-              show_default=True, help="'p:q,p:q' pairs; every pair must be valid.")
+              show_default=True, help="'p:q,p:q' pairs; each must be valid and appear once.")
 @click.option("--n-max", default=3, show_default=True)
 @click.option("--seeds", default=5, show_default=True)
 @click.option("--base-seed", default=0, show_default=True)
@@ -478,9 +441,16 @@ def cmd_suite(pairs_spec, n_max, seeds, base_seed, samples, snap_tol, idempotenc
               report, workers, sl, tol, max_iter):
     """Sweep the grid, run the full pipeline on every cell, aggregate."""
     _check_outputs(report)
+    # A grid with no cell would report a pass over zero runs.
+    for name, value in (("--n-max", n_max), ("--seeds", seeds)):
+        if value < 1:
+            _fail(EXIT_BAD_INPUT, f"{name} must be >= 1")
     try:
         pairs = [(int(ps), int(qs)) for ps, _, qs in
                  (item.partition(":") for item in pairs_spec.split(","))]
+        repeated = [f"{p}:{q}" for (p, q), count in Counter(pairs).items() if count > 1]
+        if repeated:
+            raise ValueError(f"--pairs repeats {', '.join(repeated)}")
         # An invalid pair, or a census modulus |p^k - q^k| past the scan's
         # limit, would raise inside every cell, so it exits 2 before any runs.
         for p, q in pairs:

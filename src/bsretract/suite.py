@@ -2,8 +2,8 @@
 (p, q, n, seed) grid, run the full pipeline on every cell, check every
 invariant and aggregate.  Each cell gets the same kind of manifest the
 CLI writes for a single run.  check_flow, check_pipeline and check_rerun
-are the one definition of a certified run; `pipeline` and `retract` use
-them too.
+are the one definition of a certified run; `pipeline` uses the first two
+too.
 """
 
 from __future__ import annotations
@@ -64,23 +64,23 @@ def _e(x) -> str:
     return "None" if x is None else f"{x:.3e}"
 
 
-def check_flow(diag, res0: float) -> list[str]:
+def check_flow(diag) -> list[str]:
     """Violations of the flow's invariants: every accepted step lowers the
-    energy, and no iterate's relation residual exceeds 1e-8 + 10 * res0,
-    with res0 the input's."""
+    energy, and no iterate's relation residual exceeds
+    1e-8 + 10 * diag.initial_residual, the input's."""
     violations = []
     if not diag.energy_monotone:
         violations.append("energy increased along an accepted step")
-    if not _at_most(diag.max_flow_residual, 1e-8 + 10.0 * res0):
+    if not _at_most(diag.max_flow_residual, 1e-8 + 10.0 * diag.initial_residual):
         violations.append(f"flow residual {_e(diag.max_flow_residual)} exceeded bound")
     return violations
 
 
-def check_pipeline(res0: float, endpoint, diag, snap_tol: float) -> list[str]:
+def check_pipeline(endpoint, diag, snap_tol: float) -> list[str]:
     """Violations of a certified endpoint's invariants: the order is within
     its bound, detect_finite_order finds the same order on the endpoint's
-    B, the path residual stays within 1e-8 + 10 * res0, and the endpoint
-    is a unitary representation within UNITARY_TOL."""
+    B, the path residual stays within 1e-8 + 10 * diag.initial_residual,
+    and the endpoint is a unitary representation within UNITARY_TOL."""
     violations = []
     if not _at_most(diag.detected_order, diag.order_bound):
         violations.append(
@@ -97,7 +97,7 @@ def check_pipeline(res0: float, endpoint, diag, snap_tol: float) -> list[str]:
                 f"endpoint order {order} differs from certified order "
                 f"{diag.detected_order}"
             )
-    if not _at_most(diag.max_path_residual, 1e-8 + 10.0 * res0):
+    if not _at_most(diag.max_path_residual, 1e-8 + 10.0 * diag.initial_residual):
         violations.append(f"path residual {_e(diag.max_path_residual)} exceeded bound")
     if not verify_unitary_rep(endpoint, UNITARY_TOL):
         violations.append("endpoint failed the unitary-representation check")
@@ -144,8 +144,8 @@ def run_one(task: tuple) -> tuple[dict, dict]:
     except PipelineStageError as exc:
         diag = exc.diagnostics
         record.update(failed_stage=exc.stage, error=str(exc))
-    record["initial_residual"] = res0 = diag.initial_residual
-    violations = check_flow(diag, res0)
+    record["initial_residual"] = diag.initial_residual
+    violations = check_flow(diag)
     record.update(
         outcome=diag.outcome, flow_outcome=diag.flow_outcome,
         iterations=diag.flow_iterations, max_flow_residual=diag.max_flow_residual,
@@ -165,7 +165,7 @@ def run_one(task: tuple) -> tuple[dict, dict]:
         endpoint_defect_a=diag.endpoint_defect_a,
         endpoint_defect_b=diag.endpoint_defect_b,
     )
-    violations += check_pipeline(res0, endpoint, diag, snap_tol)
+    violations += check_pipeline(endpoint, diag, snap_tol)
     if check_idempotence:
         try:
             endpoint2, diag2 = full_pipeline(
@@ -192,7 +192,9 @@ def run_suite(
     check_idempotence: bool = False,
     workers: int | None = None,
 ) -> dict:
-    """Sweep random representations over the grid and aggregate invariants."""
+    """Sweep random representations over the grid and aggregate invariants.
+    A grid with no cell (no pair, n_max or seeds below 1) raises
+    ValueError: a sweep that runs nothing certifies nothing."""
     tasks = [
         (p, q, n, derive_seed(base_seed, p, q, n, i), sl, cfg,
          num_samples, snap_tol, check_idempotence)
@@ -200,6 +202,8 @@ def run_suite(
         for n in range(1, n_max + 1)
         for i in range(seeds)
     ]
+    if not tasks:
+        raise ValueError("the grid has no cell to run")
     workers = workers or min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -220,16 +224,16 @@ def run_suite(
     summary = {
         "total_runs": total,
         "converged": len(converged),
-        "converged_rate": len(converged) / total if total else 1.0,
+        "converged_rate": len(converged) / total,
         "reached_1e-8": len(crossed),
-        "reached_1e-8_rate": len(crossed) / total if total else 1.0,
+        "reached_1e-8_rate": len(crossed) / total,
         "hard_violations": len(violations),
         "violations": violations,
         "order_histogram": dict(Counter(str(r["detected_order"]) for r in converged)),
         "exponent_histogram": dict(
             Counter(str(r["normality_exponent"]) for r in converged)
         ),
-        "max_iterations": max(iterations, default=0),
-        "mean_iterations": sum(iterations) / total if total else 0.0,
+        "max_iterations": max(iterations),
+        "mean_iterations": sum(iterations) / total,
     }
     return {"summary": summary, "runs": records, "manifests": manifests}

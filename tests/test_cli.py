@@ -25,7 +25,9 @@ from bsretract import (
     verify_unitary_rep,
 )
 from bsretract.cli import main
-from bsretract.suite import check_flow, check_pipeline, check_rerun, derive_seed, run_one
+from bsretract.errors import PipelineStageError, PolarObstruction
+from bsretract.suite import (check_flow, check_pipeline, check_rerun, derive_seed, run_one,
+                             run_suite)
 
 from util import conditioned, flow_constants, n5_block, rep_of, swap2, zeta
 
@@ -131,8 +133,9 @@ def test_construct_rejects_bad_parameters(runner, tmp_path):
     (["--random", "2", "--orbit", "5:1,4"], "--random conflicts with --orbit"),
     (["--orbit", "5:1,4", "--seed", "7"], "--orbit conflicts with --seed"),
     (["--orbit", "5:1,4", "--seed", "0"], "--orbit conflicts with --seed"),
+    ([], "provide --random N or at least one --orbit"),
 ], ids=["surplus-chi", "random-with-chi", "random-with-orbit", "orbit-with-seed",
-        "orbit-with-default-seed-value"])
+        "orbit-with-default-seed-value", "neither-random-nor-orbit"])
 def test_construct_refuses_options_it_would_ignore(runner, tmp_path, args, conflict):
     # each of these exited 0 with a manifest listing the ignored value
     out = tmp_path / "rep.json"
@@ -360,31 +363,28 @@ def _wrong_order(b, moduli, tol):
     return 7
 
 
-@pytest.mark.parametrize("command", ["pipeline", "retract"])
+@pytest.mark.parametrize("command", ["pipeline"])
 def test_pipeline_and_retract_fail_the_shared_check(runner, tmp_path, monkeypatch, command):
     # the endpoint's re-detected order disagrees with the certificate:
     # suite counts that as a hard violation, and so must the run's exit
-    # code (pipeline exited 0 here)
-    monkeypatch.setattr("bsretract.suite.detect_finite_order", _wrong_order)
+    # code (pipeline exited 0 here); unpatched, the same input passes
     in_path = write_rep(tmp_path, flow(_conjugated_block())[0])
-    res = runner.invoke(main, [command, "--in", in_path, "--out", str(tmp_path / "e.json")])
+    args = [command, "--in", in_path, "--out", str(tmp_path / "e.json")]
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert "error:" not in res.output
+    monkeypatch.setattr("bsretract.suite.detect_finite_order", _wrong_order)
+    res = runner.invoke(main, args)
     assert res.exit_code == 1, res.output
     assert "error: endpoint order 7 differs from certified order 5" in res.output
 
 
-def test_retract_passing_the_shared_check_exits_zero(runner, tmp_path):
-    in_path = write_rep(tmp_path, flow(_conjugated_block())[0])
-    res = runner.invoke(main, ["retract", "--in", in_path, "--out", str(tmp_path / "e.json")])
-    assert res.exit_code == 0, res.output
-    assert "error:" not in res.output
-
-
-def test_retract_diagnostics_carry_the_input_residual(runner, tmp_path):
-    # retract --diag wrote "initial_residual": null, although the checks
-    # bound its path residual by the residual the loader measured
+def test_pipeline_diagnostics_carry_the_input_residual(runner, tmp_path):
+    # the checks bound the path residual by the input's residual, so the
+    # diagnostics and the manifest report it
     in_path = write_rep(tmp_path, flow(_conjugated_block())[0])
     out, diag = tmp_path / "e.json", tmp_path / "d.json"
-    res = runner.invoke(main, ["retract", "--in", in_path, "--out", str(out),
+    res = runner.invoke(main, ["pipeline", "--in", in_path, "--out", str(out),
                                "--diag", str(diag)])
     assert res.exit_code == 0, res.output
     res0 = relation_residual(rep_from_json(json.loads(Path(in_path).read_text())))
@@ -393,27 +393,57 @@ def test_retract_diagnostics_carry_the_input_residual(runner, tmp_path):
     assert manifest["outcome"]["initial_residual"] == res0
 
 
-# ------------------------------------------------------------------- retract
-
-def test_retract_command(runner, tmp_path):
+def test_pipeline_stops_at_iteration_0_on_a_minimal_point(runner, tmp_path):
+    # 2 swap and a diagonal B are normal, so mu = 0: the flow stops at
+    # once and the retraction alone takes A to its unitary factor
     rep = rep_of(2, 3, 2.0 * swap2(), np.diag([zeta(5, 1), zeta(5, 4)]))
     in_path = write_rep(tmp_path, rep)
-    out = tmp_path / "end.json"
-    res = runner.invoke(main, ["retract", "--in", in_path, "--out", str(out)])
+    out, diag = tmp_path / "end.json", tmp_path / "diag.json"
+    res = runner.invoke(main, ["pipeline", "--in", in_path, "--out", str(out),
+                               "--diag", str(diag)])
     assert res.exit_code == 0
+    assert json.loads(diag.read_text())["flow_iterations"] == 0
     end = rep_from_json(json.loads(out.read_text()))
     assert np.allclose(end.A, swap2(), atol=1e-10)
 
 
-def test_retract_structural_exit_on_forced_tight_snap(runner, tmp_path):
+def test_pipeline_structural_exit_on_forced_tight_snap(runner, tmp_path):
     # perturb one eigenvalue of B by 1e-9: still a variety point to 1e-8,
     # but no root of unity within 1e-12
     b = np.diag([zeta(5, 1), zeta(5, 4) * (1 + 1e-9)])
     rep = rep_of(2, 3, swap2(), b)
     in_path = write_rep(tmp_path, rep)
-    res = runner.invoke(main, ["retract", "--in", in_path, "--out", "-",
+    res = runner.invoke(main, ["pipeline", "--in", in_path, "--out", "-",
                                "--snap-tol", "1e-12"])
     assert res.exit_code == 4
+
+
+def test_pipeline_exits_structural_when_the_retraction_fails(runner, tmp_path, monkeypatch):
+    # certify passes, then retract_a raises: the run fails at stage
+    # retract_a, not as bad input
+    def obstructed(unitary, num_samples):
+        raise PolarObstruction("obstructed for the test")
+
+    monkeypatch.setattr("bsretract.retraction.retract_a", obstructed)
+    rep = n5_block(1.0)
+    with pytest.raises(PipelineStageError) as err:
+        full_pipeline(rep)
+    assert err.value.stage == err.value.diagnostics.failed_stage == "retract_a"
+    out = tmp_path / "end.json"
+    res = runner.invoke(main, ["pipeline", "--in", write_rep(tmp_path, rep), "--out", str(out)])
+    assert res.exit_code == 4, res.output
+    assert res.stderr.startswith("error: stage 'retract_a': obstructed for the test")
+    assert not out.exists()
+
+
+def test_retract_command(runner):
+    # pipeline is the one command that retracts: on a flowed point its
+    # flow stops at iteration 0
+    res = runner.invoke(main, ["retract", "--in", "-"])
+    assert res.exit_code == 2
+    assert "No such command" in res.output
+    assert sorted(main.commands) == ["census", "construct", "flow", "pipeline", "suite",
+                                     "verify"]
 
 
 # -------------------------------------------------------------------- verify
@@ -435,7 +465,7 @@ def test_verify_reports_certificates(runner, tmp_path):
     assert rep["moment_over_gap"] <= 1e-12
 
 
-def test_verify_and_retract_report_one_certificate(runner, tmp_path):
+def test_verify_and_pipeline_report_one_certificate(runner, tmp_path):
     rng = np.random.default_rng(4)
     from bsretract import conjugate
     from bsretract.kempfness import flow
@@ -447,7 +477,7 @@ def test_verify_and_retract_report_one_certificate(runner, tmp_path):
     report, diag = tmp_path / "report.json", tmp_path / "diag.json"
     res = runner.invoke(main, ["verify", "--in", in_path, "--out", str(report)])
     assert res.exit_code == 0
-    res = runner.invoke(main, ["retract", "--in", in_path, "--out",
+    res = runner.invoke(main, ["pipeline", "--in", in_path, "--out",
                                str(tmp_path / "end.json"), "--diag", str(diag)])
     assert res.exit_code == 0
     rep, d = json.loads(report.read_text()), json.loads(diag.read_text())
@@ -476,7 +506,7 @@ def test_nan_residual_input_exits_bad_input(runner, tmp_path):
     # finite entries whose products overflow, so the relation residual is NaN
     big = (1e200 + 1e200j) * np.eye(2)
     in_path = write_rep(tmp_path, rep_of(2, 3, big, big))
-    for cmd in ("flow", "pipeline", "retract"):
+    for cmd in ("flow", "pipeline"):
         res = runner.invoke(main, [cmd, "--in", in_path, "--out", "-"])
         assert res.exit_code == 2, (cmd, res.output)
 
@@ -484,7 +514,7 @@ def test_nan_residual_input_exits_bad_input(runner, tmp_path):
 def test_singular_input_exits_bad_input(runner, tmp_path):
     # A = 0 has no inverse, so the relation residual cannot be evaluated
     in_path = write_rep(tmp_path, rep_of(2, 3, np.zeros((2, 2)), np.eye(2)))
-    for cmd in ("flow", "pipeline", "retract", "verify"):
+    for cmd in ("flow", "pipeline", "verify"):
         res = runner.invoke(main, [cmd, "--in", in_path, "--out", "-"])
         assert isinstance(res.exception, SystemExit), (cmd, res.exception)
         assert res.exit_code == 2, (cmd, res.output)
@@ -524,12 +554,12 @@ def test_unreadable_or_malformed_io_exits_bad_input(runner, tmp_path, monkeypatc
 @pytest.mark.parametrize("args", [
     ["census", "2", "3", "--out", "x.jsonl", "--csv", "nodir/c.csv"],
     ["flow", "--in", "rep.json", "--out", "x.json", "--trace-csv", "nodir/t.csv"],
-    ["retract", "--in", "rep.json", "--out", "x.json", "--diag", "d.json",
+    ["pipeline", "--in", "rep.json", "--out", "x.json", "--diag", "d.json",
      "--path-csv", "nodir/p.csv"],
     ["pipeline", "--in", "rep.json", "--out", "x.json", "--diag", "d.json",
      "--path-csv", "p.csv", "--trace-csv", "nodir/t.csv"],
     ["pipeline", "--in", "rep.json", "--out", "x.json", "--diag", "."],
-], ids=["census-csv", "flow-trace-csv", "retract-path-csv", "pipeline-trace-csv",
+], ids=["census-csv", "flow-trace-csv", "pipeline-path-csv", "pipeline-trace-csv",
         "pipeline-diag-is-a-directory"])
 def test_a_bad_output_path_writes_nothing(runner, tmp_path, monkeypatch, args):
     # every output path is checked before the first is written, so a run
@@ -599,7 +629,7 @@ def test_bad_snap_tolerance_exits_bad_input(runner, tmp_path, value):
     # before anything runs
     in_path = write_rep(tmp_path, random_rep(2, 3, 3, 1))
     out = tmp_path / "out.json"
-    for cmd in (["verify"], ["retract"], ["pipeline", "--max-iter", "1"]):
+    for cmd in (["verify"], ["pipeline", "--max-iter", "1"]):
         res = runner.invoke(main, cmd + ["--in", in_path, "--out", str(out),
                                          "--snap-tol", value])
         assert isinstance(res.exception, SystemExit), (cmd, res.exception)
@@ -632,8 +662,7 @@ def test_too_few_samples_exits_bad_input(runner, tmp_path):
     in_path = write_rep(tmp_path, random_rep(2, 3, 3, 1))
     out = tmp_path / "out.json"
     report = tmp_path / "r.json"
-    for cmd in (["retract", "--in", in_path, "--out", str(out)],
-                ["pipeline", "--in", in_path, "--out", str(out)],
+    for cmd in (["pipeline", "--in", in_path, "--out", str(out)],
                 ["suite", "--pairs", "2:3", "--n-max", "1", "--seeds", "1",
                  "--report", str(report)]):
         res = runner.invoke(main, cmd + ["--samples", "1"])
@@ -722,6 +751,26 @@ def test_run_one_flags_a_nan_idempotence_delta(monkeypatch):
     assert "pipeline not idempotent: delta nan" in record["violations"]
 
 
+def test_run_one_records_a_failed_rerun(monkeypatch):
+    # the idempotence rerun raising is a violation of the cell, not a crash
+    first = full_pipeline
+    calls = []
+
+    def rerun_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise NotFiniteOrder("rejected for the test")
+        return first(*args, **kwargs)
+
+    monkeypatch.setattr("bsretract.suite.full_pipeline", rerun_fails)
+    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), False, FlowConfig(), 100, 1e-6, True)
+    record, _ = run_one(task)
+    assert len(calls) == 2
+    assert record["outcome"] == "ok"
+    assert record["violations"] == ["pipeline rerun failed: rejected for the test"]
+    assert "idempotence_delta" not in record
+
+
 def _conjugated_block():
     # the (2, 3) mod-5 block conjugated off the unitary group: order 5
     return conjugate(n5_block(1.3), conditioned(np.random.default_rng(2), 2, 10.0))
@@ -732,7 +781,8 @@ def certified_run():
     rep = _conjugated_block()
     endpoint, diag = full_pipeline(rep)
     assert diag.outcome == "ok" and diag.detected_order == diag.order_bound == 5
-    return relation_residual(rep), endpoint, diag
+    assert diag.initial_residual == relation_residual(rep)
+    return endpoint, diag
 
 
 def _scaled_a(e):
@@ -771,18 +821,18 @@ _CHECK_CASES = [
 ]
 
 
-def _run_check(check, res0, endpoint, diag):
+def _run_check(check, endpoint, diag):
     if check == "flow":
-        return check_flow(diag, res0)
+        return check_flow(diag)
     if check == "pipeline":
-        return check_pipeline(res0, endpoint, diag, 1e-6)
+        return check_pipeline(endpoint, diag, 1e-6)
     return check_rerun(endpoint, endpoint, diag)[0]
 
 
 @pytest.mark.parametrize("check", ["flow", "pipeline", "rerun"])
 def test_checks_pass_a_certified_run(certified_run, check):
-    res0, endpoint, diag = certified_run
-    assert _run_check(check, res0, endpoint, diag) == []
+    endpoint, diag = certified_run
+    assert _run_check(check, endpoint, diag) == []
 
 
 def _case_id(case):
@@ -796,13 +846,13 @@ def _case_id(case):
 def test_each_check_can_fail(certified_run, check, changes, mutate, violation):
     # one mutated field or endpoint per case; a None or NaN measure is a
     # violation, never a TypeError
-    res0, endpoint, diag = certified_run
+    endpoint, diag = certified_run
     diag = dataclasses.replace(diag, **changes)
     if check == "rerun":
         violations, delta = check_rerun(endpoint, mutate(endpoint) if mutate else endpoint, diag)
         assert violations == [violation] and delta >= 0.0
         return
-    violations = _run_check(check, res0, mutate(endpoint) if mutate else endpoint, diag)
+    violations = _run_check(check, mutate(endpoint) if mutate else endpoint, diag)
     assert any(v.startswith(violation) for v in violations), violations
 
 
@@ -883,6 +933,30 @@ def test_census_modulus_past_limit_exits_bad_input(runner, tmp_path, args):
     assert "k = 17" in res.output and "m = |p^k - q^k| = 129009091" in res.output
     assert "2^27" in res.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--seeds", "0"], "--seeds must be >= 1"),
+    (["--seeds", "-1"], "--seeds must be >= 1"),
+    (["--n-max", "0"], "--n-max must be >= 1"),
+    (["--n-max", "-2"], "--n-max must be >= 1"),
+    (["--pairs", "2:3,1:2,2:3", "--n-max", "1", "--seeds", "1"], "--pairs repeats 2:3"),
+], ids=["no-seeds", "negative-seeds", "no-dimension", "negative-n-max", "repeated-pair"])
+def test_suite_refuses_an_empty_grid_or_a_repeated_pair(runner, tmp_path, args, message):
+    # an empty grid exited 0 with "converged_rate": 1.0 over 0 runs, and a
+    # repeated pair ran each of its cells twice
+    report = tmp_path / "r.json"
+    res = runner.invoke(main, ["suite", "--pairs", "2:3", "--workers", "1", *args,
+                               "--report", str(report)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output
+    assert res.stderr.startswith(f"error: {message}")
+    assert not report.exists()
+
+
+def test_run_suite_refuses_an_empty_grid():
+    with pytest.raises(ValueError, match="no cell"):
+        run_suite([(2, 3)], 1, 0, FlowConfig())
 
 
 def test_suite_rejects_invalid_explicit_pair(runner, tmp_path):
