@@ -367,16 +367,21 @@ def _wrong_order(b, moduli, tol):
 def test_pipeline_and_retract_fail_the_shared_check(runner, tmp_path, monkeypatch, command):
     # the endpoint's re-detected order disagrees with the certificate:
     # suite counts that as a hard violation, and so must the run's exit
-    # code (pipeline exited 0 here); unpatched, the same input passes
-    in_path = write_rep(tmp_path, flow(_conjugated_block())[0])
-    args = [command, "--in", in_path, "--out", str(tmp_path / "e.json")]
-    res = runner.invoke(main, args)
-    assert res.exit_code == 0, res.output
-    assert "error:" not in res.output
+    # code (pipeline exited 0 here)
     monkeypatch.setattr("bsretract.suite.detect_finite_order", _wrong_order)
-    res = runner.invoke(main, args)
+    in_path = write_rep(tmp_path, flow(_conjugated_block())[0])
+    res = runner.invoke(main, [command, "--in", in_path, "--out", str(tmp_path / "e.json")])
     assert res.exit_code == 1, res.output
     assert "error: endpoint order 7 differs from certified order 5" in res.output
+
+
+def test_retract_passing_the_shared_check_exits_zero(runner, tmp_path):
+    # unpatched, the same flowed input passes the shared check: pipeline,
+    # the one command that retracts, exits 0
+    in_path = write_rep(tmp_path, flow(_conjugated_block())[0])
+    res = runner.invoke(main, ["pipeline", "--in", in_path, "--out", str(tmp_path / "e.json")])
+    assert res.exit_code == 0, res.output
+    assert "error:" not in res.output
 
 
 def test_pipeline_diagnostics_carry_the_input_residual(runner, tmp_path):
