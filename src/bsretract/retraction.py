@@ -7,6 +7,10 @@ both, and its docstring gives why the path then stays in the variety.
 Both hold at a point that `certify` has unitarized: A B A^-1 = B^j there,
 and uniqueness of the polar factors in A B = B^j A gives [P, B] = 0.  The
 order and the normality exponent come from `certify` alone.
+
+`full_pipeline` is the one body of the stages: flow, then certify and
+retract the flowed point.  A point that is already minimal takes the same
+body; its flow stops at iteration 0.
 """
 
 from __future__ import annotations
@@ -25,9 +29,7 @@ from .numerics import PolarFactors, hs_norm, polar, unitarity_defect
 
 __all__ = [
     "RetractionPath",
-    "PathSample",
     "retract_a",
-    "certify_and_retract",
     "full_pipeline",
     "PipelineDiagnostics",
     "verify_unitary_rep",
@@ -41,18 +43,13 @@ NUM_SAMPLES = 100
 COMMUTE_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class PathSample:
-    t: float
-    rep: Rep
-
-
 @dataclass(frozen=True, eq=False)
 class RetractionPath:
     """The path t -> (U P^t, B) of A = U P sampled from t = 1 down to t = 0,
     with B fixed, kept as the SVD A = W diag(s) Vh of `polar`: sample i is
-    A[i] = W diag(s^t[i]) Vh.  The residuals are measured in that SVD's
-    basis, and the stack A of shape (k, n, n) is built only when read."""
+    the Rep (W diag(s^t[i]) Vh, B).  The residuals are measured in that
+    SVD's basis; the samples are built one at a time as they are read, and
+    the (k, n, n) stack of all of them only by rows()."""
 
     t: np.ndarray
     B: np.ndarray
@@ -69,32 +66,27 @@ class RetractionPath:
                              f"do not match B of shape {self.B.shape}")
         object.__setattr__(self, "_bt", vh @ self.B @ vh.conj().T)
 
-    def _st(self) -> np.ndarray:
-        """s^t[i] per row, shape (k, n).  numpy raises an array to the
-        scalar power 0.5 by sqrt, which can round differently from pow:
-        take sqrt at t = 1/2 too, so that every row is s ** t for its own
-        scalar t."""
-        t, s = self.t[:, None], self.factors.s
+    def _st(self, t: np.ndarray) -> np.ndarray:
+        """s^t for each time of t, shape t.shape + (n,).  numpy raises an
+        array to the scalar power 0.5 by sqrt, which can round differently
+        from pow: take sqrt at t = 1/2 too, so that every row is s ** t for
+        its own scalar t."""
+        t, s = t[..., None], self.factors.s
         return np.where(t == 0.5, np.sqrt(s), s**t)
 
-    @cached_property
-    def A(self) -> np.ndarray:
-        """The stack A[i] = W diag(s^t[i]) Vh, built on first read;
-        read-only, as every reader shares it."""
-        a = (self.factors.w * self._st()[:, None, :]) @ self.factors.vh
-        if not np.all(np.isfinite(a.view(np.float64))):
-            raise ValueError("matrix has non-finite entries")
-        a.flags.writeable = False
-        return a
+    def _stack(self, t: np.ndarray) -> np.ndarray:
+        """W diag(s^t) Vh for each time of t, shape t.shape + (n, n)."""
+        return (self.factors.w * self._st(t)[..., None, :]) @ self.factors.vh
 
     @property
-    def samples(self) -> Sequence[PathSample]:
+    def samples(self) -> Sequence[Rep]:
+        """Sample i as the Rep (A_t, B) at time t[i]."""
         return _PathSamples(self)
 
     @property
     def endpoint(self) -> Rep:
-        """The unitary end (U, B) with U = W Vh, which is A[-1] when the
-        path ends at t = 0, as every path of retract_a does."""
+        """The unitary end (U, B) with U = W Vh, which is the last sample
+        when the path ends at t = 0, as every path of retract_a does."""
         return Rep(self.group, self.B.shape[0], self.factors.u, self.B)
 
     @cached_property
@@ -115,7 +107,7 @@ class RetractionPath:
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix("singular B in the path residual") from exc
         o = vh @ self.factors.w
-        st = self._st()
+        st = self._st(self.t)
         k, n = st.shape
         # Each sample's n^2 entries as one flat row, so that every
         # elementwise loop runs over n^2 entries, not n.
@@ -130,15 +122,15 @@ class RetractionPath:
         return float(np.max(self.residuals))
 
     def rows(self) -> list[tuple[float, float, float]]:
-        """(t, residual, unitarity defect of A) per sample, for CSV export;
-        the defects read the stack A, which this builds on first use."""
+        """(t, residual, unitarity defect of A_t) per sample, for CSV
+        export; the defects read the stack of every sample, built here and
+        not kept."""
         return list(zip(self.t.tolist(), self.residuals.tolist(),
-                        unitarity_defect(self.A).tolist()))
+                        unitarity_defect(self._stack(self.t)).tolist()))
 
 
 class _PathSamples(Sequence):
-    """The samples of a path, each built from its slice of the stack on
-    access; the length does not build the stack."""
+    """The samples of a path, each built from the factors on access."""
 
     def __init__(self, path: RetractionPath):
         self._path = path
@@ -150,8 +142,7 @@ class _PathSamples(Sequence):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(*i.indices(len(self))))
         path = self._path
-        rep = Rep(path.group, path.B.shape[0], path.A[i], path.B)
-        return PathSample(float(path.t[i]), rep)
+        return Rep(path.group, path.B.shape[0], path._stack(path.t[i]), path.B)
 
 
 @lru_cache(maxsize=8, typed=True)
@@ -230,20 +221,42 @@ class PipelineDiagnostics:
         return {k: v for k, v in self.__dict__.items() if k not in skip}
 
 
-def certify_and_retract(
+def full_pipeline(
     rep: Rep,
+    cfg: FlowConfig | None = None,
     *,
-    snap_tol: float = SNAP_TOL,
     num_samples: int = NUM_SAMPLES,
-    diag: PipelineDiagnostics | None = None,
-) -> tuple[Rep, PipelineDiagnostics]:
-    """Post-flow stages: certification (order, invariant form,
-    unitarization, normality exponent) and polar retraction.  Returns
-    (endpoint, diagnostics); the path is diagnostics.retraction_path.
-    Stage errors are raised as PipelineStageError carrying the partial
-    diagnostics."""
-    diag = diag or PipelineDiagnostics()
-    cert = certify(rep, snap_tol)
+    snap_tol: float = SNAP_TOL,
+) -> tuple[Rep | None, PipelineDiagnostics]:
+    """Flow to a minimal vector, then certify (order, invariant form,
+    unitarization, normality exponent) and retract to a unitary point.
+
+    The input's relation residual, measured once and kept as
+    diagnostics.initial_residual, must pass bsrep.check_residual, else
+    ValueError.  Returns (endpoint, diagnostics).  A flow that does not
+    converge is a soft failure: the partial result is returned, with the
+    flow's outcome ("iter_budget" or "line_search_stalled") as the
+    outcome, and no exception.  Structural failures in later stages
+    raise PipelineStageError with partial diagnostics attached.  The path
+    is diagnostics.retraction_path.
+    """
+    res0 = relation_residual(rep)
+    check_residual(res0)
+    diag = PipelineDiagnostics(initial_residual=res0)
+    flowed, trace = flow(rep, cfg, initial_residual=res0)
+    diag.flow_trace = trace
+    diag.initial_energy = trace.records[0].energy
+    diag.flow_outcome = trace.outcome
+    diag.flow_iterations = trace.iterations
+    diag.final_energy = trace.records[-1].energy
+    diag.final_moment_norm = trace.records[-1].moment_norm
+    diag.final_residual = trace.records[-1].residual
+    diag.max_flow_residual = trace.max_residual()
+    diag.energy_monotone = trace.energy_monotone()
+    if not trace.converged:
+        diag.outcome = trace.outcome
+        return flowed, diag
+    cert = certify(flowed, snap_tol)
     diag.order_bound = cert.order_bound
     diag.detected_order = cert.order
     diag.kappa_invariance_defect = cert.invariance_defect
@@ -269,44 +282,6 @@ def certify_and_retract(
     # The endpoint's B is the unitarized B that certify measured.
     diag.endpoint_defect_b = cert.unitarity_defect
     return endpoint, diag
-
-
-def full_pipeline(
-    rep: Rep,
-    cfg: FlowConfig | None = None,
-    *,
-    num_samples: int = NUM_SAMPLES,
-    snap_tol: float = SNAP_TOL,
-) -> tuple[Rep | None, PipelineDiagnostics]:
-    """Flow to a minimal vector, then certify and retract to a unitary point.
-
-    The input's relation residual, measured once and kept as
-    diagnostics.initial_residual, must pass bsrep.check_residual, else
-    ValueError.  Returns (endpoint, diagnostics).  A flow that does not
-    converge is a soft failure: the partial result is returned, with the
-    flow's outcome ("iter_budget" or "line_search_stalled") as the
-    outcome, and no exception.  Structural failures in later stages
-    raise PipelineStageError with partial diagnostics attached.
-    """
-    res0 = relation_residual(rep)
-    check_residual(res0)
-    diag = PipelineDiagnostics(initial_residual=res0)
-    flowed, trace = flow(rep, cfg, initial_residual=res0)
-    diag.flow_trace = trace
-    diag.initial_energy = trace.records[0].energy
-    diag.flow_outcome = trace.outcome
-    diag.flow_iterations = trace.iterations
-    diag.final_energy = trace.records[-1].energy
-    diag.final_moment_norm = trace.records[-1].moment_norm
-    diag.final_residual = trace.records[-1].residual
-    diag.max_flow_residual = trace.max_residual()
-    diag.energy_monotone = trace.energy_monotone()
-    if not trace.converged:
-        diag.outcome = trace.outcome
-        return flowed, diag
-    return certify_and_retract(
-        flowed, snap_tol=snap_tol, num_samples=num_samples, diag=diag
-    )
 
 
 def verify_unitary_rep(rep: Rep, tol: float = UNITARY_TOL) -> bool:

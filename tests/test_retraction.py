@@ -52,7 +52,7 @@ def test_retract_constant_on_unitary_a():
     rep = n5_block(1.0)
     path = retract_a(rep, num_samples=10)
     for s in path.samples:
-        assert np.allclose(s.rep.A, rep.A, atol=1e-12)
+        assert np.allclose(s.A, rep.A, atol=1e-12)
     cert = certify(rep)
     assert cert.order == 5 and cert.exponent == 4
 
@@ -63,10 +63,10 @@ def test_retract_scalar_positive_part():
     path = retract_a(rep, num_samples=50)
     assert np.allclose(path.endpoint.A, swap2(), atol=1e-12)
     for s in path.samples:
-        assert relation_residual(s.rep) <= 1e-12
+        assert relation_residual(s) <= 1e-12
     # the scaling is monotone in t: A_t = 2^t swap
-    mid = path.samples[len(path.samples) // 2]
-    assert np.allclose(mid.rep.A, 2.0**mid.t * swap2(), atol=1e-12)
+    mid = len(path.samples) // 2
+    assert np.allclose(path.samples[mid].A, 2.0**path.t[mid] * swap2(), atol=1e-12)
 
 
 def test_retract_end_to_end_on_flowed_rep():
@@ -80,7 +80,8 @@ def test_retract_end_to_end_on_flowed_rep():
     path = retract_a(unit, num_samples=100)
     assert path.max_residual() <= 1e-8
     assert verify_unitary_rep(path.endpoint, 1e-8)
-    assert path.samples[0].t == 1.0 and path.samples[-1].t == 0.0
+    assert path.t[0] == 1.0 and path.t[-1] == 0.0
+    assert np.array_equal(path.samples[-1].A, path.endpoint.A)
 
 
 def test_certified_run_decomposes_b_once(monkeypatch):
@@ -155,7 +156,7 @@ def test_retract_exponent_constant_along_path():
     exponent = normality_exponent(unit, order)
     path = retract_a(unit, num_samples=25)
     for s in path.samples:
-        assert normality_exponent(s.rep, order) == exponent
+        assert normality_exponent(s, order) == exponent
 
 
 def test_retract_rejects_nonunitary_b():
@@ -381,15 +382,14 @@ def test_stacked_path_equals_per_sample_reps(grid_diagnostics):
         assert len(samples) == 100
         rows = path.rows()
         for i, (sample, (t, res, defect)) in enumerate(zip(samples, rows)):
-            assert sample.t == t == path.t[i]
-            assert np.array_equal(sample.rep.A, path.A[i])
-            assert np.array_equal(sample.rep.B, path.B)
+            assert t == path.t[i]
+            assert np.array_equal(sample.B, path.B)
             assert res == _svd_basis_residual(path.t[i], path)
-            assert abs(res - relation_residual(sample.rep)) <= 1e-13
-            assert defect == unitarity_defect(sample.rep.A)
+            assert abs(res - relation_residual(sample)) <= 1e-13
+            assert defect == unitarity_defect(sample.A)
         assert path.max_residual() == max(r[1] for r in rows) == diag.max_path_residual
         endpoint = path.endpoint
-        assert path.t[-1] == 0.0 and np.array_equal(endpoint.A, path.A[-1])
+        assert path.t[-1] == 0.0 and np.array_equal(endpoint.A, samples[-1].A)
         assert diag.endpoint_residual == rows[-1][1]
         assert diag.endpoint_residual == _svd_basis_residual(0.0, path)
         assert abs(diag.endpoint_residual - relation_residual(endpoint)) <= 1e-13
@@ -404,23 +404,30 @@ def _factored_residual(a, t, path):
     return hs_norm(((a @ (bp @ f.vh.conj().T)) / f.s**t) @ f.w.conj().T - bq)
 
 
-def test_full_pipeline_builds_no_stack():
+def test_full_pipeline_builds_no_stack(monkeypatch):
     # The pipeline reads the residuals and the endpoint only; the (k, n, n)
     # stack is built when the rows are read, and they agree with the
     # samples measured one at a time in the original basis.
     cfg = FlowConfig(tol=1e-10, max_iter=10**5)
+    stack, built = RetractionPath._stack, []
+
+    def counting(path, t):
+        built.append(np.shape(t))
+        return stack(path, t)
+
+    monkeypatch.setattr(RetractionPath, "_stack", counting)
     for p, q, n in ((2, 3, 4), (1, 2, 3), (-1, 2, 2)):
         _, diag = full_pipeline(random_rep(p, q, n, derive_seed(0, p, q, n, 0)), cfg)
-        assert diag.outcome == "ok"
+        assert diag.outcome == "ok" and built == []
         path = diag.retraction_path
-        assert "A" not in path.__dict__
         f = path.factors
         for t, (t_row, res, defect) in zip(path.t, path.rows()):
             a = (f.w * f.s**t) @ f.vh
             assert t_row == t
             assert abs(res - _factored_residual(a, t, path)) <= 1e-13
             assert abs(defect - unitarity_defect(a)) <= 1e-13
-        assert "A" in path.__dict__ and not path.A.flags.writeable
+        assert built == [path.t.shape]
+        built.clear()
 
 
 def test_factored_residuals_match_lu_where_p_and_b_do_not_commute():
@@ -437,18 +444,21 @@ def test_factored_residuals_match_lu_where_p_and_b_do_not_commute():
             assert hs_norm(p @ b - b @ p) >= 0.1 * hs_norm(p)
             for pq in ((2, 3), (-1, 2), (3, -5)):
                 path = RetractionPath(t, b, BSGroup(*pq), factors)
-                lu = residual(path.A, b, *pq)
+                lu = residual(np.stack([x.A for x in path.samples]), b, *pq)
                 assert lu.min() >= 0.01
                 assert np.all(np.abs(path.residuals - lu) <= 1e-12 * lu)
 
 
 def test_path_samples_are_slices_of_the_stack():
+    # Each sample, built alone from the factors, has the bits of its slice
+    # of the stack that rows() builds, t = 1/2 included.
     rep = rep_of(2, 3, 2.0 * swap2(), np.diag([zeta(5, 1), zeta(5, 4)]))
     path = retract_a(rep, num_samples=7)
-    assert path.A.shape == (7, 2, 2) and len(path.samples) == 7
-    assert [s.t for s in path.samples] == path.t.tolist()
-    assert [s.t for s in path.samples[1:3]] == path.t[1:3].tolist()
-    assert np.array_equal(path.samples[-1].rep.A, path.endpoint.A)
+    stack = path._stack(path.t)
+    assert stack.shape == (7, 2, 2) and len(path.samples) == 7
+    assert all(np.array_equal(s.A, a) for s, a in zip(path.samples, stack))
+    assert [s.A.tolist() for s in path.samples[1:3]] == stack[1:3].tolist()
+    assert np.array_equal(path.samples[-1].A, path.endpoint.A)
     with pytest.raises(IndexError):
         path.samples[7]
     with pytest.raises(ValueError):
@@ -466,8 +476,8 @@ def test_stacked_path_equals_scalar_power_construction():
     for num_samples in (2, 5, 100, 101):
         path = retract_a(rep, num_samples)
         assert (0.5 in path.t) == (num_samples % 2 == 1)
-        for t, a in zip(path.t, path.A):
-            assert np.array_equal(a, (f.w * f.s**t) @ f.vh)
+        for t, sample in zip(path.t, path.samples):
+            assert np.array_equal(sample.A, (f.w * f.s**t) @ f.vh)
 
 
 def test_retract_singular_a_raises():
