@@ -111,10 +111,15 @@ class FlowRecord:
 
 @dataclass(frozen=True)
 class FlowTrace:
-    """Per-iteration records of accepted iterates, plus the outcome flag."""
+    """Per-iteration records of accepted iterates, each with its measured
+    energy, plus the outcome flag."""
 
     records: tuple[FlowRecord, ...]
     outcome: str
+    #: The flow's energy resolution per unit of 1 + energy, 128 n eps: the
+    #: smallest energy change it tells apart from the rounding noise of
+    #: the conjugation product chain (a few n ulps of the energy).
+    resolution_unit: float
 
     @property
     def converged(self) -> bool:
@@ -129,8 +134,13 @@ class FlowTrace:
         return float(np.max([r.residual for r in self.records]))
 
     def energy_monotone(self) -> bool:
+        """True iff no step raised the energy E by more than the resolution
+        resolution_unit * (1 + E): the float test by which flow accepts a
+        step in its resolution-limited tail, where a measured energy can
+        rise by rounding.  A strict Armijo step lowers E."""
         e = [r.energy for r in self.records]
-        return all(e[i + 1] <= e[i] for i in range(len(e) - 1))
+        unit = self.resolution_unit
+        return all(e2 <= e1 + unit * (1.0 + e1) for e1, e2 in zip(e, e[1:]))
 
     def first_below(self, level: float) -> int | None:
         """First iteration with ||mu|| <= level * (1 + energy), if any."""
@@ -372,21 +382,16 @@ def flow(
     energy = _energy(*ab)
     products = _moment(ab)
     mu_norm = hs_norm(products.mu)
-    # Near the minimum the true energy decrease per step falls below one
-    # ulp of the energy itself; the recorded value is clamped to the
-    # monotone envelope of the measurements (exact in the strict Armijo
-    # regime, within one ulp in the tail regime below).
-    recorded = energy
-    # Smallest energy decrease distinguishable from the rounding noise of
-    # the conjugation product chain (a few n ulps of the energy), per unit
-    # of 1 + energy.
+    # FlowTrace.resolution_unit: near the minimum the true energy decrease
+    # per step falls below the rounding noise of the energy itself, and
+    # the measured energy of an accepted tail step may rise within it.
     resolution_unit = 128.0 * rep.n * _EPS
     outcome = ITER_BUDGET
     step_taken = 0.0
     it = 0
     try:
         while True:
-            row = (it, recorded, mu_norm, step_taken)
+            row = (it, energy, mu_norm, step_taken)
             if it == 0 and initial_residual is not None:
                 records.append(FlowRecord(*row, initial_residual))
             else:
@@ -436,7 +441,6 @@ def flow(
                 mu_norm = hs_norm(products.mu)
             else:
                 products, mu_norm = products2, mu2_norm
-            recorded = min(energy, recorded)
             step_taken = eta
             it += 1
     finally:
@@ -444,7 +448,8 @@ def flow(
         # iterate raises SingularMatrix as it would have when measured.
         if pending:
             measure()
-    return Rep(rep.group, rep.n, ab[0], ab[1]), FlowTrace(tuple(records), outcome)
+    trace = FlowTrace(tuple(records), outcome, resolution_unit)
+    return Rep(rep.group, rep.n, ab[0], ab[1]), trace
 
 
 class MinimalityCertificate(NamedTuple):

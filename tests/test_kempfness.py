@@ -12,6 +12,7 @@ from bsretract import (
     enumerate_orbits,
     flow,
     from_orbit_datum,
+    full_pipeline,
     kn_energy,
     minimality_certificate,
     moment_map,
@@ -33,7 +34,7 @@ from bsretract.kempfness import (
     _newton_direction,
     _search_line,
 )
-from bsretract.suite import derive_seed
+from bsretract.suite import check_flow, derive_seed
 
 from util import (
     N_MAX,
@@ -186,6 +187,50 @@ def test_flow_converges_on_conjugated_blocks():
         assert last.moment_norm <= 1e-8 * (1 + last.energy)
         assert last.energy <= trace.records[0].energy
         assert trace.energy_monotone()
+
+
+#: A seed-0 acceptance-grid input whose last, resolution-limited step
+#: raises the measured energy.
+_TAIL_RISE = (1, -2, 2, 1)
+
+
+def _tail_rise_rep():
+    p, q, n, i = _TAIL_RISE
+    return random_rep(p, q, n, derive_seed(0, p, q, n, i))
+
+
+def test_flow_records_a_measured_tail_rise():
+    # Each record keeps its iterate's measured energy, not the running
+    # minimum, so a tail step that raises it by rounding shows; the rise
+    # is within the resolution, and the energy check passes.
+    rep = _tail_rise_rep()
+    final, trace = flow(rep)
+    assert trace.converged and trace.resolution_unit == 128.0 * rep.n * np.finfo(float).eps
+    e = [r.energy for r in trace.records]
+    assert e[0] == kn_energy(rep) and e[-1] == kn_energy(final)
+    assert any(later > earlier for earlier, later in zip(e, e[1:]))
+    assert trace.energy_monotone()
+    _, diag = full_pipeline(rep)
+    assert diag.energy_monotone and diag.final_energy == e[-1]
+    assert check_flow(diag) == []
+
+
+@pytest.mark.parametrize("share, monotone", [(0.5, True), (2.0, False)])
+def test_energy_check_fails_past_the_resolution(monkeypatch, share, monotone):
+    # The last record raised to share times the resolution above its
+    # predecessor: within it the check passes, past it check_flow fails.
+    def raised_flow(rep, cfg=None, **kwargs):
+        final, trace = flow(rep, cfg, **kwargs)
+        *head, prev, last = trace.records
+        rise = share * trace.resolution_unit * (1.0 + prev.energy)
+        last = dataclasses.replace(last, energy=prev.energy + rise)
+        return final, dataclasses.replace(trace, records=(*head, prev, last))
+
+    monkeypatch.setattr("bsretract.retraction.flow", raised_flow)
+    _, diag = full_pipeline(_tail_rise_rep())
+    assert diag.energy_monotone is monotone
+    violations = [] if monotone else ["energy increased along an accepted step"]
+    assert check_flow(diag) == violations
 
 
 def test_flow_endpoint_eigenvalues_snap_to_fifth_roots():
@@ -421,7 +466,7 @@ def test_flow_residual_check_fails_on_a_nan_record():
         FlowRecord(i, 1.0, 1.0, 0.1, res)
         for i, res in enumerate([1e-12, float("nan"), 1e-12])
     )
-    assert not FlowTrace(records, CONVERGED).max_residual() <= 1e-8
+    assert not FlowTrace(records, CONVERGED, 0.0).max_residual() <= 1e-8
 
 
 @pytest.mark.parametrize("field", ["tol"])

@@ -272,6 +272,7 @@ def reference_flow(rep, cfg=None):
     a = rep.A.copy()
     b = rep.B.copy()
     records = []
+    resolution_unit = 128.0 * rep.n * np.finfo(float).eps
     outcome = ITER_BUDGET
     step_taken = 0.0
     it = 0
@@ -279,9 +280,8 @@ def reference_flow(rep, cfg=None):
         mu = _moment(np.stack((a, b))).mu
         mu_norm = hs_norm(mu)
         energy = _energy(a, b)
-        recorded = min(energy, records[-1].energy) if records else energy
         records.append(
-            FlowRecord(it, recorded, mu_norm, step_taken, residual(a, b, p, q))
+            FlowRecord(it, energy, mu_norm, step_taken, residual(a, b, p, q))
         )
         if mu_norm <= cfg.tol * (1.0 + energy):
             outcome = CONVERGED
@@ -295,7 +295,7 @@ def reference_flow(rep, cfg=None):
         vh = v.conj().T
         eta = GRADIENT_ETA0
         drop_rate = 2.0 * mu_norm * mu_norm
-        resolution = 128.0 * rep.n * np.finfo(float).eps * (1.0 + energy)
+        resolution = resolution_unit * (1.0 + energy)
         w_max = float(np.max(np.abs(w)))
         accepted = False
         for _ in range(80):
@@ -324,4 +324,4 @@ def reference_flow(rep, cfg=None):
         a, b = a2, b2
         step_taken = eta
         it += 1
-    return Rep(rep.group, rep.n, a, b), FlowTrace(tuple(records), outcome)
+    return Rep(rep.group, rep.n, a, b), FlowTrace(tuple(records), outcome, resolution_unit)
