@@ -11,8 +11,11 @@ F, so only Hermitian steps are taken: each iteration solves the Newton
 system by truncated conjugate gradients, moves to the minimum of the
 energy along the geodesic exp(t d) when it lies past the Newton step, and
 checks the step by Armijo backtracking; near the minimum the full Newton
-step is taken and the convergence is superlinear.  minimality_certificate
-reads the spectrum of the same Hessian at a point.
+step is taken and the convergence is superlinear.  Each accepted iterate
+is recorded with its measured energy, which a resolution-limited tail
+step may raise by rounding; FlowTrace.energy_monotone bounds that rise by
+the resolution the step was accepted with.  minimality_certificate reads
+the spectrum of the same Hessian at a point.
 """
 
 from __future__ import annotations

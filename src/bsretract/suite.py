@@ -65,8 +65,9 @@ def _e(x) -> str:
 
 
 def check_flow(diag) -> list[str]:
-    """Violations of the flow's invariants: every accepted step lowers the
-    energy, and no iterate's relation residual exceeds
+    """Violations of the flow's invariants: no accepted step raises the
+    recorded energy past the flow's resolution (FlowTrace.energy_monotone),
+    and no iterate's relation residual exceeds
     1e-8 + 10 * diag.initial_residual, the input's."""
     violations = []
     if not diag.energy_monotone:

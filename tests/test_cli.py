@@ -4,11 +4,14 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bsretract
 from bsretract import (
@@ -24,6 +27,7 @@ from bsretract import (
     rep_to_json,
     verify_unitary_rep,
 )
+from bsretract.bsrep import random_conditioned
 from bsretract.cli import main
 from bsretract.errors import PipelineStageError, PolarObstruction
 from bsretract.suite import (check_flow, check_pipeline, check_rerun, derive_seed, run_one,
@@ -523,6 +527,48 @@ def test_singular_input_exits_bad_input(runner, tmp_path):
         res = runner.invoke(main, [cmd, "--in", in_path, "--out", "-"])
         assert isinstance(res.exception, SystemExit), (cmd, res.exception)
         assert res.exit_code == 2, (cmd, res.output)
+
+
+def _perturbed(rep, kind, size, seed):
+    """rep with A scaled by 10^size, conjugated by g of condition at most
+    size, or with A moved by a matrix of norm size."""
+    rng = np.random.default_rng(seed)
+    if kind == "scale":
+        return Rep(rep.group, rep.n, 10.0**size * rep.A, rep.B)
+    if kind == "conjugate":
+        return conjugate(rep, random_conditioned(rng, rep.n, size))
+    x = rng.standard_normal((rep.n, rep.n)) + 1j * rng.standard_normal((rep.n, rep.n))
+    return Rep(rep.group, rep.n, rep.A + size / np.linalg.norm(x) * x, rep.B)
+
+
+# Scales stay at or below 1e60: from about 1e90 the flow stalls at
+# iteration 0, and from 1e100 numpy's products overflow.
+@settings(max_examples=150)
+@given(
+    pq=st.sampled_from([(2, 3), (1, 2), (-2, 3)]),
+    n=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    perturbation=st.one_of(
+        st.tuples(st.just("scale"), st.integers(-30, 60)),
+        st.tuples(st.just("conjugate"), st.floats(1.0, 1e6)),
+        st.tuples(st.just("move"), st.floats(0.0, 1e-3)),
+    ),
+)
+def test_pipeline_and_verify_end_in_a_classified_exit_code(pq, n, seed, perturbation):
+    # Valid inputs, scaled, conjugated or moved off the variety: each run
+    # ends in an exit code 0-4 with no traceback and no RuntimeWarning.
+    rep = _perturbed(random_rep(*pq, n, seed), *perturbation, seed)
+    payload = json.dumps(rep_to_json(rep))
+    runner = CliRunner()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = [runner.invoke(main, [command], input=payload)
+                   for command in ("pipeline", "verify")]
+    for result in results:
+        assert result.exception is None or isinstance(result.exception, SystemExit), (
+            result.exc_info)
+        assert 0 <= result.exit_code <= 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def _payload(edit):
