@@ -385,8 +385,8 @@ def flow(
     energy = _energy(*ab)
     products = _moment(ab)
     mu_norm = hs_norm(products.mu)
-    # FlowTrace.resolution_unit: near the minimum the true energy decrease
-    # per step falls below the rounding noise of the energy itself, and
+    # Near the minimum the true energy decrease per step falls below the
+    # rounding noise of the energy itself (FlowTrace.resolution_unit), and
     # the measured energy of an accepted tail step may rise within it.
     resolution_unit = 128.0 * rep.n * _EPS
     outcome = ITER_BUDGET
