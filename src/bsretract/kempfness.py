@@ -10,12 +10,15 @@ exactly the minimal vectors on their orbit.  Unitary directions preserve
 F, so only Hermitian steps are taken: each iteration solves the Newton
 system by truncated conjugate gradients, moves to the minimum of the
 energy along the geodesic exp(t d) when it lies past the Newton step, and
-checks the step by Armijo backtracking; near the minimum the full Newton
-step is taken and the convergence is superlinear.  Each accepted iterate
-is recorded with its measured energy, which a resolution-limited tail
-step may raise by rounding; FlowTrace.energy_monotone bounds that rise by
-the resolution the step was accepted with.  minimality_certificate reads
-the spectrum of the same Hessian at a point.
+checks the step by Armijo backtracking.  CG's forcing term is
+proportional to ||mu|| near the minimum, where the full Newton step is
+taken and the convergence is quadratic, and it is floored at half the
+stop level, so that the last solve stops at what the stop test needs.
+Each accepted iterate is recorded with its measured energy, which a
+resolution-limited tail step may raise by rounding;
+FlowTrace.energy_monotone bounds that rise by the resolution the step
+was accepted with.  minimality_certificate reads the spectrum of the
+same Hessian at a point.
 """
 
 from __future__ import annotations
@@ -55,8 +58,11 @@ _RESIDUAL_BLOCK = 256
 #: Largest |t w| of a trial exp(t d), w an eigenvalue of d: beyond it the
 #: conjugation could overflow.
 _EXP_CAP = 60.0
-#: CG stops once its residual is min(_FORCING_CAP, sqrt|g|) |g|.
+#: CG stops once its residual is min(_FORCING_CAP, ||mu|| / (1 + E)) ||mu||
+#: (E the energy) or _FORCING_FLOOR times the stop level tol (1 + E),
+#: whichever is larger.
 _FORCING_CAP = 0.1
+_FORCING_FLOOR = 0.5
 #: Scalar Newton steps of the search for the energy's minimum on a geodesic.
 _LINE_STEPS = 8
 #: Exponents of the rows 1, x and x^2 of _line_minimum.
@@ -71,7 +77,8 @@ _KERNEL_CUT = 1e-8
 class FlowConfig:
     """Settings of the descent; defaults suit desk-scale problems.
 
-    tol: stop once ||mu|| <= tol * (1 + energy).
+    tol: stop once ||mu|| <= tol * (1 + energy); CG asks no Newton system
+        for a residual below half of that level.
     max_iter: iteration budget.
 
     The line search's constants are class attributes, not settings:
@@ -115,7 +122,8 @@ class FlowRecord:
 @dataclass(frozen=True)
 class FlowTrace:
     """Per-iteration records of accepted iterates, each with its measured
-    energy, plus the outcome flag."""
+    energy, plus the outcome flag and the Hessian products the Newton
+    solves took."""
 
     records: tuple[FlowRecord, ...]
     outcome: str
@@ -123,6 +131,8 @@ class FlowTrace:
     #: smallest energy change it tells apart from the rounding noise of
     #: the conjugation product chain (a few n ulps of the energy).
     resolution_unit: float
+    #: Hessian-vector products of every Newton solve's CG.
+    hessian_products: int = 0
 
     @property
     def converged(self) -> bool:
@@ -221,20 +231,31 @@ def _inner(h: np.ndarray, k: np.ndarray) -> float:
     return float(np.vdot(h, k).real)
 
 
-def _newton_direction(mu: np.ndarray, mu_norm: float, hess) -> np.ndarray:
+def _newton_direction(
+    mu: np.ndarray, mu_norm: float, hess, energy: float, tol: float
+) -> tuple[np.ndarray, int]:
     """Truncated CG on hess(d) = -mu, started at d = 0, hess half the
-    energy's Hessian (its gradient is 2 mu).
+    energy's Hessian (its gradient is 2 mu); returns d and the number of
+    Hessian products taken.
 
-    Stops once the residual falls to min(_FORCING_CAP, sqrt|g|) |g| / 2
-    with g = 2 mu (the forcing term on the energy's own Newton system
-    that makes the outer iteration superlinear), after n^2 steps (the
-    dimension of the Hermitian directions), or on non-positive curvature,
-    where the first step falls back to -mu.  From zero, CG stays in the
-    Hessian's range, so the stabilizer kernel (scalars, and block scalars
-    of direct sums) never enters the solve, and d is traceless up to
-    rounding as mu is.
+    Stops once the residual falls to
+    max(min(_FORCING_CAP, ||mu|| / (1 + E)) ||mu||, _FORCING_FLOOR tol (1 + E))
+    at energy E, after n^2 steps (the dimension of the Hermitian
+    directions), or on non-positive curvature, where the first step falls
+    back to -mu.  The first term is the cap far from the minimum and
+    forcing proportional to ||mu|| near it, which makes the outer
+    iteration quadratic (Dembo, Eisenstat and Steihaug 1982); ||mu|| is
+    normalized by 1 + E as in the stop test ||mu|| <= tol (1 + E), so the
+    rule does not depend on the input's scale.  The second keeps the last
+    solve from going far past that stop level (Eisenstat and Walker 1996).
+    From zero, CG stays in the Hessian's range, so the stabilizer kernel
+    (scalars, and block scalars of direct sums) never enters the solve,
+    and d is traceless up to rounding as mu is.
     """
-    forcing = min(_FORCING_CAP, math.sqrt(2.0 * mu_norm)) * mu_norm
+    scale = 1.0 + energy
+    forcing = max(
+        min(_FORCING_CAP, mu_norm / scale) * mu_norm, _FORCING_FLOOR * tol * scale
+    )
     d = np.zeros_like(mu)
     r = -mu
     p = r.copy()
@@ -256,7 +277,7 @@ def _newton_direction(mu: np.ndarray, mu_norm: float, hess) -> np.ndarray:
         p *= rr_next / rr
         p += r
         rr = rr_next
-    return d
+    return d, k + 1
 
 
 def _line_minimum(tilde: np.ndarray, x: np.ndarray, cap: float) -> float:
@@ -315,15 +336,18 @@ class _Line(NamedTuple):
     s: float
     #: -<2 mu, d>: the first-order energy decrease of one Newton step.
     drop_rate: float
+    #: Hessian products CG took for d.
+    hessian_products: int
 
 
-def _search_line(ab, products, mu_norm, resolution, cfg) -> _Line:
-    """Newton direction d at the iterate ab, and the factor s >= 1 that
-    takes s d to the energy's minimum along exp(t d) when the full Newton
-    step's Armijo drop is above the resolution (s = 1 otherwise, as in
-    the resolution-limited tail), capped so that no trial overflows."""
+def _search_line(ab, products, mu_norm, energy, resolution, cfg) -> _Line:
+    """Newton direction d at the iterate ab of that energy, and the factor
+    s >= 1 that takes s d to the energy's minimum along exp(t d) when the
+    full Newton step's Armijo drop is above the resolution (s = 1
+    otherwise, as in the resolution-limited tail), capped so that no trial
+    overflows."""
     mu = products.mu
-    d = _newton_direction(mu, mu_norm, _hessian(ab, products))
+    d, count = _newton_direction(mu, mu_norm, _hessian(ab, products), energy, cfg.tol)
     try:
         w, v = np.linalg.eigh(d)
     except np.linalg.LinAlgError as exc:
@@ -336,7 +360,7 @@ def _search_line(ab, products, mu_norm, resolution, cfg) -> _Line:
     if cfg.armijo * drop_rate > resolution:
         s = _line_minimum(tilde, 2.0 * dw, _EXP_CAP / _max_modulus(w))
         w, dw = s * w, s * dw
-    return _Line(w, dw, v, vh, tilde, s, drop_rate)
+    return _Line(w, dw, v, vh, tilde, s, drop_rate, count)
 
 
 def _max_modulus(w: np.ndarray) -> float:
@@ -363,7 +387,8 @@ def flow(
     iterate's residual is measured, in stacked blocks of _RESIDUAL_BLOCK
     iterates.  initial_residual, from a caller that has already measured
     relation_residual(rep), is recorded as iteration 0's residual in
-    place of a second measurement.
+    place of a second measurement.  The trace also counts the Hessian
+    products of all the Newton solves (FlowTrace.hessian_products).
     """
     cfg = cfg or FlowConfig()
     p, q = rep.group.p, rep.group.q
@@ -391,6 +416,7 @@ def flow(
     resolution_unit = 128.0 * rep.n * _EPS
     outcome = ITER_BUDGET
     step_taken = 0.0
+    hessian_products = 0
     it = 0
     try:
         while True:
@@ -407,7 +433,8 @@ def flow(
             if it >= cfg.max_iter:
                 break
             resolution = resolution_unit * (1.0 + energy)
-            line = _search_line(ab, products, mu_norm, resolution, cfg)
+            line = _search_line(ab, products, mu_norm, energy, resolution, cfg)
+            hessian_products += line.hessian_products
             eta = cfg.eta0
             # Longer steps would overflow the conjugation: shrink past
             # them before the trials, so that they use none of the
@@ -451,7 +478,7 @@ def flow(
         # iterate raises SingularMatrix as it would have when measured.
         if pending:
             measure()
-    trace = FlowTrace(tuple(records), outcome, resolution_unit)
+    trace = FlowTrace(tuple(records), outcome, resolution_unit, hessian_products)
     return Rep(rep.group, rep.n, ab[0], ab[1]), trace
 
 

@@ -36,8 +36,9 @@ from bsretract.suite import (check_flow, check_pipeline, check_rerun, derive_see
 from util import conditioned, flow_constants, n5_block, rep_of, swap2, zeta
 
 #: An n = 2 point at (1, 2) whose orbit is not closed, from
-#: util.jordan_rep(1, 2, 2, 1): its flowed B snaps to order 1 but is not
-#: unitary within 1e-8 after the form is applied.
+#: util.jordan_rep(1, 2, 2, 1).  Flowed at tol 1e-12, its B snaps to
+#: order 1 but is not unitary within 1e-8 after the form is applied; at
+#: the default tol its snapped spectrum misses B.
 JORDAN_REP = Path(__file__).parent / "data" / "jordan_1_2_n2.json"
 
 
@@ -354,12 +355,18 @@ def test_pipeline_byte_deterministic(runner, tmp_path):
 
 
 def test_pipeline_exits_structural_on_a_jordan_point(runner, tmp_path):
-    # the unitarized B misses unitarity by 2.8e-7; this exited 2, the
-    # bad-input code, with retract_a's ValueError
+    # at tol 1e-12 the unitarized B misses unitarity by 1.1e-6; this
+    # exited 2, the bad-input code, with retract_a's ValueError.  Which
+    # stage fails depends on how far below tol the last step lands: at
+    # the default tol it is the order detection.  Both are exit 4.
     out = tmp_path / "end.json"
-    res = runner.invoke(main, ["pipeline", "--in", str(JORDAN_REP), "--out", str(out)])
+    args = ["pipeline", "--in", str(JORDAN_REP), "--out", str(out)]
+    res = runner.invoke(main, [*args, "--tol", "1e-12"])
     assert res.exit_code == 4, res.output
     assert "error: stage 'conjugate_into_unitary': unitarized B is not unitary" in res.output
+    res = runner.invoke(main, args)
+    assert res.exit_code == 4, res.output
+    assert "error: stage 'detect_finite_order'" in res.output
     assert not out.exists()
 
 

@@ -123,11 +123,13 @@ def hessian(rep):
     return lambda h: 2.0 * half(h)
 
 
-def newton_direction(rep):
+def newton_direction(rep, tol=FlowConfig.tol):
+    """The flow's Newton direction at rep with stop level tol (1 + energy)."""
     ab = stack(rep)
     products = _moment(ab)
-    return _newton_direction(products.mu, np.linalg.norm(products.mu),
-                             kempfness._hessian(ab, products))
+    d, _ = _newton_direction(products.mu, np.linalg.norm(products.mu),
+                             kempfness._hessian(ab, products), kn_energy(rep), tol)
+    return d
 
 
 def search_direction(rep, cfg=FlowConfig()):
@@ -136,7 +138,7 @@ def search_direction(rep, cfg=FlowConfig()):
     products = _moment(ab)
     energy = kn_energy(rep)
     resolution = 128.0 * rep.n * np.finfo(float).eps * (1.0 + energy)
-    line = _search_line(ab, products, np.linalg.norm(products.mu), resolution, cfg)
+    line = _search_line(ab, products, np.linalg.norm(products.mu), energy, resolution, cfg)
     return (line.v * line.w) @ line.vh, line.s
 
 
@@ -542,18 +544,56 @@ def count_products(monkeypatch):
     return counts
 
 
+def forcing_bound(rep, tol):
+    """The CG residual at which the flow's Newton solve stops, on the
+    energy's own system hess(d) = -g with g = 2 mu:
+    max(min(0.1, ||g|| / (2 (1 + E))) ||g||, tol (1 + E))."""
+    g_norm, scale = 2.0 * np.linalg.norm(moment_map(rep)), 1.0 + kn_energy(rep)
+    return max(min(0.1, g_norm / (2.0 * scale)) * g_norm, tol * scale)
+
+
 def test_newton_direction_descends_within_the_forcing_bound(monkeypatch):
     counts = count_products(monkeypatch)
     for rep in newton_cells():
         mu = moment_map(rep)
-        g, g_norm = 2.0 * mu, 2.0 * np.linalg.norm(mu)
         d = newton_direction(rep)
         assert np.array_equal(d, d.conj().T)
         assert np.trace(mu @ d).real < 0.0
-        forcing = min(0.1, np.sqrt(g_norm)) * g_norm
-        gap = np.linalg.norm(hessian(rep)(d) + g)
-        assert gap <= forcing * (1 + 1e-9) or counts[-1] == rep.n**2
+        gap = np.linalg.norm(hessian(rep)(d) + 2.0 * mu)
+        assert gap <= forcing_bound(rep, FlowConfig.tol) * (1 + 1e-9) or counts[-1] == rep.n**2
         assert 1 <= counts[-1] <= rep.n**2
+
+
+def test_forcing_floor_stops_the_last_solve_at_the_stop_level(monkeypatch):
+    # one step from converging, the quadratic term asks CG for a residual
+    # far below the stop level; the floor stops it at half that level,
+    # and the step it gives still ends the flow
+    cfg = FlowConfig()
+    near, trace = flow(random_rep(2, 3, 8, 0), FlowConfig(max_iter=6))
+    assert trace.outcome == ITER_BUDGET
+    counts = count_products(monkeypatch)
+    newton_direction(near, tol=0.0)
+    newton_direction(near, tol=cfg.tol)
+    unfloored, floored = counts
+    assert floored < unfloored
+    final, trace = flow(near, cfg)
+    last = trace.records[-1]
+    assert trace.converged and trace.iterations == 1
+    assert last.moment_norm <= cfg.tol * (1.0 + last.energy)
+
+
+def test_flow_counts_its_hessian_products(monkeypatch):
+    # one CG solve per iteration; the trace and the pipeline's
+    # diagnostics report the products all of them took
+    counts = count_products(monkeypatch)
+    _, trace = flow(random_rep(2, 3, 8, 0))
+    assert len(counts) == trace.iterations
+    assert trace.hessian_products == sum(counts) > trace.iterations
+    counts.clear()
+    _, diag = full_pipeline(random_rep(2, 3, 8, 0))
+    assert diag.flow_hessian_products == trace.hessian_products == sum(counts)
+    assert diag.to_dict()["flow_hessian_products"] == trace.hessian_products
+    assert flow(n5_block(1.0))[1].hessian_products == 0
 
 
 def test_search_line_moves_to_the_energy_minimum():
@@ -600,16 +640,21 @@ def test_flow_preserves_determinants_of_sl_inputs(p, q):
 
 def test_flow_converges_superlinearly():
     # near the minimum the full Newton step is accepted and each step
-    # shrinks ||mu|| by a falling factor; a gradient step's is constant
+    # shrinks ||mu|| by a falling factor; a gradient step's is constant.
+    # The last step is left loose on purpose: its solve stops at the
+    # forcing floor, half the stop level, so only the records before the
+    # terminating one show the rate, and the last one must pass the stop
+    # test.
     for p, q, n, seed in [(2, 3, 8, 0), (1, 2, 10, 2), (3, 5, 4, 1), (2, 3, 3, 2)]:
         _, trace = flow(random_rep(p, q, n, seed))
         assert trace.converged
-        tail = trace.records[-4:]
-        assert all(r.step == 1.0 for r in tail)
+        *tail, last = trace.records[-5:]
+        assert all(r.step == 1.0 for r in (*tail, last))
         m = [r.moment_norm for r in tail]
         ratios = [m[i + 1] / m[i] for i in range(3)]
         assert ratios[0] > ratios[1] > ratios[2]
         assert ratios[2] <= 1e-2
+        assert last.moment_norm <= FlowConfig.tol * (1.0 + last.energy)
 
 
 # ----------------------------------------- Newton endpoints vs the gradient loop
@@ -652,6 +697,14 @@ def test_flow_matches_reference_on_the_acceptance_grid():
                 assert n == 1 or minimality_certificate(final).moment_over_gap <= 1e-6
 
 
+#: The most iterations the flow may take on each cell below; with the
+#: square-root forcing min(0.1, sqrt|g|) |g| and no floor it took 9, 9,
+#: 9, 8 and 9.
+MAX_ITERATIONS = {
+    (2, 3, 8, 0): 7, (2, 3, 10, 0): 7, (1, 2, 10, 2): 6, (2, 3, 10, 3): 6, (1, 2, 8, 3): 6,
+}
+
+
 @pytest.mark.parametrize("p, q, n, seed, records", [
     (2, 3, 8, 0, 1692),    # the gradient loop's record counts
     (2, 3, 10, 0, 1594),
@@ -663,6 +716,7 @@ def test_flow_matches_reference_across_blocks(p, q, n, seed, records):
     _, trace, ref_trace = assert_same_invariants(random_rep(p, q, n, seed))
     assert len(ref_trace.records) == records
     assert len(trace.records) < records // 10
+    assert trace.iterations <= MAX_ITERATIONS[p, q, n, seed]
 
 
 @pytest.mark.parametrize("p, q, n, seed", [
