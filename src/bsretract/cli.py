@@ -32,7 +32,7 @@ from .kempfness import (ITER_BUDGET, LINE_SEARCH_STALLED, FlowConfig, flow, kn_e
 from .numerics import hs_norm, unitarity_defect
 from .retraction import NUM_SAMPLES, full_pipeline
 from .suite import (build_manifest, canonical_json, check_flow, check_pipeline,
-                    run_suite, sha256_text)
+                    pipeline_manifest, run_suite, sha256_text)
 
 EXIT_OK = 0
 EXIT_HARD_VIOLATION = 1
@@ -328,12 +328,8 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
     rep, _ = _load_rep(in_path, measure=False)
     cfg = _flow_config(tol, max_iter)
     _check_run_options(snap_tol, samples)
-    manifest = build_manifest(
-        "pipeline",
-        {"tol": tol, "max_iter": max_iter, "samples": samples, "snap_tol": snap_tol},
-        {"rep": sha256_text(canonical_json(rep_to_json(rep)))},
-        [out, diag_path or "", path_csv or "", trace_csv or ""],
-    )
+    manifest = pipeline_manifest(rep, cfg, samples, snap_tol,
+                                 [out, diag_path or "", path_csv or "", trace_csv or ""])
     failure = None
     try:
         endpoint, diag = full_pipeline(rep, cfg, num_samples=samples, snap_tol=snap_tol)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import census
-from .bsrep import Rep
+from .bsrep import Rep, residual
 from .errors import (
     STRUCTURAL_ERRORS,
     BsretractError,
@@ -30,6 +30,7 @@ from .errors import (
     NotFiniteOrder,
     NotNormalizing,
     NotPositiveDefinite,
+    SingularMatrix,
 )
 from .numerics import as_matrix, hs_norm, snap_root_of_unity, unitarity_defect
 
@@ -171,7 +172,8 @@ def normality_exponent(rep: Rep, order: int, tol: float = SNAP_TOL) -> int:
     A B A^-1 = B^j then A B^p A^-1 = B^(jp) = B^q, so j = q p^-1 mod
     order: p is a unit modulo every admissible order, because
     gcd(p, p^k - q^k) = 1.  That single power is checked, and
-    NotNormalizing is raised unless ||A B A^-1 - B^j|| <= tol.
+    NotNormalizing is raised, for a singular A too, unless the relation
+    residual ||A B A^-1 - B^j|| (bsrep.residual) is at most tol.
     """
     p, q = rep.group.p, rep.group.q
     try:
@@ -179,10 +181,9 @@ def normality_exponent(rep: Rep, order: int, tol: float = SNAP_TOL) -> int:
     except ValueError as exc:
         raise NotNormalizing(f"p = {p} is not a unit mod {order}") from exc
     try:
-        c = rep.A @ rep.B @ np.linalg.inv(rep.A)
-    except np.linalg.LinAlgError as exc:
+        d = residual(rep.A, rep.B, 1, j)
+    except SingularMatrix as exc:
         raise NotNormalizing("A is singular") from exc
-    d = hs_norm(c - np.linalg.matrix_power(rep.B, j))
     if not d <= tol:
         raise NotNormalizing(
             f"||A B A^-1 - B^{j}|| = {d:.3e} for j = q/p mod {order}"

@@ -241,29 +241,35 @@ def _newton_direction(
     Stops once the residual falls to
     max(min(_FORCING_CAP, ||mu|| / (1 + E)) ||mu||, _FORCING_FLOOR tol (1 + E))
     at energy E, after n^2 steps (the dimension of the Hermitian
-    directions), or on non-positive curvature, where the first step falls
-    back to -mu.  The first term is the cap far from the minimum and
-    forcing proportional to ||mu|| near it, which makes the outer
-    iteration quadratic (Dembo, Eisenstat and Steihaug 1982); ||mu|| is
-    normalized by 1 + E as in the stop test ||mu|| <= tol (1 + E), so the
-    rule does not depend on the input's scale.  The second keeps the last
-    solve from going far past that stop level (Eisenstat and Walker 1996).
+    directions), or on non-positive curvature or an overflowed ||mu||,
+    where the first step falls back to -mu.  The first term is the cap
+    far from the minimum and forcing proportional to ||mu|| near it,
+    which makes the outer iteration quadratic (Dembo, Eisenstat and
+    Steihaug 1982); ||mu|| is normalized by 1 + E as in the stop test
+    ||mu|| <= tol (1 + E), so the rule does not depend on the input's
+    scale.  The second keeps the last solve from going far past that stop
+    level (Eisenstat and Walker 1996).
     From zero, CG stays in the Hessian's range, so the stabilizer kernel
     (scalars, and block scalars of direct sums) never enters the solve,
     and d is traceless up to rounding as mu is.
+
+    CG solves for d c with c = 2^-e and 1 + E = m 2^e (frexp): the
+    curvature <p, H p> is of order E^3 and overflows from E ~ 1e100 on,
+    while c, a power of two, scales every product exactly.
     """
     scale = 1.0 + energy
-    forcing = max(
+    c = math.ldexp(1.0, -math.frexp(scale)[1])
+    forcing = c * max(
         min(_FORCING_CAP, mu_norm / scale) * mu_norm, _FORCING_FLOOR * tol * scale
     )
     d = np.zeros_like(mu)
-    r = -mu
+    r = mu * -c
     p = r.copy()
-    rr = mu_norm * mu_norm
+    rr = (c * mu_norm) * (c * mu_norm)
     for k in range(mu.shape[0] ** 2):
         hp = hess(p)
         curvature = _inner(p, hp)
-        if not curvature > 0.0:
+        if not (curvature > 0.0 and rr < math.inf):
             if k == 0:
                 d = r
             break
@@ -277,7 +283,7 @@ def _newton_direction(
         p *= rr_next / rr
         p += r
         rr = rr_next
-    return d, k + 1
+    return d / c, k + 1
 
 
 def _line_minimum(tilde: np.ndarray, x: np.ndarray, cap: float) -> float:

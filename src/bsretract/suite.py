@@ -1,14 +1,14 @@
 """Batch verification harness: sweep random representations over a
 (p, q, n, seed) grid, run the full pipeline on every cell, check every
-invariant and aggregate.  Each cell gets the same kind of manifest the
-CLI writes for a single run.  check_flow, check_pipeline and check_rerun
-are the one definition of a certified run; `pipeline` uses the first two
-too.
+invariant and aggregate.  A cell is a `pipeline` run: its record holds
+that run's diagnostics, and its manifest is the one `pipeline` writes
+for the drawn input (pipeline_manifest), so a cell replays by hash.
+check_flow, check_pipeline and check_rerun are the one definition of a
+certified run; `pipeline` uses the first two too.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -16,15 +16,16 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 from . import census
-from .bsrep import random_rep
+from .bsrep import Rep, random_rep, rep_to_json
 from .compactify import SNAP_TOL, UNITARY_TOL, detect_finite_order
 from .errors import BsretractError, PipelineStageError
 from .kempfness import FlowConfig
 from .numerics import hs_norm
 from .retraction import NUM_SAMPLES, full_pipeline, verify_unitary_rep
 
-__all__ = ["canonical_json", "sha256_text", "build_manifest", "derive_seed",
-           "check_flow", "check_pipeline", "check_rerun", "run_one", "run_suite"]
+__all__ = ["canonical_json", "sha256_text", "build_manifest", "pipeline_manifest",
+           "derive_seed", "check_flow", "check_pipeline", "check_rerun", "run_one",
+           "run_suite"]
 
 
 def canonical_json(doc) -> str:
@@ -46,6 +47,17 @@ def build_manifest(command: str, parameters: dict, inputs: dict, outputs: list) 
         "outputs": sorted(str(x) for x in outputs if x),
         "hash": sha256_text(canonical_json(body)),
     }
+
+
+def pipeline_manifest(rep: Rep, cfg: FlowConfig, samples: int, snap_tol: float,
+                      outputs=()) -> dict:
+    """The manifest of `bsretract pipeline` on rep with these settings."""
+    return build_manifest(
+        "pipeline",
+        {"tol": cfg.tol, "max_iter": cfg.max_iter, "samples": samples, "snap_tol": snap_tol},
+        {"rep": sha256_text(canonical_json(rep_to_json(rep)))},
+        outputs,
+    )
 
 
 def derive_seed(base_seed: int, p: int, q: int, n: int, index: int) -> int:
@@ -120,63 +132,41 @@ def run_one(task: tuple) -> tuple[dict, dict]:
     violations of check_flow, check_pipeline and check_rerun.
 
     task is (p, q, n, seed, sl, cfg, num_samples, snap_tol,
-    check_idempotence), drawing random_rep(p, q, n, seed, sl=sl); the
-    manifest keeps sl under its old key "sl_mode".  Returns (record,
-    manifest): the record is a plain dict whose hard invariant violations
-    are collected under "violations".  Module-level for process pools.
+    check_idempotence), drawing random_rep(p, q, n, seed, sl=sl).  Returns
+    (record, manifest): the manifest is pipeline_manifest's for the drawn
+    input, and the record is the cell, the manifest's hash, the run's
+    diag.to_dict() (what `pipeline --diag` writes), "reached_1e-8", the
+    hard invariant violations under "violations" and, when the rerun
+    ends, "idempotence_delta".  Module-level for process pools.
     """
     p, q, n, seed, sl, cfg, num_samples, snap_tol, check_idempotence = task
     rep = random_rep(p, q, n, seed, sl=sl)
-    manifest = build_manifest(
-        "pipeline",
-        {"p": p, "q": q, "n": n, "seed": seed, "sl_mode": sl, **dataclasses.asdict(cfg),
-         "num_samples": num_samples, "snap_tol": snap_tol},
-        {},
-        [],
-    )
-    record: dict = {
-        "p": p, "q": q, "n": n, "seed": seed,
-        "manifest_hash": manifest["hash"],
-    }
+    manifest = pipeline_manifest(rep, cfg, num_samples, snap_tol)
     try:
-        endpoint, diag = full_pipeline(
-            rep, cfg, num_samples=num_samples, snap_tol=snap_tol
-        )
+        endpoint, diag = full_pipeline(rep, cfg, num_samples=num_samples, snap_tol=snap_tol)
     except PipelineStageError as exc:
         diag = exc.diagnostics
-        record.update(failed_stage=exc.stage, error=str(exc))
-    record["initial_residual"] = diag.initial_residual
     violations = check_flow(diag)
-    record.update(
-        outcome=diag.outcome, flow_outcome=diag.flow_outcome,
-        iterations=diag.flow_iterations, max_flow_residual=diag.max_flow_residual,
-        final_moment_norm=diag.final_moment_norm, violations=violations,
-    )
-    record["reached_1e-8"] = diag.flow_trace.first_below(1e-8)
+    record = {
+        "p": p, "q": q, "n": n, "seed": seed, "manifest_hash": manifest["hash"],
+        **diag.to_dict(),
+        "reached_1e-8": diag.flow_trace.first_below(1e-8),
+        "violations": violations,
+    }
     if diag.failed_stage is not None:
         violations.append(f"structural failure at {diag.failed_stage}")
-        return record, manifest
-    if not diag.flow_trace.converged:
-        return record, manifest
-
-    record.update(
-        detected_order=diag.detected_order, order_bound=diag.order_bound,
-        normality_exponent=diag.normality_exponent,
-        max_path_residual=diag.max_path_residual,
-        endpoint_defect_a=diag.endpoint_defect_a,
-        endpoint_defect_b=diag.endpoint_defect_b,
-    )
-    violations += check_pipeline(endpoint, diag, snap_tol)
-    if check_idempotence:
-        try:
-            endpoint2, diag2 = full_pipeline(
-                endpoint, cfg, num_samples=num_samples, snap_tol=snap_tol
-            )
-        except (BsretractError, ValueError) as exc:
-            violations.append(f"pipeline rerun failed: {exc}")
-        else:
-            rerun, record["idempotence_delta"] = check_rerun(endpoint, endpoint2, diag2)
-            violations += rerun
+    elif diag.flow_trace.converged:
+        violations += check_pipeline(endpoint, diag, snap_tol)
+        if check_idempotence:
+            try:
+                endpoint2, diag2 = full_pipeline(
+                    endpoint, cfg, num_samples=num_samples, snap_tol=snap_tol
+                )
+            except (BsretractError, ValueError) as exc:
+                violations.append(f"pipeline rerun failed: {exc}")
+            else:
+                rerun, record["idempotence_delta"] = check_rerun(endpoint, endpoint2, diag2)
+                violations += rerun
     return record, manifest
 
 
@@ -214,14 +204,14 @@ def run_suite(
     records = [r for r, _ in results]
     manifests = {m["hash"]: m for _, m in results}
     total = len(records)
-    converged = [r for r in records if r.get("outcome") == "ok"]
-    crossed = [r for r in records if r.get("reached_1e-8") is not None]
+    converged = [r for r in records if r["outcome"] == "ok"]
+    crossed = [r for r in records if r["reached_1e-8"] is not None]
     violations = [
         {"p": r["p"], "q": r["q"], "n": r["n"], "seed": r["seed"], "what": v}
         for r in records
         for v in r["violations"]
     ]
-    iterations = [r.get("iterations", 0) for r in records]
+    iterations = [r["flow_iterations"] for r in records]
     summary = {
         "total_runs": total,
         "converged": len(converged),

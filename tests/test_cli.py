@@ -30,8 +30,8 @@ from bsretract import (
 from bsretract.bsrep import random_conditioned
 from bsretract.cli import main
 from bsretract.errors import PipelineStageError, PolarObstruction
-from bsretract.suite import (check_flow, check_pipeline, check_rerun, derive_seed, run_one,
-                             run_suite)
+from bsretract.suite import (canonical_json, check_flow, check_pipeline, check_rerun,
+                             derive_seed, run_one, run_suite, sha256_text)
 
 from util import conditioned, flow_constants, n5_block, rep_of, swap2, zeta
 
@@ -236,7 +236,7 @@ def test_run_one_reports_a_stalled_line_search():
         record, _ = run_one((2, 3, 3, 1, False, FlowConfig(), 100, 1e-6, False))
     assert record["outcome"] == record["flow_outcome"] == "line_search_stalled"
     assert record["violations"] == []
-    assert "detected_order" not in record
+    assert record["detected_order"] is None
 
 
 # ------------------------------------------------------------------ pipeline
@@ -771,6 +771,48 @@ def test_run_one_classifies_spurious_orders():
         assert record["failed_stage"] == "detect_finite_order"
 
 
+#: (cell, flow constants, idempotence, outcome): a certified cell, a
+#: structural one (see test_run_one_classifies_spurious_orders) and a
+#: stalled one.
+_RECORD_CASES = [
+    ((2, 3, 3), {}, True, "ok"),
+    ((2, 3, 8), {}, False, "structural_failure"),
+    ((2, 3, 3), {"eta0": 1e-20}, False, "line_search_stalled"),
+]
+
+
+@pytest.mark.parametrize("cell, constants, idempotence, outcome", _RECORD_CASES,
+                         ids=[c[3] for c in _RECORD_CASES])
+def test_run_one_record_is_its_pipeline_run(runner, tmp_path, cell, constants,
+                                            idempotence, outcome):
+    # a cell's record carries the diagnostics of its run, and its manifest
+    # hash is that of `construct --random | pipeline` at the cell's seed
+    p, q, n = cell
+    seed = derive_seed(0, p, q, n, 1)
+    rep = random_rep(p, q, n, seed)
+    with flow_constants(**constants):
+        record, manifest = run_one((p, q, n, seed, False, FlowConfig(), 100, 1e-6,
+                                    idempotence))
+        try:
+            _, diag = full_pipeline(rep, FlowConfig(), num_samples=100, snap_tol=1e-6)
+        except PipelineStageError as exc:
+            diag = exc.diagnostics
+        built = runner.invoke(main, ["construct", "--p", str(p), "--q", str(q), "--random",
+                                     str(n), "--seed", str(seed),
+                                     "--out", str(tmp_path / "c.json")])
+        assert built.exit_code == 0, built.output
+        runner.invoke(main, ["pipeline", "--in", str(tmp_path / "c.json"), "--samples", "100",
+                             "--snap-tol", "1e-6", "--out", str(tmp_path / "u.json"),
+                             "--diag", str(tmp_path / "d.json")])
+    assert record["outcome"] == outcome
+    assert ("idempotence_delta" in record) == idempotence
+    expected = diag.to_dict()
+    assert {k: record[k] for k in expected} == expected
+    assert {k: record[k] for k in expected} == json.loads((tmp_path / "d.json").read_text())
+    written = json.loads((tmp_path / "u.json.manifest.json").read_text())
+    assert record["manifest_hash"] == manifest["hash"] == written["hash"]
+
+
 def _reject_order(b, moduli, tol):
     raise NotFiniteOrder("rejected for the test")
 
@@ -969,8 +1011,12 @@ def test_suite_sl_mode(runner, tmp_path):
     doc = json.loads(report.read_text())
     assert doc["summary"]["hard_violations"] == 0
     assert doc["summary"]["converged"] == doc["summary"]["total_runs"] == 2
-    # each cell's manifest records the draw flag under its old key
-    assert [m["parameters"]["sl_mode"] for m in doc["manifests"].values()] == [True, True]
+    # the suite's manifest records the flag; each cell's is pipeline's,
+    # which hashes the determinant-one input drawn
+    assert doc["manifest"]["parameters"]["sl"] is True
+    drawn = [random_rep(2, 3, r["n"], r["seed"], sl=True) for r in doc["runs"]]
+    drawn = {sha256_text(canonical_json(rep_to_json(rep))) for rep in drawn}
+    assert {m["inputs"]["rep"] for m in doc["manifests"].values()} == drawn
 
 
 @pytest.mark.parametrize("args", [

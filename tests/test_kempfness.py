@@ -596,6 +596,36 @@ def test_flow_counts_its_hessian_products(monkeypatch):
     assert flow(n5_block(1.0))[1].hessian_products == 0
 
 
+#: Draws whose A times 1e53 stalled while CG's curvature, of order E^3,
+#: overflowed, then a slice of the scaled family ((2, 3), (1, 2) and
+#: (-2, 3); seeds 1000 n + i).
+_SCALED_CELLS = [(-2, 3, 3, 8369), (-2, 3, 2, 53),
+                 (2, 3, 2, 2000), (1, 2, 3, 3001), (-2, 3, 4, 4002), (2, 3, 6, 6003)]
+
+
+@pytest.mark.parametrize("p, q, n, seed", _SCALED_CELLS)
+def test_flow_on_a_scaled_input_takes_full_steps(p, q, n, seed):
+    # A times s keeps the relation exactly; CG solves a scaled system, so
+    # up to 1e60 the flow takes the steps it takes at 1e30, every one full
+    rep = random_rep(p, q, n, seed)
+    iterations = []
+    for scale in (1e30, 1e50, 1e53, 1e60):
+        _, trace = flow(rep_of(p, q, scale * rep.A, rep.B))
+        assert trace.converged, (scale, trace.outcome)
+        assert all(r.step == 1.0 for r in trace.records[1:]), scale
+        iterations.append(trace.iterations)
+    assert len(set(iterations)) == 1, iterations
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_flow_with_an_overflowed_moment_norm_stalls():
+    # at A times 1e80, ||mu|| overflows in hs_norm; CG falls back to -mu
+    # instead of stepping by inf / curvature, and the flow stalls
+    rep = random_rep(2, 3, 4, 1)
+    _, trace = flow(rep_of(2, 3, 1e80 * rep.A, rep.B))
+    assert trace.outcome == LINE_SEARCH_STALLED and trace.iterations == 0
+
+
 def test_search_line_moves_to_the_energy_minimum():
     # on every one of these cells the energy still falls past the Newton
     # step d; s d minimizes it along exp(t d), and the flow's first full
