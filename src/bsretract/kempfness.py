@@ -49,7 +49,8 @@ __all__ = [
 
 CONVERGED = "converged"
 ITER_BUDGET = "iter_budget"
-#: Every trial of one line search was rejected before the budget ran out.
+#: Every trial of one line search was rejected, or none could be measured
+#: along a non-finite Newton direction, before the budget ran out.
 LINE_SEARCH_STALLED = "line_search_stalled"
 
 _MAX_BACKTRACKS = 80
@@ -342,18 +343,14 @@ class _Line(NamedTuple):
     s: float
     #: -<2 mu, d>: the first-order energy decrease of one Newton step.
     drop_rate: float
-    #: Hessian products CG took for d.
-    hessian_products: int
 
 
-def _search_line(ab, products, mu_norm, energy, resolution, cfg) -> _Line:
-    """Newton direction d at the iterate ab of that energy, and the factor
-    s >= 1 that takes s d to the energy's minimum along exp(t d) when the
-    full Newton step's Armijo drop is above the resolution (s = 1
-    otherwise, as in the resolution-limited tail), capped so that no trial
-    overflows."""
-    mu = products.mu
-    d, count = _newton_direction(mu, mu_norm, _hessian(ab, products), energy, cfg.tol)
+def _search_line(ab, mu, d, resolution, cfg) -> _Line:
+    """The geodesic along the finite Newton direction d at the iterate ab
+    of moment map mu, with the factor s >= 1 that takes s d to the
+    energy's minimum along exp(t d) when the full Newton step's Armijo
+    drop is above the resolution (s = 1 otherwise, as in the
+    resolution-limited tail), capped so that no trial overflows."""
     try:
         w, v = np.linalg.eigh(d)
     except np.linalg.LinAlgError as exc:
@@ -366,7 +363,7 @@ def _search_line(ab, products, mu_norm, energy, resolution, cfg) -> _Line:
     if cfg.armijo * drop_rate > resolution:
         s = _line_minimum(tilde, 2.0 * dw, _EXP_CAP / _max_modulus(w))
         w, dw = s * w, s * dw
-    return _Line(w, dw, v, vh, tilde, s, drop_rate, count)
+    return _Line(w, dw, v, vh, tilde, s, drop_rate)
 
 
 def _max_modulus(w: np.ndarray) -> float:
@@ -388,13 +385,13 @@ def flow(
     eta0 * shrink^k.  Only tol and max_iter are settings.  Stops when
     ||mu|| <= tol * (1 + energy) (outcome CONVERGED), when the iteration
     budget runs out (ITER_BUDGET) or when every trial of one line search
-    is rejected (LINE_SEARCH_STALLED).  Conjugation preserves the defining
-    relation, so the residual is tracked, not corrected: every accepted
-    iterate's residual is measured, in stacked blocks of _RESIDUAL_BLOCK
-    iterates.  initial_residual, from a caller that has already measured
-    relation_residual(rep), is recorded as iteration 0's residual in
-    place of a second measurement.  The trace also counts the Hessian
-    products of all the Newton solves (FlowTrace.hessian_products).
+    is rejected or the Newton direction overflows (LINE_SEARCH_STALLED).
+    Conjugation preserves the defining relation, so the residual is
+    tracked, not corrected: every accepted iterate's residual is measured,
+    in stacked blocks of _RESIDUAL_BLOCK iterates.  initial_residual, from
+    a caller that has already measured relation_residual(rep), is recorded
+    as iteration 0's residual in place of a second measurement.  The trace
+    also counts the Hessian products of all the Newton solves.
     """
     cfg = cfg or FlowConfig()
     p, q = rep.group.p, rep.group.q
@@ -438,9 +435,17 @@ def flow(
                 break
             if it >= cfg.max_iter:
                 break
+            d, count = _newton_direction(
+                products.mu, mu_norm, _hessian(ab, products), energy, cfg.tol
+            )
+            hessian_products += count
+            if not np.isfinite(d).all():
+                # An overflowed iterate: no trial along d has a finite
+                # energy, so none can be accepted.
+                outcome = LINE_SEARCH_STALLED
+                break
             resolution = resolution_unit * (1.0 + energy)
-            line = _search_line(ab, products, mu_norm, energy, resolution, cfg)
-            hessian_products += line.hessian_products
+            line = _search_line(ab, products.mu, d, resolution, cfg)
             eta = cfg.eta0
             # Longer steps would overflow the conjugation: shrink past
             # them before the trials, so that they use none of the

@@ -44,12 +44,13 @@ COMMUTE_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
-class RetractionPath:
+class RetractionPath(Sequence):
     """The path t -> (U P^t, B) of A = U P sampled from t = 1 down to t = 0,
-    with B fixed, kept as the SVD A = W diag(s) Vh of `polar`: sample i is
-    the Rep (W diag(s^t[i]) Vh, B).  The residuals are measured in that
-    SVD's basis; the samples are built one at a time as they are read, and
-    the (k, n, n) stack of all of them only by rows()."""
+    with B fixed, kept as the SVD A = W diag(s) Vh of `polar` and the table
+    `st` of s^t at every sample time.  The path is the sequence of its
+    samples: path[i] is the Rep (W diag(st[i]) Vh, B), built as it is
+    read.  The residuals are measured in that SVD's basis; the (k, n, n)
+    stack of every sample is built only by rows()."""
 
     t: np.ndarray
     B: np.ndarray
@@ -66,22 +67,30 @@ class RetractionPath:
                              f"do not match B of shape {self.B.shape}")
         object.__setattr__(self, "_bt", vh @ self.B @ vh.conj().T)
 
-    def _st(self, t: np.ndarray) -> np.ndarray:
-        """s^t for each time of t, shape t.shape + (n,).  numpy raises an
-        array to the scalar power 0.5 by sqrt, which can round differently
-        from pow: take sqrt at t = 1/2 too, so that every row is s ** t for
-        its own scalar t."""
-        t, s = t[..., None], self.factors.s
-        return np.where(t == 0.5, np.sqrt(s), s**t)
+    @cached_property
+    def st(self) -> np.ndarray:
+        """s^t for every sample time, shape (k, n); read-only, as every
+        reader shares it.  numpy raises an array to the scalar power 0.5 by
+        sqrt, which can round differently from pow: a row at t = 1/2 takes
+        sqrt too, so that every row is s ** t for its own scalar t."""
+        t, s = self.t[:, None], self.factors.s
+        st = np.where(t == 0.5, np.sqrt(s), s**t)
+        st.flags.writeable = False
+        return st
 
-    def _stack(self, t: np.ndarray) -> np.ndarray:
-        """W diag(s^t) Vh for each time of t, shape t.shape + (n, n)."""
-        return (self.factors.w * self._st(t)[..., None, :]) @ self.factors.vh
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        a = (self.factors.w * self.st[i]) @ self.factors.vh
+        return Rep(self.group, self.B.shape[0], a, self.B)
 
     @property
-    def samples(self) -> Sequence[Rep]:
-        """Sample i as the Rep (A_t, B) at time t[i]."""
-        return _PathSamples(self)
+    def samples(self) -> RetractionPath:
+        """The path itself, the sequence of its samples."""
+        return self
 
     @property
     def endpoint(self) -> Rep:
@@ -107,7 +116,7 @@ class RetractionPath:
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix("singular B in the path residual") from exc
         o = vh @ self.factors.w
-        st = self._st(self.t)
+        st = self.st
         k, n = st.shape
         # Each sample's n^2 entries as one flat row, so that every
         # elementwise loop runs over n^2 entries, not n.
@@ -125,24 +134,9 @@ class RetractionPath:
         """(t, residual, unitarity defect of A_t) per sample, for CSV
         export; the defects read the stack of every sample, built here and
         not kept."""
+        stack = (self.factors.w * self.st[:, None, :]) @ self.factors.vh
         return list(zip(self.t.tolist(), self.residuals.tolist(),
-                        unitarity_defect(self._stack(self.t)).tolist()))
-
-
-class _PathSamples(Sequence):
-    """The samples of a path, each built from the factors on access."""
-
-    def __init__(self, path: RetractionPath):
-        self._path = path
-
-    def __len__(self) -> int:
-        return len(self._path.t)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        path = self._path
-        return Rep(path.group, path.B.shape[0], path._stack(path.t[i]), path.B)
+                        unitarity_defect(stack).tolist()))
 
 
 @lru_cache(maxsize=8, typed=True)

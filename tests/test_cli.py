@@ -33,7 +33,8 @@ from bsretract.errors import PipelineStageError, PolarObstruction
 from bsretract.suite import (canonical_json, check_flow, check_pipeline, check_rerun,
                              derive_seed, run_one, run_suite, sha256_text)
 
-from util import conditioned, flow_constants, n5_block, rep_of, swap2, zeta
+from util import (OVERFLOWED_CELLS, conditioned, flow_constants, n5_block, overflowed_rep,
+                  rep_of, swap2, zeta)
 
 #: An n = 2 point at (1, 2) whose orbit is not closed, from
 #: util.jordan_rep(1, 2, 2, 1).  Flowed at tol 1e-12, its B snaps to
@@ -229,6 +230,21 @@ def test_stalled_line_search_exits_flow_failure(runner, tmp_path, command, messa
     assert res.exit_code == 3, res.output
     assert message in res.output
     assert "iter_budget" not in res.output
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+@pytest.mark.parametrize("cell", OVERFLOWED_CELLS[:2])
+@pytest.mark.parametrize("command, message", [
+    ("flow", "flow: line_search_stalled after 0 iterations"),
+    ("pipeline", "pipeline: flow line search stalled"),
+])
+def test_overflowed_input_exits_flow_failure(runner, tmp_path, cell, command, message):
+    # A times 1e160 used to end in a NoConvergence traceback with exit 1
+    in_path = write_rep(tmp_path, overflowed_rep(*cell))
+    res = runner.invoke(main, [command, "--in", in_path, "--out", str(tmp_path / "e.json")])
+    assert isinstance(res.exception, SystemExit), res.exc_info
+    assert res.exit_code == 3, res.output
+    assert message in res.output and "Traceback" not in res.output
 
 
 def test_run_one_reports_a_stalled_line_search():

@@ -38,12 +38,14 @@ from bsretract.suite import check_flow, derive_seed
 
 from util import (
     N_MAX,
+    OVERFLOWED_CELLS,
     PAIRS,
     SEEDS,
     conditioned,
     flow_constants,
     haar_unitary,
     n5_block,
+    overflowed_rep,
     random_hermitian,
     reference_flow,
     rep_of,
@@ -135,10 +137,9 @@ def newton_direction(rep, tol=FlowConfig.tol):
 def search_direction(rep, cfg=FlowConfig()):
     """s d, the direction the flow's first iteration steps along, and s."""
     ab = stack(rep)
-    products = _moment(ab)
-    energy = kn_energy(rep)
-    resolution = 128.0 * rep.n * np.finfo(float).eps * (1.0 + energy)
-    line = _search_line(ab, products, np.linalg.norm(products.mu), energy, resolution, cfg)
+    resolution = 128.0 * rep.n * np.finfo(float).eps * (1.0 + kn_energy(rep))
+    d = newton_direction(rep, cfg.tol)
+    line = _search_line(ab, _moment(ab).mu, d, resolution, cfg)
     return (line.v * line.w) @ line.vh, line.s
 
 
@@ -624,6 +625,19 @@ def test_flow_with_an_overflowed_moment_norm_stalls():
     rep = random_rep(2, 3, 4, 1)
     _, trace = flow(rep_of(2, 3, 1e80 * rep.A, rep.B))
     assert trace.outcome == LINE_SEARCH_STALLED and trace.iterations == 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+@pytest.mark.parametrize("cell", OVERFLOWED_CELLS)
+def test_flow_from_an_overflowed_input_stalls(cell):
+    # the energy and ||mu|| start NaN, so the Newton direction is not
+    # finite and no trial along it can be measured: the flow stalls at
+    # iteration 0 after one Hessian product, before any eigendecomposition
+    _, trace = flow(overflowed_rep(*cell))
+    first = trace.records[0]
+    assert math.isnan(first.energy) and math.isnan(first.moment_norm)
+    assert trace.outcome == LINE_SEARCH_STALLED and trace.iterations == 0
+    assert trace.hessian_products == 1
 
 
 def test_search_line_moves_to_the_energy_minimum():

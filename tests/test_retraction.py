@@ -407,17 +407,24 @@ def _factored_residual(a, t, path):
 
 
 def test_full_pipeline_builds_no_stack(monkeypatch):
-    # The pipeline reads the residuals and the endpoint only; the (k, n, n)
-    # stack is built when the rows are read, and they agree with the
-    # samples measured one at a time in the original basis.
+    # The pipeline reads the residuals and the endpoint only: it builds no
+    # sample and no (k, n, n) stack.  The stack is built when the rows are
+    # read, and they agree with the samples measured one at a time in the
+    # original basis.
     cfg = FlowConfig(tol=1e-10, max_iter=10**5)
-    stack, built = RetractionPath._stack, []
+    getitem, built = RetractionPath.__getitem__, []
 
-    def counting(path, t):
-        built.append(np.shape(t))
-        return stack(path, t)
+    def counting_defect(a):
+        if np.ndim(a) == 3:
+            built.append(np.shape(a)[:1])
+        return unitarity_defect(a)
 
-    monkeypatch.setattr(RetractionPath, "_stack", counting)
+    def counting_getitem(path, i):
+        built.append(i)
+        return getitem(path, i)
+
+    monkeypatch.setattr("bsretract.retraction.unitarity_defect", counting_defect)
+    monkeypatch.setattr(RetractionPath, "__getitem__", counting_getitem)
     for p, q, n in ((2, 3, 4), (1, 2, 3), (-1, 2, 2)):
         _, diag = full_pipeline(random_rep(p, q, n, derive_seed(0, p, q, n, 0)), cfg)
         assert diag.outcome == "ok" and built == []
@@ -452,17 +459,37 @@ def test_factored_residuals_match_lu_where_p_and_b_do_not_commute():
 
 
 def test_path_samples_are_slices_of_the_stack():
-    # Each sample, built alone from the factors, has the bits of its slice
-    # of the stack that rows() builds, t = 1/2 included.
-    rep = rep_of(2, 3, 2.0 * swap2(), np.diag([zeta(5, 1), zeta(5, 4)]))
-    path = retract_a(rep, num_samples=7)
-    stack = path._stack(path.t)
-    assert stack.shape == (7, 2, 2) and len(path.samples) == 7
-    assert all(np.array_equal(s.A, a) for s, a in zip(path.samples, stack))
-    assert [s.A.tolist() for s in path.samples[1:3]] == stack[1:3].tolist()
-    assert np.array_equal(path.samples[-1].A, path.endpoint.A)
-    with pytest.raises(IndexError):
-        path.samples[7]
+    # The path is the sequence of its samples: each is built alone from its
+    # row of the s^t table and has the bits of that row of the stack that
+    # rows() builds, and of s ** t for its own scalar t, t = 1/2 included.
+    p_factor = np.diag([0.52565282, 0.56755784, 0.7147618265733313, 1.82916541])
+    rep = rep_of(1, 2, np.eye(4)[::-1] @ p_factor, np.eye(4))
+    for num_samples in (2, 7, 100, 101):
+        path = retract_a(rep, num_samples)
+        f = path.factors
+        assert (0.5 in path.t) == (num_samples % 2 == 1)
+        assert len(path) == len(path.samples) == len(path.t) == num_samples
+        assert path.samples is path and path.st is path.st
+        with pytest.raises(ValueError):
+            path.st[0, 0] = 1.0
+        stack = (f.w * path.st[:, None, :]) @ f.vh
+        defects = [row[2] for row in path.rows()]
+        for i, t in enumerate(path.t):
+            sample = path[i]
+            assert np.array_equal(sample.A, stack[i]) and sample.B is path.B
+            assert np.array_equal(sample.A, (f.w * f.s**t) @ f.vh)
+            assert defects[i] == unitarity_defect(sample.A)
+            assert np.array_equal(path[i - num_samples].A, sample.A)
+        assert np.array_equal(path[-1].A, path.endpoint.A)
+        head = path[1:3]
+        assert type(head) is tuple and len(head) == min(2, num_samples - 1)
+        assert [x.A.tolist() for x in head] == stack[1:3].tolist()
+        assert [x.A.tolist() for x in path[::-1]] == stack[::-1].tolist()
+        assert [x.A.tolist() for x in path] == stack.tolist()
+        with pytest.raises(IndexError):
+            path[len(path)]
+        with pytest.raises(IndexError):
+            path[-len(path) - 1]
     with pytest.raises(ValueError):
         RetractionPath(path.t, np.eye(3), path.group, path.factors)
 

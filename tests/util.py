@@ -9,7 +9,7 @@ from functools import lru_cache, reduce
 import numpy as np
 import pytest
 
-from bsretract import BSGroup, OrbitDatum, Rep, from_orbit_datum
+from bsretract import BSGroup, OrbitDatum, Rep, from_orbit_datum, random_rep
 from bsretract.bsrep import conjugate, direct_sum, random_conditioned, residual
 from bsretract.census import enumerate_orbits
 from bsretract.errors import NoConvergence, NotARootOfUnity
@@ -48,6 +48,17 @@ PAIRS = [
 ]
 N_MAX = 4
 SEEDS = 5
+
+#: Draws whose A times 1e160 passes the relation gate but starts the flow
+#: at a NaN energy and ||mu||; the first two used to end in a traceback
+#: from the Newton step's eigh, the last already stalled.
+OVERFLOWED_CELLS = [(-2, 3, 3, 8369), (2, 3, 4, 1), (-2, 3, 2, 53)]
+
+
+def overflowed_rep(p, q, n, seed):
+    """random_rep(p, q, n, seed) with A times 1e160."""
+    rep = random_rep(p, q, n, seed)
+    return rep_of(p, q, 1e160 * rep.A, rep.B)
 
 
 def divisors(m):
