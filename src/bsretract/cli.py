@@ -117,10 +117,14 @@ def _emit_manifest(manifest: dict, outcome: dict, out_path: str | None) -> None:
 # ----------------------------------------------------------------- CLI group
 
 @click.group()
-def main():
+@click.pass_context
+def main(ctx):
     """Construct Baumslag-Solitar representations, flow them to minimal
     vectors, verify the predicted finite-order structure, and retract
     them onto unitary representations."""
+    # Entries whose products overflow end in a classified exit, not in
+    # numpy's floating-point warnings on the way there.
+    ctx.with_resource(np.errstate(over="ignore", invalid="ignore"))
 
 
 # -------------------------------------------------------------------- census
@@ -429,7 +433,7 @@ def cmd_verify(in_path, out, snap_tol):
 @click.option("--snap-tol", default=SNAP_TOL, show_default=True)
 @click.option("--idempotence", is_flag=True, help="Also re-run each pipeline on its output.")
 @click.option("--report", default="-", help="Report JSON path.")
-@click.option("--workers", default=None, type=int,
+@click.option("--workers", default=None, type=click.IntRange(min=1),
               help="Worker processes (default: up to 4, one per CPU).")
 @click.option("--sl", is_flag=True, help="Draw only determinant-one inputs.")
 @_with(_flow_options)

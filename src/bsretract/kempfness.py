@@ -10,7 +10,9 @@ exactly the minimal vectors on their orbit.  Unitary directions preserve
 F, so only Hermitian steps are taken: each iteration solves the Newton
 system by truncated conjugate gradients, moves to the minimum of the
 energy along the geodesic exp(t d) when it lies past the Newton step, and
-checks the step by Armijo backtracking.  CG's forcing term is
+checks the step by Armijo backtracking; the flow stalls when no step is
+accepted, because every trial is rejected or the Newton direction is not
+finite.  CG's forcing term is
 proportional to ||mu|| near the minimum, where the full Newton step is
 taken and the convergence is quadratic, and it is floored at half the
 stop level, so that the last solve stops at what the stop test needs.
@@ -166,6 +168,11 @@ class FlowTrace:
 
 def _energy(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.vdot(a, a).real + np.vdot(b, b).real)
+
+
+def _resolution_unit(n: int) -> float:
+    """FlowTrace.resolution_unit at dimension n."""
+    return 128.0 * n * _EPS
 
 
 class _Products(NamedTuple):
@@ -328,42 +335,56 @@ def _line_minimum(tilde: np.ndarray, x: np.ndarray, cap: float) -> float:
     return best_t
 
 
-class _Line(NamedTuple):
-    """The search geodesic t -> exp(t s d) of one iteration, d = V diag(w) V*
-    the Newton direction."""
+def _line_search(ab, products, mu_norm, d, energy, resolution, cfg):
+    """The step the flow accepts along the Newton direction d at the
+    iterate ab: (ab2, energy, products, mu_norm, eta) of the trial
+    exp(eta s d), or None when d is not finite or every trial is rejected.
 
-    #: Eigenvalues of s d, ascending.
-    w: np.ndarray
-    #: w_i - w_j.
-    dw: np.ndarray
-    v: np.ndarray
-    vh: np.ndarray
-    #: The stack (V* A V, V* B V).
-    tilde: np.ndarray
-    s: float
-    #: -<2 mu, d>: the first-order energy decrease of one Newton step.
-    drop_rate: float
-
-
-def _search_line(ab, mu, d, resolution, cfg) -> _Line:
-    """The geodesic along the finite Newton direction d at the iterate ab
-    of moment map mu, with the factor s >= 1 that takes s d to the
-    energy's minimum along exp(t d) when the full Newton step's Armijo
-    drop is above the resolution (s = 1 otherwise, as in the
-    resolution-limited tail), capped so that no trial overflows."""
+    s >= 1 takes s d to the energy's minimum along exp(t d) when the full
+    step's Armijo drop is above the resolution (s = 1 otherwise, as in the
+    resolution-limited tail), capped so that no trial overflows; eta and
+    the acceptance test are FlowConfig's.
+    """
+    if not np.isfinite(d).all():
+        return None
     try:
         w, v = np.linalg.eigh(d)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence("eigendecomposition of the Newton step failed") from exc
     vh = v.conj().T
+    # The stack (V* A V, V* B V).
     tilde = vh @ ab @ v
     dw = np.subtract.outer(w, w)
-    drop_rate = -2.0 * _inner(mu, d)
+    drop_rate = -2.0 * _inner(products.mu, d)
     s = 1.0
     if cfg.armijo * drop_rate > resolution:
         s = _line_minimum(tilde, 2.0 * dw, _EXP_CAP / _max_modulus(w))
         w, dw = s * w, s * dw
-    return _Line(w, dw, v, vh, tilde, s, drop_rate)
+    eta = cfg.eta0
+    # Shrink past steps that would overflow the conjugation before the
+    # trials, so that they use none of the backtracks.
+    while eta * _max_modulus(w) > _EXP_CAP:
+        eta *= cfg.shrink
+    for _ in range(_MAX_BACKTRACKS):
+        # exp(eta s d) X exp(-eta s d) = V ((V* X V) o E) V* with
+        # E_ij = e^(eta s (w_i - w_j)), for X = A and B at once.
+        ab2 = v @ (tilde * np.exp(eta * dw)) @ vh
+        required = cfg.armijo * min(eta * s, 1.0) * drop_rate
+        e2 = _energy(*ab2)
+        if required > resolution:
+            if e2 <= energy - required:
+                products2 = _moment(ab2)
+                return ab2, e2, products2, hs_norm(products2.mu), eta
+        elif e2 <= energy + resolution:
+            # Resolution-limited tail: the energy is numerically
+            # stationary, so progress is certified on the moment norm
+            # instead while the energy is held to measurement noise.
+            products2 = _moment(ab2)
+            mu2_norm = hs_norm(products2.mu)
+            if mu2_norm < mu_norm:
+                return ab2, e2, products2, mu2_norm, eta
+        eta *= cfg.shrink
+    return None
 
 
 def _max_modulus(w: np.ndarray) -> float:
@@ -377,15 +398,15 @@ def flow(
     """Drive a representation to the minimal-vector set by Newton-CG.
 
     Each iteration takes the truncated-CG Newton direction d of the energy
-    at the current iterate (gradient 2 mu), scales it by the s >= 1 of
-    _search_line and tries g = exp(eta s d), from eta = FlowConfig.eta0,
-    accepting a trial when the energy drops by at least
-    FlowConfig.armijo * min(eta s, 1) * (-<2 mu, d>); otherwise eta shrinks
-    by the factor FlowConfig.shrink, so every recorded step is
-    eta0 * shrink^k.  Only tol and max_iter are settings.  Stops when
-    ||mu|| <= tol * (1 + energy) (outcome CONVERGED), when the iteration
-    budget runs out (ITER_BUDGET) or when every trial of one line search
-    is rejected or the Newton direction overflows (LINE_SEARCH_STALLED).
+    at the current iterate (gradient 2 mu) and conjugates by the
+    g = exp(eta s d) that the Armijo line search accepts: s >= 1 moves
+    the step to the energy's minimum along exp(t d), and eta starts at
+    FlowConfig.eta0 and shrinks by the factor FlowConfig.shrink after each
+    rejected trial, so every recorded step is eta0 * shrink^k.  Only tol
+    and max_iter are settings.  Stops when ||mu|| <= tol * (1 + energy)
+    (outcome CONVERGED), when the iteration budget runs out (ITER_BUDGET)
+    or when the line search accepts no step, because every trial is
+    rejected or the Newton direction is not finite (LINE_SEARCH_STALLED).
     Conjugation preserves the defining relation, so the residual is
     tracked, not corrected: every accepted iterate's residual is measured,
     in stacked blocks of _RESIDUAL_BLOCK iterates.  initial_residual, from
@@ -416,7 +437,7 @@ def flow(
     # Near the minimum the true energy decrease per step falls below the
     # rounding noise of the energy itself (FlowTrace.resolution_unit), and
     # the measured energy of an accepted tail step may rise within it.
-    resolution_unit = 128.0 * rep.n * _EPS
+    resolution_unit = _resolution_unit(rep.n)
     outcome = ITER_BUDGET
     step_taken = 0.0
     hessian_products = 0
@@ -439,50 +460,15 @@ def flow(
                 products.mu, mu_norm, _hessian(ab, products), energy, cfg.tol
             )
             hessian_products += count
-            if not np.isfinite(d).all():
-                # An overflowed iterate: no trial along d has a finite
-                # energy, so none can be accepted.
+            step = _line_search(
+                ab, products, mu_norm, d, energy, resolution_unit * (1.0 + energy), cfg
+            )
+            if step is None:
                 outcome = LINE_SEARCH_STALLED
                 break
-            resolution = resolution_unit * (1.0 + energy)
-            line = _search_line(ab, products.mu, d, resolution, cfg)
-            eta = cfg.eta0
-            # Longer steps would overflow the conjugation: shrink past
-            # them before the trials, so that they use none of the
-            # backtracks.  eta falls geometrically, so this ends.
-            while eta * _max_modulus(line.w) > _EXP_CAP:
-                eta *= cfg.shrink
-            for _ in range(_MAX_BACKTRACKS):
-                # exp(eta s d) X exp(-eta s d) = V ((V* X V) o E) V* with
-                # E_ij = e^(eta s (w_i - w_j)), for X = A and B at once.
-                ab2 = line.v @ (line.tilde * np.exp(eta * line.dw)) @ line.vh
-                required = cfg.armijo * min(eta * line.s, 1.0) * line.drop_rate
-                e2 = _energy(*ab2)
-                if required > resolution:
-                    if e2 <= energy - required:
-                        break
-                elif e2 <= energy + resolution:
-                    # Resolution-limited tail: the energy is numerically
-                    # stationary, so progress is certified on the moment
-                    # norm instead while the energy is held to measurement
-                    # noise.
-                    products2 = _moment(ab2)
-                    mu2_norm = hs_norm(products2.mu)
-                    if mu2_norm < mu_norm:
-                        break
-                eta *= cfg.shrink
-            else:
-                outcome = LINE_SEARCH_STALLED
-                break
-            # The accepted trial's energy (and, in the tail, its moment)
-            # is the next iterate's: the same arrays give the same floats.
-            ab, energy = ab2, e2
-            if required > resolution:
-                products = _moment(ab)
-                mu_norm = hs_norm(products.mu)
-            else:
-                products, mu_norm = products2, mu2_norm
-            step_taken = eta
+            # The accepted trial's energy and moment are the next
+            # iterate's: the same arrays give the same floats.
+            ab, energy, products, mu_norm, step_taken = step
             it += 1
     finally:
         # Also on the way out of an exception, so that a singular earlier
@@ -540,7 +526,7 @@ def minimality_certificate(rep: Rep) -> MinimalityCertificate:
     if not np.isfinite(gram).all():
         return MinimalityCertificate(None, None, None)
     lam = np.linalg.eigvalsh(gram).tolist()
-    cut = max(_KERNEL_CUT * lam[-1], 128.0 * rep.n * _EPS * _energy(*ab))
+    cut = max(_KERNEL_CUT * lam[-1], _resolution_unit(rep.n) * _energy(*ab))
     above = [x for x in lam if x > cut]
     if not above:
         return MinimalityCertificate(len(lam), None, None)

@@ -247,6 +247,27 @@ def test_overflowed_input_exits_flow_failure(runner, tmp_path, cell, command, me
     assert message in res.output and "Traceback" not in res.output
 
 
+@pytest.mark.parametrize("scale", [1e80, 1e160])
+@pytest.mark.parametrize("cell", OVERFLOWED_CELLS)
+@pytest.mark.parametrize("command, code, message", [
+    ("flow", 3, "flow: line_search_stalled after 0 iterations"),
+    ("pipeline", 3, "pipeline: flow line search stalled"),
+    ("verify", 2, "cannot certify"),
+])
+def test_overflowed_input_exits_without_a_runtime_warning(runner, tmp_path, scale, cell,
+                                                          command, code, message):
+    # numpy's overflow and invalid-value warnings from the products used
+    # to reach stderr before the classified exit
+    rep = random_rep(*cell)
+    in_path = write_rep(tmp_path, rep_of(*cell[:2], scale * rep.A, rep.B))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = runner.invoke(main, [command, "--in", in_path, "--out", str(tmp_path / "o.json")])
+    assert isinstance(res.exception, SystemExit), res.exc_info
+    assert res.exit_code == code, res.output
+    assert message in res.output
+
+
 def test_run_one_reports_a_stalled_line_search():
     with flow_constants(eta0=1e-20):
         record, _ = run_one((2, 3, 3, 1, False, FlowConfig(), 100, 1e-6, False))
@@ -743,6 +764,18 @@ def test_too_few_samples_exits_bad_input(runner, tmp_path):
         assert isinstance(res.exception, SystemExit), (cmd, res.exception)
         assert res.exit_code == 2, (cmd, res.output)
         assert not out.exists() and not report.exists(), cmd
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_suite_refuses_fewer_than_one_worker(runner, tmp_path, workers):
+    # 0 used to run the default pool and -1 one process, both exiting 0
+    report = tmp_path / "r.json"
+    res = runner.invoke(main, ["suite", "--pairs", "2:3", "--n-max", "1", "--seeds", "1",
+                               "--workers", workers, "--report", str(report)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output
+    assert "--workers" in res.output
+    assert not report.exists()
 
 
 def test_suite_ignores_the_removed_thread_variable(runner, tmp_path, monkeypatch):

@@ -30,9 +30,9 @@ from bsretract.kempfness import (
     FlowTrace,
     _hessian,
     _hessian_gram,
+    _line_minimum,
     _moment,
     _newton_direction,
-    _search_line,
 )
 from bsretract.suite import check_flow, derive_seed
 
@@ -134,13 +134,15 @@ def newton_direction(rep, tol=FlowConfig.tol):
     return d
 
 
-def search_direction(rep, cfg=FlowConfig()):
-    """s d, the direction the flow's first iteration steps along, and s."""
-    ab = stack(rep)
-    resolution = 128.0 * rep.n * np.finfo(float).eps * (1.0 + kn_energy(rep))
-    d = newton_direction(rep, cfg.tol)
-    line = _search_line(ab, _moment(ab).mu, d, resolution, cfg)
-    return (line.v * line.w) @ line.vh, line.s
+def search_direction(rep):
+    """s d, the direction the flow's first iteration steps along when the
+    energy still falls past the Newton step d, and s: the step to the
+    energy's minimum along exp(t d), capped as the line search caps it."""
+    w, v = np.linalg.eigh(newton_direction(rep))
+    vh = v.conj().T
+    cap = kempfness._EXP_CAP / kempfness._max_modulus(w)
+    s = _line_minimum(vh @ stack(rep) @ v, 2.0 * np.subtract.outer(w, w), cap)
+    return (v * (s * w)) @ vh, s
 
 
 def test_flow_step_first_order_rate():
