@@ -21,6 +21,18 @@ resolution-limited tail step may raise by rounding;
 FlowTrace.energy_monotone bounds that rise by the resolution the step
 was accepted with.  minimality_certificate reads the spectrum of the
 same Hessian at a point.
+
+Before the first Newton step the flow takes one warm step.  At the
+minimum of a closed orbit B is diagonal in an orthonormal basis and A
+maps its eigenlines to eigenlines (Kempf and Ness 1979), so conjugating
+by V^-1, V the eigenvectors of B, leaves only a convex problem on the
+torus of diagonal matrices: matrix scaling (Linial, Samorodnitsky and
+Wigderson 2000), solved by damped Newton in n variables.  The flow
+starts cold, at the input, when the input's energy is not finite, when
+eig, inv or the torus solve fails or gives a non-finite value, when
+||V|| ||V^-1|| exceeds _WARM_COND (a nearly defective B, whose
+eigenbasis means nothing), or when the warm point's energy is above the
+input's.
 """
 
 from __future__ import annotations
@@ -74,6 +86,12 @@ _EPS = float(np.finfo(float).eps)
 #: Share of the Hessian's largest eigenvalue at or below which an eigenvalue
 #: counts as its kernel.
 _KERNEL_CUT = 1e-8
+#: Largest ||V|| ||V^-1|| (Hilbert-Schmidt) of B's eigenvector matrix V at
+#: which the flow takes its warm step; past it the eigenbasis of a nearly
+#: defective B means nothing and the flow starts cold.
+_WARM_COND = 1e4
+#: Damped Newton steps of the warm step's torus solve.
+_TORUS_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -125,8 +143,8 @@ class FlowRecord:
 @dataclass(frozen=True)
 class FlowTrace:
     """Per-iteration records of accepted iterates, each with its measured
-    energy, plus the outcome flag and the Hessian products the Newton
-    solves took."""
+    energy, plus the outcome flag, the Hessian products the Newton solves
+    took and whether the flow took its warm step."""
 
     records: tuple[FlowRecord, ...]
     outcome: str
@@ -136,6 +154,8 @@ class FlowTrace:
     resolution_unit: float
     #: Hessian-vector products of every Newton solve's CG.
     hessian_products: int = 0
+    #: Whether record 1 is the warm step's point (see flow).
+    warm_start: bool = False
 
     @property
     def converged(self) -> bool:
@@ -392,6 +412,92 @@ def _max_modulus(w: np.ndarray) -> float:
     return max(abs(w[0]), abs(w[-1]))
 
 
+def _torus_scaling(c: np.ndarray, tol: float) -> np.ndarray:
+    """The x in R^n that minimizes f(x) = sum_ij c_ij e^(2 (x_i - x_j)),
+    the energy of diag(e^x) X diag(e^-x) with c = sum_X |X|^2 entrywise,
+    by damped Newton from x = 0.
+
+    With M_ij = c_ij e^(2 (x_i - x_j)) and row and col its row and column
+    sums, the gradient is 2 (row - col) and the Hessian 4 L, L the weighted
+    Laplacian diag(row + col) - M - M^T.  L is singular along x constant on
+    each connected block of c, and row - col is orthogonal to those
+    directions, so each step solves on L's range.  row - col is the
+    diagonal of the moment map of the scaled point, so the solve stops once
+    ||row - col|| <= _FORCING_FLOOR tol f, half the flow's stop level, or
+    when no trial step is accepted.  Steps are checked as the flow's are:
+    Armijo backtracking while the drop it asks is above the resolution
+    128 n eps f, and below it a falling ||row - col|| with f held to that
+    resolution.  c is scaled to a largest entry of 1 and no trial moves an
+    x_i - x_j by more than _EXP_CAP / 2, so nothing overflows.  Raises
+    LinAlgError when eigh does.
+    """
+    c = c / c.max()
+    resolution = _resolution_unit(len(c)) * c.sum()
+    x = np.zeros(len(c))
+    m, f = c, c.sum()
+    row, col = c.sum(axis=1), c.sum(axis=0)
+    for _ in range(_TORUS_STEPS):
+        gap = row - col
+        gap_norm = hs_norm(gap)
+        if gap_norm <= _FORCING_FLOOR * tol * f:
+            break
+        w, v = np.linalg.eigh(np.diag(row + col) - m - m.T)
+        keep = w > len(w) * _EPS * w[-1]
+        dx = v[:, keep] @ ((v[:, keep].T @ gap) / (-2.0 * w[keep]))
+        # -<gradient, dx>, the first-order drop of f along dx.
+        drop_rate = -2.0 * float(gap @ dx)
+        t, spread = 1.0, dx.max() - dx.min()
+        while t * spread > 0.5 * _EXP_CAP:
+            t *= FlowConfig.shrink
+        for _ in range(_MAX_BACKTRACKS):
+            x2 = x + t * dx
+            m2 = c * np.exp(2.0 * np.subtract.outer(x2, x2))
+            f2 = m2.sum()
+            row, col = m2.sum(axis=1), m2.sum(axis=0)
+            required = FlowConfig.armijo * t * drop_rate
+            if required > resolution:
+                if f2 <= f - required:
+                    break
+            elif f2 <= f + resolution and hs_norm(row - col) < gap_norm:
+                break
+            t *= FlowConfig.shrink
+        else:
+            break
+        x, m, f = x2, m2, f2
+    return x
+
+
+def _warm_start(ab: np.ndarray, energy: float, cfg: FlowConfig):
+    """The flow's warm step from the stack ab = (A, B) at energy `energy`,
+    as _line_search returns a step: (ab2, energy, products, mu_norm, eta)
+    of ab2 = D V^-1 ab V D^-1, with B = V diag(lambda) V^-1, D = diag(e^x)
+    from _torus_scaling and eta = eta0.  None when the flow starts cold,
+    because the energy is not finite, eig, inv or the torus solve fails or
+    gives a non-finite value, ||V|| ||V^-1|| exceeds _WARM_COND, or the
+    warm energy is above `energy`.
+    """
+    if not math.isfinite(energy):
+        return None
+    try:
+        _, v = np.linalg.eig(ab[1])
+        vi = np.linalg.inv(v)
+        if not hs_norm(v) * hs_norm(vi) <= _WARM_COND:
+            return None
+        tilde = vi @ ab @ v
+        c = (tilde * tilde.conj()).real.sum(axis=0)
+        if not np.isfinite(c).all():
+            return None
+        x = _torus_scaling(c, cfg.tol)
+    except np.linalg.LinAlgError:
+        return None
+    warm = tilde * np.exp(np.subtract.outer(x, x))
+    warm_energy = _energy(*warm)
+    if not warm_energy <= energy:
+        return None
+    products = _moment(warm)
+    return warm, warm_energy, products, hs_norm(products.mu), cfg.eta0
+
+
 def flow(
     rep: Rep, cfg: FlowConfig | None = None, *, initial_residual: float | None = None
 ) -> tuple[Rep, FlowTrace]:
@@ -413,6 +519,19 @@ def flow(
     a caller that has already measured relation_residual(rep), is recorded
     as iteration 0's residual in place of a second measurement.  The trace
     also counts the Hessian products of all the Newton solves.
+
+    An input that fails the stop test first takes the warm step: with
+    B = V diag(lambda) V^-1, it is conjugated by D V^-1, D = diag(e^x) the
+    minimizer of the energy over the diagonal conjugations of V^-1 (A, B) V
+    (see _torus_scaling).  Record 0 stays the input; the warm point is
+    record 1, with step FlowConfig.eta0 and no Hessian product, and it
+    counts against max_iter.  The Newton-CG loop then finishes from it.
+    The flow starts cold instead, exactly as without the step, when the
+    energy is not finite, eig, inv or the torus solve fails or gives a
+    non-finite value, ||V|| ||V^-1|| (Hilbert-Schmidt) exceeds 1e4, or
+    the warm energy is above the input's, so that energy_monotone holds
+    from record 0 on.  FlowTrace.warm_start says which start was taken.
+    The warm step moves the endpoint within its minimal K-orbit.
     """
     cfg = cfg or FlowConfig()
     p, q = rep.group.p, rep.group.q
@@ -441,6 +560,7 @@ def flow(
     outcome = ITER_BUDGET
     step_taken = 0.0
     hessian_products = 0
+    warm_start = False
     it = 0
     try:
         while True:
@@ -456,16 +576,21 @@ def flow(
                 break
             if it >= cfg.max_iter:
                 break
-            d, count = _newton_direction(
-                products.mu, mu_norm, _hessian(ab, products), energy, cfg.tol
-            )
-            hessian_products += count
-            step = _line_search(
-                ab, products, mu_norm, d, energy, resolution_unit * (1.0 + energy), cfg
-            )
+            step = None
+            if it == 0:
+                step = _warm_start(ab, energy, cfg)
+                warm_start = step is not None
             if step is None:
-                outcome = LINE_SEARCH_STALLED
-                break
+                d, count = _newton_direction(
+                    products.mu, mu_norm, _hessian(ab, products), energy, cfg.tol
+                )
+                hessian_products += count
+                step = _line_search(
+                    ab, products, mu_norm, d, energy, resolution_unit * (1.0 + energy), cfg
+                )
+                if step is None:
+                    outcome = LINE_SEARCH_STALLED
+                    break
             # The accepted trial's energy and moment are the next
             # iterate's: the same arrays give the same floats.
             ab, energy, products, mu_norm, step_taken = step
@@ -475,7 +600,9 @@ def flow(
         # iterate raises SingularMatrix as it would have when measured.
         if pending:
             measure()
-    trace = FlowTrace(tuple(records), outcome, resolution_unit, hessian_products)
+    trace = FlowTrace(
+        tuple(records), outcome, resolution_unit, hessian_products, warm_start
+    )
     return Rep(rep.group, rep.n, ab[0], ab[1]), trace
 
 

@@ -192,6 +192,7 @@ class PipelineDiagnostics:
     flow_outcome: str | None = None
     flow_iterations: int | None = None
     flow_hessian_products: int | None = None
+    flow_warm_start: bool | None = None
     initial_energy: float | None = None
     final_energy: float | None = None
     final_moment_norm: float | None = None
@@ -244,6 +245,7 @@ def full_pipeline(
     diag.flow_outcome = trace.outcome
     diag.flow_iterations = trace.iterations
     diag.flow_hessian_products = trace.hessian_products
+    diag.flow_warm_start = trace.warm_start
     diag.final_energy = trace.records[-1].energy
     diag.final_moment_norm = trace.records[-1].moment_norm
     diag.final_residual = trace.records[-1].residual

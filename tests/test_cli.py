@@ -189,6 +189,7 @@ def test_flow_rejects_corrupted_rep(runner, tmp_path):
     assert res.exit_code == 2
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_flow_budget_exit_code(runner, tmp_path):
     rng = np.random.default_rng(1)
     from bsretract import conjugate
@@ -214,6 +215,7 @@ def test_flow_overlong_first_step_still_converges(runner, tmp_path):
     assert "converged" in res.output
 
 
+@pytest.mark.usefixtures("cold_start")
 @pytest.mark.parametrize("command, message", [
     ("flow", "flow: line_search_stalled after"),
     ("pipeline", "pipeline: flow line search stalled"),
@@ -247,6 +249,19 @@ def test_overflowed_input_exits_flow_failure(runner, tmp_path, cell, command, me
     assert message in res.output and "Traceback" not in res.output
 
 
+#: The exits at A times 1e80 that differ from the stall at iteration 0:
+#: the flow's warm step is finite there, and at its point the first two
+#: cells pass the stop test, while the third's ||mu|| still overflows and
+#: its flow stalls at iteration 1.
+_EXITS_AT_1E80 = {
+    ("flow", OVERFLOWED_CELLS[0]): (0, "flow: converged after 1 iterations"),
+    ("flow", OVERFLOWED_CELLS[1]): (0, "flow: converged after 1 iterations"),
+    ("flow", OVERFLOWED_CELLS[2]): (3, "flow: line_search_stalled after 1 iterations"),
+    ("pipeline", OVERFLOWED_CELLS[0]): (0, ""),
+    ("pipeline", OVERFLOWED_CELLS[1]): (0, ""),
+}
+
+
 @pytest.mark.parametrize("scale", [1e80, 1e160])
 @pytest.mark.parametrize("cell", OVERFLOWED_CELLS)
 @pytest.mark.parametrize("command, code, message", [
@@ -258,16 +273,22 @@ def test_overflowed_input_exits_without_a_runtime_warning(runner, tmp_path, scal
                                                           command, code, message):
     # numpy's overflow and invalid-value warnings from the products used
     # to reach stderr before the classified exit
+    if scale == 1e80:
+        code, message = _EXITS_AT_1E80.get((command, cell), (code, message))
     rep = random_rep(*cell)
     in_path = write_rep(tmp_path, rep_of(*cell[:2], scale * rep.A, rep.B))
+    out = tmp_path / "o.json"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        res = runner.invoke(main, [command, "--in", in_path, "--out", str(tmp_path / "o.json")])
-    assert isinstance(res.exception, SystemExit), res.exc_info
+        res = runner.invoke(main, [command, "--in", in_path, "--out", str(out)])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
     assert res.exit_code == code, res.output
-    assert message in res.output
+    assert message in res.output and "Traceback" not in res.output
+    if command == "pipeline" and code == 0:
+        assert verify_unitary_rep(rep_from_json(json.loads(out.read_text())), 1e-8)
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_run_one_reports_a_stalled_line_search():
     with flow_constants(eta0=1e-20):
         record, _ = run_one((2, 3, 3, 1, False, FlowConfig(), 100, 1e-6, False))
@@ -355,6 +376,7 @@ def test_flow_commands_have_no_sl_option(runner, tmp_path, command):
     assert "No such option" in res.output and "--sl" in res.output
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_pipeline_budget_exit(runner, tmp_path):
     rng = np.random.default_rng(3)
     from bsretract import conjugate
@@ -395,12 +417,14 @@ def test_pipeline_exits_structural_on_a_jordan_point(runner, tmp_path):
     # at tol 1e-12 the unitarized B misses unitarity by 1.1e-6; this
     # exited 2, the bad-input code, with retract_a's ValueError.  Which
     # stage fails depends on how far below tol the last step lands: at
-    # the default tol it is the order detection.  Both are exit 4.
-    out = tmp_path / "end.json"
+    # the default tol it is the order detection.  Both are exit 4.  B's
+    # eigenbasis is too ill-conditioned for the flow's warm step.
+    out, diag = tmp_path / "end.json", tmp_path / "diag.json"
     args = ["pipeline", "--in", str(JORDAN_REP), "--out", str(out)]
-    res = runner.invoke(main, [*args, "--tol", "1e-12"])
+    res = runner.invoke(main, [*args, "--tol", "1e-12", "--diag", str(diag)])
     assert res.exit_code == 4, res.output
     assert "error: stage 'conjugate_into_unitary': unitarized B is not unitary" in res.output
+    assert json.loads(diag.read_text())["flow_warm_start"] is False
     res = runner.invoke(main, args)
     assert res.exit_code == 4, res.output
     assert "error: stage 'detect_finite_order'" in res.output
@@ -822,7 +846,7 @@ def test_run_one_classifies_spurious_orders():
 
 #: (cell, flow constants, idempotence, outcome): a certified cell, a
 #: structural one (see test_run_one_classifies_spurious_orders) and a
-#: stalled one.
+#: stalled one, whose flows start cold.
 _RECORD_CASES = [
     ((2, 3, 3), {}, True, "ok"),
     ((2, 3, 8), {}, False, "structural_failure"),
@@ -832,10 +856,12 @@ _RECORD_CASES = [
 
 @pytest.mark.parametrize("cell, constants, idempotence, outcome", _RECORD_CASES,
                          ids=[c[3] for c in _RECORD_CASES])
-def test_run_one_record_is_its_pipeline_run(runner, tmp_path, cell, constants,
+def test_run_one_record_is_its_pipeline_run(request, runner, tmp_path, cell, constants,
                                             idempotence, outcome):
     # a cell's record carries the diagnostics of its run, and its manifest
     # hash is that of `construct --random | pipeline` at the cell's seed
+    if constants:
+        request.getfixturevalue("cold_start")
     p, q, n = cell
     seed = derive_seed(0, p, q, n, 1)
     rep = random_rep(p, q, n, seed)

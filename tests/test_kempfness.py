@@ -44,6 +44,7 @@ from util import (
     conditioned,
     flow_constants,
     haar_unitary,
+    jordan_rep,
     n5_block,
     overflowed_rep,
     random_hermitian,
@@ -145,6 +146,7 @@ def search_direction(rep):
     return (v * (s * w)) @ vh, s
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_flow_step_first_order_rate():
     # dF/dt along exp(t x) is <2 mu, x> = 2 Re tr(mu x) for the direction
     # x = s d the flow steps along: the Newton direction d moved to the
@@ -204,6 +206,7 @@ def _tail_rise_rep():
     return random_rep(p, q, n, derive_seed(0, p, q, n, i))
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_flow_records_a_measured_tail_rise():
     # Each record keeps its iterate's measured energy, not the running
     # minimum, so a tail step that raises it by rounding shows; the rise
@@ -366,6 +369,7 @@ def test_flow_endpoint_commutators_individually_small():
         assert np.linalg.norm(b @ b.conj().T - b.conj().T @ b) <= bound
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_flow_iter_budget_outcome():
     rng = np.random.default_rng(10)
     rep = conjugate(n5_block(1.0), conditioned(rng, 2, 50.0))
@@ -376,6 +380,7 @@ def test_flow_iter_budget_outcome():
     assert trace.energy_monotone()
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_flow_stalled_line_search_outcome():
     # at eta0 = 1e-20 each trial step is lost in rounding; once no trial
     # lowers ||mu|| the line search gives up with the budget unspent
@@ -406,6 +411,7 @@ def test_certificate_is_empty_where_the_hessian_overflows():
     assert minimality_certificate(rep) == (None, None, None)
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_small_eta0_ends_on_the_budget():
     # no step is longer than eta0 s, so at eta0 = 1e-8 every iteration
     # passes the strict Armijo test, far from the resolution-limited tail:
@@ -567,6 +573,7 @@ def test_newton_direction_descends_within_the_forcing_bound(monkeypatch):
         assert 1 <= counts[-1] <= rep.n**2
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_forcing_floor_stops_the_last_solve_at_the_stop_level(monkeypatch):
     # one step from converging, the quadratic term asks CG for a residual
     # far below the stop level; the floor stops it at half that level,
@@ -585,6 +592,7 @@ def test_forcing_floor_stops_the_last_solve_at_the_stop_level(monkeypatch):
     assert last.moment_norm <= cfg.tol * (1.0 + last.energy)
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_flow_counts_its_hessian_products(monkeypatch):
     # one CG solve per iteration; the trace and the pipeline's
     # diagnostics report the products all of them took
@@ -620,6 +628,7 @@ def test_flow_on_a_scaled_input_takes_full_steps(p, q, n, seed):
     assert len(set(iterations)) == 1, iterations
 
 
+@pytest.mark.usefixtures("cold_start")
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_flow_with_an_overflowed_moment_norm_stalls():
     # at A times 1e80, ||mu|| overflows in hs_norm; CG falls back to -mu
@@ -632,16 +641,19 @@ def test_flow_with_an_overflowed_moment_norm_stalls():
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
 @pytest.mark.parametrize("cell", OVERFLOWED_CELLS)
 def test_flow_from_an_overflowed_input_stalls(cell):
-    # the energy and ||mu|| start NaN, so the Newton direction is not
-    # finite and no trial along it can be measured: the flow stalls at
-    # iteration 0 after one Hessian product, before any eigendecomposition
+    # the energy and ||mu|| start NaN, so there is no warm step, the
+    # Newton direction is not finite and no trial along it can be
+    # measured: the flow stalls at iteration 0 after one Hessian product,
+    # before any eigendecomposition
     _, trace = flow(overflowed_rep(*cell))
     first = trace.records[0]
     assert math.isnan(first.energy) and math.isnan(first.moment_norm)
     assert trace.outcome == LINE_SEARCH_STALLED and trace.iterations == 0
+    assert not trace.warm_start
     assert trace.hessian_products == 1
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_search_line_moves_to_the_energy_minimum():
     # on every one of these cells the energy still falls past the Newton
     # step d; s d minimizes it along exp(t d), and the flow's first full
@@ -684,6 +696,7 @@ def test_flow_preserves_determinants_of_sl_inputs(p, q):
             assert abs(np.linalg.det(y) - np.linalg.det(x)) <= 1e-12, (p, q, n)
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_flow_converges_superlinearly():
     # near the minimum the full Newton step is accepted and each step
     # shrinks ||mu|| by a falling factor; a gradient step's is constant.
@@ -807,6 +820,7 @@ def test_flow_records_do_not_depend_on_the_block(monkeypatch, block):
 BLOCK = 3
 
 
+@pytest.mark.usefixtures("cold_start")
 @pytest.mark.parametrize("max_iter", [
     BLOCK - 1,      # stops on a block boundary
     BLOCK,          # one iterate past it
@@ -833,6 +847,7 @@ def nilpotent_rep():
     return rep_of(2, 3, [[0.0, 1.0], [0.0, 0.0]], np.eye(2))
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_flow_raises_on_singular_a(monkeypatch):
     # converged at iteration 0: a block of one iterate
     with pytest.raises(SingularMatrix):
@@ -852,26 +867,155 @@ def test_flow_raises_on_singular_a(monkeypatch):
     assert blocks == [4]
 
 
-def _eigh_failing_at(call):
-    eigh = np.linalg.eigh
+def _failing_at(name, call):
+    """np.linalg's `name`, raising LinAlgError at its call-th call."""
+    original = getattr(np.linalg, name)
     calls = []
 
     def failing(m):
         calls.append(m)
         if len(calls) == call:
             raise np.linalg.LinAlgError("forced for the test")
-        return eigh(m)
+        return original(m)
 
     return failing
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_singular_iterate_outranks_a_later_eigensolver_failure(monkeypatch):
     # the iterates pending when the eigensolver fails are still measured,
     # so the singular A is reported first, as a per-iterate check would
-    monkeypatch.setattr(np.linalg, "eigh", _eigh_failing_at(3))
+    monkeypatch.setattr(np.linalg, "eigh", _failing_at("eigh", 3))
     with pytest.raises(SingularMatrix):
         flow(nilpotent_rep())
-    monkeypatch.setattr(np.linalg, "eigh", _eigh_failing_at(3))
+    monkeypatch.setattr(np.linalg, "eigh", _failing_at("eigh", 3))
     rng = np.random.default_rng(11)
     with pytest.raises(NoConvergence):
         flow(conjugate(n5_block(1.0), conditioned(rng, 2, 50.0)))
+
+
+# ------------------------------------------------------------ warm step
+
+def schur_bound(rep):
+    """n + sum |lambda(A)|^2, the least energy on the orbit's closure:
+    at a minimal vector A and B are normal, so Schur's inequality
+    ||X||^2 >= sum |lambda(X)|^2 is an equality for both, and B's
+    eigenvalues are roots of unity."""
+    return rep.n + float(np.sum(np.abs(np.linalg.eigvals(rep.A)) ** 2))
+
+
+def oracle_cells():
+    """The seed-0 benchmark cells the Schur oracle reads: every grid cell
+    with n >= 2 (20 signed pairs, n = 2..4, 10 seeds) and the first seed of
+    each flow_wide (p, q, n)."""
+    for p, q in PAIRS:
+        for n in range(2, N_MAX + 1):
+            for i in range(10):
+                yield random_rep(p, q, n, derive_seed(0, p, q, n, i))
+    for p, q in [(1, 2), (-1, 2), (2, 3), (2, -3), (1, 3), (-1, 3)]:
+        for n in (8, 10, 12):
+            yield random_rep(p, q, n, derive_seed(0, p, q, n, 0))
+
+
+@pytest.mark.parametrize("start", ["warm", "cold"])
+def test_flowed_energy_meets_the_schur_bound(request, start):
+    # At the minimum the energy is n + sum |lambda(A_in)|^2, read off the
+    # input with no flow; every input misses it, so a flow that does
+    # nothing fails here.
+    if start == "cold":
+        request.getfixturevalue("cold_start")
+    cells = warm = 0
+    for rep in oracle_cells():
+        bound = schur_bound(rep)
+        assert kn_energy(rep) > bound * (1.0 + 1e-12)
+        _, trace = flow(rep)
+        assert trace.converged
+        assert trace.records[-1].energy == pytest.approx(bound, rel=1e-12, abs=0.0)
+        cells += 1
+        warm += trace.warm_start
+    assert cells == 618
+    assert warm >= 600 if start == "warm" else warm == 0
+
+
+def cold_flow(rep, cfg=None):
+    """flow(rep, cfg) with the warm step switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kempfness, "_WARM_COND", 0.0)
+        return flow(rep, cfg)
+
+
+def test_warm_step_is_record_one():
+    # record 0 is the input; record 1 is the warm point, reached with
+    # step eta0 (no backtrack) and no Hessian product, and it counts
+    # against max_iter
+    rep = random_rep(2, 3, 8, 0)
+    _, trace = flow(rep)
+    assert trace.warm_start and trace.converged
+    first, warm = trace.records[:2]
+    assert (first.iteration, first.energy, first.step) == (0, kn_energy(rep), 0.0)
+    assert warm.iteration == 1 and warm.step == FlowConfig.eta0
+    assert warm.energy < first.energy and warm.moment_norm < first.moment_norm
+    assert trace.energy_monotone()
+    _, budget = flow(rep, FlowConfig(max_iter=1))
+    assert budget.warm_start and budget.outcome == ITER_BUDGET
+    assert budget.records == trace.records[:2] and budget.hessian_products == 0
+
+
+def test_flow_counts_no_hessian_product_for_the_warm_step(monkeypatch):
+    counts = count_products(monkeypatch)
+    _, trace = flow(random_rep(2, 3, 8, 0))
+    assert trace.warm_start
+    assert len(counts) == trace.iterations - 1
+    assert trace.hessian_products == sum(counts)
+    _, diag = full_pipeline(random_rep(2, 3, 8, 0))
+    assert diag.flow_warm_start is diag.to_dict()["flow_warm_start"] is True
+
+
+def test_flow_starts_cold_on_a_jordan_point():
+    # B = lam (I + N) conjugated: its eigenvectors are nearly parallel, far
+    # past the threshold, and the flow is bit for bit the cold one
+    for p, q, n, seed in [(1, 2, 2, 1), (2, 3, 3, 0), (1, 3, 4, 2)]:
+        rep = jordan_rep(p, q, n, seed)
+        _, v = np.linalg.eig(rep.B)
+        assert np.linalg.norm(v) * np.linalg.norm(np.linalg.inv(v)) > kempfness._WARM_COND
+        warm = flow(rep)
+        assert not warm[1].warm_start
+        assert_same_run(warm, cold_flow(rep))
+
+
+@pytest.mark.parametrize("name", ["eig", "inv", "eigh"])
+def test_a_failed_warm_step_falls_back_cold(monkeypatch, name):
+    # the flow's first call of eig, inv or eigh is the warm step's (eigh
+    # in the torus solve); each raises once, and the flow catches it and
+    # starts cold, bit for bit
+    rep = random_rep(2, 3, 8, 0)
+    cold = cold_flow(rep)
+    monkeypatch.setattr(np.linalg, name, _failing_at(name, 1))
+    fell_back = flow(rep)
+    assert not fell_back[1].warm_start
+    assert_same_run(fell_back, cold)
+
+
+@pytest.mark.parametrize("x", [np.nan, 10.0])
+def test_a_warm_step_off_the_energy_falls_back_cold(monkeypatch, x):
+    # a torus solve that gives a non-finite x, or one whose scaling raises
+    # the energy, is discarded, so energy_monotone holds from record 0 on
+    rep = random_rep(2, 3, 8, 0)
+    monkeypatch.setattr(kempfness, "_torus_scaling",
+                        lambda c, tol: x * np.arange(len(c), dtype=float))
+    fell_back = flow(rep)
+    assert not fell_back[1].warm_start
+    assert_same_run(fell_back, cold_flow(rep))
+
+
+def test_minimal_inputs_take_no_warm_step():
+    # an input that passes the stop test at iteration 0 is returned as it
+    # is, so the idempotence rerun of a certified endpoint stays exact
+    rep = n5_block(1.0)
+    final, trace = flow(rep)
+    assert not trace.warm_start and trace.iterations == 0
+    assert final.A.tobytes() == rep.A.tobytes() and final.B.tobytes() == rep.B.tobytes()
+    endpoint, diag = full_pipeline(random_rep(2, 3, 4, 1))
+    assert diag.flow_warm_start
+    _, rerun = full_pipeline(endpoint)
+    assert rerun.flow_warm_start is False and rerun.flow_iterations == 0

@@ -87,7 +87,8 @@ def test_retract_end_to_end_on_flowed_rep():
 def test_certified_run_decomposes_b_once(monkeypatch):
     # The order and the form share one decomposition of the flowed B;
     # eig_condition is read off its basis and the endpoint is not
-    # decomposed.
+    # decomposed.  The only other eig is the flow's warm step, on the
+    # input's B.
     cfg = FlowConfig(tol=1e-10, max_iter=10**5)
     rep = random_rep(2, 3, 3, derive_seed(0, 2, 3, 3, 0))
     flowed, _ = flow(rep, cfg)
@@ -100,7 +101,8 @@ def test_certified_run_decomposes_b_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eig", counting_eig)
     _, diag = full_pipeline(rep, cfg)
     assert diag.outcome == "ok"
-    assert len(calls) == 1 and np.array_equal(calls[0], flowed.B)
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], rep.B) and np.array_equal(calls[1], flowed.B)
     assert diag.eig_condition == np.linalg.cond(eig(flowed.B)[1]) >= 1.0
     assert "eig_condition_a" not in diag.to_dict()
     assert diag.initial_energy == kn_energy(rep)
@@ -279,6 +281,7 @@ def test_full_pipeline_gates_bad_input():
         full_pipeline(rep)
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_full_pipeline_iter_budget_is_soft():
     rng = np.random.default_rng(5)
     rep = conjugate(n5_block(1.0), conditioned(rng, 2, 50.0))
@@ -289,6 +292,7 @@ def test_full_pipeline_iter_budget_is_soft():
     assert diag.flow_trace is not None
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_full_pipeline_stalled_line_search_is_soft():
     with flow_constants(eta0=1e-20):
         out, diag = full_pipeline(random_rep(2, 3, 3, 1))
