@@ -27,7 +27,12 @@ minimum of a closed orbit B is diagonal in an orthonormal basis and A
 maps its eigenlines to eigenlines (Kempf and Ness 1979), so conjugating
 by V^-1, V the eigenvectors of B, leaves only a convex problem on the
 torus of diagonal matrices: matrix scaling (Linial, Samorodnitsky and
-Wigderson 2000), solved by damped Newton in n variables.  The flow
+Wigderson 2000), solved by damped Newton in n variables.  The columns
+of V that belong to one repeated eigenvalue are first made orthonormal.
+At a conjugated minimal point V^-1 A V is a weighted permutation, whose
+cycles are those of the census's exponent orbits, and the torus problem
+has a closed-form minimizer on each cycle; the Newton solve starts there,
+and returns at once when it already meets the stop level.  The flow
 starts cold, at the input, when the input's energy is not finite, when
 eig, inv or the torus solve fails or gives a non-finite value, when
 ||V|| ||V^-1|| exceeds _WARM_COND (a nearly defective B, whose
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -92,6 +98,16 @@ _KERNEL_CUT = 1e-8
 _WARM_COND = 1e4
 #: Damped Newton steps of the warm step's torus solve.
 _TORUS_STEPS = 64
+#: Two of eig's eigenvalues of B are one repeated eigenvalue when they lie
+#: within _CLUSTER 128 n eps ||B|| (Hilbert-Schmidt) of each other.  eig is
+#: backward stable, with a backward error below the flow's resolution
+#: 128 n eps ||B||, and by Bauer and Fike each computed eigenvalue then lies
+#: within ||V|| ||V^-1|| times that of an exact one, at most _WARM_COND
+#: times on every input that takes the warm step; two copies of one
+#: eigenvalue lie within twice that.  On the benchmark's seed-0 inputs the
+#: radius is at least 1.6e-9, copies of one eigenvalue lie within 5e-14 of
+#: each other and distinct eigenvalues at least 2.4e-4 apart.
+_CLUSTER = 2.0 * _WARM_COND
 
 
 @dataclass(frozen=True)
@@ -156,6 +172,10 @@ class FlowTrace:
     hessian_products: int = 0
     #: Whether record 1 is the warm step's point (see flow).
     warm_start: bool = False
+    #: Damped Newton steps of the warm step's torus solve, also when the
+    #: warm point was discarded; 0 when it started at the exact cycle
+    #: solution.
+    torus_steps: int = 0
 
     @property
     def converged(self) -> bool:
@@ -415,7 +435,8 @@ def _max_modulus(w: np.ndarray) -> float:
 def _torus_scaling(c: np.ndarray, tol: float) -> np.ndarray:
     """The x in R^n that minimizes f(x) = sum_ij c_ij e^(2 (x_i - x_j)),
     the energy of diag(e^x) X diag(e^-x) with c = sum_X |X|^2 entrywise,
-    by damped Newton from x = 0.
+    by damped Newton from x = 0: the iterates, one row each, from x = 0 to
+    the minimizer, so that a solve that takes k steps returns k + 1 rows.
 
     With M_ij = c_ij e^(2 (x_i - x_j)) and row and col its row and column
     sums, the gradient is 2 (row - col) and the Hessian 4 L, L the weighted
@@ -434,6 +455,7 @@ def _torus_scaling(c: np.ndarray, tol: float) -> np.ndarray:
     c = c / c.max()
     resolution = _resolution_unit(len(c)) * c.sum()
     x = np.zeros(len(c))
+    xs = [x]
     m, f = c, c.sum()
     row, col = c.sum(axis=1), c.sum(axis=0)
     for _ in range(_TORUS_STEPS):
@@ -464,38 +486,114 @@ def _torus_scaling(c: np.ndarray, tol: float) -> np.ndarray:
         else:
             break
         x, m, f = x2, m2, f2
-    return x
+        xs.append(x)
+    return np.array(xs)
+
+
+def _orthonormal_clusters(lam: np.ndarray, v: np.ndarray, radius: float) -> np.ndarray:
+    """v with the columns of each cluster of eigenvalues lam, linked by
+    gaps of at most radius, replaced by an orthonormal basis of their span
+    (QR); v itself when every eigenvalue is alone.  eig returns an
+    arbitrary basis of a repeated eigenvalue's eigenspace, and conjugation
+    by its inverse can raise the energy above the input's."""
+    close = np.abs(np.subtract.outer(lam, lam)) <= radius
+    if close.sum() == len(lam):
+        return v
+    # Squaring the relation links chains of close eigenvalues, until each
+    # row is the indicator of its eigenvalue's cluster.
+    for _ in range(len(lam).bit_length()):
+        close = close @ close
+    v = v.copy()
+    for cluster in np.unique(close, axis=0):
+        if cluster.sum() > 1:
+            v[:, cluster] = np.linalg.qr(v[:, cluster])[0]
+    return v
+
+
+def _cycle_start(a: np.ndarray) -> np.ndarray | None:
+    """The exact torus minimizer when the weights a = |A~|^2 (entrywise)
+    are those of a weighted permutation, read off each row's largest entry:
+    with sigma(i) = argmax_j a_ij, x_i - x_sigma(i) is half the mean of
+    log a_k sigma(k) over i's cycle minus log a_i sigma(i), so that every
+    scaled entry on a cycle is the cycle's geometric mean and each row sum
+    equals its column sum.  A 1-cycle imposes nothing.  x has mean 0 on
+    each cycle, as the Newton solve from 0 keeps it on each connected block
+    of its c.  None when sigma is not a permutation, an a_i sigma(i) is 0,
+    or the spread of x exceeds _EXP_CAP / 2."""
+    n = len(a)
+    sigma = a.argmax(axis=1).tolist()
+    weights = a[range(n), sigma].tolist()
+    if len(set(sigma)) < n or not min(weights) > 0.0:
+        return None
+    # Plain floats: n is small, and numpy's per-call cost would dominate.
+    x = [0.0] * n
+    seen = [False] * n
+    for start in range(n):
+        if seen[start]:
+            continue
+        cycle = [start]
+        while (j := sigma[cycle[-1]]) != start:
+            cycle.append(j)
+        log_a = [math.log(weights[i]) for i in cycle]
+        mean = sum(log_a) / len(cycle)
+        # x_sigma(i) = x_i + (log a_i sigma(i) - mean) / 2 along the cycle.
+        path = list(accumulate((0.5 * (la - mean) for la in log_a[:-1]), initial=0.0))
+        shift = sum(path) / len(cycle)
+        for i, xi in zip(cycle, path):
+            seen[i] = True
+            x[i] = xi - shift
+    if not max(x) - min(x) <= 0.5 * _EXP_CAP:
+        return None
+    return np.array(x)
 
 
 def _warm_start(ab: np.ndarray, energy: float, cfg: FlowConfig):
-    """The flow's warm step from the stack ab = (A, B) at energy `energy`,
-    as _line_search returns a step: (ab2, energy, products, mu_norm, eta)
-    of ab2 = D V^-1 ab V D^-1, with B = V diag(lambda) V^-1, D = diag(e^x)
-    from _torus_scaling and eta = eta0.  None when the flow starts cold,
-    because the energy is not finite, eig, inv or the torus solve fails or
-    gives a non-finite value, ||V|| ||V^-1|| exceeds _WARM_COND, or the
-    warm energy is above `energy`.
+    """The flow's warm step from the stack ab = (A, B) at energy `energy`:
+    (step, torus_steps), step as _line_search returns one,
+    (ab2, energy, products, mu_norm, eta) of ab2 = D V^-1 ab V D^-1 with
+    B = V diag(lambda) V^-1, D = diag(e^x) and eta = eta0, and torus_steps
+    the Newton steps of the torus solve.  The columns of V that belong to
+    one repeated eigenvalue are made orthonormal (_orthonormal_clusters).
+    x starts at the exact cycle solution of _cycle_start when
+    A~ = V^-1 A V is a weighted permutation up to rounding, as at a
+    conjugated minimal point, and at 0 otherwise; _torus_scaling, run on
+    c pre-scaled by that start, then returns at once or finishes the solve
+    from it.  step is None when the flow starts cold, because the energy
+    is not finite, eig, inv or the torus solve fails or gives a non-finite
+    value, ||V|| ||V^-1|| exceeds _WARM_COND, or the warm energy is above
+    `energy`.
     """
     if not math.isfinite(energy):
-        return None
+        return None, 0
     try:
-        _, v = np.linalg.eig(ab[1])
+        lam, v = np.linalg.eig(ab[1])
         vi = np.linalg.inv(v)
         if not hs_norm(v) * hs_norm(vi) <= _WARM_COND:
-            return None
+            return None, 0
+        radius = _CLUSTER * _resolution_unit(len(lam)) * hs_norm(ab[1])
+        clustered = _orthonormal_clusters(lam, v, radius)
+        if clustered is not v:
+            v, vi = clustered, np.linalg.inv(clustered)
         tilde = vi @ ab @ v
-        c = (tilde * tilde.conj()).real.sum(axis=0)
+        square = (tilde * tilde.conj()).real
+        c = square.sum(axis=0)
         if not np.isfinite(c).all():
-            return None
-        x = _torus_scaling(c, cfg.tol)
+            return None, 0
+        x0 = _cycle_start(square[0])
+        if x0 is not None:
+            c = c * np.exp(2.0 * np.subtract.outer(x0, x0))
+        # A solve that returns one x took no step.
+        xs = np.atleast_2d(_torus_scaling(c, cfg.tol))
     except np.linalg.LinAlgError:
-        return None
+        return None, 0
+    x = xs[-1] if x0 is None else x0 + xs[-1]
+    torus_steps = len(xs) - 1
     warm = tilde * np.exp(np.subtract.outer(x, x))
     warm_energy = _energy(*warm)
     if not warm_energy <= energy:
-        return None
+        return None, torus_steps
     products = _moment(warm)
-    return warm, warm_energy, products, hs_norm(products.mu), cfg.eta0
+    return (warm, warm_energy, products, hs_norm(products.mu), cfg.eta0), torus_steps
 
 
 def flow(
@@ -523,14 +621,15 @@ def flow(
     An input that fails the stop test first takes the warm step: with
     B = V diag(lambda) V^-1, it is conjugated by D V^-1, D = diag(e^x) the
     minimizer of the energy over the diagonal conjugations of V^-1 (A, B) V
-    (see _torus_scaling).  Record 0 stays the input; the warm point is
+    (see _warm_start).  Record 0 stays the input; the warm point is
     record 1, with step FlowConfig.eta0 and no Hessian product, and it
     counts against max_iter.  The Newton-CG loop then finishes from it.
     The flow starts cold instead, exactly as without the step, when the
     energy is not finite, eig, inv or the torus solve fails or gives a
     non-finite value, ||V|| ||V^-1|| (Hilbert-Schmidt) exceeds 1e4, or
     the warm energy is above the input's, so that energy_monotone holds
-    from record 0 on.  FlowTrace.warm_start says which start was taken.
+    from record 0 on.  FlowTrace.warm_start says which start was taken,
+    and FlowTrace.torus_steps counts the torus solve's Newton steps.
     The warm step moves the endpoint within its minimal K-orbit.
     """
     cfg = cfg or FlowConfig()
@@ -561,6 +660,7 @@ def flow(
     step_taken = 0.0
     hessian_products = 0
     warm_start = False
+    torus_steps = 0
     it = 0
     try:
         while True:
@@ -578,7 +678,7 @@ def flow(
                 break
             step = None
             if it == 0:
-                step = _warm_start(ab, energy, cfg)
+                step, torus_steps = _warm_start(ab, energy, cfg)
                 warm_start = step is not None
             if step is None:
                 d, count = _newton_direction(
@@ -601,7 +701,8 @@ def flow(
         if pending:
             measure()
     trace = FlowTrace(
-        tuple(records), outcome, resolution_unit, hessian_products, warm_start
+        tuple(records), outcome, resolution_unit, hessian_products, warm_start,
+        torus_steps,
     )
     return Rep(rep.group, rep.n, ab[0], ab[1]), trace
 

@@ -1019,3 +1019,96 @@ def test_minimal_inputs_take_no_warm_step():
     assert diag.flow_warm_start
     _, rerun = full_pipeline(endpoint)
     assert rerun.flow_warm_start is False and rerun.flow_iterations == 0
+
+
+def census_cycles_rep():
+    """A conjugated direct sum of (2, 3) census cycles at n = 8: the
+    trivial 1-cycle, both 2-cycles mod 5 and one 3-cycle mod 19, whose
+    closing entries have different moduli.  Its B has eight distinct
+    eigenvalues, and its A maps B's eigenlines along the cycles."""
+    census = enumerate_orbits(2, 3, 3)
+    data = [d for d in census if d.N in (1, 5)] + [d for d in census if d.N == 19][:1]
+    blocks = [from_orbit_datum(d, chi) for d, chi in zip(data, (2.0, 0.5j, 3.0, -1.5))]
+    total = blocks[0]
+    for block in blocks[1:]:
+        total = direct_sum(total, block)
+    assert total.n == 8
+    return conjugate(total, conditioned(np.random.default_rng(0), 8, 100.0))
+
+
+def test_census_cycles_start_the_torus_solve_at_its_minimizer():
+    # V^-1 A V is a weighted permutation with cycles of lengths 1, 2, 2
+    # and 3, so the cycle solution leaves the torus solve nothing to do
+    rep = census_cycles_rep()
+    _, trace = flow(rep)
+    assert trace.warm_start and trace.converged
+    assert trace.torus_steps == 0
+    bound = schur_bound(rep)
+    assert kn_energy(rep) > 2.0 * bound
+    assert trace.records[-1].energy == pytest.approx(bound, rel=1e-12, abs=0.0)
+    _, diag = full_pipeline(rep)
+    assert diag.flow_torus_steps == diag.to_dict()["flow_torus_steps"] == 0
+
+
+def test_cycle_start_scales_each_cycle_to_its_geometric_mean():
+    # sigma = (0 1 2)(3)(4 5); the zero entries off sigma stay zero
+    a = np.zeros((6, 6))
+    a[[0, 1, 2, 3, 4, 5], [1, 2, 0, 3, 5, 4]] = [8.0, 1.0, 0.5, 7.0, 3.0, 1.0 / 3.0]
+    a[0, 3] = 1e-3
+    x = kempfness._cycle_start(a)
+    scaled = a * np.exp(2.0 * np.subtract.outer(x, x))
+    np.testing.assert_allclose(scaled[[0, 1, 2], [1, 2, 0]], [4.0 ** (1 / 3)] * 3)
+    np.testing.assert_allclose(scaled[[4, 5], [5, 4]], [1.0, 1.0])
+    assert scaled[3, 3] == 7.0
+    np.testing.assert_allclose([x[:3].sum(), x[3], x[4:].sum()], 0.0, atol=1e-15)
+    # no start when two rows share their largest column, a largest entry
+    # is zero, or the start would spread past _EXP_CAP / 2
+    assert kempfness._cycle_start(np.ones((3, 3)) + np.eye(3)[[0, 0, 1]]) is None
+    assert kempfness._cycle_start(np.zeros((2, 2))) is None
+    assert kempfness._cycle_start(np.array([[0.0, 1.0], [1e-60, 0.0]])) is None
+
+
+def test_repeated_eigenvalues_leave_the_torus_solve_to_newton():
+    # two 2-cycles on the same eigenvalues of B: inside each repeated
+    # eigenspace A~ is a full 2 x 2 block, no permutation, so the torus
+    # solve starts at 0 and takes Newton steps
+    rep = conjugate(
+        direct_sum(n5_block(2.0), n5_block(0.5j)),
+        conditioned(np.random.default_rng(1), 4, 100.0),
+    )
+    _, trace = flow(rep)
+    assert trace.warm_start and trace.converged
+    assert trace.torus_steps > 0
+    assert trace.records[-1].energy == pytest.approx(schur_bound(rep), rel=1e-12, abs=0.0)
+
+
+#: Seed-0 grid cells (p, q, n, index) whose B has a repeated eigenvalue
+#: and whose warm step, in eig's own basis of that eigenspace, raises the
+#: energy.
+REPEATED_CELLS = [(1, 2, 2, 0), (1, -2, 4, 5), (2, -3, 3, 1), (-1, 3, 4, 2)]
+
+
+@pytest.mark.parametrize("p, q, n, index", REPEATED_CELLS)
+def test_the_warm_step_is_kept_when_b_has_a_repeated_eigenvalue(monkeypatch, p, q, n, index):
+    rep = random_rep(p, q, n, derive_seed(0, p, q, n, index))
+    _, trace = flow(rep)
+    assert trace.warm_start and trace.converged and trace.energy_monotone()
+    assert trace.records[-1].energy == pytest.approx(schur_bound(rep), rel=1e-12, abs=0.0)
+    monkeypatch.setattr(kempfness, "_CLUSTER", 0.0)
+    assert not flow(rep)[1].warm_start
+
+
+def test_orthonormal_clusters_replaces_each_cluster_by_an_orthonormal_basis():
+    # at radius 1e-9, 1 and 1 + 1e-12 are one eigenvalue; so are 2,
+    # 2 + 1.6e-9 and 2 + 0.8e-9, linked through the last; 3 is alone
+    lam = np.array([1.0, 2.0, 1.0 + 1e-12, 2.0 + 1.6e-9, 3.0, 2.0 + 0.8e-9])
+    rng = np.random.default_rng(2)
+    v = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    out = kempfness._orthonormal_clusters(lam, v, 1e-9)
+    for cluster in ([0, 2], [1, 3, 5]):
+        block = out[:, cluster]
+        np.testing.assert_allclose(block.conj().T @ block, np.eye(len(cluster)), atol=1e-14)
+        # the same span: projecting v's columns onto it loses nothing
+        np.testing.assert_allclose(block @ (block.conj().T @ v[:, cluster]), v[:, cluster], atol=1e-13)
+    assert out[:, 4].tobytes() == v[:, 4].tobytes()
+    assert kempfness._orthonormal_clusters(lam, v, 1e-13) is v
