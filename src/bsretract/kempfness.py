@@ -27,17 +27,15 @@ minimum of a closed orbit B is diagonal in an orthonormal basis and A
 maps its eigenlines to eigenlines (Kempf and Ness 1979), so conjugating
 by V^-1, V the eigenvectors of B, leaves only a convex problem on the
 torus of diagonal matrices: matrix scaling (Linial, Samorodnitsky and
-Wigderson 2000), solved by damped Newton in n variables.  The columns
-of V that belong to one repeated eigenvalue are first made orthonormal.
-At a conjugated minimal point V^-1 A V is a weighted permutation, whose
-cycles are those of the census's exponent orbits, and the torus problem
-has a closed-form minimizer on each cycle; the Newton solve starts there,
-and returns at once when it already meets the stop level.  The flow
-starts cold, at the input, when the input's energy is not finite, when
-eig, inv or the torus solve fails or gives a non-finite value, when
+Wigderson 2000).  At a conjugated minimal point V^-1 A V is a weighted
+permutation, whose cycles are those of the census's exponent orbits,
+and the torus problem has a closed-form minimizer on each cycle; the
+warm step scales by it, or not at all when V^-1 A V is no permutation,
+and Newton-CG finishes.  The flow starts cold, at the input, when the
+input's energy is not finite, when eig or inv fails, when
 ||V|| ||V^-1|| exceeds _WARM_COND (a nearly defective B, whose
-eigenbasis means nothing), or when the warm point's energy is above the
-input's.
+eigenbasis means nothing), or when the warm point's energy is not
+finite or is above the input's.
 """
 
 from __future__ import annotations
@@ -96,18 +94,6 @@ _KERNEL_CUT = 1e-8
 #: which the flow takes its warm step; past it the eigenbasis of a nearly
 #: defective B means nothing and the flow starts cold.
 _WARM_COND = 1e4
-#: Damped Newton steps of the warm step's torus solve.
-_TORUS_STEPS = 64
-#: Two of eig's eigenvalues of B are one repeated eigenvalue when they lie
-#: within _CLUSTER 128 n eps ||B|| (Hilbert-Schmidt) of each other.  eig is
-#: backward stable, with a backward error below the flow's resolution
-#: 128 n eps ||B||, and by Bauer and Fike each computed eigenvalue then lies
-#: within ||V|| ||V^-1|| times that of an exact one, at most _WARM_COND
-#: times on every input that takes the warm step; two copies of one
-#: eigenvalue lie within twice that.  On the benchmark's seed-0 inputs the
-#: radius is at least 1.6e-9, copies of one eigenvalue lie within 5e-14 of
-#: each other and distinct eigenvalues at least 2.4e-4 apart.
-_CLUSTER = 2.0 * _WARM_COND
 
 
 @dataclass(frozen=True)
@@ -160,7 +146,8 @@ class FlowRecord:
 class FlowTrace:
     """Per-iteration records of accepted iterates, each with its measured
     energy, plus the outcome flag, the Hessian products the Newton solves
-    took and whether the flow took its warm step."""
+    took and whether the flow took its warm step (record 1, reached with
+    no Hessian product)."""
 
     records: tuple[FlowRecord, ...]
     outcome: str
@@ -172,10 +159,6 @@ class FlowTrace:
     hessian_products: int = 0
     #: Whether record 1 is the warm step's point (see flow).
     warm_start: bool = False
-    #: Damped Newton steps of the warm step's torus solve, also when the
-    #: warm point was discarded; 0 when it started at the exact cycle
-    #: solution.
-    torus_steps: int = 0
 
     @property
     def converged(self) -> bool:
@@ -432,94 +415,20 @@ def _max_modulus(w: np.ndarray) -> float:
     return max(abs(w[0]), abs(w[-1]))
 
 
-def _torus_scaling(c: np.ndarray, tol: float) -> np.ndarray:
-    """The x in R^n that minimizes f(x) = sum_ij c_ij e^(2 (x_i - x_j)),
-    the energy of diag(e^x) X diag(e^-x) with c = sum_X |X|^2 entrywise,
-    by damped Newton from x = 0: the iterates, one row each, from x = 0 to
-    the minimizer, so that a solve that takes k steps returns k + 1 rows.
-
-    With M_ij = c_ij e^(2 (x_i - x_j)) and row and col its row and column
-    sums, the gradient is 2 (row - col) and the Hessian 4 L, L the weighted
-    Laplacian diag(row + col) - M - M^T.  L is singular along x constant on
-    each connected block of c, and row - col is orthogonal to those
-    directions, so each step solves on L's range.  row - col is the
-    diagonal of the moment map of the scaled point, so the solve stops once
-    ||row - col|| <= _FORCING_FLOOR tol f, half the flow's stop level, or
-    when no trial step is accepted.  Steps are checked as the flow's are:
-    Armijo backtracking while the drop it asks is above the resolution
-    128 n eps f, and below it a falling ||row - col|| with f held to that
-    resolution.  c is scaled to a largest entry of 1 and no trial moves an
-    x_i - x_j by more than _EXP_CAP / 2, so nothing overflows.  Raises
-    LinAlgError when eigh does.
-    """
-    c = c / c.max()
-    resolution = _resolution_unit(len(c)) * c.sum()
-    x = np.zeros(len(c))
-    xs = [x]
-    m, f = c, c.sum()
-    row, col = c.sum(axis=1), c.sum(axis=0)
-    for _ in range(_TORUS_STEPS):
-        gap = row - col
-        gap_norm = hs_norm(gap)
-        if gap_norm <= _FORCING_FLOOR * tol * f:
-            break
-        w, v = np.linalg.eigh(np.diag(row + col) - m - m.T)
-        keep = w > len(w) * _EPS * w[-1]
-        dx = v[:, keep] @ ((v[:, keep].T @ gap) / (-2.0 * w[keep]))
-        # -<gradient, dx>, the first-order drop of f along dx.
-        drop_rate = -2.0 * float(gap @ dx)
-        t, spread = 1.0, dx.max() - dx.min()
-        while t * spread > 0.5 * _EXP_CAP:
-            t *= FlowConfig.shrink
-        for _ in range(_MAX_BACKTRACKS):
-            x2 = x + t * dx
-            m2 = c * np.exp(2.0 * np.subtract.outer(x2, x2))
-            f2 = m2.sum()
-            row, col = m2.sum(axis=1), m2.sum(axis=0)
-            required = FlowConfig.armijo * t * drop_rate
-            if required > resolution:
-                if f2 <= f - required:
-                    break
-            elif f2 <= f + resolution and hs_norm(row - col) < gap_norm:
-                break
-            t *= FlowConfig.shrink
-        else:
-            break
-        x, m, f = x2, m2, f2
-        xs.append(x)
-    return np.array(xs)
-
-
-def _orthonormal_clusters(lam: np.ndarray, v: np.ndarray, radius: float) -> np.ndarray:
-    """v with the columns of each cluster of eigenvalues lam, linked by
-    gaps of at most radius, replaced by an orthonormal basis of their span
-    (QR); v itself when every eigenvalue is alone.  eig returns an
-    arbitrary basis of a repeated eigenvalue's eigenspace, and conjugation
-    by its inverse can raise the energy above the input's."""
-    close = np.abs(np.subtract.outer(lam, lam)) <= radius
-    if close.sum() == len(lam):
-        return v
-    # Squaring the relation links chains of close eigenvalues, until each
-    # row is the indicator of its eigenvalue's cluster.
-    for _ in range(len(lam).bit_length()):
-        close = close @ close
-    v = v.copy()
-    for cluster in np.unique(close, axis=0):
-        if cluster.sum() > 1:
-            v[:, cluster] = np.linalg.qr(v[:, cluster])[0]
-    return v
-
-
 def _cycle_start(a: np.ndarray) -> np.ndarray | None:
-    """The exact torus minimizer when the weights a = |A~|^2 (entrywise)
-    are those of a weighted permutation, read off each row's largest entry:
+    """The x that minimizes sum_ij a_ij e^(2 (x_i - x_j)), the energy of
+    diag(e^x) A~ diag(e^-x) with a = |A~|^2 entrywise (B~ = V^-1 B V is
+    diagonal, so its energy does not depend on x), when a is that of a
+    weighted permutation, read off each row's largest entry:
     with sigma(i) = argmax_j a_ij, x_i - x_sigma(i) is half the mean of
     log a_k sigma(k) over i's cycle minus log a_i sigma(i), so that every
     scaled entry on a cycle is the cycle's geometric mean and each row sum
-    equals its column sum.  A 1-cycle imposes nothing.  x has mean 0 on
-    each cycle, as the Newton solve from 0 keeps it on each connected block
-    of its c.  None when sigma is not a permutation, an a_i sigma(i) is 0,
-    or the spread of x exceeds _EXP_CAP / 2."""
+    equals its column sum.  A 1-cycle imposes nothing.  These conditions
+    fix x only up to a constant on each cycle; x is shifted to mean 0 on
+    each cycle, the solution of least norm, so that no arbitrary offset
+    between cycles scales the entries that join them or enters the spread
+    test.  None when sigma is not a permutation, an a_i sigma(i) is 0, or
+    the spread of x exceeds _EXP_CAP / 2."""
     n = len(a)
     sigma = a.argmax(axis=1).tolist()
     weights = a[range(n), sigma].tolist()
@@ -548,52 +457,35 @@ def _cycle_start(a: np.ndarray) -> np.ndarray | None:
 
 
 def _warm_start(ab: np.ndarray, energy: float, cfg: FlowConfig):
-    """The flow's warm step from the stack ab = (A, B) at energy `energy`:
-    (step, torus_steps), step as _line_search returns one,
-    (ab2, energy, products, mu_norm, eta) of ab2 = D V^-1 ab V D^-1 with
-    B = V diag(lambda) V^-1, D = diag(e^x) and eta = eta0, and torus_steps
-    the Newton steps of the torus solve.  The columns of V that belong to
-    one repeated eigenvalue are made orthonormal (_orthonormal_clusters).
-    x starts at the exact cycle solution of _cycle_start when
+    """The flow's warm step from the stack ab = (A, B) at energy `energy`,
+    as _line_search returns a step: (ab2, energy, products, mu_norm, eta)
+    of ab2 = D V^-1 ab V D^-1 with B = V diag(lambda) V^-1, D = diag(e^x)
+    and eta = eta0.  x is the exact cycle solution of _cycle_start when
     A~ = V^-1 A V is a weighted permutation up to rounding, as at a
-    conjugated minimal point, and at 0 otherwise; _torus_scaling, run on
-    c pre-scaled by that start, then returns at once or finishes the solve
-    from it.  step is None when the flow starts cold, because the energy
-    is not finite, eig, inv or the torus solve fails or gives a non-finite
-    value, ||V|| ||V^-1|| exceeds _WARM_COND, or the warm energy is above
-    `energy`.
+    conjugated minimal point, and 0 otherwise.  None when the flow starts
+    cold, because the energy is not finite, eig or inv fails,
+    ||V|| ||V^-1|| exceeds _WARM_COND, or the warm energy is not finite or
+    is above `energy`.
     """
     if not math.isfinite(energy):
-        return None, 0
+        return None
     try:
-        lam, v = np.linalg.eig(ab[1])
+        v = np.linalg.eig(ab[1])[1]
         vi = np.linalg.inv(v)
-        if not hs_norm(v) * hs_norm(vi) <= _WARM_COND:
-            return None, 0
-        radius = _CLUSTER * _resolution_unit(len(lam)) * hs_norm(ab[1])
-        clustered = _orthonormal_clusters(lam, v, radius)
-        if clustered is not v:
-            v, vi = clustered, np.linalg.inv(clustered)
-        tilde = vi @ ab @ v
-        square = (tilde * tilde.conj()).real
-        c = square.sum(axis=0)
-        if not np.isfinite(c).all():
-            return None, 0
-        x0 = _cycle_start(square[0])
-        if x0 is not None:
-            c = c * np.exp(2.0 * np.subtract.outer(x0, x0))
-        # A solve that returns one x took no step.
-        xs = np.atleast_2d(_torus_scaling(c, cfg.tol))
     except np.linalg.LinAlgError:
-        return None, 0
-    x = xs[-1] if x0 is None else x0 + xs[-1]
-    torus_steps = len(xs) - 1
-    warm = tilde * np.exp(np.subtract.outer(x, x))
+        return None
+    if not hs_norm(v) * hs_norm(vi) <= _WARM_COND:
+        return None
+    warm = vi @ ab @ v
+    x = _cycle_start((warm[0] * warm[0].conj()).real)
+    if x is not None:
+        warm = warm * np.exp(np.subtract.outer(x, x))
     warm_energy = _energy(*warm)
+    # NaN fails this test too, so a non-finite warm point is discarded.
     if not warm_energy <= energy:
-        return None, torus_steps
+        return None
     products = _moment(warm)
-    return (warm, warm_energy, products, hs_norm(products.mu), cfg.eta0), torus_steps
+    return warm, warm_energy, products, hs_norm(products.mu), cfg.eta0
 
 
 def flow(
@@ -619,17 +511,17 @@ def flow(
     also counts the Hessian products of all the Newton solves.
 
     An input that fails the stop test first takes the warm step: with
-    B = V diag(lambda) V^-1, it is conjugated by D V^-1, D = diag(e^x) the
-    minimizer of the energy over the diagonal conjugations of V^-1 (A, B) V
-    (see _warm_start).  Record 0 stays the input; the warm point is
-    record 1, with step FlowConfig.eta0 and no Hessian product, and it
-    counts against max_iter.  The Newton-CG loop then finishes from it.
-    The flow starts cold instead, exactly as without the step, when the
-    energy is not finite, eig, inv or the torus solve fails or gives a
-    non-finite value, ||V|| ||V^-1|| (Hilbert-Schmidt) exceeds 1e4, or
-    the warm energy is above the input's, so that energy_monotone holds
-    from record 0 on.  FlowTrace.warm_start says which start was taken,
-    and FlowTrace.torus_steps counts the torus solve's Newton steps.
+    B = V diag(lambda) V^-1, it is conjugated by D V^-1, D = diag(e^x) with
+    x the closed-form minimizer of the energy over the diagonal
+    conjugations of V^-1 (A, B) V when V^-1 A V is a weighted permutation,
+    and D = I otherwise (see _warm_start).  Record 0 stays the input; the
+    warm point is record 1, with step FlowConfig.eta0 and no Hessian
+    product, and it counts against max_iter.  The Newton-CG loop then
+    finishes from it.  The flow starts cold instead, exactly as without
+    the step, when the energy is not finite, eig or inv fails,
+    ||V|| ||V^-1|| (Hilbert-Schmidt) exceeds 1e4, or the warm energy is
+    not finite or is above the input's, so that energy_monotone holds
+    from record 0 on.  FlowTrace.warm_start says which start was taken.
     The warm step moves the endpoint within its minimal K-orbit.
     """
     cfg = cfg or FlowConfig()
@@ -660,7 +552,6 @@ def flow(
     step_taken = 0.0
     hessian_products = 0
     warm_start = False
-    torus_steps = 0
     it = 0
     try:
         while True:
@@ -678,7 +569,7 @@ def flow(
                 break
             step = None
             if it == 0:
-                step, torus_steps = _warm_start(ab, energy, cfg)
+                step = _warm_start(ab, energy, cfg)
                 warm_start = step is not None
             if step is None:
                 d, count = _newton_direction(
@@ -700,10 +591,7 @@ def flow(
         # iterate raises SingularMatrix as it would have when measured.
         if pending:
             measure()
-    trace = FlowTrace(
-        tuple(records), outcome, resolution_unit, hessian_products, warm_start,
-        torus_steps,
-    )
+    trace = FlowTrace(tuple(records), outcome, resolution_unit, hessian_products, warm_start)
     return Rep(rep.group, rep.n, ab[0], ab[1]), trace
 
 

@@ -193,7 +193,6 @@ class PipelineDiagnostics:
     flow_iterations: int | None = None
     flow_hessian_products: int | None = None
     flow_warm_start: bool | None = None
-    flow_torus_steps: int | None = None
     initial_energy: float | None = None
     final_energy: float | None = None
     final_moment_norm: float | None = None
@@ -247,7 +246,6 @@ def full_pipeline(
     diag.flow_iterations = trace.iterations
     diag.flow_hessian_products = trace.hessian_products
     diag.flow_warm_start = trace.warm_start
-    diag.flow_torus_steps = trace.torus_steps
     diag.final_energy = trace.records[-1].energy
     diag.final_moment_norm = trace.records[-1].moment_norm
     diag.final_residual = trace.records[-1].residual

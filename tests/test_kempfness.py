@@ -917,14 +917,23 @@ def oracle_cells():
             yield random_rep(p, q, n, derive_seed(0, p, q, n, 0))
 
 
+def distinct_eigenvalues(b, gap=1e-6):
+    """Whether the eigenvalues of b lie pairwise more than gap apart."""
+    lam = np.linalg.eigvals(b)
+    close = np.abs(np.subtract.outer(lam, lam)) <= gap
+    return close.sum() == len(lam)
+
+
 @pytest.mark.parametrize("start", ["warm", "cold"])
 def test_flowed_energy_meets_the_schur_bound(request, start):
     # At the minimum the energy is n + sum |lambda(A_in)|^2, read off the
     # input with no flow; every input misses it, so a flow that does
-    # nothing fails here.
+    # nothing fails here.  When B's eigenvalues are distinct, the warm
+    # point is the minimum: the flow converges at record 1 with no
+    # Hessian product.
     if start == "cold":
         request.getfixturevalue("cold_start")
-    cells = warm = 0
+    cells = distinct = warm = 0
     for rep in oracle_cells():
         bound = schur_bound(rep)
         assert kn_energy(rep) > bound * (1.0 + 1e-12)
@@ -933,8 +942,14 @@ def test_flowed_energy_meets_the_schur_bound(request, start):
         assert trace.records[-1].energy == pytest.approx(bound, rel=1e-12, abs=0.0)
         cells += 1
         warm += trace.warm_start
-    assert cells == 618
-    assert warm >= 600 if start == "warm" else warm == 0
+        if distinct_eigenvalues(rep.B):
+            distinct += 1
+            if start == "warm":
+                assert trace.warm_start
+                assert (trace.iterations, trace.hessian_products) == (1, 0)
+    assert (cells, distinct) == (618, 536)
+    if start == "cold":
+        assert warm == 0
 
 
 def cold_flow(rep, cfg=None):
@@ -983,11 +998,10 @@ def test_flow_starts_cold_on_a_jordan_point():
         assert_same_run(warm, cold_flow(rep))
 
 
-@pytest.mark.parametrize("name", ["eig", "inv", "eigh"])
+@pytest.mark.parametrize("name", ["eig", "inv"])
 def test_a_failed_warm_step_falls_back_cold(monkeypatch, name):
-    # the flow's first call of eig, inv or eigh is the warm step's (eigh
-    # in the torus solve); each raises once, and the flow catches it and
-    # starts cold, bit for bit
+    # the flow's first call of eig or inv is the warm step's; each raises
+    # once, and the flow catches it and starts cold, bit for bit
     rep = random_rep(2, 3, 8, 0)
     cold = cold_flow(rep)
     monkeypatch.setattr(np.linalg, name, _failing_at(name, 1))
@@ -998,11 +1012,10 @@ def test_a_failed_warm_step_falls_back_cold(monkeypatch, name):
 
 @pytest.mark.parametrize("x", [np.nan, 10.0])
 def test_a_warm_step_off_the_energy_falls_back_cold(monkeypatch, x):
-    # a torus solve that gives a non-finite x, or one whose scaling raises
+    # a scaling x that gives a non-finite warm point, or one that raises
     # the energy, is discarded, so energy_monotone holds from record 0 on
     rep = random_rep(2, 3, 8, 0)
-    monkeypatch.setattr(kempfness, "_torus_scaling",
-                        lambda c, tol: x * np.arange(len(c), dtype=float))
+    monkeypatch.setattr(kempfness, "_cycle_start", lambda a: x * np.arange(len(a)))
     fell_back = flow(rep)
     assert not fell_back[1].warm_start
     assert_same_run(fell_back, cold_flow(rep))
@@ -1036,18 +1049,19 @@ def census_cycles_rep():
     return conjugate(total, conditioned(np.random.default_rng(0), 8, 100.0))
 
 
-def test_census_cycles_start_the_torus_solve_at_its_minimizer():
+def test_census_cycles_converge_at_the_warm_point():
     # V^-1 A V is a weighted permutation with cycles of lengths 1, 2, 2
-    # and 3, so the cycle solution leaves the torus solve nothing to do
+    # and 3, so the cycle solution is the minimum and leaves Newton-CG
+    # nothing to do
     rep = census_cycles_rep()
     _, trace = flow(rep)
     assert trace.warm_start and trace.converged
-    assert trace.torus_steps == 0
+    assert trace.iterations == 1 and trace.hessian_products == 0
     bound = schur_bound(rep)
     assert kn_energy(rep) > 2.0 * bound
     assert trace.records[-1].energy == pytest.approx(bound, rel=1e-12, abs=0.0)
     _, diag = full_pipeline(rep)
-    assert diag.flow_torus_steps == diag.to_dict()["flow_torus_steps"] == 0
+    assert diag.flow_iterations == diag.to_dict()["flow_iterations"] == 1
 
 
 def test_cycle_start_scales_each_cycle_to_its_geometric_mean():
@@ -1068,47 +1082,36 @@ def test_cycle_start_scales_each_cycle_to_its_geometric_mean():
     assert kempfness._cycle_start(np.array([[0.0, 1.0], [1e-60, 0.0]])) is None
 
 
-def test_repeated_eigenvalues_leave_the_torus_solve_to_newton():
+def test_repeated_eigenvalues_leave_the_scaling_to_newton():
     # two 2-cycles on the same eigenvalues of B: inside each repeated
-    # eigenspace A~ is a full 2 x 2 block, no permutation, so the torus
-    # solve starts at 0 and takes Newton steps
+    # eigenspace A~ is a full 2 x 2 block, no permutation, so the warm
+    # step does not scale and Newton-CG finishes
     rep = conjugate(
         direct_sum(n5_block(2.0), n5_block(0.5j)),
         conditioned(np.random.default_rng(1), 4, 100.0),
     )
     _, trace = flow(rep)
     assert trace.warm_start and trace.converged
-    assert trace.torus_steps > 0
+    assert trace.hessian_products > 0
     assert trace.records[-1].energy == pytest.approx(schur_bound(rep), rel=1e-12, abs=0.0)
 
 
 #: Seed-0 grid cells (p, q, n, index) whose B has a repeated eigenvalue
-#: and whose warm step, in eig's own basis of that eigenspace, raises the
-#: energy.
+#: and whose warm point, in eig's own basis of that eigenspace, has a
+#: higher energy than the input.
 REPEATED_CELLS = [(1, 2, 2, 0), (1, -2, 4, 5), (2, -3, 3, 1), (-1, 3, 4, 2)]
 
 
 @pytest.mark.parametrize("p, q, n, index", REPEATED_CELLS)
-def test_the_warm_step_is_kept_when_b_has_a_repeated_eigenvalue(monkeypatch, p, q, n, index):
+def test_a_warm_point_above_the_input_energy_falls_back_cold(p, q, n, index):
+    # eig returns an arbitrary basis of a repeated eigenspace, and
+    # conjugating by its inverse raises these inputs' energy: the flow
+    # discards the warm point and is the cold flow, bit for bit
     rep = random_rep(p, q, n, derive_seed(0, p, q, n, index))
-    _, trace = flow(rep)
-    assert trace.warm_start and trace.converged and trace.energy_monotone()
+    assert not distinct_eigenvalues(rep.B)
+    run, cold = flow(rep), cold_flow(rep)
+    trace = run[1]
+    assert not trace.warm_start and trace.converged
+    assert_same_run(run, cold)
+    assert trace.hessian_products == cold[1].hessian_products
     assert trace.records[-1].energy == pytest.approx(schur_bound(rep), rel=1e-12, abs=0.0)
-    monkeypatch.setattr(kempfness, "_CLUSTER", 0.0)
-    assert not flow(rep)[1].warm_start
-
-
-def test_orthonormal_clusters_replaces_each_cluster_by_an_orthonormal_basis():
-    # at radius 1e-9, 1 and 1 + 1e-12 are one eigenvalue; so are 2,
-    # 2 + 1.6e-9 and 2 + 0.8e-9, linked through the last; 3 is alone
-    lam = np.array([1.0, 2.0, 1.0 + 1e-12, 2.0 + 1.6e-9, 3.0, 2.0 + 0.8e-9])
-    rng = np.random.default_rng(2)
-    v = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    out = kempfness._orthonormal_clusters(lam, v, 1e-9)
-    for cluster in ([0, 2], [1, 3, 5]):
-        block = out[:, cluster]
-        np.testing.assert_allclose(block.conj().T @ block, np.eye(len(cluster)), atol=1e-14)
-        # the same span: projecting v's columns onto it loses nothing
-        np.testing.assert_allclose(block @ (block.conj().T @ v[:, cluster]), v[:, cluster], atol=1e-13)
-    assert out[:, 4].tobytes() == v[:, 4].tobytes()
-    assert kempfness._orthonormal_clusters(lam, v, 1e-13) is v
