@@ -1096,6 +1096,54 @@ def test_repeated_eigenvalues_leave_the_scaling_to_newton():
     assert trace.records[-1].energy == pytest.approx(schur_bound(rep), rel=1e-12, abs=0.0)
 
 
+def test_a_warm_step_off_a_permutation_is_the_bare_conjugation():
+    # with no cycle solution the warm point is V^-1 (A, B) V itself, D = I
+    rep = conjugate(
+        direct_sum(n5_block(2.0), n5_block(0.5j)),
+        conditioned(np.random.default_rng(1), 4, 100.0),
+    )
+    ab = np.stack((rep.A, rep.B))
+    v = np.linalg.eig(rep.B)[1]
+    tilde = np.linalg.inv(v) @ ab @ v
+    assert kempfness._cycle_start((tilde[0] * tilde[0].conj()).real) is None
+    warm, energy, _, _, eta = kempfness._warm_start(ab, kn_energy(rep), FlowConfig())
+    assert warm.tobytes() == tilde.tobytes()
+    assert energy == kempfness._energy(*tilde) and eta == FlowConfig.eta0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [census_cycles_rep, lambda: random_rep(2, 3, 4, derive_seed(0, 2, 3, 4, 0))],
+    ids=["census_cycles", "grid_2_3_4_0"],
+)
+def test_the_warm_point_does_not_depend_on_the_scale_of_bs_eigenvectors(monkeypatch, make):
+    # eig fixes each eigenvector of B only up to a scalar; rescaling V's
+    # columns by S conjugates V^-1 A V by the diagonal S, which the cycle
+    # solution absorbs, so the warm point keeps its energy and is still
+    # the minimum
+    rep = make()
+    assert distinct_eigenvalues(rep.B)
+    _, trace = flow(rep)
+    assert trace.warm_start and (trace.iterations, trace.hessian_products) == (1, 0)
+    rng = np.random.default_rng(3)
+    s = rng.uniform(0.5, 2.0, rep.n) * np.exp(2j * np.pi * rng.uniform(size=rep.n))
+    eig = np.linalg.eig
+    # unscaled by the cycle solution, the two bases give different points
+    ab = np.stack((rep.A, rep.B))
+    v = eig(rep.B)[1]
+    bare = [kempfness._energy(*(np.linalg.inv(w) @ ab @ w)) for w in (v, v * s)]
+    assert abs(bare[1] - bare[0]) > 1e-3 * bare[0]
+
+    def scaled_eig(m):
+        lam, v = eig(m)
+        return lam, v * s
+
+    monkeypatch.setattr(np.linalg, "eig", scaled_eig)
+    _, scaled = flow(rep)
+    assert scaled.warm_start and (scaled.iterations, scaled.hessian_products) == (1, 0)
+    assert scaled.records[1].energy == pytest.approx(trace.records[1].energy, rel=1e-12, abs=0.0)
+
+
 #: Seed-0 grid cells (p, q, n, index) whose B has a repeated eigenvalue
 #: and whose warm point, in eig's own basis of that eigenspace, has a
 #: higher energy than the input.
