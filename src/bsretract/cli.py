@@ -317,7 +317,8 @@ _FLOW_FAILURES = {
 @click.option("--diag", "diag_path", default=None)
 @click.option("--path-csv", default=None)
 @click.option("--trace-csv", default=None)
-@click.option("--samples", default=NUM_SAMPLES, show_default=True)
+@click.option("--samples", default=NUM_SAMPLES, show_default=True,
+              help="Rows of --path-csv, t = 1 down to 0; the path check bounds every t.")
 @click.option("--snap-tol", default=SNAP_TOL, show_default=True)
 @_with(_flow_options)
 def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol,
@@ -429,7 +430,6 @@ def cmd_verify(in_path, out, snap_tol):
 @click.option("--n-max", default=3, show_default=True)
 @click.option("--seeds", default=5, show_default=True)
 @click.option("--base-seed", default=0, show_default=True)
-@click.option("--samples", default=NUM_SAMPLES, show_default=True)
 @click.option("--snap-tol", default=SNAP_TOL, show_default=True)
 @click.option("--idempotence", is_flag=True, help="Also re-run each pipeline on its output.")
 @click.option("--report", default="-", help="Report JSON path.")
@@ -437,7 +437,7 @@ def cmd_verify(in_path, out, snap_tol):
               help="Worker processes (default: up to 4, one per CPU).")
 @click.option("--sl", is_flag=True, help="Draw only determinant-one inputs.")
 @_with(_flow_options)
-def cmd_suite(pairs_spec, n_max, seeds, base_seed, samples, snap_tol, idempotence,
+def cmd_suite(pairs_spec, n_max, seeds, base_seed, snap_tol, idempotence,
               report, workers, sl, tol, max_iter):
     """Sweep the grid, run the full pipeline on every cell, aggregate."""
     _check_outputs(report)
@@ -458,16 +458,15 @@ def cmd_suite(pairs_spec, n_max, seeds, base_seed, samples, snap_tol, idempotenc
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
     cfg = _flow_config(tol, max_iter)
-    _check_run_options(snap_tol, samples)
+    _check_run_options(snap_tol)
     doc = run_suite(
-        pairs, n_max, seeds, cfg, sl=sl,
-        base_seed=base_seed, num_samples=samples, snap_tol=snap_tol,
+        pairs, n_max, seeds, cfg, sl=sl, base_seed=base_seed, snap_tol=snap_tol,
         check_idempotence=idempotence, workers=workers,
     )
     manifest = build_manifest(
         "suite",
         {"pairs": [list(x) for x in pairs], "n_max": n_max, "seeds": seeds,
-         "base_seed": base_seed, "samples": samples, "snap_tol": snap_tol,
+         "base_seed": base_seed, "snap_tol": snap_tol,
          "idempotence": idempotence,
          "tol": tol, "max_iter": max_iter, "sl": sl},
         {},

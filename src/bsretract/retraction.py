@@ -1,12 +1,15 @@
 """In-variety retraction of A onto its unitary polar factor.
 
-`retract_a(rep, num_samples)` samples the scaling path A_t = U P^t of
+`retract_a(rep, num_samples)` gives the scaling path A_t = U P^t of
 A = U P from t = 1 down to t = 0 with B fixed; at t = 0 the
 representation is unitary.  It needs B unitary and [P, B] = 0, checks
 both, and its docstring gives why the path then stays in the variety.
 Both hold at a point that `certify` has unitarized: A B A^-1 = B^j there,
 and uniqueness of the polar factors in A B = B^j A gives [P, B] = 0.  The
-order and the normality exponent come from `certify` alone.
+order and the normality exponent come from `certify` alone.  The path
+measures its relation residual two ways: at its num_samples sample times
+(`residuals`, for the path CSV), and as one closed-form upper bound over
+every t in [0, 1] (`residual_bound`), which is what the pipeline checks.
 
 `full_pipeline` is the one body of the stages: flow, then certify and
 retract the flowed point.  A point that is already minimal takes the same
@@ -42,6 +45,8 @@ NUM_SAMPLES = 100
 #: Largest ||[P, B]|| / ||P|| that retract_a accepts.
 COMMUTE_TOL = 1e-6
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True, eq=False)
 class RetractionPath(Sequence):
@@ -50,7 +55,9 @@ class RetractionPath(Sequence):
     `st` of s^t at every sample time.  The path is the sequence of its
     samples: path[i] is the Rep (W diag(st[i]) Vh, B), built as it is
     read.  The residuals are measured in that SVD's basis; the (k, n, n)
-    stack of every sample is built only by rows()."""
+    stack of every sample is built only by rows().  `residual_bound`
+    bounds the residual over every t in [0, 1], not only at the samples,
+    and reads neither `st` nor `residuals`."""
 
     t: np.ndarray
     B: np.ndarray
@@ -99,6 +106,19 @@ class RetractionPath(Sequence):
         return Rep(self.group, self.B.shape[0], self.factors.u, self.B)
 
     @cached_property
+    def _sides(self) -> tuple[np.ndarray, np.ndarray]:
+        """(B~^p, O* B~^q O) with B~ = Vh B Vh* and O = Vh W: the two sides
+        of the relation in the SVD basis, the residual at time t being
+        ||(s_i / s_j)^t (B~^p)_ij - (O* B~^q O)_ij||."""
+        try:
+            bp = np.linalg.matrix_power(self._bt, self.group.p)
+            bq = np.linalg.matrix_power(self._bt, self.group.q)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix("singular B in the path residual") from exc
+        o = self.factors.vh @ self.factors.w
+        return bp, o.conj().T @ bq @ o
+
+    @cached_property
     def residuals(self) -> np.ndarray:
         """||A_t B^p A_t^-1 - B^q|| of every sample, measured once on first
         access; read-only, as every reader shares it.
@@ -109,19 +129,13 @@ class RetractionPath(Sequence):
         ||(s_i / s_j)^t (B~^p)_ij - (O* B~^q O)_ij||.  That is O(n^3) work
         once and O(k n^2) elementwise, and the stack is never formed.
         """
-        vh, bt = self.factors.vh, self._bt
-        try:
-            bp = np.linalg.matrix_power(bt, self.group.p)
-            bq = np.linalg.matrix_power(bt, self.group.q)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix("singular B in the path residual") from exc
-        o = vh @ self.factors.w
+        bp, c = self._sides
         st = self.st
         k, n = st.shape
         # Each sample's n^2 entries as one flat row, so that every
         # elementwise loop runs over n^2 entries, not n.
         diff = (st[:, :, None] / st[:, None, :]).reshape(k, n * n) * bp.ravel()
-        diff -= (o.conj().T @ bq @ o).ravel()
+        diff -= c.ravel()
         res = hs_norm(diff.reshape(k, n, n))
         res.flags.writeable = False
         return res
@@ -129,6 +143,33 @@ class RetractionPath(Sequence):
     def max_residual(self) -> float:
         """Largest sample residual; NaN if any residual is NaN."""
         return float(np.max(self.residuals))
+
+    @cached_property
+    def endpoint_residual(self) -> float:
+        """||R_0|| with R_0 = B~^p - O* B~^q O, the residual of `endpoint`
+        (t = 0, where s^t is 1); it has the bits of the residual of a
+        sample at t = 0."""
+        bp, c = self._sides
+        return hs_norm(bp - c)
+
+    @cached_property
+    def residual_bound(self) -> float:
+        """An upper bound on the residual at every t in [0, 1], measured
+        once on first access; NaN if a factor is NaN.
+
+        With S_ij = s_i / s_j, the residual at t is ||R_0 + (S^t - 1) o B~^p||
+        (o the entrywise product), and |r^t - 1| <= |r - 1| for r > 0 and
+        t in [0, 1], so it is at most ||R_0|| + ||(S - 1) o B~^p||.  Where
+        P commutes with B, B~^p vanishes wherever s_i != s_j, and the bound
+        is the endpoint's residual.  To that it adds the rounding of a
+        computed sample and of the bound's own terms: a few roundings of
+        relative size eps per entry, and the sum of n^2 squares in each
+        norm, at most (n^2 + 10) eps times the size of the terms."""
+        s = self.factors.s
+        bp, c = self._sides
+        bound = self.endpoint_residual + hs_norm((s[:, None] / s[None, :] - 1.0) * bp)
+        rounding = (s.size**2 + 10) * _EPS
+        return bound + rounding * (bound + hs_norm(bp) + hs_norm(c))
 
     def rows(self) -> list[tuple[float, float, float]]:
         """(t, residual, unitarity defect of A_t) per sample, for CSV
@@ -184,7 +225,12 @@ def retract_a(rep: Rep, num_samples: int = NUM_SAMPLES) -> RetractionPath:
 
 @dataclass
 class PipelineDiagnostics:
-    """Everything a run certifies, JSON-ready via to_dict()."""
+    """Everything a run certifies, JSON-ready via to_dict().
+
+    max_path_residual is RetractionPath.residual_bound, an upper bound on
+    the relation residual at every point of the retraction path, not a
+    maximum over its samples; endpoint_residual is the residual at t = 0.
+    """
 
     outcome: str = "ok"
     failed_stage: str | None = None
@@ -234,7 +280,9 @@ def full_pipeline(
     flow's outcome ("iter_budget" or "line_search_stalled") as the
     outcome, and no exception.  Structural failures in later stages
     raise PipelineStageError with partial diagnostics attached.  The path
-    is diagnostics.retraction_path.
+    is diagnostics.retraction_path; num_samples sets only its sample
+    times, which the pipeline does not read: diagnostics.max_path_residual
+    is the path's residual_bound over every t in [0, 1].
     """
     res0 = relation_residual(rep)
     check_residual(res0)
@@ -274,8 +322,8 @@ def full_pipeline(
         raise PipelineStageError(stage, diag, str(error)) from error
     endpoint = path.endpoint
     diag.retraction_path = path
-    diag.max_path_residual = path.max_residual()
-    diag.endpoint_residual = float(path.residuals[-1])
+    diag.max_path_residual = path.residual_bound
+    diag.endpoint_residual = path.endpoint_residual
     diag.endpoint_defect_a = unitarity_defect(endpoint.A)
     # The endpoint's B is the unitarized B that certify measured.
     diag.endpoint_defect_b = cert.unitarity_defect

@@ -92,8 +92,9 @@ def check_flow(diag) -> list[str]:
 def check_pipeline(endpoint, diag, snap_tol: float) -> list[str]:
     """Violations of a certified endpoint's invariants: the order is within
     its bound, detect_finite_order finds the same order on the endpoint's
-    B, the path residual stays within 1e-8 + 10 * diag.initial_residual,
-    and the endpoint is a unitary representation within UNITARY_TOL."""
+    B, the path residual bound (diag.max_path_residual, over every t of
+    the path) stays within 1e-8 + 10 * diag.initial_residual, and the
+    endpoint is a unitary representation within UNITARY_TOL."""
     violations = []
     if not _at_most(diag.detected_order, diag.order_bound):
         violations.append(
@@ -111,7 +112,10 @@ def check_pipeline(endpoint, diag, snap_tol: float) -> list[str]:
                 f"{diag.detected_order}"
             )
     if not _at_most(diag.max_path_residual, 1e-8 + 10.0 * diag.initial_residual):
-        violations.append(f"path residual {_e(diag.max_path_residual)} exceeded bound")
+        violations.append(
+            f"path residual bound {_e(diag.max_path_residual)} exceeded "
+            f"1e-8 + 10 * initial residual"
+        )
     if not verify_unitary_rep(endpoint, UNITARY_TOL):
         violations.append("endpoint failed the unitary-representation check")
     return violations
@@ -131,19 +135,21 @@ def run_one(task: tuple) -> tuple[dict, dict]:
     """One grid cell: draw, flow, certify, retract, and collect the
     violations of check_flow, check_pipeline and check_rerun.
 
-    task is (p, q, n, seed, sl, cfg, num_samples, snap_tol,
-    check_idempotence), drawing random_rep(p, q, n, seed, sl=sl).  Returns
-    (record, manifest): the manifest is pipeline_manifest's for the drawn
-    input, and the record is the cell, the manifest's hash, the run's
-    diag.to_dict() (what `pipeline --diag` writes), "reached_1e-8", the
-    hard invariant violations under "violations" and, when the rerun
-    ends, "idempotence_delta".  Module-level for process pools.
+    task is (p, q, n, seed, sl, cfg, snap_tol, check_idempotence), drawing
+    random_rep(p, q, n, seed, sl=sl).  The pipeline checks the path by its
+    residual bound, which its sample count does not change, so a cell runs
+    with NUM_SAMPLES.  Returns (record, manifest): the manifest is
+    pipeline_manifest's for the drawn input, and the record is the cell,
+    the manifest's hash, the run's diag.to_dict() (what `pipeline --diag`
+    writes), "reached_1e-8", the hard invariant violations under
+    "violations" and, when the rerun ends, "idempotence_delta".
+    Module-level for process pools.
     """
-    p, q, n, seed, sl, cfg, num_samples, snap_tol, check_idempotence = task
+    p, q, n, seed, sl, cfg, snap_tol, check_idempotence = task
     rep = random_rep(p, q, n, seed, sl=sl)
-    manifest = pipeline_manifest(rep, cfg, num_samples, snap_tol)
+    manifest = pipeline_manifest(rep, cfg, NUM_SAMPLES, snap_tol)
     try:
-        endpoint, diag = full_pipeline(rep, cfg, num_samples=num_samples, snap_tol=snap_tol)
+        endpoint, diag = full_pipeline(rep, cfg, snap_tol=snap_tol)
     except PipelineStageError as exc:
         diag = exc.diagnostics
     violations = check_flow(diag)
@@ -159,9 +165,7 @@ def run_one(task: tuple) -> tuple[dict, dict]:
         violations += check_pipeline(endpoint, diag, snap_tol)
         if check_idempotence:
             try:
-                endpoint2, diag2 = full_pipeline(
-                    endpoint, cfg, num_samples=num_samples, snap_tol=snap_tol
-                )
+                endpoint2, diag2 = full_pipeline(endpoint, cfg, snap_tol=snap_tol)
             except (BsretractError, ValueError) as exc:
                 violations.append(f"pipeline rerun failed: {exc}")
             else:
@@ -178,7 +182,6 @@ def run_suite(
     *,
     sl: bool = False,
     base_seed: int = 0,
-    num_samples: int = NUM_SAMPLES,
     snap_tol: float = SNAP_TOL,
     check_idempotence: bool = False,
     workers: int | None = None,
@@ -187,8 +190,8 @@ def run_suite(
     A grid with no cell (no pair, n_max or seeds below 1) raises
     ValueError: a sweep that runs nothing certifies nothing."""
     tasks = [
-        (p, q, n, derive_seed(base_seed, p, q, n, i), sl, cfg,
-         num_samples, snap_tol, check_idempotence)
+        (p, q, n, derive_seed(base_seed, p, q, n, i), sl, cfg, snap_tol,
+         check_idempotence)
         for (p, q) in pairs
         for n in range(1, n_max + 1)
         for i in range(seeds)

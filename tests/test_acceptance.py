@@ -55,7 +55,6 @@ def grid():
         SEEDS,
         FlowConfig(tol=1e-10, max_iter=10**5),
         base_seed=0,
-        num_samples=100,
         snap_tol=1e-6,
         check_idempotence=True,
         workers=2,

@@ -291,7 +291,7 @@ def test_overflowed_input_exits_without_a_runtime_warning(runner, tmp_path, scal
 @pytest.mark.usefixtures("cold_start")
 def test_run_one_reports_a_stalled_line_search():
     with flow_constants(eta0=1e-20):
-        record, _ = run_one((2, 3, 3, 1, False, FlowConfig(), 100, 1e-6, False))
+        record, _ = run_one((2, 3, 3, 1, False, FlowConfig(), 1e-6, False))
     assert record["outcome"] == record["flow_outcome"] == "line_search_stalled"
     assert record["violations"] == []
     assert record["detected_order"] is None
@@ -329,6 +329,23 @@ def test_pipeline_end_to_end_with_csvs(runner, tmp_path):
     assert pcsv.read_text().splitlines()[0] == "t,residual,unitarity_defect_a"
     assert len(pcsv.read_text().splitlines()) == 101
     assert (tmp_path / "end.json.manifest.json").exists()
+
+
+def test_pipeline_residual_bound_covers_the_path_csv(runner, tmp_path):
+    # --samples sets only the rows of --path-csv: the diagnostics bound the
+    # residual over every t, so the bound is at least each row's residual,
+    # and the endpoint's residual is the last row's
+    in_path = write_rep(tmp_path, random_rep(2, 3, 4, 1))
+    pcsv, diag = tmp_path / "p.csv", tmp_path / "d.json"
+    res = runner.invoke(main, ["pipeline", "--in", in_path, "--out", str(tmp_path / "e.json"),
+                               "--path-csv", str(pcsv), "--samples", "7",
+                               "--diag", str(diag)])
+    assert res.exit_code == 0, res.output
+    residuals = [float(row.split(",")[1]) for row in pcsv.read_text().splitlines()[1:]]
+    d = json.loads(diag.read_text())
+    assert len(residuals) == 7
+    assert max(residuals) <= d["max_path_residual"] <= 1e-8
+    assert d["endpoint_residual"] == residuals[-1]
 
 
 def test_pipeline_rejects_corrupted_rep(runner, tmp_path):
@@ -776,18 +793,27 @@ def test_bad_flow_config_exits_bad_input(runner, tmp_path):
 
 
 def test_too_few_samples_exits_bad_input(runner, tmp_path):
-    # a path needs both ends; one sample used to end the suite in a
-    # ValueError traceback once its first cell reached the retraction
+    # a path needs both ends; one sample used to end the run in a
+    # ValueError traceback once it reached the retraction
     in_path = write_rep(tmp_path, random_rep(2, 3, 3, 1))
     out = tmp_path / "out.json"
+    res = runner.invoke(main, ["pipeline", "--in", in_path, "--out", str(out),
+                               "--samples", "1"])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output
+    assert not out.exists()
+
+
+def test_suite_refuses_the_retired_samples_option(runner, tmp_path):
+    # a suite writes no path CSV and checks each path by its residual
+    # bound, so a sample count would change nothing
     report = tmp_path / "r.json"
-    for cmd in (["pipeline", "--in", in_path, "--out", str(out)],
-                ["suite", "--pairs", "2:3", "--n-max", "1", "--seeds", "1",
-                 "--report", str(report)]):
-        res = runner.invoke(main, cmd + ["--samples", "1"])
-        assert isinstance(res.exception, SystemExit), (cmd, res.exception)
-        assert res.exit_code == 2, (cmd, res.output)
-        assert not out.exists() and not report.exists(), cmd
+    res = runner.invoke(main, ["suite", "--pairs", "2:3", "--n-max", "1", "--seeds", "1",
+                               "--samples", "3", "--report", str(report)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output
+    assert "No such option" in res.output
+    assert not report.exists()
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -839,7 +865,7 @@ def test_run_one_classifies_spurious_orders():
     # |2^k - 3^k|, which must end as a classified structural failure
     for i in (1, 3, 4):
         record, _ = run_one((2, 3, 8, derive_seed(0, 2, 3, 8, i), False, FlowConfig(),
-                             100, 1e-6, False))
+                             1e-6, False))
         assert record["outcome"] == "structural_failure"
         assert record["failed_stage"] == "detect_finite_order"
 
@@ -866,7 +892,7 @@ def test_run_one_record_is_its_pipeline_run(request, runner, tmp_path, cell, con
     seed = derive_seed(0, p, q, n, 1)
     rep = random_rep(p, q, n, seed)
     with flow_constants(**constants):
-        record, manifest = run_one((p, q, n, seed, False, FlowConfig(), 100, 1e-6,
+        record, manifest = run_one((p, q, n, seed, False, FlowConfig(), 1e-6,
                                     idempotence))
         try:
             _, diag = full_pipeline(rep, FlowConfig(), num_samples=100, snap_tol=1e-6)
@@ -897,7 +923,7 @@ def test_run_one_recertifies_the_endpoint(monkeypatch, detect):
     # the suite's own endpoint check must be able to fail, and acceptance
     # criterion 2 must see the failure
     monkeypatch.setattr("bsretract.suite.detect_finite_order", detect)
-    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), False, FlowConfig(), 100, 1e-6, False)
+    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), False, FlowConfig(), 1e-6, False)
     record, _ = run_one(task)
     assert record["outcome"] == "ok"
     assert record["detected_order"] != 7
@@ -909,18 +935,18 @@ def test_run_one_recertifies_the_endpoint(monkeypatch, detect):
 def test_run_one_flags_nan_residuals(monkeypatch):
     nan = float("nan")
     monkeypatch.setattr("bsretract.kempfness.FlowTrace.max_residual", lambda self: nan)
-    monkeypatch.setattr("bsretract.retraction.RetractionPath.max_residual",
-                        lambda self: nan)
-    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), False, FlowConfig(), 100, 1e-6, False)
+    monkeypatch.setattr("bsretract.retraction.RetractionPath.residual_bound",
+                        property(lambda self: nan))
+    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), False, FlowConfig(), 1e-6, False)
     record, _ = run_one(task)
     assert record["outcome"] == "ok"
     assert any(v.startswith("flow residual nan") for v in record["violations"])
-    assert any(v.startswith("path residual nan") for v in record["violations"])
+    assert any(v.startswith("path residual bound nan") for v in record["violations"])
 
 
 def test_run_one_flags_a_nan_idempotence_delta(monkeypatch):
     monkeypatch.setattr("bsretract.suite.hs_norm", lambda x: float("nan"))
-    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), False, FlowConfig(), 100, 1e-6, True)
+    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), False, FlowConfig(), 1e-6, True)
     record, _ = run_one(task)
     assert record["outcome"] == "ok"
     assert "pipeline not idempotent: delta nan" in record["violations"]
@@ -938,7 +964,7 @@ def test_run_one_records_a_failed_rerun(monkeypatch):
         return first(*args, **kwargs)
 
     monkeypatch.setattr("bsretract.suite.full_pipeline", rerun_fails)
-    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), False, FlowConfig(), 100, 1e-6, True)
+    task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), False, FlowConfig(), 1e-6, True)
     record, _ = run_one(task)
     assert len(calls) == 2
     assert record["outcome"] == "ok"
@@ -987,9 +1013,9 @@ _CHECK_CASES = [
     ("pipeline", {"detected_order": 1}, None,
      "endpoint order 5 differs from certified order 1"),
     ("pipeline", {}, _irrational_b, "endpoint order not certified: "),
-    ("pipeline", {"max_path_residual": 1.0}, None, "path residual 1.000e+00 exceeded bound"),
-    ("pipeline", {"max_path_residual": _NAN}, None, "path residual nan exceeded bound"),
-    ("pipeline", {"max_path_residual": None}, None, "path residual None exceeded bound"),
+    ("pipeline", {"max_path_residual": 1.0}, None, "path residual bound 1.000e+00 exceeded"),
+    ("pipeline", {"max_path_residual": _NAN}, None, "path residual bound nan exceeded"),
+    ("pipeline", {"max_path_residual": None}, None, "path residual bound None exceeded"),
     ("pipeline", {}, _scaled_a, "endpoint failed the unitary-representation check"),
     ("rerun", {"outcome": "iter_budget"}, None, "pipeline not idempotent: delta 0.000e+00"),
     ("rerun", {}, _moved_a, "pipeline not idempotent: delta 1.414e-06"),

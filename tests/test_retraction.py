@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -30,7 +31,7 @@ from bsretract.kempfness import flow
 from bsretract.bsrep import residual
 from bsretract.numerics import PolarFactors, hs_norm, polar
 from bsretract.retraction import COMMUTE_TOL, RetractionPath
-from bsretract.suite import derive_seed
+from bsretract.suite import check_pipeline, derive_seed
 
 from util import (
     BASE_PAIRS,
@@ -393,12 +394,69 @@ def test_stacked_path_equals_per_sample_reps(grid_diagnostics):
             assert res == _svd_basis_residual(path.t[i], path)
             assert abs(res - relation_residual(sample)) <= 1e-13
             assert defect == unitarity_defect(sample.A)
-        assert path.max_residual() == max(r[1] for r in rows) == diag.max_path_residual
+        assert path.max_residual() == max(r[1] for r in rows) <= diag.max_path_residual
         endpoint = path.endpoint
         assert path.t[-1] == 0.0 and np.array_equal(endpoint.A, samples[-1].A)
         assert diag.endpoint_residual == rows[-1][1]
         assert diag.endpoint_residual == _svd_basis_residual(0.0, path)
         assert abs(diag.endpoint_residual - relation_residual(endpoint)) <= 1e-13
+
+
+#: The benchmark's acceptance grid: the signed pairs, n <= 4, ten seeds.
+BENCH_GRID_SEEDS = 10
+
+
+def test_residual_bound_covers_10001_samples_of_every_grid_path():
+    # The bound holds at every t in [0, 1], so no sample of a dense path
+    # of the same factors exceeds it; the endpoint's residual is the last
+    # sample's, bit for bit, at any number of samples.
+    cfg = FlowConfig(tol=1e-10, max_iter=10**5)
+    dense_t = np.linspace(1.0, 0.0, 10_001)
+    cells = 0
+    for p, q in PAIRS:
+        for n in range(2, N_MAX + 1):
+            for i in range(BENCH_GRID_SEEDS):
+                _, diag = full_pipeline(random_rep(p, q, n, derive_seed(0, p, q, n, i)), cfg)
+                path = diag.retraction_path
+                dense = RetractionPath(dense_t, path.B, path.group, path.factors)
+                assert dense.max_residual() <= path.residual_bound == diag.max_path_residual
+                assert diag.max_path_residual <= 1e-8 + 10.0 * diag.initial_residual
+                assert diag.endpoint_residual == path.endpoint_residual
+                assert path.endpoint_residual == path.residuals[-1] == dense.residuals[-1]
+                cells += 1
+    assert cells == 600
+
+
+def _noncommuting_path():
+    """The (2, 3) mod-5 block's diagonal B of order 5 with A = swap P for a
+    positive P = [[2, 1], [1, 2]] that does not commute with B."""
+    rep = n5_block(1.0)
+    p = np.array([[2.0, 1.0], [1.0, 2.0]])
+    return RetractionPath(np.linspace(1.0, 0.0, 11), rep.B, rep.group, polar(rep.A @ p))
+
+
+def test_residual_bound_of_a_noncommuting_path_fails_the_check():
+    # P moves B off the relation at every t > 0: the bound exceeds the
+    # largest sample, and check_pipeline's gate
+    path = _noncommuting_path()
+    assert path.residuals[-1] <= 1e-14 and path.max_residual() >= 0.1
+    assert path.residual_bound >= path.max_residual()
+    _, diag = full_pipeline(n5_block(1.0))
+    diag = dataclasses.replace(diag, max_path_residual=path.residual_bound)
+    violations = check_pipeline(path.endpoint, diag, 1e-6)
+    assert any(v.startswith("path residual bound") for v in violations), violations
+
+
+def test_residual_bound_is_nan_for_a_nan_factor():
+    path = _noncommuting_path()
+    f = path.factors
+    nan_s = RetractionPath(path.t, path.B, path.group,
+                           PolarFactors(f.w, np.array([np.nan, 1.0]), f.vh))
+    assert math.isnan(nan_s.residual_bound)
+    _, diag = full_pipeline(n5_block(1.0))
+    diag = dataclasses.replace(diag, max_path_residual=nan_s.residual_bound)
+    violations = check_pipeline(diag.retraction_path.endpoint, diag, 1e-6)
+    assert "path residual bound nan exceeded 1e-8 + 10 * initial residual" in violations
 
 
 def _factored_residual(a, t, path):
@@ -411,10 +469,10 @@ def _factored_residual(a, t, path):
 
 
 def test_full_pipeline_builds_no_stack(monkeypatch):
-    # The pipeline reads the residuals and the endpoint only: it builds no
-    # sample and no (k, n, n) stack.  The stack is built when the rows are
-    # read, and they agree with the samples measured one at a time in the
-    # original basis.
+    # The pipeline reads the residual bound and the endpoint only: it
+    # builds no sample, no (k, n, n) stack, no s^t table and no sample
+    # residual.  The stack is built when the rows are read, and they agree
+    # with the samples measured one at a time in the original basis.
     cfg = FlowConfig(tol=1e-10, max_iter=10**5)
     getitem, built = RetractionPath.__getitem__, []
 
@@ -433,6 +491,7 @@ def test_full_pipeline_builds_no_stack(monkeypatch):
         _, diag = full_pipeline(random_rep(p, q, n, derive_seed(0, p, q, n, 0)), cfg)
         assert diag.outcome == "ok" and built == []
         path = diag.retraction_path
+        assert "st" not in vars(path) and "residuals" not in vars(path)
         f = path.factors
         for t, (t_row, res, defect) in zip(path.t, path.rows()):
             a = (f.w * f.s**t) @ f.vh
@@ -460,6 +519,7 @@ def test_factored_residuals_match_lu_where_p_and_b_do_not_commute():
                 lu = residual(np.stack([x.A for x in path.samples]), b, *pq)
                 assert lu.min() >= 0.01
                 assert np.all(np.abs(path.residuals - lu) <= 1e-12 * lu)
+                assert path.residual_bound >= path.max_residual()
 
 
 def test_path_samples_are_slices_of_the_stack():
