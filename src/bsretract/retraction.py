@@ -6,10 +6,10 @@ representation is unitary.  It needs B unitary and [P, B] = 0, checks
 both, and its docstring gives why the path then stays in the variety.
 Both hold at a point that `certify` has unitarized: A B A^-1 = B^j there,
 and uniqueness of the polar factors in A B = B^j A gives [P, B] = 0.  The
-order and the normality exponent come from `certify` alone.  The path
-measures its relation residual two ways: at its num_samples sample times
-(`residuals`, for the path CSV), and as one closed-form upper bound over
-every t in [0, 1] (`residual_bound`), which is what the pipeline checks.
+order and the normality exponent come from `certify` alone.  The
+pipeline checks the path by one closed-form upper bound on its relation
+residual over every t in [0, 1] (`residual_bound`); `rows()` measures
+num_samples samples of it for the path CSV alone.
 
 `full_pipeline` is the one body of the stages: flow, then certify and
 retract the flowed point.  A point that is already minimal takes the same
@@ -18,9 +18,8 @@ body; its flow stops at iteration 0.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -49,17 +48,14 @@ _EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
-class RetractionPath(Sequence):
-    """The path t -> (U P^t, B) of A = U P sampled from t = 1 down to t = 0,
-    with B fixed, kept as the SVD A = W diag(s) Vh of `polar` and the table
-    `st` of s^t at every sample time.  The path is the sequence of its
-    samples: path[i] is the Rep (W diag(st[i]) Vh, B), built as it is
-    read.  The residuals are measured in that SVD's basis; the (k, n, n)
-    stack of every sample is built only by rows().  `residual_bound`
-    bounds the residual over every t in [0, 1], not only at the samples,
-    and reads neither `st` nor `residuals`."""
+class RetractionPath:
+    """The path t -> (U P^t, B) of A = U P from t = 1 down to t = 0, with B
+    fixed, kept as the SVD A = W diag(s) Vh of `polar`.  The pipeline reads
+    `endpoint`, `endpoint_residual` and `residual_bound`, which bounds the
+    residual over every t in [0, 1]; `rows()` measures num_samples samples
+    of the path, evenly spaced in t, for the path CSV."""
 
-    t: np.ndarray
+    num_samples: int
     B: np.ndarray
     group: BSGroup
     factors: PolarFactors
@@ -74,42 +70,18 @@ class RetractionPath(Sequence):
                              f"do not match B of shape {self.B.shape}")
         object.__setattr__(self, "_bt", vh @ self.B @ vh.conj().T)
 
-    @cached_property
-    def st(self) -> np.ndarray:
-        """s^t for every sample time, shape (k, n); read-only, as every
-        reader shares it.  numpy raises an array to the scalar power 0.5 by
-        sqrt, which can round differently from pow: a row at t = 1/2 takes
-        sqrt too, so that every row is s ** t for its own scalar t."""
-        t, s = self.t[:, None], self.factors.s
-        st = np.where(t == 0.5, np.sqrt(s), s**t)
-        st.flags.writeable = False
-        return st
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        a = (self.factors.w * self.st[i]) @ self.factors.vh
-        return Rep(self.group, self.B.shape[0], a, self.B)
-
-    @property
-    def samples(self) -> RetractionPath:
-        """The path itself, the sequence of its samples."""
-        return self
-
     @property
     def endpoint(self) -> Rep:
-        """The unitary end (U, B) with U = W Vh, which is the last sample
-        when the path ends at t = 0, as every path of retract_a does."""
+        """The unitary end (U, B) with U = W Vh, the sample at t = 0."""
         return Rep(self.group, self.B.shape[0], self.factors.u, self.B)
 
     @cached_property
     def _sides(self) -> tuple[np.ndarray, np.ndarray]:
         """(B~^p, O* B~^q O) with B~ = Vh B Vh* and O = Vh W: the two sides
-        of the relation in the SVD basis, the residual at time t being
-        ||(s_i / s_j)^t (B~^p)_ij - (O* B~^q O)_ij||."""
+        of the relation in the SVD basis.  With D_t = diag(s^t),
+        A_t B^p A_t^-1 - B^q = W (D_t B~^p D_t^-1 - O* B~^q O) W*, and the
+        Hilbert-Schmidt norm is unitarily invariant, so the residual at
+        time t is ||(s_i / s_j)^t (B~^p)_ij - (O* B~^q O)_ij||."""
         try:
             bp = np.linalg.matrix_power(self._bt, self.group.p)
             bq = np.linalg.matrix_power(self._bt, self.group.q)
@@ -119,36 +91,9 @@ class RetractionPath(Sequence):
         return bp, o.conj().T @ bq @ o
 
     @cached_property
-    def residuals(self) -> np.ndarray:
-        """||A_t B^p A_t^-1 - B^q|| of every sample, measured once on first
-        access; read-only, as every reader shares it.
-
-        With B~ = Vh B Vh*, O = Vh W and D_t = diag(s^t),
-        A_t B^p A_t^-1 - B^q = W (D_t B~^p D_t^-1 - O* B~^q O) W*, and the
-        Hilbert-Schmidt norm is unitarily invariant: each residual is
-        ||(s_i / s_j)^t (B~^p)_ij - (O* B~^q O)_ij||.  That is O(n^3) work
-        once and O(k n^2) elementwise, and the stack is never formed.
-        """
-        bp, c = self._sides
-        st = self.st
-        k, n = st.shape
-        # Each sample's n^2 entries as one flat row, so that every
-        # elementwise loop runs over n^2 entries, not n.
-        diff = (st[:, :, None] / st[:, None, :]).reshape(k, n * n) * bp.ravel()
-        diff -= c.ravel()
-        res = hs_norm(diff.reshape(k, n, n))
-        res.flags.writeable = False
-        return res
-
-    def max_residual(self) -> float:
-        """Largest sample residual; NaN if any residual is NaN."""
-        return float(np.max(self.residuals))
-
-    @cached_property
     def endpoint_residual(self) -> float:
         """||R_0|| with R_0 = B~^p - O* B~^q O, the residual of `endpoint`
-        (t = 0, where s^t is 1); it has the bits of the residual of a
-        sample at t = 0."""
+        (t = 0, where s^t is 1); it has the bits of the last row's."""
         bp, c = self._sides
         return hs_norm(bp - c)
 
@@ -172,21 +117,17 @@ class RetractionPath(Sequence):
         return bound + rounding * (bound + hs_norm(bp) + hs_norm(c))
 
     def rows(self) -> list[tuple[float, float, float]]:
-        """(t, residual, unitarity defect of A_t) per sample, for CSV
-        export; the defects read the stack of every sample, built here and
-        not kept."""
-        stack = (self.factors.w * self.st[:, None, :]) @ self.factors.vh
-        return list(zip(self.t.tolist(), self.residuals.tolist(),
-                        unitarity_defect(stack).tolist()))
-
-
-@lru_cache(maxsize=8, typed=True)
-def _sample_times(num_samples: int) -> np.ndarray:
-    """num_samples times evenly spaced from 1 down to 0; read-only, as
-    every path with that many samples shares the array."""
-    t = np.linspace(1.0, 0.0, num_samples)
-    t.flags.writeable = False
-    return t
+        """(t, residual, unitarity defect of A_t) for t evenly spaced from
+        1 down to 0, for CSV export.  Each sample is built and measured on
+        its own, A_t = W diag(s ** t) Vh with numpy's scalar power (sqrt
+        at t = 1/2)."""
+        (bp, c), f = self._sides, self.factors
+        rows = []
+        for t in np.linspace(1.0, 0.0, self.num_samples).tolist():
+            st = f.s**t
+            res = hs_norm((st[:, None] / st[None, :]) * bp - c)
+            rows.append((t, res, unitarity_defect((f.w * st) @ f.vh)))
+        return rows
 
 
 def retract_a(rep: Rep, num_samples: int = NUM_SAMPLES) -> RetractionPath:
@@ -199,6 +140,7 @@ def retract_a(rep: Rep, num_samples: int = NUM_SAMPLES) -> RetractionPath:
     relation whenever rep does.  A non-unitary B raises ValueError; a
     non-commuting P raises PolarObstruction, which signals that the input
     is not a certified minimal vector (e.g. a non-converged flow).
+    num_samples is kept as a number: only `rows()` reads it.
 
     The commutator is measured in the basis of A's SVD A = W diag(s) Vh,
     as the path measures its residuals: with B~ = Vh B Vh*,
@@ -213,7 +155,7 @@ def retract_a(rep: Rep, num_samples: int = NUM_SAMPLES) -> RetractionPath:
             f"B is not unitary within {UNITARY_TOL:.1e} (defect {defect:.3e}); "
             "conjugate into the unitary group first"
         )
-    path = RetractionPath(_sample_times(num_samples), b, rep.group, polar(rep.A))
+    path = RetractionPath(num_samples, b, rep.group, polar(rep.A))
     s = path.factors.s
     comm = hs_norm((s[:, None] - s[None, :]) * path._bt)
     if not comm <= COMMUTE_TOL * hs_norm(s):
@@ -280,9 +222,10 @@ def full_pipeline(
     flow's outcome ("iter_budget" or "line_search_stalled") as the
     outcome, and no exception.  Structural failures in later stages
     raise PipelineStageError with partial diagnostics attached.  The path
-    is diagnostics.retraction_path; num_samples sets only its sample
-    times, which the pipeline does not read: diagnostics.max_path_residual
-    is the path's residual_bound over every t in [0, 1].
+    is diagnostics.retraction_path; num_samples sets only the number of
+    its rows(), which the pipeline does not read:
+    diagnostics.max_path_residual is the path's residual_bound over every
+    t in [0, 1].
     """
     res0 = relation_residual(rep)
     check_residual(res0)

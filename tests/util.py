@@ -188,6 +188,32 @@ def rep_of(p, q, a, b):
     return Rep(BSGroup(p, q), a.shape[0], a, np.asarray(b, dtype=complex))
 
 
+def path_sample(path, t):
+    """The sample (A_t, B) of a RetractionPath at the scalar time t, built
+    alone from its SVD: A_t = W diag(s^t) Vh, with s ** t taken as numpy
+    takes a scalar power (sqrt at t = 1/2)."""
+    f = path.factors
+    return Rep(path.group, path.B.shape[0], (f.w * f.s**t) @ f.vh, path.B)
+
+
+def sampled_residuals(path, t):
+    """||A_t B^p A_t^-1 - B^q|| of a RetractionPath at every time in t, all
+    at once, as a reference for its rows: with B~ = Vh B Vh*, O = Vh W and
+    S_ij = s_i / s_j, each is ||S^t o B~^p - O* B~^q O|| (o the entrywise
+    product), over flat (k, n^2) rows.  s^t is the elementwise power, so
+    at t = 1/2 it rounds as pow does, not as sqrt."""
+    f, group = path.factors, path.group
+    bt = f.vh @ path.B @ f.vh.conj().T
+    bp, bq = np.linalg.matrix_power(bt, group.p), np.linalg.matrix_power(bt, group.q)
+    o = f.vh @ f.w
+    c = o.conj().T @ bq @ o
+    st = f.s ** np.asarray(t, dtype=float)[:, None]
+    k, n = st.shape
+    diff = (st[:, :, None] / st[:, None, :]).reshape(k, n * n) * bp.ravel()
+    diff -= c.ravel()
+    return hs_norm(diff.reshape(k, n, n))
+
+
 def haar_unitary(rng, n):
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     qm, rm = np.linalg.qr(z)
