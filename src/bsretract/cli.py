@@ -60,15 +60,21 @@ def _write_text(path: str | None, text: str) -> None:
         _fail(EXIT_BAD_INPUT, f"cannot write {path}: {exc.strerror or exc}")
 
 
+def _manifest_path(out: str | None) -> str | None:
+    """The manifest's path beside out; none for stdout (None or "-") or for
+    an out that exists and is not a regular file, such as a FIFO or a
+    device."""
+    if not out or out == "-" or (Path(out).exists() and not Path(out).is_file()):
+        return None
+    return f"{out}.manifest.json"
+
+
 def _check_outputs(out: str | None, *others: str | None) -> None:
     """Exit with EXIT_BAD_INPUT, before anything is written, unless every
-    output path, with the manifest beside out, names a file in an existing
-    directory; a command that writes several files then writes all of them
-    or none."""
-    paths = [out, *others]
-    if out and out != "-":
-        paths.append(f"{out}.manifest.json")
-    for path in paths:
+    output path, with the manifest's (_manifest_path), names a file in an
+    existing directory; a command that writes several files then writes
+    all of them or none."""
+    for path in (out, *others, _manifest_path(out)):
         if not path or path == "-":
             continue
         if Path(path).is_dir():
@@ -109,9 +115,9 @@ def _load_rep(path: str, *, validate: bool = True,
 # ------------------------------------------------------------------ manifests
 
 def _emit_manifest(manifest: dict, outcome: dict, out_path: str | None) -> None:
-    doc = {**manifest, "outcome": outcome}
-    if out_path and out_path != "-":
-        _write_text(f"{out_path}.manifest.json", canonical_json(doc) + "\n")
+    path = _manifest_path(out_path)
+    if path:
+        _write_text(path, canonical_json({**manifest, "outcome": outcome}) + "\n")
 
 
 # ----------------------------------------------------------------- CLI group

@@ -23,7 +23,6 @@ import numpy as np
 from . import census
 from .bsrep import Rep, residual
 from .errors import (
-    STRUCTURAL_ERRORS,
     BsretractError,
     NoConvergence,
     NotARootOfUnity,
@@ -221,9 +220,9 @@ def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
     """Order of B, invariant form, unitarized representation and
     normality exponent, each at tolerance tol; the unitarized B must be
     unitary within UNITARY_TOL, which a non-diagonalizable B close enough
-    to snap (a Jordan block) is not.  A structural failure
-    (errors.STRUCTURAL_ERRORS) ends certification and is recorded in the
-    certificate, not raised."""
+    to snap (a Jordan block) is not.  Any BsretractError that a step
+    raises ends certification and is recorded in the certificate, under
+    that step's name, not raised."""
     moduli = census.order_moduli(rep.group.p, rep.group.q, rep.n)
     cert = Certificate(math.prod(moduli))
     stage = "detect_finite_order"
@@ -248,6 +247,6 @@ def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
             )
         stage = "normality_exponent"
         cert.exponent = normality_exponent(cert.unitary, cert.order, tol)
-    except STRUCTURAL_ERRORS as exc:
+    except BsretractError as exc:
         cert.failed_stage, cert.error = stage, exc
     return cert

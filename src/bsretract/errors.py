@@ -48,8 +48,3 @@ class PipelineStageError(BsretractError):
         super().__init__(f"stage '{stage}': {message}")
         self.stage = stage
         self.diagnostics = diagnostics
-
-
-#: Stage errors that indicate the predicted endpoint structure is absent,
-#: as opposed to numerical non-convergence or bad input.
-STRUCTURAL_ERRORS = (NotFiniteOrder, NotNormalizing, PolarObstruction)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bsrep import BSGroup, Rep, check_residual, relation_residual
 from .compactify import SNAP_TOL, UNITARY_TOL, certify
-from .errors import STRUCTURAL_ERRORS, PipelineStageError, PolarObstruction, SingularMatrix
+from .errors import BsretractError, PipelineStageError, PolarObstruction, SingularMatrix
 from .kempfness import FlowConfig, FlowTrace, flow
 from .numerics import PolarFactors, hs_norm, polar, unitarity_defect
 
@@ -169,25 +169,18 @@ def retract_a(rep: Rep, num_samples: int = NUM_SAMPLES) -> RetractionPath:
 class PipelineDiagnostics:
     """Everything a run certifies, JSON-ready via to_dict().
 
+    The flow is recorded once, as flow_trace: to_dict() reads its keys
+    (flow_outcome, flow_iterations, ..., energy_monotone) from the trace.
     max_path_residual is RetractionPath.residual_bound, an upper bound on
     the relation residual at every point of the retraction path, not a
     maximum over its samples; endpoint_residual is the residual at t = 0.
     """
 
+    flow_trace: FlowTrace = field(repr=False)
     outcome: str = "ok"
     failed_stage: str | None = None
     error: str | None = None
-    flow_outcome: str | None = None
-    flow_iterations: int | None = None
-    flow_hessian_products: int | None = None
-    flow_warm_start: bool | None = None
-    initial_energy: float | None = None
-    final_energy: float | None = None
-    final_moment_norm: float | None = None
     initial_residual: float | None = None
-    final_residual: float | None = None
-    max_flow_residual: float | None = None
-    energy_monotone: bool | None = None
     detected_order: int | None = None
     order_bound: int | None = None
     normality_exponent: int | None = None
@@ -197,12 +190,19 @@ class PipelineDiagnostics:
     endpoint_residual: float | None = None
     endpoint_defect_a: float | None = None
     endpoint_defect_b: float | None = None
-    flow_trace: FlowTrace | None = field(default=None, repr=False)
     retraction_path: "RetractionPath | None" = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
-        skip = ("flow_trace", "retraction_path")
-        return {k: v for k, v in self.__dict__.items() if k not in skip}
+        t, skip = self.flow_trace, ("flow_trace", "retraction_path")
+        first, last = t.records[0], t.records[-1]
+        return {
+            "flow_outcome": t.outcome, "flow_iterations": t.iterations,
+            "flow_hessian_products": t.hessian_products, "flow_warm_start": t.warm_start,
+            "initial_energy": first.energy, "final_energy": last.energy,
+            "final_moment_norm": last.moment_norm, "final_residual": last.residual,
+            "max_flow_residual": t.max_residual(), "energy_monotone": t.energy_monotone(),
+            **{k: v for k, v in self.__dict__.items() if k not in skip},
+        }
 
 
 def full_pipeline(
@@ -220,8 +220,9 @@ def full_pipeline(
     ValueError.  Returns (endpoint, diagnostics).  A flow that does not
     converge is a soft failure: the partial result is returned, with the
     flow's outcome ("iter_budget" or "line_search_stalled") as the
-    outcome, and no exception.  Structural failures in later stages
-    raise PipelineStageError with partial diagnostics attached.  The path
+    outcome, and no exception.  A BsretractError that a later stage
+    (certify's or retract_a) raises ends the run in PipelineStageError,
+    naming that stage, with partial diagnostics attached.  The path
     is diagnostics.retraction_path; num_samples sets only the number of
     its rows(), which the pipeline does not read:
     diagnostics.max_path_residual is the path's residual_bound over every
@@ -229,19 +230,8 @@ def full_pipeline(
     """
     res0 = relation_residual(rep)
     check_residual(res0)
-    diag = PipelineDiagnostics(initial_residual=res0)
     flowed, trace = flow(rep, cfg, initial_residual=res0)
-    diag.flow_trace = trace
-    diag.initial_energy = trace.records[0].energy
-    diag.flow_outcome = trace.outcome
-    diag.flow_iterations = trace.iterations
-    diag.flow_hessian_products = trace.hessian_products
-    diag.flow_warm_start = trace.warm_start
-    diag.final_energy = trace.records[-1].energy
-    diag.final_moment_norm = trace.records[-1].moment_norm
-    diag.final_residual = trace.records[-1].residual
-    diag.max_flow_residual = trace.max_residual()
-    diag.energy_monotone = trace.energy_monotone()
+    diag = PipelineDiagnostics(trace, initial_residual=res0)
     if not trace.converged:
         diag.outcome = trace.outcome
         return flowed, diag
@@ -256,7 +246,7 @@ def full_pipeline(
         stage = "retract_a"
         try:
             path = retract_a(cert.unitary, num_samples)
-        except STRUCTURAL_ERRORS as exc:
+        except BsretractError as exc:
             error = exc
     if error is not None:
         diag.outcome = "structural_failure"

@@ -77,15 +77,17 @@ def _e(x) -> str:
 
 
 def check_flow(diag) -> list[str]:
-    """Violations of the flow's invariants: no accepted step raises the
-    recorded energy past the flow's resolution (FlowTrace.energy_monotone),
-    and no iterate's relation residual exceeds
-    1e-8 + 10 * diag.initial_residual, the input's."""
-    violations = []
-    if not diag.energy_monotone:
+    """Violations of the flow's invariants, read from diag.flow_trace: no
+    accepted step raises the recorded energy past the flow's resolution
+    (FlowTrace.energy_monotone), and no iterate's relation residual
+    (FlowTrace.max_residual) exceeds 1e-8 + 10 * diag.initial_residual,
+    the input's."""
+    violations, trace = [], diag.flow_trace
+    if not trace.energy_monotone():
         violations.append("energy increased along an accepted step")
-    if not _at_most(diag.max_flow_residual, 1e-8 + 10.0 * diag.initial_residual):
-        violations.append(f"flow residual {_e(diag.max_flow_residual)} exceeded bound")
+    worst = trace.max_residual()
+    if not _at_most(worst, 1e-8 + 10.0 * diag.initial_residual):
+        violations.append(f"flow residual {_e(worst)} exceeded bound")
     return violations
 
 

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from bsretract import (
     FlowConfig,
     NotFiniteOrder,
     Rep,
+    certify,
     conjugate,
     flow,
     full_pipeline,
@@ -530,6 +532,50 @@ def test_pipeline_exits_structural_when_the_retraction_fails(runner, tmp_path, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("eps", [3e-8, 1e-7, 3e-7, 1e-6])
+def test_a_form_that_is_not_positive_definite_exits_structural(runner, tmp_path, eps):
+    # A = diag(1.5, 1) and the Jordan block B = [[1, eps], [0, 1]] satisfy
+    # A B^2 A^-1 = B^3 exactly.  B's eigenvalues snap to 1, and the form
+    # built from its nearly parallel eigenvectors is singular, so the
+    # invariant form raises NotPositiveDefinite, both on the input (verify)
+    # and on its flowed point (pipeline); that used to escape certify and
+    # end in a traceback with exit 1
+    rep = rep_of(2, 3, np.diag([1.5, 1.0]), [[1.0, eps], [0.0, 1.0]])
+    assert relation_residual(rep) == 0.0
+    assert certify(rep).failed_stage == "invariant_form"
+    in_path = write_rep(tmp_path, rep)
+    report = tmp_path / "report.json"
+    res = runner.invoke(main, ["verify", "--in", in_path, "--out", str(report)])
+    assert isinstance(res.exception, SystemExit), res.exc_info
+    assert res.exit_code == 4, res.output
+    failure = json.loads(report.read_text())["structural_failure"]
+    assert failure.startswith("NotPositiveDefinite: ")
+    res = runner.invoke(main, ["pipeline", "--in", in_path, "--out", str(tmp_path / "e.json")])
+    assert isinstance(res.exception, SystemExit), res.exc_info
+    assert res.exit_code == 4, res.output
+    assert res.stderr.startswith("error: stage 'invariant_form': form eigenvalue ")
+
+
+def test_no_manifest_beside_an_out_that_is_not_a_regular_file(runner, tmp_path):
+    # a FIFO, like a device such as /dev/null, takes the output and gets
+    # no manifest beside it
+    fifo = tmp_path / "out"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+    reader.start()
+    in_path = write_rep(tmp_path, random_rep(2, 3, 2, 1))
+    res = runner.invoke(main, ["pipeline", "--in", in_path, "--out", str(fifo)])
+    reader.join(timeout=10.0)
+    if reader.is_alive():
+        # nothing opened the FIFO: open it once, so the reader ends
+        with open(fifo, "w"):
+            pass
+    assert res.exit_code == 0, res.output
+    assert rep_from_json(json.loads(received[0])).n == 2
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["out", "rep.json"]
+
+
 def test_retract_command(runner):
     # pipeline is the one command that retracts: on a flowed point its
     # flow stops at iteration 0
@@ -1000,13 +1046,33 @@ def _moved_a(e):
 
 _NAN = float("nan")
 
-#: (check, changes to the diagnostics, change to the endpoint, violation).
+
+def _with_last_record(trace, **changes):
+    last = dataclasses.replace(trace.records[-1], **changes)
+    return dataclasses.replace(trace, records=(*trace.records[:-1], last))
+
+
+def _energy_rise(trace):
+    # one more accepted step, raising the energy by twice the resolution
+    last = trace.records[-1]
+    rise = 2.0 * trace.resolution_unit * (1.0 + last.energy)
+    step = dataclasses.replace(last, iteration=last.iteration + 1, energy=last.energy + rise)
+    return dataclasses.replace(trace, records=(*trace.records, step))
+
+
+def _residual_one(trace):
+    return _with_last_record(trace, residual=1.0)
+
+
+def _nan_residual(trace):
+    return _with_last_record(trace, residual=_NAN)
+
+#: (check, changes to the diagnostics, change to the endpoint or, for
+#: check_flow, to the flow trace, violation).
 _CHECK_CASES = [
-    ("flow", {"energy_monotone": False}, None, "energy increased along an accepted step"),
-    ("flow", {"energy_monotone": None}, None, "energy increased along an accepted step"),
-    ("flow", {"max_flow_residual": 1.0}, None, "flow residual 1.000e+00 exceeded bound"),
-    ("flow", {"max_flow_residual": _NAN}, None, "flow residual nan exceeded bound"),
-    ("flow", {"max_flow_residual": None}, None, "flow residual None exceeded bound"),
+    ("flow", {}, _energy_rise, "energy increased along an accepted step"),
+    ("flow", {}, _residual_one, "flow residual 1.000e+00 exceeded bound"),
+    ("flow", {}, _nan_residual, "flow residual nan exceeded bound"),
     ("pipeline", {"detected_order": 25}, None, "order 25 exceeds bound 5"),
     ("pipeline", {"detected_order": None}, None, "order None exceeds bound 5"),
     ("pipeline", {"order_bound": None}, None, "order 5 exceeds bound None"),
@@ -1049,6 +1115,8 @@ def test_each_check_can_fail(certified_run, check, changes, mutate, violation):
     # violation, never a TypeError
     endpoint, diag = certified_run
     diag = dataclasses.replace(diag, **changes)
+    if check == "flow":
+        diag, mutate = dataclasses.replace(diag, flow_trace=mutate(diag.flow_trace)), None
     if check == "rerun":
         violations, delta = check_rerun(endpoint, mutate(endpoint) if mutate else endpoint, diag)
         assert violations == [violation] and delta >= 0.0

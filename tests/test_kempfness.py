@@ -219,7 +219,8 @@ def test_flow_records_a_measured_tail_rise():
     assert any(later > earlier for earlier, later in zip(e, e[1:]))
     assert trace.energy_monotone()
     _, diag = full_pipeline(rep)
-    assert diag.energy_monotone and diag.final_energy == e[-1]
+    d = diag.to_dict()
+    assert d["energy_monotone"] is True and d["final_energy"] == e[-1]
     assert check_flow(diag) == []
 
 
@@ -236,7 +237,7 @@ def test_energy_check_fails_past_the_resolution(monkeypatch, share, monotone):
 
     monkeypatch.setattr("bsretract.retraction.flow", raised_flow)
     _, diag = full_pipeline(_tail_rise_rep())
-    assert diag.energy_monotone is monotone
+    assert diag.flow_trace.energy_monotone() is diag.to_dict()["energy_monotone"] is monotone
     violations = [] if monotone else ["energy increased along an accepted step"]
     assert check_flow(diag) == violations
 
@@ -602,7 +603,7 @@ def test_flow_counts_its_hessian_products(monkeypatch):
     assert trace.hessian_products == sum(counts) > trace.iterations
     counts.clear()
     _, diag = full_pipeline(random_rep(2, 3, 8, 0))
-    assert diag.flow_hessian_products == trace.hessian_products == sum(counts)
+    assert diag.flow_trace.hessian_products == trace.hessian_products == sum(counts)
     assert diag.to_dict()["flow_hessian_products"] == trace.hessian_products
     assert flow(n5_block(1.0))[1].hessian_products == 0
 
@@ -983,7 +984,7 @@ def test_flow_counts_no_hessian_product_for_the_warm_step(monkeypatch):
     assert len(counts) == trace.iterations - 1
     assert trace.hessian_products == sum(counts)
     _, diag = full_pipeline(random_rep(2, 3, 8, 0))
-    assert diag.flow_warm_start is diag.to_dict()["flow_warm_start"] is True
+    assert diag.flow_trace.warm_start is diag.to_dict()["flow_warm_start"] is True
 
 
 def test_flow_starts_cold_on_a_jordan_point():
@@ -1029,9 +1030,9 @@ def test_minimal_inputs_take_no_warm_step():
     assert not trace.warm_start and trace.iterations == 0
     assert final.A.tobytes() == rep.A.tobytes() and final.B.tobytes() == rep.B.tobytes()
     endpoint, diag = full_pipeline(random_rep(2, 3, 4, 1))
-    assert diag.flow_warm_start
+    assert diag.flow_trace.warm_start
     _, rerun = full_pipeline(endpoint)
-    assert rerun.flow_warm_start is False and rerun.flow_iterations == 0
+    assert rerun.flow_trace.warm_start is False and rerun.flow_trace.iterations == 0
 
 
 def census_cycles_rep():
@@ -1061,7 +1062,7 @@ def test_census_cycles_converge_at_the_warm_point():
     assert kn_energy(rep) > 2.0 * bound
     assert trace.records[-1].energy == pytest.approx(bound, rel=1e-12, abs=0.0)
     _, diag = full_pipeline(rep)
-    assert diag.flow_iterations == diag.to_dict()["flow_iterations"] == 1
+    assert diag.flow_trace.iterations == diag.to_dict()["flow_iterations"] == 1
 
 
 def test_cycle_start_scales_each_cycle_to_its_geometric_mean():

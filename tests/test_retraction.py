@@ -30,6 +30,7 @@ from bsretract import (
 from bsretract.compactify import conjugate_into_unitary, detect_finite_order, invariant_form
 from bsretract.kempfness import flow
 from bsretract.bsrep import residual
+from bsretract.errors import NoConvergence, NotPositiveDefinite
 from bsretract.numerics import PolarFactors, hs_norm, polar
 from bsretract.retraction import COMMUTE_TOL, RetractionPath
 from bsretract.suite import check_pipeline, derive_seed
@@ -112,7 +113,7 @@ def test_certified_run_decomposes_b_once(monkeypatch):
     assert np.array_equal(calls[0], rep.B) and np.array_equal(calls[1], flowed.B)
     assert diag.eig_condition == np.linalg.cond(eig(flowed.B)[1]) >= 1.0
     assert "eig_condition_a" not in diag.to_dict()
-    assert diag.initial_energy == kn_energy(rep)
+    assert diag.to_dict()["initial_energy"] == kn_energy(rep)
 
 
 def test_full_pipeline_measures_the_input_residual_once(monkeypatch):
@@ -129,7 +130,7 @@ def test_full_pipeline_measures_the_input_residual_once(monkeypatch):
     monkeypatch.setattr("bsretract.bsrep.residual", counting)
     monkeypatch.setattr("bsretract.kempfness.residual", counting)
     _, diag = full_pipeline(flowed, cfg)
-    assert diag.outcome == "ok" and diag.flow_iterations == 0
+    assert diag.outcome == "ok" and diag.flow_trace.iterations == 0
     assert len(calls) == 1 and np.array_equal(calls[0], flowed.A)
 
 
@@ -202,7 +203,7 @@ def test_full_pipeline_identity_on_unitary_input():
     rep = n5_block(np.exp(0.4j))
     out, diag = full_pipeline(rep)
     assert diag.outcome == "ok"
-    assert diag.flow_iterations == 0
+    assert diag.flow_trace.iterations == 0
     assert hs_norm(out.A - rep.A) <= 1e-10
     assert hs_norm(out.B - rep.B) <= 1e-10
 
@@ -299,7 +300,7 @@ def test_full_pipeline_iter_budget_is_soft():
 def test_full_pipeline_stalled_line_search_is_soft():
     with flow_constants(eta0=1e-20):
         out, diag = full_pipeline(random_rep(2, 3, 3, 1))
-    assert diag.outcome == diag.flow_outcome == "line_search_stalled"
+    assert diag.outcome == diag.flow_trace.outcome == "line_search_stalled"
     assert out is not None
     assert diag.detected_order is None
 
@@ -313,7 +314,30 @@ def test_full_pipeline_structural_failure_raises_with_stage():
     with pytest.raises(PipelineStageError) as err:
         full_pipeline(rep, FlowConfig(max_iter=10**4, tol=1e-3))
     assert err.value.stage == "detect_finite_order"
-    assert err.value.diagnostics.flow_outcome == "converged"
+    assert err.value.diagnostics.flow_trace.outcome == "converged"
+
+
+@pytest.mark.parametrize("error", [NotPositiveDefinite, NoConvergence, SingularMatrix])
+@pytest.mark.parametrize("stage", ["detect_finite_order", "invariant_form",
+                                   "conjugate_into_unitary", "normality_exponent",
+                                   "retract_a"])
+def test_any_library_error_of_a_stage_is_recorded_under_its_name(monkeypatch, stage, error):
+    # certify records the error of each of its stages, and full_pipeline
+    # the error of retract_a, under the stage's name; none escapes
+    def failing(*args, **kwargs):
+        raise error(f"{stage} failed for the test")
+
+    module = "retraction" if stage == "retract_a" else "compactify"
+    monkeypatch.setattr(f"bsretract.{module}.{stage}", failing)
+    rep = random_rep(2, 3, 4, 1)
+    if stage != "retract_a":
+        cert = certify(flow(rep)[0])
+        assert cert.failed_stage == stage and isinstance(cert.error, error)
+    with pytest.raises(PipelineStageError) as err:
+        full_pipeline(rep)
+    diag = err.value.diagnostics
+    assert err.value.stage == diag.failed_stage == stage
+    assert diag.error == f"{error.__name__}: {stage} failed for the test"
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
