@@ -76,12 +76,7 @@ def _inv(a: np.ndarray) -> np.ndarray:
 
 
 def residual(a: np.ndarray, b: np.ndarray, p: int, q: int) -> float:
-    """||A B^p A^-1 - B^q|| of raw arrays, without validating them.
-
-    A, and B as well, may be a stack (..., n, n): a 2-D B has its powers
-    formed once for every A, a stack is paired with A matrix by matrix.
-    The result is then the array of residuals, each equal to that of its
-    pair alone."""
+    """||A B^p A^-1 - B^q|| of raw arrays, without validating them."""
     try:
         lhs = a @ np.linalg.matrix_power(b, p) @ np.linalg.inv(a)
         return hs_norm(lhs - np.linalg.matrix_power(b, q))

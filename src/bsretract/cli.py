@@ -416,6 +416,7 @@ def cmd_verify(in_path, out, snap_tol):
         report["kappa_identity_defect"] = hs_norm(cert.form.Q - np.eye(rep.n))
     if cert.error is not None:
         report["structural_failure"] = f"{type(cert.error).__name__}: {cert.error}"
+        report["failed_stage"] = cert.failed_stage
         exit_code = EXIT_STRUCTURAL
     _write_text(out, canonical_json(report) + "\n")
     manifest = build_manifest(

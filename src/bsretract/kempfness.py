@@ -72,8 +72,6 @@ ITER_BUDGET = "iter_budget"
 LINE_SEARCH_STALLED = "line_search_stalled"
 
 _MAX_BACKTRACKS = 80
-#: Accepted iterates per stacked relation-residual measurement.
-_RESIDUAL_BLOCK = 256
 #: Largest |t w| of a trial exp(t d), w an eigenvalue of d: beyond it the
 #: conjugation could overflow.
 _EXP_CAP = 60.0
@@ -504,11 +502,12 @@ def flow(
     or when the line search accepts no step, because every trial is
     rejected or the Newton direction is not finite (LINE_SEARCH_STALLED).
     Conjugation preserves the defining relation, so the residual is
-    tracked, not corrected: every accepted iterate's residual is measured,
-    in stacked blocks of _RESIDUAL_BLOCK iterates.  initial_residual, from
-    a caller that has already measured relation_residual(rep), is recorded
-    as iteration 0's residual in place of a second measurement.  The trace
-    also counts the Hessian products of all the Newton solves.
+    tracked, not corrected: each accepted iterate's residual is measured
+    when its record is appended, so a singular A raises SingularMatrix at
+    the first iterate that has it.  initial_residual, from a caller that
+    has already measured relation_residual(rep), is recorded as iteration
+    0's residual in place of a second measurement.  The trace also counts
+    the Hessian products of all the Newton solves.
 
     An input that fails the stop test first takes the warm step: with
     B = V diag(lambda) V^-1, it is conjugated by D V^-1, D = diag(e^x) with
@@ -527,19 +526,6 @@ def flow(
     cfg = cfg or FlowConfig()
     p, q = rep.group.p, rep.group.q
     records: list[FlowRecord] = []
-    # Accepted iterates whose residuals are not measured yet:
-    # (the stack (A, B), (iteration, energy, moment_norm, step)).
-    pending: list[tuple[np.ndarray, tuple]] = []
-
-    def measure():
-        block = pending.copy()
-        pending.clear()
-        stacks, rows = zip(*block)
-        a_s = np.stack([ab[0] for ab in stacks])
-        b_s = np.stack([ab[1] for ab in stacks])
-        res = residual(a_s, b_s, p, q).tolist()
-        records.extend(FlowRecord(*row, r) for row, r in zip(rows, res))
-
     ab = np.stack((rep.A, rep.B))
     energy = _energy(*ab)
     products = _moment(ab)
@@ -553,44 +539,36 @@ def flow(
     hessian_products = 0
     warm_start = False
     it = 0
-    try:
-        while True:
-            row = (it, energy, mu_norm, step_taken)
-            if it == 0 and initial_residual is not None:
-                records.append(FlowRecord(*row, initial_residual))
-            else:
-                pending.append((ab, row))
-                if len(pending) == _RESIDUAL_BLOCK:
-                    measure()
-            if mu_norm <= cfg.tol * (1.0 + energy):
-                outcome = CONVERGED
-                break
-            if it >= cfg.max_iter:
-                break
-            step = None
-            if it == 0:
-                step = _warm_start(ab, energy, cfg)
-                warm_start = step is not None
+    while True:
+        if it == 0 and initial_residual is not None:
+            res = initial_residual
+        else:
+            res = residual(*ab, p, q)
+        records.append(FlowRecord(it, energy, mu_norm, step_taken, res))
+        if mu_norm <= cfg.tol * (1.0 + energy):
+            outcome = CONVERGED
+            break
+        if it >= cfg.max_iter:
+            break
+        step = None
+        if it == 0:
+            step = _warm_start(ab, energy, cfg)
+            warm_start = step is not None
+        if step is None:
+            d, count = _newton_direction(
+                products.mu, mu_norm, _hessian(ab, products), energy, cfg.tol
+            )
+            hessian_products += count
+            step = _line_search(
+                ab, products, mu_norm, d, energy, resolution_unit * (1.0 + energy), cfg
+            )
             if step is None:
-                d, count = _newton_direction(
-                    products.mu, mu_norm, _hessian(ab, products), energy, cfg.tol
-                )
-                hessian_products += count
-                step = _line_search(
-                    ab, products, mu_norm, d, energy, resolution_unit * (1.0 + energy), cfg
-                )
-                if step is None:
-                    outcome = LINE_SEARCH_STALLED
-                    break
-            # The accepted trial's energy and moment are the next
-            # iterate's: the same arrays give the same floats.
-            ab, energy, products, mu_norm, step_taken = step
-            it += 1
-    finally:
-        # Also on the way out of an exception, so that a singular earlier
-        # iterate raises SingularMatrix as it would have when measured.
-        if pending:
-            measure()
+                outcome = LINE_SEARCH_STALLED
+                break
+        # The accepted trial's energy and moment are the next iterate's:
+        # the same arrays give the same floats.
+        ab, energy, products, mu_norm, step_taken = step
+        it += 1
     trace = FlowTrace(tuple(records), outcome, resolution_unit, hessian_products, warm_start)
     return Rep(rep.group, rep.n, ab[0], ab[1]), trace
 

@@ -51,33 +51,25 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
-def hs_norm(x):
+def hs_norm(x) -> float:
     """Hilbert-Schmidt (Frobenius) norm sqrt(sum |x_ij|^2).
 
     The squared norm is the two real BLAS dot products np.linalg.norm
-    takes, so the value equals its.  A C-ordered stack (..., n, n) gives
-    the array of the norms of its matrices, each rounded as for that
-    matrix alone.
+    takes, so the value equals its.
     """
     x = np.asarray(x)
-    if x.ndim < 3:
-        if x.dtype.kind not in "fc":
-            x = x.astype(float)
-        f = x.ravel(order="K")
-        re, im = f.real, f.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    flat = x.reshape(x.shape[:-2] + (1, -1))
-    re, im = flat.real, flat.imag
-    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
-    return np.sqrt(sq[..., 0, 0])
+    if x.dtype.kind not in "fc":
+        x = x.astype(float)
+    f = x.ravel(order="K")
+    re, im = f.real, f.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def unitarity_defect(x: np.ndarray):
-    """||X* X - I|| in the Hilbert-Schmidt norm; of each matrix for a stack."""
-    g = np.swapaxes(x.conj(), -1, -2) @ x
-    n = g.shape[-1]
-    # The diagonal of each (C-ordered) product, as a writable view.
-    g.reshape(g.shape[:-2] + (n * n,))[..., :: n + 1] -= 1.0
+def unitarity_defect(x: np.ndarray) -> float:
+    """||X* X - I|| in the Hilbert-Schmidt norm."""
+    g = x.conj().T @ x
+    # The diagonal of the (C-ordered) product, as a writable view.
+    g.reshape(-1)[:: len(g) + 1] -= 1.0
     return hs_norm(g)
 
 
@@ -167,7 +159,10 @@ def snap_root_of_unity(value: complex, max_order: int, tol: float) -> RootOfUnit
     lam = complex(value)
     r = abs(lam)
     if not abs(r - 1.0) <= tol or r == 0.0:
-        raise NotARootOfUnity(f"|{lam!r}| = {r:.6g} is off the unit circle")
+        raise NotARootOfUnity(
+            f"{lam!r} is off the unit circle: ||lam| - 1| = {abs(r - 1.0):.3g}, "
+            f"tolerance {tol:.3g}"
+        )
     # Convert the chordal budget into an angular one: with lam = r e^(i*phi),
     # |lam - e^(i*psi)|^2 = (r-1)^2 + 4 r sin^2((phi - psi)/2); the asin
     # form avoids the catastrophic 1 - cos cancellation at tiny tol.

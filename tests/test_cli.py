@@ -133,6 +133,14 @@ def test_construct_rejects_bad_parameters(runner, tmp_path):
     res = runner.invoke(main, ["construct", "--p", "2", "--q", "3",
                                "--orbit", "5:1,3", "--out", str(tmp_path / "x.json")])
     assert res.exit_code == 2
+    # |p| = |q|, and a dimension below 1
+    for args, message in ((["--p", "1", "--q", "-1", "--random", "2"], "must differ"),
+                          (["--p", "2", "--q", "3", "--random", "0"], "n must be >= 1")):
+        res = runner.invoke(main, ["construct", *args, "--out", str(tmp_path / "x.json")])
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert res.exit_code == 2, res.output
+        assert res.stderr.startswith("error: ") and message in res.stderr
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("args, conflict", [
@@ -362,9 +370,10 @@ def test_pipeline_rejects_corrupted_rep(runner, tmp_path):
 
 def test_pipeline_measures_its_input_once(runner, tmp_path, monkeypatch):
     # full_pipeline's gate is the one measurement of the input: the flow
-    # records it as iteration 0, so the other calls are the flow's stacked
-    # block and the endpoint check.  The CLI measured the input a second
-    # time before full_pipeline's gate.
+    # records it as iteration 0, so the other calls are the flow's
+    # measurement of its warm point, record 1 and its last, and the
+    # endpoint check.  The CLI measured the input a second time before
+    # full_pipeline's gate.
     from bsretract import bsrep, kempfness
 
     rep = random_rep(2, 3, 4, 1)
@@ -512,6 +521,14 @@ def test_pipeline_structural_exit_on_forced_tight_snap(runner, tmp_path):
     res = runner.invoke(main, ["pipeline", "--in", in_path, "--out", "-",
                                "--snap-tol", "1e-12"])
     assert res.exit_code == 4
+    # verify's report names the stage and the distance that failed it
+    report = tmp_path / "report.json"
+    res = runner.invoke(main, ["verify", "--in", in_path, "--out", str(report),
+                               "--snap-tol", "1e-12"])
+    assert res.exit_code == 4, res.output
+    doc = json.loads(report.read_text())
+    assert doc["failed_stage"] == "detect_finite_order"
+    assert doc["structural_failure"].endswith("||lam| - 1| = 1e-09, tolerance 1e-12")
 
 
 def test_pipeline_exits_structural_when_the_retraction_fails(runner, tmp_path, monkeypatch):
@@ -548,8 +565,9 @@ def test_a_form_that_is_not_positive_definite_exits_structural(runner, tmp_path,
     res = runner.invoke(main, ["verify", "--in", in_path, "--out", str(report)])
     assert isinstance(res.exception, SystemExit), res.exc_info
     assert res.exit_code == 4, res.output
-    failure = json.loads(report.read_text())["structural_failure"]
-    assert failure.startswith("NotPositiveDefinite: ")
+    doc = json.loads(report.read_text())
+    assert doc["structural_failure"].startswith("NotPositiveDefinite: ")
+    assert doc["failed_stage"] == "invariant_form"
     res = runner.invoke(main, ["pipeline", "--in", in_path, "--out", str(tmp_path / "e.json")])
     assert isinstance(res.exception, SystemExit), res.exc_info
     assert res.exit_code == 4, res.output

@@ -786,7 +786,7 @@ def test_flow_matches_reference_in_sl_mode(p, q, n, seed):
     assert_same_invariants(random_rep(p, q, n, seed, sl=True))
 
 
-# ------------------------------------------------- stacked residual blocks
+# ------------------------------------------------------ recorded residuals
 
 def assert_same_run(run, other):
     (final, trace), (other_final, other_trace) = run, other
@@ -802,70 +802,51 @@ def far_off(rep, seed):
     return conjugate(rep, conditioned(np.random.default_rng(seed), rep.n, 1e12))
 
 
-BLOCK_CASES = [
-    (far_off(random_rep(2, 3, 8, 1), 1), None),
-    (far_off(random_rep(2, 3, 12, 0), 0), None),
-    (far_off(random_rep(2, 3, 8, 1, sl=True), 1), None),
+FAR_OFF_CASES = [
+    far_off(random_rep(2, 3, 8, 1), 1),
+    far_off(random_rep(2, 3, 12, 0), 0),
+    far_off(random_rep(2, 3, 8, 1, sl=True), 1),
 ]
 
 
-@pytest.mark.parametrize("block", [1, 2, 3, 7])
-def test_flow_records_do_not_depend_on_the_block(monkeypatch, block):
-    defaults = [flow(rep, cfg) for rep, cfg in BLOCK_CASES]
-    monkeypatch.setattr(kempfness, "_RESIDUAL_BLOCK", block)
-    for (rep, cfg), default in zip(BLOCK_CASES, defaults):
-        assert_same_run(flow(rep, cfg), default)
-        assert len(default[1].records) > 2 * block
-
-
-BLOCK = 3
-
-
-@pytest.mark.usefixtures("cold_start")
-@pytest.mark.parametrize("max_iter", [
-    BLOCK - 1,      # stops on a block boundary
-    BLOCK,          # one iterate past it
-    BLOCK + 1,      # inside the second block
-    2 * BLOCK - 1,  # on the second boundary
+@pytest.mark.parametrize("rep, records", [
+    (FAR_OFF_CASES[0], 19),
+    (jordan_rep(2, 3, 4, 0), 19),
 ])
-def test_flow_blocks_at_budget_stops(monkeypatch, max_iter):
-    rep, cfg = random_rep(2, 3, 8, 0), FlowConfig(max_iter=max_iter)
-    default = flow(rep, cfg)
-    monkeypatch.setattr(kempfness, "_RESIDUAL_BLOCK", BLOCK)
-    assert_same_run(flow(rep, cfg), default)
-    assert default[1].outcome == "iter_budget"
-    assert len(default[1].records) == max_iter + 1
+@pytest.mark.parametrize("given", [False, True])
+def test_each_record_measures_its_own_iterate(rep, records, given):
+    # iterate k is the endpoint of the flow truncated at max_iter = k; its
+    # record in the full flow carries relation_residual of it, bit for
+    # bit, except record 0, which takes a given initial_residual as it is
+    initial = 0.5 if given else None
+    _, trace = flow(rep, initial_residual=initial)
+    assert len(trace.records) == records
+    for record in trace.records[1:]:
+        cfg = FlowConfig(max_iter=record.iteration)
+        iterate, truncated = flow(rep, cfg, initial_residual=initial)
+        assert truncated.records[-1] == record
+        assert record.residual == relation_residual(iterate)
+    expected = initial if given else relation_residual(rep)
+    assert trace.records[0].residual == expected
 
 
 def test_flow_is_deterministic():
-    for rep, cfg in BLOCK_CASES:
-        assert_same_run(flow(rep, cfg), flow(rep, cfg))
+    for rep in FAR_OFF_CASES:
+        assert_same_run(flow(rep), flow(rep))
 
 
 def nilpotent_rep():
     # A is singular, so no iterate has a relation residual; the moment
-    # [A, A*] is not zero, so the flow runs for more than a small block.
+    # [A, A*] is not zero, so the flow would run past iteration 0.
     return rep_of(2, 3, [[0.0, 1.0], [0.0, 0.0]], np.eye(2))
 
 
 @pytest.mark.usefixtures("cold_start")
-def test_flow_raises_on_singular_a(monkeypatch):
-    # converged at iteration 0: a block of one iterate
-    with pytest.raises(SingularMatrix):
-        flow(rep_of(2, 3, np.zeros((2, 2)), np.eye(2)))
-    # singular in every iterate of a full stacked block
-    monkeypatch.setattr(kempfness, "_RESIDUAL_BLOCK", 4)
-    blocks = []
-    residual = kempfness.residual
-
-    def recorded(a, b, p, q):
-        blocks.append(len(a))
-        return residual(a, b, p, q)
-
-    monkeypatch.setattr(kempfness, "residual", recorded)
-    with pytest.raises(SingularMatrix):
-        flow(nilpotent_rep())
-    assert blocks == [4]
+def test_flow_raises_on_singular_a():
+    # converged at iteration 0, and off the minimum: record 0 raises
+    for rep in (rep_of(2, 3, np.zeros((2, 2)), np.eye(2)), nilpotent_rep()):
+        with pytest.raises(SingularMatrix):
+            flow(rep)
 
 
 def _failing_at(name, call):
@@ -884,11 +865,12 @@ def _failing_at(name, call):
 
 @pytest.mark.usefixtures("cold_start")
 def test_singular_iterate_outranks_a_later_eigensolver_failure(monkeypatch):
-    # the iterates pending when the eigensolver fails are still measured,
-    # so the singular A is reported first, as a per-iterate check would
-    monkeypatch.setattr(np.linalg, "eigh", _failing_at("eigh", 3))
+    # each iterate is measured when it is recorded, before the next step:
+    # the singular A of iterate 1 is reported, not the failure of the
+    # eigensolver on the step from it
+    monkeypatch.setattr(np.linalg, "eigh", _failing_at("eigh", 2))
     with pytest.raises(SingularMatrix):
-        flow(nilpotent_rep())
+        flow(nilpotent_rep(), initial_residual=0.0)
     monkeypatch.setattr(np.linalg, "eigh", _failing_at("eigh", 3))
     rng = np.random.default_rng(11)
     with pytest.raises(NoConvergence):
@@ -1001,12 +983,14 @@ def test_flow_starts_cold_on_a_jordan_point():
 
 @pytest.mark.parametrize("name", ["eig", "inv"])
 def test_a_failed_warm_step_falls_back_cold(monkeypatch, name):
-    # the flow's first call of eig or inv is the warm step's; each raises
-    # once, and the flow catches it and starts cold, bit for bit
+    # with record 0's residual given, the flow's first call of eig or inv
+    # is the warm step's; each raises once, and the flow catches it and
+    # starts cold, bit for bit
     rep = random_rep(2, 3, 8, 0)
     cold = cold_flow(rep)
+    res0 = relation_residual(rep)
     monkeypatch.setattr(np.linalg, name, _failing_at(name, 1))
-    fell_back = flow(rep)
+    fell_back = flow(rep, initial_residual=res0)
     assert not fell_back[1].warm_start
     assert_same_run(fell_back, cold)
 

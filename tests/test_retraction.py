@@ -47,7 +47,7 @@ from util import (
     n5_block,
     path_sample,
     rep_of,
-    sampled_residuals,
+    sampled_differences,
     swap2,
     zeta,
 )
@@ -170,6 +170,14 @@ def test_retract_rejects_nonunitary_b():
     rep = conjugate(n5_block(1.0), conditioned(rng, 2, 10.0))
     with pytest.raises(ValueError):
         retract_a(rep)
+
+
+def test_retract_needs_two_samples():
+    # a path from t = 1 to t = 0 has at least its two ends
+    rep = n5_block(1.0)
+    with pytest.raises(ValueError, match="num_samples must be >= 2"):
+        retract_a(rep, 1)
+    assert [row[0] for row in retract_a(rep, 2).rows()] == [1.0, 0.0]
 
 
 def test_retract_polar_obstruction_guard():
@@ -359,6 +367,12 @@ def test_verify_unitary_rep_examples():
     assert verify_unitary_rep(rep_of(2, 3, np.eye(2), np.eye(2)))
     assert verify_unitary_rep(n5_block(np.exp(1.1j)))
     assert not verify_unitary_rep(n5_block(2.0))
+    # unitary generators off the variety: A B^2 A^-1 = B^3 fails for A = I
+    # and B of order 5
+    off = rep_of(2, 3, np.eye(2), np.diag([zeta(5, 1), zeta(5, 4)]))
+    assert max(unitarity_defect(off.A), unitarity_defect(off.B)) <= 1e-15
+    assert relation_residual(off) > 1.0
+    assert not verify_unitary_rep(off)
 
 
 @pytest.fixture(scope="module")
@@ -404,7 +418,7 @@ def test_path_rows_equal_per_sample_reps(grid_diagnostics):
         rows = path.rows()
         assert path.num_samples == len(rows) == 100
         assert [r[0] for r in rows] == times.tolist()
-        assert [r[1] for r in rows] == sampled_residuals(path, times).tolist()
+        assert [r[1] for r in rows] == [hs_norm(d) for d in sampled_differences(path, times)]
         for t, res, defect in rows:
             sample = path_sample(path, t)
             assert abs(res - relation_residual(sample)) <= 1e-13
@@ -423,7 +437,8 @@ BENCH_GRID_SEEDS = 10
 def test_residual_bound_covers_10001_samples_of_every_grid_path():
     # The bound holds at every t in [0, 1], so no sample of a dense path
     # of the same factors exceeds it; the endpoint's residual is the last
-    # sample's, bit for bit, at any number of samples.
+    # sample's, bit for bit, at any number of samples.  The dense norms
+    # are np.linalg.norm's row sums, within rounding of each row's hs_norm.
     cfg = FlowConfig(tol=1e-10, max_iter=10**5)
     dense_t = np.linspace(1.0, 0.0, 10_001)
     cells = 0
@@ -432,11 +447,12 @@ def test_residual_bound_covers_10001_samples_of_every_grid_path():
             for i in range(BENCH_GRID_SEEDS):
                 _, diag = full_pipeline(random_rep(p, q, n, derive_seed(0, p, q, n, i)), cfg)
                 path = diag.retraction_path
-                dense = sampled_residuals(path, dense_t)
-                assert np.max(dense) <= path.residual_bound == diag.max_path_residual
+                dense = sampled_differences(path, dense_t)
+                bound = path.residual_bound
+                assert np.linalg.norm(dense, axis=1).max() <= bound == diag.max_path_residual
                 assert diag.max_path_residual <= 1e-8 + 10.0 * diag.initial_residual
                 assert diag.endpoint_residual == path.endpoint_residual
-                assert path.endpoint_residual == path.rows()[-1][1] == dense[-1]
+                assert path.endpoint_residual == path.rows()[-1][1] == hs_norm(dense[-1])
                 cells += 1
     assert cells == 600
 
@@ -536,7 +552,7 @@ def test_factored_residuals_match_lu_where_p_and_b_do_not_commute():
             for pq in ((2, 3), (-1, 2), (3, -5)):
                 path = RetractionPath(11, b, BSGroup(*pq), factors)
                 rows = path.rows()
-                lu = residual(np.stack([path_sample(path, t).A for t, *_ in rows]), b, *pq)
+                lu = np.array([residual(path_sample(path, t).A, b, *pq) for t, *_ in rows])
                 assert lu.min() >= 0.01
                 res = np.array([r[1] for r in rows])
                 assert np.all(np.abs(res - lu) <= 1e-12 * lu)

@@ -196,12 +196,13 @@ def path_sample(path, t):
     return Rep(path.group, path.B.shape[0], (f.w * f.s**t) @ f.vh, path.B)
 
 
-def sampled_residuals(path, t):
-    """||A_t B^p A_t^-1 - B^q|| of a RetractionPath at every time in t, all
-    at once, as a reference for its rows: with B~ = Vh B Vh*, O = Vh W and
-    S_ij = s_i / s_j, each is ||S^t o B~^p - O* B~^q O|| (o the entrywise
-    product), over flat (k, n^2) rows.  s^t is the elementwise power, so
-    at t = 1/2 it rounds as pow does, not as sqrt."""
+def sampled_differences(path, t):
+    """The differences whose norms are ||A_t B^p A_t^-1 - B^q|| of a
+    RetractionPath, at every time in t at once, as a reference for its
+    rows: with B~ = Vh B Vh*, O = Vh W and S_ij = s_i / s_j, each is
+    S^t o B~^p - O* B~^q O (o the entrywise product), a flat row of n^2
+    entries, whose hs_norm rounds as that of the n x n matrix.  s^t is the
+    elementwise power, so at t = 1/2 it rounds as pow does, not as sqrt."""
     f, group = path.factors, path.group
     bt = f.vh @ path.B @ f.vh.conj().T
     bp, bq = np.linalg.matrix_power(bt, group.p), np.linalg.matrix_power(bt, group.q)
@@ -211,7 +212,7 @@ def sampled_residuals(path, t):
     k, n = st.shape
     diff = (st[:, :, None] / st[:, None, :]).reshape(k, n * n) * bp.ravel()
     diff -= c.ravel()
-    return hs_norm(diff.reshape(k, n, n))
+    return diff
 
 
 def haar_unitary(rng, n):
@@ -264,7 +265,10 @@ def reference_snap(value, max_order, tol):
     lam = complex(value)
     r = abs(lam)
     if abs(r - 1.0) > tol or r == 0.0:
-        raise NotARootOfUnity(f"|{lam!r}| = {r:.6g} is off the unit circle")
+        raise NotARootOfUnity(
+            f"{lam!r} is off the unit circle: ||lam| - 1| = {abs(r - 1.0):.3g}, "
+            f"tolerance {tol:.3g}"
+        )
     slack = max(0.0, tol * tol - (r - 1.0) ** 2)
     ang_tol = 2.0 * math.asin(min(1.0, math.sqrt(slack / (4.0 * r)))) / (2.0 * math.pi)
     theta = Fraction(math.atan2(lam.imag, lam.real) / (2.0 * math.pi) % 1.0)
