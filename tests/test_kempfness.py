@@ -811,6 +811,7 @@ FAR_OFF_CASES = [
 
 @pytest.mark.parametrize("rep, records", [
     (FAR_OFF_CASES[0], 19),
+    (FAR_OFF_CASES[2], 18),
     (jordan_rep(2, 3, 4, 0), 19),
 ])
 @pytest.mark.parametrize("given", [False, True])
@@ -842,11 +843,14 @@ def nilpotent_rep():
 
 
 @pytest.mark.usefixtures("cold_start")
-def test_flow_raises_on_singular_a():
-    # converged at iteration 0, and off the minimum: record 0 raises
-    for rep in (rep_of(2, 3, np.zeros((2, 2)), np.eye(2)), nilpotent_rep()):
-        with pytest.raises(SingularMatrix):
-            flow(rep)
+@pytest.mark.parametrize("rep, initial", [
+    (rep_of(2, 3, np.zeros((2, 2)), np.eye(2)), None),  # converged at 0
+    (nilpotent_rep(), None),  # off the minimum: record 0 raises
+    (nilpotent_rep(), 0.0),   # record 0 is given: iterate 1 raises
+], ids=["zero", "nilpotent", "nilpotent-given"])
+def test_flow_raises_on_singular_a(rep, initial):
+    with pytest.raises(SingularMatrix):
+        flow(rep, initial_residual=initial)
 
 
 def _failing_at(name, call):
