@@ -185,8 +185,8 @@ def random_rep(p: int, q: int, n: int, seed: int, *, sl: bool = False) -> Rep:
     then conjugates by a random invertible matrix of condition number at
     most RANDOM_COND_MAX.  All randomness flows through a counter-based Philox
     generator keyed by the seed.  Raises ValueError, as
-    census.check_moduli does, if the census scans would hold more than
-    census.MAX_SCAN_ELEMENTS values.
+    census.check_moduli does, if the census scans would walk more than
+    census.MAX_SCAN_ELEMENTS elements.
     """
     census.validate_parameters(p, q)
     if n < 1:

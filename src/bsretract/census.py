@@ -5,7 +5,10 @@ eigenvalues of b at minimal-vector representations are roots of unity
 whose orders divide |p^k - q^k| for some k up to the dimension.  This
 module enumerates the corresponding exponent orbits of x -> u*x on Z/N
 (u = q * p^{-1} mod N) in exact integer arithmetic: one int64 array scan
-per k, for pools whose scans hold at most MAX_SCAN_ELEMENTS values.
+of Z/m, m = |p^k - q^k|, per k, which keeps only each orbit's smallest
+element and its modulus; an orbit's exponents are rebuilt from those two
+numbers when it is asked for.  The scans of one pool walk at most
+MAX_SCAN_ELEMENTS elements.
 """
 
 from __future__ import annotations
@@ -86,45 +89,56 @@ class OrbitDatum:
         }
 
 
-#: Largest number of int64 values the scans of one pool may hold.  The
-#: scan of k stores one value per orbit element, at most
-#: m = |p^k - q^k| of them, so a pool of dimension n holds at most the
-#: sum of its moduli: 2^27 values are 1 GiB.  Every modulus is then below
-#: 2^27, and the int64 products of residues stay exact ((m - 1)^2 < 2^63).
+#: Largest sum of the moduli m = |p^k - q^k|, k <= n, that the scans of
+#: one pool may walk.  The scan of k visits each element of Z/m once, so
+#: the budget bounds the scans' work, which grows like max(|p|, |q|)^n;
+#: and every modulus is then below 2^27, so the int64 products of
+#: residues stay exact ((m - 1)^2 < 2^54).
 MAX_SCAN_ELEMENTS = 2**27
 
-#: Elements of Z/m that one step of the scan holds at a time.
-_BLOCK = 1 << 16
+#: Elements of Z/m that one step of the scan holds at a time; 2^14
+#: scanned the wide-flow benchmark's moduli faster than 2^16.
+_BLOCK = 1 << 14
 
 
 def check_moduli(p: int, q: int, n: int) -> None:
     """Raise ValueError naming k and m = |p^k - q^k| at the first k <= n
-    where the sum of the moduli up to k, the most the scans of the pool
-    hold, passes MAX_SCAN_ELEMENTS; allocates nothing, and since the
+    where the sum of the moduli up to k, the elements the scans of the
+    pool walk, passes MAX_SCAN_ELEMENTS; allocates nothing, and since the
     moduli grow like 2^k, stops by k = 27 whatever n is."""
     validate_parameters(p, q)
     p, q = int(p), int(q)
-    held = 0
+    walked = 0
     for k in range(1, int(n) + 1):
         m = abs(p**k - q**k)
-        held += m
-        if held > MAX_SCAN_ELEMENTS:
+        walked += m
+        if walked > MAX_SCAN_ELEMENTS:
             raise ValueError(
                 f"the census scans up to k = {k} (m = |p^k - q^k| = {m}) "
-                f"would hold {held} int64 values, past the budget 2^27; "
+                f"would walk {walked} elements, past the budget 2^27; "
                 f"use a smaller n"
             )
 
 
 class _Scan(NamedTuple):
     """Every orbit of length exactly k on Z/m, m = |p^k - q^k|, sorted by
-    (N, orbit): u = q/p mod m, and read-only arrays of each orbit's own
-    modulus N, shape (r,), and its exponents in cycle order from the
-    smallest, shape (r, k)."""
+    (N, orbit): m, u = q/p mod m, and read-only arrays, shape (r,), of
+    each orbit's smallest element x in Z/m and its own modulus N.  With
+    g = m / N = gcd(x, m), the orbit's exponents in cycle order are
+    (u^j x mod m) / g for j < k."""
 
+    m: int
     u: int
+    starts: np.ndarray
     moduli: np.ndarray
-    orbits: np.ndarray
+
+
+def _mulmod(y: np.ndarray, u: int, m: int) -> np.ndarray:
+    """u y mod m for 0 <= y, u < m < 2^27, in a new array; numpy's
+    int64 division by a scalar is faster than its remainder."""
+    t = y * u
+    t -= t // m * m
+    return t
 
 
 @lru_cache(maxsize=256)
@@ -134,33 +148,34 @@ def _scan(p: int, q: int, k: int) -> _Scan:
     # Each x in Z/m is x' * m/N for exactly one divisor N of m and unit
     # x' mod N, and its orbit has length ord_N(u).  x starts a row when it
     # is below each of u x, ..., u^(k-1) x, so it is its orbit's smallest
-    # element and the orbit has not closed early, and u^k x = x.
+    # element and the orbit has not closed early; u^k x = x holds for
+    # every x, as p^k = q^k mod m.
     starts = [np.empty(0, dtype=np.int64)]
     for lo in range(1, m, _BLOCK):
         x = np.arange(lo, min(lo + _BLOCK, m), dtype=np.int64)
         y = x
         for _ in range(k - 1):
-            y = u * y % m
+            y = _mulmod(y, u, m)
             keep = x < y
             x, y = x[keep], y[keep]
-        starts.append(x[u * y % m == x])
+        starts.append(x)
     x = np.concatenate(starts)
-    g = np.gcd(x, m)
-    moduli = m // g
+    moduli = m // np.gcd(x, m)
     # Distinct orbits of one N share no element, so their smallest
     # elements x / g alone order them.
     order = np.lexsort((x, moduli))
-    x, g, moduli = x[order], g[order], moduli[order]
-    # Filled in place, so that the scan holds little more than the result.
-    orbits = np.empty((len(x), k), dtype=np.int64)
-    orbits[:, 0] = x
-    for j in range(1, k):
-        np.multiply(orbits[:, j - 1], u, out=orbits[:, j])
-        orbits[:, j] %= m
-    orbits //= g[:, None]
+    x, moduli = x[order], moduli[order]
+    x.flags.writeable = False
     moduli.flags.writeable = False
-    orbits.flags.writeable = False
-    return _Scan(u, moduli, orbits)
+    return _Scan(m, u, x, moduli)
+
+
+def _sl_rows(scan: _Scan, k: int) -> np.ndarray:
+    """The scan's rows whose exponents sum to 0 mod N.  g times that sum
+    is x S mod m, S = u^0 + ... + u^(k-1), so the sum is 0 mod N exactly
+    when x S is 0 mod m; with x, S < m < 2^27, x S is exact in int64."""
+    s = sum(pow(scan.u, j, scan.m) for j in range(k)) % scan.m
+    return np.flatnonzero(_mulmod(scan.starts, s, scan.m) == 0)
 
 
 class OrbitPool:
@@ -175,9 +190,8 @@ class OrbitPool:
         self._scans = [_scan(self.p, self.q, k) for k in range(1, int(n) + 1)]
         # Per k, the scan rows in the pool, in scan order.
         self._rows = [
-            np.flatnonzero(s.orbits.sum(axis=1) % s.moduli == 0) if sl
-            else range(len(s.moduli))
-            for s in self._scans
+            _sl_rows(s, k) if sl else range(len(s.moduli))
+            for k, s in enumerate(self._scans, 1)
         ]
         # _cum[k]: how many orbits have length <= k; index 0 is the trivial one.
         self._cum = list(accumulate([1] + [len(r) for r in self._rows]))
@@ -187,15 +201,19 @@ class OrbitPool:
         return self._cum[k_max]
 
     def datum(self, i: int) -> OrbitDatum:
-        """The i-th orbit of the pool."""
+        """The i-th orbit of the pool, its exponents built from its start."""
         k = bisect_right(self._cum, i)
         if k == 0:
             return OrbitDatum(self.p, self.q, 1, 0, (0,), 1)
         scan = self._scans[k - 1]
         row = self._rows[k - 1][i - self._cum[k - 1]]
-        modulus = int(scan.moduli[row])
-        orbit = tuple(scan.orbits[row].tolist())
-        return OrbitDatum(self.p, self.q, modulus, scan.u % modulus, orbit, k)
+        x, modulus = int(scan.starts[row]), int(scan.moduli[row])
+        g = scan.m // modulus
+        orbit = []
+        for _ in range(k):
+            orbit.append(x // g)
+            x = x * scan.u % scan.m
+        return OrbitDatum(self.p, self.q, modulus, scan.u % modulus, tuple(orbit), k)
 
 
 @lru_cache(maxsize=64)
@@ -211,9 +229,10 @@ def enumerate_orbits(p: int, q: int, n_max: int) -> list[OrbitDatum]:
     For each k <= n_max and each divisor N > 1 of |p^k - q^k|, lists every
     orbit of x -> u*x on the units of Z/N of length exactly k (starting at
     its smallest element), after the trivial orbit (N = 1).  All orbits
-    of one k come from one vectorized scan of Z/|p^k - q^k|, each reduced
-    by the gcd of its elements with the modulus.  Deterministically sorted
-    by (k, N, orbit).  Raises ValueError as check_moduli does.
+    of one k come from one vectorized scan of Z/|p^k - q^k|, each built
+    from its start and reduced by the gcd of its elements with the
+    modulus.  Deterministically sorted by (k, N, orbit).  Raises
+    ValueError as check_moduli does.
     """
     validate_parameters(p, q)
     if n_max < 1:

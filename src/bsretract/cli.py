@@ -382,7 +382,8 @@ _VERIFY_MEASURES = ("relation_residual", "kn_energy", "moment_norm",
 def cmd_verify(in_path, out, snap_tol):
     """Report the structural certificates of a representation.  A
     non-finite measure of the input exits EXIT_BAD_INPUT after the report
-    is written."""
+    is written, and a failed certify stage exits EXIT_STRUCTURAL after the
+    report and manifest, naming the stage on stderr as pipeline does."""
     _check_outputs(out)
     rep, res = _load_rep(in_path, validate=False)
     _check_run_options(snap_tol)
@@ -426,6 +427,8 @@ def cmd_verify(in_path, out, snap_tol):
         [out],
     )
     _emit_manifest(manifest, {"exit": exit_code}, out)
+    if cert.error is not None:
+        _fail(EXIT_STRUCTURAL, f"stage '{cert.failed_stage}': {cert.error}")
     sys.exit(exit_code)
 
 

@@ -183,9 +183,10 @@ def test_random_rep_dim1_is_trivial_b():
 
 
 def test_random_rep_draws_as_the_reference_loop():
-    # The acceptance grid, the n = 12 pairs of the wide-flow benchmark and
-    # determinant-one draws: every block comes from the same pool prefix
-    # under the same generator stream, so A and B agree bit for bit.
+    # The acceptance grid, the n = 12 pairs of the wide-flow benchmark, its
+    # n = 8 and 10 at three of them, and determinant-one draws up to n = 8:
+    # every block comes from the same pool prefix under the same generator
+    # stream, so A and B agree bit for bit.
     cells = [
         (p, q, n, derive_seed(0, p, q, n, i), False)
         for p, q in PAIRS for n in range(1, N_MAX + 1) for i in range(SEEDS)
@@ -196,8 +197,12 @@ def test_random_rep_draws_as_the_reference_loop():
         for i in range(2)
     ]
     cells += [
+        (p, q, n, derive_seed(0, p, q, n, i), False)
+        for p, q in [(2, 3), (1, 3), (-1, 2)] for n in (8, 10) for i in range(2)
+    ]
+    cells += [
         (p, q, n, seed, True)
-        for p, q in [(2, 3), (1, 2), (-2, 5)] for n in range(1, 7) for seed in range(2)
+        for p, q in [(2, 3), (1, 2), (-2, 5)] for n in range(1, 9) for seed in range(2)
     ]
     for p, q, n, seed, sl in cells:
         rep = random_rep(p, q, n, seed, sl=sl)

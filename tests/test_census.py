@@ -75,12 +75,15 @@ def test_enumerate_deterministic_order():
 
 @pytest.mark.parametrize("p, q, n_max, digest", [
     (1, 3, 12, "bfcf6b4e039af202115d79964eab809839a8b570bc2316cf9d2e1688a490977b"),
+    (2, 3, 12, "7f639bf3dc03d2bea7ba5d001e8164d9721c936119a85be589ac84c50e3e6f7f"),
     (2, -3, 12, "0f43fbda358b3ad05ea026c42edbcef0f883a16197a9e8169ddca7bfe74e3775"),
     (3, 5, 8, "20477310b7e327f258a177bc33eaf186637c86cfcdf835da7dbb2314b20821c0"),
 ])
 def test_enumerate_large_pools_pinned(p, q, n_max, digest):
     # Digests of the census as it was listed divisor by divisor from the
-    # factorization of each |p^k - q^k|; the moduli reach 531440.  The
+    # factorization of each |p^k - q^k|, and at (2, 3, 12), the wide-flow
+    # benchmark's pool, as the scan listed it when it stored every
+    # exponent row; the moduli reach 531440.  The
     # (N, u, orbit, k) tuples are hashed, as JSON encoding costs more than
     # the census itself here.
     data = [(d.N, d.u, d.orbit, d.k) for d in enumerate_orbits(p, q, n_max)]
@@ -112,7 +115,10 @@ def test_enumerate_matches_reference_walk(pair, n_max):
 
 
 def test_pool_counts_and_sl_rows():
-    for p, q, n in [(2, 3, 5), (-1, 3, 6), (3, -5, 4)]:
+    # The determinant-one pool selects its rows by x S = 0 (mod m) from each
+    # orbit's start alone; it holds exactly the orbits whose exponents sum
+    # to 0 mod N, up to the (2, 3, 12) pool of the wide-flow benchmark.
+    for p, q, n in [(2, 3, 5), (-1, 3, 6), (3, -5, 4), (2, 3, 12)]:
         data = enumerate_orbits(p, q, n)
         pool = orbit_pool(p, q, n)
         for k in range(1, n + 1):
@@ -120,6 +126,47 @@ def test_pool_counts_and_sl_rows():
         sl_data = [d for d in data if sum(d.orbit) % d.N == 0]
         sl_pool = orbit_pool(p, q, n, True)
         assert [sl_pool.datum(i) for i in range(sl_pool.count(n))] == sl_data
+
+
+def _moebius(k):
+    """The Moebius function, by trial division."""
+    sign, f = 1, 2
+    while f * f <= k:
+        if k % f == 0:
+            k //= f
+            if k % f == 0:
+                return 0
+            sign = -sign
+        f += 1
+    return -sign if k > 1 else sign
+
+
+# Signed pairs with |p|, |q| <= 3 (the pool's scans stay below 10^5
+# elements at n = 10), and two with larger moduli at n = 7.
+COUNT_CELLS = [(p, q, 10) for p, q in SIGNED_PAIRS if max(abs(p), abs(q)) <= 3]
+COUNT_CELLS += [(3, -5, 7), (-2, 5, 7)]
+
+
+@pytest.mark.parametrize("sl", [False, True])
+def test_pool_counts_match_the_moebius_count_of_orbit_elements(sl):
+    # An oracle that walks no element: the x in Z/m, m = |p^k - q^k|, with
+    # u^d x = x number gcd(u^d - 1, m), and also x S = 0 (mod m) with
+    # S = u^0 + ... + u^(k-1) (the determinant-one rows) gcd(u^d - 1, S, m).
+    # Moebius inversion over d | k leaves E_k elements on orbits of length
+    # exactly k, x = 0 aside at k = 1, so the pool holds E_k / k of them.
+    assert len(COUNT_CELLS) >= 12
+    for p, q, n in COUNT_CELLS:
+        pool = orbit_pool(p, q, n, sl)
+        for k in range(1, n + 1):
+            m = abs(p**k - q**k)
+            u = q * pow(p, -1, m) % m
+            s = sum(pow(u, j, m) for j in range(k)) if sl else 0
+            elements = sum(
+                _moebius(k // d) * math.gcd(pow(u, d, m) - 1, s, m)
+                for d in divisors(k)
+            ) - (k == 1)
+            assert elements % k == 0, (p, q, k)
+            assert pool.count(k) - pool.count(k - 1) == elements // k, (p, q, k, sl)
 
 
 def test_census_refuses_moduli_past_the_limit():
@@ -132,7 +179,7 @@ def test_census_refuses_moduli_past_the_limit():
                  lambda: enumerate_orbits(2, 3, 30),
                  lambda: orbit_pool(2, 3, 10**9)):
         with pytest.raises(ValueError, match=r"k = 17 \(m = .* = 129009091\) "
-                                             r"would hold 193448101 .* 2\^27"):
+                                             r"would walk 193448101 .* 2\^27"):
             call()
     # |(-3)^17 - 2^17| = 129,271,235; (3, 5) already stops at n = 12
     with pytest.raises(ValueError, match=r"k = 17 \(m = .* = 129271235\)"):

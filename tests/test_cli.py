@@ -574,6 +574,25 @@ def test_a_form_that_is_not_positive_definite_exits_structural(runner, tmp_path,
     assert res.stderr.startswith("error: stage 'invariant_form': form eigenvalue ")
 
 
+def test_verify_names_the_failed_stage_on_stderr(runner, tmp_path):
+    # The near-Jordan input of the CI smoke: verify prints pipeline's
+    # "error: stage '<stage>': <message>" line for its own certify run,
+    # after the report and the manifest.
+    rep = rep_of(2, 3, np.diag([1.5, 1.0]), [[1.0, 1e-6], [0.0, 1.0]])
+    error = certify(rep).error
+    report = tmp_path / "report.json"
+    res = runner.invoke(main, ["verify", "--in", write_rep(tmp_path, rep),
+                               "--out", str(report)])
+    assert isinstance(res.exception, SystemExit), res.exc_info
+    assert res.exit_code == 4, res.output
+    assert res.stderr == f"error: stage 'invariant_form': {error}\n"
+    doc = json.loads(report.read_text())
+    assert doc["structural_failure"] == f"NotPositiveDefinite: {error}"
+    assert doc["failed_stage"] == "invariant_form"
+    manifest = json.loads((tmp_path / "report.json.manifest.json").read_text())
+    assert manifest["outcome"] == {"exit": 4}
+
+
 def test_no_manifest_beside_an_out_that_is_not_a_regular_file(runner, tmp_path):
     # a FIFO, like a device such as /dev/null, takes the output and gets
     # no manifest beside it
@@ -1214,7 +1233,7 @@ def test_suite_sl_mode(runner, tmp_path):
      "--report"],
 ])
 def test_census_modulus_past_limit_exits_bad_input(runner, tmp_path, args):
-    # at (2, 3) the scans up to k = 17 would hold more than 2^27 values;
+    # at (2, 3) the scans up to k = 17 would walk more than 2^27 elements;
     # the commands refuse them before the scan, and suite before any cell
     # runs.
     out = tmp_path / "out.json"
