@@ -63,6 +63,7 @@ from .kempfness import (
     kn_energy,
     minimality_certificate,
     moment_map,
+    schur_gap,
 )
 from .numerics import (
     PolarFactors,

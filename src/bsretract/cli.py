@@ -28,7 +28,7 @@ from .census import (OrbitDatum, check_moduli, enumerate_orbits, order_bound,
 from .compactify import SNAP_TOL, certify
 from .errors import BsretractError, PipelineStageError, SingularMatrix
 from .kempfness import (ITER_BUDGET, LINE_SEARCH_STALLED, FlowConfig, flow, kn_energy,
-                        minimality_certificate, moment_map)
+                        minimality_certificate, moment_map, schur_gap)
 from .numerics import hs_norm, unitarity_defect
 from .retraction import NUM_SAMPLES, full_pipeline
 from .suite import (build_manifest, canonical_json, check_flow, check_pipeline,
@@ -393,6 +393,7 @@ def cmd_verify(in_path, out, snap_tol):
         "in_variety": bool(res <= REP_TOL),
         "kn_energy": kn_energy(rep),
         "moment_norm": hs_norm(moment_map(rep)),
+        "schur_gap": schur_gap(rep),
         "order_bound": order_bound(rep.group.p, rep.group.q, rep.n),
         "unitarity_defect_a": unitarity_defect(rep.A),
         "unitarity_defect_b": unitarity_defect(rep.B),

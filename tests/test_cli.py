@@ -260,15 +260,12 @@ def test_overflowed_input_exits_flow_failure(runner, tmp_path, cell, command, me
 
 
 #: The exits at A times 1e80 that differ from the stall at iteration 0:
-#: the flow's warm step is finite there, and at its point the first two
-#: cells pass the stop test, while the third's ||mu|| still overflows and
-#: its flow stalls at iteration 1.
+#: the flow's warm step is finite there, and every cell passes the stop
+#: test at its point, the third, whose B has a repeated eigenvalue, after
+#: the change of basis inside that eigenspace.
 _EXITS_AT_1E80 = {
-    ("flow", OVERFLOWED_CELLS[0]): (0, "flow: converged after 1 iterations"),
-    ("flow", OVERFLOWED_CELLS[1]): (0, "flow: converged after 1 iterations"),
-    ("flow", OVERFLOWED_CELLS[2]): (3, "flow: line_search_stalled after 1 iterations"),
-    ("pipeline", OVERFLOWED_CELLS[0]): (0, ""),
-    ("pipeline", OVERFLOWED_CELLS[1]): (0, ""),
+    **{("flow", cell): (0, "flow: converged after 1 iterations") for cell in OVERFLOWED_CELLS},
+    **{("pipeline", cell): (0, "") for cell in OVERFLOWED_CELLS},
 }
 
 
@@ -661,6 +658,28 @@ def test_verify_and_pipeline_report_one_certificate(runner, tmp_path):
     assert rep["kappa_invariance_defect"] <= 1e-8
     for key in ("detected_order", "normality_exponent", "kappa_invariance_defect"):
         assert rep[key] == d[key]
+
+
+@pytest.mark.parametrize("cell", [(2, 3, 4, 1), (1, 2, 2, derive_seed(0, 1, 2, 2, 0))],
+                         ids=["distinct", "repeated"])
+def test_verify_reports_the_schur_gap(runner, tmp_path, cell):
+    # E - sum |lambda(A)|^2 - sum |lambda(B)|^2 is positive on a raw input
+    # and zero within 1e-12 E at its flowed point, whether B's eigenvalues
+    # are distinct or not
+    raw = random_rep(*cell)
+    flowed, trace = flow(raw)
+    assert trace.converged
+    gaps = []
+    for name, rep in (("raw", raw), ("flowed", flowed)):
+        out = tmp_path / f"{name}.json"
+        res = runner.invoke(main, ["verify", "--in", write_rep(tmp_path, rep, f"{name}_in.json"),
+                                   "--out", str(out)])
+        assert res.exit_code in (0, 4), res.output
+        report = json.loads(out.read_text())
+        gaps.append((report["schur_gap"], report["kn_energy"]))
+    (raw_gap, raw_energy), (gap, energy) = gaps
+    assert raw_gap > 1e-6 * raw_energy
+    assert abs(gap) <= 1e-12 * energy
 
 
 def test_verify_refuses_off_variety_input(runner, tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -452,6 +454,13 @@ def test_flow_steps_are_eta0_times_powers_of_shrink(cfg):
                 _, trace = flow(random_rep(p, q, n, derive_seed(0, p, q, n, 0)))
                 assert trace.converged
                 steps_are_powers_of_shrink(trace)
+        # the closed orbits above converge at the warm point; these inputs
+        # take Newton steps
+        for rep in (split_cluster_rep(), jordan_rep(2, 3, 4, 0), *FAR_OFF_CASES):
+            _, trace = flow(rep)
+            assert trace.converged and trace.hessian_products > 0
+            steps_are_powers_of_shrink(trace)
+            backtracked += any(r.step < FlowConfig.eta0 for r in trace.records[1:])
         assert (backtracked > 0) == (FlowConfig.eta0 > 1.0)
 
 
@@ -915,9 +924,9 @@ def distinct_eigenvalues(b, gap=1e-6):
 def test_flowed_energy_meets_the_schur_bound(request, start):
     # At the minimum the energy is n + sum |lambda(A_in)|^2, read off the
     # input with no flow; every input misses it, so a flow that does
-    # nothing fails here.  When B's eigenvalues are distinct, the warm
-    # point is the minimum: the flow converges at record 1 with no
-    # Hessian product.
+    # nothing fails here.  Whether B's eigenvalues are distinct or not,
+    # the warm point is the minimum: the flow converges at record 1 with
+    # no Hessian product.
     if start == "cold":
         request.getfixturevalue("cold_start")
     cells = distinct = warm = 0
@@ -929,11 +938,10 @@ def test_flowed_energy_meets_the_schur_bound(request, start):
         assert trace.records[-1].energy == pytest.approx(bound, rel=1e-12, abs=0.0)
         cells += 1
         warm += trace.warm_start
-        if distinct_eigenvalues(rep.B):
-            distinct += 1
-            if start == "warm":
-                assert trace.warm_start
-                assert (trace.iterations, trace.hessian_products) == (1, 0)
+        distinct += distinct_eigenvalues(rep.B)
+        if start == "warm":
+            assert trace.warm_start
+            assert (trace.iterations, trace.hessian_products) == (1, 0)
     assert (cells, distinct) == (618, 536)
     if start == "cold":
         assert warm == 0
@@ -946,13 +954,27 @@ def cold_flow(rep, cfg=None):
         return flow(rep, cfg)
 
 
+def split_cluster_rep():
+    """B = g diag(1, 1, -1) g^-1 and A = g P g^-1, with P sending e_1 to
+    2 e_1, e_2 to 3 e_3 and e_3 to e_2 / 2, and g of condition number 10.
+    A sends B's 1-eigenspace into both eigenspaces, so its cluster map is
+    no permutation.  The orbit is closed (P is a weighted permutation of
+    the lines e_i), but eig's basis of the 1-eigenspace is not e_1, e_2:
+    the warm step is the bare conjugation, and Newton-CG finishes.  Not a
+    point of a variety; the flow does not need one."""
+    p = np.array([[2.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 3.0, 0.0]])
+    g = conditioned(np.random.default_rng(0), 3, 10.0)
+    gi = np.linalg.inv(g)
+    return rep_of(2, 3, g @ p @ gi, g @ np.diag([1.0, 1.0, -1.0]) @ gi)
+
+
 def test_warm_step_is_record_one():
     # record 0 is the input; record 1 is the warm point, reached with
     # step eta0 (no backtrack) and no Hessian product, and it counts
     # against max_iter
-    rep = random_rep(2, 3, 8, 0)
+    rep = split_cluster_rep()
     _, trace = flow(rep)
-    assert trace.warm_start and trace.converged
+    assert trace.warm_start and trace.converged and trace.iterations > 1
     first, warm = trace.records[:2]
     assert (first.iteration, first.energy, first.step) == (0, kn_energy(rep), 0.0)
     assert warm.iteration == 1 and warm.step == FlowConfig.eta0
@@ -1071,33 +1093,82 @@ def test_cycle_start_scales_each_cycle_to_its_geometric_mean():
     assert kempfness._cycle_start(np.array([[0.0, 1.0], [1e-60, 0.0]])) is None
 
 
-def test_repeated_eigenvalues_leave_the_scaling_to_newton():
+def test_repeated_eigenvalues_converge_at_the_warm_point():
     # two 2-cycles on the same eigenvalues of B: inside each repeated
-    # eigenspace A~ is a full 2 x 2 block, no permutation, so the warm
-    # step does not scale and Newton-CG finishes
+    # eigenspace A~ is a full 2 x 2 block, no permutation, until the
+    # monodromy's eigenvectors change the basis there; then the cycle
+    # solution is the minimum
     rep = conjugate(
         direct_sum(n5_block(2.0), n5_block(0.5j)),
         conditioned(np.random.default_rng(1), 4, 100.0),
     )
+    assert not distinct_eigenvalues(rep.B)
     _, trace = flow(rep)
-    assert trace.warm_start and trace.converged
-    assert trace.hessian_products > 0
+    assert trace.warm_start and (trace.iterations, trace.hessian_products) == (1, 0)
     assert trace.records[-1].energy == pytest.approx(schur_bound(rep), rel=1e-12, abs=0.0)
 
 
 def test_a_warm_step_off_a_permutation_is_the_bare_conjugation():
-    # with no cycle solution the warm point is V^-1 (A, B) V itself, D = I
-    rep = conjugate(
-        direct_sum(n5_block(2.0), n5_block(0.5j)),
-        conditioned(np.random.default_rng(1), 4, 100.0),
-    )
+    # with no cluster basis and no cycle solution the warm point is
+    # V^-1 (A, B) V itself, D = I
+    rep = split_cluster_rep()
     ab = np.stack((rep.A, rep.B))
-    v = np.linalg.eig(rep.B)[1]
+    lam, v = np.linalg.eig(rep.B)
     tilde = np.linalg.inv(v) @ ab @ v
+    clusters = [[i for i in range(3) if abs(lam[i] - 1.0) < 0.5], [int(np.argmin(lam.real))]]
+    assert kempfness._cluster_basis(tilde[0], sorted(clusters)) is None
     assert kempfness._cycle_start((tilde[0] * tilde[0].conj()).real) is None
-    warm, energy, _, _, eta = kempfness._warm_start(ab, kn_energy(rep), FlowConfig())
+    products = kempfness._moment(ab)
+    warm, energy, _, _, eta = kempfness._warm_start(
+        ab, kn_energy(rep), kempfness.hs_norm(products.mu), FlowConfig())
     assert warm.tobytes() == tilde.tobytes()
     assert energy == kempfness._energy(*tilde) and eta == FlowConfig.eta0
+
+
+def without_clusters(rep):
+    """flow(rep) with every eigenvalue of B its own cluster: the warm step
+    as it was before the cluster basis."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kempfness, "_clusters", lambda lam, tol: None)
+        return flow(rep)
+
+
+def test_a_split_cluster_takes_the_bare_warm_step():
+    # the cluster map is no permutation, so the flow is bit for bit the
+    # one that never groups B's eigenvalues
+    rep = split_cluster_rep()
+    run = flow(rep)
+    assert run[1].warm_start and run[1].converged and run[1].hessian_products > 0
+    assert_same_run(run, without_clusters(rep))
+
+
+@pytest.mark.parametrize("share, merged", [(0.9, True), (1.1, False)])
+def test_eigenvalues_just_inside_the_tolerance_fall_back(monkeypatch, share, merged):
+    # B = diag(1, 1 + delta, -1), so V = I and ||V|| ||V^-1|| = n, with
+    # delta a share of the clustering tolerance 128 n eps ||B|| n.  A
+    # sends e_2 to e_1 + 3 e_3, so the bare warm point is no minimum and
+    # the flow groups B's eigenvalues.  Just inside the tolerance 1 and
+    # 1 + delta form one cluster, which A sends into both clusters, so the
+    # step falls back to the bare one; just outside they are distinct.
+    # Both flows are the ungrouped one, bit for bit.
+    n = 3
+    unit = kempfness._resolution_unit(n) * n
+    delta = share * unit * math.sqrt(n)
+    b = np.diag([1.0, 1.0 + delta, -1.0]).astype(complex)
+    rep = rep_of(2, 3, [[2.0, 1.0, 0.0], [0.0, 0.0, 0.5], [0.0, 3.0, 0.0]], b)
+    assert np.linalg.eig(b)[1].tobytes() == np.eye(n, dtype=complex).tobytes()
+    found = []
+    group = kempfness._clusters
+
+    def spy(lam, tol):
+        found.append(group(lam, tol))
+        return found[-1]
+
+    monkeypatch.setattr(kempfness, "_clusters", spy)
+    run = flow(rep)
+    assert found == [[[0, 1], [2]] if merged else None]
+    assert run[1].warm_start and run[1].converged and run[1].hessian_products > 0
+    assert_same_run(run, without_clusters(rep))
 
 
 @pytest.mark.parametrize(
@@ -1134,21 +1205,50 @@ def test_the_warm_point_does_not_depend_on_the_scale_of_bs_eigenvectors(monkeypa
 
 
 #: Seed-0 grid cells (p, q, n, index) whose B has a repeated eigenvalue
-#: and whose warm point, in eig's own basis of that eigenspace, has a
+#: and whose bare warm point, in eig's own basis of that eigenspace, has a
 #: higher energy than the input.
 REPEATED_CELLS = [(1, 2, 2, 0), (1, -2, 4, 5), (2, -3, 3, 1), (-1, 3, 4, 2)]
 
 
 @pytest.mark.parametrize("p, q, n, index", REPEATED_CELLS)
-def test_a_warm_point_above_the_input_energy_falls_back_cold(p, q, n, index):
+def test_repeated_cells_converge_at_the_warm_point(p, q, n, index):
     # eig returns an arbitrary basis of a repeated eigenspace, and
-    # conjugating by its inverse raises these inputs' energy: the flow
-    # discards the warm point and is the cold flow, bit for bit
+    # conjugating by its inverse alone raises these inputs' energy, so
+    # that the bare step would start cold; the cluster basis reaches the
+    # minimum instead
     rep = random_rep(p, q, n, derive_seed(0, p, q, n, index))
     assert not distinct_eigenvalues(rep.B)
-    run, cold = flow(rep), cold_flow(rep)
-    trace = run[1]
-    assert not trace.warm_start and trace.converged
-    assert_same_run(run, cold)
-    assert trace.hessian_products == cold[1].hessian_products
+    ab = np.stack((rep.A, rep.B))
+    v = np.linalg.eig(rep.B)[1]
+    assert kempfness._energy(*(np.linalg.inv(v) @ ab @ v)) > kn_energy(rep)
+    _, trace = flow(rep)
+    assert trace.warm_start and (trace.iterations, trace.hessian_products) == (1, 0)
     assert trace.records[-1].energy == pytest.approx(schur_bound(rep), rel=1e-12, abs=0.0)
+
+
+#: sha256 of the seed-0 oracle flows whose B has distinct eigenvalues, as
+#: test_flows_with_distinct_eigenvalues_keep_their_bytes hashes them,
+#: from the flow before the cluster basis (numpy 2.4.6 with its OpenBLAS
+#: 0.3.31 wheel on x86-64).
+DISTINCT_FLOWS_DIGEST = "37608eb9ca7ba84f5dfbad362be6b80dc0e8ee4dc40becc8b08644c8fa098b95"
+
+
+def test_flows_with_distinct_eigenvalues_keep_their_bytes():
+    # the cluster basis is built only when B has a repeated eigenvalue:
+    # on every other oracle cell each record, the counters and the
+    # endpoint hash to the digest of the flow from before that basis
+    # existed.  Another LAPACK or BLAS build rounds differently and moves
+    # the digest.
+    digest, count = hashlib.sha256(), 0
+    for rep in oracle_cells():
+        if not distinct_eigenvalues(rep.B):
+            continue
+        final, trace = flow(rep)
+        for r in trace.records:
+            digest.update(struct.pack("<q4d", r.iteration, r.energy, r.moment_norm,
+                                      r.step, r.residual))
+        digest.update(f"{trace.outcome}:{trace.hessian_products}:{trace.warm_start}".encode())
+        digest.update(final.A.tobytes() + final.B.tobytes())
+        count += 1
+    assert count == 536
+    assert digest.hexdigest() == DISTINCT_FLOWS_DIGEST
