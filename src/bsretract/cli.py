@@ -401,6 +401,7 @@ def cmd_verify(in_path, out, snap_tol):
         "normality_exponent": None,
         "kappa_invariance_defect": None,
         "kappa_identity_defect": None,
+        "form_condition": None,
         **minimality_certificate(rep)._asdict(),
     }
     nonfinite = [key for key in _VERIFY_MEASURES if not math.isfinite(report[key])]
@@ -414,6 +415,7 @@ def cmd_verify(in_path, out, snap_tol):
     report["detected_order"] = cert.order
     report["normality_exponent"] = cert.exponent
     report["kappa_invariance_defect"] = cert.invariance_defect
+    report["form_condition"] = cert.form_condition
     if cert.form is not None:
         report["kappa_identity_defect"] = hs_norm(cert.form.Q - np.eye(rep.n))
     if cert.error is not None:

@@ -10,6 +10,16 @@ identity whenever H is already unitary.  Conjugating by Q^(1/2) then
 moves H into the standard unitary group.  Every step works on the
 eigendecomposition of B or on a single power of it, so its cost depends
 on the dimension, never on the order.
+
+`certify` takes one eig of B and one SVD of its eigenvector matrix V.
+That SVD gives V^-1 for the order's rebuild check, the condition number
+of V, and, when B's roots are distinct, the eigendecomposition of Q
+itself: Q = (V V*)^-1, so Q's square root is read off V's singular
+vectors and values, and Q is never formed through V^-1, which would
+square the conditioning of V.  A repeated root first has its eigenvectors replaced
+by an orthonormal basis of their span, and costs one more SVD; when that
+span is numerically rank-deficient (a nearly defective B) the form
+raises NotPositiveDefinite.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,15 +64,20 @@ SNAP_TOL = 1e-6
 #: accepts, and that retract_a requires.
 UNITARY_TOL = 1e-8
 
+_EPS = float(np.finfo(float).eps)
+
 
 @dataclass(frozen=True, eq=False)
 class HermitianForm:
     """Positive-definite Hermitian form, scaled to determinant one.
 
-    The input must be Hermitian within 1e-10 * ||Q||, a bound relative
-    to its norm at every scale.  One eigh of the symmetrized input,
-    Q = V diag(w) V*; any w that is not positive, NaN included, raises
-    NotPositiveDefinite.  Q and w are divided by exp(mean log w), so
+    HermitianForm(Q) takes a matrix: it must be Hermitian within
+    1e-10 * ||Q||, a bound relative to its norm at every scale, and one
+    eigh of the symmetrized input gives Q = V diag(w) V*.
+    HermitianForm.from_eigh(w, v) takes that decomposition from a caller
+    that already has it, and builds Q from it, with no check and no eigh.
+    Either way any w that is not positive, NaN included, raises
+    NotPositiveDefinite, and Q and w are divided by exp(mean log w), so
     det Q = prod w = 1 by construction."""
 
     Q: np.ndarray
@@ -78,21 +94,60 @@ class HermitianForm:
             w, v = np.linalg.eigh(q)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
-        if not np.all(w > 0.0):
+        self._scale(q, w, v)
+
+    @classmethod
+    def from_eigh(cls, w: np.ndarray, v: np.ndarray) -> "HermitianForm":
+        """The form Q = v diag(w) v*, for a unitary v and ascending w."""
+        form = object.__new__(cls)
+        form._scale((v * w) @ v.conj().T, w, v)
+        return form
+
+    def _scale(self, q: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
+        if not (w > 0.0).all():
             raise NotPositiveDefinite(f"form eigenvalue {np.min(w):.3e} is not positive")
-        c = math.exp(np.log(w).mean())
+        # log(w).sum() / n is log(w).mean(), without its dispatch.
+        c = math.exp(np.log(w).sum() / len(w))
         object.__setattr__(self, "Q", q / c)
         object.__setattr__(self, "w", w / c)
         object.__setattr__(self, "v", v)
 
+    @property
+    def condition(self) -> float:
+        """The 2-norm condition number of Q, w_max / w_min."""
+        return float(self.w[-1] / self.w[0])
 
-def _eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalues w, eigenvectors V and V^-1 of b."""
+
+class _Eigenbasis(NamedTuple):
+    """B = V diag(lam) V^-1 from eig, with the SVD V = U diag(s) Vh that
+    V^-1, its condition number and the invariant form are read from."""
+
+    lam: np.ndarray
+    v: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+
+    @property
+    def vinv(self) -> np.ndarray:
+        return (self.vh.conj().T / self.s) @ self.u.conj().T
+
+    @property
+    def condition(self) -> float:
+        """The 2-norm condition number of V, s_max / s_min."""
+        return float(self.s[0] / self.s[-1])
+
+
+def _eig(b: np.ndarray) -> _Eigenbasis:
+    """Eigenvalues and eigenvectors of b, and one SVD of the eigenvectors."""
     try:
-        w, v = np.linalg.eig(b)
-        return w, v, np.linalg.inv(v)
+        lam, v = np.linalg.eig(b)
+        u, s, vh = np.linalg.svd(v)
     except np.linalg.LinAlgError as exc:
-        raise NotFiniteOrder(f"B has no invertible eigenvector basis: {exc}") from exc
+        raise NotFiniteOrder(f"B has no eigenvector basis: {exc}") from exc
+    if not s[-1] > 0.0:
+        raise NotFiniteOrder("B has no invertible eigenvector basis")
+    return _Eigenbasis(lam, v, u, s, vh)
 
 
 def detect_finite_order(b, moduli, tol: float = SNAP_TOL, *, eig=None) -> int:
@@ -105,17 +160,17 @@ def detect_finite_order(b, moduli, tol: float = SNAP_TOL, *, eig=None) -> int:
     in order, and the first that does not snap or whose order divides no
     modulus ends the detection.  The snapped spectrum must rebuild b:
     ||B - V diag(roots) V^-1|| <= n * tol * max(1, ||B||), which rejects
-    non-diagonalizable b.  The order is the lcm of the
-    snapped orders.  Raises NotFiniteOrder when any of this fails (input
-    away from a minimal vector).  eig, if given, is b's decomposition
-    (w, V, V^-1) from a caller that needs it again, and b is not
-    decomposed a second time.
+    non-diagonalizable b; V^-1 is read off the SVD of V.  The order is the
+    lcm of the snapped orders.  Raises NotFiniteOrder when any of this
+    fails (input away from a minimal vector).  eig, if given, is b's
+    decomposition from a caller that needs it again (certify), and b is
+    not decomposed a second time.
     """
     b = as_matrix(b)
     moduli = (moduli,) if isinstance(moduli, numbers.Integral) else tuple(moduli)
-    w, v, vinv = _eig(b) if eig is None else eig
+    eig = _eig(b) if eig is None else eig
     bound, roots = math.prod(moduli), []
-    for lam in w:
+    for lam in eig.lam:
         try:
             r = snap_root_of_unity(lam, bound, tol)
         except NotARootOfUnity as exc:
@@ -123,7 +178,7 @@ def detect_finite_order(b, moduli, tol: float = SNAP_TOL, *, eig=None) -> int:
         if not any(m % r.N == 0 for m in moduli):
             raise NotFiniteOrder(f"snapped order {r.N} divides none of {moduli}")
         roots.append(r)
-    defect = hs_norm(b - (v * np.array([r.value for r in roots])) @ vinv)
+    defect = hs_norm(b - (eig.v * np.array([r.value for r in roots])) @ eig.vinv)
     if not defect <= b.shape[0] * tol * max(1.0, hs_norm(b)):
         raise NotFiniteOrder(
             f"snapped spectrum misses B: ||B - V diag(roots) V^-1|| = {defect:.3e}"
@@ -139,16 +194,49 @@ def invariant_form(b, order: int, *, eig=None) -> HermitianForm:
     when lambda_i = lambda_j and 0 otherwise, so the mean of (B^k)* B^k
     is Q = V^-* ((V* V) o M) V^-1 with M_ij = 1 exactly when lambda_i and
     lambda_j round to the same order-th root.  h* Q h = Q for every h in
-    the group, and Q = I when the group is unitary.  Returned scaled to
-    determinant one.  eig as in detect_finite_order; b is read, and
-    validated, only when eig is not given.
+    the group, and Q = I when the group is unitary.
+
+    Q is not formed through V^-1.  Group V's columns by their root, and
+    let Y be V with each group's columns V_c replaced by an orthonormal
+    basis of their span (the left singular vectors of V_c); a group of
+    one column stays as it is, since eig returns unit eigenvectors.  Then
+    (V* V) o M is block diagonal with blocks G_c = V_c* V_c, and
+    Q^-1 = V diag(G_c^-1) V* = sum_c V_c G_c^-1 V_c* = Y Y*, so the SVD
+    Y = W diag(s) Z* gives Q = W diag(s^-2) W*.  When every root is
+    distinct, Y = V and that SVD is the one certify already took.  A
+    group whose Gram matrix is numerically singular, lambda_min(G_c) <=
+    n eps lambda_max(G_c) (a nearly defective b), raises
+    NotPositiveDefinite: its eigenvectors span less than its
+    multiplicity, and no positive-definite Q comes from them.  Returned
+    scaled to determinant one.  eig as in detect_finite_order; b is read,
+    and validated, only when eig is not given.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    w, v, vinv = _eig(as_matrix(b)) if eig is None else eig
-    k = np.rint(np.angle(w) / (2.0 * math.pi) * order) % order
-    q0 = vinv.conj().T @ ((v.conj().T @ v) * (k[:, None] == k[None, :])) @ vinv
-    return HermitianForm(0.5 * (q0 + q0.conj().T))
+    eig = _eig(as_matrix(b)) if eig is None else eig
+    k = (np.rint(np.angle(eig.lam) / (2.0 * math.pi) * order) % order).tolist()
+    groups: dict[float, list[int]] = {}
+    for i, root in enumerate(k):
+        groups.setdefault(root, []).append(i)
+    u, s = eig.u, eig.s
+    if len(groups) < len(k):
+        y = eig.v.copy()
+        try:
+            for cols in groups.values():
+                if len(cols) > 1:
+                    uc, sc, _ = np.linalg.svd(y[:, cols], full_matrices=False)
+                    ratio = (sc[-1] / sc[0]) ** 2
+                    if not ratio > len(k) * _EPS:
+                        raise NotPositiveDefinite(
+                            "form eigenvalue is not positive: the eigenvectors of "
+                            "one root have a Gram matrix with lambda_min / "
+                            f"lambda_max = {ratio:.3e}, within n eps of singular"
+                        )
+                    y[:, cols] = uc
+            u, s, _ = np.linalg.svd(y)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"SVD failed: {exc}") from exc
+    return HermitianForm.from_eigh(s**-2.0, u)
 
 
 def conjugate_into_unitary(rep: Rep, form: HermitianForm) -> Rep:
@@ -196,8 +284,12 @@ class Certificate:
 
     Fields of steps after a failing one stay None; failed_stage names that
     step and error holds its exception.  eig_condition is the 2-norm
-    condition number of the eigenvector basis of B that Q is built from;
-    large values flag a nearly defective B.  invariance_defect is
+    condition number of the eigenvector basis V of B that Q is built from,
+    s_max / s_min of its SVD; large values flag a nearly defective B.
+    form_condition is the 2-norm condition number of Q, w_max / w_min of
+    its eigenvalues, (s_max / s_min)^2 of the SVD Q is read from (the SVD
+    of V when B's roots are distinct); it bounds how far conjugation by
+    Q^(1/2) can amplify rounding.  invariance_defect is
     ||B* Q B - Q|| for the generator B, which implies invariance under
     every power of B in exact arithmetic.  unitarity_defect is
     ||B'* B' - I|| of the unitarized B', the value the UNITARY_TOL gate
@@ -208,6 +300,7 @@ class Certificate:
     order: int | None = None
     form: HermitianForm | None = None
     eig_condition: float | None = None
+    form_condition: float | None = None
     invariance_defect: float | None = None
     unitary: Rep | None = None
     unitarity_defect: float | None = None
@@ -227,14 +320,14 @@ def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
     cert = Certificate(math.prod(moduli))
     stage = "detect_finite_order"
     try:
-        # One decomposition of B serves the order and the form.
+        # One eig of B and one SVD of its eigenvectors serve the order,
+        # the form and both condition numbers.
         eig = _eig(rep.B)
         cert.order = detect_finite_order(rep.B, moduli, tol, eig=eig)
         stage = "invariant_form"
         cert.form = invariant_form(rep.B, cert.order, eig=eig)
-        # The 2-norm condition number, as np.linalg.cond takes it.
-        s = np.linalg.svd(eig[1], compute_uv=False)
-        cert.eig_condition = float(s[0] / s[-1])
+        cert.eig_condition = eig.condition
+        cert.form_condition = cert.form.condition
         b, q = rep.B, cert.form.Q
         cert.invariance_defect = hs_norm(b.conj().T @ q @ b - q)
         stage = "conjugate_into_unitary"

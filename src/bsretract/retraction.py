@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bsrep import BSGroup, Rep, check_residual, relation_residual
+from .bsrep import BSGroup, Rep, check_residual, powers, relation_residual
 from .compactify import SNAP_TOL, UNITARY_TOL, certify
 from .errors import BsretractError, PipelineStageError, PolarObstruction, SingularMatrix
 from .kempfness import FlowConfig, FlowTrace, flow
@@ -83,8 +83,7 @@ class RetractionPath:
         Hilbert-Schmidt norm is unitarily invariant, so the residual at
         time t is ||(s_i / s_j)^t (B~^p)_ij - (O* B~^q O)_ij||."""
         try:
-            bp = np.linalg.matrix_power(self._bt, self.group.p)
-            bq = np.linalg.matrix_power(self._bt, self.group.q)
+            bp, bq = powers(self._bt, self.group.p, self.group.q)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix("singular B in the path residual") from exc
         o = self.factors.vh @ self.factors.w
@@ -174,6 +173,8 @@ class PipelineDiagnostics:
     max_path_residual is RetractionPath.residual_bound, an upper bound on
     the relation residual at every point of the retraction path, not a
     maximum over its samples; endpoint_residual is the residual at t = 0.
+    eig_condition and form_condition are the certificate's condition
+    numbers of B's eigenvector basis and of the invariant form Q.
     """
 
     flow_trace: FlowTrace = field(repr=False)
@@ -186,6 +187,7 @@ class PipelineDiagnostics:
     normality_exponent: int | None = None
     kappa_invariance_defect: float | None = None
     eig_condition: float | None = None
+    form_condition: float | None = None
     max_path_residual: float | None = None
     endpoint_residual: float | None = None
     endpoint_defect_a: float | None = None
@@ -240,6 +242,7 @@ def full_pipeline(
     diag.detected_order = cert.order
     diag.kappa_invariance_defect = cert.invariance_defect
     diag.eig_condition = cert.eig_condition
+    diag.form_condition = cert.form_condition
     diag.normality_exponent = cert.exponent
     stage, error = cert.failed_stage, cert.error
     if error is None:

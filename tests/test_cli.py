@@ -656,7 +656,8 @@ def test_verify_and_pipeline_report_one_certificate(runner, tmp_path):
     assert res.exit_code == 0
     rep, d = json.loads(report.read_text()), json.loads(diag.read_text())
     assert rep["kappa_invariance_defect"] <= 1e-8
-    for key in ("detected_order", "normality_exponent", "kappa_invariance_defect"):
+    for key in ("detected_order", "normality_exponent", "kappa_invariance_defect",
+                "form_condition"):
         assert rep[key] == d[key]
 
 

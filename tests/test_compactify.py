@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -8,11 +10,14 @@ from bsretract import (
     NotFiniteOrder,
     NotNormalizing,
     NotPositiveDefinite,
+    OrbitDatum,
     certify,
     conjugate,
     conjugate_into_unitary,
     detect_finite_order,
+    direct_sum,
     flow,
+    from_orbit_datum,
     invariant_form,
     normality_exponent,
     order_moduli,
@@ -24,7 +29,15 @@ from bsretract.bsrep import Rep, random_conditioned
 from bsretract.compactify import UNITARY_TOL
 from bsretract.numerics import hs_norm, unitarity_defect
 
-from util import conditioned, haar_unitary, n5_block, powers, rep_of, zeta
+from util import (
+    conditioned,
+    haar_unitary,
+    n5_block,
+    powers,
+    reference_invariant_form,
+    rep_of,
+    zeta,
+)
 
 
 def cyclic_generator(rng, order, n, cond=1.0):
@@ -361,30 +374,61 @@ def test_certify_a_conditioned_eigenbasis(seed):
     # B = V diag(zeta_5^k) V^-1 with cond(V) near 5e5: an LU determinant
     # of the scaled form misses one by more than 1e-6, yet the form is
     # scaled by construction and certify returns a certificate; at this
-    # conditioning the unitarized B misses unitarity by about 7e-6, past
+    # conditioning the unitarized B misses unitarity by a few 1e-6, past
     # UNITARY_TOL, so certify stops there instead of handing retract_a a
-    # B it refuses
+    # B it refuses.  Q read off the SVD of V makes B no less unitary than
+    # Q formed through V^-1 does.
     v = random_conditioned(np.random.default_rng(seed), 4, 1e6)
     b = v @ np.diag(np.exp(2j * np.pi * np.arange(1, 5) / 5)) @ np.linalg.inv(v)
-    cert = certify(Rep(BSGroup(2, 3), 4, np.eye(4), b))
+    rep = Rep(BSGroup(2, 3), 4, np.eye(4), b)
+    cert = certify(rep)
     assert isinstance(cert, Certificate)
     assert cert.order == 5 and cert.eig_condition > 1e5
+    assert cert.form_condition == cert.form.w[-1] / cert.form.w[0] > 1e10
     assert abs(np.prod(cert.form.w) - 1.0) <= 1e-12
     assert UNITARY_TOL < unitarity_defect(cert.unitary.B) <= 1e-4
+    reference = conjugate_into_unitary(rep, reference_invariant_form(b, 5))
+    assert cert.unitarity_defect <= unitarity_defect(reference.B)
     assert cert.failed_stage == "conjugate_into_unitary"
     assert isinstance(cert.error, NotFiniteOrder) and cert.exponent is None
 
 
+def test_invariant_form_matches_the_inverse_route_on_repeated_roots():
+    # direct sums of equal orbit blocks, conjugated: every root of B is
+    # repeated, and the form read off the SVD of V, with each repeated
+    # root's eigenvectors orthonormalized, is the form built through V^-1
+    # within rounding amplified by cond(V)^2
+    rng = np.random.default_rng(21)
+    data = [OrbitDatum(2, 3, 5, 4, (1, 4), 2), OrbitDatum(2, 3, 19, 11, (1, 11, 7), 3),
+            OrbitDatum(1, 2, 1, 0, (0,), 1)]
+    for datum in data:
+        for copies in (2, 3):
+            for cond in (1.0, 30.0, 1e3):
+                blocks = [from_orbit_datum(datum, rng.uniform(0.5, 2.0)) for _ in range(copies)]
+                n = datum.k * copies
+                rep = conjugate(reduce(direct_sum, blocks), random_conditioned(rng, n, cond))
+                order = detect_finite_order(rep.B, datum.N)
+                q = invariant_form(rep.B, order).Q
+                q_ref = reference_invariant_form(rep.B, order).Q
+                kappa = np.linalg.cond(np.linalg.eig(rep.B)[1])
+                assert hs_norm(q - q_ref) <= 1e-12 * kappa**2 * hs_norm(q_ref), (datum, copies, cond)
+
+
 def test_certify_decomposes_the_form_once(monkeypatch):
-    # one eigh of Q gives its positivity, its determinant and Q^(+-1/2)
+    # with distinct roots, the one SVD of B's eigenvectors gives V^-1, the
+    # form's positivity, its determinant and Q^(+-1/2): Q is neither formed
+    # through an inverse nor decomposed again.  The one inverse is A's, in
+    # the normality exponent's relation residual.
     rep, trace = flow(random_rep(2, 3, 4, 3))
     assert trace.converged
-    calls = {"eigh": 0, "eigvalsh": 0, "det": 0}
+    calls = {name: [] for name in ("eigh", "eigvalsh", "det", "svd", "inv")}
     for name in calls:
         def counting(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
-            calls[_name] += 1
+            calls[_name].append(args[0])
             return _f(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
     cert = certify(rep)
     assert cert.failed_stage is None and cert.order == 65
-    assert calls == {"eigh": 1, "eigvalsh": 0, "det": 0}
+    assert {name: len(args) for name, args in calls.items()} == {
+        "eigh": 0, "eigvalsh": 0, "det": 0, "svd": 1, "inv": 1}
+    assert np.array_equal(calls["inv"][0], cert.unitary.A)

@@ -46,6 +46,7 @@ from util import (
     jordan_rep,
     n5_block,
     path_sample,
+    reference_invariant_form,
     rep_of,
     sampled_differences,
     swap2,
@@ -111,7 +112,8 @@ def test_certified_run_decomposes_b_once(monkeypatch):
     assert diag.outcome == "ok"
     assert len(calls) == 2
     assert np.array_equal(calls[0], rep.B) and np.array_equal(calls[1], flowed.B)
-    assert diag.eig_condition == np.linalg.cond(eig(flowed.B)[1]) >= 1.0
+    cond = np.linalg.cond(eig(flowed.B)[1])
+    assert abs(diag.eig_condition - cond) <= 1e-12 * cond and cond >= 1.0
     assert "eig_condition_a" not in diag.to_dict()
     assert diag.to_dict()["initial_energy"] == kn_energy(rep)
 
@@ -399,14 +401,32 @@ def grid_diagnostics(grid_runs):
 def test_measures_taken_once_equal_their_own_measurement(grid_runs):
     # The flow's first residual is the input's, measured by full_pipeline;
     # endpoint_defect_b is certify's measure of the unitarized B; and
-    # eig_condition is the 2-norm condition number of B's eigenbasis.
+    # eig_condition is the 2-norm condition number of B's eigenbasis, read
+    # off a full SVD, which may round apart from np.linalg.cond's values-only
+    # one.
     cfg = FlowConfig(tol=1e-10, max_iter=10**5)
     for rep, endpoint, diag in grid_runs:
         res0 = relation_residual(rep)
         assert diag.flow_trace.records[0].residual == diag.initial_residual == res0
         assert diag.endpoint_defect_b == unitarity_defect(endpoint.B)
         flowed, _ = flow(rep, cfg)
-        assert diag.eig_condition == np.linalg.cond(np.linalg.eig(flowed.B)[1])
+        cond = np.linalg.cond(np.linalg.eig(flowed.B)[1])
+        assert abs(diag.eig_condition - cond) <= 1e-12 * cond
+
+
+def test_invariant_form_matches_the_inverse_route_on_the_grid(grid_runs):
+    # at every flowed point of the grid, the form read off the SVD of B's
+    # eigenvectors is the form built through their inverse, within rounding
+    # amplified by cond(V)^2, and form_condition is its condition number
+    cfg = FlowConfig(tol=1e-10, max_iter=10**5)
+    for rep, _, diag in grid_runs:
+        flowed, _ = flow(rep, cfg)
+        q = invariant_form(flowed.B, diag.detected_order).Q
+        q_ref = reference_invariant_form(flowed.B, diag.detected_order).Q
+        kappa = np.linalg.cond(np.linalg.eig(flowed.B)[1])
+        assert hs_norm(q - q_ref) <= 1e-12 * kappa**2 * hs_norm(q_ref)
+        cond = np.linalg.cond(q)
+        assert 1.0 <= diag.form_condition and abs(diag.form_condition - cond) <= 1e-12 * cond
 
 
 def test_path_rows_equal_per_sample_reps(grid_diagnostics):

@@ -9,7 +9,7 @@ from functools import lru_cache, reduce
 import numpy as np
 import pytest
 
-from bsretract import BSGroup, OrbitDatum, Rep, from_orbit_datum, random_rep
+from bsretract import BSGroup, HermitianForm, OrbitDatum, Rep, from_orbit_datum, random_rep
 from bsretract.bsrep import conjugate, direct_sum, random_conditioned, residual
 from bsretract.census import enumerate_orbits
 from bsretract.errors import NoConvergence, NotARootOfUnity
@@ -243,6 +243,18 @@ def powers(gen, order):
     for _ in range(order - 1):
         out.append(out[-1] @ gen)
     return np.stack(out)
+
+
+def reference_invariant_form(b, order):
+    """invariant_form's reference route: Q = V^-* ((V* V) o M) V^-1 from
+    eig and an explicit inverse of V, with M_ij = 1 exactly when lambda_i
+    and lambda_j round to the same order-th root, checked, decomposed and
+    scaled to determinant one by HermitianForm(Q)."""
+    w, v = np.linalg.eig(b)
+    vinv = np.linalg.inv(v)
+    k = np.rint(np.angle(w) / (2.0 * math.pi) * order) % order
+    q0 = vinv.conj().T @ ((v.conj().T @ v) * (k[:, None] == k[None, :])) @ vinv
+    return HermitianForm(0.5 * (q0 + q0.conj().T))
 
 
 def group_mean_form(gen, order):
