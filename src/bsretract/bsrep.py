@@ -22,7 +22,6 @@ __all__ = [
     "Rep",
     "relation_residual",
     "residual",
-    "powers",
     "check_residual",
     "from_orbit_datum",
     "direct_sum",
@@ -76,45 +75,11 @@ def _inv(a: np.ndarray) -> np.ndarray:
         raise SingularMatrix("matrix is singular to working precision") from exc
 
 
-def powers(b: np.ndarray, p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(B^p, B^q) from one ladder of squarings, each with the bits of
-    np.linalg.matrix_power.
-
-    It takes matrix_power's products in matrix_power's order: B^0 is the
-    identity, B^1 is b itself, B^2 = B B and B^3 = (B B) B, and a larger
-    |e| multiplies the squarings B^(2^k) of its set bits into the result
-    from the lowest bit up.  A negative exponent takes the same ladder
-    from inv(b).  The two exponents share the squarings and the one
-    inverse; a singular b with a negative exponent raises LinAlgError, as
-    matrix_power does.
-    """
-    ladders: dict[bool, list[np.ndarray]] = {}
-
-    def power(e: int) -> np.ndarray:
-        if e == 0:
-            return np.eye(len(b), dtype=b.dtype)
-        z = ladders.get(e < 0)
-        if z is None:
-            z = ladders[e < 0] = [np.linalg.inv(b) if e < 0 else b]
-        e = abs(e)
-        while len(z) < e.bit_length():
-            z.append(z[-1] @ z[-1])
-        if e <= 3:
-            return z[1] @ z[0] if e == 3 else z[e - 1]
-        result = None
-        for k in range(e.bit_length()):
-            if e >> k & 1:
-                result = z[k] if result is None else result @ z[k]
-        return result
-
-    return power(p), power(q)
-
-
 def residual(a: np.ndarray, b: np.ndarray, p: int, q: int) -> float:
     """||A B^p A^-1 - B^q|| of raw arrays, without validating them."""
     try:
-        bp, bq = powers(b, p, q)
-        return hs_norm(a @ bp @ np.linalg.inv(a) - bq)
+        lhs = a @ np.linalg.matrix_power(b, p) @ np.linalg.inv(a)
+        return hs_norm(lhs - np.linalg.matrix_power(b, q))
     except np.linalg.LinAlgError as exc:
         raise SingularMatrix("singular matrix in the relation residual") from exc
 

@@ -19,7 +19,9 @@ vectors and values, and Q is never formed through V^-1, which would
 square the conditioning of V.  A repeated root first has its eigenvectors replaced
 by an orthonormal basis of their span, and costs one more SVD; when that
 span is numerically rank-deficient (a nearly defective B) the form
-raises NotPositiveDefinite.
+raises NotPositiveDefinite.  Called on their own, detect_finite_order
+takes V^-1 by one inverse and invariant_form takes only the SVD it
+reads Q from, since neither needs the other's.
 """
 
 from __future__ import annotations
@@ -119,35 +121,49 @@ class HermitianForm:
 
 
 class _Eigenbasis(NamedTuple):
-    """B = V diag(lam) V^-1 from eig, with the SVD V = U diag(s) Vh that
-    V^-1, its condition number and the invariant form are read from."""
+    """B = V diag(lam) V^-1 from eig and, when the caller needs the form
+    and the condition number too (certify), the SVD V = U diag(s) Vh that
+    V^-1, the condition number and the invariant form are read from."""
 
     lam: np.ndarray
     v: np.ndarray
-    u: np.ndarray
-    s: np.ndarray
-    vh: np.ndarray
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
-    @property
-    def vinv(self) -> np.ndarray:
-        return (self.vh.conj().T / self.s) @ self.u.conj().T
+    def inverse(self) -> np.ndarray:
+        """V^-1, off the SVD when one was taken, else by one inverse."""
+        if self.svd is None:
+            try:
+                return np.linalg.inv(self.v)
+            except np.linalg.LinAlgError as exc:
+                raise NotFiniteOrder(f"B has no invertible eigenvector basis: {exc}") from exc
+        u, s, vh = self.svd
+        return (vh.conj().T / s) @ u.conj().T
 
     @property
     def condition(self) -> float:
         """The 2-norm condition number of V, s_max / s_min."""
-        return float(self.s[0] / self.s[-1])
+        s = self.svd[1]
+        return float(s[0] / s[-1])
 
 
-def _eig(b: np.ndarray) -> _Eigenbasis:
-    """Eigenvalues and eigenvectors of b, and one SVD of the eigenvectors."""
+def _eig(b: np.ndarray, *, svd: bool) -> _Eigenbasis:
+    """Eigenvalues and eigenvectors of b, and, if svd, the eigenvectors' SVD."""
     try:
         lam, v = np.linalg.eig(b)
+    except np.linalg.LinAlgError as exc:
+        raise NotFiniteOrder(f"B has no eigenvector basis: {exc}") from exc
+    return _Eigenbasis(lam, v, _svd(v) if svd else None)
+
+
+def _svd(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The SVD of an eigenvector matrix, which must be invertible."""
+    try:
         u, s, vh = np.linalg.svd(v)
     except np.linalg.LinAlgError as exc:
         raise NotFiniteOrder(f"B has no eigenvector basis: {exc}") from exc
     if not s[-1] > 0.0:
         raise NotFiniteOrder("B has no invertible eigenvector basis")
-    return _Eigenbasis(lam, v, u, s, vh)
+    return u, s, vh
 
 
 def detect_finite_order(b, moduli, tol: float = SNAP_TOL, *, eig=None) -> int:
@@ -160,15 +176,16 @@ def detect_finite_order(b, moduli, tol: float = SNAP_TOL, *, eig=None) -> int:
     in order, and the first that does not snap or whose order divides no
     modulus ends the detection.  The snapped spectrum must rebuild b:
     ||B - V diag(roots) V^-1|| <= n * tol * max(1, ||B||), which rejects
-    non-diagonalizable b; V^-1 is read off the SVD of V.  The order is the
-    lcm of the snapped orders.  Raises NotFiniteOrder when any of this
+    non-diagonalizable b; V^-1 is read off the SVD of V that certify
+    passes in eig, else taken by one inverse.  The order is the lcm of the
+    snapped orders.  Raises NotFiniteOrder when any of this
     fails (input away from a minimal vector).  eig, if given, is b's
     decomposition from a caller that needs it again (certify), and b is
     not decomposed a second time.
     """
     b = as_matrix(b)
     moduli = (moduli,) if isinstance(moduli, numbers.Integral) else tuple(moduli)
-    eig = _eig(b) if eig is None else eig
+    eig = _eig(b, svd=False) if eig is None else eig
     bound, roots = math.prod(moduli), []
     for lam in eig.lam:
         try:
@@ -178,7 +195,7 @@ def detect_finite_order(b, moduli, tol: float = SNAP_TOL, *, eig=None) -> int:
         if not any(m % r.N == 0 for m in moduli):
             raise NotFiniteOrder(f"snapped order {r.N} divides none of {moduli}")
         roots.append(r)
-    defect = hs_norm(b - (eig.v * np.array([r.value for r in roots])) @ eig.vinv)
+    defect = hs_norm(b - (eig.v * np.array([r.value for r in roots])) @ eig.inverse())
     if not defect <= b.shape[0] * tol * max(1.0, hs_norm(b)):
         raise NotFiniteOrder(
             f"snapped spectrum misses B: ||B - V diag(roots) V^-1|| = {defect:.3e}"
@@ -213,13 +230,14 @@ def invariant_form(b, order: int, *, eig=None) -> HermitianForm:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    eig = _eig(as_matrix(b)) if eig is None else eig
+    eig = _eig(as_matrix(b), svd=False) if eig is None else eig
     k = (np.rint(np.angle(eig.lam) / (2.0 * math.pi) * order) % order).tolist()
     groups: dict[float, list[int]] = {}
     for i, root in enumerate(k):
         groups.setdefault(root, []).append(i)
-    u, s = eig.u, eig.s
-    if len(groups) < len(k):
+    if len(groups) == len(k):
+        u, s, _ = _svd(eig.v) if eig.svd is None else eig.svd
+    else:
         y = eig.v.copy()
         try:
             for cols in groups.values():
@@ -322,7 +340,7 @@ def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
     try:
         # One eig of B and one SVD of its eigenvectors serve the order,
         # the form and both condition numbers.
-        eig = _eig(rep.B)
+        eig = _eig(rep.B, svd=True)
         cert.order = detect_finite_order(rep.B, moduli, tol, eig=eig)
         stage = "invariant_form"
         cert.form = invariant_form(rep.B, cert.order, eig=eig)

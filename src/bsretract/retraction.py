@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bsrep import BSGroup, Rep, check_residual, powers, relation_residual
+from .bsrep import BSGroup, Rep, check_residual, relation_residual
 from .compactify import SNAP_TOL, UNITARY_TOL, certify
 from .errors import BsretractError, PipelineStageError, PolarObstruction, SingularMatrix
 from .kempfness import FlowConfig, FlowTrace, flow
@@ -83,7 +83,8 @@ class RetractionPath:
         Hilbert-Schmidt norm is unitarily invariant, so the residual at
         time t is ||(s_i / s_j)^t (B~^p)_ij - (O* B~^q O)_ij||."""
         try:
-            bp, bq = powers(self._bt, self.group.p, self.group.q)
+            bp = np.linalg.matrix_power(self._bt, self.group.p)
+            bq = np.linalg.matrix_power(self._bt, self.group.q)
         except np.linalg.LinAlgError as exc:
             raise SingularMatrix("singular B in the path residual") from exc
         o = self.factors.vh @ self.factors.w

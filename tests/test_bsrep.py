@@ -20,7 +20,6 @@ from bsretract import (
     snap_root_of_unity,
 )
 
-from bsretract.bsrep import powers
 from bsretract.suite import derive_seed
 
 from util import (
@@ -60,24 +59,6 @@ def test_relation_residual_n5_block():
 def test_relation_residual_negative_powers():
     rep = from_orbit_datum(OrbitDatum(-1, 2, 3, 1, (1,), 1), 2.0)
     assert relation_residual(rep) <= 1e-14
-
-
-def test_powers_equal_matrix_power_bit_for_bit():
-    # one ladder of squarings and one inverse serve both exponents, with
-    # the bits of numpy's matrix_power for each: the n = 1, 2, 3 shortcuts,
-    # the low-bit-first squarings and the negative powers through inv(b).
-    # A unitary b keeps every power bounded.
-    exps = list(range(-9, 10)) + [
-        sign * (2**k + d) for k in range(1, 13) for d in (-1, 1) for sign in (1, -1)
-    ]
-    rng = np.random.default_rng(11)
-    for n in (1, 2, 5):
-        b = haar_unitary(rng, n) * np.exp(0.01 * rng.standard_normal(n))
-        reference = {e: np.linalg.matrix_power(b, e).tobytes() for e in exps}
-        for p in exps:
-            for q in exps[::7]:
-                bp, bq = powers(b, p, q)
-                assert bp.tobytes() == reference[p] and bq.tobytes() == reference[q], (n, p, q)
 
 
 def test_from_orbit_datum_examples():
