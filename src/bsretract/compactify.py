@@ -11,17 +11,16 @@ moves H into the standard unitary group.  Every step works on the
 eigendecomposition of B or on a single power of it, so its cost depends
 on the dimension, never on the order.
 
-`certify` takes one eig of B and one SVD of its eigenvector matrix V.
-That SVD gives V^-1 for the order's rebuild check, the condition number
-of V, and, when B's roots are distinct, the eigendecomposition of Q
-itself: Q = (V V*)^-1, so Q's square root is read off V's singular
-vectors and values, and Q is never formed through V^-1, which would
-square the conditioning of V.  A repeated root first has its eigenvectors replaced
+B is decomposed by one eig and one SVD of its eigenvector matrix V,
+which `certify` shares between the order and the form.  That SVD gives
+V^-1 for the order's rebuild check, the condition number of V, and,
+when B's roots are distinct, the eigendecomposition of Q itself:
+Q = (V V*)^-1, so Q's square root is read off V's singular vectors and
+values, and Q is never formed through V^-1, which would square the
+conditioning of V.  A repeated root first has its eigenvectors replaced
 by an orthonormal basis of their span, and costs one more SVD; when that
 span is numerically rank-deficient (a nearly defective B) the form
-raises NotPositiveDefinite.  Called on their own, detect_finite_order
-takes V^-1 by one inverse and invariant_form takes only the SVD it
-reads Q from, since neither needs the other's.
+raises NotPositiveDefinite.
 """
 
 from __future__ import annotations
@@ -121,21 +120,15 @@ class HermitianForm:
 
 
 class _Eigenbasis(NamedTuple):
-    """B = V diag(lam) V^-1 from eig and, when the caller needs the form
-    and the condition number too (certify), the SVD V = U diag(s) Vh that
+    """B = V diag(lam) V^-1 from eig, and the SVD V = U diag(s) Vh that
     V^-1, the condition number and the invariant form are read from."""
 
     lam: np.ndarray
     v: np.ndarray
-    svd: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    svd: tuple[np.ndarray, np.ndarray, np.ndarray]
 
     def inverse(self) -> np.ndarray:
-        """V^-1, off the SVD when one was taken, else by one inverse."""
-        if self.svd is None:
-            try:
-                return np.linalg.inv(self.v)
-            except np.linalg.LinAlgError as exc:
-                raise NotFiniteOrder(f"B has no invertible eigenvector basis: {exc}") from exc
+        """V^-1 = Vh* diag(1/s) U*."""
         u, s, vh = self.svd
         return (vh.conj().T / s) @ u.conj().T
 
@@ -146,24 +139,17 @@ class _Eigenbasis(NamedTuple):
         return float(s[0] / s[-1])
 
 
-def _eig(b: np.ndarray, *, svd: bool) -> _Eigenbasis:
-    """Eigenvalues and eigenvectors of b, and, if svd, the eigenvectors' SVD."""
+def _eig(b: np.ndarray) -> _Eigenbasis:
+    """Eigenvalues and eigenvectors of b, and the eigenvectors' SVD; raises
+    NotFiniteOrder unless the eigenvectors form an invertible basis."""
     try:
         lam, v = np.linalg.eig(b)
-    except np.linalg.LinAlgError as exc:
-        raise NotFiniteOrder(f"B has no eigenvector basis: {exc}") from exc
-    return _Eigenbasis(lam, v, _svd(v) if svd else None)
-
-
-def _svd(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The SVD of an eigenvector matrix, which must be invertible."""
-    try:
         u, s, vh = np.linalg.svd(v)
     except np.linalg.LinAlgError as exc:
         raise NotFiniteOrder(f"B has no eigenvector basis: {exc}") from exc
     if not s[-1] > 0.0:
         raise NotFiniteOrder("B has no invertible eigenvector basis")
-    return u, s, vh
+    return _Eigenbasis(lam, v, (u, s, vh))
 
 
 def detect_finite_order(b, moduli, tol: float = SNAP_TOL, *, eig=None) -> int:
@@ -176,16 +162,15 @@ def detect_finite_order(b, moduli, tol: float = SNAP_TOL, *, eig=None) -> int:
     in order, and the first that does not snap or whose order divides no
     modulus ends the detection.  The snapped spectrum must rebuild b:
     ||B - V diag(roots) V^-1|| <= n * tol * max(1, ||B||), which rejects
-    non-diagonalizable b; V^-1 is read off the SVD of V that certify
-    passes in eig, else taken by one inverse.  The order is the lcm of the
-    snapped orders.  Raises NotFiniteOrder when any of this
+    non-diagonalizable b; V^-1 is read off the SVD of V.  The order is the
+    lcm of the snapped orders.  Raises NotFiniteOrder when any of this
     fails (input away from a minimal vector).  eig, if given, is b's
     decomposition from a caller that needs it again (certify), and b is
     not decomposed a second time.
     """
     b = as_matrix(b)
     moduli = (moduli,) if isinstance(moduli, numbers.Integral) else tuple(moduli)
-    eig = _eig(b, svd=False) if eig is None else eig
+    eig = _eig(b) if eig is None else eig
     bound, roots = math.prod(moduli), []
     for lam in eig.lam:
         try:
@@ -220,7 +205,7 @@ def invariant_form(b, order: int, *, eig=None) -> HermitianForm:
     (V* V) o M is block diagonal with blocks G_c = V_c* V_c, and
     Q^-1 = V diag(G_c^-1) V* = sum_c V_c G_c^-1 V_c* = Y Y*, so the SVD
     Y = W diag(s) Z* gives Q = W diag(s^-2) W*.  When every root is
-    distinct, Y = V and that SVD is the one certify already took.  A
+    distinct, Y = V and that SVD is the one eig carries.  A
     group whose Gram matrix is numerically singular, lambda_min(G_c) <=
     n eps lambda_max(G_c) (a nearly defective b), raises
     NotPositiveDefinite: its eigenvectors span less than its
@@ -230,13 +215,13 @@ def invariant_form(b, order: int, *, eig=None) -> HermitianForm:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    eig = _eig(as_matrix(b), svd=False) if eig is None else eig
+    eig = _eig(as_matrix(b)) if eig is None else eig
     k = (np.rint(np.angle(eig.lam) / (2.0 * math.pi) * order) % order).tolist()
     groups: dict[float, list[int]] = {}
     for i, root in enumerate(k):
         groups.setdefault(root, []).append(i)
     if len(groups) == len(k):
-        u, s, _ = _svd(eig.v) if eig.svd is None else eig.svd
+        u, s, _ = eig.svd
     else:
         y = eig.v.copy()
         try:
@@ -340,7 +325,7 @@ def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
     try:
         # One eig of B and one SVD of its eigenvectors serve the order,
         # the form and both condition numbers.
-        eig = _eig(rep.B, svd=True)
+        eig = _eig(rep.B)
         cert.order = detect_finite_order(rep.B, moduli, tol, eig=eig)
         stage = "invariant_form"
         cert.form = invariant_form(rep.B, cert.order, eig=eig)

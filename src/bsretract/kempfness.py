@@ -22,26 +22,11 @@ FlowTrace.energy_monotone bounds that rise by the resolution the step
 was accepted with.  minimality_certificate reads the spectrum of the
 same Hessian at a point.
 
-Before the first Newton step the flow takes one warm step.  At the
-minimum of a closed orbit B is diagonal in an orthonormal basis and A
-maps its eigenlines to eigenlines (Kempf and Ness 1979), so conjugating
-by V^-1, V the eigenvectors of B, leaves only a convex problem on the
-torus of diagonal matrices: matrix scaling (Linial, Samorodnitsky and
-Wigderson 2000).  When B's eigenvalues are distinct, V^-1 A V at a
-conjugated minimal point is a weighted permutation, whose cycles are
-those of the census's exponent orbits, and the torus problem has a
-closed-form minimizer on each cycle.  Inside a repeated eigenspace eig's
-basis is arbitrary, but V^-1 A V still permutes the clusters of equal
-eigenvalues, and the eigenvectors of each cluster cycle's monodromy,
-carried along the cycle by A, give a basis in which it is again a
-weighted permutation.  The warm step scales by the cycle solution, or
-not at all when no weighted permutation is found, and Newton-CG
-finishes.  On every input of the benchmark's seeds 0 and 1 the warm
-point is the minimum.
-The flow starts cold, at the input, when the input's energy is not
-finite, when eig or inv fails, when ||V|| ||V^-1|| exceeds _WARM_COND
-(a nearly defective B, whose eigenbasis means nothing), or when no warm
-point has a finite energy at most the input's.
+Before the first Newton step the flow takes one warm step: it
+conjugates by B's eigenvectors, changes their basis inside each repeated
+eigenspace when that is needed, and scales the result in closed form,
+which on every input of the benchmark's seeds 0 and 1 lands on the
+minimum (see _warm_start).
 """
 
 from __future__ import annotations
@@ -550,58 +535,51 @@ def _cluster_basis(a: np.ndarray, clusters: list[list[int]]) -> np.ndarray | Non
     return t
 
 
-def _cluster_step(warm: np.ndarray, clusters, energy: float, mu_norm: float):
-    """The warm point of the stack warm = V^-1 (A, B) V whose B's eigenvalues
-    fall into clusters: T^-1 warm T (T from _cluster_basis) scaled by its
-    cycle solution, as (ab2, energy, products, mu_norm).  None when T or
-    its inverse or the cycle solution fails, or the point does not lower
-    both the energy and ||mu|| below `energy` and `mu_norm`."""
-    t = _cluster_basis(warm[0], clusters)
-    if t is None:
-        return None
-    try:
-        warm = np.linalg.inv(t) @ warm @ t
-    except np.linalg.LinAlgError:
-        return None
+def _scaled_point(warm: np.ndarray, energy: float, cfg: FlowConfig):
+    """The stack warm, a conjugate of (A, B) whose B is diagonal, scaled by
+    D = diag(e^x), x the cycle solution of _cycle_start, or not scaled when
+    there is none, as _line_search returns a step:
+    (D warm D^-1, energy, products, mu_norm, eta0).  None unless its energy
+    is finite and at most `energy`."""
     x = _cycle_start((warm[0] * warm[0].conj()).real)
-    if x is None:
-        return None
-    warm = warm * np.exp(np.subtract.outer(x, x))
+    if x is not None:
+        warm = warm * np.exp(np.subtract.outer(x, x))
     warm_energy = _energy(*warm)
-    if not warm_energy < energy:
+    # NaN fails this test too, so a non-finite warm point is discarded.
+    if not warm_energy <= energy:
         return None
     products = _moment(warm)
-    warm_mu = hs_norm(products.mu)
-    if not warm_mu < mu_norm:
-        return None
-    return warm, warm_energy, products, warm_mu
+    return warm, warm_energy, products, hs_norm(products.mu), cfg.eta0
 
 
-def _warm_start(ab: np.ndarray, energy: float, mu_norm: float, cfg: FlowConfig):
-    """The flow's warm step from the stack ab = (A, B) at energy `energy`
-    and moment norm `mu_norm`, as _line_search returns a step:
-    (ab2, energy, products, mu_norm, eta) with eta = eta0.
+def _warm_start(ab: np.ndarray, energy: float, cfg: FlowConfig):
+    """The flow's warm step from the stack ab = (A, B) at energy `energy`,
+    as _line_search returns a step, or None when the flow starts cold.
 
-    The bare step comes first: with B = V diag(lambda) V^-1, it is
-    ab2 = D V^-1 ab V D^-1, D = diag(e^x), x the exact cycle solution of
-    _cycle_start when A~ = V^-1 A V is a weighted permutation up to
-    rounding, as at a conjugated minimal point, and 0 otherwise.  When it
-    passes the stop test it is the step.  Otherwise, when B has a repeated
+    At the minimum of a closed orbit B is diagonal in an orthonormal basis
+    and A maps its eigenlines to eigenlines (Kempf and Ness 1979).  So,
+    with B = V diag(lambda) V^-1, the bare point is _scaled_point of
+    V^-1 ab V: when A~ = V^-1 A V is a weighted permutation up to
+    rounding, as at a conjugated minimal point, the cycle solution is the
+    closed-form minimum over the diagonal conjugations (matrix scaling;
+    Linial, Samorodnitsky and Wigderson 2000).  When the bare point passes
+    the stop test it is the step.  Otherwise, when B has a repeated
     eigenvalue, eig's basis of that eigenspace is arbitrary, and
-    _cluster_step changes it inside each cluster of equal eigenvalues so
-    that A~ becomes a weighted permutation; its point is the step unless
-    it fails or does not lower both the energy and ||mu||.  Two
-    eigenvalues count as equal when they lie within
-    128 n eps ||B|| ||V|| ||V^-1|| (Hilbert-Schmidt norms): eig returns the
-    exact eigenvalues of B + E with ||E|| a small multiple of n eps ||B||,
-    and by Bauer and Fike each lies within ||V|| ||V^-1|| ||E|| of one of
-    B's.  On the benchmark's inputs at seeds 0 and 1, eig split equal
-    eigenvalues by at most 6.7 eps ||B|| ||V|| ||V^-1|| and put distinct
-    ones at least 4e8 times that apart.  Else the bare step is taken, or
-    none: None when the flow starts cold, because the energy is not
-    finite, eig or inv fails, ||V|| ||V^-1|| exceeds _WARM_COND, or the
-    bare warm energy is not finite or is above `energy` and there is no
-    cluster step.
+    _cluster_basis changes it inside each cluster of equal eigenvalues by
+    T so that A~ becomes a weighted permutation; _scaled_point of
+    T^-1 V^-1 ab V T is then the step, or the bare point when T or its
+    inverse fails or that point does.  Two eigenvalues count as equal when
+    they lie within 128 n eps ||B|| ||V|| ||V^-1|| (Hilbert-Schmidt
+    norms): eig returns the exact eigenvalues of B + E with ||E|| a small
+    multiple of n eps ||B||, and by Bauer and Fike each lies within
+    ||V|| ||V^-1|| ||E|| of one of B's.  On the benchmark's inputs at
+    seeds 0 and 1, eig split equal eigenvalues by at most
+    6.7 eps ||B|| ||V|| ||V^-1|| and put distinct ones at least 4e8 times
+    that apart, and the warm point is the minimum.  None when the energy
+    is not finite, eig or inv fails, ||V|| ||V^-1|| exceeds _WARM_COND (a
+    nearly defective B, whose eigenbasis means nothing), or no point has
+    a finite energy at most `energy`, so that energy_monotone holds from
+    record 0 on.
     """
     if not math.isfinite(energy):
         return None
@@ -614,25 +592,18 @@ def _warm_start(ab: np.ndarray, energy: float, mu_norm: float, cfg: FlowConfig):
     if not cond <= _WARM_COND:
         return None
     tilde = vi @ ab @ v
-    warm = tilde
-    x = _cycle_start((warm[0] * warm[0].conj()).real)
-    if x is not None:
-        warm = warm * np.exp(np.subtract.outer(x, x))
-    warm_energy = _energy(*warm)
-    bare = None
-    # NaN fails this test too, so a non-finite warm point is discarded.
-    if warm_energy <= energy:
-        products = _moment(warm)
-        warm_mu = hs_norm(products.mu)
-        bare = warm, warm_energy, products, warm_mu, cfg.eta0
-        if warm_mu <= cfg.tol * (1.0 + warm_energy):
-            return bare
+    bare = _scaled_point(tilde, energy, cfg)
+    if bare is not None and bare[3] <= cfg.tol * (1.0 + bare[1]):
+        return bare
     clusters = _clusters(lam, _resolution_unit(len(lam)) * hs_norm(ab[1]) * cond)
-    if clusters is not None:
-        step = _cluster_step(tilde, clusters, energy, mu_norm)
-        if step is not None:
-            return (*step, cfg.eta0)
-    return bare
+    t = None if clusters is None else _cluster_basis(tilde[0], clusters)
+    if t is None:
+        return bare
+    try:
+        ti = np.linalg.inv(t)
+    except np.linalg.LinAlgError:
+        return bare
+    return _scaled_point(ti @ tilde @ t, energy, cfg) or bare
 
 
 def flow(
@@ -658,22 +629,11 @@ def flow(
     0's residual in place of a second measurement.  The trace also counts
     the Hessian products of all the Newton solves.
 
-    An input that fails the stop test first takes the warm step: with
-    B = V diag(lambda) V^-1, it is conjugated by D V^-1, D = diag(e^x) with
-    x the closed-form minimizer of the energy over the diagonal
-    conjugations of V^-1 (A, B) V when V^-1 A V is a weighted permutation,
-    and D = I otherwise.  When that point fails the stop test and B has a
-    repeated eigenvalue, it is conjugated by D T^-1 V^-1 instead, T a
-    change of basis inside each repeated eigenspace that makes
-    T^-1 V^-1 A V T a weighted permutation (see _warm_start).  Record 0
-    stays the input; the warm point is record 1, with step
-    FlowConfig.eta0 and no Hessian product, and it counts against
-    max_iter.  The Newton-CG loop finishes from it, unless it is the
-    minimum, as on every benchmark input.  The flow starts cold instead,
-    exactly as without the step, when the energy is not finite, eig or
-    inv fails, ||V|| ||V^-1|| (Hilbert-Schmidt) exceeds 1e4, or no warm
-    point has a finite energy at most the input's, so that
-    energy_monotone holds from record 0 on.  FlowTrace.warm_start says
+    An input that fails the stop test first takes the warm step of
+    _warm_start, unless the flow starts cold there.  Record 0 stays the
+    input; the warm point is record 1, with step FlowConfig.eta0 and no
+    Hessian product, and it counts against max_iter.  The Newton-CG loop
+    finishes from it, unless it is the minimum.  FlowTrace.warm_start says
     which start was taken.  The warm step moves the endpoint within its
     minimal K-orbit.
     """
@@ -706,7 +666,7 @@ def flow(
             break
         step = None
         if it == 0:
-            step = _warm_start(ab, energy, mu_norm, cfg)
+            step = _warm_start(ab, energy, cfg)
             warm_start = step is not None
         if step is None:
             d, count = _newton_direction(

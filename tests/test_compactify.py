@@ -432,3 +432,35 @@ def test_certify_decomposes_the_form_once(monkeypatch):
     assert {name: len(args) for name, args in calls.items()} == {
         "eigh": 0, "eigvalsh": 0, "det": 0, "svd": 1, "inv": 1}
     assert np.array_equal(calls["inv"][0], cert.unitary.A)
+
+
+def _raising_eig(b):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _singular_eig(b, _eig=np.linalg.eig):
+    # eig's basis with its second column replaced by its first: exactly
+    # singular, so the SVD's smallest singular value is 0
+    lam, v = _eig(b)
+    v = v.copy()
+    v[:, 1] = v[:, 0]
+    return lam, v
+
+
+@pytest.mark.parametrize(
+    "fake, message",
+    [(_raising_eig, "no eigenvector basis: Eigenvalues did not converge"),
+     (_singular_eig, "no invertible eigenvector basis")],
+    ids=["eig_fails", "singular_basis"],
+)
+def test_an_unusable_eigenbasis_fails_the_order(monkeypatch, fake, message):
+    # an eig that fails, or a basis that cannot be inverted, ends the
+    # order detection with NotFiniteOrder, on its own and inside certify
+    rep = n5_block(1.0)
+    assert certify(rep).failed_stage is None
+    monkeypatch.setattr(np.linalg, "eig", fake)
+    with pytest.raises(NotFiniteOrder, match=message):
+        detect_finite_order(rep.B, 5)
+    cert = certify(rep)
+    assert cert.failed_stage == "detect_finite_order" and cert.order is None
+    assert isinstance(cert.error, NotFiniteOrder) and message in str(cert.error)

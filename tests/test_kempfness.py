@@ -1118,9 +1118,7 @@ def test_a_warm_step_off_a_permutation_is_the_bare_conjugation():
     clusters = [[i for i in range(3) if abs(lam[i] - 1.0) < 0.5], [int(np.argmin(lam.real))]]
     assert kempfness._cluster_basis(tilde[0], sorted(clusters)) is None
     assert kempfness._cycle_start((tilde[0] * tilde[0].conj()).real) is None
-    products = kempfness._moment(ab)
-    warm, energy, _, _, eta = kempfness._warm_start(
-        ab, kn_energy(rep), kempfness.hs_norm(products.mu), FlowConfig())
+    warm, energy, _, _, eta = kempfness._warm_start(ab, kn_energy(rep), FlowConfig())
     assert warm.tobytes() == tilde.tobytes()
     assert energy == kempfness._energy(*tilde) and eta == FlowConfig.eta0
 
@@ -1227,21 +1225,29 @@ def test_repeated_cells_converge_at_the_warm_point(p, q, n, index):
 
 
 #: sha256 of the seed-0 oracle flows whose B has distinct eigenvalues, as
-#: test_flows_with_distinct_eigenvalues_keep_their_bytes hashes them,
-#: from the flow before the cluster basis (numpy 2.4.6 with its OpenBLAS
-#: 0.3.31 wheel on x86-64).
+#: test_oracle_flows_keep_their_bytes hashes them, from the flow before the
+#: cluster basis (numpy 2.4.6 with its OpenBLAS 0.3.31 wheel on x86-64).
 DISTINCT_FLOWS_DIGEST = "37608eb9ca7ba84f5dfbad362be6b80dc0e8ee4dc40becc8b08644c8fa098b95"
+#: The same for the oracle flows whose B has a repeated eigenvalue, from
+#: the flow whose cluster point had its own scaling and gates.
+REPEATED_FLOWS_DIGEST = "5a209ad1000ad49854be0057d59ea591ad2e871a5ef33563c4bccc74ea509a52"
 
 
-def test_flows_with_distinct_eigenvalues_keep_their_bytes():
+@pytest.mark.parametrize(
+    "distinct, count, expected",
+    [(True, 536, DISTINCT_FLOWS_DIGEST), (False, 82, REPEATED_FLOWS_DIGEST)],
+    ids=["distinct", "repeated"],
+)
+def test_oracle_flows_keep_their_bytes(distinct, count, expected):
     # the cluster basis is built only when B has a repeated eigenvalue:
     # on every other oracle cell each record, the counters and the
     # endpoint hash to the digest of the flow from before that basis
-    # existed.  Another LAPACK or BLAS build rounds differently and moves
-    # the digest.
-    digest, count = hashlib.sha256(), 0
+    # existed, and on the repeated cells to that of the flow before the
+    # two warm points shared one scale-and-gate path.  Another LAPACK or
+    # BLAS build rounds differently and moves the digests.
+    digest, seen = hashlib.sha256(), 0
     for rep in oracle_cells():
-        if not distinct_eigenvalues(rep.B):
+        if bool(distinct_eigenvalues(rep.B)) != distinct:
             continue
         final, trace = flow(rep)
         for r in trace.records:
@@ -1249,6 +1255,6 @@ def test_flows_with_distinct_eigenvalues_keep_their_bytes():
                                       r.step, r.residual))
         digest.update(f"{trace.outcome}:{trace.hessian_products}:{trace.warm_start}".encode())
         digest.update(final.A.tobytes() + final.B.tobytes())
-        count += 1
-    assert count == 536
-    assert digest.hexdigest() == DISTINCT_FLOWS_DIGEST
+        seen += 1
+    assert seen == count
+    assert digest.hexdigest() == expected
