@@ -188,25 +188,14 @@ def _resolution_unit(n: int) -> float:
     return 128.0 * n * _EPS
 
 
-class _Products(NamedTuple):
-    """The moment map of the stack ab = (A, B) and what the Hessian needs
-    besides it, all from the four products A A*, B B*, A* A and B* B."""
-
-    mu: np.ndarray
-    #: A A* + A* A + B B* + B* B.
-    pm: np.ndarray
-    #: The stack (A*, B*).
-    abh: np.ndarray
-
-
-def _moment(ab: np.ndarray) -> _Products:
+def _moment(ab: np.ndarray) -> np.ndarray:
+    """The moment map of the stack ab = (A, B), Hermitian, from the four
+    products A A*, B B*, A* A and B* B; the flow forms it at every iterate."""
     abh = ab.conj().transpose(0, 2, 1)
     left = ab @ abh
     right = abh @ ab
     m = left[0] - right[0] + left[1] - right[1]
-    m = 0.5 * (m + m.conj().T)
-    pm = left + right
-    return _Products(m, pm[0] + pm[1], abh)
+    return 0.5 * (m + m.conj().T)
 
 
 def kn_energy(rep: Rep) -> float:
@@ -220,7 +209,7 @@ def moment_map(rep: Rep) -> np.ndarray:
     mu is a sum of commutators, so it is traceless: the moment map of
     SL_n and of GL_n acting by conjugation are the same.
     """
-    return _moment(np.stack((rep.A, rep.B))).mu
+    return _moment(np.stack((rep.A, rep.B)))
 
 
 def schur_gap(rep: Rep) -> float:
@@ -237,10 +226,11 @@ def schur_gap(rep: Rep) -> float:
     return kn_energy(rep) - float(np.vdot(lam, lam).real)
 
 
-def _hessian(ab: np.ndarray, products: _Products):
+def _hessian(ab: np.ndarray):
     """Half the energy's Hessian at the identity (the Hessian of F/2,
     whose gradient is mu), as a map on Hermitian h; ab is the stack
-    (A, B) and products its _moment.
+    (A, B).  Only a Newton step and minimality_certificate build it, so
+    it forms P and the adjoints itself, by the products _moment takes.
 
     Along exp(th), d^2F/dt^2 = 4 sum_X ||[h, X]||^2 over X in {A, B}; its
     polarization is 4 Herm(sum_X [[h, X], X*]).  Expanded and halved, that
@@ -249,8 +239,10 @@ def _hessian(ab: np.ndarray, products: _Products):
     sum is one product of the side-by-side Ys with the stacked h Y*s.
     """
     n = ab.shape[1]
-    y_row = np.concatenate((*ab, *products.abh), axis=1)
-    right = np.concatenate((products.pm[None], products.abh, ab))
+    abh = ab.conj().transpose(0, 2, 1)
+    pm = ab @ abh + abh @ ab
+    y_row = np.concatenate((*ab, *abh), axis=1)
+    right = np.concatenate(((pm[0] + pm[1])[None], abh, ab))
 
     def apply(h: np.ndarray) -> np.ndarray:
         hr = h @ right
@@ -362,9 +354,9 @@ def _line_minimum(tilde: np.ndarray, x: np.ndarray, cap: float) -> float:
     return best_t
 
 
-def _line_search(ab, products, mu_norm, d, energy, resolution, cfg):
+def _line_search(ab, mu, mu_norm, d, energy, resolution, cfg):
     """The step the flow accepts along the Newton direction d at the
-    iterate ab: (ab2, energy, products, mu_norm, eta) of the trial
+    iterate ab: (ab2, energy, mu, mu_norm, eta) of the trial
     exp(eta s d), or None when d is not finite or every trial is rejected.
 
     s >= 1 takes s d to the energy's minimum along exp(t d) when the full
@@ -382,7 +374,7 @@ def _line_search(ab, products, mu_norm, d, energy, resolution, cfg):
     # The stack (V* A V, V* B V).
     tilde = vh @ ab @ v
     dw = np.subtract.outer(w, w)
-    drop_rate = -2.0 * _inner(products.mu, d)
+    drop_rate = -2.0 * _inner(mu, d)
     s = 1.0
     if cfg.armijo * drop_rate > resolution:
         s = _line_minimum(tilde, 2.0 * dw, _EXP_CAP / _max_modulus(w))
@@ -400,16 +392,16 @@ def _line_search(ab, products, mu_norm, d, energy, resolution, cfg):
         e2 = _energy(*ab2)
         if required > resolution:
             if e2 <= energy - required:
-                products2 = _moment(ab2)
-                return ab2, e2, products2, hs_norm(products2.mu), eta
+                mu2 = _moment(ab2)
+                return ab2, e2, mu2, hs_norm(mu2), eta
         elif e2 <= energy + resolution:
             # Resolution-limited tail: the energy is numerically
             # stationary, so progress is certified on the moment norm
             # instead while the energy is held to measurement noise.
-            products2 = _moment(ab2)
-            mu2_norm = hs_norm(products2.mu)
+            mu2 = _moment(ab2)
+            mu2_norm = hs_norm(mu2)
             if mu2_norm < mu_norm:
-                return ab2, e2, products2, mu2_norm, eta
+                return ab2, e2, mu2, mu2_norm, eta
         eta *= cfg.shrink
     return None
 
@@ -435,7 +427,7 @@ def _cycle_start(a: np.ndarray) -> np.ndarray | None:
     the spread of x exceeds _EXP_CAP / 2."""
     n = len(a)
     sigma = a.argmax(axis=1).tolist()
-    weights = a[range(n), sigma].tolist()
+    weights = a.max(axis=1).tolist()
     if len(set(sigma)) < n or not min(weights) > 0.0:
         return None
     # Plain floats: n is small, and numpy's per-call cost would dominate.
@@ -503,8 +495,8 @@ def _cluster_basis(a: np.ndarray, clusters: list[list[int]]) -> np.ndarray | Non
     label = np.empty(n, dtype=int)
     for c, cluster in enumerate(clusters):
         label[cluster] = c
-    block = np.zeros((m, m))
-    np.add.at(block, (label[:, None], label[None, :]), (a * a.conj()).real)
+    pairs = (label[:, None] * m + label[None, :]).ravel()
+    block = np.bincount(pairs, (a * a.conj()).real.ravel(), m * m).reshape(m, m)
     sigma = block.argmax(axis=0).tolist()
     sizes = [len(cluster) for cluster in clusters]
     if len(set(sigma)) < m or any(sizes[sigma[c]] != sizes[c] for c in range(m)):
@@ -539,7 +531,7 @@ def _scaled_point(warm: np.ndarray, energy: float, cfg: FlowConfig):
     """The stack warm, a conjugate of (A, B) whose B is diagonal, scaled by
     D = diag(e^x), x the cycle solution of _cycle_start, or not scaled when
     there is none, as _line_search returns a step:
-    (D warm D^-1, energy, products, mu_norm, eta0).  None unless its energy
+    (D warm D^-1, energy, mu, mu_norm, eta0).  None unless its energy
     is finite and at most `energy`."""
     x = _cycle_start((warm[0] * warm[0].conj()).real)
     if x is not None:
@@ -548,8 +540,8 @@ def _scaled_point(warm: np.ndarray, energy: float, cfg: FlowConfig):
     # NaN fails this test too, so a non-finite warm point is discarded.
     if not warm_energy <= energy:
         return None
-    products = _moment(warm)
-    return warm, warm_energy, products, hs_norm(products.mu), cfg.eta0
+    mu = _moment(warm)
+    return warm, warm_energy, mu, hs_norm(mu), cfg.eta0
 
 
 def _warm_start(ab: np.ndarray, energy: float, cfg: FlowConfig):
@@ -642,8 +634,8 @@ def flow(
     records: list[FlowRecord] = []
     ab = np.stack((rep.A, rep.B))
     energy = _energy(*ab)
-    products = _moment(ab)
-    mu_norm = hs_norm(products.mu)
+    mu = _moment(ab)
+    mu_norm = hs_norm(mu)
     # Near the minimum the true energy decrease per step falls below the
     # rounding noise of the energy itself (FlowTrace.resolution_unit), and
     # the measured energy of an accepted tail step may rise within it.
@@ -669,19 +661,17 @@ def flow(
             step = _warm_start(ab, energy, cfg)
             warm_start = step is not None
         if step is None:
-            d, count = _newton_direction(
-                products.mu, mu_norm, _hessian(ab, products), energy, cfg.tol
-            )
+            d, count = _newton_direction(mu, mu_norm, _hessian(ab), energy, cfg.tol)
             hessian_products += count
             step = _line_search(
-                ab, products, mu_norm, d, energy, resolution_unit * (1.0 + energy), cfg
+                ab, mu, mu_norm, d, energy, resolution_unit * (1.0 + energy), cfg
             )
             if step is None:
                 outcome = LINE_SEARCH_STALLED
                 break
         # The accepted trial's energy and moment are the next iterate's:
         # the same arrays give the same floats.
-        ab, energy, products, mu_norm, step_taken = step
+        ab, energy, mu, mu_norm, step_taken = step
         it += 1
     trace = FlowTrace(tuple(records), outcome, resolution_unit, hessian_products, warm_start)
     return Rep(rep.group, rep.n, ab[0], ab[1]), trace
@@ -705,8 +695,8 @@ class MinimalityCertificate(NamedTuple):
     moment_over_gap: float | None
 
 
-def _hessian_gram(ab: np.ndarray, products: _Products) -> np.ndarray:
-    """The matrix Re tr(E_a H(E_b)) of H = _hessian(ab, products) on the
+def _hessian_gram(ab: np.ndarray) -> np.ndarray:
+    """The matrix Re tr(E_a H(E_b)) of H = _hessian(ab) on the
     orthonormal basis E of the Hermitian directions: the E_ii, then
     (E_ij + E_ji)/sqrt 2 and i (E_ij - E_ji)/sqrt 2 for i < j."""
     n = ab.shape[1]
@@ -717,7 +707,7 @@ def _hessian_gram(ab: np.ndarray, products: _Products) -> np.ndarray:
     basis[k, i, j] = basis[k, j, i] = math.sqrt(0.5)
     basis[k + len(i), i, j] = 1j * math.sqrt(0.5)
     basis[k + len(i), j, i] = -1j * math.sqrt(0.5)
-    hess = _hessian(ab, products)
+    hess = _hessian(ab)
     images = np.stack([hess(e) for e in basis])
     return np.tensordot(basis.conj(), images, axes=((1, 2), (1, 2))).real
 
@@ -729,8 +719,7 @@ def minimality_certificate(rep: Rep) -> MinimalityCertificate:
     the energy, is raised to it.
     """
     ab = np.stack((rep.A, rep.B))
-    products = _moment(ab)
-    gram = _hessian_gram(ab, products)
+    gram = _hessian_gram(ab)
     if not np.isfinite(gram).all():
         return MinimalityCertificate(None, None, None)
     lam = np.linalg.eigvalsh(gram).tolist()
@@ -739,5 +728,5 @@ def minimality_certificate(rep: Rep) -> MinimalityCertificate:
     if not above:
         return MinimalityCertificate(len(lam), None, None)
     return MinimalityCertificate(
-        len(lam) - len(above), above[0] / lam[-1], hs_norm(products.mu) / above[0]
+        len(lam) - len(above), above[0] / lam[-1], hs_norm(_moment(ab)) / above[0]
     )

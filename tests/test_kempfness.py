@@ -124,16 +124,16 @@ def stack(rep):
 def hessian(rep):
     """The energy's Hessian at rep; _hessian is half of it."""
     ab = stack(rep)
-    half = _hessian(ab, _moment(ab))
+    half = _hessian(ab)
     return lambda h: 2.0 * half(h)
 
 
 def newton_direction(rep, tol=FlowConfig.tol):
     """The flow's Newton direction at rep with stop level tol (1 + energy)."""
     ab = stack(rep)
-    products = _moment(ab)
-    d, _ = _newton_direction(products.mu, np.linalg.norm(products.mu),
-                             kempfness._hessian(ab, products), kn_energy(rep), tol)
+    mu = _moment(ab)
+    d, _ = _newton_direction(mu, np.linalg.norm(mu), kempfness._hessian(ab),
+                             kn_energy(rep), tol)
     return d
 
 
@@ -162,6 +162,31 @@ def test_flow_step_first_order_rate():
     assert eta == 1e-7
     drop = kn_energy(rep) - kn_energy(stepped)
     assert drop / 1e-7 == pytest.approx(rate, rel=1e-3)
+
+
+def test_a_direction_past_the_exp_cap_takes_no_line_minimum():
+    # d = -100 mu / ||mu|| has max |w| = 71 > _EXP_CAP, so the line
+    # minimum's cap is below 1 and it returns the Newton step, s = 1; the
+    # line search then backtracks to an energy-lowering step that cannot
+    # overflow the conjugation.
+    ab = stack(random_rep(2, 3, 3, 7))
+    mu = _moment(ab)
+    mu_norm = np.linalg.norm(mu)
+    d = -100.0 * mu / mu_norm
+    w, v = np.linalg.eigh(d)
+    w_max = kempfness._max_modulus(w)
+    cap = kempfness._EXP_CAP / w_max
+    assert cap < 1.0
+    vh = v.conj().T
+    assert _line_minimum(vh @ ab @ v, 2.0 * np.subtract.outer(w, w), cap) == 1.0
+    energy = kempfness._energy(*ab)
+    resolution = kempfness._resolution_unit(3) * (1.0 + energy)
+    step = kempfness._line_search(ab, mu, mu_norm, d, energy, resolution, FlowConfig())
+    assert step is not None
+    _, e2, _, _, eta = step
+    assert e2 < energy
+    assert eta == 2.0**-7
+    assert eta * w_max <= kempfness._EXP_CAP
 
 
 def test_flow_step_sl_mode_preserves_determinants():
@@ -323,7 +348,7 @@ def test_hessian_spectrum_matches_the_kronecker_form(n):
         rep = random_rep(p, q, n, n)
         for point in (rep, conjugate(rep, conditioned(rng, n, 8.0)), flow(rep)[0]):
             ab = stack(point)
-            lam = np.linalg.eigvalsh(_hessian_gram(ab, _moment(ab)))
+            lam = np.linalg.eigvalsh(_hessian_gram(ab))
             ref = kronecker_spectrum(point)
             # at n = 1 the spectrum is {0}; rounding is measured on the energy
             scale = ref[-1] if n > 1 else kn_energy(point)
@@ -549,8 +574,8 @@ def count_products(monkeypatch):
     counts = []
     original = kempfness._hessian
 
-    def counted(ab, products):
-        apply = original(ab, products)
+    def counted(ab):
+        apply = original(ab)
         counts.append(0)
 
         def inner(h):
@@ -1231,23 +1256,31 @@ DISTINCT_FLOWS_DIGEST = "37608eb9ca7ba84f5dfbad362be6b80dc0e8ee4dc40becc8b08644c
 #: The same for the oracle flows whose B has a repeated eigenvalue, from
 #: the flow whose cluster point had its own scaling and gates.
 REPEATED_FLOWS_DIGEST = "5a209ad1000ad49854be0057d59ea591ad2e871a5ef33563c4bccc74ea509a52"
+#: The same for every oracle flow started cold, from the flow whose
+#: iterates carried the Hessian's products with their moment map.
+COLD_FLOWS_DIGEST = "1f8df691e1e4ad239dfa91274346fcfa2236ffb156273d5cc903a33f16ad078c"
 
 
 @pytest.mark.parametrize(
-    "distinct, count, expected",
-    [(True, 536, DISTINCT_FLOWS_DIGEST), (False, 82, REPEATED_FLOWS_DIGEST)],
-    ids=["distinct", "repeated"],
+    "cells, count, expected",
+    [("distinct", 536, DISTINCT_FLOWS_DIGEST), ("repeated", 82, REPEATED_FLOWS_DIGEST),
+     ("cold", 618, COLD_FLOWS_DIGEST)],
+    ids=["distinct", "repeated", "cold"],
 )
-def test_oracle_flows_keep_their_bytes(distinct, count, expected):
+def test_oracle_flows_keep_their_bytes(request, cells, count, expected):
     # the cluster basis is built only when B has a repeated eigenvalue:
     # on every other oracle cell each record, the counters and the
     # endpoint hash to the digest of the flow from before that basis
     # existed, and on the repeated cells to that of the flow before the
-    # two warm points shared one scale-and-gate path.  Another LAPACK or
-    # BLAS build rounds differently and moves the digests.
+    # two warm points shared one scale-and-gate path.  Started cold, every
+    # cell runs the Newton-CG loop, so its digest pins the Hessian's
+    # products and the line search.  Another LAPACK or BLAS build rounds
+    # differently and moves the digests.
+    if cells == "cold":
+        request.getfixturevalue("cold_start")
     digest, seen = hashlib.sha256(), 0
     for rep in oracle_cells():
-        if bool(distinct_eigenvalues(rep.B)) != distinct:
+        if cells != "cold" and bool(distinct_eigenvalues(rep.B)) != (cells == "distinct"):
             continue
         final, trace = flow(rep)
         for r in trace.records:

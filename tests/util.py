@@ -330,7 +330,7 @@ def reference_flow(rep, cfg=None):
     step_taken = 0.0
     it = 0
     while True:
-        mu = _moment(np.stack((a, b))).mu
+        mu = _moment(np.stack((a, b)))
         mu_norm = hs_norm(mu)
         energy = _energy(a, b)
         records.append(
@@ -368,7 +368,7 @@ def reference_flow(rep, cfg=None):
                     break
             else:
                 if e2 <= energy + resolution:
-                    if hs_norm(_moment(np.stack((a2, b2))).mu) < mu_norm:
+                    if hs_norm(_moment(np.stack((a2, b2)))) < mu_norm:
                         accepted = True
                         break
             eta *= GRADIENT_SHRINK
