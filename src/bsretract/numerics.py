@@ -42,10 +42,13 @@ SV_TOL = 1e-12
 
 
 def as_matrix(x) -> np.ndarray:
-    """Coerce to a square complex128 array, rejecting NaN/Inf entries."""
+    """Coerce to a square, C-ordered complex128 array, rejecting NaN/Inf
+    entries; an input that already is one is returned as it is."""
     a = np.asarray(x, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    # The float64 view of the real and imaginary parts needs C order.
+    a = np.ascontiguousarray(a)
     if not np.isfinite(a.view(np.float64)).all():
         raise ValueError("matrix has non-finite entries")
     return a

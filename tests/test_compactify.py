@@ -31,8 +31,10 @@ from bsretract.numerics import hs_norm, unitarity_defect
 
 from util import (
     conditioned,
+    count_linalg_calls,
     haar_unitary,
     n5_block,
+    off_diagonal,
     powers,
     reference_invariant_form,
     rep_of,
@@ -355,12 +357,16 @@ def test_hermitian_form_rejects_a_nan_eigenvalue(monkeypatch):
         HermitianForm(np.eye(2))
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_certify_shares_one_decomposition_bit_identically():
     # the order and the form read one decomposition of B; each equals what
-    # its own public call, which decomposes B itself, returns
+    # its own public call, which decomposes B itself, returns.  The
+    # Newton-CG flow from a conjugated input ends at a B that is not
+    # diagonal, so certify decomposes it.
     rng = np.random.default_rng(16)
     for n in (2, 4, 6):
         rep = flow(conjugate(random_rep(2, 3, n, n), conditioned(rng, n, 8.0)))[0]
+        assert off_diagonal(rep.B) > 1e-3
         cert = certify(rep)
         assert cert.failed_stage is None
         order = detect_finite_order(rep.B, order_moduli(2, 3, n))
@@ -414,13 +420,15 @@ def test_invariant_form_matches_the_inverse_route_on_repeated_roots():
                 assert hs_norm(q - q_ref) <= 1e-12 * kappa**2 * hs_norm(q_ref), (datum, copies, cond)
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_certify_decomposes_the_form_once(monkeypatch):
     # with distinct roots, the one SVD of B's eigenvectors gives V^-1, the
     # form's positivity, its determinant and Q^(+-1/2): Q is neither formed
     # through an inverse nor decomposed again.  The one inverse is A's, in
-    # the normality exponent's relation residual.
+    # the normality exponent's relation residual.  The Newton-CG flow ends
+    # at a B that is not diagonal, so certify decomposes it.
     rep, trace = flow(random_rep(2, 3, 4, 3))
-    assert trace.converged
+    assert trace.converged and off_diagonal(rep.B) > 1e-3
     calls = {name: [] for name in ("eigh", "eigvalsh", "det", "svd", "inv")}
     for name in calls:
         def counting(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
@@ -455,12 +463,68 @@ def _singular_eig(b, _eig=np.linalg.eig):
 )
 def test_an_unusable_eigenbasis_fails_the_order(monkeypatch, fake, message):
     # an eig that fails, or a basis that cannot be inverted, ends the
-    # order detection with NotFiniteOrder, on its own and inside certify
-    rep = n5_block(1.0)
-    assert certify(rep).failed_stage is None
+    # order detection with NotFiniteOrder, on its own and inside certify.
+    # The block is conjugated by a shear, so that certify decomposes its B,
+    # which stays triangular: its first eigenvector is e1 exactly.
+    rep = conjugate(n5_block(1.0), np.array([[1.0, 0.5], [0.0, 1.0]]))
+    assert off_diagonal(rep.B) > 1e-3 and certify(rep).failed_stage is None
     monkeypatch.setattr(np.linalg, "eig", fake)
     with pytest.raises(NotFiniteOrder, match=message):
         detect_finite_order(rep.B, 5)
     cert = certify(rep)
     assert cert.failed_stage == "detect_finite_order" and cert.order is None
     assert isinstance(cert.error, NotFiniteOrder) and message in str(cert.error)
+
+
+def test_a_near_jordan_b_falls_back_to_the_eig_path(monkeypatch):
+    # B's off-diagonal 1e-6 is within the rebuild bound, and its diagonal
+    # snaps to order 1, but B misses unitarity by 1.4e-6, past
+    # UNITARY_TOL: certify decomposes B after all, and ends where the eig
+    # path ends, at the form of B's nearly parallel eigenvectors
+    b = np.array([[1.0, 1e-6], [0.0, 1.0]])
+    rep = rep_of(2, 3, np.diag([1.5, 1.0]), b)
+    assert off_diagonal(b) <= 2 * 1e-6 * max(1.0, hs_norm(b))
+    assert 1e-6 < unitarity_defect(rep.B) < 2e-6
+    with pytest.raises(NotPositiveDefinite) as expected:
+        invariant_form(rep.B, detect_finite_order(rep.B, order_moduli(2, 3, 2)))
+    calls = count_linalg_calls(monkeypatch, ("eig",))
+    cert = certify(rep)
+    assert calls == ["eig"]
+    assert cert.failed_stage == "invariant_form" and cert.order == 1
+    assert type(cert.error) is NotPositiveDefinite and str(cert.error) == str(expected.value)
+    assert cert.form is None and cert.unitary is None
+
+
+def test_a_diagonal_b_of_inadmissible_order_fails_as_on_the_eig_path(monkeypatch):
+    # a diagonal unitary B with a root of order 7, which divides none of
+    # the moduli (1, 5, 19) of (2, 3) at n = 3: the standard basis fails
+    # the order, and so does the eig path, with the same message
+    b = np.diag([zeta(5, 1), zeta(7, 1), zeta(5, 4)])
+    rep = rep_of(2, 3, np.eye(3), b)
+    with pytest.raises(NotFiniteOrder) as expected:
+        detect_finite_order(rep.B, order_moduli(2, 3, 3))
+    assert "snapped order 7 divides none" in str(expected.value)
+    calls = count_linalg_calls(monkeypatch, ("eig",))
+    cert = certify(rep)
+    assert calls == ["eig"]
+    assert cert.failed_stage == "detect_finite_order" and cert.order is None
+    assert type(cert.error) is NotFiniteOrder and str(cert.error) == str(expected.value)
+
+
+def test_a_b_unitary_within_the_gate_certifies_in_its_standard_basis(monkeypatch):
+    # B = [[1, 6e-9], [0, 1]] is within UNITARY_TOL of the diagonal unitary
+    # I: certify reads order 1 off its diagonal, with Q = I and rep itself
+    # as the unitarized point, where the eig path's nearly defective basis
+    # fails the form.  eig's second eigenvector leans off the first by
+    # about eps / 6e-9, so their Gram matrix is within n eps of singular.
+    b = np.array([[1.0, 6e-9], [0.0, 1.0]])
+    rep = rep_of(2, 3, np.diag([1.5, 1.0]), b)
+    with pytest.raises(NotPositiveDefinite):
+        invariant_form(rep.B, 1)
+    calls = count_linalg_calls(monkeypatch, ("eig", "svd"))
+    cert = certify(rep)
+    assert calls == []
+    assert cert.failed_stage is None and cert.order == 1 and cert.exponent == 0
+    assert cert.unitary is rep and np.array_equal(cert.form.Q, np.eye(2))
+    assert cert.eig_condition == cert.form_condition == 1.0
+    assert cert.invariance_defect == cert.unitarity_defect == unitarity_defect(b) <= UNITARY_TOL

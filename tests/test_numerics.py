@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bsretract import (
+    BSGroup,
     NotARootOfUnity,
+    Rep,
     RootOfUnity,
     SingularMatrix,
     eigvals,
@@ -102,6 +104,31 @@ def test_as_matrix_rejects_bad_inputs():
         as_matrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_as_matrix_accepts_any_strides():
+    # a transposed, reversed or Fortran-ordered matrix is the same matrix,
+    # returned C-ordered; a C-ordered complex128 input is not copied; a
+    # NaN is refused whatever the strides
+    from bsretract.numerics import as_matrix
+
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    for x in (a.T, a.conj().T, a[:, ::-1], a[::-1], np.asfortranarray(a),
+              np.asfortranarray(np.eye(3)), a.real.T):
+        m = as_matrix(x)
+        assert m.dtype == np.complex128 and m.flags.c_contiguous
+        assert np.array_equal(m, x)
+    assert as_matrix(a) is a
+    b = rng.standard_normal((2, 2)) + 0j
+    assert np.array_equal(polar(a.conj().T).u, polar(np.ascontiguousarray(a.conj().T)).u)
+    rep = Rep(BSGroup(2, 3), 2, b.T, np.diag([zeta(5, 1), zeta(5, 4)]))
+    assert np.array_equal(rep.A, b.T)
+    bad = a.copy()
+    bad[0, 1] = np.nan
+    for x in (bad.T, bad[:, ::-1], np.asfortranarray(bad)):
+        with pytest.raises(ValueError, match="non-finite entries"):
+            as_matrix(x)
 
 
 def test_eigvals_examples():

@@ -41,10 +41,12 @@ from util import (
     PAIRS,
     SEEDS,
     conditioned,
+    count_linalg_calls,
     flow_constants,
     haar_unitary,
     jordan_rep,
     n5_block,
+    off_diagonal,
     path_sample,
     reference_invariant_form,
     rep_of,
@@ -93,14 +95,17 @@ def test_retract_end_to_end_on_flowed_rep():
     assert np.array_equal(path_sample(path, 0.0).A, path.endpoint.A)
 
 
+@pytest.mark.usefixtures("cold_start")
 def test_certified_run_decomposes_b_once(monkeypatch):
     # The order and the form share one decomposition of the flowed B;
     # eig_condition is read off its basis and the endpoint is not
     # decomposed.  The only other eig is the flow's warm step, on the
-    # input's B.
+    # input's B, which it refuses; the Newton-CG flow then ends at a B
+    # that is not diagonal, so certify decomposes it.
     cfg = FlowConfig(tol=1e-10, max_iter=10**5)
     rep = random_rep(2, 3, 3, derive_seed(0, 2, 3, 3, 0))
     flowed, _ = flow(rep, cfg)
+    assert off_diagonal(flowed.B) > 1e-3
     eig, calls = np.linalg.eig, []
 
     def counting_eig(a):
@@ -112,7 +117,7 @@ def test_certified_run_decomposes_b_once(monkeypatch):
     assert diag.outcome == "ok"
     assert len(calls) == 2
     assert np.array_equal(calls[0], rep.B) and np.array_equal(calls[1], flowed.B)
-    s = np.linalg.svd(eig(flowed.B)[1], compute_uv=False)
+    s = np.linalg.svd(eig(flowed.B)[1])[1]
     assert diag.eig_condition == s[0] / s[-1] >= 1.0
     assert "eig_condition_a" not in diag.to_dict()
     assert diag.to_dict()["initial_energy"] == kn_energy(rep)
@@ -331,17 +336,22 @@ def test_full_pipeline_structural_failure_raises_with_stage():
 @pytest.mark.parametrize("stage", ["detect_finite_order", "invariant_form",
                                    "conjugate_into_unitary", "normality_exponent",
                                    "retract_a"])
+@pytest.mark.usefixtures("cold_start")
 def test_any_library_error_of_a_stage_is_recorded_under_its_name(monkeypatch, stage, error):
     # certify records the error of each of its stages, and full_pipeline
-    # the error of retract_a, under the stage's name; none escapes
+    # the error of retract_a, under the stage's name; none escapes.  The
+    # flow starts cold, so that it ends at a B that is not diagonal, which
+    # certify decomposes and passes through every stage.
     def failing(*args, **kwargs):
         raise error(f"{stage} failed for the test")
 
     module = "retraction" if stage == "retract_a" else "compactify"
     monkeypatch.setattr(f"bsretract.{module}.{stage}", failing)
     rep = random_rep(2, 3, 4, 1)
+    flowed = flow(rep)[0]
+    assert off_diagonal(flowed.B) > 1e-3
     if stage != "retract_a":
-        cert = certify(flow(rep)[0])
+        cert = certify(flowed)
         assert cert.failed_stage == stage and isinstance(cert.error, error)
     with pytest.raises(PipelineStageError) as err:
         full_pipeline(rep)
@@ -398,20 +408,55 @@ def grid_diagnostics(grid_runs):
     return [diag for _, _, diag in grid_runs]
 
 
-def test_measures_taken_once_equal_their_own_measurement(grid_runs):
+def test_measures_taken_once_equal_their_own_measurement(grid_runs, cold_start):
     # The flow's first residual is the input's, measured by full_pipeline;
     # endpoint_defect_b is certify's measure of the unitarized B; and
-    # eig_condition is the 2-norm condition number of B's eigenbasis, read
-    # off a full SVD, which may round apart from np.linalg.cond's values-only
-    # one.
+    # eig_condition is the 2-norm condition number of the basis certify
+    # reads B in.  The warm step leaves every grid B diagonal, read in the
+    # standard basis, of condition 1.  The Newton-CG flow (cold_start, which
+    # the module's grid_runs predates) leaves B off the diagonal, and its
+    # eigenbasis's condition number is read off a full SVD, which may round
+    # apart from np.linalg.cond's values-only one.
     cfg = FlowConfig(tol=1e-10, max_iter=10**5)
+    decomposed = 0
     for rep, endpoint, diag in grid_runs:
         res0 = relation_residual(rep)
         assert diag.flow_trace.records[0].residual == diag.initial_residual == res0
         assert diag.endpoint_defect_b == unitarity_defect(endpoint.B)
+        assert diag.eig_condition == 1.0
+        _, cold = full_pipeline(rep, cfg)
         flowed, _ = flow(rep, cfg)
+        if off_diagonal(flowed.B) <= rep.n * 1e-6 * max(1.0, hs_norm(flowed.B)):
+            assert cold.eig_condition == 1.0
+            continue
         cond = np.linalg.cond(np.linalg.eig(flowed.B)[1])
-        assert abs(diag.eig_condition - cond) <= 1e-12 * cond
+        assert abs(cold.eig_condition - cond) <= 1e-12 * cond
+        decomposed += 1
+    assert decomposed >= 250
+
+
+def test_certify_reads_every_grid_point_in_its_standard_basis(grid_runs, monkeypatch):
+    # The flowed B of every grid cell, and its endpoint's, is diagonal and
+    # unitary within the gates: certify reads its order and exponent off
+    # diag(B), with Q = I and the point itself as its unitarized point,
+    # with no eig and no SVD, and they equal the eig path's, whose public
+    # steps decompose B.
+    cfg = FlowConfig(tol=1e-10, max_iter=10**5)
+    points = [x for rep, endpoint, _ in grid_runs for x in (flow(rep, cfg)[0], endpoint)]
+    expected = []
+    for point in points:
+        order = detect_finite_order(point.B, order_moduli(point.group.p, point.group.q, point.n))
+        unit = conjugate_into_unitary(point, invariant_form(point.B, order))
+        expected.append((order, normality_exponent(unit, order)))
+    calls = count_linalg_calls(monkeypatch, ("eig", "svd"))
+    for point, (order, exponent) in zip(points, expected):
+        cert = certify(point)
+        assert cert.failed_stage is None
+        assert (cert.order, cert.exponent) == (order, exponent)
+        assert cert.unitary is point and np.array_equal(cert.form.Q, np.eye(point.n))
+        assert cert.eig_condition == cert.form_condition == 1.0
+        assert cert.invariance_defect == cert.unitarity_defect == unitarity_defect(point.B)
+    assert calls == [] and len(points) == 800
 
 
 def test_invariant_form_matches_the_inverse_route_on_the_grid(grid_runs):

@@ -230,6 +230,25 @@ def random_hermitian(rng, n):
     return h / hs_norm(h)
 
 
+def off_diagonal(b):
+    """||B - diag(B)||: certify decomposes B by eig when this exceeds
+    n * tol * max(1, ||B||), and otherwise first tries B's standard basis."""
+    b = np.asarray(b)
+    return float(np.linalg.norm(b - np.diag(np.diagonal(b))))
+
+
+def count_linalg_calls(monkeypatch, names):
+    """A list that records the name of each call of the np.linalg
+    functions `names`, which still run."""
+    calls = []
+    for name in names:
+        def counting(*args, _f=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
+
+
 def conditioned(rng, n, cond):
     u, v = haar_unitary(rng, n), haar_unitary(rng, n)
     half = 0.5 * np.log(cond)
