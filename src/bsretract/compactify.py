@@ -11,14 +11,15 @@ moves H into the standard unitary group.  Every step works on the
 eigendecomposition of B or on a single power of it, so its cost depends
 on the dimension, never on the order.
 
-At a minimal vector the flow reaches, B is unitary and diagonal in the
-standard basis; there `certify` reads the order off diag(B), with I as
-B's eigenbasis, takes Q = I, and keeps the point as its own unitarized
-representation, with no decomposition and no conjugation.  Any other B
-is decomposed by one eig and one SVD of its eigenvector matrix V,
-which `certify` shares between the order and the form.  That SVD gives
-V^-1 for the order's rebuild check, the condition number of V, and,
-when B's roots are distinct, the eigendecomposition of Q itself:
+`certify` chooses B's basis once, before any step runs, and retries
+nothing.  At a minimal vector the flow reaches, B is unitary and
+diagonal in the standard basis; there it reads the order off diag(B),
+with I as B's eigenbasis, takes Q = I, and keeps the point as its own
+unitarized representation, with no decomposition and no conjugation.
+Any other B is decomposed by one eig and one SVD of its eigenvector
+matrix V, which `certify` shares between the order and the form.  That
+SVD gives V^-1 for the order's rebuild check, the condition number of
+V, and, when B's roots are distinct, the eigendecomposition of Q itself:
 Q = (V V*)^-1, so Q's square root is read off V's singular vectors and
 values, and Q is never formed through V^-1, which would square the
 conditioning of V.  A repeated root first has its eigenvectors replaced
@@ -300,9 +301,11 @@ class Certificate:
     ||B* Q B - Q|| for the generator B, which implies invariance under
     every power of B in exact arithmetic.  unitarity_defect is
     ||B'* B' - I|| of the unitarized B', the value the UNITARY_TOL gate
-    read.  When certify reads B in the standard basis, V = Q = I, both
-    condition numbers are 1, B' is B, and invariance_defect is B's
-    unitarity defect, measured once.
+    read.  When certify chooses B's standard basis, V = Q = I, both
+    condition numbers are 1, B' is B, and B's unitarity defect, measured
+    once before the first step, is the invariance_defect and, once the
+    gate's step is reached, the unitarity_defect.  A failure is final:
+    no step is retried in another basis.
     """
 
     order_bound: int
@@ -318,78 +321,63 @@ class Certificate:
     error: BsretractError | None = None
 
 
-def _gate_unitary(cert: Certificate, b: np.ndarray) -> None:
-    """Record ||B* B - I|| of the unitarized B as cert.unitarity_defect;
-    NotFiniteOrder when it exceeds UNITARY_TOL."""
-    cert.unitarity_defect = defect = unitarity_defect(b)
-    if not defect <= UNITARY_TOL:
-        raise NotFiniteOrder(
-            f"unitarized B is not unitary within {UNITARY_TOL:.1e} "
-            f"(defect {defect:.3e})"
-        )
-
-
-def _certify_in_standard_basis(rep: Rep, moduli, tol: float) -> Certificate:
-    """certify's certificate read in B's standard basis, with I as B's
-    eigenbasis, so that detect_finite_order's rebuild check bounds B's
-    off-diagonal part; raises the BsretractError of the first step that
-    fails.  With Q = I, B's unitarity defect is also ||B* Q B - Q||."""
-    n = rep.n
-    eye = np.eye(n, dtype=np.complex128)
-    ones = np.ones(n)
-    basis = _Eigenbasis(np.diagonal(rep.B), eye, (eye, ones, eye))
-    cert = Certificate(math.prod(moduli))
-    cert.order = detect_finite_order(rep.B, moduli, tol, eig=basis)
-    _gate_unitary(cert, rep.B)
-    cert.invariance_defect = cert.unitarity_defect
-    cert.form = HermitianForm.from_eigh(ones, eye)
-    cert.eig_condition, cert.form_condition = basis.condition, cert.form.condition
-    cert.unitary = rep
-    cert.exponent = normality_exponent(rep, cert.order, tol)
-    return cert
-
-
 def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
     """Order of B, invariant form, unitarized representation and
     normality exponent, each at tolerance tol; the unitarized B must be
     unitary within UNITARY_TOL, which a non-diagonalizable B close enough
     to snap (a Jordan block) is not.  Any BsretractError that a step
     raises ends certification and is recorded in the certificate, under
-    that step's name, not raised.
+    that step's name, not raised; nothing is retried.
 
-    A B whose off-diagonal part is within detect_finite_order's rebuild
-    bound n * tol * max(1, ||B||), as at a minimal vector the flow
-    reaches, is first certified in the standard basis: when its diagonal
-    snaps, B is unitary within UNITARY_TOL and the exponent holds, the
-    certificate has Q = I, eig_condition = form_condition = 1,
-    invariance_defect equal to B's unitarity defect, and rep itself as
-    the unitarized representation, and B is not decomposed.  Any other
-    input, and any failure of that attempt, goes through one eig of B."""
+    B's basis is chosen once, before any step runs.  A B whose
+    off-diagonal part is within detect_finite_order's rebuild bound
+    n * tol * max(1, ||B||) and which is unitary within UNITARY_TOL, as at
+    a minimal vector the flow reaches, is read in the standard basis: its
+    spectrum is diag(B), V = Q = I, eig_condition = form_condition = 1,
+    rep itself is the unitarized representation, and B's unitarity
+    defect, measured once, is both the gate's value and the invariance
+    defect.  Any other B is decomposed by one eig and one SVD of its
+    eigenvectors, which serve the order, the form and both condition
+    numbers."""
     moduli = census.order_moduli(rep.group.p, rep.group.q, rep.n)
     b, n = rep.B, rep.n
     off = b.copy()
     off.reshape(-1)[:: n + 1] = 0.0
-    if hs_norm(off) <= n * tol * max(1.0, hs_norm(b)):
-        try:
-            return _certify_in_standard_basis(rep, moduli, tol)
-        except BsretractError:
-            pass
+    standard = (
+        hs_norm(off) <= n * tol * max(1.0, hs_norm(b))
+        and (defect := unitarity_defect(b)) <= UNITARY_TOL
+    )
     cert = Certificate(math.prod(moduli))
     stage = "detect_finite_order"
     try:
-        # One eig of B and one SVD of its eigenvectors serve the order,
-        # the form and both condition numbers.
-        eig = _eig(b)
+        if standard:
+            eye, ones = np.eye(n, dtype=np.complex128), np.ones(n)
+            eig = _Eigenbasis(np.diagonal(b), eye, (eye, ones, eye))
+        else:
+            eig = _eig(b)
         cert.order = detect_finite_order(b, moduli, tol, eig=eig)
         stage = "invariant_form"
-        cert.form = invariant_form(b, cert.order, eig=eig)
+        if standard:
+            cert.form = HermitianForm.from_eigh(ones, eye)
+            cert.invariance_defect = defect
+        else:
+            cert.form = invariant_form(b, cert.order, eig=eig)
+            q = cert.form.Q
+            cert.invariance_defect = hs_norm(b.conj().T @ q @ b - q)
         cert.eig_condition = eig.condition
         cert.form_condition = cert.form.condition
-        q = cert.form.Q
-        cert.invariance_defect = hs_norm(b.conj().T @ q @ b - q)
         stage = "conjugate_into_unitary"
-        cert.unitary = conjugate_into_unitary(rep, cert.form)
-        _gate_unitary(cert, cert.unitary.B)
+        if standard:
+            cert.unitary = rep
+        else:
+            cert.unitary = conjugate_into_unitary(rep, cert.form)
+            defect = unitarity_defect(cert.unitary.B)
+        cert.unitarity_defect = defect
+        if not defect <= UNITARY_TOL:
+            raise NotFiniteOrder(
+                f"unitarized B is not unitary within {UNITARY_TOL:.1e} "
+                f"(defect {defect:.3e})"
+            )
         stage = "normality_exponent"
         cert.exponent = normality_exponent(cert.unitary, cert.order, tol)
     except BsretractError as exc:

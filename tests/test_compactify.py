@@ -477,10 +477,10 @@ def test_an_unusable_eigenbasis_fails_the_order(monkeypatch, fake, message):
 
 
 def test_a_near_jordan_b_falls_back_to_the_eig_path(monkeypatch):
-    # B's off-diagonal 1e-6 is within the rebuild bound, and its diagonal
-    # snaps to order 1, but B misses unitarity by 1.4e-6, past
-    # UNITARY_TOL: certify decomposes B after all, and ends where the eig
-    # path ends, at the form of B's nearly parallel eigenvectors
+    # B's off-diagonal 1e-6 is within the rebuild bound, but B misses
+    # unitarity by 1.4e-6, past UNITARY_TOL: certify chooses the eig path
+    # before any step runs, and ends at the form of B's nearly parallel
+    # eigenvectors
     b = np.array([[1.0, 1e-6], [0.0, 1.0]])
     rep = rep_of(2, 3, np.diag([1.5, 1.0]), b)
     assert off_diagonal(b) <= 2 * 1e-6 * max(1.0, hs_norm(b))
@@ -495,10 +495,11 @@ def test_a_near_jordan_b_falls_back_to_the_eig_path(monkeypatch):
     assert cert.form is None and cert.unitary is None
 
 
-def test_a_diagonal_b_of_inadmissible_order_fails_as_on_the_eig_path(monkeypatch):
+def test_a_diagonal_b_of_inadmissible_order_fails_in_its_standard_basis(monkeypatch):
     # a diagonal unitary B with a root of order 7, which divides none of
     # the moduli (1, 5, 19) of (2, 3) at n = 3: the standard basis fails
-    # the order, and so does the eig path, with the same message
+    # the order, with the message of the order on its own, and certify
+    # takes no second attempt through eig
     b = np.diag([zeta(5, 1), zeta(7, 1), zeta(5, 4)])
     rep = rep_of(2, 3, np.eye(3), b)
     with pytest.raises(NotFiniteOrder) as expected:
@@ -506,9 +507,40 @@ def test_a_diagonal_b_of_inadmissible_order_fails_as_on_the_eig_path(monkeypatch
     assert "snapped order 7 divides none" in str(expected.value)
     calls = count_linalg_calls(monkeypatch, ("eig",))
     cert = certify(rep)
-    assert calls == ["eig"]
+    assert calls == []
     assert cert.failed_stage == "detect_finite_order" and cert.order is None
     assert type(cert.error) is NotFiniteOrder and str(cert.error) == str(expected.value)
+    assert cert.form is None and cert.unitary is None and cert.unitarity_defect is None
+
+
+@pytest.mark.parametrize(
+    "a, b, eigs",
+    [(np.eye(3), np.diag([zeta(5, 1), zeta(7, 1), zeta(5, 4)]), 0),
+     (np.diag([1.5, 1.0]), np.array([[1.0, 1e-6], [0.0, 1.0]]), 1)],
+    ids=["inadmissible_diagonal", "near_jordan"],
+)
+def test_certify_detects_the_order_once(monkeypatch, a, b, eigs):
+    # certify chooses B's basis once: a failing diagonal B is snapped in
+    # one pass (its second root, of order 7, ends it), and a near-Jordan
+    # B, whose order succeeds before its form fails, has its two
+    # eigenvalues snapped once, in one detection, through one eig
+    rep = rep_of(2, 3, a, b)
+    counts = {"detect": 0, "snap": 0}
+
+    def counting(name, f):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(compactify, "detect_finite_order",
+                        counting("detect", compactify.detect_finite_order))
+    monkeypatch.setattr(compactify, "snap_root_of_unity",
+                        counting("snap", compactify.snap_root_of_unity))
+    calls = count_linalg_calls(monkeypatch, ("eig",))
+    cert = certify(rep)
+    assert cert.failed_stage is not None
+    assert (counts["detect"], counts["snap"], len(calls)) == (1, 2, eigs)
 
 
 def test_a_b_unitary_within_the_gate_certifies_in_its_standard_basis(monkeypatch):

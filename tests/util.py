@@ -232,7 +232,8 @@ def random_hermitian(rng, n):
 
 def off_diagonal(b):
     """||B - diag(B)||: certify decomposes B by eig when this exceeds
-    n * tol * max(1, ||B||), and otherwise first tries B's standard basis."""
+    n * tol * max(1, ||B||), and reads B in its standard basis when it does
+    not and B is unitary within UNITARY_TOL."""
     b = np.asarray(b)
     return float(np.linalg.norm(b - np.diag(np.diagonal(b))))
 
