@@ -51,15 +51,23 @@ def validate_parameters(p: int, q: int) -> None:
 def order_moduli(p: int, q: int, n: int) -> tuple[int, ...]:
     """The moduli |p^k - q^k| for k = 1..n; every eigenvalue order of b at
     a minimal vector of dimension n divides one of them."""
-    validate_parameters(p, q)
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return tuple(abs(p**k - q**k) for k in range(1, n + 1))
+    return _moduli(p, q, n)[0]
 
 
 def order_bound(p: int, q: int, n: int) -> int:
     """prod_{k=1..n} |p^k - q^k| as an exact big integer."""
-    return math.prod(order_moduli(p, q, n))
+    return _moduli(p, q, n)[1]
+
+
+@lru_cache(maxsize=256, typed=True)
+def _moduli(p: int, q: int, n: int) -> tuple[tuple[int, ...], int]:
+    """order_moduli and their product order_bound, computed once per
+    (p, q, n): certify reads both on every call."""
+    validate_parameters(p, q)
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    moduli = tuple(abs(p**k - q**k) for k in range(1, n + 1))
+    return moduli, math.prod(moduli)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,11 @@ on the dimension, never on the order.
 `certify` chooses B's basis once, before any step runs, and retries
 nothing.  At a minimal vector the flow reaches, B is unitary and
 diagonal in the standard basis; there it reads the order off diag(B),
-with I as B's eigenbasis, takes Q = I, and keeps the point as its own
-unitarized representation, with no decomposition and no conjugation.
+checks the snapped roots against B itself, ||B - diag(roots)||, takes
+Q = I as it is, and keeps the point as its own unitarized
+representation, with no decomposition, no conjugation and no product
+with an identity matrix.  The moduli and their product come from
+census's cache, once per (p, q, n).
 Any other B is decomposed by one eig and one SVD of its eigenvector
 matrix V, which `certify` shares between the order and the form.  That
 SVD gives V^-1 for the order's rebuild check, the condition number of
@@ -84,7 +87,8 @@ class HermitianForm:
     that already has it, and builds Q from it, with no check and no eigh.
     Either way any w that is not positive, NaN included, raises
     NotPositiveDefinite, and Q and w are divided by exp(mean log w), so
-    det Q = prod w = 1 by construction."""
+    det Q = prod w = 1 by construction.  HermitianForm.identity(n) is
+    Q = I, which needs no scaling."""
 
     Q: np.ndarray
     w: np.ndarray = field(init=False, repr=False)
@@ -107,6 +111,16 @@ class HermitianForm:
         """The form Q = v diag(w) v*, for a unitary v and ascending w."""
         form = object.__new__(cls)
         form._scale((v * w) @ v.conj().T, w, v)
+        return form
+
+    @classmethod
+    def identity(cls, n: int) -> "HermitianForm":
+        """The form Q = I of dimension n, already of determinant one, with
+        no product, log or exp."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "Q", np.eye(n, dtype=np.complex128))
+        object.__setattr__(form, "w", np.ones(n))
+        object.__setattr__(form, "v", np.eye(n, dtype=np.complex128))
         return form
 
     def _scale(self, q: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
@@ -137,11 +151,32 @@ class _Eigenbasis(NamedTuple):
         u, s, vh = self.svd
         return (vh.conj().T / s) @ u.conj().T
 
+    def rebuild(self, roots: np.ndarray) -> np.ndarray:
+        """V diag(roots) V^-1."""
+        return (self.v * roots) @ self.inverse()
+
     @property
     def condition(self) -> float:
         """The 2-norm condition number of V, s_max / s_min."""
         s = self.svd[1]
         return float(s[0] / s[-1])
+
+
+class _Diagonal(NamedTuple):
+    """B's standard basis, for a B that is diagonal within the rebuild
+    bound: its spectrum is diag(B) and V = I, so nothing is multiplied
+    by V or inverted."""
+
+    lam: np.ndarray
+
+    def rebuild(self, roots: np.ndarray) -> np.ndarray:
+        """diag(roots)."""
+        return np.diag(roots)
+
+    @property
+    def condition(self) -> float:
+        """The condition number of V = I."""
+        return 1.0
 
 
 def _eig(b: np.ndarray) -> _Eigenbasis:
@@ -169,15 +204,16 @@ def detect_finite_order(b, moduli, tol: float = SNAP_TOL, *, eig=None) -> int:
     ||B - V diag(roots) V^-1|| <= n * tol * max(1, ||B||), which rejects
     non-diagonalizable b; V^-1 is read off the SVD of V.  The order is the
     lcm of the snapped orders.  Raises NotFiniteOrder when any of this
-    fails (input away from a minimal vector).  eig, if given, is b's
-    decomposition from a caller that needs it again (certify), and b is
-    not decomposed a second time.
+    fails (input away from a minimal vector).  eig, if given, is the basis
+    certify chose for b, and b is not decomposed a second time: its
+    eigendecomposition, or, on the standard route, diag(b) as the
+    spectrum, with the rebuild check ||B - diag(roots)|| made on b itself.
     """
     b = as_matrix(b)
     moduli = (moduli,) if isinstance(moduli, numbers.Integral) else tuple(moduli)
     eig = _eig(b) if eig is None else eig
     bound, roots = math.prod(moduli), []
-    for lam in eig.lam:
+    for lam in eig.lam.tolist():
         try:
             r = snap_root_of_unity(lam, bound, tol)
         except NotARootOfUnity as exc:
@@ -185,7 +221,7 @@ def detect_finite_order(b, moduli, tol: float = SNAP_TOL, *, eig=None) -> int:
         if not any(m % r.N == 0 for m in moduli):
             raise NotFiniteOrder(f"snapped order {r.N} divides none of {moduli}")
         roots.append(r)
-    defect = hs_norm(b - (eig.v * np.array([r.value for r in roots])) @ eig.inverse())
+    defect = hs_norm(b - eig.rebuild(np.array([r.value for r in roots])))
     if not defect <= b.shape[0] * tol * max(1.0, hs_norm(b)):
         raise NotFiniteOrder(
             f"snapped spectrum misses B: ||B - V diag(roots) V^-1|| = {defect:.3e}"
@@ -333,32 +369,30 @@ def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
     off-diagonal part is within detect_finite_order's rebuild bound
     n * tol * max(1, ||B||) and which is unitary within UNITARY_TOL, as at
     a minimal vector the flow reaches, is read in the standard basis: its
-    spectrum is diag(B), V = Q = I, eig_condition = form_condition = 1,
-    rep itself is the unitarized representation, and B's unitarity
-    defect, measured once, is both the gate's value and the invariance
-    defect.  Any other B is decomposed by one eig and one SVD of its
-    eigenvectors, which serve the order, the form and both condition
-    numbers."""
-    moduli = census.order_moduli(rep.group.p, rep.group.q, rep.n)
-    b, n = rep.B, rep.n
+    spectrum is diag(B), the rebuild check is ||B - diag(roots)||, Q = I
+    is built as it is (HermitianForm.identity), so eig_condition =
+    form_condition = 1 exactly, rep itself is the unitarized
+    representation, and B's unitarity defect, measured once, is both the
+    gate's value and the invariance defect.  Any other B is decomposed by
+    one eig and one SVD of its eigenvectors, which serve the order, the
+    form and both condition numbers.  The moduli and order_bound are read
+    from census's per-(p, q, n) cache."""
+    p, q, n = rep.group.p, rep.group.q, rep.n
+    moduli, b = census.order_moduli(p, q, n), rep.B
     off = b.copy()
     off.reshape(-1)[:: n + 1] = 0.0
     standard = (
         hs_norm(off) <= n * tol * max(1.0, hs_norm(b))
         and (defect := unitarity_defect(b)) <= UNITARY_TOL
     )
-    cert = Certificate(math.prod(moduli))
+    cert = Certificate(census.order_bound(p, q, n))
     stage = "detect_finite_order"
     try:
-        if standard:
-            eye, ones = np.eye(n, dtype=np.complex128), np.ones(n)
-            eig = _Eigenbasis(np.diagonal(b), eye, (eye, ones, eye))
-        else:
-            eig = _eig(b)
+        eig = _Diagonal(np.diagonal(b)) if standard else _eig(b)
         cert.order = detect_finite_order(b, moduli, tol, eig=eig)
         stage = "invariant_form"
         if standard:
-            cert.form = HermitianForm.from_eigh(ones, eye)
+            cert.form = HermitianForm.identity(n)
             cert.invariance_defect = defect
         else:
             cert.form = invariant_form(b, cert.order, eig=eig)

@@ -154,6 +154,12 @@ def snap_root_of_unity(value: complex, max_order: int, tol: float) -> RootOfUnit
     max_order is numerically meaningless for inexact inputs: it chases the
     noise with huge denominators).  Raises NotARootOfUnity when no
     admissible candidate is within tol.
+
+    The tolerance becomes an angular budget around theta = arg(value) /
+    2 pi, and _smallest_denominator finds the fraction of smallest
+    denominator in it: a float continued fraction proposes it and an
+    exact two-parent test proves it, and the Stern-Brocot walk answers
+    only when that proof fails.  Either way the answer is the walk's.
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
@@ -172,12 +178,7 @@ def snap_root_of_unity(value: complex, max_order: int, tol: float) -> RootOfUnit
     slack = max(0.0, tol * tol - (r - 1.0) ** 2)
     ang_tol = 2.0 * math.asin(min(1.0, math.sqrt(slack / (4.0 * r)))) / _TWO_PI
     num, den = (math.atan2(lam.imag, lam.real) / _TWO_PI % 1.0).as_integer_ratio()
-
-    def within(x: int, y: int) -> bool:
-        # |theta - x/y| rounded once to a float, as float(Fraction) rounds it.
-        return abs(num * y - x * den) / (den * y) <= ang_tol
-
-    frac = _smallest_denominator(num, den, within, int(max_order))
+    frac = _smallest_denominator(num, den, ang_tol, int(max_order))
     if frac is None:
         raise NotARootOfUnity(
             f"no root of unity of order <= {max_order} within {tol:.3g}"
@@ -192,10 +193,72 @@ def snap_root_of_unity(value: complex, max_order: int, tol: float) -> RootOfUnit
     return RootOfUnity(n_, m_)
 
 
-def _smallest_denominator(num: int, den: int, within, max_den: int):
-    """(x, y) with x/y of smallest denominator y <= max_den such that
-    within(x, y), for a within() that holds exactly on an interval around
-    num/den in [0, 1]; None if there is none.
+def _smallest_denominator(num: int, den: int, ang_tol: float, max_den: int):
+    """(x, y) with x/y of smallest denominator y <= max_den within ang_tol
+    of theta = num/den in [0, 1); None if there is none.
+
+    within(x, y) tests |theta - x/y| <= ang_tol with the distance rounded
+    once to a float, as float(Fraction) rounds it.  Rounding is monotone,
+    so within holds exactly on an interval I around theta, and the
+    smallest denominator in I is taken by a unique fraction once 0/1 and
+    1/1 are outside I.
+
+    A float continued fraction of [theta - ang_tol, theta + ang_tol]
+    proposes that fraction x/y (_simplest_fraction), and three exact tests
+    prove it: x/y is within, and both of its Stern-Brocot parents a/b and
+    (x - a)/(y - b), with b = x^-1 mod y and a = (x b - 1)/y, are not.
+    The parents are neighbours with b + (y - b) = y, so every other
+    fraction between them has a denominator above y, and I, an interval
+    that holds x/y and neither parent, lies between them.  When the proof
+    fails, _stern_brocot walks to the answer.
+    """
+
+    def within(x: int, y: int) -> bool:
+        return abs(num * y - x * den) / (den * y) <= ang_tol
+
+    for x in (0, 1):
+        if within(x, 1):
+            return x, 1
+    theta = num / den
+    frac = _simplest_fraction(theta - ang_tol, theta + ang_tol, den)
+    if frac is not None:
+        x, y = frac
+        b = pow(x, -1, y)
+        a = (x * b - 1) // y
+        if within(x, y) and not within(a, b) and not within(x - a, y - b):
+            return frac if y <= max_den else None
+    return _stern_brocot(num, den, within, max_den)
+
+
+def _simplest_fraction(lo: float, hi: float, den: int):
+    """The fraction x/y of smallest denominator in [lo, hi], in float
+    arithmetic, for 0 < lo < hi < 1 and a fraction of denominator den in
+    [lo, hi]; None outside that range or once the expansion's
+    denominators pass den.
+
+    Expands lo and hi as one continued fraction while they share a term t,
+    mapping [lo, hi] to [1/(hi - t), 1/(lo - t)]; the first interval that
+    holds an integer ends it with the smallest such integer.  Rounding can
+    make the answer wrong, so the caller proves it.
+    """
+    if not 0.0 < lo < hi < 1.0:
+        return None
+    # Convergents x1/y1 and the one before it, x0/y0.
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    lo, hi = 1.0 / hi, 1.0 / lo
+    while y1 <= den:
+        t = math.floor(lo)
+        if t == lo or t + 1 <= hi:
+            t = math.ceil(lo)
+            return t * x1 + x0, t * y1 + y0
+        x0, x1, y0, y1 = x1, t * x1 + x0, y1, t * y1 + y0
+        lo, hi = 1.0 / (hi - t), 1.0 / (lo - t)
+    return None
+
+
+def _stern_brocot(num: int, den: int, within, max_den: int):
+    """_smallest_denominator's answer by a walk, for the within() it
+    defines, once 0/1 and 1/1 are known to be outside the interval.
 
     Walks the Stern-Brocot tree toward num/den.  Denominators grow along
     the walk, and the first node inside the interval has the smallest
@@ -204,9 +267,6 @@ def _smallest_denominator(num: int, den: int, within, max_den: int):
     side until j crosses it; the first of them inside the interval is
     found by bisection on j, so a run costs O(log j) tests.
     """
-    for x in (0, 1):
-        if within(x, 1):
-            return x, 1
     a, b, c, d = 0, 1, 1, 1  # num/den lies strictly between a/b and c/d
     while b + d <= max_den:
         up = (a + c) * den < num * (b + d)

@@ -2,14 +2,15 @@
 
 `retract_a(rep, num_samples)` gives the scaling path A_t = U P^t of
 A = U P from t = 1 down to t = 0 with B fixed; at t = 0 the
-representation is unitary.  It needs B unitary and [P, B] = 0, checks
-both, and its docstring gives why the path then stays in the variety.
-Both hold at a point that `certify` has unitarized: A B A^-1 = B^j there,
-and uniqueness of the polar factors in A B = B^j A gives [P, B] = 0.  The
-order and the normality exponent come from `certify` alone.  The
-pipeline checks the path by one closed-form upper bound on its relation
-residual over every t in [0, 1] (`residual_bound`); `rows()` measures
-num_samples samples of it for the path CSV alone.
+representation is unitary.  It needs B unitary, checks it, and accepts
+the path only when one closed-form upper bound on its relation residual
+over every t in [0, 1] (`residual_bound`) is within the run's
+`residual_budget`; its docstring gives why the path stays in the variety
+when [P, B] = 0.  That holds at a point that `certify` has unitarized:
+A B A^-1 = B^j there, and uniqueness of the polar factors in
+A B = B^j A gives [P, B] = 0.  The order and the normality exponent come
+from `certify` alone.  `rows()` measures num_samples samples of the path
+for the path CSV alone.
 
 `full_pipeline` is the one body of the stages: flow, then certify and
 retract the flowed point.  A point that is already minimal takes the same
@@ -35,16 +36,23 @@ __all__ = [
     "full_pipeline",
     "PipelineDiagnostics",
     "verify_unitary_rep",
+    "residual_budget",
     "NUM_SAMPLES",
 ]
 
 #: Default number of samples of a retraction path, t = 1 down to t = 0.
 NUM_SAMPLES = 100
 
-#: Largest ||[P, B]|| / ||P|| that retract_a accepts.
-COMMUTE_TOL = 1e-6
-
 _EPS = float(np.finfo(float).eps)
+
+
+def residual_budget(initial_residual: float) -> float:
+    """1e-8 + 10 * initial_residual: the largest relation residual that a
+    run from an input of that residual may reach, at any iterate of its
+    flow and at any t of its retraction path.  retract_a accepts a path
+    only within it, and suite.check_flow and suite.check_pipeline check
+    against it."""
+    return 1e-8 + 10.0 * initial_residual
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,10 +105,10 @@ class RetractionPath:
         bp, c = self._sides
         return hs_norm(bp - c)
 
-    @cached_property
+    @property
     def residual_bound(self) -> float:
         """An upper bound on the residual at every t in [0, 1], measured
-        once on first access; NaN if a factor is NaN.
+        once, by retract_a or on first access; NaN if a factor is NaN.
 
         With S_ij = s_i / s_j, the residual at t is ||R_0 + (S^t - 1) o B~^p||
         (o the entrywise product), and |r^t - 1| <= |r - 1| for r > 0 and
@@ -110,6 +118,11 @@ class RetractionPath:
         computed sample and of the bound's own terms: a few roundings of
         relative size eps per entry, and the sum of n^2 squares in each
         norm, at most (n^2 + 10) eps times the size of the terms."""
+        return self._bound
+
+    @cached_property
+    def _bound(self) -> float:
+        """residual_bound's value, measured once; retract_a reads it here."""
         s = self.factors.s
         bp, c = self._sides
         bound = self.endpoint_residual + hs_norm((s[:, None] / s[None, :] - 1.0) * bp)
@@ -130,21 +143,23 @@ class RetractionPath:
         return rows
 
 
-def retract_a(rep: Rep, num_samples: int = NUM_SAMPLES) -> RetractionPath:
+def retract_a(rep: Rep, num_samples: int = NUM_SAMPLES, *,
+              budget: float = residual_budget(0.0)) -> RetractionPath:
     """Polar-scaling path from A to its unitary factor, with B fixed.
 
     Precondition, both parts checked: B is unitary within UNITARY_TOL,
-    and the positive factor of A = U P commutes with B within
-    COMMUTE_TOL * ||P||.  Then A_t = U P^t gives A_t B^p A_t^-1 =
-    U B^p U* = A B^p A^-1 = B^q for every t, so each sample satisfies the
-    relation whenever rep does.  A non-unitary B raises ValueError; a
-    non-commuting P raises PolarObstruction, which signals that the input
-    is not a certified minimal vector (e.g. a non-converged flow).
-    num_samples is kept as a number: only `rows()` reads it.
-
-    The commutator is measured in the basis of A's SVD A = W diag(s) Vh,
-    as the path measures its residuals: with B~ = Vh B Vh*,
-    ||[P, B]|| = ||(s_i - s_j) B~_ij|| and ||P|| = ||s||.
+    and the path's residual_bound, which bounds the relation residual at
+    every t in [0, 1], is within budget.  The default is
+    residual_budget(0.0), the budget of an input on the variety;
+    full_pipeline passes its input's, residual_budget(initial_residual).  Where the positive factor of A = U P commutes
+    with B, A_t = U P^t gives A_t B^p A_t^-1 = U B^p U* = A B^p A^-1 = B^q
+    for every t, so each sample satisfies the relation whenever rep does
+    and the bound is the endpoint's residual; a P that does not commute
+    adds ||(S - 1) o B~^p|| to it.  A non-unitary B raises ValueError; a
+    bound past the budget, NaN included, raises PolarObstruction, which
+    signals that the input is not a certified minimal vector (e.g. a
+    non-converged flow, or a B that is near a Jordan block).  num_samples
+    is kept as a number: only `rows()` reads it.
     """
     if num_samples < 2:
         raise ValueError("num_samples must be >= 2")
@@ -156,11 +171,9 @@ def retract_a(rep: Rep, num_samples: int = NUM_SAMPLES) -> RetractionPath:
             "conjugate into the unitary group first"
         )
     path = RetractionPath(num_samples, b, rep.group, polar(rep.A))
-    s = path.factors.s
-    comm = hs_norm((s[:, None] - s[None, :]) * path._bt)
-    if not comm <= COMMUTE_TOL * hs_norm(s):
+    if not path._bound <= budget:
         raise PolarObstruction(
-            f"||[P, B]|| = {comm:.3e} exceeds {COMMUTE_TOL:.1e} * ||P||"
+            f"path residual bound {path._bound:.3e} exceeds the budget {budget:.3e}"
         )
     return path
 
@@ -225,8 +238,10 @@ def full_pipeline(
     flow's outcome ("iter_budget" or "line_search_stalled") as the
     outcome, and no exception.  A BsretractError that a later stage
     (certify's or retract_a) raises ends the run in PipelineStageError,
-    naming that stage, with partial diagnostics attached.  The path
-    is diagnostics.retraction_path; num_samples sets only the number of
+    naming that stage, with partial diagnostics attached; retract_a
+    raises unless the path's residual_bound is within
+    residual_budget(initial_residual), the bound check_pipeline applies.
+    The path is diagnostics.retraction_path; num_samples sets only the number of
     its rows(), which the pipeline does not read:
     diagnostics.max_path_residual is the path's residual_bound over every
     t in [0, 1].
@@ -249,7 +264,7 @@ def full_pipeline(
     if error is None:
         stage = "retract_a"
         try:
-            path = retract_a(cert.unitary, num_samples)
+            path = retract_a(cert.unitary, num_samples, budget=residual_budget(res0))
         except BsretractError as exc:
             error = exc
     if error is not None:

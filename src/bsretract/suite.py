@@ -21,7 +21,7 @@ from .compactify import SNAP_TOL, UNITARY_TOL, detect_finite_order
 from .errors import BsretractError, PipelineStageError
 from .kempfness import FlowConfig
 from .numerics import hs_norm
-from .retraction import NUM_SAMPLES, full_pipeline, verify_unitary_rep
+from .retraction import NUM_SAMPLES, full_pipeline, residual_budget, verify_unitary_rep
 
 __all__ = ["canonical_json", "sha256_text", "build_manifest", "pipeline_manifest",
            "derive_seed", "check_flow", "check_pipeline", "check_rerun", "run_one",
@@ -80,13 +80,13 @@ def check_flow(diag) -> list[str]:
     """Violations of the flow's invariants, read from diag.flow_trace: no
     accepted step raises the recorded energy past the flow's resolution
     (FlowTrace.energy_monotone), and no iterate's relation residual
-    (FlowTrace.max_residual) exceeds 1e-8 + 10 * diag.initial_residual,
-    the input's."""
+    (FlowTrace.max_residual) exceeds residual_budget of
+    diag.initial_residual, the input's: 1e-8 + 10 * initial residual."""
     violations, trace = [], diag.flow_trace
     if not trace.energy_monotone():
         violations.append("energy increased along an accepted step")
     worst = trace.max_residual()
-    if not _at_most(worst, 1e-8 + 10.0 * diag.initial_residual):
+    if not _at_most(worst, residual_budget(diag.initial_residual)):
         violations.append(f"flow residual {_e(worst)} exceeded bound")
     return violations
 
@@ -95,7 +95,7 @@ def check_pipeline(endpoint, diag, snap_tol: float) -> list[str]:
     """Violations of a certified endpoint's invariants: the order is within
     its bound, detect_finite_order finds the same order on the endpoint's
     B, the path residual bound (diag.max_path_residual, over every t of
-    the path) stays within 1e-8 + 10 * diag.initial_residual, and the
+    the path) stays within residual_budget(diag.initial_residual), and the
     endpoint is a unitary representation within UNITARY_TOL."""
     violations = []
     if not _at_most(diag.detected_order, diag.order_bound):
@@ -113,7 +113,7 @@ def check_pipeline(endpoint, diag, snap_tol: float) -> list[str]:
                 f"endpoint order {order} differs from certified order "
                 f"{diag.detected_order}"
             )
-    if not _at_most(diag.max_path_residual, 1e-8 + 10.0 * diag.initial_residual):
+    if not _at_most(diag.max_path_residual, residual_budget(diag.initial_residual)):
         violations.append(
             f"path residual bound {_e(diag.max_path_residual)} exceeded "
             f"1e-8 + 10 * initial residual"

@@ -32,6 +32,7 @@ from bsretract import (
 from bsretract.bsrep import random_conditioned
 from bsretract.cli import main
 from bsretract.errors import PipelineStageError, PolarObstruction
+from bsretract.retraction import residual_budget
 from bsretract.suite import (canonical_json, check_flow, check_pipeline, check_rerun,
                              derive_seed, run_one, run_suite, sha256_text)
 
@@ -531,7 +532,7 @@ def test_pipeline_structural_exit_on_forced_tight_snap(runner, tmp_path):
 def test_pipeline_exits_structural_when_the_retraction_fails(runner, tmp_path, monkeypatch):
     # certify passes, then retract_a raises: the run fails at stage
     # retract_a, not as bad input
-    def obstructed(unitary, num_samples):
+    def obstructed(unitary, num_samples, budget):
         raise PolarObstruction("obstructed for the test")
 
     monkeypatch.setattr("bsretract.retraction.retract_a", obstructed)
@@ -569,6 +570,29 @@ def test_a_form_that_is_not_positive_definite_exits_structural(runner, tmp_path,
     assert isinstance(res.exception, SystemExit), res.exc_info
     assert res.exit_code == 4, res.output
     assert res.stderr.startswith("error: stage 'invariant_form': form eigenvalue ")
+
+
+def test_near_jordan_sweep_never_ends_in_a_hard_violation(runner, tmp_path):
+    # The same family near B = I: a B that passes certify's unitarity gate
+    # can still hand retract_a a path whose residual bound exceeds the
+    # check's budget (at d = 5e-9, 6e-9 and 7e-9 the bound is 1.0e-8,
+    # 1.2e-8 and 1.4e-8 against a budget of 1e-8); retract_a refuses such a
+    # path, so every d ends certified with the bound inside the budget
+    # (exit 0) or at a named stage (exit 4), never in a hard violation
+    # (exit 1).
+    for d in [5e-9, 6e-9, 7e-9, *np.logspace(-10, -7, 13).tolist()]:
+        rep = rep_of(2, 3, np.diag([1.5, 1.0]), [[1.0, d], [0.0, 1.0]])
+        diag_path = tmp_path / "diag.json"
+        res = runner.invoke(main, ["pipeline", "--in", write_rep(tmp_path, rep),
+                                   "--out", str(tmp_path / "e.json"), "--diag", str(diag_path)])
+        assert res.exit_code in (0, 4), (d, res.output)
+        if res.exit_code == 0:
+            diag = json.loads(diag_path.read_text())
+            assert diag["max_path_residual"] <= residual_budget(diag["initial_residual"]), d
+        else:
+            assert res.stderr.startswith("error: stage '"), (d, res.stderr)
+        if d in (5e-9, 6e-9, 7e-9):
+            assert res.stderr.startswith("error: stage 'retract_a': path residual bound "), d
 
 
 def test_verify_names_the_failed_stage_on_stderr(runner, tmp_path):

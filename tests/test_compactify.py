@@ -560,3 +560,26 @@ def test_a_b_unitary_within_the_gate_certifies_in_its_standard_basis(monkeypatch
     assert cert.unitary is rep and np.array_equal(cert.form.Q, np.eye(2))
     assert cert.eig_condition == cert.form_condition == 1.0
     assert cert.invariance_defect == cert.unitarity_defect == unitarity_defect(b) <= UNITARY_TOL
+
+
+def test_the_standard_route_rebuild_check_can_fail(monkeypatch):
+    # tol 1e-12 at (1, 2): both diagonal entries lie 0.9e-12 rad from their
+    # roots 1 and e^(2 pi i / 3), so each snaps, and the off-diagonal
+    # entries +-0.99 n tol put ||B - diag B|| = 2.80e-12 just inside the
+    # choice bound n tol ||B|| = 2.83e-12, so certify reads B in its
+    # standard basis.  B is then 3.076e-12 from diag(roots), past that
+    # bound: the rebuild check, made on B itself, must fail the order.
+    tol, n = 1e-12, 2
+    off = 0.99 * n * tol
+    b = np.array([[np.exp(0.9e-12j), off],
+                  [-off, np.exp(2j * np.pi / 3 + 0.9e-12j)]])
+    rep = rep_of(1, 2, np.eye(2), b)
+    assert off_diagonal(b) <= n * tol * hs_norm(b) < 1.02 * off_diagonal(b)
+    assert unitarity_defect(b) <= UNITARY_TOL
+    calls = count_linalg_calls(monkeypatch, ("eig", "svd"))
+    cert = certify(rep, tol)
+    assert calls == []
+    assert cert.failed_stage == "detect_finite_order" and cert.order is None
+    assert type(cert.error) is NotFiniteOrder
+    assert str(cert.error) == (
+        "snapped spectrum misses B: ||B - V diag(roots) V^-1|| = 3.076e-12")

@@ -8,18 +8,24 @@ from hypothesis import strategies as st
 
 from bsretract import (
     BSGroup,
+    FlowConfig,
     NotARootOfUnity,
     Rep,
     RootOfUnity,
     SingularMatrix,
     eigvals,
+    flow,
     hs_norm,
+    order_moduli,
     polar,
+    random_rep,
     snap_root_of_unity,
 )
+from bsretract import numerics
 from bsretract.numerics import matrix_from_json, matrix_to_json
+from bsretract.suite import derive_seed
 
-from util import haar_unitary, reference_snap, swap2, zeta
+from util import N_MAX, PAIRS, SEEDS, haar_unitary, reference_snap, swap2, zeta
 
 
 def test_hs_norm_examples():
@@ -273,6 +279,68 @@ def test_snap_walk_matches_binary_search_at_the_boundary(
     assert _snap_outcome(snap_root_of_unity, lam, max_order, tol) == _snap_outcome(
         reference_snap, lam, max_order, tol
     )
+
+
+def _walk_calls(monkeypatch):
+    """The arguments of every Stern-Brocot walk snap_root_of_unity takes."""
+    calls, walk = [], numerics._stern_brocot
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(numerics, "_stern_brocot", counted)
+    return calls
+
+
+def test_snap_matches_the_walk_on_flowed_spectra(monkeypatch):
+    # Every diagonal eigenvalue of the flowed points of the acceptance grid
+    # and of the (2, 3, 8) cells whose snap picks a spurious order: the
+    # continued-fraction candidate, proven, gives the walk's answer, the
+    # spurious orders included, and the walk itself is all but never run.
+    grid = FlowConfig(tol=1e-10, max_iter=10**5)
+    cells = [(p, q, n, derive_seed(0, p, q, n, i), grid)
+             for p, q in PAIRS for n in range(1, N_MAX + 1) for i in range(SEEDS)]
+    cells += [(2, 3, 8, derive_seed(0, 2, 3, 8, i), FlowConfig()) for i in (1, 3, 4)]
+    spectra = []
+    for p, q, n, seed, cfg in cells:
+        flowed, _ = flow(random_rep(p, q, n, seed), cfg)
+        spectra.append((order_moduli(p, q, n), np.diagonal(flowed.B).tolist()))
+
+    def snap_all():
+        return [[_snap_outcome(snap_root_of_unity, lam, math.prod(moduli), 1e-6)
+                 for lam in spectrum] for moduli, spectrum in spectra]
+
+    walks = _walk_calls(monkeypatch)
+    proven = snap_all()
+    eigenvalues = sum(len(s) for _, s in spectra)
+    assert eigenvalues == 1024 and len(walks) <= eigenvalues // 100
+    monkeypatch.setattr(numerics, "_simplest_fraction", lambda lo, hi, den: None)
+    assert proven == snap_all()
+    # the first order of each (2, 3, 8) cell that divides no modulus
+    spurious = [next(r.N for r in roots if all(m % r.N for m in moduli))
+                for (moduli, _), roots in zip(spectra[-3:], proven[-3:])]
+    assert spurious == [4109, 1613, 4689]
+
+
+def test_snap_walks_when_the_candidate_is_not_proven(monkeypatch):
+    # tol a hair inside lam's distance to -1: the float interval holds
+    # 1/2, but the exact test puts it outside, so the candidate 1/2 fails
+    # its proof and the walk finds the answer, 4891/9783, as the
+    # reference rule does
+    lam = -0.9999999871079747 + 0.0001605741277477734j
+    tol = 0.00016057412826518252
+    assert abs(lam + 1) > tol
+    walks, proposed, propose = _walk_calls(monkeypatch), [], numerics._simplest_fraction
+
+    def recorded(*args):
+        proposed.append(propose(*args))
+        return proposed[-1]
+
+    monkeypatch.setattr(numerics, "_simplest_fraction", recorded)
+    root = snap_root_of_unity(lam, 10**6, tol)
+    assert root == reference_snap(lam, 10**6, tol) == RootOfUnity(9783, 4891)
+    assert proposed == [(1, 2)] and len(walks) == 1
 
 
 def test_root_of_unity_value():

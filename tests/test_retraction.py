@@ -32,7 +32,7 @@ from bsretract.kempfness import flow
 from bsretract.bsrep import residual
 from bsretract.errors import NoConvergence, NotPositiveDefinite
 from bsretract.numerics import PolarFactors, hs_norm, polar
-from bsretract.retraction import COMMUTE_TOL, RetractionPath
+from bsretract.retraction import RetractionPath, residual_budget
 from bsretract.suite import check_pipeline, derive_seed
 
 from util import (
@@ -198,20 +198,27 @@ def test_retract_polar_obstruction_guard():
     rep = rep_of(2, 3, a, b)
     with pytest.raises(PolarObstruction):
         retract_a(rep)
-    # At the boundary: P = I + eps X with X the swap gives
-    # ||[P, B]|| / ||P|| = eps |b_1 - b_2| / sqrt(1 + eps^2), so eps is
-    # solved for a ratio 1% above and 1% below COMMUTE_TOL.
-    d = abs(b[0, 0] - b[1, 1])
+    # At the boundary: P = I + eps X with X the swap, for the eps whose
+    # path bound is 1% above and 1% below the default budget,
+    # residual_budget(0) = 1e-8 (the bound is linear in eps to rounding),
+    # and a fixed path against a budget passed 1% either side of its bound.
+    def path_of(eps):
+        rep = rep_of(2, 3, swap2() @ (np.eye(2) + eps * swap2()), b)
+        return rep, RetractionPath(100, b, rep.group, polar(rep.A)).residual_bound
+
+    per_eps = path_of(1e-9)[1] / 1e-9
     for share, raises in ((1.01, True), (0.99, False)):
-        r = share * COMMUTE_TOL
-        p = np.eye(2) + r / math.sqrt(d * d - r * r) * swap2()
-        assert hs_norm(p @ b - b @ p) / hs_norm(p) == pytest.approx(r, rel=1e-9)
-        rep = rep_of(2, 3, swap2() @ p, b)
+        rep, bound = path_of(share * residual_budget(0.0) / per_eps)
+        assert bound == pytest.approx(share * 1e-8, rel=1e-4)
         if raises:
             with pytest.raises(PolarObstruction):
                 retract_a(rep)
         else:
             assert len(retract_a(rep).rows()) == 100
+    rep, bound = path_of(1e-4)
+    with pytest.raises(PolarObstruction):
+        retract_a(rep, budget=0.99 * bound)
+    assert retract_a(rep, budget=1.01 * bound).residual_bound == bound
 
 
 def test_full_pipeline_identity_on_unitary_input():
