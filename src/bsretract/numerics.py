@@ -153,14 +153,15 @@ def snap_root_of_unity(value: complex, max_order: int, tol: float) -> RootOfUnit
     value (the global distance minimizer over all orders up to a large
     max_order is numerically meaningless for inexact inputs: it chases the
     noise with huge denominators).  Raises NotARootOfUnity when no
-    admissible candidate is within tol.
+    admissible candidate is within tol, and ValueError unless max_order is
+    an integer >= 1 and tol is finite and positive.
 
     The tolerance becomes an angular budget around theta = arg(value) /
     2 pi, and _smallest_denominator finds the fraction of smallest
-    denominator in it: a float continued fraction proposes it and an
-    exact two-parent test proves it, and the Stern-Brocot walk answers
-    only when that proof fails.  Either way the answer is the walk's.
+    denominator in it by one continued-fraction expansion of the budget
+    interval, exact in integers.
     """
+    max_order = json_int(max_order, "max_order")
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     if not 0 < tol < math.inf:
@@ -178,7 +179,7 @@ def snap_root_of_unity(value: complex, max_order: int, tol: float) -> RootOfUnit
     slack = max(0.0, tol * tol - (r - 1.0) ** 2)
     ang_tol = 2.0 * math.asin(min(1.0, math.sqrt(slack / (4.0 * r)))) / _TWO_PI
     num, den = (math.atan2(lam.imag, lam.real) / _TWO_PI % 1.0).as_integer_ratio()
-    frac = _smallest_denominator(num, den, ang_tol, int(max_order))
+    frac = _smallest_denominator(num, den, ang_tol, max_order)
     if frac is None:
         raise NotARootOfUnity(
             f"no root of unity of order <= {max_order} within {tol:.3g}"
@@ -195,97 +196,44 @@ def snap_root_of_unity(value: complex, max_order: int, tol: float) -> RootOfUnit
 
 def _smallest_denominator(num: int, den: int, ang_tol: float, max_den: int):
     """(x, y) with x/y of smallest denominator y <= max_den within ang_tol
-    of theta = num/den in [0, 1); None if there is none.
+    of theta = num/den in [0, 1), the smaller x on a tie of 0/1 and 1/1;
+    None if there is none.
 
-    within(x, y) tests |theta - x/y| <= ang_tol with the distance rounded
-    once to a float, as float(Fraction) rounds it.  Rounding is monotone,
-    so within holds exactly on an interval I around theta, and the
-    smallest denominator in I is taken by a unique fraction once 0/1 and
-    1/1 are outside I.
+    Within means |theta - x/y| <= ang_tol with the distance rounded once to
+    a float.  That holds exactly on |theta - x/y| <= h, with h = hn/hd =
+    ang_tol + ulp(ang_tol)/2 the midpoint of ang_tol and the next float
+    up, and the bound is strict unless h itself rounds down to ang_tol.
 
-    A float continued fraction of [theta - ang_tol, theta + ang_tol]
-    proposes that fraction x/y (_simplest_fraction), and three exact tests
-    prove it: x/y is within, and both of its Stern-Brocot parents a/b and
-    (x - a)/(y - b), with b = x^-1 mod y and a = (x b - 1)/y, are not.
-    The parents are neighbours with b + (y - b) = y, so every other
-    fraction between them has a denominator above y, and I, an interval
-    that holds x/y and neither parent, lies between them.  When the proof
-    fails, _stern_brocot walks to the answer.
+    The interval I = [theta - h, theta + h] is expanded as one continued
+    fraction in integers: while I = [a/b, c/d] holds no integer, it becomes
+    [1/(hi - t), 1/(lo - t)] with t = floor(lo), and x1/y1 and x0/y0 are
+    the last two convergents.  The first I that holds an integer ends it
+    with the smallest, k, and the answer k x1 + x0 over k y1 + y0.  An
+    open I whose lo is an integer maps to one whose hi is c/0, infinity; a
+    closed I whose hi is the integer t + 1 maps to one whose lo is 1,
+    which ends it with the same fraction.
+    The image of theta lies in every I, so the expansion ends within the
+    continued fraction of theta, and its integers shrink as in Euclid's.
     """
-
-    def within(x: int, y: int) -> bool:
-        return abs(num * y - x * den) / (den * y) <= ang_tol
-
-    for x in (0, 1):
-        if within(x, 1):
-            return x, 1
-    theta = num / den
-    frac = _simplest_fraction(theta - ang_tol, theta + ang_tol, den)
-    if frac is not None:
-        x, y = frac
-        b = pow(x, -1, y)
-        a = (x * b - 1) // y
-        if within(x, y) and not within(a, b) and not within(x - a, y - b):
-            return frac if y <= max_den else None
-    return _stern_brocot(num, den, within, max_den)
-
-
-def _simplest_fraction(lo: float, hi: float, den: int):
-    """The fraction x/y of smallest denominator in [lo, hi], in float
-    arithmetic, for 0 < lo < hi < 1 and a fraction of denominator den in
-    [lo, hi]; None outside that range or once the expansion's
-    denominators pass den.
-
-    Expands lo and hi as one continued fraction while they share a term t,
-    mapping [lo, hi] to [1/(hi - t), 1/(lo - t)]; the first interval that
-    holds an integer ends it with the smallest such integer.  Rounding can
-    make the answer wrong, so the caller proves it.
-    """
-    if not 0.0 < lo < hi < 1.0:
-        return None
-    # Convergents x1/y1 and the one before it, x0/y0.
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    lo, hi = 1.0 / hi, 1.0 / lo
-    while y1 <= den:
-        t = math.floor(lo)
-        if t == lo or t + 1 <= hi:
-            t = math.ceil(lo)
-            return t * x1 + x0, t * y1 + y0
-        x0, x1, y0, y1 = x1, t * x1 + x0, y1, t * y1 + y0
-        lo, hi = 1.0 / (hi - t), 1.0 / (lo - t)
-    return None
-
-
-def _stern_brocot(num: int, den: int, within, max_den: int):
-    """_smallest_denominator's answer by a walk, for the within() it
-    defines, once 0/1 and 1/1 are known to be outside the interval.
-
-    Walks the Stern-Brocot tree toward num/den.  Denominators grow along
-    the walk, and the first node inside the interval has the smallest
-    denominator in it.  A run of steps in one direction passes the
-    mediants (x0 + j x1)/(y0 + j y1), which close in on num/den from one
-    side until j crosses it; the first of them inside the interval is
-    found by bisection on j, so a run costs O(log j) tests.
-    """
-    a, b, c, d = 0, 1, 1, 1  # num/den lies strictly between a/b and c/d
-    while b + d <= max_den:
-        up = (a + c) * den < num * (b + d)
-        x0, y0, x1, y1 = (a, b, c, d) if up else (c, d, a, b)
-        cross = -((x0 * den - num * y0) // (x1 * den - num * y1))
-        lo, hi = 1, cross
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if within(x0 + mid * x1, y0 + mid * y1):
-                hi = mid
-            else:
-                lo = mid + 1
-        x, y = x0 + lo * x1, y0 + lo * y1
-        if within(x, y):
-            return (x, y) if y <= max_den else None
-        if up:
-            a, b, c, d = x - x1, y - y1, x, y
+    ulp = math.ulp(ang_tol)
+    hn, hd = 2 * int(ang_tol / ulp) + 1, 2 * ulp.as_integer_ratio()[1]
+    closed = hn / hd <= ang_tol
+    b = d = den * hd
+    a, c = num * hd - hn * den, num * hd + hn * den
+    x0, x1, y0, y1 = 0, 1, 1, 0
+    while y1 <= max_den:
+        t, r = divmod(a, b)  # lo = t + r/b
+        e = c - t * d  # hi - t = e/d
+        if closed and r == 0:
+            k = t
+        elif d < e:
+            k = t + 1
         else:
-            a, b, c, d = x, y, x - x1, y - y1
+            x0, x1, y0, y1 = x1, t * x1 + x0, y1, t * y1 + y0
+            a, b, c, d = d, e, b, r
+            continue
+        y = k * y1 + y0
+        return (k * x1 + x0, y) if y <= max_den else None
     return None
 
 
@@ -300,8 +248,8 @@ def matrix_to_json(a) -> dict:
 
 
 def json_int(x, name: str) -> int:
-    """An integer field of a JSON payload; anything else, such as 2.5
-    (never read as 2), "2", true or null, raises ValueError."""
+    """An integer argument, or field of a JSON payload; anything else, such
+    as 2.5 (never read as 2), inf, "2", true or null, raises ValueError."""
     if isinstance(x, bool) or not isinstance(x, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {x!r}")
     return int(x)

@@ -8,6 +8,11 @@ from bsretract import kempfness
 settings.register_profile(
     "bsretract", derandomize=True, max_examples=200, deadline=None, database=None
 )
+# A deeper run of the same kind, for the snap properties in CI:
+# pytest --hypothesis-profile bsretract-deep
+settings.register_profile(
+    "bsretract-deep", derandomize=True, max_examples=5000, deadline=None, database=None
+)
 settings.load_profile("bsretract")
 
 

@@ -1,5 +1,6 @@
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -252,7 +253,7 @@ _max_orders = st.one_of(
     log_tol=st.floats(-16.0, 0.5),
     max_order=_max_orders,
 )
-def test_snap_walk_matches_binary_search(angle, radius, log_tol, max_order):
+def test_snap_matches_binary_search(angle, radius, log_tol, max_order):
     lam = radius * cmath.exp(2j * math.pi * angle)
     tol = 10.0**log_tol
     assert _snap_outcome(snap_root_of_unity, lam, max_order, tol) == _snap_outcome(
@@ -268,7 +269,7 @@ def test_snap_walk_matches_binary_search(angle, radius, log_tol, max_order):
     ulps=st.integers(-4, 4),
     max_order=_max_orders,
 )
-def test_snap_walk_matches_binary_search_at_the_boundary(
+def test_snap_matches_binary_search_at_the_boundary(
     order, numerator, log_offset, sign, ulps, max_order
 ):
     # tol a few ulps either side of the distance to a root of unity, so
@@ -281,23 +282,11 @@ def test_snap_walk_matches_binary_search_at_the_boundary(
     )
 
 
-def _walk_calls(monkeypatch):
-    """The arguments of every Stern-Brocot walk snap_root_of_unity takes."""
-    calls, walk = [], numerics._stern_brocot
-
-    def counted(*args):
-        calls.append(args)
-        return walk(*args)
-
-    monkeypatch.setattr(numerics, "_stern_brocot", counted)
-    return calls
-
-
-def test_snap_matches_the_walk_on_flowed_spectra(monkeypatch):
+def test_snap_matches_the_reference_on_flowed_spectra():
     # Every diagonal eigenvalue of the flowed points of the acceptance grid
     # and of the (2, 3, 8) cells whose snap picks a spurious order: the
-    # continued-fraction candidate, proven, gives the walk's answer, the
-    # spurious orders included, and the walk itself is all but never run.
+    # exact continued fraction gives the reference rule's answer, the
+    # spurious orders included.
     grid = FlowConfig(tol=1e-10, max_iter=10**5)
     cells = [(p, q, n, derive_seed(0, p, q, n, i), grid)
              for p, q in PAIRS for n in range(1, N_MAX + 1) for i in range(SEEDS)]
@@ -307,40 +296,84 @@ def test_snap_matches_the_walk_on_flowed_spectra(monkeypatch):
         flowed, _ = flow(random_rep(p, q, n, seed), cfg)
         spectra.append((order_moduli(p, q, n), np.diagonal(flowed.B).tolist()))
 
-    def snap_all():
-        return [[_snap_outcome(snap_root_of_unity, lam, math.prod(moduli), 1e-6)
+    def snap_all(snap):
+        return [[_snap_outcome(snap, lam, math.prod(moduli), 1e-6)
                  for lam in spectrum] for moduli, spectrum in spectra]
 
-    walks = _walk_calls(monkeypatch)
-    proven = snap_all()
-    eigenvalues = sum(len(s) for _, s in spectra)
-    assert eigenvalues == 1024 and len(walks) <= eigenvalues // 100
-    monkeypatch.setattr(numerics, "_simplest_fraction", lambda lo, hi, den: None)
-    assert proven == snap_all()
+    snapped = snap_all(snap_root_of_unity)
+    assert sum(len(s) for _, s in spectra) == 1024
+    assert snapped == snap_all(reference_snap)
     # the first order of each (2, 3, 8) cell that divides no modulus
     spurious = [next(r.N for r in roots if all(m % r.N for m in moduli))
-                for (moduli, _), roots in zip(spectra[-3:], proven[-3:])]
+                for (moduli, _), roots in zip(spectra[-3:], snapped[-3:])]
     assert spurious == [4109, 1613, 4689]
 
 
-def test_snap_walks_when_the_candidate_is_not_proven(monkeypatch):
-    # tol a hair inside lam's distance to -1: the float interval holds
-    # 1/2, but the exact test puts it outside, so the candidate 1/2 fails
-    # its proof and the walk finds the answer, 4891/9783, as the
-    # reference rule does
+def test_snap_is_exact_where_a_float_interval_is_not():
+    # tol a hair inside lam's distance to -1: the budget interval in
+    # floats holds 1/2, but the exact distance puts it outside, and the
+    # answer is 4891/9783, as the reference rule has it
     lam = -0.9999999871079747 + 0.0001605741277477734j
     tol = 0.00016057412826518252
     assert abs(lam + 1) > tol
-    walks, proposed, propose = _walk_calls(monkeypatch), [], numerics._simplest_fraction
-
-    def recorded(*args):
-        proposed.append(propose(*args))
-        return proposed[-1]
-
-    monkeypatch.setattr(numerics, "_simplest_fraction", recorded)
     root = snap_root_of_unity(lam, 10**6, tol)
     assert root == reference_snap(lam, 10**6, tol) == RootOfUnity(9783, 4891)
-    assert proposed == [(1, 2)] and len(walks) == 1
+
+
+def _scan_smallest_denominator(theta, ang_tol, max_den):
+    """The first x/y by y, then x, with y <= max_den whose distance to
+    theta, rounded once to a float, is at most ang_tol."""
+    # a distance beyond the next float up rounds above ang_tol
+    reach = Fraction(math.nextafter(ang_tol, math.inf))
+    for y in range(1, max_den + 1):
+        for x in range(math.floor((theta - reach) * y), math.ceil((theta + reach) * y) + 1):
+            if float(abs(theta - Fraction(x, y))) <= ang_tol:
+                return x, y
+    return None
+
+
+_EVEN = 2.0**-10  # significand 2^52
+_ODD = math.nextafter(_EVEN, math.inf)  # significand 2^52 + 1
+
+
+@pytest.mark.parametrize("ang_tol", [_EVEN, _ODD])
+@pytest.mark.parametrize("center", [Fraction(1, 2), Fraction(1, 4), Fraction(3, 8)])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_smallest_denominator_on_a_rounding_tie(ang_tol, center, sign):
+    # theta exactly the midpoint h of ang_tol and the next float away from
+    # a dyadic fraction: that distance rounds to the even significand, so
+    # the fraction is within for the even ang_tol and outside for the odd
+    h = (Fraction(ang_tol) + Fraction(math.nextafter(ang_tol, math.inf))) / 2
+    theta = center + sign * h
+    answer = _scan_smallest_denominator(theta, ang_tol, 1000)
+    assert answer is not None
+    assert (Fraction(*answer) == center) == (ang_tol == _EVEN)
+    args = theta.numerator, theta.denominator, ang_tol
+    assert numerics._smallest_denominator(*args, 1000) == answer
+    # max_den cuts off just below the answer's denominator and at it
+    y = answer[1]
+    assert numerics._smallest_denominator(*args, y - 1) is None
+    assert _scan_smallest_denominator(theta, ang_tol, y - 1) is None
+    assert numerics._smallest_denominator(*args, y) == answer
+
+
+@pytest.mark.parametrize("theta", [Fraction(3, 8), Fraction(3, 8) + Fraction(1, 2**1075),
+                                   Fraction(3, 8) + Fraction(1, 2**1074), Fraction(5, 7)])
+@pytest.mark.parametrize("max_den", [6, 8, 1000])
+def test_smallest_denominator_at_zero_tolerance(theta, max_den):
+    # at ang_tol = 0 only a distance that rounds to 0.0, at most 2^-1075,
+    # is within: theta itself, or 3/8 from a tie away
+    answer = numerics._smallest_denominator(theta.numerator, theta.denominator, 0.0, max_den)
+    assert answer == _scan_smallest_denominator(theta, 0.0, max_den)
+    member = Fraction(3, 8) if abs(theta - Fraction(3, 8)) == Fraction(1, 2**1075) else theta
+    assert answer == ((member.numerator, member.denominator)
+                      if member.denominator <= max_den else None)
+
+
+@pytest.mark.parametrize("max_order", [math.inf, math.nan, 2.5, 10.0, "10", True, None, 0, -3])
+def test_snap_rejects_a_max_order_that_is_not_a_positive_integer(max_order):
+    with pytest.raises(ValueError, match="max_order"):
+        snap_root_of_unity(1.0, max_order, 1e-6)
 
 
 def test_root_of_unity_value():
