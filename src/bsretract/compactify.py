@@ -78,40 +78,28 @@ _EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True, eq=False)
 class HermitianForm:
-    """Positive-definite Hermitian form, scaled to determinant one.
+    """Positive-definite Hermitian form Q = v diag(w) v*, scaled to
+    determinant one.
 
-    HermitianForm(Q) takes a matrix: it must be Hermitian within
-    1e-10 * ||Q||, a bound relative to its norm at every scale, and one
-    eigh of the symmetrized input gives Q = V diag(w) V*.
-    HermitianForm.from_eigh(w, v) takes that decomposition from a caller
-    that already has it, and builds Q from it, with no check and no eigh.
-    Either way any w that is not positive, NaN included, raises
+    HermitianForm(w, v) takes the eigendecomposition of Q, a unitary v and
+    ascending w, as invariant_form has it, and builds Q from it with no
+    eigh.  Any w that is not positive, NaN included, raises
     NotPositiveDefinite, and Q and w are divided by exp(mean log w), so
     det Q = prod w = 1 by construction.  HermitianForm.identity(n) is
-    Q = I, which needs no scaling."""
+    Q = I, which needs no product and no scaling."""
 
-    Q: np.ndarray
-    w: np.ndarray = field(init=False, repr=False)
-    v: np.ndarray = field(init=False, repr=False)
+    w: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    Q: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        q = as_matrix(self.Q)
-        tol = 1e-10 * hs_norm(q)
-        if not hs_norm(q - q.conj().T) <= tol < math.inf:
-            raise ValueError("form is not Hermitian within tolerance")
-        q = 0.5 * (q + q.conj().T)
-        try:
-            w, v = np.linalg.eigh(q)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"Hermitian eigensolver failed: {exc}") from exc
-        self._scale(q, w, v)
-
-    @classmethod
-    def from_eigh(cls, w: np.ndarray, v: np.ndarray) -> "HermitianForm":
-        """The form Q = v diag(w) v*, for a unitary v and ascending w."""
-        form = object.__new__(cls)
-        form._scale((v * w) @ v.conj().T, w, v)
-        return form
+        w, v = self.w, self.v
+        if not (w > 0.0).all():
+            raise NotPositiveDefinite(f"form eigenvalue {np.min(w):.3e} is not positive")
+        # log(w).sum() / n is log(w).mean(), without its dispatch.
+        c = math.exp(np.log(w).sum() / len(w))
+        object.__setattr__(self, "Q", (v * w) @ v.conj().T / c)
+        object.__setattr__(self, "w", w / c)
 
     @classmethod
     def identity(cls, n: int) -> "HermitianForm":
@@ -122,15 +110,6 @@ class HermitianForm:
         object.__setattr__(form, "w", np.ones(n))
         object.__setattr__(form, "v", np.eye(n, dtype=np.complex128))
         return form
-
-    def _scale(self, q: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
-        if not (w > 0.0).all():
-            raise NotPositiveDefinite(f"form eigenvalue {np.min(w):.3e} is not positive")
-        # log(w).sum() / n is log(w).mean(), without its dispatch.
-        c = math.exp(np.log(w).sum() / len(w))
-        object.__setattr__(self, "Q", q / c)
-        object.__setattr__(self, "w", w / c)
-        object.__setattr__(self, "v", v)
 
     @property
     def condition(self) -> float:
@@ -280,7 +259,7 @@ def invariant_form(b, order: int, *, eig=None) -> HermitianForm:
             u, s, _ = np.linalg.svd(y)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"SVD failed: {exc}") from exc
-    return HermitianForm.from_eigh(s**-2.0, u)
+    return HermitianForm(s**-2.0, u)
 
 
 def conjugate_into_unitary(rep: Rep, form: HermitianForm) -> Rep:

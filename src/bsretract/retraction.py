@@ -20,7 +20,6 @@ body; its flow stops at iteration 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .bsrep import BSGroup, Rep, check_residual, relation_residual
 from .compactify import SNAP_TOL, UNITARY_TOL, certify
 from .errors import BsretractError, PipelineStageError, PolarObstruction, SingularMatrix
 from .kempfness import FlowConfig, FlowTrace, flow
-from .numerics import PolarFactors, hs_norm, polar, unitarity_defect
+from .numerics import PolarFactors, hs_norm, json_int, polar, unitarity_defect
 
 __all__ = [
     "RetractionPath",
@@ -58,76 +57,67 @@ def residual_budget(initial_residual: float) -> float:
 @dataclass(frozen=True, eq=False)
 class RetractionPath:
     """The path t -> (U P^t, B) of A = U P from t = 1 down to t = 0, with B
-    fixed, kept as the SVD A = W diag(s) Vh of `polar`.  The pipeline reads
-    `endpoint`, `endpoint_residual` and `residual_bound`, which bounds the
-    residual over every t in [0, 1]; `rows()` measures num_samples samples
-    of the path, evenly spaced in t, for the path CSV."""
+    fixed, kept as the SVD A = W diag(s) Vh of `polar`.  The constructor
+    measures, once, the two sides of the relation in the SVD basis,
+    `endpoint_residual` and `residual_bound`, which bounds the residual
+    over every t in [0, 1]; the pipeline reads those and `endpoint`.
+    `rows()` measures num_samples samples of the path, evenly spaced in
+    t, for the path CSV.
+
+    With B~ = Vh B Vh*, O = Vh W and D_t = diag(s^t),
+    A_t B^p A_t^-1 - B^q = W (D_t B~^p D_t^-1 - O* B~^q O) W*, and the
+    Hilbert-Schmidt norm is unitarily invariant, so the residual at time
+    t is ||(s_i / s_j)^t (B~^p)_ij - (O* B~^q O)_ij||.  endpoint_residual
+    is ||R_0|| with R_0 = B~^p - O* B~^q O, the residual of `endpoint`
+    (t = 0, where s^t is 1); it has the bits of the last row's.
+
+    residual_bound is NaN if a factor is NaN.  With S_ij = s_i / s_j, the
+    residual at t is ||R_0 + (S^t - 1) o B~^p|| (o the entrywise product),
+    and |r^t - 1| <= |r - 1| for r > 0 and t in [0, 1], so it is at most
+    ||R_0|| + ||(S - 1) o B~^p||.  Where P commutes with B, B~^p vanishes
+    wherever s_i != s_j, and the bound is the endpoint's residual.  To that
+    it adds the rounding of a computed sample and of the bound's own
+    terms: a few roundings of relative size eps per entry, and the sum of
+    n^2 squares in each norm, at most (n^2 + 10) eps times the size of
+    the terms."""
 
     num_samples: int
     B: np.ndarray
     group: BSGroup
     factors: PolarFactors
-    #: B in the basis of A's right singular vectors, Vh B Vh*.
-    _bt: np.ndarray = field(init=False, repr=False)
+    _sides: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    endpoint_residual: float = field(init=False)
+    residual_bound: float = field(init=False)
 
     def __post_init__(self):
+        num_samples = json_int(self.num_samples, "num_samples")
+        if num_samples < 2:
+            raise ValueError("num_samples must be >= 2")
         w, s, vh = self.factors.w, self.factors.s, self.factors.vh
         n = len(s)
         if self.B.shape != (n, n) or w.shape != (n, n) or vh.shape != (n, n):
             raise ValueError(f"factor shapes {w.shape}, {s.shape}, {vh.shape} "
                              f"do not match B of shape {self.B.shape}")
-        object.__setattr__(self, "_bt", vh @ self.B @ vh.conj().T)
+        bt = vh @ self.B @ vh.conj().T
+        try:
+            bp = np.linalg.matrix_power(bt, self.group.p)
+            bq = np.linalg.matrix_power(bt, self.group.q)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix("singular B in the path residual") from exc
+        o = vh @ w
+        c = o.conj().T @ bq @ o
+        residual = hs_norm(bp - c)
+        bound = residual + hs_norm((s[:, None] / s[None, :] - 1.0) * bp)
+        bound += (n**2 + 10) * _EPS * (bound + hs_norm(bp) + hs_norm(c))
+        object.__setattr__(self, "num_samples", num_samples)
+        object.__setattr__(self, "_sides", (bp, c))
+        object.__setattr__(self, "endpoint_residual", residual)
+        object.__setattr__(self, "residual_bound", bound)
 
     @property
     def endpoint(self) -> Rep:
         """The unitary end (U, B) with U = W Vh, the sample at t = 0."""
         return Rep(self.group, self.B.shape[0], self.factors.u, self.B)
-
-    @cached_property
-    def _sides(self) -> tuple[np.ndarray, np.ndarray]:
-        """(B~^p, O* B~^q O) with B~ = Vh B Vh* and O = Vh W: the two sides
-        of the relation in the SVD basis.  With D_t = diag(s^t),
-        A_t B^p A_t^-1 - B^q = W (D_t B~^p D_t^-1 - O* B~^q O) W*, and the
-        Hilbert-Schmidt norm is unitarily invariant, so the residual at
-        time t is ||(s_i / s_j)^t (B~^p)_ij - (O* B~^q O)_ij||."""
-        try:
-            bp = np.linalg.matrix_power(self._bt, self.group.p)
-            bq = np.linalg.matrix_power(self._bt, self.group.q)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMatrix("singular B in the path residual") from exc
-        o = self.factors.vh @ self.factors.w
-        return bp, o.conj().T @ bq @ o
-
-    @cached_property
-    def endpoint_residual(self) -> float:
-        """||R_0|| with R_0 = B~^p - O* B~^q O, the residual of `endpoint`
-        (t = 0, where s^t is 1); it has the bits of the last row's."""
-        bp, c = self._sides
-        return hs_norm(bp - c)
-
-    @property
-    def residual_bound(self) -> float:
-        """An upper bound on the residual at every t in [0, 1], measured
-        once, by retract_a or on first access; NaN if a factor is NaN.
-
-        With S_ij = s_i / s_j, the residual at t is ||R_0 + (S^t - 1) o B~^p||
-        (o the entrywise product), and |r^t - 1| <= |r - 1| for r > 0 and
-        t in [0, 1], so it is at most ||R_0|| + ||(S - 1) o B~^p||.  Where
-        P commutes with B, B~^p vanishes wherever s_i != s_j, and the bound
-        is the endpoint's residual.  To that it adds the rounding of a
-        computed sample and of the bound's own terms: a few roundings of
-        relative size eps per entry, and the sum of n^2 squares in each
-        norm, at most (n^2 + 10) eps times the size of the terms."""
-        return self._bound
-
-    @cached_property
-    def _bound(self) -> float:
-        """residual_bound's value, measured once; retract_a reads it here."""
-        s = self.factors.s
-        bp, c = self._sides
-        bound = self.endpoint_residual + hs_norm((s[:, None] / s[None, :] - 1.0) * bp)
-        rounding = (s.size**2 + 10) * _EPS
-        return bound + rounding * (bound + hs_norm(bp) + hs_norm(c))
 
     def rows(self) -> list[tuple[float, float, float]]:
         """(t, residual, unitarity defect of A_t) for t evenly spaced from
@@ -159,10 +149,9 @@ def retract_a(rep: Rep, num_samples: int = NUM_SAMPLES, *,
     bound past the budget, NaN included, raises PolarObstruction, which
     signals that the input is not a certified minimal vector (e.g. a
     non-converged flow, or a B that is near a Jordan block).  num_samples
-    is kept as a number: only `rows()` reads it.
+    is kept as a number: only `rows()` reads it, and the path refuses,
+    with ValueError, one that is not an integer of at least 2.
     """
-    if num_samples < 2:
-        raise ValueError("num_samples must be >= 2")
     b = rep.B
     defect = unitarity_defect(b)
     if not defect <= UNITARY_TOL:
@@ -171,9 +160,9 @@ def retract_a(rep: Rep, num_samples: int = NUM_SAMPLES, *,
             "conjugate into the unitary group first"
         )
     path = RetractionPath(num_samples, b, rep.group, polar(rep.A))
-    if not path._bound <= budget:
+    if not path.residual_bound <= budget:
         raise PolarObstruction(
-            f"path residual bound {path._bound:.3e} exceeds the budget {budget:.3e}"
+            f"path residual bound {path.residual_bound:.3e} exceeds the budget {budget:.3e}"
         )
     return path
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -29,8 +30,23 @@ __all__ = ["canonical_json", "sha256_text", "build_manifest", "pipeline_manifest
 
 
 def canonical_json(doc) -> str:
-    """Deterministic JSON encoding: sorted keys, fixed separators."""
-    return json.dumps(doc, sort_keys=True, indent=2, separators=(",", ": "))
+    """Deterministic, strict JSON encoding: sorted keys, fixed separators,
+    and each non-finite float written as the string "NaN", "Infinity" or
+    "-Infinity", since RFC 8259 has no token for it."""
+    return json.dumps(_finite(doc), sort_keys=True, indent=2, separators=(",", ": "),
+                      allow_nan=False)
+
+
+def _finite(x):
+    """x with each non-finite float replaced by its name as a string."""
+    if isinstance(x, float):
+        # json's own names for them: "NaN", "Infinity", "-Infinity".
+        return x if math.isfinite(x) else json.dumps(x)
+    if isinstance(x, dict):
+        return {k: _finite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite(v) for v in x]
+    return x
 
 
 def sha256_text(text: str) -> str:

@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import os
 import subprocess
 import sys
@@ -49,6 +48,12 @@ JORDAN_REP = Path(__file__).parent / "data" / "jordan_1_2_n2.json"
 @pytest.fixture
 def runner():
     return CliRunner()
+
+
+def refuse_constant(token):
+    """json.loads's parse_constant for strict JSON, which has no NaN or
+    Infinity token."""
+    raise ValueError(f"{token} is not strict JSON")
 
 
 def write_rep(tmp_path, rep, name="rep.json"):
@@ -292,6 +297,11 @@ def test_overflowed_input_exits_without_a_runtime_warning(runner, tmp_path, scal
     assert res.exception is None or isinstance(res.exception, SystemExit), res.exc_info
     assert res.exit_code == code, res.output
     assert message in res.output and "Traceback" not in res.output
+    # each file written is strict JSON, NaN energies included; verify's
+    # refusal writes its report and no manifest
+    written = [out] if command == "verify" else [out, tmp_path / "o.json.manifest.json"]
+    for path in written:
+        json.loads(path.read_text(), parse_constant=refuse_constant)
     if command == "pipeline" and code == 0:
         assert verify_unitary_rep(rep_from_json(json.loads(out.read_text())), 1e-8)
 
@@ -864,10 +874,11 @@ def test_verify_reports_null_certificate_where_the_hessian_overflows(runner, tmp
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 2, res.output
     assert "non-finite kn_energy, moment_norm, unitarity_defect_a" in res.output
-    report = json.loads(out.read_text())
+    # strict JSON: the non-finite measures are written as strings
+    report = json.loads(out.read_text(), parse_constant=refuse_constant)
     assert report["in_variety"] is True
-    assert report["kn_energy"] == math.inf
-    assert math.isnan(report["moment_norm"]) and math.isnan(report["unitarity_defect_a"])
+    assert report["kn_energy"] == "Infinity"
+    assert report["moment_norm"] == report["unitarity_defect_a"] == "NaN"
     assert report["detected_order"] is None
     for field in ("hessian_kernel_dim", "hessian_gap", "moment_over_gap"):
         assert report[field] is None
@@ -1062,8 +1073,13 @@ def test_run_one_recertifies_the_endpoint(monkeypatch, detect):
 def test_run_one_flags_nan_residuals(monkeypatch):
     nan = float("nan")
     monkeypatch.setattr("bsretract.kempfness.FlowTrace.max_residual", lambda self: nan)
-    monkeypatch.setattr("bsretract.retraction.RetractionPath.residual_bound",
-                        property(lambda self: nan))
+
+    def nan_bound(*args, **kwargs):
+        endpoint, diag = full_pipeline(*args, **kwargs)
+        diag.max_path_residual = nan
+        return endpoint, diag
+
+    monkeypatch.setattr("bsretract.suite.full_pipeline", nan_bound)
     task = (2, 3, 2, derive_seed(0, 2, 3, 2, 0), False, FlowConfig(), 1e-6, False)
     record, _ = run_one(task)
     assert record["outcome"] == "ok"

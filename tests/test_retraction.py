@@ -187,6 +187,21 @@ def test_retract_needs_two_samples():
     assert [row[0] for row in retract_a(rep, 2).rows()] == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("num_samples", [2.5, 10.0, math.inf, math.nan, "10", True])
+def test_a_sample_count_that_is_not_an_integer_is_refused(num_samples):
+    # the path reads its count where it stores it, so retract_a, direct
+    # construction and the pipeline refuse it at once, not in rows()
+    rep = n5_block(1.0)
+    with pytest.raises(ValueError, match="num_samples must be an integer"):
+        retract_a(rep, num_samples)
+    path = retract_a(rep)
+    with pytest.raises(ValueError, match="num_samples must be an integer"):
+        RetractionPath(num_samples, path.B, path.group, path.factors)
+    with pytest.raises(ValueError, match="num_samples must be an integer"):
+        full_pipeline(rep, num_samples=num_samples)
+    assert RetractionPath(np.int64(3), path.B, path.group, path.factors).num_samples == 3
+
+
 def test_retract_polar_obstruction_guard():
     # A noncommuting positive part: B is unitary of order 5, and A has a P
     # with visible off-diagonal mixing.

@@ -268,13 +268,15 @@ def powers(gen, order):
 def reference_invariant_form(b, order):
     """invariant_form's reference route: Q = V^-* ((V* V) o M) V^-1 from
     eig and an explicit inverse of V, with M_ij = 1 exactly when lambda_i
-    and lambda_j round to the same order-th root, checked, decomposed and
-    scaled to determinant one by HermitianForm(Q)."""
+    and lambda_j round to the same order-th root.  Q is checked Hermitian
+    within 1e-10 ||Q||, symmetrized, decomposed by its own eigh and scaled
+    to determinant one by HermitianForm."""
     w, v = np.linalg.eig(b)
     vinv = np.linalg.inv(v)
     k = np.rint(np.angle(w) / (2.0 * math.pi) * order) % order
     q0 = vinv.conj().T @ ((v.conj().T @ v) * (k[:, None] == k[None, :])) @ vinv
-    return HermitianForm(0.5 * (q0 + q0.conj().T))
+    assert hs_norm(q0 - q0.conj().T) <= 1e-10 * hs_norm(q0)
+    return HermitianForm(*np.linalg.eigh(0.5 * (q0 + q0.conj().T)))
 
 
 def group_mean_form(gen, order):
