@@ -5,8 +5,11 @@ Exit codes: 0 success, 1 hard invariant violated (a suite cell or a
 pipeline run failing the checks of `suite`, the one definition of a
 certified run), 2 bad input, 3 flow failed (budget
 exhausted or line search stalled), 4 predicted structure absent.
-Every run emits a manifest that fully determines it; outputs are
-byte-deterministic for identical manifests.
+Every command that has read its input ends in `_end`, which writes its
+outputs and the manifest that fully determines the run, then exits with
+the classified code; outputs are byte-deterministic for identical
+manifests.  Run settings are checked by the library that reads them,
+and its ValueError exits EXIT_BAD_INPUT.
 """
 
 from __future__ import annotations
@@ -23,9 +26,8 @@ from click.core import ParameterSource
 
 from .bsrep import (REP_TOL, Rep, check_residual, direct_sum, from_orbit_datum,
                     random_rep, relation_residual, rep_from_json, rep_to_json)
-from .census import (OrbitDatum, check_moduli, enumerate_orbits, order_bound,
-                     validate_parameters)
-from .compactify import SNAP_TOL, certify
+from .census import OrbitDatum, enumerate_orbits, order_bound, validate_parameters
+from .compactify import SNAP_TOL, Certificate, certify
 from .errors import BsretractError, PipelineStageError, SingularMatrix
 from .kempfness import (ITER_BUDGET, LINE_SEARCH_STALLED, FlowConfig, flow, kn_energy,
                         minimality_certificate, moment_map, schur_gap)
@@ -48,10 +50,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_text(path: str | None, text: str) -> None:
-    """Write to path, or to stdout for None or "-"; a path that cannot be
-    written exits with EXIT_BAD_INPUT."""
-    if path is None or path == "-":
+def _write_text(path: str, text: str) -> None:
+    """Write to path, or to stdout for "-"; a path that cannot be written
+    exits with EXIT_BAD_INPUT."""
+    if path == "-":
         sys.stdout.write(text)
         return
     try:
@@ -94,6 +96,22 @@ def _fail(code: int, msg: str):
     sys.exit(code)
 
 
+def _end(out: str, text: str | None, manifest: dict, outcome: dict, *,
+         files=(), lines=(), code: int = EXIT_OK):
+    """The one ending of a command that has read its input: write text to
+    out (nothing when text is None) and each (path, text) of files whose
+    path and text are set, then the manifest with its outcome beside out
+    (_manifest_path), then print lines to stderr and exit with code."""
+    for path, body in ((out, text), *files):
+        if path and body is not None:
+            _write_text(path, body)
+    if path := _manifest_path(out):
+        _write_text(path, canonical_json({**manifest, "outcome": outcome}) + "\n")
+    for line in lines:
+        click.echo(line, err=True)
+    sys.exit(code)
+
+
 def _load_rep(path: str, *, validate: bool = True,
               measure: bool = True) -> tuple[Rep, float | None]:
     """A Rep read from JSON, and its relation residual, measured once
@@ -110,14 +128,6 @@ def _load_rep(path: str, *, validate: bool = True,
         return rep, res
     except (OSError, ValueError, KeyError, TypeError, BsretractError) as exc:
         _fail(EXIT_BAD_INPUT, f"bad input: {exc}")
-
-
-# ------------------------------------------------------------------ manifests
-
-def _emit_manifest(manifest: dict, outcome: dict, out_path: str | None) -> None:
-    path = _manifest_path(out_path)
-    if path:
-        _write_text(path, canonical_json({**manifest, "outcome": outcome}) + "\n")
 
 
 # ----------------------------------------------------------------- CLI group
@@ -148,28 +158,31 @@ def cmd_census(p, q, n_max, out, csv_path):
         data = enumerate_orbits(p, q, n_max)
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
-    lines = "".join(json.dumps(d.to_json(), sort_keys=True) + "\n" for d in data)
-    _write_text(out, lines)
+    text = "".join(json.dumps(d.to_json(), sort_keys=True) + "\n" for d in data)
     counts = Counter((d.k, d.N) for d in data)
-    if csv_path:
-        rows = ["k,N,orbits"] + [f"{k},{n},{c}" for (k, n), c in sorted(counts.items())]
-        _write_text(csv_path, "\n".join(rows) + "\n")
+    rows = ["k,N,orbits"] + [f"{k},{n},{c}" for (k, n), c in sorted(counts.items())]
     manifest = build_manifest(
         "census", {"p": p, "q": q, "n_max": n_max}, {}, [out, csv_path or ""]
     )
-    _emit_manifest(manifest, {"records": len(data)}, out)
-    click.echo(f"census: {len(data)} orbit records", err=True)
+    _end(out, text, manifest, {"records": len(data)},
+         files=[(csv_path, "\n".join(rows) + "\n")],
+         lines=[f"census: {len(data)} orbit records"])
 
 
 # ----------------------------------------------------------------- construct
 
 def _parse_orbit_spec(spec: str, p: int, q: int) -> OrbitDatum:
+    """The block of spec 'N:m1,m2,...'; N must be positive and, as
+    census.verify_orbit requires, prime to p, so that u = q/p mod N
+    exists."""
     mod_part, _, orbit_part = spec.partition(":")
     modulus = int(mod_part)
     if modulus < 1:
         raise ValueError(f"block modulus must be positive, got {modulus}")
+    if math.gcd(modulus, p) != 1:
+        raise ValueError(f"block {spec!r}: modulus {modulus} must be prime to p = {p}")
     orbit = tuple(int(x) for x in orbit_part.split(",")) if orbit_part else (0,)
-    u = q * pow(p, -1, modulus) % modulus if modulus > 1 else 0
+    u = q * pow(p, -1, modulus) % modulus
     return OrbitDatum(p, q, modulus, u, orbit, len(orbit))
 
 
@@ -213,15 +226,11 @@ def cmd_construct(p, q, orbits, chis, random_n, seed, sl, out):
             _fail(EXIT_BAD_INPUT, "provide --random N or at least one --orbit")
     except (ValueError, BsretractError) as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
-    _write_text(out, canonical_json(rep_to_json(rep)) + "\n")
-    manifest = build_manifest(
-        "construct",
-        {"p": p, "q": q, "orbits": list(orbits), "chis": list(chis),
-         "random_n": random_n, "seed": seed, "sl": sl},
-        {},
-        [out],
-    )
-    _emit_manifest(manifest, {"residual": relation_residual(rep)}, out)
+    manifest = build_manifest("construct", {"p": p, "q": q, "orbits": list(orbits),
+                                            "chis": list(chis), "random_n": random_n,
+                                            "seed": seed, "sl": sl}, {}, [out])
+    _end(out, canonical_json(rep_to_json(rep)) + "\n", manifest,
+         {"residual": relation_residual(rep)})
 
 
 # ---------------------------------------------------------------------- flow
@@ -255,16 +264,6 @@ def _flow_config(tol, max_iter) -> FlowConfig:
         _fail(EXIT_BAD_INPUT, str(exc))
 
 
-def _check_run_options(snap_tol: float, samples: int = 2) -> None:
-    """Exit 2 unless --snap-tol is finite and positive and --samples is at
-    least 2, the fewest a path from t = 1 to t = 0 has; called before any
-    flow, certificate or cell runs, so a bad value never reaches a report."""
-    if not 0 < snap_tol < math.inf:
-        _fail(EXIT_BAD_INPUT, "--snap-tol must be finite and positive")
-    if samples < 2:
-        _fail(EXIT_BAD_INPUT, "--samples must be >= 2")
-
-
 def _with(options):
     def deco(f):
         for opt in reversed(options):
@@ -284,29 +283,17 @@ def cmd_flow(in_path, out, trace_csv, tol, max_iter):
     rep, res0 = _load_rep(in_path)
     cfg = _flow_config(tol, max_iter)
     final, trace = flow(rep, cfg, initial_residual=res0)
-    _write_text(out, canonical_json(rep_to_json(final)) + "\n")
-    if trace_csv:
-        _write_text(trace_csv, _trace_csv(trace))
     last = trace.records[-1]
-    manifest = build_manifest(
-        "flow",
-        {"tol": tol, "max_iter": max_iter},
-        {"rep": sha256_text(canonical_json(rep_to_json(rep)))},
-        [out, trace_csv or ""],
-    )
-    _emit_manifest(
-        manifest,
-        {"outcome": trace.outcome, "iterations": trace.iterations,
-         "moment_norm": last.moment_norm, "energy": last.energy},
-        out,
-    )
-    click.echo(
-        f"flow: {trace.outcome} after {trace.iterations} iterations, "
-        f"|mu| = {last.moment_norm:.3e}",
-        err=True,
-    )
-    if not trace.converged:
-        sys.exit(EXIT_FLOW_FAILED)
+    manifest = build_manifest("flow", {"tol": tol, "max_iter": max_iter},
+                              {"rep": sha256_text(canonical_json(rep_to_json(rep)))},
+                              [out, trace_csv or ""])
+    _end(out, canonical_json(rep_to_json(final)) + "\n", manifest,
+         {"outcome": trace.outcome, "iterations": trace.iterations,
+          "moment_norm": last.moment_norm, "energy": last.energy},
+         files=[(trace_csv, _trace_csv(trace))],
+         lines=[f"flow: {trace.outcome} after {trace.iterations} iterations, "
+                f"|mu| = {last.moment_norm:.3e}"],
+         code=EXIT_OK if trace.converged else EXIT_FLOW_FAILED)
 
 
 # ------------------------------------------------------------------ pipeline
@@ -332,40 +319,36 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
     """Flow, certify, and retract: Rep JSON in, unitary Rep JSON out.
 
     Writes the endpoint, diagnostics, CSVs and manifest, then exits with
-    the classified code.  Input that full_pipeline refuses (ValueError,
-    SingularMatrix) exits EXIT_BAD_INPUT; a run that ends "ok" and fails
-    suite.check_flow or suite.check_pipeline exits EXIT_HARD_VIOLATION."""
+    the classified code.  Input or settings that full_pipeline refuses
+    (ValueError, SingularMatrix) exit EXIT_BAD_INPUT, with nothing
+    written; a run that ends "ok" and fails suite.check_flow or
+    suite.check_pipeline exits EXIT_HARD_VIOLATION."""
     _check_outputs(out, diag_path, path_csv, trace_csv)
     rep, _ = _load_rep(in_path, measure=False)
     cfg = _flow_config(tol, max_iter)
-    _check_run_options(snap_tol, samples)
     manifest = pipeline_manifest(rep, cfg, samples, snap_tol,
                                  [out, diag_path or "", path_csv or "", trace_csv or ""])
-    failure = None
     try:
         endpoint, diag = full_pipeline(rep, cfg, num_samples=samples, snap_tol=snap_tol)
     except PipelineStageError as exc:
-        failure, endpoint, diag = exc, None, exc.diagnostics
+        endpoint, diag = None, exc.diagnostics
+        lines, code = [f"error: {exc}"], EXIT_STRUCTURAL
     except (ValueError, SingularMatrix) as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
-    if endpoint is not None:
-        _write_text(out, canonical_json(rep_to_json(endpoint)) + "\n")
-    if diag_path:
-        _write_text(diag_path, canonical_json(diag.to_dict()) + "\n")
-    if trace_csv:
-        _write_text(trace_csv, _trace_csv(diag.flow_trace))
-    if path_csv and diag.retraction_path is not None:
-        _write_text(path_csv, _path_csv(diag.retraction_path))
-    _emit_manifest(manifest, diag.to_dict(), out)
-    if failure is not None:
-        _fail(EXIT_STRUCTURAL, str(failure))
-    if diag.outcome in _FLOW_FAILURES:
-        click.echo(f"pipeline: {_FLOW_FAILURES[diag.outcome]}", err=True)
-        sys.exit(EXIT_FLOW_FAILED)
-    violations = check_flow(diag) + check_pipeline(endpoint, diag, snap_tol)
-    for violation in violations:
-        click.echo(f"error: {violation}", err=True)
-    sys.exit(EXIT_HARD_VIOLATION if violations else EXIT_OK)
+    else:
+        if diag.outcome in _FLOW_FAILURES:
+            lines, code = [f"pipeline: {_FLOW_FAILURES[diag.outcome]}"], EXIT_FLOW_FAILED
+        else:
+            violations = check_flow(diag) + check_pipeline(endpoint, diag, snap_tol)
+            lines = [f"error: {violation}" for violation in violations]
+            code = EXIT_HARD_VIOLATION if violations else EXIT_OK
+    path, report = diag.retraction_path, diag.to_dict()
+    _end(out, None if endpoint is None else canonical_json(rep_to_json(endpoint)) + "\n",
+         manifest, report,
+         files=[(diag_path, canonical_json(report) + "\n"),
+                (trace_csv, _trace_csv(diag.flow_trace)),
+                (path_csv, _path_csv(path) if path_csv and path is not None else None)],
+         lines=lines, code=code)
 
 
 # -------------------------------------------------------------------- verify
@@ -380,59 +363,52 @@ _VERIFY_MEASURES = ("relation_residual", "kn_energy", "moment_norm",
 @click.option("--out", default="-")
 @click.option("--snap-tol", default=SNAP_TOL, show_default=True)
 def cmd_verify(in_path, out, snap_tol):
-    """Report the structural certificates of a representation.  A
-    non-finite measure of the input exits EXIT_BAD_INPUT after the report
-    is written, and a failed certify stage exits EXIT_STRUCTURAL after the
-    report and manifest, naming the stage on stderr as pipeline does."""
+    """Report the structural certificates of a representation, its
+    certificate's fields under Certificate.report()'s names.  An input off
+    the variety, or with a non-finite measure, exits EXIT_BAD_INPUT without
+    certifying, and a failed certify stage exits EXIT_STRUCTURAL, naming
+    the stage on stderr as pipeline does; each writes its report and
+    manifest first.  A --snap-tol that certify refuses exits
+    EXIT_BAD_INPUT with nothing written."""
     _check_outputs(out)
     rep, res = _load_rep(in_path, validate=False)
-    _check_run_options(snap_tol)
+    p, q, n = rep.group.p, rep.group.q, rep.n
     report = {
-        "p": rep.group.p, "q": rep.group.q, "n": rep.n,
+        "p": p, "q": q, "n": n,
         "relation_residual": res,
         "in_variety": bool(res <= REP_TOL),
         "kn_energy": kn_energy(rep),
         "moment_norm": hs_norm(moment_map(rep)),
         "schur_gap": schur_gap(rep),
-        "order_bound": order_bound(rep.group.p, rep.group.q, rep.n),
         "unitarity_defect_a": unitarity_defect(rep.A),
         "unitarity_defect_b": unitarity_defect(rep.B),
-        "detected_order": None,
-        "normality_exponent": None,
-        "kappa_invariance_defect": None,
         "kappa_identity_defect": None,
-        "form_condition": None,
+        **Certificate(order_bound(p, q, n)).report(),
         **minimality_certificate(rep)._asdict(),
     }
     nonfinite = [key for key in _VERIFY_MEASURES if not math.isfinite(report[key])]
-    if not report["in_variety"] or nonfinite:
-        _write_text(out, canonical_json(report) + "\n")
-        if nonfinite:
-            _fail(EXIT_BAD_INPUT, f"non-finite {', '.join(nonfinite)}: cannot certify")
-        _fail(EXIT_BAD_INPUT, f"relation residual {res:.3e} too large to certify")
-    exit_code = EXIT_OK
-    cert = certify(rep, snap_tol)
-    report["detected_order"] = cert.order
-    report["normality_exponent"] = cert.exponent
-    report["kappa_invariance_defect"] = cert.invariance_defect
-    report["form_condition"] = cert.form_condition
-    if cert.form is not None:
-        report["kappa_identity_defect"] = hs_norm(cert.form.Q - np.eye(rep.n))
-    if cert.error is not None:
-        report["structural_failure"] = f"{type(cert.error).__name__}: {cert.error}"
-        report["failed_stage"] = cert.failed_stage
-        exit_code = EXIT_STRUCTURAL
-    _write_text(out, canonical_json(report) + "\n")
-    manifest = build_manifest(
-        "verify",
-        {"snap_tol": snap_tol},
-        {"rep": sha256_text(canonical_json(rep_to_json(rep)))},
-        [out],
-    )
-    _emit_manifest(manifest, {"exit": exit_code}, out)
-    if cert.error is not None:
-        _fail(EXIT_STRUCTURAL, f"stage '{cert.failed_stage}': {cert.error}")
-    sys.exit(exit_code)
+    if nonfinite or not report["in_variety"]:
+        code = EXIT_BAD_INPUT
+        lines = [f"error: non-finite {', '.join(nonfinite)}: cannot certify" if nonfinite
+                 else f"error: relation residual {res:.3e} too large to certify"]
+    else:
+        code, lines = EXIT_OK, []
+        try:
+            cert = certify(rep, snap_tol)
+        except ValueError as exc:
+            _fail(EXIT_BAD_INPUT, str(exc))
+        report.update(cert.report())
+        if cert.form is not None:
+            report["kappa_identity_defect"] = hs_norm(cert.form.Q - np.eye(n))
+        if cert.error is not None:
+            report["structural_failure"] = f"{type(cert.error).__name__}: {cert.error}"
+            report["failed_stage"] = cert.failed_stage
+            code = EXIT_STRUCTURAL
+            lines = [f"error: stage '{cert.failed_stage}': {cert.error}"]
+    manifest = build_manifest("verify", {"snap_tol": snap_tol},
+                              {"rep": sha256_text(canonical_json(rep_to_json(rep)))}, [out])
+    _end(out, canonical_json(report) + "\n", manifest, {"exit": code},
+         lines=lines, code=code)
 
 
 # --------------------------------------------------------------------- suite
@@ -452,50 +428,32 @@ def cmd_verify(in_path, out, snap_tol):
 @_with(_flow_options)
 def cmd_suite(pairs_spec, n_max, seeds, base_seed, snap_tol, idempotence,
               report, workers, sl, tol, max_iter):
-    """Sweep the grid, run the full pipeline on every cell, aggregate."""
+    """Sweep the grid, run the full pipeline on every cell, aggregate.  A
+    grid or setting that run_suite refuses exits EXIT_BAD_INPUT before any
+    cell runs."""
     _check_outputs(report)
-    # A grid with no cell would report a pass over zero runs.
-    for name, value in (("--n-max", n_max), ("--seeds", seeds)):
-        if value < 1:
-            _fail(EXIT_BAD_INPUT, f"{name} must be >= 1")
+    cfg = _flow_config(tol, max_iter)
     try:
         pairs = [(int(ps), int(qs)) for ps, _, qs in
                  (item.partition(":") for item in pairs_spec.split(","))]
-        repeated = [f"{p}:{q}" for (p, q), count in Counter(pairs).items() if count > 1]
-        if repeated:
-            raise ValueError(f"--pairs repeats {', '.join(repeated)}")
-        # An invalid pair, or a census modulus |p^k - q^k| past the scan's
-        # limit, would raise inside every cell, so it exits 2 before any runs.
-        for p, q in pairs:
-            check_moduli(p, q, n_max)
+        doc = run_suite(
+            pairs, n_max, seeds, cfg, sl=sl, base_seed=base_seed, snap_tol=snap_tol,
+            check_idempotence=idempotence, workers=workers,
+        )
     except ValueError as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
-    cfg = _flow_config(tol, max_iter)
-    _check_run_options(snap_tol)
-    doc = run_suite(
-        pairs, n_max, seeds, cfg, sl=sl, base_seed=base_seed, snap_tol=snap_tol,
-        check_idempotence=idempotence, workers=workers,
-    )
     manifest = build_manifest(
         "suite",
         {"pairs": [list(x) for x in pairs], "n_max": n_max, "seeds": seeds,
-         "base_seed": base_seed, "snap_tol": snap_tol,
-         "idempotence": idempotence,
+         "base_seed": base_seed, "snap_tol": snap_tol, "idempotence": idempotence,
          "tol": tol, "max_iter": max_iter, "sl": sl},
-        {},
-        [report],
-    )
+        {}, [report])
     doc["manifest"] = manifest
-    _write_text(report, canonical_json(doc) + "\n")
-    _emit_manifest(manifest, doc["summary"], report)
     s = doc["summary"]
-    click.echo(
-        f"suite: {s['converged']}/{s['total_runs']} converged, "
-        f"{s['hard_violations']} hard violations",
-        err=True,
-    )
-    if s["hard_violations"]:
-        sys.exit(EXIT_HARD_VIOLATION)
+    _end(report, canonical_json(doc) + "\n", manifest, s,
+         lines=[f"suite: {s['converged']}/{s['total_runs']} converged, "
+                f"{s['hard_violations']} hard violations"],
+         code=EXIT_HARD_VIOLATION if s["hard_violations"] else EXIT_OK)
 
 
 if __name__ == "__main__":

@@ -335,6 +335,20 @@ class Certificate:
     failed_stage: str | None = None
     error: BsretractError | None = None
 
+    def report(self) -> dict:
+        """The fields under their names in the diagnostics and in verify."""
+        return {"order_bound": self.order_bound, "detected_order": self.order,
+                "normality_exponent": self.exponent,
+                "kappa_invariance_defect": self.invariance_defect,
+                "eig_condition": self.eig_condition, "form_condition": self.form_condition}
+
+
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless the snap tolerance tol is finite and
+    positive; NaN is neither."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"snap_tol must be finite and positive, got {tol!r}")
+
 
 def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
     """Order of B, invariant form, unitarized representation and
@@ -355,7 +369,9 @@ def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
     gate's value and the invariance defect.  Any other B is decomposed by
     one eig and one SVD of its eigenvectors, which serve the order, the
     form and both condition numbers.  The moduli and order_bound are read
-    from census's per-(p, q, n) cache."""
+    from census's per-(p, q, n) cache.  A tol that is not finite and
+    positive raises ValueError before the first step."""
+    _check_tol(tol)
     p, q, n = rep.group.p, rep.group.q, rep.n
     moduli, b = census.order_moduli(p, q, n), rep.B
     off = b.copy()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsrep import BSGroup, Rep, check_residual, relation_residual
-from .compactify import SNAP_TOL, UNITARY_TOL, certify
+from .compactify import SNAP_TOL, UNITARY_TOL, _check_tol, certify
 from .errors import BsretractError, PipelineStageError, PolarObstruction, SingularMatrix
 from .kempfness import FlowConfig, FlowTrace, flow
 from .numerics import PolarFactors, hs_norm, json_int, polar, unitarity_defect
@@ -52,6 +52,15 @@ def residual_budget(initial_residual: float) -> float:
     only within it, and suite.check_flow and suite.check_pipeline check
     against it."""
     return 1e-8 + 10.0 * initial_residual
+
+
+def _sample_count(num_samples) -> int:
+    """num_samples as an int; anything but an integer of at least 2, the
+    two ends of a path, raises ValueError."""
+    num_samples = json_int(num_samples, "num_samples")
+    if num_samples < 2:
+        raise ValueError("num_samples must be >= 2")
+    return num_samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +99,7 @@ class RetractionPath:
     residual_bound: float = field(init=False)
 
     def __post_init__(self):
-        num_samples = json_int(self.num_samples, "num_samples")
-        if num_samples < 2:
-            raise ValueError("num_samples must be >= 2")
+        num_samples = _sample_count(self.num_samples)
         w, s, vh = self.factors.w, self.factors.s, self.factors.vh
         n = len(s)
         if self.B.shape != (n, n) or w.shape != (n, n) or vh.shape != (n, n):
@@ -141,16 +148,17 @@ def retract_a(rep: Rep, num_samples: int = NUM_SAMPLES, *,
     and the path's residual_bound, which bounds the relation residual at
     every t in [0, 1], is within budget.  The default is
     residual_budget(0.0), the budget of an input on the variety;
-    full_pipeline passes its input's, residual_budget(initial_residual).  Where the positive factor of A = U P commutes
-    with B, A_t = U P^t gives A_t B^p A_t^-1 = U B^p U* = A B^p A^-1 = B^q
-    for every t, so each sample satisfies the relation whenever rep does
-    and the bound is the endpoint's residual; a P that does not commute
-    adds ||(S - 1) o B~^p|| to it.  A non-unitary B raises ValueError; a
-    bound past the budget, NaN included, raises PolarObstruction, which
-    signals that the input is not a certified minimal vector (e.g. a
-    non-converged flow, or a B that is near a Jordan block).  num_samples
-    is kept as a number: only `rows()` reads it, and the path refuses,
-    with ValueError, one that is not an integer of at least 2.
+    full_pipeline passes its input's, residual_budget(initial_residual).
+    Where the positive factor of A = U P commutes with B, A_t = U P^t
+    gives A_t B^p A_t^-1 = U B^p U* = A B^p A^-1 = B^q for every t, so
+    each sample satisfies the relation whenever rep does and the bound is
+    the endpoint's residual; a P that does not commute adds
+    ||(S - 1) o B~^p|| to it.  A non-unitary B raises ValueError; a bound
+    past the budget, NaN included, raises PolarObstruction, which signals
+    that the input is not a certified minimal vector (e.g. a non-converged
+    flow, or a B that is near a Jordan block).  num_samples is kept as a
+    number: only `rows()` reads it, and the path refuses, with
+    ValueError, one that is not an integer of at least 2.
     """
     b = rep.B
     defect = unitarity_defect(b)
@@ -220,7 +228,9 @@ def full_pipeline(
     """Flow to a minimal vector, then certify (order, invariant form,
     unitarization, normality exponent) and retract to a unitary point.
 
-    The input's relation residual, measured once and kept as
+    A num_samples that is not an integer of at least 2, or a snap_tol
+    that is not finite and positive, raises ValueError before the flow
+    runs.  The input's relation residual, measured once and kept as
     diagnostics.initial_residual, must pass bsrep.check_residual, else
     ValueError.  Returns (endpoint, diagnostics).  A flow that does not
     converge is a soft failure: the partial result is returned, with the
@@ -230,25 +240,21 @@ def full_pipeline(
     naming that stage, with partial diagnostics attached; retract_a
     raises unless the path's residual_bound is within
     residual_budget(initial_residual), the bound check_pipeline applies.
-    The path is diagnostics.retraction_path; num_samples sets only the number of
-    its rows(), which the pipeline does not read:
+    The path is diagnostics.retraction_path; num_samples sets only the
+    number of its rows(), which the pipeline does not read:
     diagnostics.max_path_residual is the path's residual_bound over every
-    t in [0, 1].
+    t in [0, 1].  The certificate's fields reach the diagnostics through
+    Certificate.report(), as they reach the verify report.
     """
+    _sample_count(num_samples)
+    _check_tol(snap_tol)
     res0 = relation_residual(rep)
     check_residual(res0)
     flowed, trace = flow(rep, cfg, initial_residual=res0)
-    diag = PipelineDiagnostics(trace, initial_residual=res0)
     if not trace.converged:
-        diag.outcome = trace.outcome
-        return flowed, diag
+        return flowed, PipelineDiagnostics(trace, trace.outcome, initial_residual=res0)
     cert = certify(flowed, snap_tol)
-    diag.order_bound = cert.order_bound
-    diag.detected_order = cert.order
-    diag.kappa_invariance_defect = cert.invariance_defect
-    diag.eig_condition = cert.eig_condition
-    diag.form_condition = cert.form_condition
-    diag.normality_exponent = cert.exponent
+    diag = PipelineDiagnostics(trace, initial_residual=res0, **cert.report())
     stage, error = cert.failed_stage, cert.error
     if error is None:
         stage = "retract_a"

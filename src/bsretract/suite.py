@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import census
 from .bsrep import Rep, random_rep, rep_to_json
-from .compactify import SNAP_TOL, UNITARY_TOL, detect_finite_order
+from .compactify import SNAP_TOL, UNITARY_TOL, _check_tol, detect_finite_order
 from .errors import BsretractError, PipelineStageError
 from .kempfness import FlowConfig
 from .numerics import hs_norm
@@ -97,13 +97,14 @@ def check_flow(diag) -> list[str]:
     accepted step raises the recorded energy past the flow's resolution
     (FlowTrace.energy_monotone), and no iterate's relation residual
     (FlowTrace.max_residual) exceeds residual_budget of
-    diag.initial_residual, the input's: 1e-8 + 10 * initial residual."""
+    diag.initial_residual, the input's: 1e-8 + 10 * initial residual.
+    The message names the budget it applied."""
     violations, trace = [], diag.flow_trace
     if not trace.energy_monotone():
         violations.append("energy increased along an accepted step")
-    worst = trace.max_residual()
-    if not _at_most(worst, residual_budget(diag.initial_residual)):
-        violations.append(f"flow residual {_e(worst)} exceeded bound")
+    worst, budget = trace.max_residual(), residual_budget(diag.initial_residual)
+    if not _at_most(worst, budget):
+        violations.append(f"flow residual {_e(worst)} exceeded bound {_e(budget)}")
     return violations
 
 
@@ -129,10 +130,11 @@ def check_pipeline(endpoint, diag, snap_tol: float) -> list[str]:
                 f"endpoint order {order} differs from certified order "
                 f"{diag.detected_order}"
             )
-    if not _at_most(diag.max_path_residual, residual_budget(diag.initial_residual)):
+    budget = residual_budget(diag.initial_residual)
+    if not _at_most(diag.max_path_residual, budget):
         violations.append(
             f"path residual bound {_e(diag.max_path_residual)} exceeded "
-            f"1e-8 + 10 * initial residual"
+            f"the budget {_e(budget)}"
         )
     if not verify_unitary_rep(endpoint, UNITARY_TOL):
         violations.append("endpoint failed the unitary-representation check")
@@ -205,8 +207,17 @@ def run_suite(
     workers: int | None = None,
 ) -> dict:
     """Sweep random representations over the grid and aggregate invariants.
-    A grid with no cell (no pair, n_max or seeds below 1) raises
-    ValueError: a sweep that runs nothing certifies nothing."""
+    Before any cell runs, ValueError refuses a grid with no cell (a sweep
+    that runs nothing certifies nothing), a repeated pair, a pair that
+    census.check_moduli refuses, and a snap_tol not finite and positive."""
+    if not (pairs and n_max >= 1 and seeds >= 1):
+        raise ValueError(f"the grid has no cell to run: {len(pairs)} pairs, "
+                         f"n_max {n_max}, seeds {seeds}")
+    if repeated := [f"{p}:{q}" for (p, q), c in Counter(pairs).items() if c > 1]:
+        raise ValueError(f"pairs repeat {', '.join(repeated)}")
+    for p, q in pairs:
+        census.check_moduli(p, q, n_max)
+    _check_tol(snap_tol)
     tasks = [
         (p, q, n, derive_seed(base_seed, p, q, n, i), sl, cfg, snap_tol,
          check_idempotence)
@@ -214,8 +225,6 @@ def run_suite(
         for n in range(1, n_max + 1)
         for i in range(seeds)
     ]
-    if not tasks:
-        raise ValueError("the grid has no cell to run")
     workers = workers or min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -174,6 +174,20 @@ def test_zero_block_modulus_exits_bad_input(runner):
     assert res.exit_code == 2, res.output
 
 
+@pytest.mark.parametrize("spec", ["4:0", "4:1", "6:1,5"])
+def test_block_modulus_sharing_a_factor_with_p_exits_bad_input(runner, tmp_path, spec):
+    # q/p mod N needs p invertible mod N; this exited 2 with Python's own
+    # "base is not invertible for the given modulus"
+    out = tmp_path / "rep.json"
+    res = runner.invoke(main, ["construct", "--p", "2", "--q", "3", "--orbit", spec,
+                               "--out", str(out)])
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert res.exit_code == 2, res.output
+    modulus = spec.partition(":")[0]
+    assert res.stderr == f"error: block '{spec}': modulus {modulus} must be prime to p = 2\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------- flow
 
 def test_flow_command(runner, tmp_path):
@@ -298,9 +312,8 @@ def test_overflowed_input_exits_without_a_runtime_warning(runner, tmp_path, scal
     assert res.exit_code == code, res.output
     assert message in res.output and "Traceback" not in res.output
     # each file written is strict JSON, NaN energies included; verify's
-    # refusal writes its report and no manifest
-    written = [out] if command == "verify" else [out, tmp_path / "o.json.manifest.json"]
-    for path in written:
+    # refusal writes its report and its manifest
+    for path in (out, tmp_path / "o.json.manifest.json"):
         json.loads(path.read_text(), parse_constant=refuse_constant)
     if command == "pipeline" and code == 0:
         assert verify_unitary_rep(rep_from_json(json.loads(out.read_text())), 1e-8)
@@ -690,9 +703,19 @@ def test_verify_and_pipeline_report_one_certificate(runner, tmp_path):
     assert res.exit_code == 0
     rep, d = json.loads(report.read_text()), json.loads(diag.read_text())
     assert rep["kappa_invariance_defect"] <= 1e-8
-    for key in ("detected_order", "normality_exponent", "kappa_invariance_defect",
-                "form_condition"):
-        assert rep[key] == d[key]
+    keys = certify(flowed).report().keys()
+    assert set(keys) == {"order_bound", "detected_order", "normality_exponent",
+                         "kappa_invariance_defect", "eig_condition", "form_condition"}
+    for key in keys:
+        assert rep[key] == d[key], key
+    # on a raw draw, which certify decomposes by eig, verify reports the
+    # certificate's eigenvector condition number too
+    raw = random_rep(2, 3, 4, 1)
+    res = runner.invoke(main, ["verify", "--in", write_rep(tmp_path, raw, "raw.json"),
+                               "--out", str(report)])
+    assert res.exit_code == 0, res.output
+    condition = json.loads(report.read_text())["eig_condition"]
+    assert condition == certify(raw).eig_condition > 1.0
 
 
 @pytest.mark.parametrize("cell", [(2, 3, 4, 1), (1, 2, 2, derive_seed(0, 1, 2, 2, 0))],
@@ -1250,6 +1273,34 @@ def test_suite_small_grid(runner, tmp_path):
         assert run["manifest_hash"] in doc["manifests"]
 
 
+def test_suite_base_seed_sets_every_cell_seed(runner, tmp_path):
+    # each cell's seed is derive_seed(base, p, q, n, i), so another base
+    # draws other cells, and a cell still replays by its manifest hash
+    docs = {}
+    for base in (0, 1):
+        report = tmp_path / f"r{base}.json"
+        res = runner.invoke(main, ["suite", "--pairs", "2:3", "--n-max", "2", "--seeds", "2",
+                                   "--base-seed", str(base), "--workers", "1",
+                                   "--report", str(report)])
+        assert res.exit_code == 0, res.output
+        docs[base] = json.loads(report.read_text())
+    runs = docs[1]["runs"]
+    assert docs[1]["manifest"]["parameters"]["base_seed"] == 1
+    assert [(r["n"], r["seed"]) for r in runs] == [
+        (n, derive_seed(1, 2, 3, n, i)) for n in (1, 2) for i in (0, 1)]
+    assert not {r["seed"] for r in runs} & {r["seed"] for r in docs[0]["runs"]}
+    assert not docs[1]["manifests"].keys() & docs[0]["manifests"].keys()
+    cell = runs[-1]
+    drawn = runner.invoke(main, ["construct", "--p", "2", "--q", "3", "--random",
+                                 str(cell["n"]), "--seed", str(cell["seed"])])
+    assert drawn.exit_code == 0, drawn.output
+    out = tmp_path / "end.json"
+    res = runner.invoke(main, ["pipeline", "--out", str(out)], input=drawn.stdout)
+    assert res.exit_code == 0, res.output
+    manifest = json.loads((tmp_path / "end.json.manifest.json").read_text())
+    assert manifest["hash"] == cell["manifest_hash"]
+
+
 def test_suite_default_grid(runner, tmp_path):
     # default pairs, the valid (p, q) with p, q in 1..3; n <= 3, 5 seeds:
     # everything converges with the predicted structure
@@ -1306,11 +1357,11 @@ def test_census_modulus_past_limit_exits_bad_input(runner, tmp_path, args):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--seeds", "0"], "--seeds must be >= 1"),
-    (["--seeds", "-1"], "--seeds must be >= 1"),
-    (["--n-max", "0"], "--n-max must be >= 1"),
-    (["--n-max", "-2"], "--n-max must be >= 1"),
-    (["--pairs", "2:3,1:2,2:3", "--n-max", "1", "--seeds", "1"], "--pairs repeats 2:3"),
+    (["--seeds", "0"], "the grid has no cell to run: 1 pairs, n_max 3, seeds 0"),
+    (["--seeds", "-1"], "the grid has no cell to run: 1 pairs, n_max 3, seeds -1"),
+    (["--n-max", "0"], "the grid has no cell to run: 1 pairs, n_max 0, seeds 5"),
+    (["--n-max", "-2"], "the grid has no cell to run: 1 pairs, n_max -2, seeds 5"),
+    (["--pairs", "2:3,1:2,2:3", "--n-max", "1", "--seeds", "1"], "pairs repeat 2:3"),
 ], ids=["no-seeds", "negative-seeds", "no-dimension", "negative-n-max", "repeated-pair"])
 def test_suite_refuses_an_empty_grid_or_a_repeated_pair(runner, tmp_path, args, message):
     # an empty grid exited 0 with "converged_rate": 1.0 over 0 runs, and a
@@ -1327,6 +1378,23 @@ def test_suite_refuses_an_empty_grid_or_a_repeated_pair(runner, tmp_path, args, 
 def test_run_suite_refuses_an_empty_grid():
     with pytest.raises(ValueError, match="no cell"):
         run_suite([(2, 3)], 1, 0, FlowConfig())
+
+
+def _no_cell(task):
+    raise AssertionError(f"cell {task[:4]} ran")
+
+
+@pytest.mark.parametrize("pairs, settings, message", [
+    ([(2, 3), (2, 3)], {}, "pairs repeat 2:3"),
+    ([], {}, "no cell"),
+    ([(2, 2)], {}, "must be coprime"),
+    ([(2, 3)], {"snap_tol": float("nan")}, "snap_tol must be finite and positive"),
+], ids=["repeated-pair", "no-pair", "invalid-pair", "nan-snap-tol"])
+def test_run_suite_refuses_before_its_first_cell(monkeypatch, pairs, settings, message):
+    # a library caller's repeated pair used to run each of its cells twice
+    monkeypatch.setattr("bsretract.suite.run_one", _no_cell)
+    with pytest.raises(ValueError, match=message):
+        run_suite(pairs, 1, 1, FlowConfig(), workers=1, **settings)
 
 
 def test_suite_rejects_invalid_explicit_pair(runner, tmp_path):
@@ -1351,3 +1419,41 @@ def test_suite_non_integer_list_exits_bad_input(runner, tmp_path):
                                "--report", str(tmp_path / "r.json")])
     assert isinstance(res.exception, SystemExit), res.exception
     assert res.exit_code == 2, res.output
+
+
+# ----------------------------------------------------------------- manifests
+
+_MANIFEST_INPUTS = {
+    "unitary": lambda: n5_block(np.exp(0.2j)),
+    "overflowed": lambda: overflowed_rep(2, 3, 4, 1),
+    # in the variety for (1, 2), but B is unipotent: never of finite order
+    "unipotent": lambda: rep_of(1, 2, np.diag([2.0, 1.0]), [[1.0, 1.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("command, rep, args, code", [
+    ("verify", "unitary", [], 0),
+    ("verify", "overflowed", [], 2),
+    ("verify", "unipotent", [], 4),
+    ("pipeline", "unitary", [], 0),
+    ("pipeline", "overflowed", [], 3),
+    ("pipeline", "unipotent", ["--tol", "1e-3"], 4),
+    ("flow", "unitary", [], 0),
+    ("flow", "overflowed", [], 3),
+    ("construct", None, ["--p", "2", "--q", "3", "--random", "2", "--seed", "1"], 0),
+    ("census", None, ["2", "3", "--n-max", "2"], 0),
+    ("suite", None, ["--pairs", "2:3", "--n-max", "1", "--seeds", "1", "--workers", "1"], 0),
+], ids=lambda x: x if isinstance(x, (str, int)) else None)
+def test_every_exit_writes_its_own_manifest(runner, tmp_path, command, rep, args, code):
+    # verify's refusals (exit 2) wrote a new report and left an earlier
+    # run's manifest beside it
+    out, manifest = tmp_path / "out.json", tmp_path / "out.json.manifest.json"
+    manifest.write_text('{"command": "stale"}\n')
+    if rep is not None:
+        args = [*args, "--in", write_rep(tmp_path, _MANIFEST_INPUTS[rep]())]
+    out_option = "--report" if command == "suite" else "--out"
+    res = runner.invoke(main, [command, *args, out_option, str(out)])
+    assert res.exit_code == code, res.output
+    doc = json.loads(manifest.read_text(), parse_constant=refuse_constant)
+    assert doc["command"] == command
+    assert doc["outputs"] == [str(out)] and "outcome" in doc

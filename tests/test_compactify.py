@@ -422,6 +422,19 @@ def test_certify_decomposes_the_form_once(monkeypatch):
     assert np.array_equal(calls["inv"][0], cert.unitary.A)
 
 
+def _no_stage(*args, **kwargs):
+    raise AssertionError("a stage ran")
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-6, 0.0, float("inf")])
+def test_certify_refuses_a_bad_tol_before_its_first_stage(monkeypatch, tol):
+    # an infinite tol used to snap any eigenvalue, so a B far from unitary
+    # was reported of order 1
+    monkeypatch.setattr(compactify, "detect_finite_order", _no_stage)
+    with pytest.raises(ValueError, match="snap_tol must be finite and positive"):
+        certify(random_rep(2, 3, 3, 1), tol)
+
+
 def _raising_eig(b):
     raise np.linalg.LinAlgError("Eigenvalues did not converge")
 

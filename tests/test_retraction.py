@@ -47,6 +47,7 @@ from util import (
     jordan_rep,
     n5_block,
     off_diagonal,
+    overflowed_rep,
     path_sample,
     reference_invariant_form,
     rep_of,
@@ -322,6 +323,26 @@ def test_full_pipeline_gates_bad_input():
         full_pipeline(rep)
 
 
+def _no_flow(*args, **kwargs):
+    raise AssertionError("the flow ran")
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"num_samples": 2.5}, "num_samples must be an integer"),
+    ({"num_samples": 1}, "num_samples must be >= 2"),
+    ({"num_samples": True}, "num_samples must be an integer"),
+    ({"snap_tol": math.nan}, "snap_tol must be finite and positive"),
+    ({"snap_tol": -1.0}, "snap_tol must be finite and positive"),
+    ({"snap_tol": math.inf}, "snap_tol must be finite and positive"),
+], ids=lambda x: "-".join(f"{k}={v}" for k, v in x.items()) if isinstance(x, dict) else None)
+def test_full_pipeline_refuses_a_bad_setting_before_its_flow(monkeypatch, settings, message):
+    # on an input whose flow stalls at once, each of these returned
+    # "line_search_stalled" with no error
+    monkeypatch.setattr("bsretract.retraction.flow", _no_flow)
+    with pytest.raises(ValueError, match=message):
+        full_pipeline(overflowed_rep(2, 3, 4, 1), **settings)
+
+
 @pytest.mark.usefixtures("cold_start")
 def test_full_pipeline_iter_budget_is_soft():
     rng = np.random.default_rng(5)
@@ -574,7 +595,8 @@ def test_residual_bound_is_nan_for_a_nan_factor():
     _, diag = full_pipeline(n5_block(1.0))
     diag = dataclasses.replace(diag, max_path_residual=nan_s.residual_bound)
     violations = check_pipeline(diag.retraction_path.endpoint, diag, 1e-6)
-    assert "path residual bound nan exceeded 1e-8 + 10 * initial residual" in violations
+    budget = residual_budget(diag.initial_residual)
+    assert f"path residual bound nan exceeded the budget {budget:.3e}" in violations
 
 
 def _factored_residual(a, t, path):
