@@ -39,13 +39,15 @@ RANDOM_COND_MAX = 100.0
 
 @dataclass(frozen=True)
 class BSGroup:
-    """The group <a, b | a b^p a^-1 = b^q> with gcd(|p|,|q|) = 1, |p| != |q|."""
+    """The group <a, b | a b^p a^-1 = b^q>, gcd(|p|,|q|) = 1, |p| != |q|, p and q ints."""
 
     p: int
     q: int
 
     def __post_init__(self):
-        census.validate_parameters(self.p, self.q)
+        p, q = census.validate_parameters(self.p, self.q)
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,13 +186,11 @@ def random_rep(p: int, q: int, n: int, seed: int, *, sl: bool = False) -> Rep:
     trivial blocks; with sl=True only determinant-one blocks are drawn),
     then conjugates by a random invertible matrix of condition number at
     most RANDOM_COND_MAX.  All randomness flows through a counter-based Philox
-    generator keyed by the seed.  Raises ValueError, as
-    census.check_moduli does, if the census scans would walk more than
-    census.MAX_SCAN_ELEMENTS elements.
+    generator keyed by the seed.  Raises ValueError before any draw unless
+    n is an integer >= 1 and seed one >= 0, and as census.check_moduli
+    does (an invalid pair, or census scans past MAX_SCAN_ELEMENTS).
     """
-    census.validate_parameters(p, q)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n, seed = json_int(n, "n", 1), json_int(seed, "seed", 0)
     rng = np.random.Generator(np.random.Philox(seed))
     # Each block is drawn uniformly from the orbits of length <= remaining:
     # the pool's prefix, as the pool is sorted by length and starts with

@@ -22,6 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .numerics import json_int
+
 __all__ = [
     "OrbitDatum",
     "validate_parameters",
@@ -36,16 +38,17 @@ __all__ = [
 ]
 
 
-def validate_parameters(p: int, q: int) -> None:
-    """Reject (p, q) outside the supported family: both nonzero, coprime
-    in absolute value, with distinct absolute values."""
-    p, q = int(p), int(q)
+def validate_parameters(p: int, q: int) -> tuple[int, int]:
+    """The checked pair (p, q) as ints; ValueError refuses a pair outside the
+    family: integers, nonzero, coprime and distinct in absolute value."""
+    p, q = json_int(p, "p"), json_int(q, "q")
     if p == 0 or q == 0:
         raise ValueError("p and q must be nonzero")
     if math.gcd(abs(p), abs(q)) != 1:
         raise ValueError(f"|p| and |q| must be coprime, got ({p}, {q})")
     if abs(p) == abs(q):
         raise ValueError(f"|p| and |q| must differ, got ({p}, {q})")
+    return p, q
 
 
 def order_moduli(p: int, q: int, n: int) -> tuple[int, ...]:
@@ -63,9 +66,8 @@ def order_bound(p: int, q: int, n: int) -> int:
 def _moduli(p: int, q: int, n: int) -> tuple[tuple[int, ...], int]:
     """order_moduli and their product order_bound, computed once per
     (p, q, n): certify reads both on every call."""
-    validate_parameters(p, q)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    p, q = validate_parameters(p, q)
+    n = json_int(n, "n", 1)
     moduli = tuple(abs(p**k - q**k) for k in range(1, n + 1))
     return moduli, math.prod(moduli)
 
@@ -109,15 +111,16 @@ MAX_SCAN_ELEMENTS = 2**27
 _BLOCK = 1 << 14
 
 
-def check_moduli(p: int, q: int, n: int) -> None:
-    """Raise ValueError naming k and m = |p^k - q^k| at the first k <= n
-    where the sum of the moduli up to k, the elements the scans of the
-    pool walk, passes MAX_SCAN_ELEMENTS; allocates nothing, and since the
-    moduli grow like 2^k, stops by k = 27 whatever n is."""
-    validate_parameters(p, q)
-    p, q = int(p), int(q)
+def check_moduli(p: int, q: int, n: int) -> tuple[int, int, int]:
+    """The checked (p, q, n) as ints.  Raises ValueError as
+    validate_parameters does, for an n that is not an integer, and naming
+    k and m = |p^k - q^k| at the first k <= n where the sum of the moduli
+    up to k, the elements the pool's scans walk, passes MAX_SCAN_ELEMENTS;
+    allocates nothing, and stops by k = 27 whatever n is."""
+    p, q = validate_parameters(p, q)
+    n = json_int(n, "n")
     walked = 0
-    for k in range(1, int(n) + 1):
+    for k in range(1, n + 1):
         m = abs(p**k - q**k)
         walked += m
         if walked > MAX_SCAN_ELEMENTS:
@@ -126,12 +129,14 @@ def check_moduli(p: int, q: int, n: int) -> None:
                 f"would walk {walked} elements, past the budget 2^27; "
                 f"use a smaller n"
             )
+    return p, q, n
 
 
 class _Scan(NamedTuple):
     """Every orbit of length exactly k on Z/m, m = |p^k - q^k|, sorted by
-    (N, orbit): m, u = q/p mod m, and read-only arrays, shape (r,), of
-    each orbit's smallest element x in Z/m and its own modulus N.  With
+    (N, orbit) (the sl scan keeps those whose exponents sum to 0 mod N):
+    m, u = q/p mod m, and read-only arrays, shape (r,), of each orbit's
+    smallest element x in Z/m and its own modulus N.  With
     g = m / N = gcd(x, m), the orbit's exponents in cycle order are
     (u^j x mod m) / g for j < k."""
 
@@ -150,59 +155,53 @@ def _mulmod(y: np.ndarray, u: int, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _scan(p: int, q: int, k: int) -> _Scan:
-    m = abs(p**k - q**k)
-    u = q * pow(p, -1, m) % m
-    # Each x in Z/m is x' * m/N for exactly one divisor N of m and unit
-    # x' mod N, and its orbit has length ord_N(u).  x starts a row when it
-    # is below each of u x, ..., u^(k-1) x, so it is its orbit's smallest
-    # element and the orbit has not closed early; u^k x = x holds for
-    # every x, as p^k = q^k mod m.
-    starts = [np.empty(0, dtype=np.int64)]
-    for lo in range(1, m, _BLOCK):
-        x = np.arange(lo, min(lo + _BLOCK, m), dtype=np.int64)
-        y = x
-        for _ in range(k - 1):
-            y = _mulmod(y, u, m)
-            keep = x < y
-            x, y = x[keep], y[keep]
-        starts.append(x)
-    x = np.concatenate(starts)
-    moduli = m // np.gcd(x, m)
-    # Distinct orbits of one N share no element, so their smallest
-    # elements x / g alone order them.
-    order = np.lexsort((x, moduli))
-    x, moduli = x[order], moduli[order]
+def _scan(p: int, q: int, k: int, sl: bool = False) -> _Scan:
+    if sl:
+        # The exponents of the orbit of x sum, times g, to x S mod m, with
+        # S = u^0 + ... + u^(k-1), so the sum is 0 mod N exactly when x S is
+        # 0 mod m; with x, S < m < 2^27, x S is exact in int64.
+        m, u, x, moduli = _scan(p, q, k)
+        keep = _mulmod(x, sum(pow(u, j, m) for j in range(k)) % m, m) == 0
+        x, moduli = x[keep], moduli[keep]
+    else:
+        m = abs(p**k - q**k)
+        u = q * pow(p, -1, m) % m
+        # Each x in Z/m is x' * m/N for exactly one divisor N of m and unit
+        # x' mod N, and its orbit has length ord_N(u).  x starts a row when
+        # it is below each of u x, ..., u^(k-1) x, so it is its orbit's
+        # smallest element and the orbit has not closed early; u^k x = x
+        # holds for every x, as p^k = q^k mod m.
+        starts = [np.empty(0, dtype=np.int64)]
+        for lo in range(1, m, _BLOCK):
+            x = np.arange(lo, min(lo + _BLOCK, m), dtype=np.int64)
+            y = x
+            for _ in range(k - 1):
+                y = _mulmod(y, u, m)
+                keep = x < y
+                x, y = x[keep], y[keep]
+            starts.append(x)
+        x = np.concatenate(starts)
+        moduli = m // np.gcd(x, m)
+        # Distinct orbits of one N share no element, so their smallest
+        # elements x / g alone order them.
+        order = np.lexsort((x, moduli))
+        x, moduli = x[order], moduli[order]
     x.flags.writeable = False
     moduli.flags.writeable = False
     return _Scan(m, u, x, moduli)
-
-
-def _sl_rows(scan: _Scan, k: int) -> np.ndarray:
-    """The scan's rows whose exponents sum to 0 mod N.  g times that sum
-    is x S mod m, S = u^0 + ... + u^(k-1), so the sum is 0 mod N exactly
-    when x S is 0 mod m; with x, S < m < 2^27, x S is exact in int64."""
-    s = sum(pow(scan.u, j, scan.m) for j in range(k)) % scan.m
-    return np.flatnonzero(_mulmod(scan.starts, s, scan.m) == 0)
 
 
 class OrbitPool:
     """The exponent orbits of length <= n sorted by (k, N, orbit), the
     trivial one first, each built only when asked for; with sl=True only
     those whose exponent sum is 0 mod N, the blocks that have a
-    determinant-one form."""
+    determinant-one form.  Raises ValueError as check_moduli does."""
 
     def __init__(self, p: int, q: int, n: int, sl: bool):
-        check_moduli(p, q, n)
-        self.p, self.q = int(p), int(q)
-        self._scans = [_scan(self.p, self.q, k) for k in range(1, int(n) + 1)]
-        # Per k, the scan rows in the pool, in scan order.
-        self._rows = [
-            _sl_rows(s, k) if sl else range(len(s.moduli))
-            for k, s in enumerate(self._scans, 1)
-        ]
+        self.p, self.q, n = check_moduli(p, q, n)
+        self._scans = [_scan(self.p, self.q, k, sl) for k in range(1, n + 1)]
         # _cum[k]: how many orbits have length <= k; index 0 is the trivial one.
-        self._cum = list(accumulate([1] + [len(r) for r in self._rows]))
+        self._cum = list(accumulate([1] + [len(s.starts) for s in self._scans]))
 
     def count(self, k_max: int) -> int:
         """The number of orbits of length <= k_max, the trivial one included."""
@@ -214,7 +213,7 @@ class OrbitPool:
         if k == 0:
             return OrbitDatum(self.p, self.q, 1, 0, (0,), 1)
         scan = self._scans[k - 1]
-        row = self._rows[k - 1][i - self._cum[k - 1]]
+        row = i - self._cum[k - 1]
         x, modulus = int(scan.starts[row]), int(scan.moduli[row])
         g = scan.m // modulus
         orbit = []
@@ -240,11 +239,10 @@ def enumerate_orbits(p: int, q: int, n_max: int) -> list[OrbitDatum]:
     of one k come from one vectorized scan of Z/|p^k - q^k|, each built
     from its start and reduced by the gcd of its elements with the
     modulus.  Deterministically sorted by (k, N, orbit).  Raises
-    ValueError as check_moduli does.
+    ValueError for an n_max that is not an integer >= 1, and as
+    check_moduli does.
     """
-    validate_parameters(p, q)
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+    n_max = json_int(n_max, "n_max", 1)
     pool = orbit_pool(p, q, n_max)
     return [pool.datum(i) for i in range(pool.count(n_max))]
 

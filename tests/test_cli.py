@@ -637,6 +637,19 @@ def test_verify_names_the_failed_stage_on_stderr(runner, tmp_path):
     assert manifest["outcome"] == {"exit": 4}
 
 
+def test_verify_reports_eig_condition_when_the_order_fails(runner, tmp_path):
+    # B's basis is chosen before the order detection, so a failure there
+    # still reports its condition number; it was null.  The Jordan point's
+    # eigenvectors are nearly parallel, which that number shows.
+    report = tmp_path / "report.json"
+    res = runner.invoke(main, ["verify", "--in", str(JORDAN_REP), "--out", str(report)])
+    assert res.exit_code == 4, res.output
+    doc = json.loads(report.read_text())
+    assert doc["failed_stage"] == "detect_finite_order"
+    assert doc["detected_order"] is None and doc["form_condition"] is None
+    assert np.isfinite(doc["eig_condition"]) and doc["eig_condition"] > 1e6
+
+
 def test_no_manifest_beside_an_out_that_is_not_a_regular_file(runner, tmp_path):
     # a FIFO, like a device such as /dev/null, takes the output and gets
     # no manifest beside it
@@ -1210,7 +1223,7 @@ _CHECK_CASES = [
 
 def _run_check(check, endpoint, diag):
     if check == "flow":
-        return check_flow(diag)
+        return check_flow(diag.flow_trace, diag.initial_residual)
     if check == "pipeline":
         return check_pipeline(endpoint, diag, 1e-6)
     return check_rerun(endpoint, endpoint, diag)[0]

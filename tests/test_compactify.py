@@ -589,8 +589,9 @@ WORKLOAD_CELLS = (
 #: sha256 of certify on the raw draw of every seed-0 benchmark cell, as
 #: test_certify_keeps_its_bytes_on_every_raw_draw hashes it, from the form
 #: that had three constructors (numpy 2.4.6 with its OpenBLAS 0.3.31 wheel
-#: on x86-64).
-RAW_CERTIFY_DIGEST = "35baf2f36d4ad88de700aba45fb5e7fd3f341eaaf5777a67aaa462cd673fd376"
+#: on x86-64), with eig_condition reported on the 325 cells that fail at
+#: the order.
+RAW_CERTIFY_DIGEST = "c80d1abf21e11b5eedd7026493a480ee772e380b0a485609334aaa39fbb49866"
 
 
 def test_certify_keeps_its_bytes_on_every_raw_draw():
@@ -614,6 +615,9 @@ def test_certify_keeps_its_bytes_on_every_raw_draw():
                     if cert.unitary is not None:
                         digest.update(cert.unitary.A.tobytes() + cert.unitary.B.tobytes())
                     stages.append(cert.failed_stage)
+                    # B's basis is chosen before the first step, so even a
+                    # failure at the order reports its condition number.
+                    assert np.isfinite(cert.eig_condition) and cert.eig_condition >= 1.0
     assert len(stages) == 1604
     assert stages.count(None) == 1279 and stages.count("detect_finite_order") == 325
     assert digest.hexdigest() == RAW_CERTIFY_DIGEST

@@ -248,7 +248,7 @@ def test_flow_records_a_measured_tail_rise():
     _, diag = full_pipeline(rep)
     d = diag.to_dict()
     assert d["energy_monotone"] is True and d["final_energy"] == e[-1]
-    assert check_flow(diag) == []
+    assert check_flow(diag.flow_trace, diag.initial_residual) == []
 
 
 @pytest.mark.parametrize("share, monotone", [(0.5, True), (2.0, False)])
@@ -266,7 +266,7 @@ def test_energy_check_fails_past_the_resolution(monkeypatch, share, monotone):
     _, diag = full_pipeline(_tail_rise_rep())
     assert diag.flow_trace.energy_monotone() is diag.to_dict()["energy_monotone"] is monotone
     violations = [] if monotone else ["energy increased along an accepted step"]
-    assert check_flow(diag) == violations
+    assert check_flow(diag.flow_trace, diag.initial_residual) == violations
 
 
 def test_flow_endpoint_eigenvalues_snap_to_fifth_roots():

@@ -23,8 +23,12 @@ from bsretract import (
     snap_root_of_unity,
 )
 from bsretract import numerics
+from bsretract.census import (OrbitPool, check_moduli, enumerate_orbits, order_bound,
+                              validate_parameters)
+from bsretract.compactify import certify, invariant_form, normality_exponent
 from bsretract.numerics import matrix_from_json, matrix_to_json
-from bsretract.suite import derive_seed
+from bsretract.retraction import full_pipeline, verify_unitary_rep
+from bsretract.suite import derive_seed, run_suite
 
 from util import N_MAX, PAIRS, SEEDS, haar_unitary, reference_snap, swap2, zeta
 
@@ -389,3 +393,101 @@ def test_matrix_json_round_trip():
     assert np.allclose(matrix_from_json(d), a)
     with pytest.raises(ValueError):
         matrix_from_json({"n": 2, "re": [[1.0]], "im": [[0.0]]})
+
+
+# ------------------------------------------------------------ run settings
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work ran before the settings were checked")
+
+
+#: A small point of the variety, built once, for the entry points that take one.
+_REP = random_rep(2, 3, 2, 1)
+
+#: (entry point, the argument's name in its ValueError, a call with the
+#: argument set to x, the library names whose call would be work).
+_COUNTS = [
+    ("validate_parameters", "p", lambda x: validate_parameters(x, 3), ()),
+    ("validate_parameters", "q", lambda x: validate_parameters(2, x), ()),
+    ("BSGroup", "p", lambda x: BSGroup(x, 3), ()),
+    ("order_moduli", "n", lambda x: order_moduli(2, 3, x), ()),
+    ("order_bound", "n", lambda x: order_bound(2, 3, x), ()),
+    ("check_moduli", "n", lambda x: check_moduli(2, 3, x), ()),
+    ("OrbitPool", "n", lambda x: OrbitPool(2, 3, x, False), ("bsretract.census._scan",)),
+    ("enumerate_orbits", "n_max", lambda x: enumerate_orbits(2, 3, x),
+     ("bsretract.census.orbit_pool",)),
+    ("random_rep", "n", lambda x: random_rep(2, 3, x, 0), ("bsretract.census.orbit_pool",)),
+    ("random_rep", "seed", lambda x: random_rep(2, 3, 2, x),
+     ("bsretract.census.orbit_pool",)),
+    ("invariant_form", "order", lambda x: invariant_form(_REP.B, x),
+     ("bsretract.compactify._eig",)),
+    ("normality_exponent", "order", lambda x: normality_exponent(_REP, x),
+     ("bsretract.compactify.residual",)),
+    ("FlowConfig", "max_iter", lambda x: FlowConfig(max_iter=x), ()),
+    ("snap_root_of_unity", "max_order", lambda x: snap_root_of_unity(1.0, x, 1e-6),
+     ("bsretract.numerics._smallest_denominator",)),
+    ("full_pipeline", "num_samples", lambda x: full_pipeline(_REP, num_samples=x),
+     ("bsretract.retraction.relation_residual", "bsretract.retraction.flow")),
+    ("run_suite", "p", lambda x: run_suite([(x, 3)], 1, 1, FlowConfig()),
+     ("bsretract.suite.run_one",)),
+    ("run_suite", "n_max", lambda x: run_suite([(2, 3)], x, 1, FlowConfig()),
+     ("bsretract.suite.run_one",)),
+    ("run_suite", "seeds", lambda x: run_suite([(2, 3)], 1, x, FlowConfig()),
+     ("bsretract.suite.run_one",)),
+    ("run_suite", "base_seed", lambda x: run_suite([(2, 3)], 1, 1, FlowConfig(), base_seed=x),
+     ("bsretract.suite.run_one",)),
+]
+
+_TOLERANCES = [
+    ("certify", "snap_tol", lambda x: certify(_REP, x), ("bsretract.census.order_moduli",)),
+    ("normality_exponent", "tol", lambda x: normality_exponent(_REP, 5, x),
+     ("bsretract.compactify.residual",)),
+    ("verify_unitary_rep", "tol", lambda x: verify_unitary_rep(_REP, x),
+     ("bsretract.retraction.unitarity_defect",)),
+    ("FlowConfig", "tol", lambda x: FlowConfig(tol=x), ()),
+    ("snap_root_of_unity", "tol", lambda x: snap_root_of_unity(1.0, 10, x),
+     ("bsretract.numerics._smallest_denominator",)),
+    ("full_pipeline", "snap_tol", lambda x: full_pipeline(_REP, snap_tol=x),
+     ("bsretract.retraction.relation_residual", "bsretract.retraction.flow")),
+    ("run_suite", "snap_tol", lambda x: run_suite([(2, 3)], 1, 1, FlowConfig(), snap_tol=x),
+     ("bsretract.suite.run_one",)),
+]
+
+_SETTING_CASES = [
+    pytest.param(name, call, work, value, id=f"{entry}-{name}-{value!r}")
+    for cases, values in ((_COUNTS, [2.5, True, "2", None]),
+                          (_TOLERANCES, [True, "2", None, math.inf, 0.0]))
+    for entry, name, call, work in cases
+    for value in values
+]
+
+
+@pytest.mark.parametrize("name, call, work, value", _SETTING_CASES)
+def test_every_entry_point_refuses_a_bad_setting_before_any_work(
+        monkeypatch, name, call, work, value):
+    # numerics.json_int and numerics.finite_positive make every one of
+    # these decisions: 2.5 was truncated or reached a TypeError, True ran
+    # as 1, "2" and None reached a TypeError, and a tolerance took True.
+    for target in work:
+        monkeypatch.setattr(target, _refuse)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call(value)
+
+
+@pytest.mark.parametrize("workers", [2.5, True, "2", -1])
+def test_run_suite_refuses_a_bad_worker_count_before_any_cell(monkeypatch, workers):
+    # None and 0 are the default worker count
+    monkeypatch.setattr("bsretract.suite.run_one", _refuse)
+    with pytest.raises(ValueError, match="^workers must be "):
+        run_suite([(2, 3)], 1, 1, FlowConfig(), workers=workers)
+
+
+def test_checked_settings_are_kept_as_python_numbers():
+    # a numpy integer or float is kept as the int or float it equals, so
+    # manifests that record it stay JSON
+    group = BSGroup(np.int64(2), np.int64(3))
+    assert (type(group.p), type(group.q)) == (int, int)
+    cfg = FlowConfig(tol=np.float64(1e-9), max_iter=np.int64(7))
+    assert (type(cfg.tol), type(cfg.max_iter)) == (float, int)
+    assert numerics.json_int(np.int32(5), "n", 5) == 5
+    assert numerics.finite_positive(np.float32(0.5), "tol") == 0.5
