@@ -52,7 +52,7 @@ class BSGroup:
 
 @dataclass(frozen=True, eq=False)
 class Rep:
-    """A point of the variety: matrices A = rho(a), B = rho(b)."""
+    """A point of the variety: n >= 1 and matrices A = rho(a), B = rho(b)."""
 
     group: BSGroup
     n: int
@@ -60,12 +60,12 @@ class Rep:
     B: np.ndarray
 
     def __post_init__(self):
+        n = json_int(self.n, "n", 1)
         a = as_matrix(self.A)
         b = as_matrix(self.B)
-        if a.shape != (self.n, self.n) or b.shape != (self.n, self.n):
-            raise ValueError(
-                f"matrix shapes {a.shape}, {b.shape} do not match n={self.n}"
-            )
+        if a.shape != (n, n) or b.shape != (n, n):
+            raise ValueError(f"matrix shapes {a.shape}, {b.shape} do not match n={n}")
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "B", b)
 
@@ -107,8 +107,8 @@ def from_orbit_datum(datum: census.OrbitDatum, chi: complex, *, sl: bool = False
     B is diagonal with eigenvalues e^(2 pi i m_j / N) along the orbit and
     A is the k-cycle sending the eigenspace of m_j to that of m_{j-1},
     with the closing entry scaled by chi.  The relation then holds
-    exactly: p*m_{j+1} = q*m_j (mod N) is checked entry by entry and
-    InvalidOrbit raised on failure.
+    exactly, as p*m_{j+1} = q*m_j (mod N): the datum is accepted exactly
+    when census.verify_orbit holds, and InvalidOrbit raised otherwise.
 
     With sl=True the block is normalized to determinant one.  Scaling A
     never disturbs the relation; B can only be scaled by roots of unity
@@ -118,16 +118,9 @@ def from_orbit_datum(datum: census.OrbitDatum, chi: complex, *, sl: bool = False
     chi = complex(chi)
     if chi == 0:
         raise ValueError("chi must be nonzero")
-    p, q, modulus, orbit = datum.p, datum.q, datum.N, datum.orbit
-    census.validate_parameters(p, q)
-    k = len(orbit)
-    if k == 0:
-        raise InvalidOrbit("empty orbit")
-    for j in range(k):
-        if (p * orbit[(j + 1) % k] - q * orbit[j]) % modulus != 0:
-            raise InvalidOrbit(
-                f"p*m_{(j + 1) % k} != q*m_{j} (mod {modulus}) along {orbit}"
-            )
+    if not census.verify_orbit(datum):
+        raise InvalidOrbit(f"{datum} fails census.verify_orbit")
+    p, q, modulus, orbit, k = datum.p, datum.q, datum.N, datum.orbit, datum.k
     b = np.diag(np.exp(2j * np.pi * np.asarray(orbit, dtype=float) / modulus))
     a = np.zeros((k, k), dtype=np.complex128)
     for j in range(1, k):
@@ -221,17 +214,13 @@ def rep_to_json(rep: Rep) -> dict:
 
 
 def rep_from_json(d: dict, *, validate: bool = True) -> Rep:
-    """Parse a Rep payload; by default enforce check_residual.
-    A payload that is not an object, or whose p, q or n is not an
-    integer, raises ValueError."""
+    """Parse a Rep payload; by default enforce check_residual.  A payload
+    that is not an object raises ValueError, and one that BSGroup or Rep
+    refuses raises as they do."""
     if not isinstance(d, dict):
         raise ValueError(f"representation must be an object, got {type(d).__name__}")
-    rep = Rep(
-        BSGroup(json_int(d["p"], "p"), json_int(d["q"], "q")),
-        json_int(d["n"], "n"),
-        matrix_from_json(d["A"]),
-        matrix_from_json(d["B"]),
-    )
+    rep = Rep(BSGroup(d["p"], d["q"]), d["n"], matrix_from_json(d["A"]),
+              matrix_from_json(d["B"]))
     if validate:
         check_residual(relation_residual(rep))
     return rep

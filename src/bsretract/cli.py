@@ -8,8 +8,9 @@ exhausted or line search stalled), 4 predicted structure absent.
 Every command that has read its input ends in `_end`, which writes its
 outputs and the manifest that fully determines the run, then exits with
 the classified code; outputs are byte-deterministic for identical
-manifests.  Run settings are checked by the library that reads them,
-and its ValueError exits EXIT_BAD_INPUT.
+manifests.  Inputs and run settings are checked by the library that
+builds or reads them, and a ValueError, its refusal, that escapes a
+command exits EXIT_BAD_INPUT in one place, the group's invoke.
 """
 
 from __future__ import annotations
@@ -132,7 +133,15 @@ def _load_rep(path: str, *, validate: bool = True,
 
 # ----------------------------------------------------------------- CLI group
 
-@click.group()
+class _Main(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            _fail(EXIT_BAD_INPUT, str(exc))
+
+
+@click.group(cls=_Main)
 @click.pass_context
 def main(ctx):
     """Construct Baumslag-Solitar representations, flow them to minimal
@@ -154,10 +163,7 @@ def main(ctx):
 def cmd_census(p, q, n_max, out, csv_path):
     """Enumerate exponent orbits for the group parameters P Q."""
     _check_outputs(out, csv_path)
-    try:
-        data = enumerate_orbits(p, q, n_max)
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
+    data = enumerate_orbits(p, q, n_max)
     text = "".join(json.dumps(d.to_json(), sort_keys=True) + "\n" for d in data)
     counts = Counter((d.k, d.N) for d in data)
     rows = ["k,N,orbits"] + [f"{k},{n},{c}" for (k, n), c in sorted(counts.items())]
@@ -222,7 +228,7 @@ def cmd_construct(p, q, orbits, chis, random_n, seed, sl, out):
                 rep = direct_sum(rep, blk)
         else:
             _fail(EXIT_BAD_INPUT, "provide --random N or at least one --orbit")
-    except (ValueError, BsretractError) as exc:
+    except BsretractError as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
     manifest = build_manifest("construct", {"p": p, "q": q, "orbits": list(orbits),
                                             "chis": list(chis), "random_n": random_n,
@@ -255,13 +261,6 @@ _flow_options = [
 ]
 
 
-def _flow_config(tol, max_iter) -> FlowConfig:
-    try:
-        return FlowConfig(tol=tol, max_iter=max_iter)
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
-
-
 def _with(options):
     def deco(f):
         for opt in reversed(options):
@@ -279,7 +278,7 @@ def cmd_flow(in_path, out, trace_csv, tol, max_iter):
     """Run the moment-map gradient flow on a representation."""
     _check_outputs(out, trace_csv)
     rep, res0 = _load_rep(in_path)
-    cfg = _flow_config(tol, max_iter)
+    cfg = FlowConfig(tol=tol, max_iter=max_iter)
     final, trace = flow(rep, cfg, initial_residual=res0)
     last = trace.records[-1]
     manifest = build_manifest("flow", {"tol": tol, "max_iter": max_iter},
@@ -323,7 +322,7 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
     suite.check_pipeline exits EXIT_HARD_VIOLATION."""
     _check_outputs(out, diag_path, path_csv, trace_csv)
     rep, _ = _load_rep(in_path, measure=False)
-    cfg = _flow_config(tol, max_iter)
+    cfg = FlowConfig(tol=tol, max_iter=max_iter)
     manifest = pipeline_manifest(rep, cfg, samples, snap_tol,
                                  [out, diag_path or "", path_csv or "", trace_csv or ""])
     try:
@@ -331,7 +330,7 @@ def cmd_pipeline(in_path, out, diag_path, path_csv, trace_csv, samples, snap_tol
     except PipelineStageError as exc:
         endpoint, diag = None, exc.diagnostics
         lines, code = [f"error: {exc}"], EXIT_STRUCTURAL
-    except (ValueError, SingularMatrix) as exc:
+    except SingularMatrix as exc:
         _fail(EXIT_BAD_INPUT, str(exc))
     else:
         if diag.outcome in _FLOW_FAILURES:
@@ -392,10 +391,7 @@ def cmd_verify(in_path, out, snap_tol):
                  else f"error: relation residual {res:.3e} too large to certify"]
     else:
         code, lines = EXIT_OK, []
-        try:
-            cert = certify(rep, snap_tol)
-        except ValueError as exc:
-            _fail(EXIT_BAD_INPUT, str(exc))
+        cert = certify(rep, snap_tol)
         report.update(cert.report())
         if cert.form is not None:
             report["kappa_identity_defect"] = hs_norm(cert.form.Q - np.eye(n))
@@ -431,16 +427,11 @@ def cmd_suite(pairs_spec, n_max, seeds, base_seed, snap_tol, idempotence,
     grid or setting that run_suite refuses exits EXIT_BAD_INPUT before any
     cell runs."""
     _check_outputs(report)
-    cfg = _flow_config(tol, max_iter)
-    try:
-        pairs = [(int(ps), int(qs)) for ps, _, qs in
-                 (item.partition(":") for item in pairs_spec.split(","))]
-        doc = run_suite(
-            pairs, n_max, seeds, cfg, sl=sl, base_seed=base_seed, snap_tol=snap_tol,
-            check_idempotence=idempotence, workers=workers,
-        )
-    except ValueError as exc:
-        _fail(EXIT_BAD_INPUT, str(exc))
+    cfg = FlowConfig(tol=tol, max_iter=max_iter)
+    pairs = [(int(ps), int(qs)) for ps, _, qs in
+             (item.partition(":") for item in pairs_spec.split(","))]
+    doc = run_suite(pairs, n_max, seeds, cfg, sl=sl, base_seed=base_seed,
+                    snap_tol=snap_tol, check_idempotence=idempotence, workers=workers)
     manifest = build_manifest(
         "suite",
         {"pairs": [list(x) for x in pairs], "n_max": n_max, "seeds": seeds,

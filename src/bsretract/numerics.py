@@ -276,4 +276,8 @@ def matrix_from_json(d: dict) -> np.ndarray:
     im = np.asarray(d["im"], dtype=float)
     if re.shape != (n, n) or im.shape != (n, n):
         raise ValueError(f"matrix payload shape mismatch for n={n}")
-    return as_matrix(re + 1j * im)
+    # Set the parts: re + 1j * im would turn an imaginary -0.0 into 0.0,
+    # and warn on 1j * inf before as_matrix refuses it.
+    a = re.astype(np.complex128)
+    a.imag = im
+    return as_matrix(a)

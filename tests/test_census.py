@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsretract import (
+    InvalidOrbit,
     OrbitDatum,
     enumerate_orbits,
     from_orbit_datum,
@@ -197,6 +198,33 @@ def test_verify_orbit_examples():
     assert not verify_orbit(tampered)
     trivial = OrbitDatum(2, 3, 1, 0, (0,), 1)
     assert verify_orbit(trivial)
+
+
+#: One datum per invariant that verify_orbit checks, in the order it checks
+#: them, each failing it; most are tampered copies of the (2, 3) block
+#: OrbitDatum(2, 3, 5, 4, (1, 4), 2).
+TAMPERED_DATA = {
+    "N below 1": OrbitDatum(2, 3, 0, 0, (0,), 1),
+    "k not the orbit's length": OrbitDatum(2, 3, 5, 4, (1, 4), 3),
+    "empty orbit": OrbitDatum(2, 3, 5, 4, (), 0),
+    "repeated exponent": OrbitDatum(2, 3, 5, 4, (1, 4, 1), 3),
+    "exponent outside [0, N)": OrbitDatum(2, 3, 5, 4, (6, 9), 2),
+    "N sharing a factor with pq": OrbitDatum(2, 3, 3, 0, (1,), 1),
+    "u p not q mod N": OrbitDatum(2, 3, 5, 3, (1, 3), 2),
+    "broken cycle": OrbitDatum(2, 3, 5, 4, (1, 3), 2),
+    # 7 does not divide |2^1 - 3^1|.  No datum fails this invariant alone:
+    # u^k x = x for a unit x gives u^k = 1, so p^k = q^k mod N; this one is
+    # refused at its cycle, as 5 * 1 != 1 mod 7.
+    "N not dividing |p^k - q^k|": OrbitDatum(2, 3, 7, 5, (1,), 1),
+    "a field of the wrong type": OrbitDatum(2, 3, "5", 4, (1, 4), 2),
+}
+
+
+@pytest.mark.parametrize("datum", TAMPERED_DATA.values(), ids=TAMPERED_DATA.keys())
+def test_verify_orbit_and_from_orbit_datum_refuse_each_tampered_datum(datum):
+    assert not verify_orbit(datum)
+    with pytest.raises(InvalidOrbit, match="fails census.verify_orbit"):
+        from_orbit_datum(datum, 1.0)
 
 
 def test_every_emitted_orbit_verifies_and_divides():
